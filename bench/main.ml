@@ -256,6 +256,30 @@ let alloc_cases =
     ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 85_000., 5010.1, 451_774.);
   ]
 
+(* One unit-disk build of the same n = 1000, d = 12 placement: every
+   topology sample and serving-loop snapshot pays it.  The seed pair was
+   measured with this loop on the hashtable grid (boxed cell keys, a 5 x 5
+   probe block, the half-edge buffer); the flat cell index allocates only
+   its own O(n) arrays, which bypass the minor heap at this size, so the
+   ceiling sits at a five-hundredth of the seed: any per-node or
+   per-probe allocation crosses it. *)
+let build_ceiling_words = 1_000.
+let build_seed_us = 4772.
+let build_seed_words = 492_543.
+
+let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
+  let points = sample.Manet_topology.Generator.points
+  and radius = sample.Manet_topology.Generator.radius in
+  ignore (Manet_graph.Unit_disk.build ~radius points);
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  for _ = 1 to reps do
+    ignore (Manet_graph.Unit_disk.build ~radius points)
+  done;
+  let dt = Sys.time () -. t0 in
+  let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+  (1e6 *. dt /. float_of_int reps, words)
+
 let alloc () =
   section "Allocation: per-broadcast cost on the uniform pipeline (n = 1000, d = 12)";
   let n = 1000 in
@@ -295,6 +319,14 @@ let alloc () =
         (name, mode_label, us, words, ceiling, seed_us, seed_words))
       alloc_cases
   in
+  let build_us, build_words = alloc_build ~reps sample in
+  let build_over = build_words > build_ceiling_words in
+  if build_over then failures := "unit-disk build" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "unit-disk build" "n=1000" "us/build"
+    "seed us" "words/build" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" build_us build_seed_us
+    build_words build_seed_words build_ceiling_words
+    (if build_over then "  EXCEEDED" else "");
   let entries =
     List.map
       (fun (name, mode_label, us, words, ceiling, seed_us, seed_words) ->
@@ -319,12 +351,29 @@ let alloc () =
           \    \"results\": [\n\
           %s\n\
           \    ]\n\
+          \  },\n\
+          \  \"per_build\": {\n\
+          \    \"name\": \"unit-disk-build\",\n\
+          \    \"n\": 1000,\n\
+          \    \"avg_degree\": 12,\n\
+          \    \"reps\": %d,\n\
+          \    \"us_per_build\": %s,\n\
+          \    \"minor_words_per_build\": %s,\n\
+          \    \"ceiling_words\": %s,\n\
+          \    \"seed_us_per_build\": %s,\n\
+          \    \"seed_minor_words_per_build\": %s,\n\
+          \    \"speedup\": %s,\n\
+          \    \"alloc_reduction\": %s\n\
           \  }"
          reps
-         (String.concat ",\n" entries));
+         (String.concat ",\n" entries)
+         reps (json_float build_us) (json_float build_words) (json_float build_ceiling_words)
+         (json_float build_seed_us) (json_float build_seed_words)
+         (json_float (build_seed_us /. build_us))
+         (json_float (build_seed_words /. build_words)));
   flush_timing_json ();
   if !failures <> [] then begin
-    Printf.eprintf "alloc: minor-words-per-broadcast ceiling exceeded: %s\n"
+    Printf.eprintf "alloc: minor-words ceiling exceeded: %s\n"
       (String.concat ", " (List.rev !failures));
     exit 1
   end
@@ -464,14 +513,26 @@ let experiments =
     ("traffic", traffic);
   ]
 
-let usage () =
-  print_endline "usage: main.exe [--quick] [--csv DIR] [--json DIR] [--domains N] [experiment ...]";
-  print_endline "experiments:";
-  List.iter (fun (name, _) -> Printf.printf "  %s\n" name) experiments;
-  print_endline "  all (default)"
+let usage oc =
+  output_string oc
+    "usage: main.exe [--quick] [--csv DIR] [--json DIR] [--domains N] [experiment ...]\n\
+     experiments:\n";
+  List.iter (fun (name, _) -> Printf.fprintf oc "  %s\n" name) experiments;
+  output_string oc "  all (default)\n"
+
+(* Bad arguments exit with code 2 and the usage message, before any
+   experiment has run. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "main.exe: %s\n" msg;
+      usage stderr;
+      exit 2)
+    fmt
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  let is_flag a = String.length a > 0 && a.[0] = '-' in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--quick" :: rest ->
@@ -480,30 +541,32 @@ let () =
     | "--alloc" :: rest ->
       (* Alias for the alloc experiment, so CI can say `bench --alloc`. *)
       parse ("alloc" :: acc) rest
-    | "--csv" :: dir :: rest ->
+    | "--csv" :: dir :: rest when not (is_flag dir) ->
       csv_dir := Some dir;
       parse acc rest
-    | "--json" :: dir :: rest ->
+    | "--json" :: dir :: rest when not (is_flag dir) ->
       json_dir := Some dir;
       parse acc rest
-    | "--domains" :: k :: rest ->
-      domains := int_of_string k;
-      parse acc rest
+    | (("--csv" | "--json") as flag) :: _ -> usage_error "%s needs a DIR" flag
+    | "--domains" :: k :: rest -> (
+      match int_of_string_opt k with
+      | Some d when d >= 1 ->
+        domains := d;
+        parse acc rest
+      | Some _ | None -> usage_error "--domains needs a positive integer, got %S" k)
+    | [ "--domains" ] -> usage_error "--domains needs a positive integer"
     | ("--help" | "-h") :: _ ->
-      usage ();
+      usage stdout;
       exit 0
-    | name :: rest -> parse (name :: acc) rest
+    | name :: rest ->
+      if name <> "all" && not (List.mem_assoc name experiments) then
+        usage_error "unknown experiment: %s" name;
+      parse (name :: acc) rest
   in
   let selected = parse [] args in
   let selected = if selected = [] then [ "all" ] else selected in
-  let run name =
-    if name = "all" then List.iter (fun (_, f) -> f ()) experiments
-    else
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown experiment: %s\n" name;
-        usage ();
-        exit 1
-  in
-  List.iter run selected
+  List.iter
+    (fun name ->
+      if name = "all" then List.iter (fun (_, f) -> f ()) experiments
+      else (List.assoc name experiments) ())
+    selected

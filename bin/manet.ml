@@ -475,7 +475,7 @@ let run_cmd =
 
 let () =
   let info =
-    Cmd.info "manet" ~version:"1.0.0"
+    Cmd.info "manet" ~version:Version.v
       ~doc:"Cluster-based backbone infrastructure for broadcasting in MANETs (Lou & Wu, IPPS'03)."
   in
   exit

@@ -1,11 +1,20 @@
-(** Spatial hash grid for range queries over a fixed set of points.
+(** Flat cell index for fixed-radius queries over a fixed set of points.
 
     Building the unit-disk graph naively costs O(n^2) distance tests; the
-    grid buckets points into square cells of side [cell_size] so that a
-    radius-r query with [cell_size >= r] only inspects the 3 x 3 block of
-    cells around the query point.  For the paper's workloads (uniform
-    placement, r chosen from the target average degree) this makes graph
-    construction effectively linear. *)
+    index buckets points into square cells so that a radius-r query with
+    [r <= cell_size] inspects only the 3 x 3 block of cells around the
+    query point.  For the paper's workloads (uniform placement, r chosen
+    from the target average degree) this makes graph construction
+    effectively linear.
+
+    The cells are hashed into a power-of-two table of O(n) buckets, so
+    memory is O(n) however large the points' bounding box is (the serving
+    loop parks left nodes on a rail far outside the field).  The cell side
+    actually used is [cell_size * (1 + 1e-9)]: with that margin, two
+    points that pass the float test [Point.dist_sq p q < r *. r] for some
+    [r <= cell_size] are provably at most one cell apart on each axis,
+    rounding of the cell coordinates included, for coordinates below
+    about [10^6] cells in magnitude. *)
 
 type t
 
@@ -13,23 +22,24 @@ val make : cell_size:float -> Point.t array -> t
 (** [make ~cell_size points] indexes [points] (indices into the array are
     the node ids).  @raise Invalid_argument if [cell_size <= 0.]. *)
 
-val cell_size : t -> float
-
-val iter_within : t -> center:Point.t -> radius:float -> (int -> unit) -> unit
-(** [iter_within t ~center ~radius f] applies [f] to the index of every
-    point at Euclidean distance [< radius] from [center], in no particular
-    order — the allocation-free primitive behind {!within}, used on the
-    graph-construction hot path. *)
+val fill_within :
+  t -> center:Point.t -> radius:float -> except:int -> int array -> int -> int
+(** [fill_within t ~center ~radius ~except buf pos] writes into [buf],
+    from index [pos] on, the index of every point other than [except] at
+    distance [< radius] from [center] (the same float test as
+    {!within}), and returns the position one past the last.  The order
+    is unspecified.  Indices that do not fit in [buf] are counted but not
+    written, so a result larger than [Array.length buf] means "grow the
+    buffer and call again".  Allocation-free: this is the kernel behind
+    [Unit_disk.build]. *)
 
 val within : t -> center:Point.t -> radius:float -> int list
 (** [within t ~center ~radius] is the indices of all points at Euclidean
     distance [< radius] from [center] (strict, matching the paper's
-    "distance less than r" neighbor rule), in increasing order.
+    "distance less than r" neighbor rule, and the same float test as
+    [Point.dist_sq center p < radius *. radius]), in increasing order.
 
-    Exact for any [radius <= cell_size t]; for larger radii the search
-    widens to the necessary block of cells, so it is exact for all radii,
-    merely slower. *)
-
-val nearest : t -> center:Point.t -> int option
-(** Index of a closest point to [center] (ties broken by lowest index), or
-    [None] if the grid is empty. *)
+    Scans [ceil (radius / side)] cells on each side of the center's cell
+    ([side] being the widened cell side): the 3 x 3 block for any radius
+    up to the [cell_size] given to {!make}, wider blocks for larger radii
+    — exact for all radii. *)

@@ -4,48 +4,6 @@
    contiguous buffer instead of chasing a pointer per row. *)
 type t = { n : int; m : int; off : int array; nbr : int array }
 
-(* In-place sort of [a.(lo) .. a.(hi - 1)]: insertion sort for short rows,
-   heapsort above that.  Both are allocation-free, which keeps graph
-   construction off the minor heap. *)
-let sort_range a lo hi =
-  let len = hi - lo in
-  if len > 1 then begin
-    if len <= 16 then
-      for i = lo + 1 to hi - 1 do
-        let x = Array.unsafe_get a i in
-        let j = ref (i - 1) in
-        while !j >= lo && Array.unsafe_get a !j > x do
-          Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
-          decr j
-        done;
-        Array.unsafe_set a (!j + 1) x
-      done
-    else begin
-      let swap i j =
-        let tmp = a.(lo + i) in
-        a.(lo + i) <- a.(lo + j);
-        a.(lo + j) <- tmp
-      in
-      let rec sift root len =
-        let l = (2 * root) + 1 in
-        if l < len then begin
-          let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
-          if a.(lo + c) > a.(lo + root) then begin
-            swap c root;
-            sift c len
-          end
-        end
-      in
-      for root = (len - 2) / 2 downto 0 do
-        sift root len
-      done;
-      for last = len - 1 downto 1 do
-        swap 0 last;
-        sift 0 last
-      done
-    end
-  end
-
 (* Shared CSR assembly over a packed half-edge buffer: [buf.(2k)] and
    [buf.(2k + 1)] are the endpoints of edge [k], each undirected edge
    appearing exactly once.  Counts degrees, prefix-sums the offsets and
@@ -74,7 +32,7 @@ let csr_of_pairs ~n ~len buf =
     k := !k + 2
   done;
   for v = 0 to n - 1 do
-    sort_range nbr off.(v) off.(v + 1)
+    Row_sort.sort_range nbr off.(v) off.(v + 1)
   done;
   (off, nbr)
 
@@ -92,6 +50,10 @@ let of_half_edges ~n ~len buf =
   done;
   let off, nbr = csr_of_pairs ~n ~len buf in
   { n; m = len / 2; off; nbr }
+
+let unsafe_of_csr ~off ~nbr =
+  let n = Array.length off - 1 in
+  { n; m = off.(n) / 2; off; nbr }
 
 (* Squeezes duplicate entries out of every (sorted) row in place,
    rebuilding the offsets.  The write cursor never passes the read
@@ -144,7 +106,7 @@ let of_adjacency adj =
   done;
   for v = 0 to n - 1 do
     let lo = off.(v) and hi = off.(v + 1) in
-    sort_range nbr lo hi;
+    Row_sort.sort_range nbr lo hi;
     for i = lo to hi - 1 do
       let u = nbr.(i) in
       if u < 0 || u >= n then invalid_arg "Graph.of_adjacency: endpoint out of range";

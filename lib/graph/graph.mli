@@ -27,13 +27,23 @@ val of_half_edges : n:int -> len:int -> int array -> t
 (** [of_half_edges ~n ~len buf] builds a graph on [n] nodes from a packed
     half-edge buffer: [buf.(2k)] and [buf.(2k + 1)] are the endpoints of
     edge [k] for [2k < len], each undirected edge listed exactly once (in
-    either orientation).  This is the bulk-construction fast path behind
-    {!Unit_disk.build}: the CSR arrays are filled straight from the
-    buffer, with no intermediate per-row arrays or edge list.  Slack
+    either orientation).  This is the bulk path behind
+    {!Unit_disk.build_brute_force} and {!Unit_disk.build_toroidal}: the
+    CSR arrays are filled straight from the buffer, with no intermediate
+    per-row arrays or edge list.  Slack
     beyond [len] is ignored, so a growable buffer can be passed as-is.
     Duplicate edges are not detected (the resulting graph would be
     malformed); self-loops, out-of-range endpoints, an odd or negative
     [len], and [len > Array.length buf] raise [Invalid_argument]. *)
+
+val unsafe_of_csr : off:int array -> nbr:int array -> t
+(** [unsafe_of_csr ~off ~nbr] takes ownership of a ready-made CSR pair
+    (see {!csr}) on [Array.length off - 1] nodes.  {b Unchecked}: the
+    caller guarantees [off.(0) = 0], non-decreasing offsets,
+    [Array.length nbr = off.(n)], rows sorted strictly increasing,
+    endpoints in range, no self-loops and symmetry.  A violation is not
+    detected and yields a malformed graph.  This is the bulk path of
+    {!Unit_disk.build}, which emits the rows in that form directly. *)
 
 val empty : int -> t
 (** [empty n] has [n] nodes and no edges. *)

@@ -1,9 +1,10 @@
 (** Unit-disk graph construction.
 
     "Two hosts are considered neighbors if and only if their geographic
-    distance is less than r" (Section 1).  Built with a spatial hash grid,
-    so construction is near-linear in the number of nodes for the uniform
-    placements used in the evaluation. *)
+    distance is less than r" (Section 1).  Built over a flat cell index
+    ({!Manet_geom.Grid}) that probes only the 3 x 3 block of cells around
+    each node, so construction is near-linear in the number of nodes for
+    the uniform placements used in the evaluation. *)
 
 val build : radius:float -> Manet_geom.Point.t array -> Graph.t
 (** [build ~radius points] links every pair at distance strictly less than

@@ -105,25 +105,60 @@ let test_grid_negative_coordinates () =
 
 let test_grid_empty () =
   let grid = Grid.make ~cell_size:1. [||] in
-  Alcotest.(check (list int)) "no points" [] (Grid.within grid ~center:(pt 0. 0.) ~radius:5.);
-  Alcotest.(check (option int)) "no nearest" None (Grid.nearest grid ~center:(pt 0. 0.))
+  Alcotest.(check (list int)) "no points" [] (Grid.within grid ~center:(pt 0. 0.) ~radius:5.)
 
 let test_grid_invalid_cell () =
   Alcotest.check_raises "non-positive cell"
     (Invalid_argument "Grid.make: cell_size must be positive") (fun () ->
       ignore (Grid.make ~cell_size:0. [||]))
 
-let test_nearest () =
-  let points = [| pt 0. 0.; pt 5. 5.; pt 2. 2. |] in
-  let grid = Grid.make ~cell_size:3. points in
-  Alcotest.(check (option int)) "closest" (Some 2) (Grid.nearest grid ~center:(pt 3. 3.));
-  Alcotest.(check (option int)) "exact hit" (Some 0) (Grid.nearest grid ~center:(pt 0. 0.))
+let test_grid_reach_multiples () =
+  (* Radii at and just past whole multiples of the cell, where
+     [ceil (r / cell)] steps: points just inside the radius along each
+     axis and the diagonal, at the far edge of the block, must be found. *)
+  let cell = 4. in
+  List.iter
+    (fun k ->
+      let radius = float_of_int k *. cell in
+      List.iter
+        (fun radius ->
+          let below = Float.pred radius in
+          let points =
+            [| pt 0. 0.; pt below 0.; pt (-.below) 0.; pt 0. below; pt radius 0.;
+               pt (Float.pred (-.cell)) 0.; pt (below /. sqrt 2.) (below /. sqrt 2.) |]
+          in
+          let grid = Grid.make ~cell_size:cell points in
+          let center = pt 0. 0. in
+          Alcotest.(check (list int))
+            (Printf.sprintf "radius %h" radius)
+            (brute_within points center radius)
+            (Grid.within grid ~center ~radius))
+        [ radius; Float.succ radius; radius *. (1. +. 1e-12) ])
+    [ 1; 2; 3 ];
+  (* Random placements against radii that are exact multiples. *)
+  let points = random_points ~seed:11 ~count:200 ~extent:40. in
+  let grid = Grid.make ~cell_size:cell points in
+  let rng = Rng.create ~seed:12 in
+  for trial = 1 to 40 do
+    let center = pt (Rng.float rng 40.) (Rng.float rng 40.) in
+    let radius = float_of_int (1 + (trial mod 3)) *. cell in
+    Alcotest.(check (list int))
+      (Printf.sprintf "multiple trial %d" trial)
+      (brute_within points center radius)
+      (Grid.within grid ~center ~radius)
+  done
 
-let test_nearest_tie_lowest_index () =
-  let points = [| pt 1. 0.; pt (-1.) 0. |] in
+let test_grid_far_apart () =
+  (* Memory is O(n) whatever the bounding box: points a million cells
+     apart index in a few words per point, as do points in one cell. *)
+  let points = [| pt 0. 0.; pt 1e6 (-1e6); pt 0.5 0. |] in
   let grid = Grid.make ~cell_size:1. points in
-  Alcotest.(check (option int)) "tie -> lowest index" (Some 0)
-    (Grid.nearest grid ~center:(pt 0. 0.))
+  let words = Obj.reachable_words (Obj.repr grid) in
+  let packed = Obj.reachable_words (Obj.repr (Grid.make ~cell_size:1. [| pt 0. 0.; pt 0.1 0.; pt 0.5 0. |])) in
+  Alcotest.(check int) "size independent of spread" packed words;
+  Alcotest.(check (list int)) "near origin" [ 0; 2 ] (Grid.within grid ~center:(pt 0. 0.) ~radius:1.);
+  Alcotest.(check (list int)) "far point" [ 1 ]
+    (Grid.within grid ~center:(pt 1e6 (-1e6)) ~radius:1.)
 
 let () =
   Alcotest.run "geom"
@@ -145,7 +180,7 @@ let () =
           Alcotest.test_case "negative coordinates" `Quick test_grid_negative_coordinates;
           Alcotest.test_case "empty grid" `Quick test_grid_empty;
           Alcotest.test_case "invalid cell size" `Quick test_grid_invalid_cell;
-          Alcotest.test_case "nearest" `Quick test_nearest;
-          Alcotest.test_case "nearest tie" `Quick test_nearest_tie_lowest_index;
+          Alcotest.test_case "radius at cell multiples" `Quick test_grid_reach_multiples;
+          Alcotest.test_case "far-apart points" `Quick test_grid_far_apart;
         ] );
     ]

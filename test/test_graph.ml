@@ -301,6 +301,119 @@ let prop_unit_disk_matches_brute =
       let radius = 5. +. Manet_rng.Rng.float rng 30. in
       Graph.equal (Unit_disk.build ~radius pts) (Unit_disk.build_brute_force ~radius pts))
 
+(* Grid build = brute-force oracle over the layouts the cell index must
+   survive: every seeded graph is compared as CSR arrays, so a missed,
+   extra, duplicated or misordered neighbour all fail. *)
+
+let check_udg name ~radius pts =
+  if not (Graph.equal (Unit_disk.build ~radius pts) (Unit_disk.build_brute_force ~radius pts))
+  then Alcotest.failf "%s: grid build differs from brute force (n=%d, radius %h)" name
+      (Array.length pts) radius
+
+let uniform_points rng ~n ~lo ~hi =
+  Array.init n (fun _ ->
+      Point.make ~x:(lo +. Manet_rng.Rng.float rng (hi -. lo))
+        ~y:(lo +. Manet_rng.Rng.float rng (hi -. lo)))
+
+let test_udg_oracle_uniform () =
+  List.iter
+    (fun n ->
+      for seed = 1 to 3 do
+        let rng = Manet_rng.Rng.create ~seed:((seed * 7919) + n) in
+        let pts = uniform_points rng ~n ~lo:0. ~hi:100. in
+        let by_degree =
+          if n < 2 then []
+          else
+            List.map
+              (fun degree -> Unit_disk.radius_for_degree ~n ~degree ~width:100. ~height:100.)
+              [ 6.; 12.; 18. ]
+        in
+        List.iter
+          (fun radius -> check_udg (Printf.sprintf "uniform seed %d" seed) ~radius pts)
+          ((1. +. Manet_rng.Rng.float rng 30.) :: by_degree)
+      done)
+    [ 0; 1; 2; 20; 100; 1000 ]
+
+let test_udg_oracle_radius_beyond_field () =
+  let rng = Manet_rng.Rng.create ~seed:31 in
+  List.iter
+    (fun n ->
+      let pts = uniform_points rng ~n ~lo:0. ~hi:100. in
+      List.iter
+        (fun radius ->
+          check_udg "radius beyond field" ~radius pts;
+          Alcotest.(check int) "complete" (n * (n - 1) / 2) (Graph.m (Unit_disk.build ~radius pts)))
+        [ 150.; 1e4 ])
+    [ 2; 100; 500 ]
+
+let test_udg_oracle_parked_rail () =
+  (* The serving loop's snapshot: active nodes in the field, left nodes on
+     a rail above it spaced 2r + 1 apart (isolated), here also at a
+     tighter spacing so rail nodes link along a line of thousands of
+     cells. *)
+  List.iter
+    (fun (n, spacing_of_r) ->
+      let rng = Manet_rng.Rng.create ~seed:(n + 17) in
+      let radius = Unit_disk.radius_for_degree ~n ~degree:12. ~width:100. ~height:100. in
+      let park_y = 100. +. (2. *. radius) +. 1. in
+      let field = uniform_points rng ~n ~lo:0. ~hi:100. in
+      let pts =
+        Array.mapi
+          (fun v p ->
+            if Manet_rng.Rng.float rng 1. < 0.3 then
+              Point.make ~x:(float_of_int v *. spacing_of_r radius) ~y:park_y
+            else p)
+          field
+      in
+      check_udg "parked rail" ~radius pts)
+    [
+      (200, fun r -> (2. *. r) +. 1.);
+      (1000, fun r -> (2. *. r) +. 1.);
+      (1000, fun r -> 0.7 *. r);
+    ]
+
+let test_udg_oracle_negative_coincident () =
+  let rng = Manet_rng.Rng.create ~seed:57 in
+  let radius = 7.3 in
+  let base = uniform_points rng ~n:300 ~lo:(-50.) ~hi:50. in
+  (* Points exactly on cell edges (either sign, and -0.), plus copies of
+     earlier points: coincident distinct nodes are linked. *)
+  let edges =
+    Array.init 40 (fun i ->
+        let k = float_of_int ((i mod 9) - 4) in
+        Point.make ~x:(k *. radius) ~y:(if i mod 2 = 0 then -0. else -.k *. radius))
+  in
+  let copies = Array.init 60 (fun i -> base.((i * 37) mod 300)) in
+  let pts = Array.concat [ base; edges; copies; [| Point.origin; Point.origin |] ] in
+  check_udg "negative and coincident" ~radius pts;
+  let g = Unit_disk.build ~radius pts in
+  Alcotest.(check bool) "coincident copies linked" true (Graph.mem_edge g 0 (300 + 40))
+
+let test_udg_oracle_cell_edge_pairs () =
+  (* Pairs at distance r (1 +- 2^-52) straddling a cell edge: one point a
+     hair below a multiple of the radius, its partner one radius further
+     along a random direction (axis-aligned half the time). *)
+  let rng = Manet_rng.Rng.create ~seed:73 in
+  for trial = 1 to 20 do
+    let radius = 0.1 +. Manet_rng.Rng.float rng 12. in
+    let pts =
+      Array.concat
+        (List.init 60 (fun _ ->
+             let k = float_of_int (Manet_rng.Rng.int rng 41 - 20) in
+             let edge = k *. radius in
+             let x = edge -. (Manet_rng.Rng.float rng 1e-6 *. radius) in
+             let y = float_of_int (Manet_rng.Rng.int rng 41 - 20) *. radius in
+             let theta =
+               if Manet_rng.Rng.int rng 2 = 0 then 0. else Manet_rng.Rng.float rng (2. *. Float.pi)
+             in
+             let d =
+               radius *. (if Manet_rng.Rng.int rng 2 = 0 then 1. -. epsilon_float else 1. +. epsilon_float)
+             in
+             [| Point.make ~x ~y; Point.make ~x:(x +. (d *. cos theta)) ~y:(y +. (d *. sin theta)) |]))
+    in
+    check_udg (Printf.sprintf "cell-edge trial %d" trial) ~radius pts
+  done
+
 let test_unit_disk_toroidal () =
   let pts = [| Point.make ~x:1. ~y:5.; Point.make ~x:9. ~y:5.; Point.make ~x:5. ~y:5. |] in
   let g = Unit_disk.build_toroidal ~radius:3. ~width:10. ~height:10. pts in
@@ -565,6 +678,12 @@ let () =
           Alcotest.test_case "simple" `Quick test_unit_disk_simple;
           Alcotest.test_case "strict threshold" `Quick test_unit_disk_strict;
           prop_unit_disk_matches_brute;
+          Alcotest.test_case "oracle: uniform n in {0..1000}" `Quick test_udg_oracle_uniform;
+          Alcotest.test_case "oracle: radius beyond field" `Quick test_udg_oracle_radius_beyond_field;
+          Alcotest.test_case "oracle: parked rail" `Quick test_udg_oracle_parked_rail;
+          Alcotest.test_case "oracle: negative and coincident" `Quick
+            test_udg_oracle_negative_coincident;
+          Alcotest.test_case "oracle: cell-edge pairs" `Quick test_udg_oracle_cell_edge_pairs;
           Alcotest.test_case "toroidal wrap" `Quick test_unit_disk_toroidal;
           prop_toroidal_supergraph;
           Alcotest.test_case "radius/degree roundtrip" `Quick test_radius_for_degree_roundtrip;
