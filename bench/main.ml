@@ -13,25 +13,25 @@ module Scenario = Manet_experiment.Scenario
 module Runner = Manet_experiment.Runner
 module Render = Manet_experiment.Render
 module Coverage = Manet_coverage.Coverage
+module Json = Manet_experiment.Json
 
 let quick = ref false
 let csv_dir = ref None
 let json_dir = ref None
 let domains = ref 1
 
-(* Hand-rolled JSON emission (no JSON library in the image): only
-   objects, arrays, strings, ints and finite floats are needed. *)
-let json_float f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+(* JSON output goes through the experiment layer's JSON tree; a
+   non-finite measurement is written as null. *)
+let num f = if Float.is_finite f then Json.Num f else Json.Null
+let int i = Json.Num (float_of_int i)
 
-let write_json ~dir ~name rows =
+let write_json ~dir ~name json =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir name in
   let oc = open_out path in
-  output_string oc rows;
+  output_string oc (Json.print json ^ "\n");
   close_out oc;
   Printf.printf "  [json] %s\n%!" path
-
-let config () = if !quick then Figures.quick else Figures.default
 
 let maybe_csv name table =
   match !csv_dir with
@@ -86,61 +86,47 @@ let ext_msgs () =
 
 let ext_delivery () = run_builtin "Diagnostic: delivery ratios of SD protocols" "ext-delivery"
 
-let ext_lossy () =
-  section "Extension: delivery under lossy links";
-  let t = Figures.ext_lossy ~config:(config ()) ~d:8. () in
-  print_string (Figures.render_lossy t)
+let ext_lossy () = run_builtin "Extension: delivery under lossy links" "ext-lossy"
 
 let ext_border () =
-  section "Diagnostic: border effects of the confined working space";
-  let t = Figures.ext_border ~config:(config ()) ~d:6. () in
-  print_string (Figures.render_border t)
+  run_builtin "Diagnostic: border effects of the confined working space" "ext-border"
 
 let ext_reliable () =
-  section "Extension: reliable broadcast (ack/retransmit) under loss";
-  let t = Figures.ext_reliable ~config:(config ()) ~d:8. () in
-  print_string (Figures.render_reliable t)
+  run_builtin "Extension: reliable broadcast (ack/retransmit) under loss" "ext-reliable"
 
 let ext_maintenance () =
-  section "Extension: clustering maintenance cost under mobility";
-  let config =
-    let c = config () in
-    if !quick then { c with min_samples = 3 } else { c with min_samples = 10 }
-  in
-  let t = Figures.ext_maintenance ~config ~d:6. () in
-  print_string (Figures.render_maintenance t)
+  run_builtin "Extension: clustering maintenance cost under mobility" "ext-maintenance"
 
 let ext_traffic () =
   run_builtin "Extension: continuous-traffic serving under churn" "ext-traffic"
 
 let ext_mobility () =
-  section "Extension: static backbone maintenance under mobility";
-  let config =
-    let c = config () in
-    if !quick then { c with min_samples = 4 } else { c with min_samples = 20 }
-  in
-  let t = Figures.ext_mobility ~config ~d:6. () in
-  print_string (Figures.render_mobility t)
+  run_builtin "Extension: static backbone maintenance under mobility" "ext-mobility"
 
-(* BENCH_timing.json holds two independently produced sections — the
-   Bechamel table (from [timing]) and the per-broadcast
-   latency/allocation table (from [alloc]).  Each experiment stores its
-   fragment here and the file is rewritten with whichever sections the
-   current invocation produced, so `--json . timing alloc` emits both. *)
-let timing_json_section = ref None
-let alloc_json_section = ref None
-let traffic_json_section = ref None
-
-let flush_timing_json () =
+(* BENCH_timing.json holds the top-level keys of three experiments:
+   the Bechamel table ([timing]: n, avg_degree, results), the
+   allocation tables ([alloc]: per_broadcast, per_build) and the serving
+   throughput ([traffic]).  Each experiment replaces only its own keys
+   in the file on disk and keeps every other key, so `--json . alloc`
+   leaves the Bechamel results and the traffic section in place. *)
+let merge_timing_json fields =
   match !json_dir with
   | None -> ()
   | Some dir ->
-    let sections =
-      List.filter_map (fun r -> !r) [ timing_json_section; alloc_json_section; traffic_json_section ]
+    let path = Filename.concat dir "BENCH_timing.json" in
+    let kept =
+      if not (Sys.file_exists path) then []
+      else
+        let text = In_channel.with_open_bin path In_channel.input_all in
+        match Json.parse text with
+        | Ok (Json.Obj kept) -> kept
+        | Ok _ | Error _ ->
+          Printf.eprintf "%s: not a JSON object; fix or delete it before merging into it\n" path;
+          exit 1
     in
-    if sections <> [] then
-      write_json ~dir ~name:"BENCH_timing.json"
-        (Printf.sprintf "{\n%s\n}\n" (String.concat ",\n" sections))
+    let replaced = List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k fields) ~default:v)) kept in
+    let added = List.filter (fun (k, _) -> not (List.mem_assoc k kept)) fields in
+    write_json ~dir ~name:"BENCH_timing.json" (Json.Obj (replaced @ added))
 
 (* Bechamel micro-benchmarks: one Test.make per reproduced table — each
    times the per-sample unit of work behind that figure at the paper's
@@ -214,18 +200,17 @@ let timing () =
   List.iter
     (fun (name, ns, r2) -> Printf.printf "%-28s %14.0f %8.3f\n" name ns r2)
     rows;
-  let entries =
-    List.map
-      (fun (name, ns, r2) ->
-        Printf.sprintf "    {\"name\": %S, \"ns_per_run\": %s, \"r_square\": %s}" name
-          (json_float ns) (json_float r2))
-      rows
-  in
-  timing_json_section :=
-    Some
-      (Printf.sprintf "  \"n\": 100,\n  \"avg_degree\": 6,\n  \"results\": [\n%s\n  ]"
-         (String.concat ",\n" entries));
-  flush_timing_json ()
+  merge_timing_json
+    [
+      ("n", int 100);
+      ("avg_degree", int 6);
+      ( "results",
+        Json.Arr
+          (List.map
+             (fun (name, ns, r2) ->
+               Json.Obj [ ("name", Json.Str name); ("ns_per_run", num ns); ("r_square", num r2) ])
+             rows) );
+    ]
 
 (* Per-broadcast latency and allocation at the sweep scale (n = 1000,
    d = 12): prepare each protocol once, then run broadcasts back to
@@ -327,51 +312,48 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" build_us build_seed_us
     build_words build_seed_words build_ceiling_words
     (if build_over then "  EXCEEDED" else "");
-  let entries =
-    List.map
-      (fun (name, mode_label, us, words, ceiling, seed_us, seed_words) ->
-        Printf.sprintf
-          "      {\"name\": %S, \"mode\": %S, \"us_per_broadcast\": %s, \
-           \"minor_words_per_broadcast\": %s, \
-           \"ceiling_words\": %s, \"seed_us_per_broadcast\": %s, \
-           \"seed_minor_words_per_broadcast\": %s, \"speedup\": %s, \"alloc_reduction\": %s}"
-          name mode_label (json_float us) (json_float words) (json_float ceiling)
-          (json_float seed_us) (json_float seed_words)
-          (json_float (seed_us /. us))
-          (json_float (seed_words /. words)))
-      rows
-  in
-  alloc_json_section :=
-    Some
-      (Printf.sprintf
-         "  \"per_broadcast\": {\n\
-          \    \"n\": 1000,\n\
-          \    \"avg_degree\": 12,\n\
-          \    \"reps\": %d,\n\
-          \    \"results\": [\n\
-          %s\n\
-          \    ]\n\
-          \  },\n\
-          \  \"per_build\": {\n\
-          \    \"name\": \"unit-disk-build\",\n\
-          \    \"n\": 1000,\n\
-          \    \"avg_degree\": 12,\n\
-          \    \"reps\": %d,\n\
-          \    \"us_per_build\": %s,\n\
-          \    \"minor_words_per_build\": %s,\n\
-          \    \"ceiling_words\": %s,\n\
-          \    \"seed_us_per_build\": %s,\n\
-          \    \"seed_minor_words_per_build\": %s,\n\
-          \    \"speedup\": %s,\n\
-          \    \"alloc_reduction\": %s\n\
-          \  }"
-         reps
-         (String.concat ",\n" entries)
-         reps (json_float build_us) (json_float build_words) (json_float build_ceiling_words)
-         (json_float build_seed_us) (json_float build_seed_words)
-         (json_float (build_seed_us /. build_us))
-         (json_float (build_seed_words /. build_words)));
-  flush_timing_json ();
+  merge_timing_json
+    [
+      ( "per_broadcast",
+        Json.Obj
+          [
+            ("n", int 1000);
+            ("avg_degree", int 12);
+            ("reps", int reps);
+            ( "results",
+              Json.Arr
+                (List.map
+                   (fun (name, mode_label, us, words, ceiling, seed_us, seed_words) ->
+                     Json.Obj
+                       [
+                         ("name", Json.Str name);
+                         ("mode", Json.Str mode_label);
+                         ("us_per_broadcast", num us);
+                         ("minor_words_per_broadcast", num words);
+                         ("ceiling_words", num ceiling);
+                         ("seed_us_per_broadcast", num seed_us);
+                         ("seed_minor_words_per_broadcast", num seed_words);
+                         ("speedup", num (seed_us /. us));
+                         ("alloc_reduction", num (seed_words /. words));
+                       ])
+                   rows) );
+          ] );
+      ( "per_build",
+        Json.Obj
+          [
+            ("name", Json.Str "unit-disk-build");
+            ("n", int 1000);
+            ("avg_degree", int 12);
+            ("reps", int reps);
+            ("us_per_build", num build_us);
+            ("minor_words_per_build", num build_words);
+            ("ceiling_words", num build_ceiling_words);
+            ("seed_us_per_build", num build_seed_us);
+            ("seed_minor_words_per_build", num build_seed_words);
+            ("speedup", num (build_seed_us /. build_us));
+            ("alloc_reduction", num (build_seed_words /. build_words));
+          ] );
+    ];
   if !failures <> [] then begin
     Printf.eprintf "alloc: minor-words ceiling exceeded: %s\n"
       (String.concat ", " (List.rev !failures));
@@ -415,25 +397,23 @@ let traffic () =
   Printf.printf "%-14d %12d %12d %12.2f %14.0f %10.0f%s\n" stats.Workload.broadcasts
     stats.Workload.churn_events stats.Workload.maintenance_messages dt bps traffic_floor_bps
     (if bps < traffic_floor_bps then "  BELOW FLOOR" else "");
-  traffic_json_section :=
-    Some
-      (Printf.sprintf
-         "  \"traffic\": {\n\
-          \    \"n\": %d,\n\
-          \    \"avg_degree\": 12,\n\
-          \    \"arrival_rate\": 50,\n\
-          \    \"duration\": %s,\n\
-          \    \"broadcasts\": %d,\n\
-          \    \"churn_events\": %d,\n\
-          \    \"maintenance_messages\": %d,\n\
-          \    \"wall_s\": %s,\n\
-          \    \"broadcasts_per_sec\": %s,\n\
-          \    \"floor_broadcasts_per_sec\": %s\n\
-          \  }"
-         n (json_float duration) stats.Workload.broadcasts stats.Workload.churn_events
-         stats.Workload.maintenance_messages (json_float dt) (json_float bps)
-         (json_float traffic_floor_bps));
-  flush_timing_json ();
+  merge_timing_json
+    [
+      ( "traffic",
+        Json.Obj
+          [
+            ("n", int n);
+            ("avg_degree", int 12);
+            ("arrival_rate", int 50);
+            ("duration", num duration);
+            ("broadcasts", int stats.Workload.broadcasts);
+            ("churn_events", int stats.Workload.churn_events);
+            ("maintenance_messages", int stats.Workload.maintenance_messages);
+            ("wall_s", num dt);
+            ("broadcasts_per_sec", num bps);
+            ("floor_broadcasts_per_sec", num traffic_floor_bps);
+          ] );
+    ];
   if bps < traffic_floor_bps then begin
     Printf.eprintf "traffic: sustained throughput %.0f broadcasts/s below the %.0f floor\n" bps
       traffic_floor_bps;
@@ -473,21 +453,27 @@ let timing_scale () =
         (1e6 *. t_static /. float_of_int n);
       rows := (n, t_sample, t_cluster, t_static, t_dynamic) :: !rows)
     [ 100; 300; 1000; 3000; 10000 ];
-  match !json_dir with
-  | None -> ()
-  | Some dir ->
-    let entries =
-      List.rev_map
-        (fun (n, ts, tc, tst, td) ->
-          Printf.sprintf
-            "    {\"n\": %d, \"sample_s\": %s, \"clustering_s\": %s, \"static_s\": %s, \
-             \"dynamic_s\": %s}"
-            n (json_float ts) (json_float tc) (json_float tst) (json_float td))
-        !rows
-    in
-    write_json ~dir ~name:"BENCH_scale.json"
-      (Printf.sprintf "{\n  \"avg_degree\": 12,\n  \"results\": [\n%s\n  ]\n}\n"
-         (String.concat ",\n" entries))
+  Option.iter
+    (fun dir ->
+      write_json ~dir ~name:"BENCH_scale.json"
+        (Json.Obj
+           [
+             ("avg_degree", int 12);
+             ( "results",
+               Json.Arr
+                 (List.rev_map
+                    (fun (n, ts, tc, tst, td) ->
+                      Json.Obj
+                        [
+                          ("n", int n);
+                          ("sample_s", num ts);
+                          ("clustering_s", num tc);
+                          ("static_s", num tst);
+                          ("dynamic_s", num td);
+                        ])
+                    !rows) );
+           ]))
+    !json_dir
 
 let experiments =
   [

@@ -405,7 +405,7 @@ let run_cmd =
         List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 Figures.builtins
       in
       List.iter
-        (fun (name, (s : Scenario.t)) -> Printf.printf "%-*s  %s\n" width name s.description)
+        (fun (name, (s : Scenario.t)) -> Printf.printf "%-*s %s\n" width name s.description)
         Figures.builtins;
       `Ok ()
     end

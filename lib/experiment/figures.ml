@@ -1,13 +1,7 @@
-module Rng = Manet_rng.Rng
-module Coverage = Manet_coverage.Coverage
-module Summary = Manet_stats.Summary
-module Protocol = Manet_broadcast.Protocol
-module Registry = Manet_protocols.Registry
-
-(* The sweep-shaped figures are data: one Scenario value each, executed
-   by Runner and reachable as `manet run <name>`.  Only the custom-shape
-   experiments further down (whose tables are not Sweep.tables) remain
-   code. *)
+(* Every figure is data: one Scenario value each, executed by Runner
+   and reachable as `manet run <name>`.  Experiments with a second axis
+   beyond n (loss, speed) spread it over the columns, one series per
+   value, labelled "<series>@<value>". *)
 
 let fwd ?name ?loss protocol = Scenario.Forwards { protocol; name; loss }
 
@@ -25,7 +19,13 @@ let reconnect ?name protocol = Scenario.Reconnection_rounds { protocol; name }
 
 let redund ?name protocol = Scenario.Redundancy { protocol; name }
 
+let reliable field loss = Scenario.Reliable_broadcast { field; loss }
+
+let motion field speed = Scenario.Motion { field; speed }
+
 let paper_degrees = [ 6.; 18. ]
+
+let speeds = [ 1.; 2.; 5.; 10. ]
 
 let builtins =
   List.map
@@ -157,6 +157,71 @@ let builtins =
           Scenario.Workload_staleness { name = None };
           Scenario.Workload_delivery { name = None };
         ];
+      Scenario.make ~name:"ext-lossy" ~ns:[ 100 ] ~degrees:[ 8. ]
+        ~description:
+          "Lossy links: delivery ratio of blind flooding, the static backbone, MO_CDS and the \
+           dynamic backbone as per-reception loss grows (one column per protocol@loss). \
+           Expected: all 1.0 at loss 0; flooding degrades least and the sparse dynamic \
+           forward set most - redundancy buys robustness."
+        (List.concat_map
+           (fun loss ->
+             List.map
+               (fun p -> deliver ~name:(Scenario.label_at p loss) ~loss p)
+               [ "flooding"; "static-2.5hop"; "mo_cds"; "dynamic-2.5hop" ])
+           [ 0.; 0.05; 0.1; 0.2; 0.3; 0.4 ]);
+      Scenario.make ~name:"ext-border" ~ns:[ 20; 60; 100 ] ~degrees:[ 6. ]
+        ~description:
+          "Border effects: the same placements under the confined and the toroidal \
+           (wrap-around) metric - realized degree and static backbone size. Expected: the \
+           confined space realizes less than the target degree, the torus about the target."
+        [
+          Scenario.Realized_degree;
+          Scenario.Toroidal { field = Metric.Torus_degree };
+          size ~name:"backbone" "static-2.5hop";
+          Scenario.Toroidal { field = Metric.Torus_backbone };
+        ];
+      Scenario.make ~name:"ext-reliable" ~ns:[ 100 ] ~degrees:[ 8. ]
+        ~description:
+          "Reliable broadcast: data and ack transmissions of ack/retransmit over the \
+           Pagani-Rossi forwarding tree, its completion rate, one unreliable flood's delivery \
+           and an oracle that re-floods until every node is covered, per loss rate. \
+           Expected: the tree always completes, its data grows with loss, one flood falls \
+           short of 1.0."
+        (List.concat_map
+           (fun loss ->
+             [
+               reliable Metric.Tree_data loss;
+               reliable Metric.Tree_acks loss;
+               reliable Metric.Tree_complete loss;
+               deliver ~name:(Scenario.label_at "flooding" loss) ~loss "flooding";
+               reliable Metric.Oracle_flood loss;
+             ])
+           [ 0.; 0.1; 0.2; 0.3 ]);
+      Scenario.make ~name:"ext-maintenance" ~ns:[ 100 ] ~degrees:[ 6. ]
+        ~description:
+          "Maintenance under random-waypoint motion (30 steps of dt 1 per sample): cluster \
+           role-change messages, head churn and full static-backbone upkeep messages per step, \
+           vs the gateways an on-demand dynamic broadcast selects, per speed. Expected: \
+           upkeep grows with speed and stays below n role changes per step."
+        (List.concat_map
+           (fun speed ->
+             List.map
+               (fun f -> motion f speed)
+               Metric.[ Cluster_msgs; Head_churn; Backbone_msgs; Gateways ])
+           speeds);
+      Scenario.make ~name:"ext-mobility" ~ns:[ 100 ] ~degrees:[ 6. ]
+        ~description:
+          "Mobility: how long a static backbone frozen at t=0 stays a CDS under \
+           random-waypoint motion (dt 0.5 up to t=100), and delivery at t=5 over that stale \
+           backbone vs an on-demand dynamic broadcast on the moved topology, per speed. \
+           Expected: the frozen backbone breaks within a few time units; dynamic delivery \
+           above stale delivery."
+        (List.concat_map
+           (fun speed ->
+             List.map
+               (fun f -> motion f speed)
+               Metric.[ Valid_time; Stale_delivery; Dynamic_delivery ])
+           speeds);
       Scenario.make ~name:"ext-approx" ~ns:[ 8; 10; 12; 14; 16 ] ~degrees:[ 6. ]
         ~description:
           "Approximation ratios |CDS| / |MCDS| on small networks (the exact solver is \
@@ -177,415 +242,3 @@ let builtin_exn name =
     invalid_arg
       (Printf.sprintf "unknown builtin scenario %S; available: %s" name
          (String.concat ", " (List.map fst builtins)))
-
-(* Configuration of the custom-shape experiments below (the sweep-shaped
-   figures above carry theirs in the scenario). *)
-
-type config = {
-  seed : int;
-  ns : int list;
-  min_samples : int;
-  max_samples : int;
-  rel_precision : float;
-}
-
-let default =
-  {
-    seed = 42;
-    ns = [ 20; 30; 40; 50; 60; 70; 80; 90; 100 ];
-    min_samples = 30;
-    max_samples = 500;
-    rel_precision = 0.05;
-  }
-
-let quick = { seed = 7; ns = [ 20; 60; 100 ]; min_samples = 5; max_samples = 8; rel_precision = 0.5 }
-
-(* Direct protocol access for the experiments below that run protocols
-   outside a metric sweep (mobility probes, border placements, oracle
-   floods).  Everything goes through the registry — the protocol name is
-   the only coupling. *)
-let prepare name ?clustering ?rng g =
-  (Registry.find_exn name).Protocol.prepare (Protocol.make_env ?clustering ?rng g)
-
-let structure_of name ?clustering g =
-  match (prepare name ?clustering g).Protocol.members with
-  | Some members -> members
-  | None -> invalid_arg (name ^ " has no materialized structure")
-
-(* Lossy links: delivery of each broadcasting scheme as per-reception
-   loss grows — redundancy pays for reliability.  Every series is the
-   generic registry-driven [Metric.delivery ~loss]; protocols without
-   native loss semantics (the dynamic backbone) freeze their forward set
-   loss-free and replay it (see {!Manet_broadcast.Protocol.frozen_lossy}). *)
-
-type lossy_row = { loss : float; deliveries : (string * Summary.t) list }
-
-type lossy_table = { n : int; d : float; rows : lossy_row list }
-
-let ext_lossy ?(config = default) ?(losses = [ 0.; 0.05; 0.1; 0.2; 0.3; 0.4 ])
-    ?(protocols = [ "flooding"; "static-2.5hop"; "mo_cds"; "dynamic-2.5hop" ]) ~d () =
-  let n = List.fold_left max 20 config.ns in
-  let spec = Manet_topology.Spec.make ~n ~avg_degree:d () in
-  let metrics loss = List.map (fun p -> Metric.delivery ~loss p) protocols in
-  let row loss =
-    let rng = Rng.create ~seed:(config.seed + int_of_float (loss *. 1000.)) in
-    let point =
-      Sweep.run_point ~rel_precision:config.rel_precision ~min_samples:config.min_samples
-        ~max_samples:config.max_samples ~rng ~spec (metrics loss)
-    in
-    { loss; deliveries = List.map (fun (name, (c : Sweep.cell)) -> (name, c.summary)) point.cells }
-  in
-  { n; d; rows = List.map row losses }
-
-let render_lossy (t : lossy_table) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "lossy links: delivery ratio vs per-reception loss (n=%d, d=%g)\n" t.n t.d);
-  (match t.rows with
-  | [] -> ()
-  | first :: _ ->
-    Buffer.add_string buf (Printf.sprintf "%8s" "loss");
-    List.iter (fun (name, _) -> Buffer.add_string buf (Printf.sprintf " %16s" name)) first.deliveries;
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun r ->
-        Buffer.add_string buf (Printf.sprintf "%8.2f" r.loss);
-        List.iter
-          (fun (_, s) -> Buffer.add_string buf (Printf.sprintf " %16.3f" (Summary.mean s)))
-          r.deliveries;
-        Buffer.add_char buf '\n')
-      t.rows);
-  Buffer.contents buf
-
-(* Border effects: the same uniform placements under the confined and
-   the toroidal metric. *)
-
-type border_row = {
-  n : int;
-  confined_degree : Summary.t;
-  toroidal_degree : Summary.t;
-  confined_backbone : Summary.t;
-  toroidal_backbone : Summary.t;
-}
-
-type border_table = { d : float; rows : border_row list }
-
-let ext_border ?(config = default) ~d () =
-  let samples = max 20 config.min_samples in
-  let backbone_size g =
-    float_of_int (Manet_graph.Nodeset.cardinal (structure_of "static-2.5hop" g))
-  in
-  let row n =
-    let rng = Rng.create ~seed:(config.seed + n) in
-    let spec = Manet_topology.Spec.make ~n ~avg_degree:d () in
-    let radius = Manet_topology.Spec.radius spec in
-    let cd = Summary.create () and td = Summary.create () in
-    let cb = Summary.create () and tb = Summary.create () in
-    let collected = ref 0 in
-    while !collected < samples do
-      let points = Manet_topology.Generator.place_uniform rng spec in
-      let confined = Manet_graph.Unit_disk.build ~radius points in
-      let toroidal =
-        Manet_graph.Unit_disk.build_toroidal ~radius ~width:spec.width ~height:spec.height points
-      in
-      (* Keep placements connected under both metrics so backbone sizes
-         are comparable (the torus is connected whenever the confined
-         graph is, since it only adds edges). *)
-      if Manet_graph.Connectivity.is_connected confined then begin
-        incr collected;
-        Summary.add cd (Manet_graph.Graph.avg_degree confined);
-        Summary.add td (Manet_graph.Graph.avg_degree toroidal);
-        Summary.add cb (backbone_size confined);
-        Summary.add tb (backbone_size toroidal)
-      end
-    done;
-    { n; confined_degree = cd; toroidal_degree = td; confined_backbone = cb; toroidal_backbone = tb }
-  in
-  { d; rows = List.map row [ 20; 60; 100 ] }
-
-let render_border (t : border_table) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "border effects: identical placements under the confined vs toroidal metric (target d = %g)\n"
-       t.d);
-  Buffer.add_string buf
-    (Printf.sprintf "%6s %18s %18s %20s %20s\n" "n" "confined degree" "toroidal degree"
-       "confined backbone" "toroidal backbone");
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%6d %18.2f %18.2f %20.2f %20.2f\n" r.n (Summary.mean r.confined_degree)
-           (Summary.mean r.toroidal_degree)
-           (Summary.mean r.confined_backbone)
-           (Summary.mean r.toroidal_backbone)))
-    t.rows;
-  Buffer.contents buf
-
-(* Reliable broadcast: ack/retransmit over the forwarding tree vs
-   unreliable and oracle-repeated flooding. *)
-
-type reliable_row = {
-  loss : float;
-  tree_data : Summary.t;
-  tree_acks : Summary.t;
-  tree_complete : Summary.t;
-  flood_once_delivery : Summary.t;
-  flood_oracle_total : Summary.t;
-}
-
-type reliable_table = { n : int; d : float; rows : reliable_row list }
-
-let ext_reliable ?(config = default) ?(losses = [ 0.; 0.1; 0.2; 0.3 ]) ~d () =
-  let n = List.fold_left max 20 config.ns in
-  let spec = Manet_topology.Spec.make ~n ~avg_degree:d () in
-  let samples = max 20 config.min_samples in
-  let row loss =
-    let rng = Rng.create ~seed:(config.seed + 7 + int_of_float (loss *. 1000.)) in
-    let tree_data = Summary.create () in
-    let tree_acks = Summary.create () in
-    let tree_complete = Summary.create () in
-    let flood_once = Summary.create () in
-    let flood_oracle = Summary.create () in
-    for _ = 1 to samples do
-      let ctx = Metric.draw rng spec in
-      let g = ctx.Metric.graph in
-      let nn = Manet_graph.Graph.n g in
-      (* Tree: the Pagani-Rossi forwarding tree rooted at the source's
-         clusterhead; every non-member answers to its clusterhead.  The
-         tree is built directly (not through the registry) because the
-         ack/retransmit machinery needs its parent pointers, which the
-         protocol abstraction deliberately does not expose. *)
-      let tree =
-        Manet_baselines.Forwarding_tree.build g ctx.clustering Coverage.Hop25 ~source:ctx.source
-      in
-      let parent =
-        Array.init nn (fun v ->
-            if v = tree.root then -1
-            else if Manet_graph.Nodeset.mem v tree.members then tree.parent.(v)
-            else Manet_cluster.Clustering.head_of ctx.clustering v)
-      in
-      let o = Manet_broadcast.Reliable.run g ~rng:ctx.rng ~loss ~root:tree.root ~parent in
-      Summary.add tree_data (float_of_int o.data_transmissions);
-      Summary.add tree_acks (float_of_int o.ack_transmissions);
-      Summary.add tree_complete (if o.complete then 1. else 0.);
-      (* One unreliable flood. *)
-      Summary.add flood_once
-        (Manet_broadcast.Lossy.flooding_delivery g ~rng:ctx.rng ~loss ~source:ctx.source);
-      (* Oracle: repeat whole floods until everyone has the packet. *)
-      let flood = (prepare "flooding" ~rng:ctx.rng g).Protocol.run in
-      let reached = Array.make nn false in
-      let total = ref 0 in
-      let attempts = ref 0 in
-      let all () = Array.for_all Fun.id reached in
-      while (not (all ())) && !attempts < 50 do
-        incr attempts;
-        let r, _ = flood ~source:ctx.source ~mode:(Protocol.Lossy loss) in
-        total := !total + Manet_broadcast.Result.forward_count r;
-        Array.iteri (fun v d -> if d then reached.(v) <- true) r.delivered
-      done;
-      Summary.add flood_oracle (float_of_int !total)
-    done;
-    { loss; tree_data; tree_acks; tree_complete; flood_once_delivery = flood_once;
-      flood_oracle_total = flood_oracle }
-  in
-  { n; d; rows = List.map row losses }
-
-let render_reliable (t : reliable_table) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "reliable broadcast over the forwarding tree (n=%d, d=%g): transmissions to reach full \
-        delivery\n" t.n t.d);
-  Buffer.add_string buf
-    (Printf.sprintf "%8s %12s %12s %14s %18s %20s\n" "loss" "tree data" "tree acks"
-       "tree complete" "1-flood delivery" "oracle flood total");
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%8.2f %12.1f %12.1f %14.2f %18.3f %20.1f\n" r.loss
-           (Summary.mean r.tree_data) (Summary.mean r.tree_acks)
-           (Summary.mean r.tree_complete)
-           (Summary.mean r.flood_once_delivery)
-           (Summary.mean r.flood_oracle_total)))
-    t.rows;
-  Buffer.contents buf
-
-(* Maintenance: incremental clustering upkeep per time step vs the
-   dynamic backbone's per-broadcast selection work. *)
-
-type maintenance_row = {
-  speed : float;
-  incremental_msgs : Summary.t;
-  head_churn : Summary.t;
-  backbone_msgs : Summary.t;
-  dynamic_overhead : Summary.t;
-}
-
-type maintenance_table = {
-  n : int;
-  d : float;
-  dt : float;
-  steps : int;
-  rows : maintenance_row list;
-}
-
-let ext_maintenance ?(config = default) ?(speeds = [ 1.; 2.; 5.; 10. ]) ~d () =
-  let n = List.fold_left max 20 config.ns in
-  let dt = 1. in
-  let steps = 30 in
-  let spec = Manet_topology.Spec.make ~n ~avg_degree:d () in
-  let rng = Rng.create ~seed:config.seed in
-  let samples = config.min_samples in
-  let module Static = Manet_backbone.Static_backbone in
-  let row speed =
-    let msgs = Summary.create () in
-    let churn = Summary.create () in
-    let overhead = Summary.create () in
-    let backbone_msgs = Summary.create () in
-    for _ = 1 to samples do
-      let sample = Manet_topology.Generator.sample_connected rng spec in
-      let bm = Manet_backbone.Backbone_maintenance.create sample.graph Coverage.Hop25 in
-      let mob =
-        Manet_topology.Mobility.create ~model:Manet_topology.Mobility.Random_waypoint
-          ~speed_min:speed ~speed_max:speed ~rng:(Rng.split rng) ~spec sample.points
-      in
-      for _ = 1 to steps do
-        Manet_topology.Mobility.step mob ~dt;
-        let g = Manet_topology.Mobility.graph mob ~radius:sample.radius in
-        let ev = Manet_backbone.Backbone_maintenance.update bm g in
-        Summary.add msgs (float_of_int ev.cluster_events.messages);
-        Summary.add churn
-          (float_of_int (Manet_cluster.Maintenance.head_churn ev.cluster_events));
-        Summary.add backbone_msgs (float_of_int ev.total_messages);
-        (* On the same snapshot: gateways an on-demand broadcast selects
-           (only meaningful on a connected snapshot). *)
-        if Manet_graph.Connectivity.is_connected g then begin
-          let cl = (Manet_backbone.Backbone_maintenance.backbone bm).Static.clustering in
-          let dyn = (prepare "dynamic-2.5hop" ~clustering:(lazy cl) g).Protocol.run in
-          let r, _ =
-            dyn ~source:(Rng.int rng (Manet_graph.Graph.n g)) ~mode:Protocol.Perfect
-          in
-          let heads = Manet_cluster.Clustering.head_set cl in
-          let gateways =
-            Manet_graph.Nodeset.cardinal
-              (Manet_graph.Nodeset.diff r.Manet_broadcast.Result.forwarders heads)
-          in
-          Summary.add overhead (float_of_int gateways)
-        end
-      done
-    done;
-    { speed; incremental_msgs = msgs; head_churn = churn; backbone_msgs; dynamic_overhead = overhead }
-  in
-  { n; d; dt; steps; rows = List.map row speeds }
-
-let render_maintenance (t : maintenance_table) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "maintenance: n=%d d=%g, random waypoint, %d steps of dt=%g per sample\n\
-        (incremental role-change messages per step vs full re-clustering = %d msgs;\n\
-        \ dynamic-overhead = gateways selected per on-demand broadcast)\n"
-       t.n t.d t.steps t.dt t.n);
-  Buffer.add_string buf
-    (Printf.sprintf "%8s %18s %14s %20s %18s\n" "speed" "cluster msgs/step" "head churn"
-       "backbone msgs/step" "dynamic overhead");
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%8g %18.2f %14.2f %20.2f %18.2f\n" r.speed
-           (Summary.mean r.incremental_msgs)
-           (Summary.mean r.head_churn)
-           (Summary.mean r.backbone_msgs)
-           (Summary.mean r.dynamic_overhead)))
-    t.rows;
-  Buffer.contents buf
-
-(* Mobility: the static backbone is built once, then nodes move; we time
-   how long the frozen backbone stays a CDS of the evolving unit-disk
-   graph, and probe broadcast delivery over the stale backbone against an
-   on-demand dynamic broadcast on the current topology. *)
-
-type mobility_row = {
-  speed : float;
-  static_valid_time : Summary.t;
-  stale_delivery : Summary.t;
-  dynamic_delivery : Summary.t;
-}
-
-type mobility_table = { n : int; d : float; probe_time : float; rows : mobility_row list }
-
-let ext_mobility ?(config = default) ?(speeds = [ 1.; 2.; 5.; 10. ]) ~d () =
-  let n = List.fold_left max 20 config.ns in
-  let probe_time = 5. in
-  let max_time = 100. in
-  let dt = 0.5 in
-  let spec = Manet_topology.Spec.make ~n ~avg_degree:d () in
-  let rng = Rng.create ~seed:config.seed in
-  let samples = config.min_samples in
-  let row speed =
-    let valid = Summary.create () in
-    let stale = Summary.create () in
-    let dynamic = Summary.create () in
-    for _ = 1 to samples do
-      let sample = Manet_topology.Generator.sample_connected rng spec in
-      let members = structure_of "static-2.5hop" sample.graph in
-      let mob =
-        Manet_topology.Mobility.create ~model:Manet_topology.Mobility.Random_waypoint
-          ~speed_min:speed ~speed_max:speed ~rng:(Rng.split rng) ~spec sample.points
-      in
-      (* Walk the trajectory to max_time, recording the first moment the
-         frozen backbone stops being a CDS and the snapshot at the probe
-         time (motion continues past invalidation — the probe must see
-         the moved topology either way). *)
-      let t = ref 0. in
-      let invalid_at = ref None in
-      let probe_graph = ref sample.graph in
-      while !t < max_time && (!invalid_at = None || !t <= probe_time) do
-        Manet_topology.Mobility.step mob ~dt;
-        t := !t +. dt;
-        let g = Manet_topology.Mobility.graph mob ~radius:sample.radius in
-        if Float.abs (!t -. probe_time) < (dt /. 2.) then probe_graph := g;
-        if !invalid_at = None && not (Manet_graph.Dominating.is_cds g members)
-        then invalid_at := Some !t
-      done;
-      Summary.add valid (match !invalid_at with Some t -> t | None -> max_time);
-      (* Probe deliveries on the topology reached at probe_time.  The
-         stale probe replays the frozen member set through the generic
-         SI engine — deliberately not a registry run, which would
-         rebuild on the moved graph. *)
-      let g = !probe_graph in
-      let source = Rng.int rng (Manet_graph.Graph.n g) in
-      let stale_r =
-        Manet_broadcast.Si.run g ~in_cds:(fun v -> Manet_graph.Nodeset.mem v members) ~source
-      in
-      Summary.add stale (Manet_broadcast.Result.delivery_ratio stale_r);
-      let dyn_r, _ =
-        (prepare "dynamic-2.5hop" g).Protocol.run ~source ~mode:Protocol.Perfect
-      in
-      Summary.add dynamic (Manet_broadcast.Result.delivery_ratio dyn_r)
-    done;
-    { speed; static_valid_time = valid; stale_delivery = stale; dynamic_delivery = dynamic }
-  in
-  { n; d; probe_time; rows = List.map row speeds }
-
-let render_mobility t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "mobility: n=%d d=%g, random waypoint; probe at t=%g (delivery over stale static backbone \
-        vs on-demand dynamic)\n"
-       t.n t.d t.probe_time);
-  Buffer.add_string buf
-    (Printf.sprintf "%8s %22s %18s %18s\n" "speed" "static-valid-time" "stale-delivery"
-       "dynamic-delivery");
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%8g %22s %18s %18s\n" r.speed
-           (Printf.sprintf "%.1f (±%.1f)" (Summary.mean r.static_valid_time)
-              (Summary.ci_half_width r.static_valid_time ~z:Manet_stats.Confidence.z99))
-           (Printf.sprintf "%.3f" (Summary.mean r.stale_delivery))
-           (Printf.sprintf "%.3f" (Summary.mean r.dynamic_delivery))))
-    t.rows;
-  Buffer.contents buf

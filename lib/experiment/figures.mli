@@ -1,11 +1,12 @@
 (** The paper's figures and this repository's extension experiments.
 
-    Every sweep-shaped figure is {e data}: a {!Scenario.t} in
+    Every figure is {e data}: a {!Scenario.t} in
     {!builtins}, executed by {!Runner.run} (and from the command line as
     [manet run <name>]).  The scenario's [description] records the
     expected shape of its curves; EXPERIMENTS.md records
-    paper-vs-measured values.  Only the custom-shape experiments below —
-    whose result tables are not {!Sweep.table}s — remain code.
+    paper-vs-measured values.  An experiment with a second axis beyond n
+    (loss rate, speed) spreads it over the columns: one series per
+    value, labelled ["<series>@<value>"].
 
     All experiments share the evaluation setup of Section 4: a 100 x 100
     space, uniform placement, rejection of disconnected topologies,
@@ -13,7 +14,7 @@
     stopping rule (bounded by [max_samples]). *)
 
 val builtins : (string * Scenario.t) list
-(** The sweep-shaped figures, keyed by scenario name:
+(** Every figure, keyed by scenario name:
 
     - [fig6] — average CDS size: static backbone (2.5-hop, 3-hop) vs
       MO_CDS.  Expected: curves nearly coincide, static slightly below.
@@ -27,6 +28,16 @@ val builtins : (string * Scenario.t) list
     - [ext-msgs] — construction message complexity (O(n) check).
     - [ext-delivery] — delivery ratios of the SD protocols (≈ 1.0).
     - [ext-pruning] — dynamic-backbone pruning levels.
+    - [ext-resilience] — delivery after a backbone node dies.
+    - [ext-traffic] — a continuous broadcast stream under churn.
+    - [ext-lossy] — delivery under per-reception loss (n = 100, d = 8).
+    - [ext-border] — confined vs toroidal metric on the same placements.
+    - [ext-reliable] — ack/retransmit over the forwarding tree vs
+      flooding, per loss rate (n = 100, d = 8).
+    - [ext-maintenance] — clustering and backbone upkeep per step under
+      motion vs on-demand gateway selection, per speed (n = 100, d = 6).
+    - [ext-mobility] — lifetime of a frozen static backbone under
+      motion and stale vs dynamic delivery, per speed (n = 100, d = 6).
     - [ext-approx] — |CDS| / |MCDS| on small n against branch and bound.
 
     All run at the paper's full precision; apply {!Scenario.quicken} for
@@ -35,140 +46,3 @@ val builtins : (string * Scenario.t) list
 val builtin_exn : string -> Scenario.t
 (** Look up a builtin by name.
     @raise Invalid_argument on unknown names, listing the valid ones. *)
-
-(** {1 Custom-shape experiments}
-
-    Result tables that are not [Sweep.table]s (loss grids, mobility
-    trajectories, ack accounting); each comes with its renderer. *)
-
-type config = {
-  seed : int;
-  ns : int list;  (** n is the largest entry; sweep grids are bespoke *)
-  min_samples : int;
-  max_samples : int;
-  rel_precision : float;
-}
-
-val default : config
-(** seed 42, n = 20, 30, ..., 100, 30..500 samples, ±5%. *)
-
-val quick : config
-(** A smoke-test configuration: n = 20, 60, 100 and few samples; used by
-    the test suite to exercise the full pipeline cheaply. *)
-
-(** {2 Lossy links} *)
-
-type lossy_row = {
-  loss : float;
-  deliveries : (string * Manet_stats.Summary.t) list;
-      (** per-protocol delivery ratios at this loss rate *)
-}
-
-type lossy_table = { n : int; d : float; rows : lossy_row list }
-
-val ext_lossy :
-  ?config:config ->
-  ?losses:float list ->
-  ?protocols:string list ->
-  d:float ->
-  unit ->
-  lossy_table
-(** Failure injection: delivery ratio under per-reception loss for any
-    set of registered protocols — the redundancy/efficiency trade-off
-    behind the broadcast storm problem.  [protocols] names registry
-    entries and defaults to blind flooding, the static backbone, MO_CDS
-    and the dynamic backbone; [losses] defaults to
-    0, 0.05, 0.1, 0.2, 0.3, 0.4. *)
-
-val render_lossy : lossy_table -> string
-
-(** {2 Border effects} *)
-
-type border_row = {
-  n : int;
-  confined_degree : Manet_stats.Summary.t;  (** realized degree, confined space *)
-  toroidal_degree : Manet_stats.Summary.t;  (** realized degree, wrap-around metric *)
-  confined_backbone : Manet_stats.Summary.t;
-  toroidal_backbone : Manet_stats.Summary.t;
-}
-
-type border_table = { d : float; rows : border_row list }
-
-val ext_border : ?config:config -> d:float -> unit -> border_table
-(** Methodological diagnostic: how much of the gap between the target
-    degree d and the realized degree is the confined working space's
-    border effect, and how it propagates into backbone size.  Uses the
-    same placements under both metrics. *)
-
-val render_border : border_table -> string
-
-(** {2 Reliable broadcast} *)
-
-type reliable_row = {
-  loss : float;
-  tree_data : Manet_stats.Summary.t;  (** data transmissions of the ack/retransmit tree *)
-  tree_acks : Manet_stats.Summary.t;
-  tree_complete : Manet_stats.Summary.t;  (** fraction of runs reaching full delivery + acks *)
-  flood_once_delivery : Manet_stats.Summary.t;  (** one unreliable flood, for contrast *)
-  flood_oracle_total : Manet_stats.Summary.t;
-      (** transmissions of an oracle that repeats whole floods until every
-          node has the packet — the cost of reliability without acks *)
-}
-
-type reliable_table = { n : int; d : float; rows : reliable_row list }
-
-val ext_reliable : ?config:config -> ?losses:float list -> d:float -> unit -> reliable_table
-(** The Pagani-Rossi reliability machinery measured: what full delivery
-    costs over the cluster-based forwarding tree (data + acks +
-    retransmissions) vs unreliable flooding, as links get lossier. *)
-
-val render_reliable : reliable_table -> string
-
-(** {2 Maintenance cost} *)
-
-type maintenance_row = {
-  speed : float;
-  incremental_msgs : Manet_stats.Summary.t;  (** cluster role changes per time step *)
-  head_churn : Manet_stats.Summary.t;  (** clusterhead changes per time step *)
-  backbone_msgs : Manet_stats.Summary.t;
-      (** full static-backbone upkeep per step: role changes + CH_HOP
-          re-announcements + GATEWAY refreshes
-          ({!Manet_backbone.Backbone_maintenance}) *)
-  dynamic_overhead : Manet_stats.Summary.t;
-      (** per-broadcast gateway selections of the on-demand backbone on
-          the same trajectories: what the paper's alternative costs *)
-}
-
-type maintenance_table = { n : int; d : float; dt : float; steps : int; rows : maintenance_row list }
-
-val ext_maintenance :
-  ?config:config -> ?speeds:float list -> d:float -> unit -> maintenance_table
-(** The paper's Section 1 claim quantified: control messages per time
-    step to keep the clustering (and hence the static backbone) alive
-    under random-waypoint motion, vs the dynamic backbone's per-broadcast
-    cost. *)
-
-val render_maintenance : maintenance_table -> string
-
-(** {2 Mobility} *)
-
-type mobility_row = {
-  speed : float;
-  static_valid_time : Manet_stats.Summary.t;
-      (** time until the static backbone built at t=0 stops being a CDS *)
-  stale_delivery : Manet_stats.Summary.t;
-      (** delivery ratio over the stale static backbone after [probe_time] *)
-  dynamic_delivery : Manet_stats.Summary.t;
-      (** delivery ratio of an on-demand dynamic broadcast on the moved
-          topology (re-clustered, as the protocol would) *)
-}
-
-type mobility_table = { n : int; d : float; probe_time : float; rows : mobility_row list }
-
-val ext_mobility : ?config:config -> ?speeds:float list -> d:float -> unit -> mobility_table
-(** Extension: the paper's motivating argument — maintaining a static
-    backbone under motion vs building the dynamic backbone on demand.
-    Random-waypoint motion at each speed; n is the largest of
-    [config.ns]. *)
-
-val render_mobility : mobility_table -> string

@@ -243,3 +243,219 @@ let redundancy ?name pname =
           done;
           if !outside = 0 then 0. else float_of_int !covers /. float_of_int !outside);
   }
+
+(* Shared per-sample computations: domain-local, one context at a time,
+   keyed on its physical identity (a sweep evaluates all metrics of one
+   sample consecutively on one domain). *)
+
+let per_sample () =
+  let slot = Domain.DLS.new_key (fun () -> ref None) in
+  fun ctx key compute ->
+    let cell = Domain.DLS.get slot in
+    let entries = match !cell with Some (c, entries) when c == ctx -> entries | _ -> [] in
+    match List.assoc_opt key entries with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      cell := Some (ctx, (key, v) :: entries);
+      v
+
+(* Reliable broadcast: ack/retransmit over the Pagani-Rossi forwarding
+   tree rooted at the source's clusterhead (every non-member answers to
+   its clusterhead), then an oracle that repeats whole lossy floods
+   until every node has the packet.  The tree is built directly, not
+   through the registry, because the ack machinery needs its parent
+   pointers. *)
+
+type reliable_field = Tree_data | Tree_acks | Tree_complete | Oracle_flood
+
+type reliable_run = { data : int; acks : int; complete : bool; oracle : int }
+
+let oracle_max_floods = 50
+
+let reliable_run ctx loss =
+  let g = ctx.graph in
+  let n = Manet_graph.Graph.n g in
+  let tree =
+    Manet_baselines.Forwarding_tree.build g ctx.clustering Manet_coverage.Coverage.Hop25
+      ~source:ctx.source
+  in
+  let parent =
+    Array.init n (fun v ->
+        if v = tree.root then -1
+        else if Nodeset.mem v tree.members then tree.parent.(v)
+        else Manet_cluster.Clustering.head_of ctx.clustering v)
+  in
+  let o = Manet_broadcast.Reliable.run g ~rng:ctx.rng ~loss ~root:tree.root ~parent in
+  let flood = (prepared (Registry.find_exn "flooding") ctx).Protocol.run in
+  let reached = Array.make n false in
+  let total = ref 0 and floods = ref 0 in
+  while (not (Array.for_all Fun.id reached)) && !floods < oracle_max_floods do
+    incr floods;
+    let r, _ = flood ~source:ctx.source ~mode:(Protocol.Lossy loss) in
+    total := !total + Result.forward_count r;
+    Array.iteri (fun v d -> if d then reached.(v) <- true) r.Result.delivered
+  done;
+  { data = o.data_transmissions; acks = o.ack_transmissions; complete = o.complete; oracle = !total }
+
+let reliable_memo = per_sample ()
+
+let reliable_broadcast ~name ~loss field =
+  {
+    name;
+    eval =
+      (fun ctx ->
+        let r = reliable_memo ctx loss (fun () -> reliable_run ctx loss) in
+        match field with
+        | Tree_data -> float_of_int r.data
+        | Tree_acks -> float_of_int r.acks
+        | Tree_complete -> if r.complete then 1. else 0.
+        | Oracle_flood -> float_of_int r.oracle);
+  }
+
+(* Border effects: the context's placement re-snapshotted under the
+   wrap-around metric.  The torus only adds edges, so it is connected
+   whenever the confined graph is. *)
+
+type toroidal_field = Torus_degree | Torus_backbone
+
+let toroidal ~name field =
+  let static = Registry.find_exn "static-2.5hop" in
+  {
+    name;
+    eval =
+      (fun ctx ->
+        let torus =
+          Manet_graph.Unit_disk.build_toroidal ~radius:ctx.radius ~width:ctx.spec.width
+            ~height:ctx.spec.height ctx.points
+        in
+        match field with
+        | Torus_degree -> Manet_graph.Graph.avg_degree torus
+        | Torus_backbone -> (
+          match (static.Protocol.prepare (Protocol.make_env ~rng:ctx.rng torus)).members with
+          | Some members -> float_of_int (Nodeset.cardinal members)
+          | None -> assert false (* the static backbone always materializes *)));
+  }
+
+(* Motion: the context's placement walks under random-waypoint motion at
+   one fixed speed.  Two walks, by field:
+   - upkeep: [upkeep_steps] steps of [upkeep_dt], the static backbone
+     maintained incrementally at every step, against the gateways an
+     on-demand dynamic broadcast selects on the same snapshot;
+   - lifetime: steps of [lifetime_dt] up to [horizon], timing when the
+     backbone built at t = 0 stops being a CDS, with a delivery probe of
+     that stale backbone vs an on-demand dynamic broadcast on the
+     topology reached at [probe_time]. *)
+
+type motion_field =
+  | Cluster_msgs
+  | Head_churn
+  | Backbone_msgs
+  | Gateways
+  | Valid_time
+  | Stale_delivery
+  | Dynamic_delivery
+
+let upkeep_steps = 30
+let upkeep_dt = 1.
+let lifetime_dt = 0.5
+let horizon = 100.
+let probe_time = 5.
+
+let walker ctx speed =
+  Mobility.create ~model:Mobility.Random_waypoint ~speed_min:speed ~speed_max:speed
+    ~rng:(Rng.split ctx.rng) ~spec:ctx.spec ctx.points
+
+(* Per-step means over the upkeep walk; gateways average over the
+   connected snapshots only (0 when the walk has none). *)
+type upkeep = { cluster_msgs : float; head_churn : float; backbone_msgs : float; gateways : float }
+
+let upkeep ctx speed =
+  let module Bm = Manet_backbone.Backbone_maintenance in
+  let dynamic = Registry.find_exn "dynamic-2.5hop" in
+  let bm = Bm.create ctx.graph Manet_coverage.Coverage.Hop25 in
+  let mob = walker ctx speed in
+  let msgs = ref 0 and churn = ref 0 and upkeep_msgs = ref 0 in
+  let gateways = ref 0 and connected = ref 0 in
+  for _ = 1 to upkeep_steps do
+    Mobility.step mob ~dt:upkeep_dt;
+    let g = Mobility.graph mob ~radius:ctx.radius in
+    let report = Bm.update bm g in
+    msgs := !msgs + report.cluster_events.messages;
+    churn := !churn + Manet_cluster.Maintenance.head_churn report.cluster_events;
+    upkeep_msgs := !upkeep_msgs + report.total_messages;
+    if Manet_graph.Connectivity.is_connected g then begin
+      let cl = Bm.clustering bm in
+      let built = dynamic.Protocol.prepare (Protocol.make_env ~clustering:(lazy cl) g) in
+      let r, _ =
+        built.Protocol.run ~source:(Rng.int ctx.rng (Manet_graph.Graph.n g)) ~mode:Protocol.Perfect
+      in
+      gateways :=
+        !gateways
+        + Nodeset.cardinal
+            (Nodeset.diff r.Result.forwarders (Manet_cluster.Clustering.head_set cl));
+      incr connected
+    end
+  done;
+  let per_step x = float_of_int x /. float_of_int upkeep_steps in
+  {
+    cluster_msgs = per_step !msgs;
+    head_churn = per_step !churn;
+    backbone_msgs = per_step !upkeep_msgs;
+    gateways = (if !connected = 0 then 0. else float_of_int !gateways /. float_of_int !connected);
+  }
+
+type lifetime = { valid_time : float; stale_delivery : float; dynamic_delivery : float }
+
+let lifetime ctx speed =
+  let members =
+    match (prepared (Registry.find_exn "static-2.5hop") ctx).Protocol.members with
+    | Some members -> members
+    | None -> assert false (* the static backbone always materializes *)
+  in
+  let mob = walker ctx speed in
+  (* Motion continues past invalidation: the probe must see the moved
+     topology either way. *)
+  let t = ref 0. and invalid_at = ref None and probe = ref ctx.graph in
+  while !t < horizon && (!invalid_at = None || !t <= probe_time) do
+    Mobility.step mob ~dt:lifetime_dt;
+    t := !t +. lifetime_dt;
+    let g = Mobility.graph mob ~radius:ctx.radius in
+    if Float.abs (!t -. probe_time) < lifetime_dt /. 2. then probe := g;
+    if !invalid_at = None && not (Manet_graph.Dominating.is_cds g members) then
+      invalid_at := Some !t
+  done;
+  (* The stale probe replays the frozen member set through the generic
+     SI engine — not a registry run, which would rebuild on the moved
+     graph. *)
+  let g = !probe in
+  let stale = Manet_broadcast.Si.run g ~in_cds:(fun v -> Nodeset.mem v members) ~source:ctx.source in
+  let dynamic, _ =
+    ((Registry.find_exn "dynamic-2.5hop").Protocol.prepare (Protocol.make_env g)).Protocol.run
+      ~source:ctx.source ~mode:Protocol.Perfect
+  in
+  {
+    valid_time = Option.value !invalid_at ~default:horizon;
+    stale_delivery = Result.delivery_ratio stale;
+    dynamic_delivery = Result.delivery_ratio dynamic;
+  }
+
+let upkeep_memo = per_sample ()
+let lifetime_memo = per_sample ()
+
+let motion ~name ~speed field =
+  let upkeep ctx = upkeep_memo ctx speed (fun () -> upkeep ctx speed) in
+  let lifetime ctx = lifetime_memo ctx speed (fun () -> lifetime ctx speed) in
+  {
+    name;
+    eval =
+      (fun ctx ->
+        match field with
+        | Cluster_msgs -> (upkeep ctx).cluster_msgs
+        | Head_churn -> (upkeep ctx).head_churn
+        | Backbone_msgs -> (upkeep ctx).backbone_msgs
+        | Gateways -> (upkeep ctx).gateways
+        | Valid_time -> (lifetime ctx).valid_time
+        | Stale_delivery -> (lifetime ctx).stale_delivery
+        | Dynamic_delivery -> (lifetime ctx).dynamic_delivery);
+  }

@@ -134,3 +134,62 @@ val cluster_count_highest_degree : t
 val realized_degree : t
 (** Realized average degree of the generated topology (to confirm the
     radius formula hits the paper's d targets). *)
+
+(** {1 Shared per-sample computations} *)
+
+val per_sample : unit -> ctx -> 'k -> (unit -> 'v) -> 'v
+(** [let memo = per_sample ()] makes a cache for one computation that
+    several series of a sample read: [memo ctx key compute] runs
+    [compute] on the first call for this context and [key], and returns
+    the stored value afterwards.  The cache is domain-local and holds
+    one context at a time, keyed on its physical identity — sound
+    because a sweep evaluates all metrics of one sample consecutively
+    on one domain. *)
+
+(** {1 Extension probes}
+
+    Each probe runs one computation per sample that several series read
+    — every field of one ack/retransmit run, or of one mobility walk —
+    through {!per_sample}.  [name] is the series label. *)
+
+(** What one reliable broadcast costs: Pagani-Rossi ack/retransmit over
+    the forwarding tree rooted at the source's clusterhead (non-members
+    answer to their clusterhead), then an oracle that repeats whole
+    lossy floods (at most 50) until every node has the packet. *)
+type reliable_field =
+  | Tree_data  (** data transmissions of the tree *)
+  | Tree_acks  (** acknowledgement transmissions *)
+  | Tree_complete  (** 1 if every node delivered and acked in time, else 0 *)
+  | Oracle_flood  (** transmissions of the repeated-flood oracle *)
+
+val reliable_broadcast : name:string -> loss:float -> reliable_field -> t
+(** One reliable broadcast from the context's source under
+    per-reception [loss]. *)
+
+(** The context's placement under the toroidal (wrap-around) metric —
+    the border-effect diagnostic beside {!realized_degree} and the
+    static backbone's {!structure_size}. *)
+type toroidal_field =
+  | Torus_degree  (** realized average degree *)
+  | Torus_backbone  (** static 2.5-hop backbone size *)
+
+val toroidal : name:string -> toroidal_field -> t
+
+(** The context's placement under random-waypoint motion at one speed.
+    The first four fields read one {e upkeep} walk — 30 steps of
+    dt = 1, the static backbone maintained incrementally at each step
+    ({!Manet_backbone.Backbone_maintenance}) — as per-step means; the
+    last three read one {e lifetime} walk — steps of dt = 0.5 up to
+    t = 100 — with a delivery probe on the topology reached at t = 5. *)
+type motion_field =
+  | Cluster_msgs  (** cluster role-change messages per step *)
+  | Head_churn  (** clusterhead changes per step *)
+  | Backbone_msgs  (** full backbone upkeep messages per step *)
+  | Gateways
+      (** gateways an on-demand dynamic broadcast selects, averaged over
+          the connected snapshots (0 when none is) *)
+  | Valid_time  (** time until the backbone built at t = 0 stops being a CDS *)
+  | Stale_delivery  (** delivery over that frozen backbone at the probe *)
+  | Dynamic_delivery  (** delivery of an on-demand dynamic broadcast at the probe *)
+
+val motion : name:string -> speed:float -> motion_field -> t

@@ -22,6 +22,9 @@ type metric =
   | Workload_maintenance of { name : string option }
   | Workload_staleness of { name : string option }
   | Workload_delivery of { name : string option }
+  | Reliable_broadcast of { field : Metric.reliable_field; loss : float }
+  | Toroidal of { field : Metric.toroidal_field }
+  | Motion of { field : Metric.motion_field; speed : float }
 
 type topology = { ns : int list; degrees : float list; width : float; height : float }
 
@@ -93,13 +96,46 @@ let quicken s =
 
 (* Names *)
 
-let cost_field_tag = function
-  | Hello -> "hello"
-  | Clustering_msgs -> "clustering"
-  | Ch_hop -> "ch_hop"
-  | Gateway -> "gateway"
-  | Total -> "total"
-  | Total_per_hello -> "total/hello"
+(* Field tags of the field-selecting kinds, in codec order. *)
+
+let cost_fields =
+  [
+    ("hello", Hello);
+    ("clustering", Clustering_msgs);
+    ("ch_hop", Ch_hop);
+    ("gateway", Gateway);
+    ("total", Total);
+    ("total/hello", Total_per_hello);
+  ]
+
+let reliable_fields =
+  Metric.
+    [
+      ("tree-data", Tree_data);
+      ("tree-acks", Tree_acks);
+      ("tree-complete", Tree_complete);
+      ("oracle-flood", Oracle_flood);
+    ]
+
+let toroidal_fields = Metric.[ ("degree", Torus_degree); ("backbone", Torus_backbone) ]
+
+let motion_fields =
+  Metric.
+    [
+      ("cluster-msgs", Cluster_msgs);
+      ("head-churn", Head_churn);
+      ("backbone-msgs", Backbone_msgs);
+      ("gateways", Gateways);
+      ("valid-time", Valid_time);
+      ("stale-delivery", Stale_delivery);
+      ("dynamic-delivery", Dynamic_delivery);
+    ]
+
+let tag_of fields v = fst (List.find (fun (_, f) -> f = v) fields)
+
+let cost_field_tag = tag_of cost_fields
+
+let label_at series x = series ^ "@" ^ Json.number_to_string x
 
 let metric_name = function
   | Forwards { protocol; name; _ }
@@ -121,6 +157,9 @@ let metric_name = function
   | Workload_maintenance { name } -> Option.value name ~default:"maint/churn"
   | Workload_staleness { name } -> Option.value name ~default:"staleness"
   | Workload_delivery { name } -> Option.value name ~default:"churn-delivery"
+  | Reliable_broadcast { field; loss } -> label_at (tag_of reliable_fields field) loss
+  | Toroidal { field } -> "toroidal-" ^ tag_of toroidal_fields field
+  | Motion { field; speed } -> label_at (tag_of motion_fields field) speed
 
 (* Validation *)
 
@@ -135,14 +174,16 @@ let protocol_of = function
   | Redundancy { protocol; _ } ->
     Some protocol
   | Cluster_count _ | Realized_degree | Mcds_size | Construction_cost _ | Workload_throughput _
-  | Workload_maintenance _ | Workload_staleness _ | Workload_delivery _ ->
+  | Workload_maintenance _ | Workload_staleness _ | Workload_delivery _ | Reliable_broadcast _
+  | Toroidal _ | Motion _ ->
     None
 
 let needs_failures = function
   | Failure_delivery _ | Reconnection_rounds _ -> true
   | Forwards _ | Delivery _ | Structure_size _ | Completion_time _ | Cluster_count _
   | Realized_degree | Mcds_size | Mcds_ratio _ | Construction_cost _ | Redundancy _
-  | Workload_throughput _ | Workload_maintenance _ | Workload_staleness _ | Workload_delivery _ ->
+  | Workload_throughput _ | Workload_maintenance _ | Workload_staleness _ | Workload_delivery _
+  | Reliable_broadcast _ | Toroidal _ | Motion _ ->
     false
 
 let needs_workload = function
@@ -150,7 +191,7 @@ let needs_workload = function
     true
   | Forwards _ | Delivery _ | Structure_size _ | Completion_time _ | Cluster_count _
   | Realized_degree | Mcds_size | Mcds_ratio _ | Construction_cost _ | Failure_delivery _
-  | Reconnection_rounds _ | Redundancy _ ->
+  | Reconnection_rounds _ | Redundancy _ | Reliable_broadcast _ | Toroidal _ | Motion _ ->
     false
 
 let validate s =
@@ -162,6 +203,7 @@ let validate s =
       let metric_loss =
         match m with
         | Forwards { loss; _ } | Delivery { loss; _ } | Failure_delivery { loss; _ } -> loss
+        | Reliable_broadcast { loss; _ } -> Some loss
         | _ -> None
       in
       match protocol_of m with
@@ -173,9 +215,11 @@ let validate s =
       | _ when needs_workload m && s.workload = None ->
         err "metrics[%d]: %S needs the scenario-level \"workload\" object" i (metric_name m)
       | _ ->
-        (match metric_loss with
-        | Some l when bad_loss l ->
+        (match (metric_loss, m) with
+        | Some l, _ when bad_loss l ->
           err "metrics[%d]: loss %s outside [0, 1]" i (Json.number_to_string l)
+        | _, Motion { speed; _ } when not (Float.is_finite speed && speed >= 0.) ->
+          err "metrics[%d]: speed %s must be finite and >= 0" i (Json.number_to_string speed)
         | _ ->
           let name = metric_name m in
           if List.mem name seen then
@@ -288,6 +332,9 @@ let compile s =
         { (Workload.maintenance_per_churn ?motion (workload ())) with Metric.name }
       | Workload_staleness _ -> { (Workload.staleness ?motion (workload ())) with Metric.name }
       | Workload_delivery _ -> { (Workload.churn_delivery ?motion (workload ())) with Metric.name }
+      | Reliable_broadcast { field; loss } -> Metric.reliable_broadcast ~name ~loss field
+      | Toroidal { field } -> Metric.toroidal ~name field
+      | Motion { field; speed } -> Metric.motion ~name ~speed field
       | Construction_cost { field; _ } ->
         let pick (c : Manet_backbone.Construction_cost.t) =
           match field with
@@ -366,6 +413,12 @@ let metric_to_json m =
   | Workload_maintenance { name } -> kind "workload-maintenance" (opt_str "name" name)
   | Workload_staleness { name } -> kind "workload-staleness" (opt_str "name" name)
   | Workload_delivery { name } -> kind "workload-delivery" (opt_str "name" name)
+  | Reliable_broadcast { field; loss } ->
+    kind "reliable-broadcast"
+      [ ("field", Json.Str (tag_of reliable_fields field)); ("loss", Json.Num loss) ]
+  | Toroidal { field } -> kind "toroidal" [ ("field", Json.Str (tag_of toroidal_fields field)) ]
+  | Motion { field; speed } ->
+    kind "motion" [ ("field", Json.Str (tag_of motion_fields field)); ("speed", Json.Num speed) ]
 
 let to_json s =
   let ints ns = Json.Arr (List.map (fun n -> Json.Num (float_of_int n)) ns) in
@@ -494,17 +547,6 @@ let clustering_of_tag ~context = function
   | "highest-degree" -> Highest_degree
   | other -> reject "%s: unknown clustering %S (expected \"lowest-id\" or \"highest-degree\")" context other
 
-let cost_field_of_tag ~context = function
-  | "hello" -> Hello
-  | "clustering" -> Clustering_msgs
-  | "ch_hop" -> Ch_hop
-  | "gateway" -> Gateway
-  | "total" -> Total
-  | "total/hello" -> Total_per_hello
-  | other ->
-    reject "%s: unknown construction-cost field %S (expected hello, clustering, ch_hop, gateway, total or total/hello)"
-      context other
-
 let metric_of_json i j =
   let context = Printf.sprintf "metrics[%d]" i in
   let fields = obj_of ~context j in
@@ -520,6 +562,15 @@ let metric_of_json i j =
       (field fields "clustering")
   in
   let check allowed = check_fields ~context ~allowed:("kind" :: allowed) fields in
+  let req_float key = get_float ~context:(context ^ "." ^ key) (required ~context fields key) in
+  let field_of fields_of_kind =
+    let tag = get_str ~context:(context ^ ".field") (required ~context fields "field") in
+    match List.assoc_opt tag fields_of_kind with
+    | Some f -> f
+    | None ->
+      reject "%s: unknown %s field %S (expected one of: %s)" context kind tag
+        (String.concat ", " (List.map fst fields_of_kind))
+  in
   match kind with
   | "forwards" ->
     check [ "protocol"; "name"; "loss" ];
@@ -547,13 +598,7 @@ let metric_of_json i j =
     Mcds_ratio { protocol = protocol (); name = name () }
   | "construction-cost" ->
     check [ "field"; "name" ];
-    Construction_cost
-      {
-        field =
-          cost_field_of_tag ~context
-            (get_str ~context:(context ^ ".field") (required ~context fields "field"));
-        name = name ();
-      }
+    Construction_cost { field = field_of cost_fields; name = name () }
   | "failure-delivery" ->
     check [ "protocol"; "name"; "loss" ];
     Failure_delivery { protocol = protocol (); name = name (); loss = loss () }
@@ -575,12 +620,22 @@ let metric_of_json i j =
   | "workload-delivery" ->
     check [ "name" ];
     Workload_delivery { name = name () }
+  | "reliable-broadcast" ->
+    check [ "field"; "loss" ];
+    Reliable_broadcast { field = field_of reliable_fields; loss = req_float "loss" }
+  | "toroidal" ->
+    check [ "field" ];
+    Toroidal { field = field_of toroidal_fields }
+  | "motion" ->
+    check [ "field"; "speed" ];
+    Motion { field = field_of motion_fields; speed = req_float "speed" }
   | other ->
     reject
       "%s: unknown metric kind %S (expected forwards, delivery, structure-size, completion-time, \
        cluster-count, realized-degree, mcds-size, mcds-ratio, construction-cost, \
        failure-delivery, reconnection-rounds, redundancy, workload-throughput, \
-       workload-maintenance, workload-staleness or workload-delivery)"
+       workload-maintenance, workload-staleness, workload-delivery, reliable-broadcast, \
+       toroidal or motion)"
       context other
 
 let topology_of_json j =

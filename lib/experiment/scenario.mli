@@ -58,6 +58,16 @@ type metric =
           sampled at each broadcast of the stream *)
   | Workload_delivery of { name : string option }
       (** mean delivery ratio over active nodes under churn *)
+  | Reliable_broadcast of { field : Metric.reliable_field; loss : float }
+      (** one ack/retransmit reliable broadcast under its own [loss] (the
+          scenario-level loss does not apply); labelled
+          ["<field>@<loss>"], e.g. ["tree-data@0.1"] *)
+  | Toroidal of { field : Metric.toroidal_field }
+      (** the placement under the wrap-around metric; labelled
+          ["toroidal-degree"] or ["toroidal-backbone"] *)
+  | Motion of { field : Metric.motion_field; speed : float }
+      (** one random-waypoint walk at [speed] (>= 0); labelled
+          ["<field>@<speed>"], e.g. ["valid-time@2"] *)
 
 type topology = {
   ns : int list;  (** network sizes, one sweep point each *)
@@ -146,10 +156,14 @@ val quicken : t -> t
 val metric_name : metric -> string
 (** The rendered series label (the CSV/JSON column name). *)
 
+val label_at : string -> float -> string
+(** [label_at series x] is ["<series>@<x>"], the label of one value of
+    a second axis spread over the columns (["flooding@0.3"]). *)
+
 val validate : t -> (unit, string) result
 (** Full strictness: non-empty grids with n >= 2 and positive degrees,
-    positive working space, a sane stopping rule, loss in [0, 1], a sane
-    mobility regime, a sane failure event (kill >= 1, round >= 0, heal
+    positive working space, a sane stopping rule, loss in [0, 1], motion
+    speeds finite and >= 0, a sane mobility regime, a sane failure event (kill >= 1, round >= 0, heal
     after round) present whenever a failure metric needs one, a
     [workload] object present whenever a workload series needs one, at
     least one metric, every protocol registered, and no duplicate series

@@ -264,25 +264,14 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
    All workload series of one scenario measure the same serving run:
    the first metric evaluated on a context runs the stream once (seeded
    by one split of the context's generator), and the others read the
-   memoized stats.  The memo is domain-local and keyed on the physical
-   context — safe because a sweep evaluates all metrics of one sample
-   consecutively on one domain. *)
+   stats memoized by {!Metric.per_sample}. *)
 
-let memo :
-    (Metric.ctx * spec * motion option * stats) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let memo = Metric.per_sample ()
 
 let stats_for ?motion ctx w =
-  let slot = Domain.DLS.get memo in
-  match !slot with
-  | Some (c, w', m', s) when c == ctx && w' = w && m' = motion -> s
-  | _ ->
-    let s =
+  memo ctx (w, motion) (fun () ->
       run ?motion ~rng:(Rng.split ctx.Metric.rng) ~points:ctx.Metric.points
-        ~radius:ctx.Metric.radius ~spec:ctx.Metric.spec w
-    in
-    slot := Some (ctx, w, motion, s);
-    s
+        ~radius:ctx.Metric.radius ~spec:ctx.Metric.spec w)
 
 let metric name field ?motion w =
   { Metric.name; eval = (fun ctx -> field (stats_for ?motion ctx w)) }

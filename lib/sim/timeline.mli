@@ -1,6 +1,6 @@
 (** A deterministic continuous-time event timeline.
 
-    Where {!Engine} drives round-based broadcast propagation on integer
+    Where the broadcast engine drives round-based propagation on integer
     unit times, a timeline orders {e workload} events — Poisson traffic
     arrivals, node churn, mobility steps, periodic maintenance — on one
     shared float-valued clock.  Ties are broken first by an explicit

@@ -8,8 +8,6 @@ module Summary = Manet_stats.Summary
 module Coverage = Manet_coverage.Coverage
 open Test_helpers
 
-let quick = Figures.quick
-
 let mean_of point name =
   match List.assoc_opt name (point : Sweep.point).cells with
   | Some (c : Sweep.cell) -> Summary.mean c.summary
@@ -206,53 +204,6 @@ let test_ext_approx_ratios () =
             [ "static-2.5hop/mcds"; "static-3hop/mcds"; "mo_cds/mcds"; "greedy/mcds" ])
         t.Sweep.points)
 
-let test_ext_mobility () =
-  let config = { quick with min_samples = 4; ns = [ 30 ] } in
-  let t = Figures.ext_mobility ~config ~speeds:[ 2.; 10. ] ~d:6. () in
-  Alcotest.(check int) "two rows" 2 (List.length t.rows);
-  (match t.rows with
-  | [ slow; fast ] ->
-    Alcotest.(check bool) "row order" true (slow.speed < fast.speed);
-    (* Faster motion cannot keep the frozen backbone valid longer (means
-       over few samples: allow generous slack, just catch inversions). *)
-    Alcotest.(check bool) "static lifetime positive" true
-      (Summary.mean slow.static_valid_time > 0.);
-    Alcotest.(check bool) "dynamic delivery >= stale delivery" true
-      (Summary.mean fast.dynamic_delivery >= Summary.mean fast.stale_delivery -. 1e-9)
-  | _ -> Alcotest.fail "rows");
-  let rendered = Figures.render_mobility t in
-  Alcotest.(check bool) "render mentions speeds" true (contains rendered "10")
-
-let test_ext_lossy () =
-  let config = { quick with min_samples = 4 } in
-  let t = Figures.ext_lossy ~config ~losses:[ 0.; 0.3 ] ~d:8. () in
-  (match t.rows with
-  | [ zero; lossy30 ] ->
-    List.iter
-      (fun (name, s) ->
-        Alcotest.(check (float 1e-9))
-          (Printf.sprintf "%s perfect at zero loss" name)
-          1. (Summary.mean s))
-      zero.deliveries;
-    let flood30 = List.assoc "flooding" lossy30.deliveries in
-    let dyn30 = List.assoc "dynamic-2.5hop" lossy30.deliveries in
-    Alcotest.(check bool) "flooding more robust than dynamic backbone" true
-      (Summary.mean flood30 >= Summary.mean dyn30)
-  | _ -> Alcotest.fail "two rows expected");
-  Alcotest.(check bool) "renders" true (contains (Figures.render_lossy t) "0.30")
-
-let test_ext_maintenance () =
-  let config = { quick with min_samples = 3 } in
-  let t = Figures.ext_maintenance ~config ~speeds:[ 1.; 8. ] ~d:6. () in
-  (match t.rows with
-  | [ slow; fast ] ->
-    Alcotest.(check bool) "faster motion costs more maintenance" true
-      (Summary.mean fast.incremental_msgs >= Summary.mean slow.incremental_msgs);
-    Alcotest.(check bool) "messages below full rebuild" true
-      (Summary.mean fast.incremental_msgs < float_of_int t.n)
-  | _ -> Alcotest.fail "two rows expected");
-  Alcotest.(check bool) "renders" true (contains (Figures.render_maintenance t) "speed")
-
 let test_ext_clustering () =
   per_degree ~degrees:[ 6. ] "ext-clustering" (fun _ t ->
       List.iter
@@ -280,16 +231,73 @@ let test_ext_si_cds () =
             [ "static-2.5hop"; "mo_cds"; "tree-cds" ])
         t.Sweep.points)
 
+(* The builtins with a second axis (loss, speed) spread it over the
+   columns as "<series>@<value>"; their single point is n = 100. *)
+
+let at = Scenario.label_at
+
+let single_point name =
+  match Runner.run (quick_builtin name) with
+  | [ { Sweep.points = [ p ]; _ } ] -> p
+  | _ -> Alcotest.failf "%s: one table with one point expected" name
+
+let increasing label values =
+  ignore
+    (List.fold_left
+       (fun prev (x, v) ->
+         Alcotest.(check bool) (Printf.sprintf "%s grows at %g (%f > %f)" label x v prev) true (v > prev);
+         v)
+       neg_infinity values)
+
+let test_ext_lossy () =
+  let p = single_point "ext-lossy" in
+  List.iter
+    (fun proto ->
+      Alcotest.(check (float 1e-9)) (proto ^ " perfect at zero loss") 1. (mean_of p (at proto 0.)))
+    [ "flooding"; "static-2.5hop"; "mo_cds"; "dynamic-2.5hop" ];
+  Alcotest.(check bool) "flooding more robust than dynamic backbone at 0.3" true
+    (mean_of p (at "flooding" 0.3) >= mean_of p (at "dynamic-2.5hop" 0.3))
+
+let test_ext_border () =
+  per_degree "ext-border" (fun _ t ->
+      List.iter
+        (fun p ->
+          (* The torus only adds edges to the same placement. *)
+          Alcotest.(check bool)
+            (Printf.sprintf "toroidal degree >= confined at n=%d" p.Sweep.n)
+            true
+            (mean_of p "toroidal-degree" >= mean_of p "degree"))
+        t.Sweep.points)
+
 let test_ext_reliable () =
-  let config = { quick with min_samples = 3 } in
-  let t = Figures.ext_reliable ~config ~losses:[ 0.; 0.2 ] ~d:8. () in
-  (match t.rows with
-  | [ zero; lossy ] ->
-    Alcotest.(check (float 1e-9)) "complete at zero loss" 1. (Summary.mean zero.tree_complete);
-    Alcotest.(check bool) "retransmissions under loss" true
-      (Summary.mean lossy.tree_data > Summary.mean zero.tree_data)
-  | _ -> Alcotest.fail "two rows expected");
-  Alcotest.(check bool) "renders" true (contains (Figures.render_reliable t) "oracle")
+  let p = single_point "ext-reliable" in
+  let losses = [ 0.; 0.1; 0.2; 0.3 ] in
+  Alcotest.(check (float 1e-9)) "complete at zero loss" 1. (mean_of p (at "tree-complete" 0.));
+  increasing "tree data" (List.map (fun l -> (l, mean_of p (at "tree-data" l))) losses)
+
+let speeds = [ 1.; 2.; 5.; 10. ]
+
+let test_ext_maintenance () =
+  let p = single_point "ext-maintenance" in
+  let msgs = List.map (fun s -> (s, mean_of p (at "cluster-msgs" s))) speeds in
+  increasing "cluster messages" msgs;
+  List.iter
+    (fun (s, m) ->
+      Alcotest.(check bool) (Printf.sprintf "messages below full rebuild at speed %g" s) true
+        (m < float_of_int p.Sweep.n))
+    msgs
+
+let test_ext_mobility () =
+  let p = single_point "ext-mobility" in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "static lifetime positive at speed %g" s) true
+        (mean_of p (at "valid-time" s) > 0.);
+      Alcotest.(check bool)
+        (Printf.sprintf "dynamic delivery >= stale delivery at speed %g" s)
+        true
+        (mean_of p (at "dynamic-delivery" s) >= mean_of p (at "stale-delivery" s)))
+    speeds
 
 (* Render *)
 
@@ -341,6 +349,7 @@ let () =
           Alcotest.test_case "clustering ablation" `Slow test_ext_clustering;
           Alcotest.test_case "si-cds comparison" `Slow test_ext_si_cds;
           Alcotest.test_case "reliable broadcast" `Slow test_ext_reliable;
+          Alcotest.test_case "border effects" `Slow test_ext_border;
         ] );
       ("render", [ Alcotest.test_case "text and csv" `Quick test_render_text_and_csv ]);
     ]

@@ -338,6 +338,75 @@ let test_workload_rejections () =
        "metrics": [{"kind": "workload-throughput", "protocol": "flooding"}]}|}
     {|unknown field "protocol"|}
 
+(* The extension-probe kinds: codec round-trip of every field tag, and
+   strict rejection of unknown tags, missing or bad parameters and
+   unknown keys. *)
+
+let test_probes_roundtrip () =
+  let s =
+    Scenario.make ~name:"probe-knobs" ~seed:3 ~ns:[ 20 ] ~degrees:[ 6. ]
+      ~stopping:{ Scenario.min_samples = 2; max_samples = 4; rel_precision = 0.5 }
+      (List.map
+         (fun field -> Scenario.Reliable_broadcast { field; loss = 0.25 })
+         Metric.[ Tree_data; Tree_acks; Tree_complete; Oracle_flood ]
+      @ [
+          Scenario.Reliable_broadcast { field = Metric.Tree_data; loss = 0. };
+          Scenario.Toroidal { field = Metric.Torus_degree };
+          Scenario.Toroidal { field = Metric.Torus_backbone };
+          Scenario.Motion { field = Metric.Valid_time; speed = 0. };
+        ]
+      @ List.map
+          (fun field -> Scenario.Motion { field; speed = 2.5 })
+          Metric.
+            [
+              Cluster_msgs;
+              Head_churn;
+              Backbone_msgs;
+              Gateways;
+              Valid_time;
+              Stale_delivery;
+              Dynamic_delivery;
+            ])
+  in
+  (match Scenario.validate s with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "validate: %s" m);
+  Alcotest.(check bool) "labels carry the parameter" true
+    (List.mem "tree-acks@0.25" (List.map Scenario.metric_name s.Scenario.metrics)
+    && List.mem "head-churn@2.5" (List.map Scenario.metric_name s.Scenario.metrics));
+  match Scenario.of_string (Scenario.to_string s) with
+  | Ok s' -> Alcotest.(check bool) "round-trips" true (s = s')
+  | Error m -> Alcotest.fail m
+
+let with_metric metric =
+  Printf.sprintf
+    {|{"version": 1, "name": "t", "seed": 1,
+       "topology": {"n": [20], "degree": [6]},
+       "stopping": {"min_samples": 2, "max_samples": 4, "rel_precision": 0.5},
+       "metrics": [%s]}|}
+    metric
+
+let test_probes_rejections () =
+  List.iter
+    (fun (metric, fragment) -> rejects (with_metric metric) fragment)
+    [
+      ({|{"kind": "reliable-broadcast", "field": "tree-size", "loss": 0.1}|},
+       {|unknown reliable-broadcast field "tree-size"|});
+      ({|{"kind": "toroidal", "field": "radius"}|}, {|unknown toroidal field "radius"|});
+      ({|{"kind": "motion", "field": "warp", "speed": 1}|}, {|unknown motion field "warp"|});
+      ({|{"kind": "motion", "field": "valid-time"}|}, {|missing required field "speed"|});
+      ({|{"kind": "motion", "field": "valid-time", "speed": -1}|}, "speed -1 must be");
+      ({|{"kind": "reliable-broadcast", "field": "tree-data"}|}, {|missing required field "loss"|});
+      ({|{"kind": "reliable-broadcast", "field": "tree-data", "loss": 1.5}|}, "outside [0, 1]");
+      ({|{"kind": "reliable-broadcast", "field": "tree-data", "loss": -0.1}|}, "outside [0, 1]");
+      ({|{"kind": "toroidal"}|}, {|missing required field "field"|});
+      ({|{"kind": "reliable-broadcast", "field": "tree-data", "loss": 0.1, "protocol": "dp"}|},
+       {|unknown field "protocol"|});
+      ({|{"kind": "toroidal", "field": "degree", "loss": 0.1}|}, {|unknown field "loss"|});
+      ({|{"kind": "motion", "field": "gateways", "speed": 1, "dt": 2}|}, {|unknown field "dt"|});
+      ({|{"kind": "motion", "field": "gateways", "speed": 1, "name": "g"}|}, {|unknown field "name"|});
+    ]
+
 (* Parity: every builtin figure, compiled from its scenario and run by
    the Runner, reproduces bit-identically the table the historical
    hand-coded sweep produced under the quick configuration.  The legacy
@@ -394,6 +463,8 @@ let cost name pick =
         in
         pick c);
   }
+
+let at = Scenario.label_at
 
 let legacy =
   [
@@ -497,6 +568,50 @@ let legacy =
          Manet_experiment.Workload.staleness w;
          Manet_experiment.Workload.churn_delivery w;
        ]) );
+    ( "ext-lossy",
+      List.concat_map
+        (fun loss ->
+          List.map
+            (fun p -> Metric.delivery ~name:(at p loss) ~loss p)
+            [ "flooding"; "static-2.5hop"; "mo_cds"; "dynamic-2.5hop" ])
+        [ 0.; 0.05; 0.1; 0.2; 0.3; 0.4 ] );
+    ( "ext-border",
+      [
+        Metric.realized_degree;
+        Metric.toroidal ~name:"toroidal-degree" Metric.Torus_degree;
+        Metric.structure_size ~name:"backbone" "static-2.5hop";
+        Metric.toroidal ~name:"toroidal-backbone" Metric.Torus_backbone;
+      ] );
+    ( "ext-reliable",
+      List.concat_map
+        (fun loss ->
+          [
+            Metric.reliable_broadcast ~name:(at "tree-data" loss) ~loss Metric.Tree_data;
+            Metric.reliable_broadcast ~name:(at "tree-acks" loss) ~loss Metric.Tree_acks;
+            Metric.reliable_broadcast ~name:(at "tree-complete" loss) ~loss Metric.Tree_complete;
+            Metric.delivery ~name:(at "flooding" loss) ~loss "flooding";
+            Metric.reliable_broadcast ~name:(at "oracle-flood" loss) ~loss Metric.Oracle_flood;
+          ])
+        [ 0.; 0.1; 0.2; 0.3 ] );
+    ( "ext-maintenance",
+      List.concat_map
+        (fun speed ->
+          [
+            Metric.motion ~name:(at "cluster-msgs" speed) ~speed Metric.Cluster_msgs;
+            Metric.motion ~name:(at "head-churn" speed) ~speed Metric.Head_churn;
+            Metric.motion ~name:(at "backbone-msgs" speed) ~speed Metric.Backbone_msgs;
+            Metric.motion ~name:(at "gateways" speed) ~speed Metric.Gateways;
+          ])
+        [ 1.; 2.; 5.; 10. ] );
+    ( "ext-mobility",
+      List.concat_map
+        (fun speed ->
+          [
+            Metric.motion ~name:(at "valid-time" speed) ~speed Metric.Valid_time;
+            Metric.motion ~name:(at "stale-delivery" speed) ~speed Metric.Stale_delivery;
+            Metric.motion ~name:(at "dynamic-delivery" speed) ~speed Metric.Dynamic_delivery;
+          ])
+        [ 1.; 2.; 5.; 10. ] );
     ( "ext-approx",
       [
         { Metric.name = "mcds"; eval = mcds_of };
@@ -694,6 +809,8 @@ let () =
             test_failures_rejections;
           Alcotest.test_case "workloads round-trip" `Quick test_workload_roundtrip;
           Alcotest.test_case "malformed workloads rejected" `Quick test_workload_rejections;
+          Alcotest.test_case "probe kinds round-trip" `Quick test_probes_roundtrip;
+          Alcotest.test_case "malformed probe kinds rejected" `Quick test_probes_rejections;
         ] );
       ( "parity",
         Alcotest.test_case "coverage" `Quick test_every_builtin_has_parity_coverage

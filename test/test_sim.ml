@@ -1,4 +1,3 @@
-module Engine = Manet_sim.Engine
 module Rounds = Manet_sim.Rounds
 module Graph = Manet_graph.Graph
 
@@ -56,56 +55,6 @@ let test_heap_random_against_sort () =
     drain ();
     Alcotest.(check (list int)) "heap = sort" (List.sort compare keys) (List.rev !out)
   done
-
-(* Engine *)
-
-let test_engine_time_order () =
-  let e = Engine.create () in
-  let log = ref [] in
-  Engine.schedule e ~delay:5 (fun _ -> log := 5 :: !log);
-  Engine.schedule e ~delay:1 (fun _ -> log := 1 :: !log);
-  Engine.schedule e ~delay:3 (fun _ -> log := 3 :: !log);
-  Engine.run e;
-  Alcotest.(check (list int)) "fired in time order" [ 1; 3; 5 ] (List.rev !log)
-
-let test_engine_fifo_same_time () =
-  let e = Engine.create () in
-  let log = ref [] in
-  for i = 0 to 4 do
-    Engine.schedule e ~delay:2 (fun _ -> log := i :: !log)
-  done;
-  Engine.run e;
-  Alcotest.(check (list int)) "fifo among simultaneous" [ 0; 1; 2; 3; 4 ] (List.rev !log)
-
-let test_engine_cascading () =
-  let e = Engine.create () in
-  let log = ref [] in
-  Engine.schedule e ~delay:1 (fun e ->
-      log := ("a", Engine.now e) :: !log;
-      Engine.schedule e ~delay:2 (fun e -> log := ("b", Engine.now e) :: !log));
-  Engine.run e;
-  Alcotest.(check (list (pair string int))) "cascade times" [ ("a", 1); ("b", 3) ] (List.rev !log);
-  Alcotest.(check int) "processed" 2 (Engine.processed e);
-  Alcotest.(check int) "pending" 0 (Engine.pending e)
-
-let test_engine_until () =
-  let e = Engine.create () in
-  let log = ref [] in
-  List.iter (fun d -> Engine.schedule e ~delay:d (fun _ -> log := d :: !log)) [ 1; 5; 10 ];
-  Engine.run ~until:5 e;
-  Alcotest.(check (list int)) "stopped at bound" [ 1; 5 ] (List.rev !log);
-  Alcotest.(check int) "event still queued" 1 (Engine.pending e);
-  Engine.run e;
-  Alcotest.(check (list int)) "resumed" [ 1; 5; 10 ] (List.rev !log)
-
-let test_engine_validation () =
-  let e = Engine.create () in
-  Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
-    (fun () -> Engine.schedule e ~delay:(-1) (fun _ -> ()));
-  Engine.schedule e ~delay:5 (fun _ -> ());
-  Engine.run e;
-  Alcotest.check_raises "past time" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> Engine.schedule_at e ~time:2 (fun _ -> ()))
 
 (* Rounds: a trivial gossip protocol as the engine exercise — node 0
    floods a token, each node forwards it once; everyone must end up
@@ -221,14 +170,6 @@ let () =
           Alcotest.test_case "peek/pop/clear" `Quick test_heap_peek_pop;
           Alcotest.test_case "pop_exn" `Quick test_heap_pop_exn;
           Alcotest.test_case "random vs sort" `Quick test_heap_random_against_sort;
-        ] );
-      ( "engine",
-        [
-          Alcotest.test_case "time order" `Quick test_engine_time_order;
-          Alcotest.test_case "fifo at same time" `Quick test_engine_fifo_same_time;
-          Alcotest.test_case "cascading events" `Quick test_engine_cascading;
-          Alcotest.test_case "bounded run" `Quick test_engine_until;
-          Alcotest.test_case "validation" `Quick test_engine_validation;
         ] );
       ( "rounds",
         [
