@@ -14,6 +14,7 @@ module Runner = Manet_experiment.Runner
 module Render = Manet_experiment.Render
 module Coverage = Manet_coverage.Coverage
 module Json = Manet_experiment.Json
+module Protocol = Manet_broadcast.Protocol
 
 let quick = ref false
 let csv_dir = ref None
@@ -128,9 +129,10 @@ let merge_timing_json fields =
     let added = List.filter (fun (k, _) -> not (List.mem_assoc k kept)) fields in
     write_json ~dir ~name:"BENCH_timing.json" (Json.Obj (replaced @ added))
 
-(* Bechamel micro-benchmarks: one Test.make per reproduced table — each
-   times the per-sample unit of work behind that figure at the paper's
-   largest scale (n = 100), plus the substrate stages. *)
+(* Bechamel micro-benchmarks at the paper's largest scale (n = 100): the
+   substrate stages (topology sampling, clustering, the three Figure 6
+   constructions), then one broadcast of every registered protocol,
+   prepared once and run from source 0 through the uniform pipeline. *)
 let timing () =
   section "Timing (Bechamel): per-sample cost of each experiment unit";
   let open Bechamel in
@@ -140,7 +142,7 @@ let timing () =
   let g = sample.graph in
   let cl = Manet_cluster.Lowest_id.cluster g in
   let stage f = Staged.stage f in
-  let tests =
+  let substrate =
     [
       Test.make ~name:"topology-sample"
         (stage (fun () ->
@@ -154,30 +156,19 @@ let timing () =
              ignore (Manet_backbone.Static_backbone.build ~clustering:cl g Coverage.Hop3)));
       Test.make ~name:"fig6-mo_cds"
         (stage (fun () -> ignore (Manet_baselines.Mo_cds.build ~clustering:cl g)));
-      Test.make ~name:"fig7-dynamic-2.5hop"
-        (stage (fun () ->
-             ignore (Manet_backbone.Dynamic_backbone.broadcast g cl Coverage.Hop25 ~source:0)));
-      Test.make ~name:"fig8-static-broadcast"
-        (stage
-           (let bb = Manet_backbone.Static_backbone.build ~clustering:cl g Coverage.Hop25 in
-            fun () -> ignore (Manet_backbone.Static_backbone.broadcast bb ~source:0)));
-      Test.make ~name:"ext-ahbp" (stage (fun () -> ignore (Manet_baselines.Ahbp.broadcast g ~source:0)));
-      Test.make ~name:"ext-self-pruning"
-        (stage (fun () -> ignore (Manet_baselines.Self_pruning.broadcast ~rng g ~source:0)));
-      Test.make ~name:"ext-passive"
-        (stage (fun () -> ignore (Manet_baselines.Passive_clustering.broadcast ~rng g ~source:0)));
-      Test.make ~name:"ext-dp" (stage (fun () -> ignore (Manet_baselines.Dominant_pruning.broadcast g ~source:0)));
-      Test.make ~name:"ext-pdp"
-        (stage (fun () -> ignore (Manet_baselines.Partial_dominant_pruning.broadcast g ~source:0)));
-      Test.make ~name:"ext-mpr" (stage (fun () -> ignore (Manet_baselines.Mpr.broadcast g ~source:0)));
-      Test.make ~name:"ext-wu-li" (stage (fun () -> ignore (Manet_baselines.Wu_li.build g)));
-      Test.make ~name:"ext-tree-cds" (stage (fun () -> ignore (Manet_baselines.Tree_cds.build g)));
-      Test.make ~name:"ext-fwd-tree"
-        (stage (fun () -> ignore (Manet_baselines.Forwarding_tree.build g cl Coverage.Hop25 ~source:0)));
-      Test.make ~name:"ext-flooding"
-        (stage (fun () -> ignore (Manet_baselines.Flooding.broadcast g ~source:0)));
     ]
   in
+  let broadcasts =
+    List.map
+      (fun (p : Protocol.t) ->
+        let rng = Manet_rng.Rng.create ~seed:17 in
+        let env = Protocol.make_env ~clustering:(lazy cl) ~rng g in
+        let built = p.prepare env in
+        Test.make ~name:("bcast-" ^ p.name)
+          (stage (fun () -> ignore (built.run ~source:0 ~mode:Protocol.Perfect))))
+      Manet_protocols.Registry.all
+  in
+  let tests = substrate @ broadcasts in
   let grouped = Test.make_grouped ~name:"manet" tests in
   let cfg =
     Benchmark.cfg ~limit:300
@@ -196,9 +187,9 @@ let timing () =
       results []
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
-  Printf.printf "%-28s %14s %8s\n" "benchmark (n=100, d=6)" "ns/run" "r²";
+  Printf.printf "%-36s %14s %8s\n" "benchmark (n=100, d=6)" "ns/run" "r²";
   List.iter
-    (fun (name, ns, r2) -> Printf.printf "%-28s %14.0f %8.3f\n" name ns r2)
+    (fun (name, ns, r2) -> Printf.printf "%-36s %14.0f %8.3f\n" name ns r2)
     rows;
   merge_timing_json
     [
@@ -444,9 +435,13 @@ let timing_scale () =
       let t_static, _ =
         time (fun () -> Manet_backbone.Static_backbone.build ~clustering:cl g Coverage.Hop25)
       in
+      (* One registry broadcast on a fresh preparation, so the CH_HOP
+         tables it builds on first use are part of the time. *)
+      let dynamic = Manet_protocols.Registry.find_exn "dynamic-2.5hop" in
       let t_dynamic, _ =
         time (fun () ->
-            Manet_backbone.Dynamic_backbone.broadcast g cl Coverage.Hop25 ~source:0)
+            (dynamic.prepare (Protocol.make_env ~clustering:(lazy cl) g)).run ~source:0
+              ~mode:Protocol.Perfect)
       in
       Printf.printf "%8d %10.3f %12.3f %12.3f %12.3f %14.1f\n" n t_sample t_cluster t_static
         t_dynamic

@@ -16,13 +16,28 @@ module Registry = Manet_protocols.Registry
 
 (* Shared topology arguments *)
 
+(* Argument converters that reject out-of-domain values at parse time,
+   so a bad flag is a usage error (exit 124), never an uncaught
+   exception from deep inside the library. *)
+let checked conv ~ok ~expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s expected, got %s" expected s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
 let n_arg =
-  Arg.(value & opt int 60 & info [ "n" ] ~docv:"N" ~doc:"Number of hosts to generate.")
+  let hosts = checked Arg.int ~ok:(fun n -> n >= 2) ~expected:"an integer of at least 2" in
+  Arg.(value & opt hosts 60 & info [ "n" ] ~docv:"N" ~doc:"Number of hosts to generate.")
 
 let degree_arg =
+  (* Written so that NaN fails: it is not greater than 0. *)
+  let degree = checked Arg.float ~ok:(fun d -> d > 0.) ~expected:"a positive degree" in
   Arg.(
     value
-    & opt float 6.
+    & opt degree 6.
     & info [ "d"; "degree" ] ~docv:"D" ~doc:"Target average node degree (paper: 6 or 18).")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -145,9 +160,12 @@ let broadcast_cmd =
           ~doc:"Broadcast protocol, any registered name (see $(b,manet protocols)).")
   in
   let loss_arg =
+    let probability =
+      checked Arg.float ~ok:(fun l -> l >= 0. && l <= 1.) ~expected:"a probability in [0, 1]"
+    in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some probability) None
       & info [ "loss" ] ~docv:"P"
           ~doc:"Drop each reception independently with probability P (failure injection).")
   in
@@ -159,32 +177,37 @@ let broadcast_cmd =
   let run edges n degree seed proto source loss trace =
     let g, _ = topology edges n degree seed in
     if source < 0 || source >= Graph.n g then
-      invalid_arg (Printf.sprintf "source %d out of range (n=%d)" source (Graph.n g));
-    let env = Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed) g in
-    let mode = match loss with None -> Protocol.Perfect | Some l -> Protocol.Lossy l in
-    let r, timeline = (proto.Protocol.prepare env).Protocol.run ~source ~mode in
-    Format.printf "%a@." Result.pp r;
-    Format.printf "forwarders = %a@." Nodeset.pp r.forwarders;
-    if trace then begin
-      let by_time = Hashtbl.create 16 in
-      List.iter
-        (fun (t, v) ->
-          Hashtbl.replace by_time t (v :: Option.value ~default:[] (Hashtbl.find_opt by_time t)))
-        timeline;
-      let times = Hashtbl.fold (fun t _ acc -> t :: acc) by_time [] |> List.sort compare in
-      List.iter
-        (fun t ->
-          Format.printf "t=%d:" t;
-          List.iter (Format.printf " %d") (List.rev (Hashtbl.find by_time t));
-          Format.printf "@.")
-        times
+      let n = Graph.n g in
+      `Error (true, Printf.sprintf "--source %d is not a node of the %d-node topology" source n)
+    else begin
+      let env = Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed) g in
+      let mode = match loss with None -> Protocol.Perfect | Some l -> Protocol.Lossy l in
+      let r, timeline = (proto.Protocol.prepare env).Protocol.run ~source ~mode in
+      Format.printf "%a@." Result.pp r;
+      Format.printf "forwarders = %a@." Nodeset.pp r.forwarders;
+      if trace then begin
+        let by_time = Hashtbl.create 16 in
+        List.iter
+          (fun (t, v) ->
+            Hashtbl.replace by_time t (v :: Option.value ~default:[] (Hashtbl.find_opt by_time t)))
+          timeline;
+        let times = Hashtbl.fold (fun t _ acc -> t :: acc) by_time [] |> List.sort compare in
+        List.iter
+          (fun t ->
+            Format.printf "t=%d:" t;
+            List.iter (Format.printf " %d") (List.rev (Hashtbl.find by_time t));
+            Format.printf "@.")
+          times
+      end;
+      `Ok ()
     end
   in
   Cmd.v
     (Cmd.info "broadcast" ~doc:"Run one broadcast and report the forward-node set.")
     Term.(
-      const run $ edges_arg $ n_arg $ degree_arg $ seed_arg $ proto_arg $ source_arg $ loss_arg
-      $ trace_arg)
+      ret
+        (const run $ edges_arg $ n_arg $ degree_arg $ seed_arg $ proto_arg $ source_arg
+       $ loss_arg $ trace_arg))
 
 (* protocols *)
 

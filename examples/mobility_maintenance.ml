@@ -17,8 +17,9 @@ module Graph = Manet_graph.Graph
 module Dominating = Manet_graph.Dominating
 module Coverage = Manet_coverage.Coverage
 module Static = Manet_backbone.Static_backbone
-module Dynamic = Manet_backbone.Dynamic_backbone
 module Result = Manet_broadcast.Result
+module Protocol = Manet_broadcast.Protocol
+module Registry = Manet_protocols.Registry
 
 let () =
   let rng = Rng.create ~seed:11 in
@@ -41,14 +42,19 @@ let () =
     let g = Mobility.graph mob ~radius:sample.radius in
     let valid = Dominating.is_cds g backbone.members in
     let source = Rng.int rng (Graph.n g) in
-    let stale =
-      Manet_broadcast.Si.run g ~in_cds:(fun v -> Static.in_backbone backbone v) ~source
+    (* The frozen backbone replays as an SI-CDS broadcast: its members
+       forward their first copy. *)
+    let env = Protocol.make_env g in
+    let stale, _ =
+      Protocol.run_decide env ~source ~mode:Protocol.Perfect ~initial:()
+        ~decide:(fun ~node ~from:_ ~payload:() ->
+          if Static.in_backbone backbone node then Some () else None)
     in
-    (* The on-demand protocol reclusters the live topology, as the real
-       system would before a broadcast. *)
-    let dynamic =
-      let cl = Manet_cluster.Lowest_id.cluster g in
-      Dynamic.broadcast g cl Coverage.Hop25 ~source
+    (* The on-demand protocol reclusters the live topology (the
+       environment's default lowest-ID clustering), as the real system
+       would before a broadcast. *)
+    let dynamic, _ =
+      ((Registry.find_exn "dynamic-2.5hop").prepare env).run ~source ~mode:Protocol.Perfect
     in
     Printf.printf "%6.1f %12b %16.3f %18.3f\n" !t valid (Result.delivery_ratio stale)
       (Result.delivery_ratio dynamic)

@@ -12,9 +12,10 @@ module Nodeset = Manet_graph.Nodeset
 module Clustering = Manet_cluster.Clustering
 module Coverage = Manet_coverage.Coverage
 module Static = Manet_backbone.Static_backbone
-module Dynamic = Manet_backbone.Dynamic_backbone
 module Cluster_graph = Manet_backbone.Cluster_graph
 module Result = Manet_broadcast.Result
+module Protocol = Manet_broadcast.Protocol
+module Registry = Manet_protocols.Registry
 
 let print_set name s = Format.printf "%s = %a@." name Nodeset.pp s
 
@@ -72,11 +73,15 @@ let () =
   (* The Section 3 illustration: static broadcast uses all 9 backbone
      nodes; the dynamic broadcast uses 7. *)
   Format.printf "--- broadcasts from node 0 (paper node 1) ---@.";
-  let r_static = Static.broadcast bb ~source:0 in
+  let env = Protocol.make_env ~clustering:(lazy cl) g in
+  let broadcast name =
+    fst (((Registry.find_exn name).prepare env).run ~source:0 ~mode:Protocol.Perfect)
+  in
+  let r_static = broadcast "static-2.5hop" in
   Format.printf "static:  %d forward nodes %a@."
     (Result.forward_count r_static)
     Nodeset.pp r_static.forwarders;
-  let r_dyn = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
+  let r_dyn = broadcast "dynamic-2.5hop" in
   Format.printf "dynamic: %d forward nodes %a@." (Result.forward_count r_dyn) Nodeset.pp
     r_dyn.forwarders;
   assert (Result.forward_count r_static = 9);

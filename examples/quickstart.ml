@@ -10,8 +10,9 @@ module Nodeset = Manet_graph.Nodeset
 module Clustering = Manet_cluster.Clustering
 module Coverage = Manet_coverage.Coverage
 module Static = Manet_backbone.Static_backbone
-module Dynamic = Manet_backbone.Dynamic_backbone
 module Result = Manet_broadcast.Result
+module Protocol = Manet_broadcast.Protocol
+module Registry = Manet_protocols.Registry
 
 let () =
   (* 1. A random connected network: 60 hosts, average degree 6, in the
@@ -34,15 +35,21 @@ let () =
     (Nodeset.cardinal backbone.gateways)
     (Static.is_cds backbone);
 
-  (* 4. Broadcast over the static backbone from node 0. *)
-  let r_static = Static.broadcast backbone ~source:0 in
+  (* 4. Broadcast over the static backbone from node 0.  Every scheme
+     runs through the protocol registry: prepare it on an environment
+     (topology plus clustering), then broadcast. *)
+  let env = Protocol.make_env ~clustering:(lazy cl) g in
+  let broadcast name =
+    fst (((Registry.find_exn name).prepare env).run ~source:0 ~mode:Protocol.Perfect)
+  in
+  let r_static = broadcast "static-2.5hop" in
   Printf.printf "static broadcast:  %d forwards, delivered %d/%d, %d hops\n"
     (Result.forward_count r_static) (Result.delivered_count r_static) (Graph.n g)
     r_static.completion_time;
 
   (* 5. The same broadcast with the dynamic backbone (source-dependent
      CDS built on the fly with coverage-set pruning). *)
-  let r_dynamic = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
+  let r_dynamic = broadcast "dynamic-2.5hop" in
   Printf.printf "dynamic broadcast: %d forwards, delivered %d/%d, %d hops\n"
     (Result.forward_count r_dynamic)
     (Result.delivered_count r_dynamic)

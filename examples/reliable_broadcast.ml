@@ -16,7 +16,8 @@ module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 module Coverage = Manet_coverage.Coverage
 module Reliable = Manet_broadcast.Reliable
-module Lossy = Manet_broadcast.Lossy
+module Protocol = Manet_broadcast.Protocol
+module Result = Manet_broadcast.Result
 
 let () =
   let rng = Rng.create ~seed:99 in
@@ -44,7 +45,11 @@ let () =
   List.iter
     (fun loss ->
       let o = Reliable.run g ~rng:(Rng.split rng) ~loss ~root:tree.root ~parent in
-      let flood = Lossy.flooding_delivery g ~rng:(Rng.split rng) ~loss ~source in
+      let flood =
+        let env = Protocol.make_env ~rng:(Rng.split rng) g in
+        let r, _ = (Protocol.flooding.prepare env).run ~source ~mode:(Protocol.Lossy loss) in
+        Result.delivery_ratio r
+      in
       Printf.printf "%8.2f %12d %12d %10d %12b %16.3f\n" loss o.data_transmissions
         o.ack_transmissions o.rounds o.complete flood)
     [ 0.; 0.1; 0.2; 0.3; 0.4 ];

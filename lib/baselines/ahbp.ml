@@ -26,12 +26,6 @@ let pipeline g ~source =
         Some { brg = select ~node ~upstream:(Some (from, payload.brg)) }
       else None )
 
-let broadcast g ~source =
-  let initial, decide = pipeline g ~source in
-  Manet_broadcast.Engine.run g ~source ~initial ~decide
-
-let forward_count g ~source = Manet_broadcast.Result.forward_count (broadcast g ~source)
-
 let protocol =
   Protocol.per_broadcast ~name:"ahbp"
     ~description:"ad hoc broadcast protocol (Peng and Lu): BRG designation excluding the upstream BRG set"

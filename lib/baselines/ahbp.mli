@@ -9,10 +9,6 @@
     but also the neighborhoods of u's whole BRG set, shrinking the
     cover universe further than DP or PDP. *)
 
-val broadcast : Manet_graph.Graph.t -> source:int -> Manet_broadcast.Result.t
-
-val forward_count : Manet_graph.Graph.t -> source:int -> int
-
 val protocol : Manet_broadcast.Protocol.t
 (** This scheme in the protocol registry: no build phase, the
     designation pipeline runs per broadcast through the uniform engine

@@ -6,11 +6,15 @@ module H = Manet_sim.Heap.Make (Manet_sim.Event_key)
 
 type event = Reception | Expiry
 
-let broadcast_traced ?(window = 4) ?(threshold = 3) ~rng g ~source =
-  if window < 1 then invalid_arg "Counter_based.broadcast: window must be at least 1";
-  if threshold < 1 then invalid_arg "Counter_based.broadcast: threshold must be at least 1";
+(* Backoffs are drawn uniformly from 1..window time units; a node
+   rebroadcasts only if it heard fewer than [threshold] copies. *)
+let window = 4
+
+let threshold = 3
+
+let run ~rng g ~source =
   let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Counter_based.broadcast: source out of range";
+  if source < 0 || source >= n then invalid_arg "Counter_based: source out of range";
   let delivered = Array.make n false in
   let transmitted = Array.make n false in
   let copies = Array.make n 0 in
@@ -47,12 +51,6 @@ let broadcast_traced ?(window = 4) ?(threshold = 3) ~rng g ~source =
   ( { Manet_broadcast.Result.source; forwarders = !forwarders; delivered; completion_time = !completion },
     List.rev !trace )
 
-let broadcast ?window ?threshold ~rng g ~source =
-  fst (broadcast_traced ?window ?threshold ~rng g ~source)
-
-let forward_count ~rng g ~source =
-  Manet_broadcast.Result.forward_count (broadcast ~rng g ~source)
-
 let protocol =
   Manet_broadcast.Protocol.per_broadcast ~name:"counter"
     ~description:"counter-based scheme (Ni et al., MOBICOM'99): rebroadcast unless C >= 3 copies heard"
@@ -60,4 +58,4 @@ let protocol =
     (fun env ~source ~mode ->
       let open Manet_broadcast.Protocol in
       frozen_lossy env ~source ~mode
-        ~run:(fun ~source -> broadcast_traced ~rng:env.rng env.graph ~source))
+        ~run:(fun ~source -> run ~rng:env.rng env.graph ~source))

@@ -5,8 +5,8 @@ module Protocol = Manet_broadcast.Protocol
 (* The packet carries the sender's forward designation. *)
 type packet = { forwards : Nodeset.t }
 
-(* The per-broadcast pipeline, shared by the direct entry point and the
-   registry protocol. *)
+(* The per-broadcast pipeline: the source's packet and the decide
+   callback. *)
 let pipeline g ~source =
   let forwards_of ~node ~upstream =
     let universe =
@@ -22,12 +22,6 @@ let pipeline g ~source =
       if Nodeset.mem node payload.forwards then
         Some { forwards = forwards_of ~node ~upstream:(Some from) }
       else None )
-
-let broadcast g ~source =
-  let initial, decide = pipeline g ~source in
-  Manet_broadcast.Engine.run g ~source ~initial ~decide
-
-let forward_count g ~source = Manet_broadcast.Result.forward_count (broadcast g ~source)
 
 let protocol =
   Protocol.per_broadcast ~name:"dp"

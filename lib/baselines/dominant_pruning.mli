@@ -7,10 +7,6 @@
     reached by u's or v's own transmission.  Only designated nodes
     forward. *)
 
-val broadcast : Manet_graph.Graph.t -> source:int -> Manet_broadcast.Result.t
-
-val forward_count : Manet_graph.Graph.t -> source:int -> int
-
 val protocol : Manet_broadcast.Protocol.t
 (** This scheme in the protocol registry: no build phase, the
     designation pipeline runs per broadcast through the uniform engine

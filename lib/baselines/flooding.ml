@@ -1,5 +1,1 @@
-let broadcast g ~source =
-  Manet_broadcast.Engine.run g ~source ~initial:()
-    ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
-
 let protocol = Manet_broadcast.Protocol.flooding

@@ -5,8 +5,6 @@
     network, which the extension experiments use as the upper reference
     line. *)
 
-val broadcast : Manet_graph.Graph.t -> source:int -> Manet_broadcast.Result.t
-
 val protocol : Manet_broadcast.Protocol.t
 (** [flooding] in the protocol registry (re-exported
     {!Manet_broadcast.Protocol.flooding}). *)

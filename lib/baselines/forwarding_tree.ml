@@ -67,9 +67,6 @@ let depth t =
   let rec depth_of v = if t.parent.(v) < 0 then 0 else 1 + depth_of t.parent.(v) in
   Nodeset.fold (fun v acc -> max acc (depth_of v)) t.members 0
 
-let broadcast t ~source =
-  Manet_broadcast.Si.run t.graph ~in_cds:(fun v -> Nodeset.mem v t.members) ~source
-
 let ack_messages t =
   (* one acknowledgement per tree edge (every member except the root) *)
   Nodeset.cardinal t.members - 1

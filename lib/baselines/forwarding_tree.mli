@@ -39,9 +39,6 @@ val size : t -> int
 val depth : t -> int
 (** Longest root-to-leaf path, in tree edges. *)
 
-val broadcast : t -> source:int -> Manet_broadcast.Result.t
-(** Source sends to its clusterhead; tree members forward. *)
-
 val ack_messages : t -> int
 (** Transmissions of one full acknowledgement wave: one ack per tree
     edge, flowing leaf-to-root. *)
@@ -49,5 +46,6 @@ val ack_messages : t -> int
 val protocol : Manet_broadcast.Protocol.t
 (** [fwd-tree] in the protocol registry.  The tree is rooted at the
     source's clusterhead, so construction happens per broadcast (no
-    proactive phase); forwarding is SI-CDS over the tree members, over
-    the 2.5-hop coverage sets. *)
+    proactive phase); the source sends to its clusterhead and
+    forwarding is SI-CDS over the tree members, over the 2.5-hop
+    coverage sets. *)

@@ -22,14 +22,9 @@ val build : ?clustering:Manet_cluster.Clustering.t -> Manet_graph.Graph.t -> t
 
 val size : t -> int
 
-val in_cds : t -> int -> bool
-
 val is_cds : t -> bool
-
-val broadcast : t -> source:int -> Manet_broadcast.Result.t
-(** SI-CDS broadcast over MO_CDS — the comparator series of Figures 6
-    and 7. *)
 
 val protocol : Manet_broadcast.Protocol.t
 (** [mo_cds] in the protocol registry: {!build} over the environment's
-    clustering as the build phase, SI-CDS forwarding over the members. *)
+    clustering as the build phase, SI-CDS forwarding over the members —
+    the comparator series of Figures 6 and 7. *)

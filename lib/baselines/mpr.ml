@@ -35,13 +35,6 @@ let mpr_set g v =
 
 let mpr_sets g = Array.init (Graph.n g) (mpr_set g)
 
-let broadcast ?sets g ~source =
-  let sets = match sets with Some s -> s | None -> mpr_sets g in
-  Manet_broadcast.Engine.run g ~source ~initial:()
-    ~decide:(fun ~node ~from ~payload:() -> if Nodeset.mem node sets.(from) then Some () else None)
-
-let forward_count g ~source = Manet_broadcast.Result.forward_count (broadcast g ~source)
-
 let protocol =
   Manet_broadcast.Protocol.with_build ~name:"mpr"
     ~description:"multipoint relays (Qayyum et al., HICSS'02): relay iff MPR of the upstream sender"

@@ -13,16 +13,8 @@ val mpr_set : Manet_graph.Graph.t -> int -> Manet_graph.Nodeset.t
 val mpr_sets : Manet_graph.Graph.t -> Manet_graph.Nodeset.t array
 (** MPR sets of every node. *)
 
-val broadcast :
-  ?sets:Manet_graph.Nodeset.t array ->
-  Manet_graph.Graph.t ->
-  source:int ->
-  Manet_broadcast.Result.t
-(** [sets] defaults to {!mpr_sets} (pass it to amortize across
-    broadcasts). *)
-
-val forward_count : Manet_graph.Graph.t -> source:int -> int
-
 val protocol : Manet_broadcast.Protocol.t
 (** [mpr] in the protocol registry: {!mpr_sets} as the (proactive) build
-    phase, relay-iff-designated as the per-broadcast decide pipeline. *)
+    phase, computed once per prepared instance and shared by its
+    broadcasts; relay-iff-designated as the per-broadcast decide
+    pipeline. *)

@@ -34,12 +34,6 @@ let pipeline g ~source =
         Some { forwards = forwards_of ~node ~upstream:(Some from) }
       else None )
 
-let broadcast g ~source =
-  let initial, decide = pipeline g ~source in
-  Manet_broadcast.Engine.run g ~source ~initial ~decide
-
-let forward_count g ~source = Manet_broadcast.Result.forward_count (broadcast g ~source)
-
 let protocol =
   Protocol.per_broadcast ~name:"pdp"
     ~description:"partial dominant pruning (Lou and Wu, TMC'02): DP minus the common-neighbor coverage"

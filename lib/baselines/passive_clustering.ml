@@ -14,11 +14,12 @@ module H = Manet_sim.Heap.Make (Manet_sim.Event_key)
 
 type event = Reception of info | Decide
 
-let broadcast_traced ?(window = 4) ~rng g ~source =
-  if window < 1 then invalid_arg "Passive_clustering.broadcast: window must be at least 1";
+(* Role decisions are deferred by a backoff drawn from 1..window. *)
+let window = 4
+
+let run ~rng g ~source =
   let n = Graph.n g in
-  if source < 0 || source >= n then
-    invalid_arg "Passive_clustering.broadcast: source out of range";
+  if source < 0 || source >= n then invalid_arg "Passive_clustering.run: source out of range";
   let roles = Array.make n Ordinary in
   let ch_neighbors = Array.make n Nodeset.empty in
   let covered = Array.make n Nodeset.empty in
@@ -78,8 +79,6 @@ let broadcast_traced ?(window = 4) ~rng g ~source =
   in
   ({ result; roles }, List.rev !trace)
 
-let broadcast ?window ~rng g ~source = fst (broadcast_traced ?window ~rng g ~source)
-
 let protocol =
   Manet_broadcast.Protocol.per_broadcast ~name:"passive"
     ~description:"passive clustering (Kwon and Gerla): roles declared in-flight, gateways may suppress"
@@ -88,7 +87,7 @@ let protocol =
       let open Manet_broadcast.Protocol in
       frozen_lossy env ~source ~mode
         ~run:(fun ~source ->
-          let p, trace = broadcast_traced ~rng:env.rng env.graph ~source in
+          let p, trace = run ~rng:env.rng env.graph ~source in
           (p.result, trace)))
 
 let collect t role =

@@ -26,29 +26,21 @@ type t = {
   roles : role array;  (** roles at the end of the flood *)
 }
 
-val broadcast :
-  ?window:int -> rng:Manet_rng.Rng.t -> Manet_graph.Graph.t -> source:int -> t
-(** One flood with passive clustering forming along the way.  The source
-    declares itself clusterhead.  Each node defers its role decision by a
-    random backoff of 1..[window] time units (default 4), modelling the
-    MAC serialization the suppression rule depends on: without it,
-    same-layer nodes decide simultaneously and nobody ever hears a
-    suppressing declaration in time.
-    @raise Invalid_argument if [window < 1] or the source is out of
-    range. *)
+val run : rng:Manet_rng.Rng.t -> Manet_graph.Graph.t -> source:int -> t * (int * int) list
+(** One flood with passive clustering forming along the way — the
+    scheme's native event loop, exposed for the roles it leaves behind;
+    under a perfect MAC, {!protocol}'s broadcast is exactly this run.  The source declares itself
+    clusterhead.  Each node defers its role decision by a random backoff
+    of 1..4 time units, modelling the MAC serialization the suppression
+    rule depends on: without it, same-layer nodes decide simultaneously
+    and nobody ever hears a suppressing declaration in time.  The second
+    component is the transmission timeline as [(time, node)] pairs in
+    transmission order.
+    @raise Invalid_argument if the source is out of range. *)
 
 val heads : t -> Manet_graph.Nodeset.t
 
 val gateways : t -> Manet_graph.Nodeset.t
-
-val broadcast_traced :
-  ?window:int ->
-  rng:Manet_rng.Rng.t ->
-  Manet_graph.Graph.t ->
-  source:int ->
-  t * (int * int) list
-(** Like {!broadcast}, additionally returning the transmission timeline
-    as [(time, node)] pairs in transmission order. *)
 
 val protocol : Manet_broadcast.Protocol.t
 (** [passive] in the protocol registry; frozen-replay semantics under

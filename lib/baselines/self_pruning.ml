@@ -6,10 +6,12 @@ module H = Manet_sim.Heap.Make (Manet_sim.Event_key)
 
 type event = Reception | Expiry
 
-let broadcast_traced ?(window = 4) ~rng g ~source =
-  if window < 1 then invalid_arg "Self_pruning.broadcast: window must be at least 1";
+(* Backoffs are drawn uniformly from 1..window time units. *)
+let window = 4
+
+let run ~rng g ~source =
   let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Self_pruning.broadcast: source out of range";
+  if source < 0 || source >= n then invalid_arg "Self_pruning: source out of range";
   let delivered = Array.make n false in
   let transmitted = Array.make n false in
   let heard_from = Array.make n Nodeset.empty in
@@ -59,11 +61,6 @@ let broadcast_traced ?(window = 4) ~rng g ~source =
   ( { Manet_broadcast.Result.source; forwarders = !forwarders; delivered; completion_time = !completion },
     List.rev !trace )
 
-let broadcast ?window ~rng g ~source = fst (broadcast_traced ?window ~rng g ~source)
-
-let forward_count ~rng g ~source =
-  Manet_broadcast.Result.forward_count (broadcast ~rng g ~source)
-
 let protocol =
   Manet_broadcast.Protocol.per_broadcast ~name:"self-pruning"
     ~description:"backoff neighbor-coverage self-pruning (Lim and Kim): resign if heard copies cover N(v)"
@@ -71,4 +68,4 @@ let protocol =
     (fun env ~source ~mode ->
       let open Manet_broadcast.Protocol in
       frozen_lossy env ~source ~mode
-        ~run:(fun ~source -> broadcast_traced ~rng:env.rng env.graph ~source))
+        ~run:(fun ~source -> run ~rng:env.rng env.graph ~source))

@@ -9,8 +9,8 @@
     re-broadcast operation."  This is Lim & Kim's self-pruning / the
     neighbor-coverage variant of the broadcast-storm counter schemes.
 
-    Each node draws a random backoff of 1..[window] time units at its
-    first copy; while waiting it records the senders of every copy it
+    Each node draws a random backoff of 1..4 time units at its first
+    copy; while waiting it records the senders of every copy it
     hears; at expiry it rebroadcasts unless its whole neighborhood lies
     in the union of the heard senders' closed neighborhoods.
 
@@ -18,29 +18,10 @@
     forwards than flooding, but completion times stretched by the
     backoff. *)
 
-val broadcast :
-  ?window:int ->
-  rng:Manet_rng.Rng.t ->
-  Manet_graph.Graph.t ->
-  source:int ->
-  Manet_broadcast.Result.t
-(** [window] defaults to 4 time units.
-    @raise Invalid_argument if [window < 1] or the source is out of
-    range. *)
-
-val forward_count : rng:Manet_rng.Rng.t -> Manet_graph.Graph.t -> source:int -> int
-
-val broadcast_traced :
-  ?window:int ->
-  rng:Manet_rng.Rng.t ->
-  Manet_graph.Graph.t ->
-  source:int ->
-  Manet_broadcast.Result.t * (int * int) list
-(** Like {!broadcast}, additionally returning the transmission timeline
-    as [(time, node)] pairs in transmission order. *)
-
 val protocol : Manet_broadcast.Protocol.t
 (** [self-pruning] in the protocol registry.  Backoffs are drawn from
     the environment's rng; under loss the forward set is frozen from a
     loss-free run and replayed ({!Manet_broadcast.Protocol.frozen_lossy}),
-    since the backoff timers have no loss semantics of their own. *)
+    since the backoff timers have no loss semantics of their own.
+    Broadcasting from a source outside the graph raises
+    [Invalid_argument]. *)

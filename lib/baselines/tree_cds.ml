@@ -53,11 +53,7 @@ let build g =
 
 let size t = Nodeset.cardinal t.members
 
-let in_cds t v = Nodeset.mem v t.members
-
 let is_cds t = Manet_graph.Dominating.is_cds t.graph t.members
-
-let broadcast t ~source = Manet_broadcast.Si.run t.graph ~in_cds:(in_cds t) ~source
 
 let protocol =
   Manet_broadcast.Protocol.si ~name:"tree-cds"

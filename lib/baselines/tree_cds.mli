@@ -21,11 +21,7 @@ val build : Manet_graph.Graph.t -> t
 
 val size : t -> int
 
-val in_cds : t -> int -> bool
-
 val is_cds : t -> bool
-
-val broadcast : t -> source:int -> Manet_broadcast.Result.t
 
 val protocol : Manet_broadcast.Protocol.t
 (** [tree-cds] in the protocol registry: {!build} as the build phase,

@@ -20,15 +20,10 @@ val build : Manet_graph.Graph.t -> t
 
 val size : t -> int
 
-val in_cds : t -> int -> bool
-
 val is_cds : t -> bool
-
-val broadcast : t -> source:int -> Manet_broadcast.Result.t
-(** SI broadcast over the surviving marked nodes; if no node is marked
-    (complete graphs), the source's single transmission already covers
-    everyone. *)
 
 val protocol : Manet_broadcast.Protocol.t
 (** [wu-li] in the protocol registry: {!build} as the build phase,
-    SI-CDS forwarding over {!val-members}. *)
+    SI-CDS forwarding over the surviving marked nodes.  If no node is
+    marked (complete graphs), the source's single transmission already
+    covers everyone. *)

@@ -260,7 +260,7 @@ end
    same. *)
 let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial ~decide =
   let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Engine.run: source out of range";
+  if source < 0 || source >= n then invalid_arg "Engine.run_core: source out of range";
   let a =
     match arena with
     | Some a when not a.Arena.busy -> a
@@ -315,7 +315,3 @@ let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial
     end
   done;
   materialize a ~tick ~n ~source ~completion:!completion
-
-let run_traced g ~source ~initial ~decide = run_core g ~source ~initial ~decide
-
-let run g ~source ~initial ~decide = fst (run_traced g ~source ~initial ~decide)

@@ -14,9 +14,9 @@
     transmits at most once, and once it has transmitted it is never asked
     again.  Offering {e every} copy until transmission matters for
     source-dependent protocols: a node's forward-node designation can
-    arrive in a later copy than its first.  The SI-CDS broadcast, the
-    paper's dynamic backbone, flooding, dominant pruning, PDP and MPR are
-    all instances.
+    arrive in a later copy than its first.  The SI-CDS broadcast,
+    flooding, dominant pruning, PDP, AHBP and MPR are all instances
+    (the dynamic backbone's designation events use {!Scratch}).
 
     Determinism: receptions are processed in (time, receiver, sender)
     order, so when several copies arrive in the same time unit the
@@ -115,31 +115,6 @@ module Scratch : sig
       generation tags — the same epilogue {!run_core} uses. *)
 end
 
-val run :
-  Manet_graph.Graph.t ->
-  source:int ->
-  initial:'a ->
-  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
-  Result.t
-(** [run g ~source ~initial ~decide]: the source transmits [initial] at
-    time 0 (the source always transmits and is counted as a forwarder;
-    [decide] is not called for it).  Each transmission by [v] at time [t]
-    delivers to every neighbor at [t + 1]; deliveries invoke [decide]
-    until the node transmits, and [Some p] schedules the node's own
-    transmission at its delivery time.  Runs until no transmission is in
-    flight.
-    @raise Invalid_argument if [source] is out of range. *)
-
-val run_traced :
-  Manet_graph.Graph.t ->
-  source:int ->
-  initial:'a ->
-  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
-  Result.t * (int * int) list
-(** Like {!run}, additionally returning the transmission schedule as
-    [(time, node)] pairs in transmission order — a timeline for
-    inspection and visualization. *)
-
 val run_core :
   ?drop:(unit -> bool) ->
   ?down:(time:int -> node:int -> bool) ->
@@ -149,13 +124,23 @@ val run_core :
   initial:'a ->
   decide:(node:int -> from:int -> payload:'a -> 'a option) ->
   Result.t * (int * int) list
-(** The shared event loop behind {!run}, {!run_traced} and {!Lossy.run}:
+(** The one event loop behind every decide-style broadcast (the uniform
+    pipeline, {!Protocol.run_decide}, is its only caller in the library).
+    The source transmits [initial] at time 0 (the source always
+    transmits and is counted as a forwarder; [decide] is not called for
+    it).  Each transmission by [v] at time [t] delivers to every
+    neighbor at [t + 1]; deliveries invoke [decide] until the node
+    transmits, and [Some p] schedules the node's own transmission at its
+    delivery time.  Runs until no transmission is in flight, and returns
+    the result together with the transmission timeline as
+    [(time, node)] pairs in transmission order.
+
     [drop] is consulted once per reception event, in (time, receiver,
     sender) processing order; a [true] verdict discards that reception
-    before the node sees it.  Defaults to never dropping, which is
-    exactly {!run_traced}.  {!Lossy} and [Protocol] pass a closure that
-    draws from their generator, so one code path serves the perfect and
-    the failure-injection engines.
+    before the node sees it.  Defaults to never dropping (the perfect
+    MAC); {!Protocol.run_decide} passes a closure that draws from the
+    environment's generator, so one code path serves the perfect and the
+    lossy engine.
 
     [down ~time ~node] injects {e node} failures on the same loop: a
     node down at a reception's delivery time neither receives nor
@@ -170,4 +155,5 @@ val run_core :
     bump instead of reallocation; it defaults to the calling domain's
     arena ({!Arena.get}), so repeated broadcasts on one domain already
     reuse storage.  Results and timelines are bit-identical for any
-    arena state — see {!Arena}. *)
+    arena state — see {!Arena}.
+    @raise Invalid_argument if [source] is out of range. *)

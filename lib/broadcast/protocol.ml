@@ -65,15 +65,17 @@ type t = {
   prepare : env -> built;
 }
 
-(* The uniform pipeline: one engine core, three modes.  A [Lossy 0.]
-   drop closure never draws from the generator (see [Lossy.run]), so
+(* The uniform pipeline: one engine core, perfect or lossy.  A [Lossy 0.]
+   drop closure never draws from the generator (its threshold is 0), so
    loss 0 is bit-identical to [Perfect]. *)
 let run_decide env ~source ~mode ~initial ~decide =
   let down = env.down in
   match mode with
   | Perfect -> Engine.run_core ?down ~arena:env.arena env.graph ~source ~initial ~decide
   | Lossy loss ->
-    if loss < 0. || loss > 1. then invalid_arg "Protocol.run: loss must be within [0, 1]";
+    (* Written so that NaN fails too: [nan < 0.] and [nan > 1.] are
+       both false, and a NaN threshold would never drop. *)
+    if not (loss >= 0. && loss <= 1.) then invalid_arg "Protocol.run: loss must be within [0, 1]";
     let rng = env.rng in
     (* [bits53 rng < threshold] decides [float rng 1. < loss] on the
        same generator draw without boxing a float per reception:
@@ -139,11 +141,6 @@ let frozen_lossy env ~run ~source ~mode =
     let frozen, _ = run ~source in
     let fwd = frozen.Result.forwarders in
     run_decide env ~source ~mode ~initial:() ~decide:(si_decide fwd)
-
-let delivery_ratio p env ~loss ~source =
-  let built = p.prepare env in
-  let r, _ = built.run ~source ~mode:(Lossy loss) in
-  Result.delivery_ratio r
 
 let flooding =
   per_broadcast ~name:"flooding"

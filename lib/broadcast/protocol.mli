@@ -13,9 +13,9 @@
     a family tag (source-independent / source-dependent / probabilistic),
     and a [prepare] phase returning the {!built} protocol whose [run]
     executes one broadcast.  Protocols built from a [decide] callback
-    (see {!Engine}) run {e unchanged} under the perfect engine, the
-    traced engine and the {!Lossy} failure-injection engine — the three
-    modes share one event loop ({!Engine.run_core}) — while protocols
+    (see {!Engine}) run {e unchanged} under the perfect and the lossy
+    engine — both modes share one event loop ({!Engine.run_core}) and
+    always return the timeline — while protocols
     with bespoke event loops (the dynamic backbone's designation events,
     the backoff schemes' timers) plug in their native runs and fall back
     to {!frozen_lossy} replay under loss.
@@ -169,12 +169,15 @@ val run_decide :
   Result.t * (int * int) list
 (** The uniform per-broadcast pipeline: execute an {!Engine}-style
     [decide] protocol under the requested mode.  [Perfect] is exactly
-    {!Engine.run_traced}; [Lossy loss] drops each reception with
-    probability [loss] drawn from [env.rng], exactly like {!Lossy.run}.
-    Either way, the environment's [down] schedule is injected into the
-    engine, so node failures reach every decide-style protocol under
-    both engines through this one funnel.
-    @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]. *)
+    {!Engine.run_core} with no drops; [Lossy loss] drops each reception
+    with probability [loss], drawn from [env.rng] once per reception in
+    (time, receiver, sender) processing order ([Lossy 0.] draws
+    nothing and equals [Perfect]).  Either way, the environment's
+    [down] schedule is injected into the engine, so node failures reach
+    every decide-style protocol under both engines through this one
+    funnel.
+    @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]
+    (NaN included) or [source] is out of range. *)
 
 val frozen_lossy :
   env ->
@@ -191,13 +194,6 @@ val frozen_lossy :
     failure-free, only the data propagation is unreliable.  This is
     the sparsest-case treatment the lossy-links experiment has always
     used for the dynamic backbone, extended to node failures. *)
-
-val delivery_ratio : t -> env -> loss:float -> source:int -> float
-(** [delivery_ratio p env ~loss ~source]: prepare [p] and run one
-    broadcast under [Lossy loss], returning the fraction of nodes
-    delivered — the generic failure-injection measurement, available
-    for every protocol.
-    @raise Invalid_argument if [loss] is outside [\[0, 1\]]. *)
 
 (** {1 The engine's own protocol} *)
 

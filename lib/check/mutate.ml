@@ -101,12 +101,13 @@ let stale_pool =
       let saved = ref None in
       let scratch = Array.make 64 0 in
       let scratch = ref scratch in
+      let dynamic = Manet_backbone.Dynamic_backbone.protocol Coverage.Hop25 in
       let native ~source =
+        (* A clean native run: no failure schedule, so the wrapped
+           protocol never takes its own frozen-replay path. *)
+        let clean = { env with Protocol.down = None } in
         let r, timeline =
-          Manet_backbone.Dynamic_backbone.broadcast_traced ~arena:env.Protocol.arena
-            env.Protocol.graph
-            (Lazy.force env.Protocol.clustering)
-            Coverage.Hop25 ~source
+          (dynamic.Protocol.prepare clean).Protocol.run ~source ~mode:Protocol.Perfect
         in
         let stale = !saved in
         Flatset.reset pool;

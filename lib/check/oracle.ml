@@ -164,9 +164,9 @@ let sd_slack = 4
 let check_si_sd ctx =
   let g = ctx.case.Case.graph and source = ctx.case.Case.source in
   let cl = clustering ctx in
-  let static = Static.build ~clustering:cl g Coverage.Hop25 in
-  let static_count = Result.forward_count (Static.broadcast static ~source) in
-  let fwd = Dynamic.forward_set g cl Coverage.Hop25 ~source in
+  let run p = fst ((built ctx p).Protocol.run ~source ~mode:Protocol.Perfect) in
+  let static_count = Result.forward_count (run (Static.protocol Coverage.Hop25)) in
+  let fwd = (run (Dynamic.protocol Coverage.Hop25)).Result.forwarders in
   let heads = Clustering.head_set cl in
   if not (Nodeset.subset heads fwd) then
     failf "clusterheads %a missing from the dynamic forward set %a" Nodeset.pp

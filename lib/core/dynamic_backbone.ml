@@ -50,17 +50,17 @@ let mem_row (row : int array) x =
   done;
   !lo < Array.length row && row.(!lo) = x
 
-let broadcast_traced ?(pruning = Coverage_and_relay) ?cache ?arena g cl mode ~source =
+(* One broadcast over the shared CH_HOP [cache] of (g, cl, mode). *)
+let run ~pruning ~cache ~arena g cl ~source =
   let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Dynamic_backbone.broadcast: source out of range";
-  let cache = match cache with Some c -> c | None -> Coverage.Cache.create g cl mode in
+  if source < 0 || source >= n then invalid_arg "Dynamic_backbone: source out of range";
   let coverages = Coverage.Cache.coverages cache in
   let coverage_of h =
     match coverages.(h) with
     | Some c -> c
-    | None -> invalid_arg "Dynamic_backbone.broadcast: stale coverage array"
+    | None -> invalid_arg "Dynamic_backbone: stale coverage array"
   in
-  Scratch.with_scratch ?arena ~n (fun scr ->
+  Scratch.with_scratch ~arena ~n (fun scr ->
       let pool = Scratch.pool scr in
       let completion = ref 0 in
       let transmit time v ~upstream =
@@ -135,12 +135,6 @@ let broadcast_traced ?(pruning = Coverage_and_relay) ?cache ?arena g cl mode ~so
       done;
       Scratch.finish scr ~source ~completion:!completion)
 
-let broadcast ?pruning ?cache ?arena g cl mode ~source =
-  fst (broadcast_traced ?pruning ?cache ?arena g cl mode ~source)
-
-let forward_set ?pruning g cl mode ~source =
-  (broadcast ?pruning g cl mode ~source).Manet_broadcast.Result.forwarders
-
 let mode_tag = function Coverage.Hop25 -> "2.5hop" | Coverage.Hop3 -> "3hop"
 
 let protocol ?(pruning = Coverage_and_relay) mode =
@@ -177,5 +171,5 @@ let protocol ?(pruning = Coverage_and_relay) mode =
       fun ~source ~mode:m ->
         frozen_lossy env ~source ~mode:m
           ~run:(fun ~source ->
-            broadcast_traced ~pruning ~cache:(Lazy.force cache) ~arena:env.arena env.graph
-              (Lazy.force env.clustering) mode ~source))
+            run ~pruning ~cache:(Lazy.force cache) ~arena:env.arena env.graph
+              (Lazy.force env.clustering) ~source))

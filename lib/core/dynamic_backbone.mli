@@ -38,49 +38,17 @@ type pruning = Sender_only | Coverage_piggyback | Coverage_and_relay
 
 val pp_pruning : Format.formatter -> pruning -> unit
 
-val broadcast :
-  ?pruning:pruning ->
-  ?cache:Manet_coverage.Coverage.Cache.t ->
-  ?arena:Manet_broadcast.Engine.Arena.t ->
-  Manet_graph.Graph.t ->
-  Manet_cluster.Clustering.t ->
-  Manet_coverage.Coverage.mode ->
-  source:int ->
-  Manet_broadcast.Result.t
-(** Run one broadcast.  The forward-node count of the result is the
-    quantity of the paper's Figures 7 and 8 (dynamic backbone).
-    [cache] shares precomputed CH_HOP tables and coverage sets (it must
-    have been created from the same graph, clustering, and mode); pass it
-    when running many broadcasts over one topology.  [arena] supplies
-    the engine scratch the event loop and its flat coverage sets run in
-    (default: the calling domain's arena); results are bit-identical for
-    any arena state. *)
-
-val broadcast_traced :
-  ?pruning:pruning ->
-  ?cache:Manet_coverage.Coverage.Cache.t ->
-  ?arena:Manet_broadcast.Engine.Arena.t ->
-  Manet_graph.Graph.t ->
-  Manet_cluster.Clustering.t ->
-  Manet_coverage.Coverage.mode ->
-  source:int ->
-  Manet_broadcast.Result.t * (int * int) list
-(** Like {!broadcast}, additionally returning the transmission timeline
-    as [(time, node)] pairs in transmission order. *)
-
-val forward_set :
-  ?pruning:pruning ->
-  Manet_graph.Graph.t ->
-  Manet_cluster.Clustering.t ->
-  Manet_coverage.Coverage.mode ->
-  source:int ->
-  Manet_graph.Nodeset.t
-(** The source-dependent CDS itself: the nodes that forwarded. *)
-
 val protocol : ?pruning:pruning -> Manet_coverage.Coverage.mode -> Manet_broadcast.Protocol.t
 (** [dynamic-2.5hop] / [dynamic-3hop] (plus [/sender] and [/coverage]
-    ablation entries) in the protocol registry.  No build phase — the
-    SD-CDS forms while the packet propagates.  Under loss the forward
-    set is frozen from a loss-free run and replayed
-    ({!Manet_broadcast.Protocol.frozen_lossy}): designations are control
-    signals with no loss model, only data propagation is unreliable. *)
+    ablation entries) in the protocol registry; [pruning] defaults to
+    [Coverage_and_relay].  No build phase — the SD-CDS forms while the
+    packet propagates, and a broadcast's forward set is that SD-CDS:
+    its size is the quantity of the paper's Figures 7 and 8 (dynamic
+    backbone).  Each prepared instance computes the CH_HOP tables and
+    coverage sets of its environment once, on its first broadcast, and
+    runs every broadcast's event loop and flat coverage sets in the
+    environment's arena.  Under loss the forward set is frozen from a
+    loss-free run and replayed ({!Manet_broadcast.Protocol.frozen_lossy}):
+    designations are control signals with no loss model, only data
+    propagation is unreliable.  Broadcasting from a source outside the
+    graph raises [Invalid_argument]. *)

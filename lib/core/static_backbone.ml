@@ -37,8 +37,6 @@ let in_backbone t v = Nodeset.mem v t.members
 
 let is_cds t = Dominating.is_cds t.graph t.members
 
-let broadcast t ~source = Manet_broadcast.Si.run t.graph ~in_cds:(in_backbone t) ~source
-
 let mode_tag = function Manet_coverage.Coverage.Hop25 -> "2.5hop" | Manet_coverage.Coverage.Hop3 -> "3hop"
 
 let protocol mode =

@@ -39,11 +39,8 @@ val is_cds : t -> bool
 (** Verifies Theorem 1 on this instance: the members dominate the graph
     and induce a connected subgraph. *)
 
-val broadcast : t -> source:int -> Manet_broadcast.Result.t
-(** SI-CDS broadcast over the backbone (forward count is what Figure 8
-    reports for the static backbone). *)
-
 val protocol : Manet_coverage.Coverage.mode -> Manet_broadcast.Protocol.t
 (** [static-2.5hop] / [static-3hop] in the protocol registry: {!build}
     over the environment's clustering as the build phase, SI-CDS
-    forwarding over the members. *)
+    forwarding over the members (its forward count is what Figure 8
+    reports for the static backbone). *)

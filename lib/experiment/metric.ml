@@ -425,14 +425,17 @@ let lifetime ctx speed =
     if !invalid_at = None && not (Manet_graph.Dominating.is_cds g members) then
       invalid_at := Some !t
   done;
-  (* The stale probe replays the frozen member set through the generic
-     SI engine — not a registry run, which would rebuild on the moved
-     graph. *)
-  let g = !probe in
-  let stale = Manet_broadcast.Si.run g ~in_cds:(fun v -> Nodeset.mem v members) ~source:ctx.source in
+  (* The stale probe replays the frozen member set as an SI-CDS
+     broadcast through the uniform pipeline — not a registry run, which
+     would rebuild on the moved graph. *)
+  let env = Protocol.make_env !probe in
+  let stale, _ =
+    Protocol.run_decide env ~source:ctx.source ~mode:Protocol.Perfect ~initial:()
+      ~decide:(fun ~node ~from:_ ~payload:() -> if Nodeset.mem node members then Some () else None)
+  in
   let dynamic, _ =
-    ((Registry.find_exn "dynamic-2.5hop").Protocol.prepare (Protocol.make_env g)).Protocol.run
-      ~source:ctx.source ~mode:Protocol.Perfect
+    ((Registry.find_exn "dynamic-2.5hop").Protocol.prepare env).Protocol.run ~source:ctx.source
+      ~mode:Protocol.Perfect
   in
   {
     valid_time = Option.value !invalid_at ~default:horizon;

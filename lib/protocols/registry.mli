@@ -1,12 +1,13 @@
 (** The protocol registry: every broadcast scheme in the repository as a
     first-class {!Manet_broadcast.Protocol.t}, keyed by a stable name.
 
-    This is the single point the experiment metrics, the figures, the
-    [manet] CLI, the examples and the failure-injection sweeps dispatch
-    through: adding a protocol here (one registration) makes it appear
-    in all of them — forward-count sweeps, delivery-ratio and loss
-    sweeps, transmission timelines, [manet protocols] and
-    [manet broadcast --proto NAME] — with no per-consumer wiring.
+    This is the only public way to run a broadcast, and the single point
+    the experiment metrics, the figures, the [manet] CLI, the bench, the
+    examples and the failure-injection sweeps dispatch through: adding a
+    protocol here (one registration) makes it appear in all of them —
+    forward-count sweeps, delivery-ratio and loss sweeps, transmission
+    timelines, [manet protocols] and [manet broadcast --proto NAME] —
+    with no per-consumer wiring.
 
     Registered names:
     - [static-2.5hop], [static-3hop] — the paper's static backbone;

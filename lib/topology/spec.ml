@@ -2,7 +2,8 @@ type t = { n : int; avg_degree : float; width : float; height : float }
 
 let make ?(width = 100.) ?(height = 100.) ~n ~avg_degree () =
   if n < 2 then invalid_arg "Spec.make: need at least 2 nodes";
-  if avg_degree <= 0. then invalid_arg "Spec.make: avg_degree must be positive";
+  (* Negated so that NaN is rejected too. *)
+  if not (avg_degree > 0.) then invalid_arg "Spec.make: avg_degree must be positive";
   if width <= 0. || height <= 0. then invalid_arg "Spec.make: non-positive working space";
   { n; avg_degree; width; height }
 

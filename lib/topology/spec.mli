@@ -14,8 +14,8 @@ type t = {
 
 val make : ?width:float -> ?height:float -> n:int -> avg_degree:float -> unit -> t
 (** Defaults: the paper's 100 x 100 working space.
-    @raise Invalid_argument if [n < 2], [avg_degree <= 0.], or a
-    dimension is non-positive. *)
+    @raise Invalid_argument if [n < 2], [avg_degree] is not positive
+    (NaN included), or a dimension is non-positive. *)
 
 val radius : t -> float
 (** Transmission range realizing the target average degree (border effects

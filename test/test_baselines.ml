@@ -3,20 +3,13 @@ module Nodeset = Manet_graph.Nodeset
 module Dominating = Manet_graph.Dominating
 module Lowest_id = Manet_cluster.Lowest_id
 module Mo_cds = Manet_baselines.Mo_cds
-module Flooding = Manet_baselines.Flooding
 module Wu_li = Manet_baselines.Wu_li
-module Dp = Manet_baselines.Dominant_pruning
-module Pdp = Manet_baselines.Partial_dominant_pruning
 module Mpr = Manet_baselines.Mpr
-module Ahbp = Manet_baselines.Ahbp
-module Self_pruning = Manet_baselines.Self_pruning
 module Passive = Manet_baselines.Passive_clustering
-module Counter = Manet_baselines.Counter_based
 module Tree_cds = Manet_baselines.Tree_cds
 module Forwarding_tree = Manet_baselines.Forwarding_tree
 module Set_cover = Manet_baselines.Set_cover
 module Static = Manet_backbone.Static_backbone
-module Result = Manet_broadcast.Result
 open Test_helpers
 
 (* Set cover *)
@@ -54,7 +47,7 @@ let test_mo_cds_paper () =
   Alcotest.(check bool) "is a CDS" true (Mo_cds.is_cds m);
   Alcotest.(check bool) "heads inside" true
     (Nodeset.subset (set_of_list [ 0; 1; 2; 3 ]) m.members);
-  let r = Mo_cds.broadcast m ~source:0 in
+  let r = broadcast "mo_cds" g ~source:0 in
   Alcotest.(check bool) "broadcast delivers" true (Result.all_delivered r)
 
 let prop_mo_cds_is_cds =
@@ -78,7 +71,7 @@ let prop_mo_cds_not_smaller_than_static =
 
 let test_flooding_everyone_forwards () =
   let g = paper_graph () in
-  let r = Flooding.broadcast g ~source:0 in
+  let r = broadcast "flooding" g ~source:0 in
   Alcotest.(check int) "all nodes forward" 10 (Result.forward_count r);
   Alcotest.(check bool) "delivers" true (Result.all_delivered r)
 
@@ -86,7 +79,7 @@ let prop_flooding_counts_n =
   qtest "flooding forward count = n" ~count:40 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      Result.forward_count (Flooding.broadcast g ~source:(seed mod n)) = Graph.n g)
+      Result.forward_count (broadcast "flooding" g ~source:(seed mod n)) = Graph.n g)
 
 (* Wu-Li *)
 
@@ -103,7 +96,7 @@ let test_wu_li_complete_graph () =
   Alcotest.(check int) "nothing marked in a clique" 0 (Wu_li.size w);
   (* Broadcast still delivers: the source covers everyone directly. *)
   Alcotest.(check bool) "broadcast covers clique" true
-    (Result.all_delivered (Wu_li.broadcast w ~source:2))
+    (Result.all_delivered (broadcast "wu-li" g ~source:2))
 
 let test_wu_li_rule1 () =
   (* Two adjacent centers with nested neighborhoods: the lower-id center
@@ -145,14 +138,13 @@ let prop_wu_li_broadcast_delivers =
   qtest "Wu-Li broadcast delivers" ~count:60 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      let w = Wu_li.build g in
-      Result.all_delivered (Wu_li.broadcast w ~source:(seed mod n)))
+      Result.all_delivered (broadcast "wu-li" g ~source:(seed mod n)))
 
 (* DP / PDP *)
 
 let test_dp_paper () =
   let g = paper_graph () in
-  let r = Dp.broadcast g ~source:0 in
+  let r = broadcast "dp" g ~source:0 in
   Alcotest.(check bool) "delivers" true (Result.all_delivered r);
   Alcotest.(check bool) "fewer than flooding" true (Result.forward_count r < 10)
 
@@ -160,20 +152,20 @@ let prop_dp_delivers =
   qtest "dominant pruning delivers" ~count:80 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      Result.all_delivered (Dp.broadcast g ~source:(seed mod n)))
+      Result.all_delivered (broadcast "dp" g ~source:(seed mod n)))
 
 let prop_pdp_delivers =
   qtest "partial dominant pruning delivers" ~count:80 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      Result.all_delivered (Pdp.broadcast g ~source:(seed mod n)))
+      Result.all_delivered (broadcast "pdp" g ~source:(seed mod n)))
 
 let test_pdp_not_worse_than_dp_on_average () =
   (* PDP prunes a superset of DP's universe.  Per-sample the cascade can
      occasionally favour DP (greedy artifacts), so the claim is aggregate:
      over many topologies PDP forwards no more than DP on average. *)
-  let dp_sum = forward_sum ~seed:17 ~count:60 ~n:50 ~d:10. Dp.forward_count in
-  let pdp_sum = forward_sum ~seed:17 ~count:60 ~n:50 ~d:10. Pdp.forward_count in
+  let dp_sum = forward_sum ~seed:17 ~count:60 ~n:50 ~d:10. "dp" in
+  let pdp_sum = forward_sum ~seed:17 ~count:60 ~n:50 ~d:10. "pdp" in
   Alcotest.(check bool)
     (Printf.sprintf "pdp mean (%d) <= dp mean (%d)" pdp_sum dp_sum)
     true (pdp_sum <= dp_sum)
@@ -213,14 +205,27 @@ let prop_mpr_delivers =
   qtest "MPR broadcast delivers" ~count:80 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      Result.all_delivered (Mpr.broadcast g ~source:(seed mod n)))
+      Result.all_delivered (broadcast "mpr" g ~source:(seed mod n)))
 
+(* One prepared instance computes the MPR sets once and shares them
+   across its broadcasts: every broadcast equals a fresh preparation's,
+   and every relay is an MPR of a forwarding neighbor. *)
 let test_mpr_shared_sets () =
   let g = paper_graph () in
+  let built = (Manet_protocols.Registry.find_exn "mpr").prepare (Protocol.make_env g) in
   let sets = Mpr.mpr_sets g in
-  let a = Mpr.broadcast ~sets g ~source:0 in
-  let b = Mpr.broadcast g ~source:0 in
-  Alcotest.check nodeset "same forwarders" a.forwarders b.forwarders
+  List.iter
+    (fun source ->
+      let fresh = broadcast "mpr" g ~source in
+      let shared, _ = built.run ~source ~mode:Protocol.Perfect in
+      Alcotest.check nodeset "same forwarders" fresh.forwarders shared.forwarders;
+      Nodeset.iter
+        (fun v ->
+          if v <> source && not (Graph.fold_neighbors g v (fun acc u ->
+              acc || (Nodeset.mem u shared.forwarders && Nodeset.mem v sets.(u))) false)
+          then Alcotest.failf "forwarder %d is no MPR of a forwarding neighbor" v)
+        shared.forwarders)
+    [ 0; 4; 9 ]
 
 (* Spanning-tree CDS *)
 
@@ -251,7 +256,7 @@ let prop_tree_cds_broadcast_delivers =
   qtest "tree CDS broadcast delivers" ~count:40 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      Result.all_delivered (Tree_cds.broadcast (Tree_cds.build g) ~source:(seed mod n)))
+      Result.all_delivered (broadcast "tree-cds" g ~source:(seed mod n)))
 
 (* Pagani-Rossi forwarding tree *)
 
@@ -266,7 +271,7 @@ let test_forwarding_tree_paper () =
   Alcotest.(check bool) "is a CDS" true (Forwarding_tree.is_cds t);
   Alcotest.(check bool) "acks = members - 1" true
     (Forwarding_tree.ack_messages t = Forwarding_tree.size t - 1);
-  let r = Forwarding_tree.broadcast t ~source:9 in
+  let r = broadcast "fwd-tree" g ~source:9 in
   Alcotest.(check bool) "delivers" true (Result.all_delivered r)
 
 let test_forwarding_tree_parents () =
@@ -291,7 +296,7 @@ let prop_forwarding_tree_cds =
       let g = (sample_of case).graph in
       let t = ftree g (seed mod n) in
       Forwarding_tree.is_cds t
-      && Result.all_delivered (Forwarding_tree.broadcast t ~source:(seed mod n)))
+      && Result.all_delivered (broadcast "fwd-tree" g ~source:(seed mod n)))
 
 let prop_forwarding_tree_parents_valid =
   qtest "forwarding tree parents are tree links" ~count:40 (arb_udg ()) (fun case ->
@@ -310,7 +315,7 @@ let prop_forwarding_tree_parents_valid =
 
 let test_ahbp_paper () =
   let g = paper_graph () in
-  let r = Ahbp.broadcast g ~source:0 in
+  let r = broadcast "ahbp" g ~source:0 in
   Alcotest.(check bool) "delivers" true (Result.all_delivered r);
   Alcotest.(check bool) "fewer than flooding" true (Result.forward_count r < 10)
 
@@ -318,13 +323,13 @@ let prop_ahbp_delivers =
   qtest "AHBP delivers" ~count:80 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      Result.all_delivered (Ahbp.broadcast g ~source:(seed mod n)))
+      Result.all_delivered (broadcast "ahbp" g ~source:(seed mod n)))
 
 let test_ahbp_not_worse_than_dp_on_average () =
   (* AHBP's universe is a subset of DP's, so on average it selects no
      more forwards. *)
-  let dp_sum = forward_sum ~seed:23 ~count:60 ~n:50 ~d:10. Dp.forward_count in
-  let ahbp_sum = forward_sum ~seed:23 ~count:60 ~n:50 ~d:10. Ahbp.forward_count in
+  let dp_sum = forward_sum ~seed:23 ~count:60 ~n:50 ~d:10. "dp" in
+  let ahbp_sum = forward_sum ~seed:23 ~count:60 ~n:50 ~d:10. "ahbp" in
   Alcotest.(check bool)
     (Printf.sprintf "ahbp mean (%d) <= dp mean (%d)" ahbp_sum dp_sum)
     true (ahbp_sum <= dp_sum)
@@ -336,20 +341,20 @@ let prop_self_pruning_delivers =
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let rng = Manet_rng.Rng.create ~seed:(seed + 1) in
-      Result.all_delivered (Self_pruning.broadcast ~rng g ~source:(seed mod n)))
+      Result.all_delivered (broadcast ~rng "self-pruning" g ~source:(seed mod n)))
 
 let prop_self_pruning_saves =
   qtest "self-pruning forwards at most n" ~count:40 (arb_udg ~n_min:20 ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let rng = Manet_rng.Rng.create ~seed:(seed + 1) in
-      Result.forward_count (Self_pruning.broadcast ~rng g ~source:(seed mod n)) <= Graph.n g)
+      Result.forward_count (broadcast ~rng "self-pruning" g ~source:(seed mod n)) <= Graph.n g)
 
 let test_self_pruning_dense_savings () =
   (* On a dense network the backoff scheme must prune a lot. *)
   let s = udg ~seed:41 ~n:80 ~d:18. in
   let rng = Manet_rng.Rng.create ~seed:42 in
-  let r = Self_pruning.broadcast ~rng s.graph ~source:0 in
+  let r = broadcast ~rng "self-pruning" s.graph ~source:0 in
   Alcotest.(check bool)
     (Printf.sprintf "%d forwards < 80%% of nodes" (Result.forward_count r))
     true
@@ -359,23 +364,16 @@ let test_self_pruning_dense_savings () =
 let test_self_pruning_complete_graph () =
   let g = Graph.complete 10 in
   let rng = Manet_rng.Rng.create ~seed:1 in
-  let r = Self_pruning.broadcast ~rng g ~source:3 in
+  let r = broadcast ~rng "self-pruning" g ~source:3 in
   (* Source covers everyone; every other node hears a transmission whose
      closed neighborhood covers its own -> all resign. *)
   Alcotest.(check int) "only the source transmits" 1 (Result.forward_count r);
   Alcotest.(check bool) "delivers" true (Result.all_delivered r)
 
-let test_self_pruning_window_validation () =
-  let g = Graph.path 3 in
-  let rng = Manet_rng.Rng.create ~seed:1 in
-  Alcotest.check_raises "bad window"
-    (Invalid_argument "Self_pruning.broadcast: window must be at least 1") (fun () ->
-      ignore (Self_pruning.broadcast ~window:0 ~rng g ~source:0))
-
 let test_self_pruning_deterministic () =
   let g = (udg ~seed:5 ~n:40 ~d:8.).graph in
   let run () =
-    Self_pruning.broadcast ~rng:(Manet_rng.Rng.create ~seed:77) g ~source:0
+    broadcast ~rng:(Manet_rng.Rng.create ~seed:77) "self-pruning" g ~source:0
   in
   Alcotest.check nodeset "same forwarders" (run ()).forwarders (run ()).forwarders
 
@@ -386,7 +384,7 @@ let test_counter_complete_graph () =
      only early deciders transmit. *)
   let g = Graph.complete 20 in
   let rng = Manet_rng.Rng.create ~seed:2 in
-  let r = Counter.broadcast ~rng g ~source:0 in
+  let r = broadcast ~rng "counter" g ~source:0 in
   Alcotest.(check bool) "few forwards" true (Result.forward_count r < 10);
   Alcotest.(check bool) "delivers" true (Result.all_delivered r)
 
@@ -394,30 +392,18 @@ let test_counter_path_floods () =
   (* On a path nobody ever hears 3 copies: counter-based = flooding. *)
   let g = Graph.path 10 in
   let rng = Manet_rng.Rng.create ~seed:3 in
-  let r = Counter.broadcast ~rng g ~source:0 in
+  let r = broadcast ~rng "counter" g ~source:0 in
   Alcotest.(check int) "all forward" 10 (Result.forward_count r);
   Alcotest.(check bool) "delivers" true (Result.all_delivered r)
 
-let test_counter_threshold_effect () =
-  (* Higher thresholds forward more (approaching flooding). *)
-  let g = (udg ~seed:44 ~n:80 ~d:18.).graph in
-  let count threshold =
-    let rng = Manet_rng.Rng.create ~seed:4 in
-    Result.forward_count (Counter.broadcast ~threshold ~rng g ~source:0)
-  in
-  let c2 = count 2 and c6 = count 6 in
-  Alcotest.(check bool) (Printf.sprintf "c=2 (%d) <= c=6 (%d)" c2 c6) true (c2 <= c6);
-  Alcotest.(check bool) "c=6 below flooding" true (c6 <= 80)
-
 let test_counter_validation () =
   let g = Graph.path 3 in
-  let rng = Manet_rng.Rng.create ~seed:1 in
-  Alcotest.check_raises "window"
-    (Invalid_argument "Counter_based.broadcast: window must be at least 1") (fun () ->
-      ignore (Counter.broadcast ~window:0 ~rng g ~source:0));
-  Alcotest.check_raises "threshold"
-    (Invalid_argument "Counter_based.broadcast: threshold must be at least 1") (fun () ->
-      ignore (Counter.broadcast ~threshold:0 ~rng g ~source:0))
+  List.iter
+    (fun source ->
+      Alcotest.check_raises "source out of range"
+        (Invalid_argument "Counter_based: source out of range") (fun () ->
+          ignore (broadcast "counter" g ~source)))
+    [ -1; 3 ]
 
 (* Ni et al. report the counter scheme's reachability is good in dense
    networks and degrades in sparse ones; assert both sides. *)
@@ -427,7 +413,7 @@ let prop_counter_high_delivery_dense =
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let rng = Manet_rng.Rng.create ~seed:(seed + 3) in
-      let r = Counter.broadcast ~rng g ~source:(seed mod n) in
+      let r = broadcast ~rng "counter" g ~source:(seed mod n) in
       Result.delivery_ratio r >= 0.9)
 
 let test_counter_sparse_delivery_degrades () =
@@ -438,7 +424,7 @@ let test_counter_sparse_delivery_degrades () =
   for seed = 1 to runs do
     let s = udg ~seed ~n:60 ~d:6. in
     let rng = Manet_rng.Rng.create ~seed:(seed + 3) in
-    let r = Counter.broadcast ~rng s.graph ~source:(seed mod 60) in
+    let r = broadcast ~rng "counter" s.graph ~source:(seed mod 60) in
     sum := !sum +. Result.delivery_ratio r
   done;
   let mean = !sum /. float_of_int runs in
@@ -452,7 +438,7 @@ let test_counter_sparse_delivery_degrades () =
 let test_passive_paper_graph () =
   let g = paper_graph () in
   let rng = Manet_rng.Rng.create ~seed:3 in
-  let p = Passive.broadcast ~rng g ~source:0 in
+  let p, _ = Passive.run ~rng g ~source:0 in
   Alcotest.(check bool) "source is clusterhead" true (Nodeset.mem 0 (Passive.heads p));
   (* Roles partition the nodes. *)
   Alcotest.(check int) "role partition" 10
@@ -468,7 +454,7 @@ let prop_passive_cheaper_than_flooding =
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let rng = Manet_rng.Rng.create ~seed:(seed + 9) in
-      let p = Passive.broadcast ~rng g ~source:(seed mod n) in
+      let p, _ = Passive.run ~rng g ~source:(seed mod n) in
       Result.forward_count p.result < Graph.n g)
 
 let prop_passive_forwarders_are_heads_or_gateways =
@@ -477,7 +463,7 @@ let prop_passive_forwarders_are_heads_or_gateways =
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let rng = Manet_rng.Rng.create ~seed:(seed + 9) in
-      let p = Passive.broadcast ~rng g ~source:(seed mod n) in
+      let p, _ = Passive.run ~rng g ~source:(seed mod n) in
       (* Heads always forwarded; ordinary nodes that forwarded were
          gateway candidates with a single clusterhead - allowed.  The
          real invariant: nobody marked Gateway stayed silent, and heads
@@ -491,24 +477,13 @@ let test_everybody_beats_flooding () =
   let s = udg ~seed:31 ~n:80 ~d:10. in
   let g = s.graph in
   let cl = Lowest_id.cluster g in
-  let flood = Result.forward_count (Flooding.broadcast g ~source:0) in
-  let checks =
-    [
-      ("dp", Dp.forward_count g ~source:0);
-      ("pdp", Pdp.forward_count g ~source:0);
-      ("mpr", Mpr.forward_count g ~source:0);
-      ( "dynamic",
-        Result.forward_count
-          (Manet_backbone.Dynamic_backbone.broadcast g cl Manet_coverage.Coverage.Hop25 ~source:0)
-      );
-      ( "mo_cds",
-        Result.forward_count (Mo_cds.broadcast (Mo_cds.build ~clustering:cl g) ~source:0) );
-    ]
-  in
+  let count name = Result.forward_count (broadcast ~clustering:(lazy cl) name g ~source:0) in
+  let flood = count "flooding" in
   List.iter
-    (fun (name, c) ->
+    (fun name ->
+      let c = count name in
       Alcotest.(check bool) (Printf.sprintf "%s (%d) < flooding (%d)" name c flood) true (c < flood))
-    checks
+    [ "dp"; "pdp"; "mpr"; "dynamic-2.5hop"; "mo_cds" ]
 
 let () =
   Alcotest.run "baselines"
@@ -573,14 +548,12 @@ let () =
           prop_self_pruning_saves;
           Alcotest.test_case "dense savings" `Quick test_self_pruning_dense_savings;
           Alcotest.test_case "complete graph" `Quick test_self_pruning_complete_graph;
-          Alcotest.test_case "window validation" `Quick test_self_pruning_window_validation;
           Alcotest.test_case "deterministic" `Quick test_self_pruning_deterministic;
         ] );
       ( "counter",
         [
           Alcotest.test_case "complete graph quenches" `Quick test_counter_complete_graph;
           Alcotest.test_case "path floods" `Quick test_counter_path_floods;
-          Alcotest.test_case "threshold effect" `Quick test_counter_threshold_effect;
           Alcotest.test_case "validation" `Quick test_counter_validation;
           prop_counter_high_delivery_dense;
           Alcotest.test_case "sparse delivery degrades" `Quick test_counter_sparse_delivery_degrades;

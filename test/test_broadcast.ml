@@ -1,11 +1,26 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 module Engine = Manet_broadcast.Engine
-module Si = Manet_broadcast.Si
-module Lossy = Manet_broadcast.Lossy
+module Protocol = Manet_broadcast.Protocol
 module Reliable = Manet_broadcast.Reliable
 module Result = Manet_broadcast.Result
 open Test_helpers
+
+(* One engine run, result only. *)
+let run g ~source ~initial ~decide = fst (Engine.run_core g ~source ~initial ~decide)
+
+(* A decide-style broadcast under per-reception loss, through the
+   uniform pipeline with the loss draws taken from [rng]. *)
+let lossy_run g ~rng ~loss ~source ~decide =
+  fst
+    (Protocol.run_decide (Protocol.make_env ~rng g) ~source ~mode:(Protocol.Lossy loss)
+       ~initial:() ~decide)
+
+let flood ~node:_ ~from:_ ~payload:() = Some ()
+
+(* Delivery ratio of one blind flood under loss. *)
+let flooding_delivery g ~rng ~loss ~source =
+  Result.delivery_ratio (lossy_run g ~rng ~loss ~source ~decide:flood)
 
 (* Result accessors *)
 
@@ -27,7 +42,7 @@ let test_result_accessors () =
 
 let test_source_always_transmits () =
   let g = Graph.path 3 in
-  let r = Engine.run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None) in
+  let r = run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None) in
   Alcotest.check nodeset "only source" (set_of_list [ 0 ]) r.forwarders;
   Alcotest.(check bool) "neighbor delivered" true r.delivered.(1);
   Alcotest.(check bool) "two hops not delivered" false r.delivered.(2)
@@ -37,7 +52,7 @@ let test_payload_propagation () =
   let g = Graph.path 4 in
   let seen = Array.make 4 (-1) in
   let r =
-    Engine.run g ~source:0 ~initial:1 ~decide:(fun ~node ~from:_ ~payload ->
+    run g ~source:0 ~initial:1 ~decide:(fun ~node ~from:_ ~payload ->
         seen.(node) <- payload;
         Some (payload + 1))
   in
@@ -49,7 +64,7 @@ let test_transmit_at_most_once () =
   let g = Graph.complete 5 in
   let decisions = ref 0 in
   let r =
-    Engine.run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() ->
+    run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() ->
         incr decisions;
         Some ())
   in
@@ -64,7 +79,7 @@ let test_late_designation () =
      2 hears 0 first (t1), 3 later (t3). *)
   let g = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (1, 3); (3, 2) ] in
   let r =
-    Engine.run g ~source:0 ~initial:() ~decide:(fun ~node ~from ~payload:() ->
+    run g ~source:0 ~initial:() ~decide:(fun ~node ~from ~payload:() ->
         if node = 2 then if from = 3 then Some () else None else Some ())
   in
   Alcotest.(check bool) "2 eventually forwards" true (Nodeset.mem 2 r.forwarders)
@@ -75,7 +90,7 @@ let test_first_copy_smallest_sender () =
   let g = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
   let first_from = ref (-1) in
   let _ =
-    Engine.run g ~source:0 ~initial:() ~decide:(fun ~node ~from ~payload:() ->
+    run g ~source:0 ~initial:() ~decide:(fun ~node ~from ~payload:() ->
         if node = 3 && !first_from < 0 then first_from := from;
         Some ())
   in
@@ -83,12 +98,12 @@ let test_first_copy_smallest_sender () =
 
 let test_source_out_of_range () =
   let g = Graph.path 2 in
-  Alcotest.check_raises "range" (Invalid_argument "Engine.run: source out of range") (fun () ->
-      ignore (Engine.run g ~source:5 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None)))
+  Alcotest.check_raises "range" (Invalid_argument "Engine.run_core: source out of range") (fun () ->
+      ignore (run g ~source:5 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None)))
 
 let test_single_node_graph () =
   let g = Graph.empty 1 in
-  let r = Engine.run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ()) in
+  let r = run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ()) in
   Alcotest.(check bool) "delivered" true (Result.all_delivered r);
   Alcotest.(check int) "one forward" 1 (Result.forward_count r)
 
@@ -99,7 +114,7 @@ let prop_flooding_latency_is_eccentricity =
       let g = (Test_helpers.sample_of case).graph in
       let source = seed mod n in
       let r =
-        Engine.run g ~source ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
+        run g ~source ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
       in
       r.completion_time = Manet_graph.Bfs.eccentricity g source)
 
@@ -108,15 +123,14 @@ let prop_flooding_latency_is_eccentricity =
 let test_si_full_cds () =
   let g = paper_graph () in
   let cds = set_of_list [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let r = Si.run g ~in_cds:(fun v -> Nodeset.mem v cds) ~source:0 in
+  let r = si_broadcast g ~in_cds:(fun v -> Nodeset.mem v cds) ~source:0 in
   Alcotest.(check bool) "delivers" true (Result.all_delivered r);
-  Alcotest.(check int) "count helper agrees" (Result.forward_count r)
-    (Si.forward_count_of_set g ~cds ~source:0)
+  Alcotest.check nodeset "every member forwards" cds r.forwarders
 
 let test_si_partial_set_partial_delivery () =
   let g = Graph.path 5 in
   (* Only node 1 forwards: nodes 3,4 unreachable. *)
-  let r = Si.run g ~in_cds:(fun v -> v = 1) ~source:0 in
+  let r = si_broadcast g ~in_cds:(fun v -> v = 1) ~source:0 in
   Alcotest.(check bool) "3 not delivered" false r.delivered.(3);
   Alcotest.check nodeset "forwarders" (set_of_list [ 0; 1 ]) r.forwarders
 
@@ -125,7 +139,7 @@ let prop_si_delivery_iff_cds =
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let cds = Manet_mcds.Greedy_cds.build g in
-      let r = Si.run g ~in_cds:(fun v -> Nodeset.mem v cds) ~source:(seed mod n) in
+      let r = si_broadcast g ~in_cds:(fun v -> Nodeset.mem v cds) ~source:(seed mod n) in
       Result.all_delivered r)
 
 let prop_forwarders_subset_cds_plus_source =
@@ -134,7 +148,7 @@ let prop_forwarders_subset_cds_plus_source =
       let g = (sample_of case).graph in
       let cds = Manet_mcds.Greedy_cds.build g in
       let source = seed mod n in
-      let r = Si.run g ~in_cds:(fun v -> Nodeset.mem v cds) ~source in
+      let r = si_broadcast g ~in_cds:(fun v -> Nodeset.mem v cds) ~source in
       Nodeset.subset r.forwarders (Nodeset.add source cds))
 
 (* Lossy engine *)
@@ -142,30 +156,30 @@ let prop_forwarders_subset_cds_plus_source =
 let test_lossy_zero_loss_equals_engine () =
   let g = paper_graph () in
   let rng = Manet_rng.Rng.create ~seed:1 in
-  let flood ~node:_ ~from:_ ~payload:() = Some () in
-  let a = Lossy.run g ~rng ~loss:0. ~source:0 ~initial:() ~decide:flood in
-  let b = Engine.run g ~source:0 ~initial:() ~decide:flood in
+  let a = lossy_run g ~rng ~loss:0. ~source:0 ~decide:flood in
+  let b = run g ~source:0 ~initial:() ~decide:flood in
   Alcotest.check nodeset "identical at zero loss" a.forwarders b.forwarders;
   Alcotest.(check (array bool)) "same deliveries" a.delivered b.delivered
 
 let test_lossy_total_loss () =
   let g = paper_graph () in
   let rng = Manet_rng.Rng.create ~seed:1 in
-  let r =
-    Lossy.run g ~rng ~loss:1. ~source:0 ~initial:()
-      ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
-  in
+  let r = lossy_run g ~rng ~loss:1. ~source:0 ~decide:flood in
   Alcotest.(check int) "only the source" 1 (Result.delivered_count r);
   Alcotest.check nodeset "source transmits anyway" (set_of_list [ 0 ]) r.forwarders
 
+(* Out-of-range losses are rejected, NaN included: with a NaN loss the
+   drop threshold would silently never fire. *)
 let test_lossy_validation () =
   let g = paper_graph () in
   let rng = Manet_rng.Rng.create ~seed:1 in
-  Alcotest.check_raises "loss range" (Invalid_argument "Lossy.run: loss must be within [0, 1]")
-    (fun () ->
-      ignore
-        (Lossy.run g ~rng ~loss:1.5 ~source:0 ~initial:()
-           ~decide:(fun ~node:_ ~from:_ ~payload:() -> None)))
+  List.iter
+    (fun loss ->
+      Alcotest.check_raises
+        (Printf.sprintf "loss %g" loss)
+        (Invalid_argument "Protocol.run: loss must be within [0, 1]")
+        (fun () -> ignore (lossy_run g ~rng ~loss ~source:0 ~decide:flood)))
+    [ 1.5; -0.2; Float.nan; Float.infinity ]
 
 let test_lossy_monotone_in_loss () =
   (* Averaged over repetitions, higher loss cannot improve delivery. *)
@@ -174,7 +188,7 @@ let test_lossy_monotone_in_loss () =
     let rng = Manet_rng.Rng.create ~seed:5 in
     let sum = ref 0. in
     for _ = 1 to 40 do
-      sum := !sum +. Lossy.flooding_delivery g ~rng ~loss ~source:0
+      sum := !sum +. flooding_delivery g ~rng ~loss ~source:0
     done;
     !sum /. 40.
   in
@@ -189,35 +203,33 @@ let test_lossy_flooding_redundancy () =
   let rng = Manet_rng.Rng.create ~seed:6 in
   let sum = ref 0. in
   for _ = 1 to 30 do
-    sum := !sum +. Lossy.flooding_delivery g ~rng ~loss:0.1 ~source:0
+    sum := !sum +. flooding_delivery g ~rng ~loss:0.1 ~source:0
   done;
   Alcotest.(check bool) "delivery above 0.99" true (!sum /. 30. > 0.99)
 
 let test_lossy_deterministic () =
   let g = (Test_helpers.udg ~seed:23 ~n:50 ~d:8.).graph in
-  let run () =
-    Lossy.run g
-      ~rng:(Manet_rng.Rng.create ~seed:9)
-      ~loss:0.3 ~source:0 ~initial:()
-      ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
-  in
+  let run () = lossy_run g ~rng:(Manet_rng.Rng.create ~seed:9) ~loss:0.3 ~source:0 ~decide:flood in
   Alcotest.check nodeset "same forwarders" (run ()).forwarders (run ()).forwarders;
   Alcotest.(check (array bool)) "same deliveries" (run ()).delivered (run ()).delivered
 
-let test_run_traced_timeline () =
+let test_timeline_chain () =
   let g = Graph.path 4 in
-  let r, timeline =
-    Engine.run_traced g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
-  in
+  let r, timeline = Engine.run_core g ~source:0 ~initial:() ~decide:flood in
   Alcotest.(check bool) "all delivered" true (Result.all_delivered r);
   Alcotest.(check (list (pair int int))) "chain timeline" [ (0, 0); (1, 1); (2, 2); (3, 3) ]
     timeline
 
-let test_run_traced_consistent_with_run () =
+(* The uniform pipeline's perfect mode is the bare engine, timeline
+   included. *)
+let test_timeline_matches_pipeline () =
   let g = (Test_helpers.udg ~seed:71 ~n:40 ~d:8.).graph in
   let decide ~node ~from:_ ~payload:() = if node mod 2 = 0 then Some () else None in
-  let r1 = Engine.run g ~source:0 ~initial:() ~decide in
-  let r2, timeline = Engine.run_traced g ~source:0 ~initial:() ~decide in
+  let r1, t1 =
+    Protocol.run_decide (Protocol.make_env g) ~source:0 ~mode:Protocol.Perfect ~initial:() ~decide
+  in
+  let r2, timeline = Engine.run_core g ~source:0 ~initial:() ~decide in
+  Alcotest.(check (list (pair int int))) "same timeline" t1 timeline;
   Alcotest.check nodeset "same forwarders" r1.forwarders r2.forwarders;
   Alcotest.(check int) "one timeline entry per forwarder" (Result.forward_count r1)
     (List.length timeline);
@@ -347,8 +359,6 @@ let result_t = Alcotest.testable Result.pp (fun (a : Result.t) b ->
     && a.delivered = b.delivered
     && a.completion_time = b.completion_time)
 
-let flood_decide ~node:_ ~from:_ ~payload:() = Some ()
-
 let test_arena_across_sizes () =
   let arena = Engine.Arena.create () in
   let graphs = [ udg ~seed:7 ~n:60 ~d:6.; udg ~seed:8 ~n:9 ~d:4.; udg ~seed:9 ~n:120 ~d:10. ] in
@@ -358,8 +368,8 @@ let test_arena_across_sizes () =
     (fun _ ->
       List.iter
         (fun (s : Manet_topology.Generator.sample) ->
-          let fresh = Engine.run_core s.graph ~source:0 ~initial:() ~decide:flood_decide in
-          let reused = Engine.run_core ~arena s.graph ~source:0 ~initial:() ~decide:flood_decide in
+          let fresh = Engine.run_core s.graph ~source:0 ~initial:() ~decide:flood in
+          let reused = Engine.run_core ~arena s.graph ~source:0 ~initial:() ~decide:flood in
           Alcotest.check result_t "result matches fresh run" (fst fresh) (fst reused);
           Alcotest.(check (list (pair int int))) "timeline matches" (snd fresh) (snd reused))
         graphs)
@@ -374,14 +384,14 @@ let test_arena_reentrant () =
      run's state untouched. *)
   let nested_results = ref [] in
   let decide ~node:_ ~from:_ ~payload:() =
-    let r, _ = Engine.run_core ~arena inner ~source:0 ~initial:() ~decide:flood_decide in
+    let r, _ = Engine.run_core ~arena inner ~source:0 ~initial:() ~decide:flood in
     nested_results := r :: !nested_results;
     Some ()
   in
   let with_nesting = Engine.run_core ~arena outer.graph ~source:0 ~initial:() ~decide in
-  let plain = Engine.run_core outer.graph ~source:0 ~initial:() ~decide:flood_decide in
+  let plain = Engine.run_core outer.graph ~source:0 ~initial:() ~decide:flood in
   Alcotest.check result_t "outer run unaffected by nesting" (fst plain) (fst with_nesting);
-  let reference = Engine.run inner ~source:0 ~initial:() ~decide:flood_decide in
+  let reference = run inner ~source:0 ~initial:() ~decide:flood in
   List.iter (Alcotest.check result_t "nested run correct" reference) !nested_results;
   Alcotest.(check bool) "nesting actually happened" true (!nested_results <> [])
 
@@ -412,8 +422,8 @@ let () =
         ] );
       ( "traced",
         [
-          Alcotest.test_case "chain timeline" `Quick test_run_traced_timeline;
-          Alcotest.test_case "consistent with run" `Quick test_run_traced_consistent_with_run;
+          Alcotest.test_case "chain timeline" `Quick test_timeline_chain;
+          Alcotest.test_case "consistent with run" `Quick test_timeline_matches_pipeline;
         ] );
       ( "reliable",
         [

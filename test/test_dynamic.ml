@@ -6,18 +6,28 @@ module Coverage = Manet_coverage.Coverage
 module Static = Manet_backbone.Static_backbone
 module Dynamic = Manet_backbone.Dynamic_backbone
 module Result = Manet_broadcast.Result
+module Protocol = Manet_broadcast.Protocol
 open Test_helpers
 
 let paper () =
   let g = paper_graph () in
   (g, Lowest_id.cluster g)
 
+(* The dynamic backbone as a protocol, prepared over clustering [cl]. *)
+let prepare ?pruning g cl mode =
+  (Dynamic.protocol ?pruning mode).Protocol.prepare (Protocol.make_env ~clustering:(lazy cl) g)
+
+let traced ?pruning g cl mode ~source =
+  (prepare ?pruning g cl mode).Protocol.run ~source ~mode:Protocol.Perfect
+
+let broadcast ?pruning g cl mode ~source = fst (traced ?pruning g cl mode ~source)
+
 (* The paper's Section 3 illustration: broadcasting from node 0 in the
    Figure 3 network uses exactly 7 forward nodes {0,1,2,3,5,6,8}
    (paper numbering: 1,2,3,4,6,7,9). *)
 let test_paper_illustration () =
   let g, cl = paper () in
-  let r = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
+  let r = broadcast g cl Coverage.Hop25 ~source:0 in
   Alcotest.check nodeset "forward set" (set_of_list [ 0; 1; 2; 3; 5; 6; 8 ]) r.forwarders;
   Alcotest.(check int) "7 forwards" 7 (Result.forward_count r);
   Alcotest.(check bool) "full delivery" true (Result.all_delivered r)
@@ -27,7 +37,7 @@ let test_paper_illustration () =
    nodes 4, 7, 9 never forward. *)
 let test_paper_pruning_effect () =
   let g, cl = paper () in
-  let r = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
+  let r = broadcast g cl Coverage.Hop25 ~source:0 in
   List.iter
     (fun v ->
       Alcotest.(check bool) (Printf.sprintf "%d silent" v) false (Nodeset.mem v r.forwarders))
@@ -36,7 +46,7 @@ let test_paper_pruning_effect () =
 let test_paper_from_non_head_source () =
   let g, cl = paper () in
   (* Source 9 is a member of cluster 2. *)
-  let r = Dynamic.broadcast g cl Coverage.Hop25 ~source:9 in
+  let r = broadcast g cl Coverage.Hop25 ~source:9 in
   Alcotest.(check bool) "full delivery" true (Result.all_delivered r);
   Alcotest.(check bool) "source forwards" true (Nodeset.mem 9 r.forwarders)
 
@@ -45,8 +55,8 @@ let test_paper_dynamic_not_larger_than_static () =
   let static = Static.build ~clustering:cl g Coverage.Hop25 in
   List.iter
     (fun source ->
-      let s = Result.forward_count (Static.broadcast static ~source) in
-      let d = Result.forward_count (Dynamic.broadcast g cl Coverage.Hop25 ~source) in
+      let s = Result.forward_count (si_broadcast g ~in_cds:(Static.in_backbone static) ~source) in
+      let d = Result.forward_count (broadcast g cl Coverage.Hop25 ~source) in
       Alcotest.(check bool) (Printf.sprintf "source %d: dynamic <= static" source) true (d <= s))
     [ 0; 3; 5; 9 ]
 
@@ -58,7 +68,7 @@ let prop_heads_all_forward =
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let cl = Lowest_id.cluster g in
-      let r = Dynamic.broadcast g cl Coverage.Hop25 ~source:(seed mod n) in
+      let r = broadcast g cl Coverage.Hop25 ~source:(seed mod n) in
       Nodeset.subset (Clustering.head_set cl) r.forwarders)
 
 (* Theorem 2 (delivery form): the dynamic broadcast reaches every node on
@@ -73,7 +83,7 @@ let prop_theorem2_delivery =
         (fun mode ->
           List.for_all
             (fun pruning ->
-              Result.all_delivered (Dynamic.broadcast ~pruning g cl mode ~source))
+              Result.all_delivered (broadcast ~pruning g cl mode ~source))
             [ Dynamic.Sender_only; Dynamic.Coverage_piggyback; Dynamic.Coverage_and_relay ])
         [ Coverage.Hop25; Coverage.Hop3 ])
 
@@ -84,7 +94,7 @@ let prop_forward_set_is_sd_cds =
       let seed, n, _ = case in
       let g = (sample_of case).graph in
       let cl = Lowest_id.cluster g in
-      let fwd = Dynamic.forward_set g cl Coverage.Hop25 ~source:(seed mod n) in
+      let fwd = (broadcast g cl Coverage.Hop25 ~source:(seed mod n)).forwarders in
       Manet_graph.Dominating.is_cds g fwd)
 
 (* Pruning monotonicity on average: more history can only help.  Checked
@@ -98,7 +108,7 @@ let prop_pruning_helps_on_average =
       let cl = Lowest_id.cluster g in
       let source = seed mod n in
       let count p =
-        Result.forward_count (Dynamic.broadcast ~pruning:p g cl Coverage.Hop25 ~source)
+        Result.forward_count (broadcast ~pruning:p g cl Coverage.Hop25 ~source)
       in
       (* Weak per-sample sanity: full pruning within +3 of sender-only. *)
       count Dynamic.Coverage_and_relay <= count Dynamic.Sender_only + 3)
@@ -111,7 +121,7 @@ let test_source_dependence () =
   let g = sample.graph in
   let cl = Lowest_id.cluster g in
   let sets =
-    List.map (fun s -> Dynamic.forward_set g cl Coverage.Hop25 ~source:s) [ 0; 20; 40 ]
+    List.map (fun s -> (broadcast g cl Coverage.Hop25 ~source:s).forwarders) [ 0; 20; 40 ]
   in
   let all_equal =
     match sets with a :: rest -> List.for_all (Nodeset.equal a) rest | [] -> true
@@ -120,10 +130,10 @@ let test_source_dependence () =
 
 let test_traced_consistent () =
   let g, cl = paper () in
-  let r1 = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
-  let r2, timeline = Dynamic.broadcast_traced g cl Coverage.Hop25 ~source:0 in
-  Alcotest.check nodeset "same forwarders" r1.forwarders r2.forwarders;
-  Alcotest.(check int) "entries = forwards" (Result.forward_count r1) (List.length timeline);
+  let r, timeline = traced g cl Coverage.Hop25 ~source:0 in
+  Alcotest.check nodeset "timeline nodes = forwarders" r.forwarders
+    (set_of_list (List.map snd timeline));
+  Alcotest.(check int) "entries = forwards" (Result.forward_count r) (List.length timeline);
   (match timeline with
   | (0, 0) :: _ -> ()
   | _ -> Alcotest.fail "source transmits first at t=0")
@@ -131,30 +141,34 @@ let test_traced_consistent () =
 (* Determinism *)
 let test_deterministic () =
   let g, cl = paper () in
-  let a = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
-  let b = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
+  let a = broadcast g cl Coverage.Hop25 ~source:0 in
+  let b = broadcast g cl Coverage.Hop25 ~source:0 in
   Alcotest.check nodeset "same forward set" a.forwarders b.forwarders
 
-(* Reusing a precomputed coverage cache gives identical results. *)
+(* One prepared instance shares its CH_HOP cache across broadcasts;
+   every broadcast equals a fresh preparation's. *)
 let test_shared_coverages () =
   let g, cl = paper () in
-  let cache = Coverage.Cache.create g cl Coverage.Hop25 in
-  let a = Dynamic.broadcast ~cache g cl Coverage.Hop25 ~source:0 in
-  let b = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
-  Alcotest.check nodeset "same" a.forwarders b.forwarders
+  let shared = prepare g cl Coverage.Hop25 in
+  List.iter
+    (fun source ->
+      let a, _ = shared.Protocol.run ~source ~mode:Protocol.Perfect in
+      let b = broadcast g cl Coverage.Hop25 ~source in
+      Alcotest.check nodeset "same" a.forwarders b.forwarders)
+    [ 0; 9; 0; 5 ]
 
 let test_source_out_of_range () =
   let g, cl = paper () in
   Alcotest.check_raises "range check"
-    (Invalid_argument "Dynamic_backbone.broadcast: source out of range") (fun () ->
-      ignore (Dynamic.broadcast g cl Coverage.Hop25 ~source:10))
+    (Invalid_argument "Dynamic_backbone: source out of range") (fun () ->
+      ignore (broadcast g cl Coverage.Hop25 ~source:10))
 
 (* Degenerate networks *)
 
 let test_complete_graph () =
   let g = Graph.complete 6 in
   let cl = Lowest_id.cluster g in
-  let r = Dynamic.broadcast g cl Coverage.Hop25 ~source:3 in
+  let r = broadcast g cl Coverage.Hop25 ~source:3 in
   Alcotest.(check bool) "delivers" true (Result.all_delivered r);
   (* Source sends to its head; the head's coverage is empty: 2 forwards. *)
   Alcotest.(check int) "two forwards" 2 (Result.forward_count r)
@@ -162,13 +176,13 @@ let test_complete_graph () =
 let test_complete_graph_head_source () =
   let g = Graph.complete 6 in
   let cl = Lowest_id.cluster g in
-  let r = Dynamic.broadcast g cl Coverage.Hop25 ~source:0 in
+  let r = broadcast g cl Coverage.Hop25 ~source:0 in
   Alcotest.(check int) "single forward" 1 (Result.forward_count r)
 
 let test_two_nodes () =
   let g = Graph.path 2 in
   let cl = Lowest_id.cluster g in
-  let r = Dynamic.broadcast g cl Coverage.Hop25 ~source:1 in
+  let r = broadcast g cl Coverage.Hop25 ~source:1 in
   Alcotest.(check bool) "delivers" true (Result.all_delivered r)
 
 let test_chain () =
@@ -176,7 +190,7 @@ let test_chain () =
   let cl = Lowest_id.cluster g in
   List.iter
     (fun source ->
-      let r = Dynamic.broadcast g cl Coverage.Hop25 ~source in
+      let r = broadcast g cl Coverage.Hop25 ~source in
       Alcotest.(check bool) (Printf.sprintf "chain from %d" source) true (Result.all_delivered r))
     [ 0; 4; 8 ]
 
@@ -188,7 +202,7 @@ let prop_latency_bounded =
       let g = (sample_of case).graph in
       let cl = Lowest_id.cluster g in
       let source = seed mod n in
-      let r = Dynamic.broadcast g cl Coverage.Hop25 ~source in
+      let r = broadcast g cl Coverage.Hop25 ~source in
       let ecc = Manet_graph.Bfs.eccentricity g source in
       r.completion_time <= (3 * ecc) + 4)
 

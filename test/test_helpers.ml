@@ -45,16 +45,33 @@ let walk_step (s : Generator.sample) mob =
   Mobility.step mob ~dt:1.;
   Mobility.graph mob ~radius:s.radius
 
-(* Sum of [forward_count graph ~source:0] over [count] fresh connected
-   samples — the aggregate-comparison harness the baseline tests use to
-   rank pruning schemes. *)
-let forward_sum ~seed ~count ~n ~d forward_count =
+module Protocol = Manet_broadcast.Protocol
+module Result = Manet_broadcast.Result
+
+(* One broadcast of the registered protocol [name] under a perfect MAC,
+   prepared on a fresh environment ([clustering] defaults to lowest-ID,
+   [rng] to seed 0). *)
+let broadcast ?clustering ?rng name g ~source =
+  let env = Protocol.make_env ?clustering ?rng g in
+  fst (((Manet_protocols.Registry.find_exn name).prepare env).run ~source ~mode:Protocol.Perfect)
+
+(* An SI-CDS broadcast: the source transmits, then every node with
+   [in_cds] forwards its first copy. *)
+let si_broadcast g ~in_cds ~source =
+  fst
+    (Protocol.run_decide (Protocol.make_env g) ~source ~mode:Protocol.Perfect ~initial:()
+       ~decide:(fun ~node ~from:_ ~payload:() -> if in_cds node then Some () else None))
+
+(* Sum of the forward counts of protocol [name] from source 0 over
+   [count] fresh connected samples — the aggregate-comparison harness
+   the baseline tests use to rank pruning schemes. *)
+let forward_sum ~seed ~count ~n ~d name =
   let rng = Rng.create ~seed in
   let spec = Spec.make ~n ~avg_degree:d () in
   let sum = ref 0 in
   for _ = 1 to count do
     let s = Generator.sample_connected rng spec in
-    sum := !sum + forward_count s.Generator.graph ~source:0
+    sum := !sum + Result.forward_count (broadcast name s.Generator.graph ~source:0)
   done;
   !sum
 

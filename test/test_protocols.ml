@@ -1,16 +1,13 @@
-(* The protocol registry: name uniqueness and total lookup, and the
-   tentpole equivalence property — for every registered protocol, the
-   registry-dispatched broadcast is bit-identical to the legacy direct
-   entry point, on random geometric graphs across seeds. *)
+(* The protocol registry: name uniqueness and total lookup, the golden
+   outputs each protocol is held to, and the properties every registered
+   protocol must share —
+   consistent timelines, loss 0 = perfect, bounded delivery under loss,
+   and results independent of the engine arena. *)
 
 module Rng = Manet_rng.Rng
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
-module Coverage = Manet_coverage.Coverage
-module Static = Manet_backbone.Static_backbone
-module Dynamic = Manet_backbone.Dynamic_backbone
 module Result = Manet_broadcast.Result
-module Si = Manet_broadcast.Si
 module Protocol = Manet_broadcast.Protocol
 module Registry = Manet_protocols.Registry
 open Test_helpers
@@ -86,113 +83,47 @@ let test_backbones_are_cds () =
         Registry.backbones)
     (udg_cases ~seed:11 ~count:5 ~n:40 ~d:8.)
 
-(* Equivalence: registry dispatch vs the legacy direct entry points.
-   Both sides get generators in identical states; a mismatch in any
-   Result.t field fails. *)
-
-let legacy_runs =
-  [
-    ( "static-2.5hop",
-      fun g ~cl ~rng:_ ~source ->
-        Static.broadcast (Static.build ~clustering:cl g Coverage.Hop25) ~source );
-    ( "static-3hop",
-      fun g ~cl ~rng:_ ~source ->
-        Static.broadcast (Static.build ~clustering:cl g Coverage.Hop3) ~source );
-    ("dynamic-2.5hop", fun g ~cl ~rng:_ ~source -> Dynamic.broadcast g cl Coverage.Hop25 ~source);
-    ("dynamic-3hop", fun g ~cl ~rng:_ ~source -> Dynamic.broadcast g cl Coverage.Hop3 ~source);
-    ( "dynamic-2.5hop/sender",
-      fun g ~cl ~rng:_ ~source ->
-        Dynamic.broadcast ~pruning:Dynamic.Sender_only g cl Coverage.Hop25 ~source );
-    ( "dynamic-2.5hop/coverage",
-      fun g ~cl ~rng:_ ~source ->
-        Dynamic.broadcast ~pruning:Dynamic.Coverage_piggyback g cl Coverage.Hop25 ~source );
-    ( "mo_cds",
-      fun g ~cl ~rng:_ ~source ->
-        Manet_baselines.Mo_cds.broadcast (Manet_baselines.Mo_cds.build ~clustering:cl g) ~source );
-    ( "wu-li",
-      fun g ~cl:_ ~rng:_ ~source ->
-        Manet_baselines.Wu_li.broadcast (Manet_baselines.Wu_li.build g) ~source );
-    ( "tree-cds",
-      fun g ~cl:_ ~rng:_ ~source ->
-        Manet_baselines.Tree_cds.broadcast (Manet_baselines.Tree_cds.build g) ~source );
-    ( "greedy-cds",
-      fun g ~cl:_ ~rng:_ ~source ->
-        let cds = Manet_mcds.Greedy_cds.build g in
-        Si.run g ~in_cds:(fun v -> Nodeset.mem v cds) ~source );
-    ( "kmcds-k1m1",
-      fun g ~cl ~rng:_ ~source ->
-        let base = (Static.build ~clustering:cl g Coverage.Hop25).Static.members in
-        let b = Manet_mcds.Kmcds.augment g ~base ~k:1 ~m:1 in
-        Si.run g ~in_cds:(fun v -> Nodeset.mem v b) ~source );
-    ( "kmcds-k1m2",
-      fun g ~cl ~rng:_ ~source ->
-        let base = (Static.build ~clustering:cl g Coverage.Hop25).Static.members in
-        let b = Manet_mcds.Kmcds.augment g ~base ~k:1 ~m:2 in
-        Si.run g ~in_cds:(fun v -> Nodeset.mem v b) ~source );
-    ( "kmcds-k2m1",
-      fun g ~cl ~rng:_ ~source ->
-        let base = (Static.build ~clustering:cl g Coverage.Hop25).Static.members in
-        let b = Manet_mcds.Kmcds.augment g ~base ~k:2 ~m:1 in
-        Si.run g ~in_cds:(fun v -> Nodeset.mem v b) ~source );
-    ( "kmcds-k2m2",
-      fun g ~cl ~rng:_ ~source ->
-        let base = (Static.build ~clustering:cl g Coverage.Hop25).Static.members in
-        let b = Manet_mcds.Kmcds.augment g ~base ~k:2 ~m:2 in
-        Si.run g ~in_cds:(fun v -> Nodeset.mem v b) ~source );
-    ( "kmcds-k2m2/stable",
-      fun g ~cl:_ ~rng:_ ~source ->
-        let clustering = Manet_cluster.Stability.cluster g in
-        let base = (Static.build ~clustering g Coverage.Hop25).Static.members in
-        let b = Manet_mcds.Kmcds.augment g ~base ~k:2 ~m:2 in
-        Si.run g ~in_cds:(fun v -> Nodeset.mem v b) ~source );
-    ("dp", fun g ~cl:_ ~rng:_ ~source -> Manet_baselines.Dominant_pruning.broadcast g ~source);
-    ( "pdp",
-      fun g ~cl:_ ~rng:_ ~source -> Manet_baselines.Partial_dominant_pruning.broadcast g ~source );
-    ("ahbp", fun g ~cl:_ ~rng:_ ~source -> Manet_baselines.Ahbp.broadcast g ~source);
-    ("mpr", fun g ~cl:_ ~rng:_ ~source -> Manet_baselines.Mpr.broadcast g ~source);
-    ( "fwd-tree",
-      fun g ~cl ~rng:_ ~source ->
-        Manet_baselines.Forwarding_tree.broadcast
-          (Manet_baselines.Forwarding_tree.build g cl Coverage.Hop25 ~source)
-          ~source );
-    ("flooding", fun g ~cl:_ ~rng:_ ~source -> Manet_baselines.Flooding.broadcast g ~source);
-    ("self-pruning", fun g ~cl:_ ~rng ~source -> Manet_baselines.Self_pruning.broadcast ~rng g ~source);
-    ("counter", fun g ~cl:_ ~rng ~source -> Manet_baselines.Counter_based.broadcast ~rng g ~source);
-    ( "passive",
-      fun g ~cl:_ ~rng ~source ->
-        (Manet_baselines.Passive_clustering.broadcast ~rng g ~source).result );
-  ]
-
 let registry_run name g ~cl ~rng ~source ~mode =
   let env = Protocol.make_env ~clustering:(lazy cl) ~rng g in
   ((Registry.find_exn name).Protocol.prepare env).Protocol.run ~source ~mode
 
+(* Golden outputs.  test/golden/protocols.expected holds, for every
+   registered protocol, one line per broadcast over 30 fixed cases under
+   a perfect MAC and under 20% loss; a dune diff rule checks it against
+   the fresh golden/protocols.out, and [dune promote] regenerates it.
+   The file was frozen while the per-module broadcast entry points still
+   existed, and their outputs on the same cases (same clustering, same
+   generator seed) were exactly its Perfect lines; those entry points
+   are gone, so these lines are what each registry protocol is held
+   to. *)
+
+let golden file =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) ("golden/" ^ file) in
+  In_channel.with_open_text path In_channel.input_lines
+
+let golden_name line = List.hd (String.split_on_char ' ' line)
+
+let perfect_lines name lines =
+  List.filter (fun l -> golden_name l = name && contains l " Perfect ") lines
+
+(* The frozen table covers the whole registry: a protocol cannot join
+   unpinned. *)
+let test_golden_covers_registry () =
+  let pinned = List.sort_uniq compare (List.map golden_name (golden "protocols.expected")) in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " has golden lines") true (List.mem name pinned))
+    Registry.names
+
+(* Per protocol: the registry's broadcasts reproduce the frozen outputs
+   of the legacy entry point. *)
 let equivalence_tests =
   List.map
-    (fun (name, legacy) ->
-      qtest
-        (Printf.sprintf "registry %s = legacy entry point" name)
-        ~count:30 (arb_udg ())
-        (fun ((seed, n, _) as case) ->
-          let sample = sample_of case in
-          let g = sample.graph in
-          let cl = Manet_cluster.Lowest_id.cluster g in
-          let source = seed mod n in
-          let expected = legacy g ~cl ~rng:(Rng.create ~seed:(seed + 77)) ~source in
-          let got, _ =
-            registry_run name g ~cl ~rng:(Rng.create ~seed:(seed + 77)) ~source
-              ~mode:Protocol.Perfect
-          in
-          Alcotest.check result name expected got;
-          true))
-    legacy_runs
-
-(* Sanity: the equivalence table covers the whole registry. *)
-let test_equivalence_covers_registry () =
-  let covered = List.map fst legacy_runs in
-  List.iter
     (fun name ->
-      Alcotest.(check bool) (name ^ " has a legacy counterpart") true (List.mem name covered))
+      Alcotest.test_case (Printf.sprintf "registry %s = legacy entry point" name) `Quick (fun () ->
+          Alcotest.(check (list string))
+            name
+            (perfect_lines name (golden "protocols.expected"))
+            (perfect_lines name (golden "protocols.out"))))
     Registry.names
 
 (* Every protocol produces a timeline: one entry per forwarder, and the
@@ -243,32 +174,14 @@ let lossless_tests =
           true))
     Registry.all
 
-(* The generic delivery_ratio generalizes the old flooding-only entry
-   point: on flooding they agree draw for draw. *)
-let test_delivery_ratio_generalizes_flooding () =
-  List.iter
-    (fun (sample : Manet_topology.Generator.sample) ->
-      List.iter
-        (fun loss ->
-          let g = sample.graph in
-          let old_way =
-            Manet_broadcast.Lossy.flooding_delivery g ~rng:(Rng.create ~seed:3) ~loss ~source:0
-          in
-          let generic =
-            Manet_broadcast.Lossy.delivery_ratio (Registry.find_exn "flooding") g
-              ~rng:(Rng.create ~seed:3) ~loss ~source:0
-          in
-          Alcotest.(check (float 1e-9)) (Printf.sprintf "loss %g" loss) old_way generic)
-        [ 0.; 0.2; 0.5 ])
-    (udg_cases ~seed:21 ~count:3 ~n:30 ~d:6.)
-
 (* Delivery under loss stays a valid ratio for every protocol. *)
 let test_delivery_ratio_bounds () =
   let sample = udg ~seed:5 ~n:30 ~d:8. in
   List.iter
     (fun p ->
       let env = Protocol.make_env ~rng:(Rng.create ~seed:13) sample.graph in
-      let ratio = Protocol.delivery_ratio p env ~loss:0.3 ~source:0 in
+      let r, _ = (p.Protocol.prepare env).Protocol.run ~source:0 ~mode:(Protocol.Lossy 0.3) in
+      let ratio = Result.delivery_ratio r in
       Alcotest.(check bool)
         (p.Protocol.name ^ " delivery in [0,1]")
         true
@@ -341,15 +254,12 @@ let () =
           Alcotest.test_case "lookup total over documented names" `Quick test_lookup_total;
           Alcotest.test_case "backbones are SI with build" `Quick test_backbones_materialize;
           Alcotest.test_case "backbones build CDSes" `Quick test_backbones_are_cds;
-          Alcotest.test_case "equivalence table covers registry" `Quick
-            test_equivalence_covers_registry;
+          Alcotest.test_case "equivalence table covers registry" `Quick test_golden_covers_registry;
         ] );
       ("equivalence", equivalence_tests);
       ("arena", arena_tests);
       ("timelines", timeline_tests);
-      ("loss", lossless_tests @ [
-          Alcotest.test_case "delivery_ratio generalizes flooding_delivery" `Quick
-            test_delivery_ratio_generalizes_flooding;
-          Alcotest.test_case "delivery ratio bounded" `Quick test_delivery_ratio_bounds;
-        ] );
+      ( "loss",
+        lossless_tests
+        @ [ Alcotest.test_case "delivery ratio bounded" `Quick test_delivery_ratio_bounds ] );
     ]

@@ -24,16 +24,14 @@ let test_paper_backbone () =
 
 let test_paper_broadcast () =
   let g = paper_graph () in
-  let bb = Static.build g Coverage.Hop25 in
-  let r = Static.broadcast bb ~source:0 in
+  let r = broadcast "static-2.5hop" g ~source:0 in
   (* All 9 backbone nodes forward (paper Section 3 illustration). *)
   Alcotest.(check int) "9 forwards" 9 (Result.forward_count r);
   Alcotest.(check bool) "full delivery" true (Result.all_delivered r)
 
 let test_paper_broadcast_from_non_member () =
   let g = paper_graph () in
-  let bb = Static.build g Coverage.Hop25 in
-  let r = Static.broadcast bb ~source:9 in
+  let r = broadcast "static-2.5hop" g ~source:9 in
   Alcotest.(check bool) "full delivery from outsider" true (Result.all_delivered r);
   (* The outsider transmits once, plus every reached backbone node. *)
   Alcotest.(check int) "10 forwards" 10 (Result.forward_count r)
@@ -93,9 +91,7 @@ let prop_broadcast_delivers =
   qtest "static broadcast always delivers" ~count:60 (arb_udg ()) (fun case ->
       let seed, n, _ = case in
       let g = (sample_of case).graph in
-      let bb = Static.build g Coverage.Hop25 in
-      let source = seed mod n in
-      Result.all_delivered (Static.broadcast bb ~source))
+      Result.all_delivered (broadcast "static-2.5hop" g ~source:(seed mod n)))
 
 (* Theorem 1 is clustering-agnostic: any valid cluster structure yields
    a CDS, so highest-connectivity clustering works too. *)

@@ -26,6 +26,9 @@ let test_spec_validation () =
   Alcotest.check_raises "bad degree"
     (Invalid_argument "Spec.make: avg_degree must be positive") (fun () ->
       ignore (Spec.make ~n:10 ~avg_degree:0. ()));
+  Alcotest.check_raises "NaN degree"
+    (Invalid_argument "Spec.make: avg_degree must be positive") (fun () ->
+      ignore (Spec.make ~n:10 ~avg_degree:Float.nan ()));
   Alcotest.check_raises "bad area"
     (Invalid_argument "Spec.make: non-positive working space") (fun () ->
       ignore (Spec.make ~width:0. ~n:10 ~avg_degree:6. ()))
