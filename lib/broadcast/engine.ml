@@ -6,38 +6,54 @@ let never_drop () = false
 let never_down ~time:_ ~node:_ = false
 
 (* Reusable per-worker scratch for {!run_core}.  A broadcast needs two
-   per-node maps (delivered/transmitted), a pending-reception priority
-   queue and a transmission timeline; the arena keeps all of them alive
-   between runs so a sweep's per-broadcast engine allocations are O(1)
-   steady state instead of O(n + receptions).
+   per-node maps (delivered/transmitted), the pending receptions and a
+   transmission timeline; the arena keeps all of them alive between runs
+   so a sweep's per-broadcast engine allocations are O(1) steady state
+   instead of O(n + receptions).
 
    The node maps are generation-tagged: [delivered.(v) = gen] means
-   delivered in the current run, so reset is one counter bump.  The heap
-   stores receptions as two unboxed int keys — [hi] is the delivery
-   time, [lo] packs [(receiver lsl shift) lor sender] — whose
-   lexicographic (hi, lo) order is exactly the (time, receiver, sender)
-   processing order of the seed {!Manet_sim.Event_key} heap.  Keys are
-   unique (a node transmits at most once, so each (time, receiver,
-   sender) triple occurs at most once), hence any correct heap pops the
-   same sequence and results are bit-identical however the arena is
-   reused.  Payloads ride in a parallel [Obj.t] array: the engine is
-   polymorphic in the payload, but within one run all slots hold the
-   same type, and every slot is scrubbed back to an immediate on pop so
-   the arena never pins a finished run's payloads. *)
+   delivered in the current run, so reset is one counter bump.
+
+   Pending receptions live in a frontier calendar, not a priority queue.
+   The model is round-synchronous — a transmission at time t reaches
+   every neighbour at t + 1, a dynamic-backbone designation at t + 1 or
+   t + 2 — so all events of time t + 1 are known once time t has been
+   processed.  A reception is one int key, [(receiver lsl shift) lor
+   sender] (shifted above the payload bits in {!Scratch}).  While level
+   t is processed, keys for t + 1 are appended to [next] (and t + 2 keys
+   to the small side buffer [later]); opening level t + 1 sorts [next]
+   once, with a stable LSD radix sort, into [cur], which is then read in
+   order.  Ascending keys are exactly the (receiver, sender) order, so
+   levels read in turn give the (time, receiver, sender) processing
+   order of the seed's event heap, and results are bit-identical however
+   the arena is reused.
+
+   [run_core]'s payloads do not ride in the events: a node transmits at
+   most once, so the payload of every copy from sender [v] is the one
+   [v] transmitted, kept in the per-sender slot [payload.(v)].  The
+   engine is polymorphic in the payload, but within one run all slots
+   hold the same type, and the slots of the run's transmitters are
+   scrubbed back to an immediate on release so the arena never pins a
+   finished run's payloads. *)
 module Arena = struct
   type t = {
     mutable cap : int;
     mutable gen : int;
     mutable delivered : int array;
     mutable transmitted : int array;
-    mutable fwd : int array;  (** compaction buffer for the forward set *)
-    mutable heap_hi : int array;
-    mutable heap_lo : int array;
-    mutable heap_pay : Obj.t array;
-    mutable heap_len : int;
+    mutable payload : Obj.t array;  (** per-sender payload slot of [run_core] *)
     mutable trace_time : int array;
     mutable trace_node : int array;
     mutable trace_len : int;
+    mutable now : int;  (** time of the level in [cur] *)
+    mutable cur : int array;  (** the open level's keys, sorted *)
+    mutable cur_len : int;
+    mutable pos : int;  (** {!Scratch}'s cursor into [cur] *)
+    mutable next : int array;  (** keys for [now + 1], in push order *)
+    mutable next_len : int;
+    mutable later : int array;  (** keys for [now + 2] ({!Scratch} only) *)
+    mutable later_len : int;
+    mutable counts : int array;  (** radix digit counts, allocated on first use *)
     pool : Manet_graph.Flatset.pool;
         (** scratch storage for the per-broadcast flat coverage sets of
             bespoke event loops (the dynamic backbone's pruning);
@@ -51,14 +67,19 @@ module Arena = struct
       gen = 0;
       delivered = [||];
       transmitted = [||];
-      fwd = [||];
-      heap_hi = [||];
-      heap_lo = [||];
-      heap_pay = [||];
-      heap_len = 0;
+      payload = [||];
       trace_time = [||];
       trace_node = [||];
       trace_len = 0;
+      now = 0;
+      cur = [||];
+      cur_len = 0;
+      pos = -1;
+      next = [||];
+      next_len = 0;
+      later = [||];
+      later_len = 0;
+      counts = [||];
       pool = Manet_graph.Flatset.create_pool ();
       busy = false;
     }
@@ -66,108 +87,144 @@ module Arena = struct
   let dls = Domain.DLS.new_key create
   let get () = Domain.DLS.get dls
 
+  (* A node transmits at most once per broadcast, so the timeline never
+     holds more than [n] entries. *)
   let reserve a ~n =
     if a.cap < n then begin
       a.delivered <- Array.make n 0;
       a.transmitted <- Array.make n 0;
-      a.fwd <- Array.make n 0;
+      a.payload <- Array.make n (Obj.repr 0);
+      a.trace_time <- Array.make n 0;
+      a.trace_node <- Array.make n 0;
       a.cap <- n
     end
 end
 
 let nil = Obj.repr 0
 
-let ensure_nodes (a : Arena.t) n = Arena.reserve a ~n
+(* Takes [arena] (default: the calling domain's), or a private fresh one
+   when it is already mid-run — a broadcast nested inside [decide]. *)
+let acquire arena =
+  let a =
+    match arena with
+    | Some a when not a.Arena.busy -> a
+    | Some _ -> Arena.create ()
+    | None ->
+      let a = Arena.get () in
+      if a.Arena.busy then Arena.create () else a
+  in
+  a.busy <- true;
+  a
 
-let heap_grow (a : Arena.t) =
-  let cap = Array.length a.heap_hi in
-  let ncap = if cap = 0 then 256 else 2 * cap in
-  let hi = Array.make ncap 0 and lo = Array.make ncap 0 and pay = Array.make ncap nil in
-  Array.blit a.heap_hi 0 hi 0 a.heap_len;
-  Array.blit a.heap_lo 0 lo 0 a.heap_len;
-  Array.blit a.heap_pay 0 pay 0 a.heap_len;
-  a.heap_hi <- hi;
-  a.heap_lo <- lo;
-  a.heap_pay <- pay
-
-(* Hole-based sift-up: the new element is written once, parents shift
-   down along the way. *)
-let heap_push (a : Arena.t) hi lo pay =
-  if a.heap_len = Array.length a.heap_hi then heap_grow a;
-  let h = a.heap_hi and l = a.heap_lo and p = a.heap_pay in
-  let i = ref a.heap_len in
-  a.heap_len <- a.heap_len + 1;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    let ph = Array.unsafe_get h parent in
-    if ph > hi || (ph = hi && Array.unsafe_get l parent > lo) then begin
-      Array.unsafe_set h !i ph;
-      Array.unsafe_set l !i (Array.unsafe_get l parent);
-      Array.unsafe_set p !i (Array.unsafe_get p parent);
-      i := parent
-    end
-    else continue := false
+let release (a : Arena.t) =
+  for k = 0 to a.trace_len - 1 do
+    Array.unsafe_set a.payload (Array.unsafe_get a.trace_node k) nil
   done;
-  Array.unsafe_set h !i hi;
-  Array.unsafe_set l !i lo;
-  Array.unsafe_set p !i pay
+  a.busy <- false
 
-(* Removes the minimum; the caller has already read the root.  The freed
-   payload slot is scrubbed so finished runs leave no live pointers. *)
-let heap_pop_root (a : Arena.t) =
-  let last = a.heap_len - 1 in
-  a.heap_len <- last;
-  let h = a.heap_hi and l = a.heap_lo and p = a.heap_pay in
-  if last > 0 then begin
-    let xh = Array.unsafe_get h last
-    and xl = Array.unsafe_get l last
-    and xp = Array.unsafe_get p last in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let c = ref ((2 * !i) + 1) in
-      if !c >= last then continue := false
-      else begin
-        let c2 = !c + 1 in
-        if c2 < last then begin
-          let ch = Array.unsafe_get h !c and c2h = Array.unsafe_get h c2 in
-          if c2h < ch || (c2h = ch && Array.unsafe_get l c2 < Array.unsafe_get l !c) then c := c2
-        end;
-        let ch = Array.unsafe_get h !c and cl = Array.unsafe_get l !c in
-        if ch < xh || (ch = xh && cl < xl) then begin
-          Array.unsafe_set h !i ch;
-          Array.unsafe_set l !i cl;
-          Array.unsafe_set p !i (Array.unsafe_get p !c);
-          i := !c
-        end
-        else continue := false
-      end
-    done;
-    Array.unsafe_set h !i xh;
-    Array.unsafe_set l !i xl;
-    Array.unsafe_set p !i xp
-  end;
-  Array.unsafe_set p last nil
+(* Starts one broadcast on an acquired arena; returns its generation. *)
+let start (a : Arena.t) ~n =
+  Arena.reserve a ~n;
+  a.gen <- a.gen + 1;
+  a.trace_len <- 0;
+  a.now <- 0;
+  a.cur_len <- 0;
+  a.pos <- -1;
+  a.next_len <- 0;
+  a.later_len <- 0;
+  a.gen
 
 let trace_push (a : Arena.t) time v =
-  if a.trace_len = Array.length a.trace_time then begin
-    let ncap = if a.trace_len = 0 then 256 else 2 * a.trace_len in
-    let tt = Array.make ncap 0 and tn = Array.make ncap 0 in
-    Array.blit a.trace_time 0 tt 0 a.trace_len;
-    Array.blit a.trace_node 0 tn 0 a.trace_len;
-    a.trace_time <- tt;
-    a.trace_node <- tn
-  end;
   a.trace_time.(a.trace_len) <- time;
   a.trace_node.(a.trace_len) <- v;
   a.trace_len <- a.trace_len + 1
+
+let min_level = 64
+
+(* [buf] regrown (contents kept up to [len]) to hold at least [need]. *)
+let grown buf ~len ~need =
+  let ncap = ref (max min_level (Array.length buf)) in
+  while !ncap < need do
+    ncap := 2 * !ncap
+  done;
+  let b = Array.make !ncap 0 in
+  Array.blit buf 0 b 0 len;
+  b
+
+(* Room for [k] more keys in [next]; returns the first free index. *)
+let reserve_next (a : Arena.t) k =
+  let len = a.next_len in
+  if len + k > Array.length a.next then a.next <- grown a.next ~len ~need:(len + k);
+  len
+
+(* {2 Level sort}
+
+   Stable LSD radix sort of [next] by the key field [(x lsr lo)] of
+   [bits] bits (every key bit above the field is zero), in passes of at
+   most [digit_bits] bits, scattering between [next] and the consumed
+   [cur]. *)
+
+let digit_bits = 8
+
+(* One stable counting pass on the [w]-bit digit at [shift]. *)
+let counting_pass counts src dst len ~shift ~w =
+  let m = (1 lsl w) - 1 in
+  Array.fill counts 0 (m + 1) 0;
+  for i = 0 to len - 1 do
+    let d = (Array.unsafe_get src i lsr shift) land m in
+    Array.unsafe_set counts d (Array.unsafe_get counts d + 1)
+  done;
+  let sum = ref 0 in
+  for d = 0 to m do
+    let c = Array.unsafe_get counts d in
+    Array.unsafe_set counts d !sum;
+    sum := !sum + c
+  done;
+  for i = 0 to len - 1 do
+    let x = Array.unsafe_get src i in
+    let d = (x lsr shift) land m in
+    let j = Array.unsafe_get counts d in
+    Array.unsafe_set dst j x;
+    Array.unsafe_set counts d (j + 1)
+  done
+
+(* Opens the next time unit: its keys ([next]) sorted into [cur], the
+   cursor before the first of them, and the [now + 2] side buffer moved
+   into the emptied [next]. *)
+let open_level (a : Arena.t) ~lo ~bits =
+  a.now <- a.now + 1;
+  let len = a.next_len in
+  if Array.length a.cur < Array.length a.next then a.cur <- Array.make (Array.length a.next) 0;
+  if Array.length a.counts = 0 then a.counts <- Array.make (1 lsl digit_bits) 0;
+  let passes = (bits + digit_bits - 1) / digit_bits in
+  let w = (bits + passes - 1) / passes in
+  for p = 0 to passes - 1 do
+    counting_pass a.counts a.next a.cur len ~shift:(lo + (p * w)) ~w;
+    let sorted = a.cur in
+    a.cur <- a.next;
+    a.next <- sorted
+  done;
+  (* After the last pass the sorted keys are in [next]. *)
+  let sorted = a.next in
+  a.next <- a.cur;
+  a.cur <- sorted;
+  a.cur_len <- len;
+  a.pos <- -1;
+  a.next_len <- 0;
+  if a.later_len > 0 then begin
+    let k = a.later_len in
+    let base = reserve_next a k in
+    Array.blit a.later 0 a.next base k;
+    a.next_len <- base + k;
+    a.later_len <- 0
+  end
 
 let rec bits_for b n = if 1 lsl b >= n then b else bits_for (b + 1) n
 
 (* Caller-owned result + timeline from the arena's generation tags and
    trace buffers — the common epilogue of [run_core] and every bespoke
-   loop driven through [Scratch]. *)
+   loop driven through [Scratch].  Every transmitter is traced exactly
+   once, so the timeline's length is the forward set's size. *)
 let materialize (a : Arena.t) ~tick ~n ~source ~completion =
   let delivered = a.delivered in
   let delivered_out = Array.make n false in
@@ -175,54 +232,42 @@ let materialize (a : Arena.t) ~tick ~n ~source ~completion =
     if Array.unsafe_get delivered v = tick then Array.unsafe_set delivered_out v true
   done;
   let transmitted = a.transmitted in
-  let fwd = a.fwd in
-  let nfwd = ref 0 in
-  for v = 0 to n - 1 do
-    if Array.unsafe_get transmitted v = tick then begin
-      Array.unsafe_set fwd !nfwd v;
-      incr nfwd
-    end
-  done;
+  let forwarders =
+    Nodeset.of_predicate ~n ~card:a.trace_len (fun v -> Array.unsafe_get transmitted v = tick)
+  in
   let trace = ref [] in
   for k = a.trace_len - 1 downto 0 do
     trace := (a.trace_time.(k), a.trace_node.(k)) :: !trace
   done;
-  ( {
-      Result.source;
-      forwarders = Nodeset.of_increasing fwd ~len:!nfwd;
-      delivered = delivered_out;
-      completion_time = completion;
-    },
-    !trace )
+  ({ Result.source; forwarders; delivered = delivered_out; completion_time = completion }, !trace)
 
 (* The arena, opened up for protocols with bespoke event loops (the
    dynamic backbone's designation events): the same busy-flag
-   acquisition, generation bump and (time, node, sender) heap order as
-   [run_core], with the payload restricted to an immediate int so a
-   bespoke loop allocates nothing per event.  [with_scratch] also resets
-   the arena's flatset pool, scoping every {!Manet_graph.Flatset.t} the
-   loop creates to this one broadcast. *)
+   acquisition, generation bump and frontier calendar as [run_core],
+   with the event's int payload packed into the key's low bits, below
+   the sorted (receiver, sender) field, so a bespoke loop allocates
+   nothing per event.  [with_scratch] also resets the arena's flatset
+   pool, scoping every {!Manet_graph.Flatset.t} the loop creates to this
+   one broadcast. *)
 module Scratch = struct
-  type t = { a : Arena.t; tick : int; shift : int; mask : int; n : int }
+  type t = { a : Arena.t; tick : int; shift : int; pbits : int; n : int }
 
-  let with_scratch ?arena ~n f =
-    let a =
-      match arena with
-      | Some a when not a.Arena.busy -> a
-      | Some _ -> Arena.create ()
-      | None ->
-        let a = Arena.get () in
-        if a.Arena.busy then Arena.create () else a
-    in
-    a.busy <- true;
-    Fun.protect ~finally:(fun () -> a.Arena.busy <- false) @@ fun () ->
-    ensure_nodes a n;
-    a.gen <- a.gen + 1;
-    a.heap_len <- 0;
-    a.trace_len <- 0;
+  let with_scratch ?arena ~n ~payload_bound f =
+    if payload_bound < 1 then
+      invalid_arg "Engine.Scratch.with_scratch: payload_bound must be positive";
+    let shift = bits_for 1 n and pbits = bits_for 0 payload_bound in
+    if (2 * shift) + pbits > Sys.int_size - 1 then
+      invalid_arg "Engine.Scratch.with_scratch: keys do not fit an int";
+    let a = acquire arena in
+    let s = { a; tick = start a ~n; shift; pbits; n } in
     Manet_graph.Flatset.reset a.pool;
-    let shift = bits_for 1 n in
-    f { a; tick = a.gen; shift; mask = (1 lsl shift) - 1; n }
+    match f s with
+    | r ->
+      release a;
+      r
+    | exception e ->
+      release a;
+      raise e
 
   let pool s = s.a.Arena.pool
   let delivered s v = s.a.Arena.delivered.(v) = s.tick
@@ -240,78 +285,109 @@ module Scratch = struct
   let trace s ~time ~node = trace_push s.a time node
 
   let push s ~time ~node ~sender ~payload =
-    heap_push s.a time ((node lsl s.shift) lor sender) (Obj.repr (payload : int))
+    let a = s.a in
+    if payload lsr s.pbits <> 0 then invalid_arg "Engine.Scratch.push: payload out of range";
+    let key = (((node lsl s.shift) lor sender) lsl s.pbits) lor payload in
+    if time = a.now + 1 then begin
+      let i = reserve_next a 1 in
+      Array.unsafe_set a.next i key;
+      a.next_len <- i + 1
+    end
+    else if time = a.now + 2 then begin
+      let i = a.later_len in
+      if i = Array.length a.later then a.later <- grown a.later ~len:i ~need:(i + 1);
+      Array.unsafe_set a.later i key;
+      a.later_len <- i + 1
+    end
+    else invalid_arg "Engine.Scratch.push: time must be now + 1 or now + 2"
 
-  let heap_empty s = s.a.Arena.heap_len = 0
-  let min_time s = s.a.Arena.heap_hi.(0)
-  let min_node s = s.a.Arena.heap_lo.(0) lsr s.shift
-  let min_sender s = s.a.Arena.heap_lo.(0) land s.mask
-  let min_payload s = (Obj.obj s.a.Arena.heap_pay.(0) : int)
-  let drop_min s = heap_pop_root s.a
+  let rec advance s =
+    let a = s.a in
+    let p = a.pos + 1 in
+    if p < a.cur_len then begin
+      a.pos <- p;
+      true
+    end
+    else if a.next_len = 0 && a.later_len = 0 then false
+    else begin
+      open_level a ~lo:s.pbits ~bits:(2 * s.shift);
+      advance s
+    end
+
+  let key s = Array.unsafe_get s.a.Arena.cur s.a.Arena.pos
+  let time s = s.a.Arena.now
+  let node s = key s lsr (s.pbits + s.shift)
+  let sender s = (key s lsr s.pbits) land ((1 lsl s.shift) - 1)
+  let payload s = key s land ((1 lsl s.pbits) - 1)
   let finish s ~source ~completion = materialize s.a ~tick:s.tick ~n:s.n ~source ~completion
 end
 
-(* The one event loop shared by every decide-style execution: the
-   perfect engine ([drop] never fires), and the lossy engine ([drop]
-   draws from its generator once per reception, in processing order).
-   Scratch comes from [arena] — by default the calling domain's — or a
-   private fresh arena when the caller's is already mid-run (a nested
-   broadcast from inside [decide]); either way the results are the
-   same. *)
-let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial ~decide =
+(* One decide-style broadcast on an acquired arena.  Transmissions at
+   time t happen while level t is read in ascending receiver order, and
+   a node transmits at most once, so [next] fills in ascending sender
+   order: sorting it by the receiver field alone (stably) yields the
+   (receiver, sender) order. *)
+let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
   let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Engine.run_core: source out of range";
-  let a =
-    match arena with
-    | Some a when not a.Arena.busy -> a
-    | Some _ -> Arena.create ()
-    | None ->
-      let a = Arena.get () in
-      if a.Arena.busy then Arena.create () else a
-  in
-  a.busy <- true;
-  Fun.protect ~finally:(fun () -> a.Arena.busy <- false) @@ fun () ->
-  ensure_nodes a n;
-  a.gen <- a.gen + 1;
-  let tick = a.gen in
-  a.heap_len <- 0;
-  a.trace_len <- 0;
-  let delivered = a.delivered and transmitted = a.transmitted in
+  let tick = start a ~n in
+  let delivered = a.delivered and transmitted = a.transmitted and payload = a.payload in
   let off, nbr = Graph.csr g in
   let shift = bits_for 1 n in
   let mask = (1 lsl shift) - 1 in
   let completion = ref 0 in
-  let transmit time v payload =
+  let transmit time v p =
     Array.unsafe_set transmitted v tick;
     trace_push a time v;
-    let p = Obj.repr payload in
-    let t1 = time + 1 in
-    for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
-      heap_push a t1 ((Array.unsafe_get nbr i lsl shift) lor v) p
-    done
+    Array.unsafe_set payload v (Obj.repr p);
+    let lo = Array.unsafe_get off v and hi = Array.unsafe_get off (v + 1) in
+    let base = reserve_next a (hi - lo) - lo in
+    let buf = a.next in
+    for i = lo to hi - 1 do
+      Array.unsafe_set buf (base + i) ((Array.unsafe_get nbr i lsl shift) lor v)
+    done;
+    a.next_len <- base + hi
   in
   Array.unsafe_set delivered source tick;
   transmit 0 source initial;
-  while a.heap_len > 0 do
-    let time = a.heap_hi.(0) and key = a.heap_lo.(0) in
-    let payload = a.heap_pay.(0) in
-    heap_pop_root a;
-    (* A failed node neither receives nor (therefore) forwards; the
-       [down] guard sits after [drop] so the loss stream is identical
-       with and without failures. *)
-    if not (drop ()) && not (down ~time ~node:(key lsr shift)) then begin
-      let receiver = key lsr shift in
-      if Array.unsafe_get delivered receiver <> tick then begin
-        Array.unsafe_set delivered receiver tick;
-        completion := time
-      end;
-      (* Every copy is offered to the node until it transmits: a forward
-         designation can arrive in a later copy than the first. *)
-      if Array.unsafe_get transmitted receiver <> tick then begin
-        match decide ~node:receiver ~from:(key land mask) ~payload:(Obj.obj payload) with
-        | Some p -> transmit time receiver p
-        | None -> ()
+  while a.next_len > 0 do
+    open_level a ~lo:shift ~bits:shift;
+    let time = a.now and cur = a.cur in
+    for k = 0 to a.cur_len - 1 do
+      let key = Array.unsafe_get cur k in
+      (* A failed node neither receives nor (therefore) forwards; the
+         [down] guard sits after [drop] so the loss stream is identical
+         with and without failures. *)
+      if not (drop ()) && not (down ~time ~node:(key lsr shift)) then begin
+        let receiver = key lsr shift in
+        if Array.unsafe_get delivered receiver <> tick then begin
+          Array.unsafe_set delivered receiver tick;
+          completion := time
+        end;
+        (* Every copy is offered to the node until it transmits: a
+           forward designation can arrive in a later copy than the
+           first. *)
+        if Array.unsafe_get transmitted receiver <> tick then begin
+          let from = key land mask in
+          match decide ~node:receiver ~from ~payload:(Obj.obj (Array.unsafe_get payload from)) with
+          | Some p -> transmit time receiver p
+          | None -> ()
+        end
       end
-    end
+    done
   done;
   materialize a ~tick ~n ~source ~completion:!completion
+
+(* The one event loop shared by every decide-style execution: the
+   perfect engine ([drop] never fires), and the lossy engine ([drop]
+   draws from its generator once per reception, in processing order).
+   Either way the results are the same whichever arena runs it. *)
+let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial ~decide =
+  if source < 0 || source >= Graph.n g then invalid_arg "Engine.run_core: source out of range";
+  let a = acquire arena in
+  match broadcast a ~drop ~down g ~source ~initial ~decide with
+  | r ->
+    release a;
+    r
+  | exception e ->
+    release a;
+    raise e

@@ -25,11 +25,17 @@
 module Arena : sig
   type t
   (** Reusable engine scratch: generation-tagged delivered/transmitted
-      maps, the pending-reception heap and the transmission timeline.
-      Reusing an arena across broadcasts makes the engine's steady-state
-      allocation O(1) (only the caller-owned {!Result.t} and timeline
-      are built per run) and never changes results — runs are
-      bit-identical whether the arena is fresh, reused, or absent.
+      maps, the frontier calendar of pending receptions, the per-sender
+      payload slots and the transmission timeline.  Reusing an arena
+      across broadcasts makes the engine's steady-state allocation O(1)
+      (only the caller-owned {!Result.t} and timeline are built per run)
+      and never changes results — runs are bit-identical whether the
+      arena is fresh, reused, or absent.
+
+      The calendar holds one time unit (a {e level}) at a time: the
+      receptions for time [t + 1] are appended to a buffer while level
+      [t] is processed, and sorted once, by a stable LSD radix sort on
+      the packed (receiver, sender) key, when level [t + 1] opens.
 
       Ownership: an arena is single-threaded state.  One arena must not
       be shared between concurrently running domains; keep one arena per
@@ -48,33 +54,38 @@ module Arena : sig
       explicit threading. *)
 
   val reserve : t -> n:int -> unit
-  (** Pre-size the node-indexed buffers for an [n]-node graph.  Runs do
-      this on demand; a long-lived serving loop calls it once up front
-      so that no broadcast of the stream ever grows the arena mid-run.
-      Idempotent; never shrinks. *)
+  (** Pre-size the node-indexed buffers (maps, payload slots, timeline)
+      for an [n]-node graph.  Runs do this on demand; a long-lived
+      serving loop calls it once up front so that no broadcast of the
+      stream grows the arena mid-run.  Idempotent; never shrinks. *)
 end
 
 (** The arena opened up for protocols with bespoke event loops (the
     dynamic backbone's designation events, which {!run_core}'s
     decide-callback shape cannot express): the same generation-tagged
-    delivered/transmitted maps, the same unboxed (time, node, sender)
-    reception heap, and the arena's {!Manet_graph.Flatset.pool} for the
-    loop's transient coverage sets.  Payloads are restricted to
-    immediate ints, so a bespoke loop pushes and pops events without
-    allocating.  Event processing order is exactly {!run_core}'s:
-    (time, node, sender) lexicographic; events carrying {e equal} keys
-    (possible when a designation and a data copy arrive together) pop in
-    unspecified relative order, so loops must keep the handling of
-    equal-key events commutative. *)
+    delivered/transmitted maps, the same frontier calendar, and the
+    arena's {!Manet_graph.Flatset.pool} for the loop's transient
+    coverage sets.  An event is one int: its payload, a small
+    non-negative int, rides in the key's low bits, so a bespoke loop
+    pushes and reads events without allocating.  An event is scheduled
+    one or two time units after the open level (a data copy, or a
+    designation travelling up to two hops).  Events are read in exactly
+    {!run_core}'s order — (time, node, sender) lexicographic; events
+    carrying {e equal} keys (possible when a designation and a data copy
+    arrive together) are all read, in push order. *)
 module Scratch : sig
   type t
 
-  val with_scratch : ?arena:Arena.t -> n:int -> (t -> 'a) -> 'a
-  (** Acquire scratch for one broadcast over an [n]-node graph: the same
-      busy-flag acquisition and silent fresh-arena fallback as
-      {!run_core} (default: the calling domain's arena), one generation
-      bump resetting the node maps, heap, trace and flatset pool.  The
-      scratch value must not escape the callback. *)
+  val with_scratch : ?arena:Arena.t -> n:int -> payload_bound:int -> (t -> 'a) -> 'a
+  (** Acquire scratch for one broadcast over an [n]-node graph whose
+      event payloads lie in [\[0, payload_bound)]: the same busy-flag
+      acquisition and silent fresh-arena fallback as {!run_core}
+      (default: the calling domain's arena), one generation bump
+      resetting the node maps, calendar, trace and flatset pool.  The
+      clock starts at time 0.  The scratch value must not escape the
+      callback.
+      @raise Invalid_argument if [payload_bound < 1], or if the packed
+      (node, sender, payload) key does not fit an int. *)
 
   val pool : t -> Manet_graph.Flatset.pool
   (** The arena's flatset pool, reset at acquisition: slices created
@@ -89,26 +100,27 @@ module Scratch : sig
   val mark_transmitted : t -> int -> unit
 
   val trace : t -> time:int -> node:int -> unit
-  (** Append to the transmission timeline (call once per transmission,
-      in processing order). *)
+  (** Append to the transmission timeline: call exactly once per
+      transmitting node, in processing order. *)
 
   val push : t -> time:int -> node:int -> sender:int -> payload:int -> unit
-  (** Schedule an event; [payload] must fit the int together with the
-      caller's own tag bits (it is stored as an immediate). *)
+  (** Schedule an event at [time], which must be one or two units after
+      the current event's time (after time 0 before the first
+      {!advance}).
+      @raise Invalid_argument if [time] is outside that window or
+      [payload] outside [\[0, payload_bound)]. *)
 
-  val heap_empty : t -> bool
+  val advance : t -> bool
+  (** Move to the next pending event, opening the next level when the
+      current one is exhausted; [false] once none remain.  The event's
+      fields are then read with {!time}, {!node}, {!sender} and
+      {!payload} — field-wise access keeps the loop free of tuple
+      allocation. *)
 
-  val min_time : t -> int
-  (** Field reads of the pending minimum event, valid while
-      [not (heap_empty t)]; field-wise access keeps the pop loop free of
-      tuple allocation. *)
-
-  val min_node : t -> int
-  val min_sender : t -> int
-  val min_payload : t -> int
-
-  val drop_min : t -> unit
-  (** Remove the minimum event (after reading its fields). *)
+  val time : t -> int
+  val node : t -> int
+  val sender : t -> int
+  val payload : t -> int
 
   val finish : t -> source:int -> completion:int -> Result.t * (int * int) list
   (** The caller-owned result and timeline, materialized from the

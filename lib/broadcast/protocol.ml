@@ -30,7 +30,7 @@ let make_env ?clustering ?rng ?arena ?down graph =
 (* The live-view entry point: a long-lived environment tracks a mutating
    network.  Swapping the topology (and the clustering derived from it)
    in place keeps the same arena — and so the same generation-tagged
-   scratch, heap storage and flatset pool — serving every broadcast of a
+   scratch, event calendar and flatset pool — serving every broadcast of a
    continuous stream; the arena grows monotonically to the largest
    graph it has seen and is never torn down between events. *)
 let retarget ?graph ?clustering ?rng env =
@@ -90,6 +90,18 @@ let run_decide env ~source ~mode ~initial ~decide =
 let si_decide members ~node ~from:_ ~payload:() =
   if Nodeset.mem node members then Some () else None
 
+(* [si_decide] over a flat membership indicator, one byte per node up to
+   the largest member: built once per prepared protocol, at its first
+   broadcast (a consumer that only reads [members] never pays for it),
+   it turns each reception's AVL descent into one byte read. *)
+let indicator_decide members =
+  let ind =
+    Bytes.make (if Nodeset.is_empty members then 0 else Nodeset.max_elt members + 1) '\000'
+  in
+  Nodeset.iter (fun v -> Bytes.unsafe_set ind v '\001') members;
+  fun ~node ~from:_ ~payload:() ->
+    if node < Bytes.length ind && Bytes.unsafe_get ind node <> '\000' then Some () else None
+
 let si ~name ~description ~build =
   {
     name;
@@ -99,9 +111,12 @@ let si ~name ~description ~build =
     prepare =
       (fun env ->
         let members = build env in
+        let decide = lazy (indicator_decide members) in
         {
           members = Some members;
-          run = (fun ~source ~mode -> run_decide env ~source ~mode ~initial:() ~decide:(si_decide members));
+          run =
+            (fun ~source ~mode ->
+              run_decide env ~source ~mode ~initial:() ~decide:(Lazy.force decide));
         });
   }
 
@@ -139,6 +154,8 @@ let frozen_lossy env ~run ~source ~mode =
        node failures live: the designations are decided cleanly, only
        the data propagation is unreliable. *)
     let frozen, _ = run ~source in
+    (* A forward set lives for one broadcast: an indicator built for it
+       would cost more than the membership tests it saves. *)
     let fwd = frozen.Result.forwarders in
     run_decide env ~source ~mode ~initial:() ~decide:(si_decide fwd)
 

@@ -33,9 +33,10 @@ let pp_pruning fmt = function
    for the N(r) exclusion — is recovered at the receiver from the shared
    coverage cache's rows, keyed by the upstream id and the event's
    sender.  A designation and a data copy from the same clusterhead
-   reach a direct-neighbor gateway under {e equal} event keys; the two
-   handlers commute (gateways are never clusterheads, and both orders
-   transmit once at the same time), satisfying the Scratch contract. *)
+   reach a direct-neighbor gateway under {e equal} event keys; Scratch
+   reads both, in push order, and the two handlers commute anyway
+   (gateways are never clusterheads, and both orders transmit once at
+   the same time). *)
 
 let designate_bit = 1
 
@@ -60,7 +61,7 @@ let run ~pruning ~cache ~arena g cl ~source =
     | Some c -> c
     | None -> invalid_arg "Dynamic_backbone: stale coverage array"
   in
-  Scratch.with_scratch ~arena ~n (fun scr ->
+  Scratch.with_scratch ~arena ~n ~payload_bound:(encode ~upstream:(n - 1) + 2) (fun scr ->
       let pool = Scratch.pool scr in
       let completion = ref 0 in
       let transmit time v ~upstream =
@@ -115,12 +116,11 @@ let run ~pruning ~cache ~arena g cl ~source =
       else transmit 0 source ~upstream:(-1);
       ignore (Scratch.mark_delivered scr source : bool);
       (* Event loop. *)
-      while not (Scratch.heap_empty scr) do
-        let time = Scratch.min_time scr in
-        let receiver = Scratch.min_node scr in
-        let sender = Scratch.min_sender scr in
-        let payload = Scratch.min_payload scr in
-        Scratch.drop_min scr;
+      while Scratch.advance scr do
+        let time = Scratch.time scr in
+        let receiver = Scratch.node scr in
+        let sender = Scratch.sender scr in
+        let payload = Scratch.payload scr in
         if Scratch.mark_delivered scr receiver then completion := time;
         let upstream = (payload lsr 1) - 1 in
         if payload land designate_bit <> 0 then begin

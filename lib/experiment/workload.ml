@@ -121,7 +121,16 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
   in
   let graph = ref (snapshot ()) in
   let bm = Bm.create !graph coverage in
-  let members = ref (Bm.backbone bm).Static.members in
+  (* The SI-CDS rule reads the maintained backbone through a flat
+     per-node indicator, refilled in place after each maintenance
+     update: one byte read per reception, no allocation per update. *)
+  let member = Bytes.make n '\000' in
+  let mark v = Bytes.unsafe_set member v '\001' in
+  let refill_members () =
+    Bytes.fill member 0 n '\000';
+    Nodeset.iter mark (Bm.backbone bm).Static.members
+  in
+  refill_members ();
   let env = Protocol.make_env ~rng:(Rng.split traffic_rng) !graph in
   (* Pre-size once: no broadcast of the stream grows the arena mid-run. *)
   Engine.Arena.reserve env.Protocol.arena ~n;
@@ -163,7 +172,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
     !found
   in
   let decide ~node ~from:_ ~payload:() =
-    if Nodeset.mem node !members then Some () else None
+    if Bytes.unsafe_get member node <> '\000' then Some () else None
   in
   let finished = ref false in
   while not !finished do
@@ -207,7 +216,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
         in
         if not faulted then begin
           let report = Bm.update bm !graph in
-          members := (Bm.backbone bm).Static.members;
+          refill_members ();
           if counted then begin
             incr maintenance_updates;
             maintenance_messages := !maintenance_messages + report.Bm.total_messages

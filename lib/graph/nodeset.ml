@@ -38,19 +38,37 @@ let of_increasing a ~len =
   done;
   of_repr (build a 0 len)
 
+(* In-order twin of [build]: the same shape, its elements drawn by
+   [take] from a cursor scanning [0, n) for [p], so no element buffer is
+   needed. *)
+let rec take p n cur =
+  let v = !cur in
+  if v >= n then invalid_arg "Nodeset.of_predicate: fewer than card elements";
+  cur := v + 1;
+  if p v then v else take p n cur
+
+let rec build_by p n cur s =
+  if s = 0 then Empty
+  else
+    let half = s lsr 1 in
+    let l = build_by p n cur half in
+    let v = take p n cur in
+    let r = build_by p n cur (s - half - 1) in
+    Node { l; v; r; h = height_of_size s }
+
+let of_predicate ~n ~card p =
+  if card < 0 then invalid_arg "Nodeset.of_predicate: card must be non-negative";
+  let cur = ref 0 in
+  let t = build_by p n cur card in
+  for v = !cur to n - 1 do
+    if p v then invalid_arg "Nodeset.of_predicate: more than card elements"
+  done;
+  of_repr t
+
 let of_indicator a =
   let c = ref 0 in
   Array.iter (fun v -> if v then incr c) a;
-  let buf = Array.make (max !c 1) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v then begin
-        buf.(!k) <- i;
-        incr k
-      end)
-    a;
-  of_repr (build buf 0 !c)
+  of_predicate ~n:(Array.length a) ~card:!c (Array.unsafe_get a)
 
 let to_indicator ~n s =
   let a = Array.make n false in

@@ -395,6 +395,171 @@ let test_arena_reentrant () =
   List.iter (Alcotest.check result_t "nested run correct" reference) !nested_results;
   Alcotest.(check bool) "nesting actually happened" true (!nested_results <> [])
 
+(* Processing order.  The engine must hand out receptions in (time,
+   receiver, sender) order, offer each copy exactly once to a node that
+   has not transmitted yet, and consult [drop] once per reception; the
+   graphs go up to n = 1000, so the level sort needs several digit
+   passes.  [decide] declines pseudo-randomly, so nodes often accept a
+   later copy than their first. *)
+
+let order_cases =
+  [ (1, 20, 4.); (2, 60, 8.); (3, 200, 12.); (4, 500, 10.); (5, 1000, 15.); (6, 1000, 30.) ]
+
+let declines ~node ~from = ((node * 7919) + (from * 104729)) mod 3 = 0
+
+(* One broadcast with every offer and every [drop] call recorded: the
+   offers as (node, from, accepted) in order, the drop count, the
+   timeline. *)
+let recorded_run ?drop_every g ~source =
+  let offers = ref [] and drops = ref 0 in
+  let drop () =
+    incr drops;
+    match drop_every with Some k -> !drops mod k = 0 | None -> false
+  in
+  let decide ~node ~from ~payload:() =
+    let accept = not (declines ~node ~from) in
+    offers := (node, from, accept) :: !offers;
+    if accept then Some () else None
+  in
+  let _, timeline = Engine.run_core ~drop g ~source ~initial:() ~decide in
+  (List.rev !offers, !drops, timeline)
+
+let transmit_times g timeline =
+  let t = Array.make (Graph.n g) (-1) in
+  List.iter (fun (time, v) -> t.(v) <- time) timeline;
+  t
+
+let test_order_offers () =
+  List.iter
+    (fun (seed, n, d) ->
+      let g = (udg ~seed ~n ~d).graph in
+      let source = seed * 37 mod n in
+      let offers, _, timeline = recorded_run g ~source in
+      let tx = transmit_times g timeline in
+      let keyed = List.map (fun (node, from, _) -> (tx.(from) + 1, node, from)) offers in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && increasing rest
+        | [ _ ] | [] -> true
+      in
+      Alcotest.(check bool) (Printf.sprintf "n=%d: offers strictly increasing" n) true
+        (increasing keyed);
+      (* The copy from [v] reaches neighbour [u] at tx(v) + 1; it is
+         offered iff [u] has not transmitted before it, i.e. [u] never
+         transmits or transmits on this copy or a later one. *)
+      let accepted = Array.make n (-1, -1) in
+      List.iter
+        (fun (node, from, ok) -> if ok then accepted.(node) <- (tx.(from) + 1, from))
+        offers;
+      let expected = ref [] in
+      List.iter
+        (fun (time, v) ->
+          Graph.iter_neighbors g v (fun u ->
+              if u <> source && (tx.(u) < 0 || compare accepted.(u) (time + 1, v) >= 0) then
+                expected := (time + 1, u, v) :: !expected))
+        timeline;
+      Alcotest.(check (list (triple int int int)))
+        (Printf.sprintf "n=%d: each pending copy offered once" n)
+        (List.sort compare !expected) keyed)
+    order_cases
+
+let test_order_drops () =
+  List.iter
+    (fun (seed, n, d) ->
+      let g = (udg ~seed ~n ~d).graph in
+      List.iter
+        (fun drop_every ->
+          let _, drops, timeline = recorded_run ?drop_every g ~source:0 in
+          let receptions = List.fold_left (fun acc (_, v) -> acc + Graph.degree g v) 0 timeline in
+          Alcotest.(check int) (Printf.sprintf "n=%d: one drop per reception" n) receptions drops)
+        [ None; Some 4 ])
+    order_cases
+
+module Scratch = Engine.Scratch
+
+(* Random schedules through Scratch: events come back in (time, node,
+   sender) order, ties in push order, each exactly once. *)
+let test_scratch_order () =
+  List.iter
+    (fun (seed, n) ->
+      let rng = Manet_rng.Rng.create ~seed in
+      let budget = 4 * n in
+      let pushed = ref [] and seen = ref [] and count = ref 0 in
+      let push scr ~time =
+        if !count < budget then begin
+          let node = Manet_rng.Rng.int rng n and sender = Manet_rng.Rng.int rng n in
+          (* Repeated (node, sender) pairs give equal sort keys, and a hub
+             receiving most events makes one digit dominate a level
+             without filling it. *)
+          let node, sender =
+            match !count mod 5 with 0 -> (0, 0) | 1 | 2 | 3 -> (n - 1, sender) | _ -> (node, sender)
+          in
+          Scratch.push scr ~time ~node ~sender ~payload:!count;
+          pushed := (time, node, sender, !count) :: !pushed;
+          incr count
+        end
+      in
+      Scratch.with_scratch ~arena:(Engine.Arena.create ()) ~n ~payload_bound:budget (fun scr ->
+          for _ = 1 to 40 do
+            push scr ~time:(1 + Manet_rng.Rng.int rng 2)
+          done;
+          while Scratch.advance scr do
+            let time = Scratch.time scr in
+            seen := (time, Scratch.node scr, Scratch.sender scr, Scratch.payload scr) :: !seen;
+            for _ = 1 to Manet_rng.Rng.int rng 3 do
+              push scr ~time:(time + 1 + Manet_rng.Rng.int rng 2)
+            done
+          done);
+      Alcotest.(check (list (pair (triple int int int) int)))
+        (Printf.sprintf "n=%d: sorted, ties in push order" n)
+        (List.map (fun (t, v, s, p) -> ((t, v, s), p)) (List.sort compare !pushed))
+        (List.rev_map (fun (t, v, s, p) -> ((t, v, s), p)) !seen))
+    [ (11, 10); (12, 200); (13, 1000); (14, 5000) ]
+
+let test_scratch_window () =
+  Scratch.with_scratch ~n:10 ~payload_bound:4 (fun scr ->
+      let bad time () = Scratch.push scr ~time ~node:1 ~sender:0 ~payload:0 in
+      let rejects label times =
+        List.iter
+          (fun time ->
+            Alcotest.check_raises (Printf.sprintf "t=%d %s" time label)
+              (Invalid_argument "Engine.Scratch.push: time must be now + 1 or now + 2")
+              (bad time))
+          times
+      in
+      rejects "at 0" [ 0; 3; -1 ];
+      Alcotest.check_raises "payload"
+        (Invalid_argument "Engine.Scratch.push: payload out of range") (fun () ->
+          Scratch.push scr ~time:1 ~node:1 ~sender:0 ~payload:4);
+      bad 1 ();
+      Alcotest.(check bool) "advance" true (Scratch.advance scr);
+      Alcotest.(check int) "time" 1 (Scratch.time scr);
+      rejects "at 1" [ 1; 4 ];
+      bad 3 ();
+      Alcotest.(check bool) "advance" true (Scratch.advance scr);
+      Alcotest.(check int) "skips the empty level" 3 (Scratch.time scr);
+      Alcotest.(check bool) "drained" false (Scratch.advance scr))
+
+(* A designation and a data copy from the same sender can reach the
+   same node at the same time under equal keys: both are read, in push
+   order — whether both were pushed one unit ahead, or the designation
+   two units ahead (the side buffer) and the copy one unit ahead a level
+   later. *)
+let test_scratch_equal_keys () =
+  Scratch.with_scratch ~n:8 ~payload_bound:4 (fun scr ->
+      Scratch.push scr ~time:1 ~node:4 ~sender:3 ~payload:1;
+      Scratch.push scr ~time:1 ~node:4 ~sender:3 ~payload:0;
+      Scratch.push scr ~time:2 ~node:5 ~sender:3 ~payload:1;
+      let read = ref [] in
+      while Scratch.advance scr do
+        let time = Scratch.time scr in
+        if time = 1 && !read = [] then Scratch.push scr ~time:2 ~node:5 ~sender:3 ~payload:2;
+        read := ((time, Scratch.node scr), (Scratch.sender scr, Scratch.payload scr)) :: !read
+      done;
+      Alcotest.(check (list (pair (pair int int) (pair int int))))
+        "all handled, in push order"
+        [ ((1, 4), (3, 1)); ((1, 4), (3, 0)); ((2, 5), (3, 1)); ((2, 5), (3, 2)) ]
+        (List.rev !read))
+
 let () =
   Alcotest.run "broadcast"
     [
@@ -410,6 +575,14 @@ let () =
           Alcotest.test_case "single node" `Quick test_single_node_graph;
           Alcotest.test_case "arena reuse across sizes" `Quick test_arena_across_sizes;
           Alcotest.test_case "arena reentrancy" `Quick test_arena_reentrant;
+        ] );
+      ( "order",
+        [
+          Alcotest.test_case "offers in order, once each" `Quick test_order_offers;
+          Alcotest.test_case "one drop per reception" `Quick test_order_drops;
+          Alcotest.test_case "scratch: random schedules" `Quick test_scratch_order;
+          Alcotest.test_case "scratch: push window" `Quick test_scratch_window;
+          Alcotest.test_case "scratch: equal keys" `Quick test_scratch_equal_keys;
         ] );
       ( "lossy",
         [

@@ -620,6 +620,27 @@ let test_nodeset_of_increasing () =
     (Invalid_argument "Nodeset.of_increasing: len out of range") (fun () ->
       ignore (Nodeset.of_increasing [| 1 |] ~len:2))
 
+let test_nodeset_of_predicate () =
+  (* The in-order build must produce the very tree [of_increasing]
+     builds (structural equality compares shapes and heights), for every
+     size and any spacing of the elements. *)
+  for len = 0 to 64 do
+    let a = Array.init len (fun i -> (3 * i) + 1) in
+    let n = (3 * len) + 1 in
+    let built = Nodeset.of_predicate ~n ~card:len (fun v -> v mod 3 = 1) in
+    Alcotest.(check bool) (Printf.sprintf "len %d: same tree" len) true
+      (built = Nodeset.of_increasing a ~len)
+  done;
+  Alcotest.check nodeset "dense" (Nodeset.range 5)
+    (Nodeset.of_predicate ~n:5 ~card:5 (fun _ -> true));
+  let raises name msg card =
+    Alcotest.check_raises name (Invalid_argument ("Nodeset.of_predicate: " ^ msg)) (fun () ->
+        ignore (Nodeset.of_predicate ~n:10 ~card (fun v -> v mod 2 = 0)))
+  in
+  raises "card too large" "fewer than card elements" 6;
+  raises "card too small" "more than card elements" 4;
+  raises "negative card" "card must be non-negative" (-1)
+
 let () =
   Alcotest.run "graph"
     [
@@ -638,6 +659,7 @@ let () =
           Alcotest.test_case "structural equality" `Quick test_equal;
           Alcotest.test_case "nodeset helpers" `Quick test_nodeset_helpers;
           Alcotest.test_case "nodeset of_increasing" `Quick test_nodeset_of_increasing;
+          Alcotest.test_case "nodeset of_predicate" `Quick test_nodeset_of_predicate;
         ] );
       ( "bfs",
         [
