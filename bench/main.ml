@@ -106,8 +106,8 @@ let ext_mobility () =
 
 (* BENCH_timing.json holds the top-level keys of three experiments:
    the Bechamel table ([timing]: n, avg_degree, results), the
-   allocation tables ([alloc]: per_broadcast, per_build) and the serving
-   throughput ([traffic]).  Each experiment replaces only its own keys
+   allocation tables ([alloc]: per_broadcast, per_build, per_update)
+   and the serving throughput ([traffic]).  Each experiment replaces only its own keys
    in the file on disk and keeps every other key, so `--json . alloc`
    leaves the Bechamel results and the traffic section in place. *)
 let merge_timing_json fields =
@@ -256,6 +256,39 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
   let words = (Gc.minor_words () -. w0) /. float_of_int reps in
   (1e6 *. dt /. float_of_int reps, words)
 
+(* One incremental maintenance update of the same n = 1000, d = 12
+   placement, over random-waypoint steps (speed 0-2, dt 1): the per-step
+   cost of keeping the static backbone alive.  The snapshots are built
+   before the timed loop, so the row measures [Backbone_maintenance.update]
+   alone.  The seed pair was measured with this loop when every
+   refreshed head rebuilt its CH_HOP rows through [Coverage.of_head] and
+   the state lived in hashtables; the ceiling sits well under half the
+   seed, so a return to per-head row rebuilding crosses it. *)
+let maint_steps = 40
+let maint_ceiling_words = 200_000.
+let maint_seed_us = 8347.
+let maint_seed_words = 543_562.
+
+let alloc_maint (sample : Manet_topology.Generator.sample) spec =
+  let module Bm = Manet_backbone.Backbone_maintenance in
+  let mob =
+    Manet_topology.Mobility.create ~model:Manet_topology.Mobility.Random_waypoint ~speed_min:0.
+      ~speed_max:2. ~rng:(Manet_rng.Rng.create ~seed:1006) ~spec
+      sample.Manet_topology.Generator.points
+  in
+  let snapshots =
+    Array.init maint_steps (fun _ ->
+        Manet_topology.Mobility.step mob ~dt:1.;
+        Manet_topology.Mobility.graph mob ~radius:sample.Manet_topology.Generator.radius)
+  in
+  let bm = Bm.create sample.Manet_topology.Generator.graph Coverage.Hop25 in
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  Array.iter (fun g -> ignore (Bm.update bm g)) snapshots;
+  let dt = Sys.time () -. t0 in
+  let words = (Gc.minor_words () -. w0) /. float_of_int maint_steps in
+  (1e6 *. dt /. float_of_int maint_steps, words)
+
 let alloc () =
   section "Allocation: per-broadcast cost on the uniform pipeline (n = 1000, d = 12)";
   let n = 1000 in
@@ -303,6 +336,14 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" build_us build_seed_us
     build_words build_seed_words build_ceiling_words
     (if build_over then "  EXCEEDED" else "");
+  let maint_us, maint_words = alloc_maint sample spec in
+  let maint_over = maint_words > maint_ceiling_words in
+  if maint_over then failures := "maintenance update" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "maintenance update" "n=1000"
+    "us/update" "seed us" "words/update" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" maint_us maint_seed_us
+    maint_words maint_seed_words maint_ceiling_words
+    (if maint_over then "  EXCEEDED" else "");
   merge_timing_json
     [
       ( "per_broadcast",
@@ -343,6 +384,21 @@ let alloc () =
             ("seed_minor_words_per_build", num build_seed_words);
             ("speedup", num (build_seed_us /. build_us));
             ("alloc_reduction", num (build_seed_words /. build_words));
+          ] );
+      ( "per_update",
+        Json.Obj
+          [
+            ("name", Json.Str "backbone-maintenance-update");
+            ("n", int 1000);
+            ("avg_degree", int 12);
+            ("steps", int maint_steps);
+            ("us_per_update", num maint_us);
+            ("minor_words_per_update", num maint_words);
+            ("ceiling_words", num maint_ceiling_words);
+            ("seed_us_per_update", num maint_seed_us);
+            ("seed_minor_words_per_update", num maint_seed_words);
+            ("speedup", num (maint_seed_us /. maint_us));
+            ("alloc_reduction", num (maint_seed_words /. maint_words));
           ] );
     ];
   if !failures <> [] then begin

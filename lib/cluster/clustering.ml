@@ -13,9 +13,11 @@ let of_head_array g head_of =
       if v <> h && not (Graph.mem_edge g v h) then
         invalid_arg "Clustering.of_head_array: member not adjacent to its head")
     head_of;
-  let heads =
-    Array.to_list head_of |> List.filteri (fun v h -> v = h) |> List.sort_uniq Int.compare
-  in
+  let heads = ref [] in
+  for v = n - 1 downto 0 do
+    if head_of.(v) = v then heads := v :: !heads
+  done;
+  let heads = !heads in
   let ok_independent =
     List.for_all
       (fun h -> not (Graph.fold_neighbors g h (fun acc u -> acc || head_of.(u) = u) false))

@@ -1,16 +1,28 @@
 module Graph = Manet_graph.Graph
 
-type t = { mutable graph : Graph.t; head : int array }
+(* [memo] is the clustering of the current [head], built on first request
+   and dropped by the next update. *)
+type t = { mutable graph : Graph.t; head : int array; mutable memo : Clustering.t option }
 
 type events = { reaffiliations : int; new_heads : int; deposed_heads : int; messages : int }
 
-let create g = { graph = g; head = Lowest_id.head_array g }
+let create g =
+  { graph = g; head = Lowest_id.head_array g; memo = None }
 
-let clustering t = Clustering.of_head_array t.graph (Array.copy t.head)
+(* [of_head_array] validates and copies [head], so the memo is immune to
+   later in-place updates. *)
+let clustering t =
+  match t.memo with
+  | Some cl -> cl
+  | None ->
+    let cl = Clustering.of_head_array t.graph t.head in
+    t.memo <- Some cl;
+    cl
 
 let update t g =
   let n = Graph.n g in
   if Array.length t.head <> n then invalid_arg "Maintenance.update: node count changed";
+  t.memo <- None;
   let old = Array.copy t.head in
   let head = t.head in
   let is_head v = head.(v) = v in

@@ -35,7 +35,9 @@ val update : t -> Manet_graph.Graph.t -> events
 
 val clustering : t -> Clustering.t
 (** The current cluster structure (always satisfies the cluster
-    invariants for the last updated topology). *)
+    invariants for the last updated topology).  Built and validated once
+    per {!update}: repeated calls return the same value until the next
+    update. *)
 
 val head_churn : events -> int
 (** [new_heads + deposed_heads] — the backbone-relevant churn: each event

@@ -1,17 +1,28 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
-module Bfs = Manet_graph.Bfs
 module Clustering = Manet_cluster.Clustering
 module Maintenance = Manet_cluster.Maintenance
 module Coverage = Manet_coverage.Coverage
 
+(* Coverages and selections are node-indexed and allocated once: an
+   update overwrites the refreshed heads' slots in place, clears the
+   deposed heads' slots and leaves every other slot (physically)
+   untouched.  The per-update working arrays — the affected list, the
+   two BFS distance maps, the BFS queue — are reused across updates;
+   [head_of] is a fresh snapshot per update. *)
 type t = {
   mode : Coverage.mode;
   maint : Maintenance.t;
   mutable graph : Graph.t;
-  mutable head_of : int array;  (** snapshot for role-diffing *)
-  coverages : (int, Coverage.t) Hashtbl.t;  (** cached per current head *)
-  selections : (int, Nodeset.t) Hashtbl.t;
+  mutable head_of : int array;  (** head of every node at the last update, for role-diffing *)
+  coverages : Coverage.t option array;  (** [Some] exactly at the current heads *)
+  selections : int array array;  (** sorted gateways per current head, [[||]] elsewhere *)
+  affected : int array;
+  dist_old : int array;
+  dist_new : int array;
+  queue : int array;
+  mark : int array;  (** [mark.(v) = stamp]: [v] already seen by the current scan *)
+  mutable stamp : int;
 }
 
 type report = {
@@ -22,18 +33,28 @@ type report = {
   total_messages : int;
 }
 
-let refresh_head t g cl h =
-  let cov = Coverage.of_head g cl t.mode h in
-  let sel = Gateway_selection.select cov in
-  Hashtbl.replace t.coverages h cov;
-  Hashtbl.replace t.selections h sel;
-  (* one GATEWAY message by the head, forwarded by each selected 1-hop
-     gateway (TTL 2) *)
-  1 + Graph.fold_neighbors g h (fun acc u -> if Nodeset.mem u sel then acc + 1 else acc) 0
-
-let head_of_array cl n = Array.init n (fun v -> Clustering.head_of cl v)
+(* Recompute head [h]'s coverage and selection from the shared CH_HOP
+   cache; returns the GATEWAY messages it costs: one by the head,
+   forwarded by each selected 1-hop gateway (TTL 2). *)
+let refresh_head t g cache h =
+  let cov = Coverage.Cache.coverage cache h in
+  let sel = Gateway_selection.select_array cov in
+  t.coverages.(h) <- Some cov;
+  t.selections.(h) <- sel;
+  t.stamp <- t.stamp + 1;
+  let s = t.stamp in
+  for i = 0 to Array.length sel - 1 do
+    t.mark.(sel.(i)) <- s
+  done;
+  let off, nbr = Graph.csr g in
+  let msgs = ref 1 in
+  for i = off.(h) to off.(h + 1) - 1 do
+    if t.mark.(nbr.(i)) = s then incr msgs
+  done;
+  !msgs
 
 let create g mode =
+  let n = Graph.n g in
   let maint = Maintenance.create g in
   let cl = Maintenance.clustering maint in
   let t =
@@ -41,34 +62,46 @@ let create g mode =
       mode;
       maint;
       graph = g;
-      head_of = head_of_array cl (Graph.n g);
-      coverages = Hashtbl.create 32;
-      selections = Hashtbl.create 32;
+      head_of = Array.init n (Clustering.head_of cl);
+      coverages = Array.make n None;
+      selections = Array.make n [||];
+      affected = Array.make n 0;
+      dist_old = Array.make n max_int;
+      dist_new = Array.make n max_int;
+      queue = Array.make n 0;
+      mark = Array.make n 0;
+      stamp = 0;
     }
   in
-  List.iter (fun h -> ignore (refresh_head t g cl h)) (Clustering.heads cl);
+  let cache = Coverage.Cache.create g cl mode in
+  List.iter (fun h -> ignore (refresh_head t g cache h)) (Clustering.heads cl);
   t
 
-(* Nodes within [limit] hops of any seed, via multi-source BFS. *)
-let ball g seeds ~limit =
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let q = Queue.create () in
-  Nodeset.iter
-    (fun v ->
-      dist.(v) <- 0;
-      Queue.add v q)
-    seeds;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    if dist.(u) < limit then
-      Graph.iter_neighbors g u (fun v ->
-          if dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            Queue.add v q
-          end)
+(* Hop distance from the first [seeds] affected nodes, up to [limit]
+   ([max_int] beyond), via multi-source BFS into [dist]. *)
+let ball t g dist ~seeds ~limit =
+  Array.fill dist 0 (Array.length dist) max_int;
+  let q = t.queue in
+  for i = 0 to seeds - 1 do
+    dist.(t.affected.(i)) <- 0;
+    q.(i) <- t.affected.(i)
   done;
-  dist
+  let off, nbr = Graph.csr g in
+  let head = ref 0 and tail = ref seeds in
+  while !head < !tail do
+    let u = q.(!head) in
+    incr head;
+    let du = dist.(u) in
+    if du < limit then
+      for i = off.(u) to off.(u + 1) - 1 do
+        let v = nbr.(i) in
+        if dist.(v) = max_int then begin
+          dist.(v) <- du + 1;
+          q.(!tail) <- v;
+          incr tail
+        end
+      done
+  done
 
 let update t g =
   let n = Graph.n g in
@@ -77,10 +110,9 @@ let update t g =
   let old_head_of = t.head_of in
   let cluster_events = Maintenance.update t.maint g in
   let cl = Maintenance.clustering t.maint in
-  let new_head_of = head_of_array cl n in
+  let new_head_of = Array.init n (Clustering.head_of cl) in
   (* Affected nodes: adjacency changed or cluster role changed.  Rows are
      compared in place on the CSR arrays — no per-node copies. *)
-  let affected = ref Nodeset.empty in
   let ooff, onbr = Graph.csr old_graph and noff, nnbr = Graph.csr g in
   let same_row v =
     let lo = ooff.(v) and ln = noff.(v) in
@@ -93,12 +125,16 @@ let update t g =
     done;
     !i = d
   in
+  let seeds = ref 0 in
   for v = 0 to n - 1 do
-    if (not (same_row v)) || old_head_of.(v) <> new_head_of.(v) then
-      affected := Nodeset.add v !affected
+    if (not (same_row v)) || old_head_of.(v) <> new_head_of.(v) then begin
+      t.affected.(!seeds) <- v;
+      incr seeds
+    end
   done;
+  let seeds = !seeds in
   let report =
-    if Nodeset.is_empty !affected then
+    if seeds = 0 then
       {
         cluster_events;
         refreshed_heads = 0;
@@ -107,35 +143,35 @@ let update t g =
         total_messages = cluster_events.messages;
       }
     else begin
-      let dist_old = ball old_graph !affected ~limit:3 in
-      let dist_new = ball g !affected ~limit:3 in
+      ball t old_graph t.dist_old ~seeds ~limit:3;
+      ball t g t.dist_new ~seeds ~limit:3;
+      (* Deposed heads drop out (a role change makes them affected). *)
+      for i = 0 to seeds - 1 do
+        let v = t.affected.(i) in
+        if old_head_of.(v) = v && new_head_of.(v) <> v then begin
+          t.coverages.(v) <- None;
+          t.selections.(v) <- [||]
+        end
+      done;
       (* Heads keeping an identical, untouched 3-hop ball keep their
-         cached coverage; everyone else refreshes. *)
-      let needs_refresh h = dist_old.(h) <= 3 || dist_new.(h) <= 3 in
-      let old_selections = Hashtbl.copy t.selections in
-      let old_coverages = Hashtbl.copy t.coverages in
-      (* Rebuild the caches over the current head set: deposed heads drop
-         out, untouched heads keep their exact old coverage/selection. *)
-      Hashtbl.reset t.selections;
-      Hashtbl.reset t.coverages;
+         coverage and selection; everyone else — new heads included —
+         refreshes from one CH_HOP cache over the new topology, built on
+         the first refresh. *)
+      let cache = lazy (Coverage.Cache.create g cl t.mode) in
       let refreshed = ref 0 in
       let gateway_messages = ref 0 in
       List.iter
         (fun h ->
-          if needs_refresh h || not (Hashtbl.mem old_selections h) then begin
+          if t.dist_old.(h) <= 3 || t.dist_new.(h) <= 3 || Option.is_none t.coverages.(h) then begin
             incr refreshed;
-            gateway_messages := !gateway_messages + refresh_head t g cl h
-          end
-          else begin
-            Hashtbl.replace t.selections h (Hashtbl.find old_selections h);
-            Hashtbl.replace t.coverages h (Hashtbl.find old_coverages h)
+            gateway_messages := !gateway_messages + refresh_head t g (Lazy.force cache) h
           end)
         (Clustering.heads cl);
       (* CH_HOP refresh: non-heads within 2 hops of a change re-announce
          their CH_HOP1 and CH_HOP2. *)
       let ch_hop = ref 0 in
       for v = 0 to n - 1 do
-        if (not (Clustering.is_head cl v)) && dist_new.(v) <= 2 then ch_hop := !ch_hop + 2
+        if (not (Clustering.is_head cl v)) && t.dist_new.(v) <= 2 then ch_hop := !ch_hop + 2
       done;
       {
         cluster_events;
@@ -152,17 +188,34 @@ let update t g =
 
 let clustering t = Maintenance.clustering t.maint
 
+(* Heads first, then each head's gateways; a gateway selected by several
+   heads is reported once, through the stamp. *)
+let iter_members t f =
+  t.stamp <- t.stamp + 1;
+  let s = t.stamp in
+  List.iter
+    (fun h ->
+      f h;
+      let sel = t.selections.(h) in
+      for i = 0 to Array.length sel - 1 do
+        let v = sel.(i) in
+        if t.mark.(v) <> s then begin
+          t.mark.(v) <- s;
+          f v
+        end
+      done)
+    (Clustering.heads (clustering t))
+
 let backbone t =
-  let cl = Maintenance.clustering t.maint in
-  let n = Graph.n t.graph in
-  let coverages = Array.make n None in
-  Hashtbl.iter (fun h cov -> coverages.(h) <- Some cov) t.coverages;
-  let gateways = Hashtbl.fold (fun _ sel acc -> Nodeset.union acc sel) t.selections Nodeset.empty in
+  let cl = clustering t in
+  let ind = Array.make (Graph.n t.graph) false in
+  Array.iter (Array.iter (fun v -> ind.(v) <- true)) t.selections;
+  let gateways = Nodeset.of_indicator ind in
   {
     Static_backbone.graph = t.graph;
     clustering = cl;
     mode = t.mode;
-    coverages;
+    coverages = Array.copy t.coverages;
     gateways;
     members = Nodeset.union (Clustering.head_set cl) gateways;
   }

@@ -18,7 +18,20 @@
     - CH_HOP refresh: two transmissions per non-clusterhead within two
       hops of a change (their CH_HOP1/CH_HOP2 must be re-announced);
     - GATEWAY refresh: per refreshed head, one GATEWAY message plus one
-      forward by each selected 1-hop gateway. *)
+      forward by each selected 1-hop gateway.
+
+    Computational cost per update: the clustering repair and one O(n+m)
+    diff of the old and new adjacency find the affected nodes; two
+    bounded BFS balls around them pick the heads to refresh.  If any
+    head refreshes, one {!Manet_coverage.Coverage.Cache} is built over
+    the new topology and maintained clustering (hop-1 rows plus the flat
+    hop-2 rows, O(sum deg²)), and every refreshed head reads its coverage
+    set from it ({!Manet_coverage.Coverage.Cache.coverage}) and selects
+    its gateways on the selection's reusable scratch.  Coverages and
+    selections live in node-indexed arrays allocated once by {!create};
+    beyond the cache and a few O(n) head arrays (the maintained
+    clustering and the role-diff snapshot), an update allocates only the
+    refreshed heads' new coverage sets and selections. *)
 
 type t
 
@@ -42,6 +55,13 @@ val clustering : t -> Manet_cluster.Clustering.t
 (** The currently maintained clustering — what a live broadcast
     environment retargets onto without paying for a full {!backbone}
     materialization. *)
+
+val iter_members : t -> (int -> unit) -> unit
+(** [iter_members t f] applies [f] to every member of the maintained
+    backbone (the current heads and their selected gateways) exactly
+    once, in unspecified order, without materializing {!backbone} —
+    the serving loop's way to refill its per-node member indicator after
+    each update. *)
 
 val backbone : t -> Static_backbone.t
 (** The currently maintained backbone (equal to

@@ -352,6 +352,11 @@ let select ?targets (cov : Coverage.t) =
   let k = run_select scr cov ~live in
   Nodeset.of_increasing scr.out ~len:k
 
+let select_array (cov : Coverage.t) =
+  let scr = Domain.DLS.get dls in
+  let k = run_select scr cov ~live:(fun _ -> true) in
+  Array.sub scr.out 0 k
+
 let select_flat ?targets ~pool (cov : Coverage.t) =
   let scr = Domain.DLS.get dls in
   let live = match targets with None -> fun _ -> true | Some f -> f in

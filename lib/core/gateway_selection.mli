@@ -28,6 +28,12 @@ val select :
     set — equivalent to [~targets:(Coverage.covered cov)] without
     materialising the set. *)
 
+val select_array : Manet_coverage.Coverage.t -> int array
+(** [select_array cov] is [select cov] (the whole coverage set as
+    targets) as a fresh strictly increasing array, built on the same
+    domain-local scratch as {!select_flat}: nothing is allocated beyond
+    the result. *)
+
 val select_flat :
   ?targets:(int -> bool) ->
   pool:Manet_graph.Flatset.pool ->

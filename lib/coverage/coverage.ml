@@ -1,5 +1,6 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
+module Flatset = Manet_graph.Flatset
 module Clustering = Manet_cluster.Clustering
 
 type mode = Hop25 | Hop3
@@ -39,20 +40,21 @@ let hop1_row g cl v =
     out
   end
 
-(* CH_HOP2 content of non-clusterhead [v] as a sorted array, deduplicated
-   through a shared stamp array ([stamp.(c) = v] marks clusterhead [c] as
-   already recorded for this [v]).  Scanning neighbors in increasing id
-   keeps, per clusterhead, the entry with the smallest via node — the
-   first CH_HOP1 the protocol hears. *)
 (* Bits needed for a node id of a graph with [n] nodes: the packed-row
    encoding places the clusterhead above the via node. *)
 let row_shift n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in
   go 1
 
-(* The row stays packed; consumers decode with [unpack_row].  [gen] is
-   bumped per call so the shared stamp array resets in O(1) and repeated
-   calls for the same node stay correct. *)
+(* CH_HOP2 content of non-clusterhead [v] as a sorted array, deduplicated
+   through a shared stamp array ([stamp.(c) = tick] marks clusterhead [c]
+   as already recorded for this call).  Scanning neighbors in increasing
+   id keeps, per clusterhead, the entry with the smallest via node — the
+   first CH_HOP1 the protocol hears.  This is the per-row path behind
+   {!ch_hop2} and {!of_head}; the cache builds every row at once in
+   [flat_rows].  The row stays packed; consumers decode with
+   [unpack_row].  [gen] is bumped per call so the shared stamp array
+   resets in O(1) and repeated calls for the same node stay correct. *)
 let hop2_row g cl mode ~hop1 ~stamp ~gen ~buf v =
   incr gen;
   let tick = !gen in
@@ -138,14 +140,20 @@ let make_scratch n =
     enext = Array.make 256 0;
   }
 
-(* Coverage set of clusterhead [u] from CH_HOP row lookups.  Because the
-   outer scan visits the connectors [v] in increasing id and each CH_HOP
-   row names a clusterhead at most once, the per-clusterhead connector
-   arrays come out already sorted — only the key lists need sorting.
-   Connector entries are prepended to a per-key chain in the shared
-   buffer during the single row scan; emitting each chain back-to-front
-   restores ascending order in exact-sized arrays. *)
-let of_head_from g ~hop1 ~hop2 ~scratch cl mode u =
+(* CH_HOP2 rows laid out flat: node [v]'s row is
+   [buf.(off.(v)) .. buf.(off.(v + 1) - 1)], packed as [c lsl shift lor w]
+   and strictly increasing; nodes without a row have an empty range. *)
+type rows = { off : int array; buf : int array }
+
+(* Coverage set of clusterhead [u] from CH_HOP row lookups ([hop1] is
+   indexed by node and read only at [u]'s neighbors, as are the [rows]).
+   Because the outer scan visits the connectors [v] in increasing id and
+   each CH_HOP row names a clusterhead at most once, the per-clusterhead
+   connector arrays come out already sorted — only the key lists need
+   sorting.  Connector entries are prepended to a per-key chain in the
+   shared buffer during the single row scan; emitting each chain
+   back-to-front restores ascending order in exact-sized arrays. *)
+let of_head_from g ~hop1 ~rows ~scratch cl mode u =
   if not (Clustering.is_head cl u) then invalid_arg "Coverage.of_head: not a clusterhead";
   let { tag2; tag3; slot; keys; cnt; chain; _ } = scratch in
   let n_entries = ref 0 in
@@ -169,22 +177,23 @@ let of_head_from g ~hop1 ~hop2 ~scratch cl mode u =
   let k2 = ref 0 in
   for i = goff.(u) to goff.(u + 1) - 1 do
     let v = Array.unsafe_get gnbr i in
-    Array.iter
-      (fun c ->
-        if c <> u then begin
-          if tag2.(c) <> u then begin
-            tag2.(c) <- u;
-            slot.(c) <- !k2;
-            keys.(!k2) <- c;
-            cnt.(!k2) <- 0;
-            chain.(!k2) <- -1;
-            incr k2
-          end;
-          let s = slot.(c) in
-          cnt.(s) <- cnt.(s) + 1;
-          push_entry v s
-        end)
-      (hop1 v)
+    let r = hop1.(v) in
+    for j = 0 to Array.length r - 1 do
+      let c = Array.unsafe_get r j in
+      if c <> u then begin
+        if tag2.(c) <> u then begin
+          tag2.(c) <- u;
+          slot.(c) <- !k2;
+          keys.(!k2) <- c;
+          cnt.(!k2) <- 0;
+          chain.(!k2) <- -1;
+          incr k2
+        end;
+        let s = slot.(c) in
+        cnt.(s) <- cnt.(s) + 1;
+        push_entry v s
+      end
+    done
   done;
   let sorted2 = Array.sub keys 0 !k2 in
   Array.sort Int.compare sorted2;
@@ -208,27 +217,28 @@ let of_head_from g ~hop1 ~hop2 ~scratch cl mode u =
      disjoint from C2 keys.  Entries repack as [v lsl shift lor w]. *)
   let shift = row_shift (Graph.n g) in
   let mask = (1 lsl shift) - 1 in
+  let { off; buf } = rows in
   n_entries := 0;
   let k3 = ref 0 in
   for i = goff.(u) to goff.(u + 1) - 1 do
     let v = Array.unsafe_get gnbr i in
-    Array.iter
-      (fun x ->
-        let c = x lsr shift in
-        if c <> u && tag2.(c) <> u then begin
-          if tag3.(c) <> u then begin
-            tag3.(c) <- u;
-            slot.(c) <- !k3;
-            keys.(!k3) <- c;
-            cnt.(!k3) <- 0;
-            chain.(!k3) <- -1;
-            incr k3
-          end;
-          let s = slot.(c) in
-          cnt.(s) <- cnt.(s) + 1;
-          push_entry ((v lsl shift) lor (x land mask)) s
-        end)
-      (hop2 v)
+    for j = off.(v) to off.(v + 1) - 1 do
+      let x = Array.unsafe_get buf j in
+      let c = x lsr shift in
+      if c <> u && tag2.(c) <> u then begin
+        if tag3.(c) <> u then begin
+          tag3.(c) <- u;
+          slot.(c) <- !k3;
+          keys.(!k3) <- c;
+          cnt.(!k3) <- 0;
+          chain.(!k3) <- -1;
+          incr k3
+        end;
+        let s = slot.(c) in
+        cnt.(s) <- cnt.(s) + 1;
+        push_entry ((v lsl shift) lor (x land mask)) s
+      end
+    done
   done;
   let sorted3 = Array.sub keys 0 !k3 in
   Array.sort Int.compare sorted3;
@@ -249,20 +259,90 @@ let of_head_from g ~hop1 ~hop2 ~scratch cl mode u =
   in
   { owner = u; mode; c2; c3 }
 
+(* The independent per-head reference: CH_HOP rows are built through the
+   per-row path ([hop1_row], [hop2_row]) for [u]'s own neighbors only and
+   laid out flat in node order — never a whole-graph row buffer. *)
 let of_head g cl mode u =
-  let hop1 = hop1_row g cl in
-  let stamp = Array.make (Graph.n g) (-1) in
+  if not (Clustering.is_head cl u) then invalid_arg "Coverage.of_head: not a clusterhead";
+  let n = Graph.n g in
+  let goff, gnbr = Graph.csr g in
+  let nbrs = Array.sub gnbr goff.(u) (goff.(u + 1) - goff.(u)) in
+  let hop1 = Array.make n [||] in
+  Array.iter (fun v -> hop1.(v) <- hop1_row g cl v) nbrs;
+  let stamp = Array.make n (-1) in
   let gen = ref 0 in
   let buf = ref (Array.make 64 0) in
-  let scratch = make_scratch (Graph.n g) in
-  of_head_from g ~hop1 ~hop2:(hop2_row g cl mode ~hop1 ~stamp ~gen ~buf) ~scratch cl mode u
+  let own =
+    Array.map (fun v -> hop2_row g cl mode ~hop1:(hop1_row g cl) ~stamp ~gen ~buf v) nbrs
+  in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun k v -> off.(v + 1) <- Array.length own.(k)) nbrs;
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let flat = Array.make off.(n) 0 in
+  Array.iteri (fun k v -> Array.blit own.(k) 0 flat off.(v) (Array.length own.(k))) nbrs;
+  of_head_from g ~hop1 ~rows:{ off; buf = flat } ~scratch:(make_scratch n) cl mode u
+
+(* Every node's CH_HOP2 row in one pass over the graph, into one growable
+   buffer (starting at one entry per node, doubling when full).  The
+   stamp is the node id ([stamp.(c) = v] marks clusterhead [c] as seen
+   for [v]'s row), so it never needs resetting; pre-stamping [v]'s own
+   adjacent clusterheads subsumes the not-a-neighbor test.  Scanning
+   neighbors in increasing id keeps, per clusterhead, the smallest via
+   node, and each short row is then sorted in place — the same rows as
+   [hop2_row], without per-row arrays. *)
+let flat_rows g cl mode (hop1 : int array array) =
+  let n = Graph.n g in
+  let shift = row_shift n in
+  let off = Array.make (n + 1) 0 in
+  let stamp = Array.make n (-1) in
+  let buf = ref (Array.make (max n 16) 0) in
+  let len = ref 0 in
+  let record v c w =
+    if stamp.(c) <> v then begin
+      stamp.(c) <- v;
+      if !len = Array.length !buf then begin
+        let b = Array.make (2 * !len) 0 in
+        Array.blit !buf 0 b 0 !len;
+        buf := b
+      end;
+      Array.unsafe_set !buf !len ((c lsl shift) lor w);
+      incr len
+    end
+  in
+  let goff, gnbr = Graph.csr g in
+  for v = 0 to n - 1 do
+    off.(v) <- !len;
+    if not (Clustering.is_head cl v) then begin
+      let own = hop1.(v) in
+      for j = 0 to Array.length own - 1 do
+        stamp.(Array.unsafe_get own j) <- v
+      done;
+      for i = goff.(v) to goff.(v + 1) - 1 do
+        let w = Array.unsafe_get gnbr i in
+        if not (Clustering.is_head cl w) then begin
+          match mode with
+          | Hop25 -> record v (Clustering.head_of cl w) w
+          | Hop3 ->
+            let r = hop1.(w) in
+            for j = 0 to Array.length r - 1 do
+              record v (Array.unsafe_get r j) w
+            done
+        end
+      done;
+      Flatset.sort_ints !buf ~lo:off.(v) ~hi:!len
+    end
+  done;
+  off.(n) <- !len;
+  { off; buf = !buf }
 
 (* Shared CH_HOP tables for one (graph, clustering, mode): every CH_HOP1
    and CH_HOP2 row is computed exactly once — one O(sum deg) pass for the
-   hop-1 rows and one O(sum deg * deg) pass for the hop-2 rows — and every
-   consumer (static backbone, dynamic broadcast, forwarding tree, gateway
-   protocol) reads the same arrays instead of recomputing them per
-   clusterhead. *)
+   hop-1 rows and one O(sum deg * deg) pass for the flat hop-2 rows — and
+   every consumer (static backbone, dynamic broadcast, forwarding tree,
+   gateway protocol, backbone maintenance) reads the same arrays instead
+   of recomputing them per clusterhead. *)
 module Cache = struct
   type coverage = t
 
@@ -273,8 +353,10 @@ module Cache = struct
     clustering : Clustering.t;
     mode : mode;
     hop1 : int array array;
-    mutable hop2 : int array array option;  (** rows packed as [c lsl shift lor w] *)
+    mutable hop2 : rows option;
+    mutable scratch : scratch option;
     mutable covs : coverage option array option;
+    mutable memo : coverage option array;  (** per-head {!coverage} memo; [[||]] until first use *)
     head_sets : Nodeset.t option array;
     covered_rows : int array option array;
   }
@@ -311,7 +393,9 @@ module Cache = struct
       mode;
       hop1;
       hop2 = None;
+      scratch = None;
       covs = None;
+      memo = [||];
       head_sets = Array.make (Graph.n g) None;
       covered_rows = Array.make (Graph.n g) None;
     }
@@ -323,42 +407,55 @@ module Cache = struct
 
   let hop2_rows t =
     match t.hop2 with
-    | Some h -> h
+    | Some r -> r
     | None ->
-      let g = t.graph and cl = t.clustering in
-      let n = Graph.n g in
-      let stamp = Array.make n (-1) in
-      let gen = ref 0 in
-      let buf = ref (Array.make 64 0) in
-      let h =
-        Array.init n (fun v ->
-            if Clustering.is_head cl v then [||]
-            else hop2_row g cl t.mode ~hop1:(fun w -> t.hop1.(w)) ~stamp ~gen ~buf v)
-      in
-      t.hop2 <- Some h;
-      h
+      let r = flat_rows t.graph t.clustering t.mode t.hop1 in
+      t.hop2 <- Some r;
+      r
 
-  let ch_hop2 t v = unpack_row ~n:(Graph.n t.graph) (hop2_rows t).(v)
+  let ch_hop2 t v =
+    let { off; buf } = hop2_rows t in
+    unpack_row ~n:(Graph.n t.graph) (Array.sub buf off.(v) (off.(v + 1) - off.(v)))
+
+  let scratch t =
+    match t.scratch with
+    | Some s -> s
+    | None ->
+      let s = make_scratch (Graph.n t.graph) in
+      t.scratch <- Some s;
+      s
+
+  let compute t v =
+    of_head_from t.graph ~hop1:t.hop1 ~rows:(hop2_rows t) ~scratch:(scratch t) t.clustering
+      t.mode v
 
   let coverages t =
     match t.covs with
     | Some c -> c
     | None ->
-      let g = t.graph and cl = t.clustering in
-      let hop2 = hop2_rows t in
-      let scratch = make_scratch (Graph.n g) in
+      let cl = t.clustering in
       let c =
-        Array.init (Graph.n g) (fun v ->
-            if Clustering.is_head cl v then
-              Some
-                (of_head_from g
-                   ~hop1:(fun w -> t.hop1.(w))
-                   ~hop2:(fun w -> hop2.(w))
-                   ~scratch cl t.mode v)
-            else None)
+        Array.init (Graph.n t.graph) (fun v ->
+            if not (Clustering.is_head cl v) then None
+            else if Array.length t.memo > 0 && Option.is_some t.memo.(v) then t.memo.(v)
+            else Some (compute t v))
       in
       t.covs <- Some c;
       c
+
+  let coverage t h =
+    if not (Clustering.is_head t.clustering h) then
+      invalid_arg "Coverage.Cache.coverage: not a clusterhead";
+    match t.covs with
+    | Some c -> Option.get c.(h)
+    | None -> (
+      if Array.length t.memo = 0 then t.memo <- Array.make (Graph.n t.graph) None;
+      match t.memo.(h) with
+      | Some c -> c
+      | None ->
+        let c = compute t h in
+        t.memo.(h) <- Some c;
+        c)
 
   let neighbor_heads t v =
     match t.head_sets.(v) with

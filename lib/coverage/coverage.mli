@@ -58,6 +58,12 @@ val ch_hop2 :
 val of_head : Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> mode -> int -> t
 (** The coverage set of clusterhead [u], with connector tables.  A
     clusterhead appearing both 2 and 3 hops away is kept in C2 only.
+
+    This is the independent per-head reference the cache is checked
+    against: it rebuilds the CH_HOP1/CH_HOP2 rows of [u]'s own neighbors
+    through the per-row path of {!ch_hop1}/{!ch_hop2} (never a
+    whole-graph row buffer), so one call costs O(n) set-up plus the work
+    of [u]'s 2-hop neighborhood.
     @raise Invalid_argument if [u] is not a clusterhead. *)
 
 (** Shared CH_HOP tables for one [(graph, clustering, mode)] triple.
@@ -68,9 +74,19 @@ val of_head : Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> mode -> int -
     O(sum deg³) in [Hop3] mode for {!all}.  The cache computes each row
     exactly once (O(sum deg) for hop-1, O(sum deg²) for hop-2) and hands
     the same arrays to every consumer: {!Manet_backbone.Static_backbone},
-    {!Manet_backbone.Dynamic_backbone}, the forwarding tree, and the
-    gateway protocol.  Tables are filled lazily on first use and memoised;
-    a cache must be discarded whenever the graph or clustering changes. *)
+    {!Manet_backbone.Dynamic_backbone}, the forwarding tree, the gateway
+    protocol and {!Manet_backbone.Backbone_maintenance}.
+
+    The CH_HOP2 rows are stored flat: one packed int buffer for all nodes
+    plus an offset array of length n+1, built in one pass over the graph
+    (a node-id stamp deduplicates each row, which is then sorted in
+    place) — no per-row arrays.  Coverage sets are built from those rows
+    either all at once ({!coverages}) or one head at a time
+    ({!coverage}, memoised per head, all heads sharing one working
+    scratch); both give the same sets.
+
+    Tables are filled lazily on first use and memoised; a cache must be
+    discarded whenever the graph or clustering changes. *)
 module Cache : sig
   type coverage = t
 
@@ -95,11 +111,20 @@ module Cache : sig
 
   val ch_hop2 : t -> int -> (int * int) array
   (** The node's CH_HOP2 entries [(clusterhead, via)], sorted by
-      clusterhead; empty for clusterheads.  Decoded from the packed
-      internal row — a fresh array each call. *)
+      clusterhead; empty for clusterheads.  Decoded from the flat packed
+      rows — a fresh array each call. *)
 
   val coverages : t -> coverage option array
-  (** Same contents as {!all}; computed once and memoised. *)
+  (** Same contents as {!all}; computed once and memoised.  Heads already
+      computed through {!coverage} are reused, not recomputed. *)
+
+  val coverage : t -> int -> coverage
+  (** [coverage c h] is head [h]'s coverage set — equal to
+      [Option.get (coverages c).(h)] and to {!of_head}.  Only [h]'s set
+      is built (on top of the shared hop tables) and it is memoised; the
+      memo and the working scratch are allocated on the first call, so a
+      cache that only ever calls {!coverages} pays nothing for them.
+      @raise Invalid_argument if [h] is not a clusterhead. *)
 
   val neighbor_heads : t -> int -> Manet_graph.Nodeset.t
   (** The node's adjacent clusterheads as a set (the relayer-heads

@@ -261,6 +261,12 @@ let validate s =
       match s.mobility with
       | Some p when p.Metric.steps < 0 -> err "mobility.steps must be >= 0 (got %d)" p.Metric.steps
       | Some p when p.Metric.dt <= 0. -> err "mobility.dt must be positive"
+      | Some p
+        when match s.workload with
+             | Some w -> not (Workload.advances ~duration:w.Workload.duration p.Metric.dt)
+             | None -> false ->
+        err "mobility.dt %s is too small to advance the workload clock within its duration"
+          (Json.number_to_string p.Metric.dt)
       | Some p when p.Metric.speed_min < 0. || p.Metric.speed_max < p.Metric.speed_min ->
         err "mobility speeds must satisfy 0 <= speed_min <= speed_max"
       | Some p when p.Metric.pause_time < 0. -> err "mobility.pause_time must be >= 0"

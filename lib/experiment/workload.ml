@@ -1,5 +1,4 @@
 module Graph = Manet_graph.Graph
-module Nodeset = Manet_graph.Nodeset
 module Unit_disk = Manet_graph.Unit_disk
 module Point = Manet_geom.Point
 module Rng = Manet_rng.Rng
@@ -23,6 +22,12 @@ type spec = {
   maintenance_every : float;
 }
 
+(* A periodic stream re-fires at [t +. period]; the clock moves on at
+   every [t <= duration] iff it moves on at [duration] itself (an ulp
+   never grows as [t] shrinks). *)
+let advances ~duration period =
+  Float.is_finite period && period > 0. && duration +. period > duration
+
 let make ?(warmup = 0.) ?(join_rate = 0.) ?(leave_rate = 0.) ?(sources = 0)
     ?(maintenance_every = 1.) ~arrival_rate ~duration () =
   if not (Float.is_finite arrival_rate && arrival_rate > 0.) then
@@ -38,6 +43,9 @@ let make ?(warmup = 0.) ?(join_rate = 0.) ?(leave_rate = 0.) ?(sources = 0)
   if sources < 0 then invalid_arg "Workload.make: sources must be non-negative";
   if not (Float.is_finite maintenance_every && maintenance_every >= 0.) then
     invalid_arg "Workload.make: maintenance_every must be non-negative";
+  if not (advances ~duration maintenance_every || maintenance_every = 0.) then
+    invalid_arg
+      "Workload.make: maintenance_every is too small to advance the clock within duration";
   { arrival_rate; duration; warmup; join_rate; leave_rate; sources; maintenance_every }
 
 type motion = {
@@ -85,6 +93,12 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
   let n = Array.length points in
   if n < 2 then invalid_arg "Workload.run: need at least 2 nodes";
   if radius <= 0. then invalid_arg "Workload.run: radius must be positive";
+  (match motion with
+  | Some m when not (advances ~duration:w.duration m.dt) ->
+    invalid_arg
+      "Workload.run: motion dt must be positive and large enough to advance the clock within \
+       duration"
+  | _ -> ());
   (* One split generator per stream: adding draws to one stream (more
      churn, more arrivals) never perturbs any other. *)
   let arrival_rng = Rng.split rng in
@@ -128,7 +142,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
   let mark v = Bytes.unsafe_set member v '\001' in
   let refill_members () =
     Bytes.fill member 0 n '\000';
-    Nodeset.iter mark (Bm.backbone bm).Static.members
+    Bm.iter_members bm mark
   in
   refill_members ();
   let env = Protocol.make_env ~rng:(Rng.split traffic_rng) !graph in

@@ -38,6 +38,12 @@ type spec = private {
           leaving the initial structure to serve ever staler *)
 }
 
+val advances : duration:float -> float -> bool
+(** [advances ~duration p] holds iff [p] is a finite positive period
+    whose steps move the clock on at every time [t <= duration]
+    (equivalently [duration +. p > duration]).  A period failing it
+    would re-fire at the same instant forever. *)
+
 val make :
   ?warmup:float ->
   ?join_rate:float ->
@@ -51,7 +57,10 @@ val make :
 (** Defaults: no warmup, no churn, all sources, maintenance every time
     unit.  @raise Invalid_argument on a non-positive [arrival_rate] or
     [duration], a [warmup] outside [\[0, duration)], a negative rate or
-    source count, or any non-finite value. *)
+    source count, any non-finite value, or a positive
+    [maintenance_every] too small to advance the clock
+    ([duration +. maintenance_every = duration]), which would re-fire
+    at the same instant forever. *)
 
 (** Continuous node motion: the walker advances every [dt] on the
     workload clock (unlike {!Metric.perturbation}'s fixed pre-measurement
@@ -114,8 +123,9 @@ val run :
     event fires but applies no update — the mutant the
     timeline-vs-rebuild oracle must catch.  [on_maintenance] is called
     at every maintenance event (faulted or not), after any update.
-    @raise Invalid_argument on fewer than 2 points or a non-positive
-    [radius]. *)
+    @raise Invalid_argument on fewer than 2 points, a non-positive
+    [radius], or a [motion] whose [dt] is not positive or too small to
+    advance the clock ([duration +. dt = duration]). *)
 
 (** {1 Workload series (the scenario layer's metric kinds)}
 

@@ -259,6 +259,77 @@ let prop_cache_matches_uncached =
           !ok)
         [ Coverage.Hop25; Coverage.Hop3 ])
 
+(* Per-head memoised coverage: [Cache.coverage] must give exactly the
+   independent per-head reference and the batch table, whichever of the
+   two entry points a cache sees first, on seeded topologies up to the
+   sweep scale. *)
+let seeded_udgs () =
+  [ udg ~seed:71 ~n:60 ~d:6.; udg ~seed:72 ~n:300 ~d:10.; udg ~seed:73 ~n:1000 ~d:12. ]
+
+let test_cache_coverage_per_head () =
+  List.iter
+    (fun (s : Manet_topology.Generator.sample) ->
+      let g = s.graph in
+      let cl = Lowest_id.cluster g in
+      let heads = Clustering.heads cl in
+      List.iter
+        (fun mode ->
+          let check what h a b =
+            if not (coverages_equal a b) then
+              Alcotest.failf "n=%d %a head %d: %s" (Graph.n g) Coverage.pp_mode mode h what
+          in
+          (* Per-head first (every other head), then the batch, then the
+             rest per head. *)
+          let head_first = Coverage.Cache.create g cl mode in
+          List.iteri
+            (fun i h -> if i mod 2 = 0 then ignore (Coverage.Cache.coverage head_first h))
+            heads;
+          let batch = Coverage.Cache.coverages head_first in
+          (* Batch first, then per head. *)
+          let batch_first = Coverage.Cache.create g cl mode in
+          let batch2 = Coverage.Cache.coverages batch_first in
+          List.iter
+            (fun h ->
+              let c = Coverage.Cache.coverage head_first h in
+              check "coverage vs of_head" h c (Coverage.of_head g cl mode h);
+              check "coverage vs coverages" h c (Option.get batch.(h));
+              check "coverage before vs after coverages" h c
+                (Coverage.Cache.coverage batch_first h);
+              check "coverages, either order" h c (Option.get batch2.(h)))
+            heads;
+          let member = List.find (fun v -> not (Clustering.is_head cl v)) (List.init (Graph.n g) Fun.id) in
+          Alcotest.check_raises "non-head"
+            (Invalid_argument "Coverage.Cache.coverage: not a clusterhead") (fun () ->
+              ignore (Coverage.Cache.coverage (Coverage.Cache.create g cl mode) member)))
+        [ Coverage.Hop25; Coverage.Hop3 ])
+    (seeded_udgs ())
+
+(* The flat CH_HOP2 rows decode to exactly the per-row reference for
+   every node.  The row buffer starts at one entry per node, so on these
+   dense 3-hop cases (asserted: more entries than nodes) it must grow at
+   least once while the rows are built. *)
+let test_cache_flat_rows_grow () =
+  List.iter
+    (fun (seed, n, d) ->
+      let g = (udg ~seed ~n ~d).graph in
+      let cl = Lowest_id.cluster g in
+      let cache = Coverage.Cache.create g cl Coverage.Hop3 in
+      let entries = ref 0 in
+      for v = 0 to n - 1 do
+        let flat = Array.to_list (Coverage.Cache.ch_hop2 cache v) in
+        if Clustering.is_head cl v then
+          Alcotest.(check (list (pair int int))) "empty row at a head" [] flat
+        else begin
+          let reference = Coverage.ch_hop2 g cl Coverage.Hop3 v in
+          Alcotest.(check (list (pair int int))) (Printf.sprintf "row %d" v) reference flat;
+          entries := !entries + List.length reference
+        end
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d d=%g: %d entries outgrow the initial buffer" n d !entries)
+        true (!entries > n))
+    [ (81, 100, 18.); (82, 400, 24.) ]
+
 let () =
   Alcotest.run "coverage"
     [
@@ -286,5 +357,11 @@ let () =
           Alcotest.test_case "paper example, both modes" `Quick test_proto_matches_centralized_paper;
           prop_proto_matches_centralized;
         ] );
-      ("cache", [ prop_cache_matches_uncached ]);
+      ( "cache",
+        [
+          prop_cache_matches_uncached;
+          Alcotest.test_case "per-head coverage = of_head = batch" `Quick
+            test_cache_coverage_per_head;
+          Alcotest.test_case "flat rows = ch_hop2, grown buffer" `Quick test_cache_flat_rows_grow;
+        ] );
     ]

@@ -293,6 +293,37 @@ let test_workload_roundtrip () =
   Alcotest.(check bool) "workload-free stays version 1" true
     (contains (Scenario.to_string (Figures.builtin_exn "fig6")) {|"version": 1|})
 
+(* A period that cannot advance the clock (duration +. p = duration)
+   would re-fire at one instant forever; the codec must refuse it with a
+   parse error naming the field, never hang.  A zero maintenance period
+   (maintenance off) stays valid. *)
+let test_workload_stalled_clock () =
+  let scenario ~mobility ~workload =
+    Printf.sprintf
+      {|{"version": 2, "name": "t", "seed": 1,
+         "topology": {"n": [30], "degree": [6]},%s
+         "workload": {%s},
+         "stopping": {"min_samples": 2, "max_samples": 4, "rel_precision": 0.5},
+         "metrics": [{"kind": "workload-throughput"}]}|}
+      mobility workload
+  in
+  let stream = {|"arrival_rate": 10, "duration": 2|} in
+  rejects
+    (scenario ~mobility:"" ~workload:(stream ^ {|, "maintenance_every": 1e-300|}))
+    "maintenance_every";
+  rejects
+    (scenario
+       ~mobility:
+         {|"mobility": {"model": "random-waypoint", "steps": 0, "dt": 1e-300,
+                        "speed_min": 0, "speed_max": 1},|}
+       ~workload:stream)
+    "mobility.dt";
+  match
+    Scenario.of_string (scenario ~mobility:"" ~workload:(stream ^ {|, "maintenance_every": 0|}))
+  with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "maintenance_every = 0 rejected: %s" m
+
 let test_workload_rejections () =
   rejects
     {|{"version": 1, "name": "t", "seed": 1,
@@ -809,6 +840,7 @@ let () =
             test_failures_rejections;
           Alcotest.test_case "workloads round-trip" `Quick test_workload_roundtrip;
           Alcotest.test_case "malformed workloads rejected" `Quick test_workload_rejections;
+          Alcotest.test_case "stalled workload clocks rejected" `Quick test_workload_stalled_clock;
           Alcotest.test_case "probe kinds round-trip" `Quick test_probes_roundtrip;
           Alcotest.test_case "malformed probe kinds rejected" `Quick test_probes_rejections;
         ] );

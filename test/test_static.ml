@@ -244,25 +244,74 @@ let test_bm_node_count_guard () =
 
 (* The central property: along an arbitrary trajectory, the incremental
    backbone equals a from-scratch rebuild over the maintained
-   clustering. *)
-let prop_bm_equals_rebuild =
-  qtest "incremental backbone = rebuild over maintained clustering" ~count:20
-    (arb_udg ~n_min:20 ~n_max:50 ()) (fun case ->
-      let seed, _, d = case in
-      let s = sample_of case in
-      let bm = Backbone_maintenance.create s.graph Coverage.Hop25 in
+   clustering — members, gateways and every head's coverage set, in both
+   coverage modes. *)
+let coverage_slots_equal (a : Coverage.t option array) (b : Coverage.t option array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         match (x, y) with
+         | None, None -> true
+         | Some (x : Coverage.t), Some (y : Coverage.t) ->
+           x.owner = y.owner && x.mode = y.mode && x.c2 = y.c2 && x.c3 = y.c3
+         | Some _, None | None, Some _ -> false)
+       a b
+
+let bm_equals_rebuild case =
+  let seed, _, d = case in
+  let s = sample_of case in
+  List.for_all
+    (fun mode ->
+      let bm = Backbone_maintenance.create s.graph mode in
       let mob = mobility_walk ~seed:(seed + 17) ~speed:3. ~d s in
       let ok = ref true in
       for _ = 1 to 6 do
         let g = walk_step s mob in
         let _ev = Backbone_maintenance.update bm g in
         let bb = Backbone_maintenance.backbone bm in
-        let fresh = Static.build ~clustering:bb.Static.clustering g Coverage.Hop25 in
+        let fresh = Static.build ~clustering:bb.Static.clustering g mode in
         if not (Nodeset.equal fresh.members bb.members) then ok := false;
+        if not (Nodeset.equal fresh.gateways bb.gateways) then ok := false;
+        if not (coverage_slots_equal fresh.coverages bb.coverages) then ok := false;
         (* and it must be a CDS whenever the topology stays connected *)
         if Manet_graph.Connectivity.is_connected g && not (Static.is_cds bb) then ok := false
       done;
       !ok)
+    [ Coverage.Hop25; Coverage.Hop3 ]
+
+(* Small sparse graphs (the default degrees, d = 4 included) disconnect,
+   depose and re-elect heads most often; the larger class reaches n = 200
+   at degrees that still yield connected samples there. *)
+let prop_bm_equals_rebuild =
+  qtest "incremental backbone = rebuild over maintained clustering" ~count:20
+    (arb_udg ~n_min:20 ~n_max:50 ())
+    bm_equals_rebuild
+
+let prop_bm_equals_rebuild_large =
+  qtest "incremental backbone = rebuild, n up to 200" ~count:20
+    (arb_udg ~n_min:20 ~n_max:200 ~ds:[ 6.; 10.; 18. ] ())
+    bm_equals_rebuild
+
+(* The report stream along one seeded n = 1000 random-waypoint
+   trajectory, summed field by field.  The expected sums were recorded
+   before the maintenance state moved to flat arrays and a shared
+   CH_HOP cache; any change to which heads refresh or how messages are
+   counted shows here. *)
+let test_bm_report_stream_pinned () =
+  let s = udg ~seed:1016 ~n:1000 ~d:12. in
+  let bm = Backbone_maintenance.create s.graph Coverage.Hop25 in
+  let mob = mobility_walk ~seed:1017 ~speed:2. ~d:12. s in
+  let refreshed = ref 0 and ch_hop = ref 0 and gateway = ref 0 and total = ref 0 in
+  for _ = 1 to 20 do
+    let ev = Backbone_maintenance.update bm (walk_step s mob) in
+    refreshed := !refreshed + ev.refreshed_heads;
+    ch_hop := !ch_hop + ev.ch_hop_messages;
+    gateway := !gateway + ev.gateway_messages;
+    total := !total + ev.total_messages
+  done;
+  Alcotest.(check (list int))
+    "refreshed, ch_hop, gateway, total" [ 2444; 35000; 10311; 51785 ]
+    [ !refreshed; !ch_hop; !gateway; !total ]
 
 let test_bm_message_accounting () =
   (* A single changed region refreshes few heads; accounting fields are
@@ -318,7 +367,9 @@ let () =
           Alcotest.test_case "initial equals build" `Quick test_bm_initial_equals_build;
           Alcotest.test_case "node count guard" `Quick test_bm_node_count_guard;
           prop_bm_equals_rebuild;
+          prop_bm_equals_rebuild_large;
           Alcotest.test_case "message accounting" `Quick test_bm_message_accounting;
+          Alcotest.test_case "pinned report stream (n=1000)" `Quick test_bm_report_stream_pinned;
         ] );
       ( "construction_cost",
         [

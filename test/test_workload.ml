@@ -71,7 +71,28 @@ let test_bad_specs () =
   expect_invalid "negative join rate" (fun () ->
       Workload.make ~arrival_rate:1. ~duration:5. ~join_rate:(-0.1) ());
   expect_invalid "negative sources" (fun () ->
-      Workload.make ~arrival_rate:1. ~duration:5. ~sources:(-1) ())
+      Workload.make ~arrival_rate:1. ~duration:5. ~sources:(-1) ());
+  (* A period below the clock's resolution at [duration] would re-fire at
+     the same instant forever. *)
+  expect_invalid "stalled maintenance period" (fun () ->
+      Workload.make ~arrival_rate:1. ~duration:2. ~maintenance_every:1e-300 ());
+  ignore (Workload.make ~arrival_rate:1. ~duration:2. ~maintenance_every:0. ());
+  let spec, points, radius = sample 3 in
+  let motion dt =
+    {
+      Workload.model = Manet_topology.Mobility.Random_waypoint;
+      dt;
+      speed_min = 0.;
+      speed_max = 1.;
+      pause_time = 0.;
+    }
+  in
+  List.iter
+    (fun dt ->
+      expect_invalid (Printf.sprintf "motion dt %g" dt) (fun () ->
+          Workload.run ~motion:(motion dt) ~rng:(Rng.create ~seed:4) ~points ~radius ~spec
+            (Workload.make ~arrival_rate:1. ~duration:2. ())))
+    [ 1e-300; 0.; -1.; Float.nan ]
 
 let () =
   Alcotest.run "workload"
