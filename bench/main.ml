@@ -106,7 +106,8 @@ let ext_mobility () =
 
 (* BENCH_timing.json holds the top-level keys of three experiments:
    the Bechamel table ([timing]: n, avg_degree, results), the
-   allocation tables ([alloc]: per_broadcast, per_build, per_update)
+   allocation tables ([alloc]: per_broadcast, per_build, per_sample,
+   per_update)
    and the serving throughput ([traffic]).  Each experiment replaces only its own keys
    in the file on disk and keeps every other key, so `--json . alloc`
    leaves the Bechamel results and the traffic section in place. *)
@@ -232,13 +233,14 @@ let alloc_cases =
     ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 85_000., 5010.1, 451_774.);
   ]
 
-(* One unit-disk build of the same n = 1000, d = 12 placement: every
-   topology sample and serving-loop snapshot pays it.  The seed pair was
-   measured with this loop on the hashtable grid (boxed cell keys, a 5 x 5
-   probe block, the half-edge buffer); the flat cell index allocates only
-   its own O(n) arrays, which bypass the minor heap at this size, so the
-   ceiling sits at a five-hundredth of the seed: any per-node or
-   per-probe allocation crosses it. *)
+(* One unit-disk build of the same n = 1000, d = 12 placement, each with
+   a fresh scratch: every topology sample and every serving-loop snapshot
+   that is read pays it.  The seed pair was measured with this loop on
+   the hashtable grid (boxed cell keys, a 5 x 5 probe block, the
+   half-edge buffer); the candidate-list kernel allocates only O(n)
+   arrays, which bypass the minor heap at this size, so the ceiling sits
+   at a five-hundredth of the seed: any per-node or per-probe allocation
+   crosses it. *)
 let build_ceiling_words = 1_000.
 let build_seed_us = 4772.
 let build_seed_words = 492_543.
@@ -255,6 +257,34 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
   let dt = Sys.time () -. t0 in
   let words = (Gc.minor_words () -. w0) /. float_of_int reps in
   (1e6 *. dt /. float_of_int reps, words)
+
+(* Minor words per [Generator.sample_connected] at n = 100, d = 6: the
+   largest sparse point of the paper's figures, where rejection sampling
+   draws about 11 placements per connected one, so what each attempt
+   allocates dominates.  Averaged over one fixed seeded sequence, the
+   same in quick and full runs.  The ceiling is the value this loop
+   measured (30,516.1 words, rounded up) before the unit-disk build
+   shared one scratch across a call's attempts, when the flat cell index
+   allocated its tables per attempt: a table allocated per attempt again
+   crosses it. *)
+let sample_count = 200
+let sample_ceiling_words = 30_517.
+
+let alloc_sample () =
+  let spec = Manet_topology.Spec.make ~n:100 ~avg_degree:6. () in
+  let rng = Manet_rng.Rng.create ~seed:1007 in
+  let attempts = ref 0 in
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  for _ = 1 to sample_count do
+    let s = Manet_topology.Generator.sample_connected rng spec in
+    attempts := !attempts + s.Manet_topology.Generator.attempts
+  done;
+  let dt = Sys.time () -. t0 in
+  let words = (Gc.minor_words () -. w0) /. float_of_int sample_count in
+  ( 1e6 *. dt /. float_of_int sample_count,
+    words,
+    float_of_int !attempts /. float_of_int sample_count )
 
 (* One incremental maintenance update of the same n = 1000, d = 12
    placement, over random-waypoint steps (speed 0-2, dt 1): the per-step
@@ -336,6 +366,14 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" build_us build_seed_us
     build_words build_seed_words build_ceiling_words
     (if build_over then "  EXCEEDED" else "");
+  let sample_us, sample_words, sample_attempts = alloc_sample () in
+  let sample_over = sample_words > sample_ceiling_words in
+  if sample_over then failures := "connected sample" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "connected sample" "n=100 d=6"
+    "us/sample" "" "words/sample" "attempts" "ceiling";
+  Printf.printf "%-18s %-10s %10.1f %10s %14.0f %14.2f %10.0f%s\n" "" "" sample_us "" sample_words
+    sample_attempts sample_ceiling_words
+    (if sample_over then "  EXCEEDED" else "");
   let maint_us, maint_words = alloc_maint sample spec in
   let maint_over = maint_words > maint_ceiling_words in
   if maint_over then failures := "maintenance update" :: !failures;
@@ -384,6 +422,18 @@ let alloc () =
             ("seed_minor_words_per_build", num build_seed_words);
             ("speedup", num (build_seed_us /. build_us));
             ("alloc_reduction", num (build_seed_words /. build_words));
+          ] );
+      ( "per_sample",
+        Json.Obj
+          [
+            ("name", Json.Str "sample-connected");
+            ("n", int 100);
+            ("avg_degree", int 6);
+            ("samples", int sample_count);
+            ("attempts_per_sample", num sample_attempts);
+            ("us_per_sample", num sample_us);
+            ("minor_words_per_sample", num sample_words);
+            ("ceiling_words", num sample_ceiling_words);
           ] );
       ( "per_update",
         Json.Obj

@@ -7,7 +7,6 @@ module Mobility = Manet_topology.Mobility
 module Timeline = Manet_sim.Timeline
 module Protocol = Manet_broadcast.Protocol
 module Engine = Manet_broadcast.Engine
-module Result = Manet_broadcast.Result
 module Coverage = Manet_coverage.Coverage
 module Static = Manet_backbone.Static_backbone
 module Bm = Manet_backbone.Backbone_maintenance
@@ -73,7 +72,49 @@ type probe = {
   graph : Graph.t;
   backbone : Static.t;
   stale_events : int;
+  snapshots : int;
 }
+
+(* Node ids in one array: the active ones ascending in [0, live), the
+   inactive ones ascending in [live, n).  The k-th active or inactive id
+   and the count of active ids below a bound are then one read or one
+   binary search; a join or a leave moves one id across the boundary. *)
+module Roster = struct
+  type t = { active : bool array; ids : int array; mutable live : int }
+
+  let create n = { active = Array.make n true; ids = Array.init n Fun.id; live = n }
+  let live r = r.live
+  let is_active r v = r.active.(v)
+  let nth_active r k = r.ids.(k)
+
+  (* The first index in [lo, hi) whose id is at least [v] ([hi] if none). *)
+  let rec lower_bound ids v lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if ids.(mid) < v then lower_bound ids v (mid + 1) hi else lower_bound ids v lo mid
+
+  let active_below r bound = lower_bound r.ids bound 0 r.live
+
+  (* Move the id at index [a] to index [b], shifting the ids between
+     them by one. *)
+  let move ids a b =
+    let v = ids.(a) in
+    if a < b then Array.blit ids (a + 1) ids a (b - a) else Array.blit ids b ids (b + 1) (a - b);
+    ids.(b) <- v
+
+  let leave r k =
+    let v = r.ids.(k) in
+    move r.ids k (lower_bound r.ids v r.live (Array.length r.ids) - 1);
+    r.live <- r.live - 1;
+    r.active.(v) <- false
+
+  let join r k =
+    let v = r.ids.(r.live + k) in
+    move r.ids (r.live + k) (lower_bound r.ids v 0 r.live);
+    r.live <- r.live + 1;
+    r.active.(v) <- true
+end
 
 (* The four event streams of the serving loop, interleaved on one
    timeline.  Rank encodes the paper-faithful same-instant ordering:
@@ -92,7 +133,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
     ?skip_maintenance ~rng ~points ~radius ~spec w =
   let n = Array.length points in
   if n < 2 then invalid_arg "Workload.run: need at least 2 nodes";
-  if radius <= 0. then invalid_arg "Workload.run: radius must be positive";
+  if not (radius > 0.) then invalid_arg "Workload.run: radius must be positive";
   (match motion with
   | Some m when not (advances ~duration:w.duration m.dt) ->
     invalid_arg
@@ -114,24 +155,26 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
           ~speed_max:m.speed_max ~rng:motion_rng ~spec points)
       motion
   in
-  let active = Array.make n true in
-  let active_count = ref n in
+  let roster = Roster.create n in
   (* Inactive nodes are parked on a private rail strictly outside the
      field, spaced more than a radius apart, so every unit-disk snapshot
      isolates them — a left node neither links nor relays, yet the node
      count stays fixed (the maintenance layer's contract). *)
   let park_y = spec.Spec.height +. (2. *. radius) +. 1. in
   let park_x v = float_of_int v *. ((2. *. radius) +. 1.) in
-  let scratch = Array.make n Point.origin in
+  let positions = Array.make n Point.origin in
+  let udg = Unit_disk.Scratch.create () in
+  let snapshots = ref 0 in
   let snapshot () =
     let live =
       match walker with Some m -> Mobility.unsafe_positions m | None -> points
     in
     for v = 0 to n - 1 do
-      scratch.(v) <-
-        (if active.(v) then live.(v) else Point.make ~x:(park_x v) ~y:park_y)
+      positions.(v) <-
+        (if Roster.is_active roster v then live.(v) else Point.make ~x:(park_x v) ~y:park_y)
     done;
-    Unit_disk.build ~radius scratch
+    incr snapshots;
+    Unit_disk.build ~scratch:udg ~radius positions
   in
   let graph = ref (snapshot ()) in
   let bm = Bm.create !graph coverage in
@@ -169,23 +212,33 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
   let maintenance_updates = ref 0 and maintenance_messages = ref 0 in
   let maint_seen = ref 0 and stale_since_maint = ref 0 in
   let delivery_sum = ref 0. and staleness_sum = ref 0. in
-  let retarget_topology () =
-    graph := snapshot ();
-    Protocol.retarget ~graph:!graph env;
+  (* A topology event only marks the snapshot stale; the next reader (a
+     maintenance, or an arrival that broadcasts) builds it and retargets
+     the environment once.  Positions and active flags change only at
+     those events, so every reader sees the graph an eager rebuild
+     would have given it. *)
+  let dirty = ref false in
+  let topology_changed () =
+    dirty := true;
     incr stale_since_maint
   in
-  (* Pick the [k]-th node satisfying [pred] (uniform given the count). *)
-  let pick_nth pred k =
-    let seen = ref (-1) and found = ref (-1) in
-    for v = 0 to n - 1 do
-      if !found < 0 && pred v then begin
-        incr seen;
-        if !seen = k then found := v
-      end
-    done;
-    !found
+  let read_topology () =
+    if !dirty then begin
+      graph := snapshot ();
+      Protocol.retarget ~graph:!graph env;
+      dirty := false
+    end
   in
+  (* Deliveries are counted as the broadcast runs: every delivered node
+     but the source is offered a copy before it can transmit, and a
+     parked node, isolated, is offered none, so a broadcast reaches
+     1 + (nodes offered a copy) active nodes. *)
+  let offered = Array.make n 0 and stamp = ref 0 and got = ref 0 in
   let decide ~node ~from:_ ~payload:() =
+    if Array.unsafe_get offered node <> !stamp then begin
+      Array.unsafe_set offered node !stamp;
+      incr got
+    end;
     if Bytes.unsafe_get member node <> '\000' then Some () else None
   in
   let finished = ref false in
@@ -197,23 +250,20 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
       let counted = t >= w.warmup in
       (match ev with
       | Join ->
-        let inactive = n - !active_count in
+        let inactive = n - Roster.live roster in
         if inactive > 0 then begin
-          let v = pick_nth (fun v -> not active.(v)) (Rng.int join_rng inactive) in
-          active.(v) <- true;
-          incr active_count;
-          retarget_topology ();
+          Roster.join roster (Rng.int join_rng inactive);
+          topology_changed ();
           if counted then incr churn_events
         end;
         schedule_next t Join
       | Leave ->
         (* Never drain the network below two live nodes: a broadcast
            needs a source and at least one potential receiver. *)
-        if !active_count > 2 then begin
-          let v = pick_nth (fun v -> active.(v)) (Rng.int leave_rng !active_count) in
-          active.(v) <- false;
-          decr active_count;
-          retarget_topology ();
+        let live = Roster.live roster in
+        if live > 2 then begin
+          Roster.leave roster (Rng.int leave_rng live);
+          topology_changed ();
           if counted then incr churn_events
         end;
         schedule_next t Leave
@@ -221,10 +271,11 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
         (match walker with
         | Some m -> Mobility.step m ~dt:(match motion with Some mo -> mo.dt | None -> 0.)
         | None -> ());
-        retarget_topology ();
+        topology_changed ();
         schedule_next t Move
       | Maintain ->
         incr maint_seen;
+        read_topology ();
         let faulted =
           match skip_maintenance with Some k -> !maint_seen = k | None -> false
         in
@@ -238,32 +289,39 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
         end;
         (match on_maintenance with
         | Some f ->
-          f { time = t; graph = !graph; backbone = Bm.backbone bm; stale_events = !stale_since_maint }
+          f
+            {
+              time = t;
+              graph = !graph;
+              backbone = Bm.backbone bm;
+              stale_events = !stale_since_maint;
+              snapshots = !snapshots;
+            }
         | None -> ());
         if not faulted then stale_since_maint := 0;
         schedule_next t Maintain
       | Arrival ->
-        let eligible v = active.(v) && (w.sources = 0 || v < w.sources) in
-        let pool = ref 0 in
-        for v = 0 to n - 1 do
-          if eligible v then incr pool
-        done;
-        if !pool = 0 then begin
+        (* The eligible sources are the active ids below [w.sources]: a
+           prefix of the roster's active ids. *)
+        let pool =
+          if w.sources = 0 then Roster.live roster else Roster.active_below roster w.sources
+        in
+        if pool = 0 then begin
           if counted then incr skipped
         end
         else begin
-          let source = pick_nth eligible (Rng.int source_rng !pool) in
+          let source = Roster.nth_active roster (Rng.int source_rng pool) in
+          read_topology ();
           (* One split per arrival: a broadcast that draws more (loss
              mode) never perturbs the next broadcast's stream. *)
           Protocol.retarget ~rng:(Rng.split traffic_rng) env;
-          let r, _ = Protocol.run_decide env ~source ~mode ~initial:() ~decide in
+          incr stamp;
+          got := 1;
+          ignore (Protocol.run_decide env ~source ~mode ~initial:() ~decide);
           if counted then begin
             incr broadcasts;
-            let got = ref 0 in
-            Array.iteri
-              (fun v d -> if d && active.(v) then incr got)
-              r.Result.delivered;
-            delivery_sum := !delivery_sum +. (float_of_int !got /. float_of_int !active_count);
+            delivery_sum :=
+              !delivery_sum +. (float_of_int !got /. float_of_int (Roster.live roster));
             staleness_sum := !staleness_sum +. float_of_int !stale_since_maint
           end
         end;

@@ -97,7 +97,40 @@ type probe = {
   graph : Manet_graph.Graph.t;
   backbone : Manet_backbone.Static_backbone.t;  (** the live, maintained backbone *)
   stale_events : int;  (** topology events folded into this maintenance *)
+  snapshots : int;
+      (** unit-disk snapshots built so far in the stream, the initial one
+          included: a topology event only marks the snapshot stale, and
+          the next maintenance or broadcast builds it *)
 }
+
+(** The serving loop's node index: which nodes are active, with the
+    active and the inactive ids each kept in ascending order, so the
+    [k]-th of either and the number of active ids below a bound need no
+    scan over all nodes.  A join or a leave costs one binary search and
+    one shift of the ids between the two positions. *)
+module Roster : sig
+  type t
+
+  val create : int -> t
+  (** [create n]: nodes [0 .. n-1], all active. *)
+
+  val live : t -> int
+  (** Number of active nodes. *)
+
+  val is_active : t -> int -> bool
+
+  val nth_active : t -> int -> int
+  (** The [k]-th smallest active id, for [0 <= k < live t]. *)
+
+  val active_below : t -> int -> int
+  (** [active_below r b] is the number of active ids [< b]. *)
+
+  val leave : t -> int -> unit
+  (** [leave r k] deactivates the [k]-th smallest active id. *)
+
+  val join : t -> int -> unit
+  (** [join r k] activates the [k]-th smallest inactive id. *)
+end
 
 val run :
   ?mode:Manet_broadcast.Protocol.mode ->

@@ -1,34 +1,171 @@
 module Point = Manet_geom.Point
-module Grid = Manet_geom.Grid
 
 (* Hot path: every topology sample and every serving-loop snapshot builds
-   one of these.  Rows are emitted straight into the CSR arrays in id
-   order: node [i]'s neighbours are gathered from the 3 x 3 cell block of
-   the flat index, the row is sorted in place (a merge of at most nine
-   ascending runs, so insertion sort is nearly linear) and appended.  The
-   only allocations are the index, the offsets and the neighbour array,
-   sized for average degree 16 before its first regrowth. *)
-let build ~radius points =
-  if radius <= 0. then invalid_arg "Unit_disk.build: radius must be positive";
-  let n = Array.length points in
-  let grid = Grid.make ~cell_size:radius points in
-  let off = Array.make (n + 1) 0 in
-  let nbr = ref (Array.make ((16 * n) + 16) 0) in
-  for i = 0 to n - 1 do
-    let lo = off.(i) in
-    let hi = Grid.fill_within grid ~center:points.(i) ~radius ~except:i !nbr lo in
-    if hi > Array.length !nbr then begin
-      (* The row overran the buffer and was counted, not written: grow
-         and gather it again. *)
-      let bigger = Array.make (2 * hi) 0 in
-      Array.blit !nbr 0 bigger 0 lo;
-      nbr := bigger;
-      ignore (Grid.fill_within grid ~center:points.(i) ~radius ~except:i bigger lo)
-    end;
-    Row_sort.sort_range !nbr lo hi;
-    off.(i + 1) <- hi
+   one of these.  Points are binned into square cells of side [radius]
+   (widened by [margin]); the occupied cells are numbered through an
+   open-addressing table on their packed coordinates.  Each occupied
+   cell then gets one candidate list: every node whose cell lies in its
+   3 x 3 block, filled by scattering the nodes in ascending id order, so
+   every list comes out sorted.  Node [i]'s row is its cell's list
+   filtered by the distance test, written straight into the CSR: no
+   per-node probe, no per-row sort.  The whole kernel stays in this
+   module, so its float arithmetic is never boxed across a call. *)
+
+(* The side actually used is a hair wider than [radius]: a pair that
+   passes the float test [dist_sq < r^2] is then at most one cell apart
+   on each axis even after the rounding of [x /. side] (for coordinates
+   below about 10^6 cells), so the 3 x 3 block holds every neighbour. *)
+let margin = 1e-9
+
+(* A cell's coordinates packed into one int: exact for cell coordinates
+   in [-2^30, 2^30) on both axes. *)
+let[@inline] pack cx cy = (cx lsl 32) lor (cy land 0xFFFF_FFFF)
+
+(* Fibonacci hashing: the product's top [63 - shift] bits mix every bit
+   of the key. *)
+let[@inline] hash key shift = (key * 0x278DDE6E5FD29F05) lsr shift
+
+module Scratch = struct
+  type t = {
+    mutable slot : int array;  (** hash slot -> cell index, or -1 *)
+    mutable key : int array;  (** cell -> packed coordinates *)
+    mutable cell : int array;  (** node -> its cell's index *)
+    mutable count : int array;  (** cell -> number of nodes in it *)
+    mutable near : int array;  (** 9 per cell: its 3 x 3 block's cells, -1 if empty *)
+    mutable start : int array;  (** cell -> start of its candidate list *)
+    mutable cand : int array;  (** the candidate lists, back to back *)
+    mutable rows : int array;  (** the CSR rows before their exact copy *)
+  }
+
+  let create () =
+    { slot = [||]; key = [||]; cell = [||]; count = [||]; near = [||]; start = [||];
+      cand = [||]; rows = [||] }
+
+  (* A buffer holding at least [need] entries.  Ones sized by the cells
+     or the candidates vary between calls on the same [n], so they grow
+     with a quarter of slack and settle after one growth. *)
+  let[@inline] fit a need = if Array.length a >= need then a else Array.make (need + (need / 4)) 0
+end
+
+(* The slot of packed [key]: the one holding its cell, or the empty slot
+   where that cell belongs. *)
+let[@inline] probe slot key ~mask ~shift k =
+  let h = ref (hash k shift) in
+  while
+    let c = Array.unsafe_get slot !h in
+    c >= 0 && Array.unsafe_get key c <> k
+  do
+    h := (!h + 1) land mask
   done;
-  Graph.unsafe_of_csr ~off ~nbr:(Array.sub !nbr 0 off.(n))
+  !h
+
+let build ?scratch ~radius points =
+  if not (radius > 0.) then invalid_arg "Unit_disk.build: radius must be positive";
+  let s = match scratch with Some s -> s | None -> Scratch.create () in
+  let n = Array.length points in
+  let side = radius *. (1. +. margin) and r2 = radius *. radius in
+  (* 1. Number the occupied cells in first-seen order: at most [n] of
+     them, in a table at least twice that size. *)
+  let rec bits b = if 1 lsl b >= 2 * n then b else bits (b + 1) in
+  let b = bits 2 in
+  let mask = (1 lsl b) - 1 and shift = 63 - b in
+  if Array.length s.slot <> 1 lsl b then s.slot <- Array.make (1 lsl b) (-1)
+  else Array.fill s.slot 0 (1 lsl b) (-1);
+  if Array.length s.cell < n then begin
+    s.cell <- Array.make n 0;
+    s.key <- Array.make n 0
+  end;
+  let slot = s.slot and key = s.key and cell = s.cell in
+  let nc = ref 0 in
+  for i = 0 to n - 1 do
+    let p : Point.t = Array.unsafe_get points i in
+    let k =
+      pack (int_of_float (Float.floor (p.x /. side))) (int_of_float (Float.floor (p.y /. side)))
+    in
+    let h = probe slot key ~mask ~shift k in
+    let c = Array.unsafe_get slot h in
+    if c >= 0 then Array.unsafe_set cell i c
+    else begin
+      let c = !nc in
+      Array.unsafe_set slot h c;
+      Array.unsafe_set key c k;
+      Array.unsafe_set cell i c;
+      nc := c + 1
+    end
+  done;
+  let nc = !nc in
+  s.count <- Scratch.fit s.count nc;
+  let count = s.count in
+  Array.fill count 0 nc 0;
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get cell i in
+    Array.unsafe_set count c (Array.unsafe_get count c + 1)
+  done;
+  (* 2. Each cell's 3 x 3 block, resolved once per cell, and the length
+     of its candidate list. *)
+  s.near <- Scratch.fit s.near (9 * nc);
+  s.start <- Scratch.fit s.start (nc + 1);
+  let near = s.near and start = s.start in
+  (* [bound] sums, over the nodes, the length of their cell's list. *)
+  let total = ref 0 and bound = ref 0 in
+  for c = 0 to nc - 1 do
+    let k = Array.unsafe_get key c in
+    let cx = k asr 32 and cy = (k lsl 31) asr 31 in
+    let first = !total in
+    Array.unsafe_set start c first;
+    for d = 0 to 8 do
+      let block = pack (cx + (d / 3) - 1) (cy + (d mod 3) - 1) in
+      let e = Array.unsafe_get slot (probe slot key ~mask ~shift block) in
+      Array.unsafe_set near ((9 * c) + d) e;
+      if e >= 0 then total := !total + Array.unsafe_get count e
+    done;
+    bound := !bound + (Array.unsafe_get count c * (!total - first))
+  done;
+  Array.unsafe_set start nc !total;
+  (* 3. Scatter every node, in ascending id order, into the candidate
+     list of each cell of its block.  The block relation is symmetric,
+     so cell [c]'s list receives exactly the nodes of [c]'s block, in
+     id order.  [start.(c)] serves as [c]'s cursor and ends at the start
+     of [c + 1]; one shift restores it. *)
+  s.cand <- Scratch.fit s.cand !total;
+  let cand = s.cand in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get cell i in
+    for d = 9 * c to (9 * c) + 8 do
+      let e = Array.unsafe_get near d in
+      if e >= 0 then begin
+        let at = Array.unsafe_get start e in
+        Array.unsafe_set cand at i;
+        Array.unsafe_set start e (at + 1)
+      end
+    done
+  done;
+  for c = nc downto 1 do
+    Array.unsafe_set start c (Array.unsafe_get start (c - 1))
+  done;
+  Array.unsafe_set start 0 0;
+  (* 4. Each row is its cell's list under the distance test, written
+     unconditionally and kept by advancing the cursor; [bound] leaves
+     room for every write. *)
+  s.rows <- Scratch.fit s.rows !bound;
+  let rows = s.rows in
+  let off = Array.make (n + 1) 0 in
+  let pos = ref 0 in
+  for i = 0 to n - 1 do
+    let p : Point.t = Array.unsafe_get points i in
+    let x = p.x and y = p.y in
+    let c = Array.unsafe_get cell i in
+    for k = Array.unsafe_get start c to Array.unsafe_get start (c + 1) - 1 do
+      let j = Array.unsafe_get cand k in
+      let q : Point.t = Array.unsafe_get points j in
+      (* [Point.dist_sq]'s arithmetic, operand for operand. *)
+      let dx = x -. q.x and dy = y -. q.y in
+      Array.unsafe_set rows !pos j;
+      pos := !pos + (Bool.to_int ((dx *. dx) +. (dy *. dy) < r2) land Bool.to_int (j <> i))
+    done;
+    Array.unsafe_set off (i + 1) !pos
+  done;
+  Graph.unsafe_of_csr ~off ~nbr:(Array.sub rows 0 !pos)
 
 (* The two O(n^2) builders go through one packed half-edge buffer and
    [Graph.of_half_edges]. *)
@@ -49,7 +186,7 @@ let buf_push eb i j =
 let buf_graph ~n eb = Graph.of_half_edges ~n ~len:eb.len eb.buf
 
 let build_brute_force ~radius points =
-  if radius <= 0. then invalid_arg "Unit_disk.build_brute_force: radius must be positive";
+  if not (radius > 0.) then invalid_arg "Unit_disk.build_brute_force: radius must be positive";
   let n = Array.length points in
   let r2 = radius *. radius in
   let eb = buf_create () in
@@ -61,7 +198,7 @@ let build_brute_force ~radius points =
   buf_graph ~n eb
 
 let build_toroidal ~radius ~width ~height points =
-  if radius <= 0. then invalid_arg "Unit_disk.build_toroidal: radius must be positive";
+  if not (radius > 0.) then invalid_arg "Unit_disk.build_toroidal: radius must be positive";
   let n = Array.length points in
   let eb = buf_create () in
   for i = 0 to n - 1 do

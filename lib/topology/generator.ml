@@ -27,11 +27,12 @@ let refill_uniform rng (spec : Spec.t) points =
 let sample_connected ?(max_attempts = 10_000) rng (spec : Spec.t) =
   let radius = Spec.radius spec in
   (* One point buffer for the whole rejection loop, refilled in place on
-     a reject, and one BFS scratch shared across attempts.  The
-     connectivity test is a single traversal from node 0 that stops as
-     soon as every node has been reached. *)
+     a reject, and one unit-disk and one BFS scratch shared across
+     attempts.  The connectivity test is a single traversal from node 0
+     that stops as soon as every node has been reached. *)
   let points = place_uniform rng spec in
   let n = spec.n in
+  let scratch = Unit_disk.Scratch.create () in
   let seen = Array.make (max n 1) 0 in
   let queue = Array.make (max n 1) 0 in
   let gen = ref 0 in
@@ -64,7 +65,7 @@ let sample_connected ?(max_attempts = 10_000) rng (spec : Spec.t) =
         (Format.asprintf "Generator.sample_connected: no connected topology for %a in %d attempts"
            Spec.pp spec max_attempts);
     if attempts > 1 then refill_uniform rng spec points;
-    let graph = Unit_disk.build ~radius points in
+    let graph = Unit_disk.build ~scratch ~radius points in
     if connected graph then { points; graph; radius; attempts } else draw (attempts + 1)
   in
   draw 1

@@ -1,5 +1,6 @@
 module Point = Manet_geom.Point
-module Grid = Manet_geom.Grid
+module Graph = Manet_graph.Graph
+module Unit_disk = Manet_graph.Unit_disk
 module Rng = Manet_rng.Rng
 
 let pt x y = Point.make ~x ~y
@@ -57,65 +58,72 @@ let random_points ~seed ~count ~extent =
   let rng = Rng.create ~seed in
   Array.init count (fun _ -> pt (Rng.float rng extent) (Rng.float rng extent))
 
+(* The cell grid behind [Unit_disk.build], checked row by row against
+   the O(n^2) builder and a direct scan of the strict distance test. *)
+
 let brute_within points center radius =
   let acc = ref [] in
   Array.iteri (fun i p -> if Point.dist center p < radius then acc := i :: !acc) points;
   List.sort compare !acc
+
+let row g v = Array.to_list (Graph.neighbors g v)
+
+let check_build name ~radius points =
+  let g = Unit_disk.build ~radius points in
+  if not (Graph.equal g (Unit_disk.build_brute_force ~radius points)) then
+    Alcotest.failf "%s: grid build differs from brute force (radius %h)" name radius;
+  g
 
 let test_grid_matches_brute_force () =
   let rng = Rng.create ~seed:99 in
   for trial = 1 to 50 do
     let points = random_points ~seed:trial ~count:80 ~extent:100. in
     let radius = 5. +. Rng.float rng 20. in
-    let grid = Grid.make ~cell_size:radius points in
-    let center = pt (Rng.float rng 100.) (Rng.float rng 100.) in
+    let g = check_build (Printf.sprintf "trial %d" trial) ~radius points in
+    let v = Rng.int rng 80 in
     Alcotest.(check (list int))
-      (Printf.sprintf "trial %d" trial)
-      (brute_within points center radius)
-      (Grid.within grid ~center ~radius)
+      (Printf.sprintf "trial %d row" trial)
+      (List.filter (( <> ) v) (brute_within points points.(v) radius))
+      (row g v)
   done
 
 let test_grid_radius_larger_than_cell () =
-  (* Queries wider than the cell must still be exact. *)
+  (* The cell side is the radius, so the same placement is binned from
+     about one node per cell up to one cell holding every node. *)
   let points = random_points ~seed:5 ~count:60 ~extent:50. in
-  let grid = Grid.make ~cell_size:4. points in
-  let center = pt 25. 25. in
   List.iter
-    (fun radius ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "radius %f" radius)
-        (brute_within points center radius)
-        (Grid.within grid ~center ~radius))
+    (fun radius -> ignore (check_build (Printf.sprintf "radius %f" radius) ~radius points))
     [ 2.; 4.; 7.5; 13.; 40. ]
 
 let test_grid_strictness () =
   (* The neighbor rule is strict: distance exactly r is NOT within. *)
   let points = [| pt 0. 0.; pt 3. 0. |] in
-  let grid = Grid.make ~cell_size:3. points in
-  Alcotest.(check (list int)) "strict" [ 0 ] (Grid.within grid ~center:(pt 0. 0.) ~radius:3.);
-  Alcotest.(check (list int)) "slightly more" [ 0; 1 ]
-    (Grid.within grid ~center:(pt 0. 0.) ~radius:3.0001)
+  Alcotest.(check int) "strict" 0 (Graph.m (check_build "r = 3" ~radius:3. points));
+  Alcotest.(check int) "slightly more" 1 (Graph.m (check_build "r > 3" ~radius:3.0001 points))
 
 let test_grid_negative_coordinates () =
-  (* Points outside the usual working space still hash correctly. *)
+  (* Points outside the usual working space still bin correctly. *)
   let points = [| pt (-7.5) (-2.); pt (-6.) (-2.); pt 6. 2. |] in
-  let grid = Grid.make ~cell_size:2. points in
-  Alcotest.(check (list int)) "negative region query" [ 0; 1 ]
-    (Grid.within grid ~center:(pt (-7.) (-2.)) ~radius:2.)
+  let g = check_build "negative" ~radius:2. points in
+  Alcotest.(check (list int)) "negative region row" [ 1 ] (row g 0);
+  Alcotest.(check (list int)) "far point isolated" [] (row g 2)
 
 let test_grid_empty () =
-  let grid = Grid.make ~cell_size:1. [||] in
-  Alcotest.(check (list int)) "no points" [] (Grid.within grid ~center:(pt 0. 0.) ~radius:5.)
+  let g = check_build "empty" ~radius:5. [||] in
+  Alcotest.(check (pair int int)) "no nodes, no edges" (0, 0) (Graph.n g, Graph.m g)
 
 let test_grid_invalid_cell () =
-  Alcotest.check_raises "non-positive cell"
-    (Invalid_argument "Grid.make: cell_size must be positive") (fun () ->
-      ignore (Grid.make ~cell_size:0. [||]))
+  List.iter
+    (fun radius ->
+      Alcotest.check_raises (Printf.sprintf "radius %g" radius)
+        (Invalid_argument "Unit_disk.build: radius must be positive") (fun () ->
+          ignore (Unit_disk.build ~radius [| pt 0. 0.; pt 1. 0. |])))
+    [ 0.; -1.; Float.nan; Float.neg_infinity ]
 
 let test_grid_reach_multiples () =
-  (* Radii at and just past whole multiples of the cell, where
-     [ceil (r / cell)] steps: points just inside the radius along each
-     axis and the diagonal, at the far edge of the block, must be found. *)
+  (* Radii at, just past and a relative hair past whole multiples of a
+     length: points just inside the radius along each axis and the
+     diagonal, at the far edge of the 3 x 3 block, must be found. *)
   let cell = 4. in
   List.iter
     (fun k ->
@@ -127,38 +135,34 @@ let test_grid_reach_multiples () =
             [| pt 0. 0.; pt below 0.; pt (-.below) 0.; pt 0. below; pt radius 0.;
                pt (Float.pred (-.cell)) 0.; pt (below /. sqrt 2.) (below /. sqrt 2.) |]
           in
-          let grid = Grid.make ~cell_size:cell points in
-          let center = pt 0. 0. in
+          let g = check_build (Printf.sprintf "radius %h" radius) ~radius points in
           Alcotest.(check (list int))
-            (Printf.sprintf "radius %h" radius)
-            (brute_within points center radius)
-            (Grid.within grid ~center ~radius))
+            (Printf.sprintf "radius %h row" radius)
+            (List.tl (brute_within points (pt 0. 0.) radius))
+            (row g 0))
         [ radius; Float.succ radius; radius *. (1. +. 1e-12) ])
     [ 1; 2; 3 ];
-  (* Random placements against radii that are exact multiples. *)
+  (* Random placements at radii that are exact multiples. *)
   let points = random_points ~seed:11 ~count:200 ~extent:40. in
-  let grid = Grid.make ~cell_size:cell points in
-  let rng = Rng.create ~seed:12 in
-  for trial = 1 to 40 do
-    let center = pt (Rng.float rng 40.) (Rng.float rng 40.) in
-    let radius = float_of_int (1 + (trial mod 3)) *. cell in
-    Alcotest.(check (list int))
-      (Printf.sprintf "multiple trial %d" trial)
-      (brute_within points center radius)
-      (Grid.within grid ~center ~radius)
+  for trial = 1 to 3 do
+    let radius = float_of_int trial *. cell in
+    ignore (check_build (Printf.sprintf "multiple trial %d" trial) ~radius points)
   done
 
 let test_grid_far_apart () =
-  (* Memory is O(n) whatever the bounding box: points a million cells
-     apart index in a few words per point, as do points in one cell. *)
-  let points = [| pt 0. 0.; pt 1e6 (-1e6); pt 0.5 0. |] in
-  let grid = Grid.make ~cell_size:1. points in
-  let words = Obj.reachable_words (Obj.repr grid) in
-  let packed = Obj.reachable_words (Obj.repr (Grid.make ~cell_size:1. [| pt 0. 0.; pt 0.1 0.; pt 0.5 0. |])) in
-  Alcotest.(check int) "size independent of spread" packed words;
-  Alcotest.(check (list int)) "near origin" [ 0; 2 ] (Grid.within grid ~center:(pt 0. 0.) ~radius:1.);
-  Alcotest.(check (list int)) "far point" [ 1 ]
-    (Grid.within grid ~center:(pt 1e6 (-1e6)) ~radius:1.)
+  (* Memory is O(n) whatever the bounding box: the build's scratch holds
+     as many words for points a million cells apart as for points in
+     neighbouring cells. *)
+  let words points =
+    let scratch = Unit_disk.Scratch.create () in
+    let g = Unit_disk.build ~scratch ~radius:1. points in
+    (g, Obj.reachable_words (Obj.repr scratch))
+  in
+  let g, far = words [| pt 0. 0.; pt 1e6 (-1e6); pt 0.5 0. |] in
+  let _, near = words [| pt 0. 0.; pt 5. 5.; pt 0.5 0. |] in
+  Alcotest.(check int) "size independent of spread" near far;
+  Alcotest.(check (list int)) "near origin" [ 2 ] (row g 0);
+  Alcotest.(check (list int)) "far point" [] (row g 1)
 
 let () =
   Alcotest.run "geom"

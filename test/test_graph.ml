@@ -301,7 +301,7 @@ let prop_unit_disk_matches_brute =
       let radius = 5. +. Manet_rng.Rng.float rng 30. in
       Graph.equal (Unit_disk.build ~radius pts) (Unit_disk.build_brute_force ~radius pts))
 
-(* Grid build = brute-force oracle over the layouts the cell index must
+(* Cell build = brute-force oracle over the layouts the cell binning must
    survive: every seeded graph is compared as CSR arrays, so a missed,
    extra, duplicated or misordered neighbour all fail. *)
 
@@ -413,6 +413,27 @@ let test_udg_oracle_cell_edge_pairs () =
     in
     check_udg (Printf.sprintf "cell-edge trial %d" trial) ~radius pts
   done
+
+(* Every builder guards with [not (radius > 0.)], so a NaN radius is
+   rejected with the builder's own message instead of yielding an
+   edgeless graph. *)
+let check_rejects_radius name build =
+  List.iter
+    (fun radius ->
+      Alcotest.check_raises (Printf.sprintf "%s, radius %g" name radius)
+        (Invalid_argument (name ^ ": radius must be positive"))
+        (fun () -> ignore (build ~radius [| Point.make ~x:0. ~y:0.; Point.make ~x:1. ~y:0. |])))
+    [ Float.nan; 0.; -2. ]
+
+let test_build_rejects_nan () =
+  check_rejects_radius "Unit_disk.build" (fun ~radius pts -> Unit_disk.build ~radius pts)
+
+let test_brute_force_rejects_nan () =
+  check_rejects_radius "Unit_disk.build_brute_force" Unit_disk.build_brute_force
+
+let test_toroidal_rejects_nan () =
+  check_rejects_radius "Unit_disk.build_toroidal"
+    (Unit_disk.build_toroidal ~width:10. ~height:10.)
 
 let test_unit_disk_toroidal () =
   let pts = [| Point.make ~x:1. ~y:5.; Point.make ~x:9. ~y:5.; Point.make ~x:5. ~y:5. |] in
@@ -706,6 +727,9 @@ let () =
           Alcotest.test_case "oracle: negative and coincident" `Quick
             test_udg_oracle_negative_coincident;
           Alcotest.test_case "oracle: cell-edge pairs" `Quick test_udg_oracle_cell_edge_pairs;
+          Alcotest.test_case "build rejects nan radius" `Quick test_build_rejects_nan;
+          Alcotest.test_case "brute force rejects nan radius" `Quick test_brute_force_rejects_nan;
+          Alcotest.test_case "toroidal rejects nan radius" `Quick test_toroidal_rejects_nan;
           Alcotest.test_case "toroidal wrap" `Quick test_unit_disk_toroidal;
           prop_toroidal_supergraph;
           Alcotest.test_case "radius/degree roundtrip" `Quick test_radius_for_degree_roundtrip;

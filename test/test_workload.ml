@@ -94,6 +94,114 @@ let test_bad_specs () =
             (Workload.make ~arrival_rate:1. ~duration:2. ())))
     [ 1e-300; 0.; -1.; Float.nan ]
 
+let test_nan_radius () =
+  let spec, points, _ = sample 3 in
+  List.iter
+    (fun radius ->
+      Alcotest.check_raises (Printf.sprintf "radius %g" radius)
+        (Invalid_argument "Workload.run: radius must be positive") (fun () ->
+          ignore (Workload.run ~rng:(Rng.create ~seed:4) ~points ~radius ~spec w)))
+    [ Float.nan; 0.; -1. ]
+
+(* The roster answers the serving loop's three questions (the k-th
+   inactive node for a join, the k-th active node for a leave or a
+   source, the size of a bounded source pool) as a scan over all nodes
+   would, at every step of a seeded join/leave stream. *)
+let test_roster_matches_scan () =
+  let n = 60 in
+  let roster = Workload.Roster.create n in
+  let active = Array.make n true in
+  let rng = Rng.create ~seed:5 in
+  let nth pred k =
+    let rec go v seen =
+      if not (pred v) then go (v + 1) seen else if seen = k then v else go (v + 1) (seen + 1)
+    in
+    go 0 0
+  in
+  for step = 1 to 2000 do
+    let live = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 active in
+    Alcotest.(check int) "live" live (Workload.Roster.live roster);
+    (* Joins and leaves in turn with a random bias, so the stream drains
+       towards two live nodes and refills towards all of them. *)
+    let bias = if step mod 400 < 200 then 3 else 7 in
+    if Rng.int rng 10 < bias && live < n then begin
+      let k = Rng.int rng (n - live) in
+      let v = nth (fun v -> not active.(v)) k in
+      Workload.Roster.join roster k;
+      active.(v) <- true
+    end
+    else if live > 2 then begin
+      let k = Rng.int rng live in
+      let v = nth (fun v -> active.(v)) k in
+      Alcotest.(check int) "k-th active" v (Workload.Roster.nth_active roster k);
+      Workload.Roster.leave roster k;
+      active.(v) <- false
+    end;
+    let bound = Rng.int rng (n + 2) in
+    let below = ref 0 in
+    Array.iteri (fun v a -> if a && v < bound then incr below) active;
+    Alcotest.(check int) "active below bound" !below (Workload.Roster.active_below roster bound);
+    (* The membership check also pins which node the join or leave took. *)
+    Alcotest.(check (array bool)) "membership" active
+      (Array.init n (Workload.Roster.is_active roster))
+  done
+
+(* A seeded motion-plus-churn stream at n = 300, pinned to the values of
+   the eager-snapshot loop that scanned every node per event: its stats,
+   and the sums of the edge counts and backbone sizes handed to the
+   maintenance probe.  Snapshots are built only when read, so the stream
+   builds fewer of them than it has topology events. *)
+let test_pinned_stream () =
+  let spec = Spec.make ~n:300 ~avg_degree:10. () in
+  let s = Generator.sample_connected (Rng.create ~seed:2024) spec in
+  let w =
+    Workload.make ~arrival_rate:3. ~duration:30. ~warmup:1. ~join_rate:0.4 ~leave_rate:0.4 ()
+  in
+  let motion =
+    {
+      Workload.model = Manet_topology.Mobility.Random_waypoint;
+      dt = 0.5;
+      speed_min = 0.;
+      speed_max = 2.;
+      pause_time = 0.;
+    }
+  in
+  let sum_m = ref 0 and sum_members = ref 0 and events = ref 0 and snapshots = ref 0 in
+  let on_maintenance (p : Workload.probe) =
+    events := !events + p.Workload.stale_events;
+    snapshots := p.Workload.snapshots;
+    sum_m := !sum_m + Manet_graph.Graph.m p.Workload.graph;
+    sum_members :=
+      !sum_members
+      + Manet_graph.Nodeset.cardinal p.Workload.backbone.Manet_backbone.Static_backbone.members
+  in
+  let serve ?mode ?on_maintenance w =
+    Workload.run ?mode ~motion ?on_maintenance ~rng:(Rng.create ~seed:99) ~points:s.Generator.points
+      ~radius:s.Generator.radius ~spec w
+  in
+  let st = serve ~on_maintenance w in
+  Alcotest.(check bool) "stats" true
+    (st
+    = {
+        Workload.broadcasts = 79;
+        skipped = 0;
+        throughput = 0x1.5cb08d3dcb08dp+1;
+        churn_events = 15;
+        maintenance_updates = 30;
+        maintenance_messages = 21755;
+        messages_per_churn = 0x1.6a95555555555p+10;
+        mean_staleness = 0x1p+0;
+        delivery = 0x1.fd31c945af3dcp-1;
+      });
+  Alcotest.(check int) "sum of probed edge counts" 53072 !sum_m;
+  Alcotest.(check int) "sum of probed backbone sizes" 4843 !sum_members;
+  Alcotest.(check int) "topology events up to the last probe" 77 !events;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d snapshots < %d topology events" !snapshots !events)
+    true (!snapshots < !events);
+  let lossy = serve ~mode:(Manet_broadcast.Protocol.Lossy 0.2) w in
+  Alcotest.(check (float 0.)) "lossy delivery" 0x1.f88d5bf88ae1p-1 lossy.Workload.delivery
+
 let () =
   Alcotest.run "workload"
     [
@@ -104,5 +212,9 @@ let () =
           Alcotest.test_case "maintenance probes are monotone" `Quick test_probe_monotone;
           Alcotest.test_case "skipped maintenance is observable" `Quick test_fault_observable;
           Alcotest.test_case "bad specs rejected" `Quick test_bad_specs;
+          Alcotest.test_case "nan radius rejected" `Quick test_nan_radius;
+          Alcotest.test_case "roster = full scan on a churning stream" `Quick
+            test_roster_matches_scan;
+          Alcotest.test_case "pinned motion-plus-churn stream (n=300)" `Quick test_pinned_stream;
         ] );
     ]
