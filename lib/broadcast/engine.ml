@@ -1,10 +1,6 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 
-let never_drop () = false
-
-let never_down ~time:_ ~node:_ = false
-
 (* Reusable per-worker scratch for {!run_core}.  A broadcast needs two
    per-node maps (delivered/transmitted), the pending receptions and a
    transmission timeline; the arena keeps all of them alive between runs
@@ -45,6 +41,7 @@ module Arena = struct
     mutable trace_time : int array;
     mutable trace_node : int array;
     mutable trace_len : int;
+    mutable reached : int;  (** nodes delivered by the last [broadcast] *)
     mutable now : int;  (** time of the level in [cur] *)
     mutable cur : int array;  (** the open level's keys, sorted *)
     mutable cur_len : int;
@@ -71,6 +68,7 @@ module Arena = struct
       trace_time = [||];
       trace_node = [||];
       trace_len = 0;
+      reached = 0;
       now = 0;
       cur = [||];
       cur_len = 0;
@@ -162,9 +160,15 @@ let reserve_next (a : Arena.t) k =
    Stable LSD radix sort of [next] by the key field [(x lsr lo)] of
    [bits] bits (every key bit above the field is zero), in passes of at
    most [digit_bits] bits, scattering between [next] and the consumed
-   [cur]. *)
+   [cur].  A pass over a [w]-bit digit costs 2^w bucket steps besides
+   its key steps, so a level of [len] keys uses digits of about
+   log2 len bits: a short level takes a few passes over small bucket
+   arrays instead of one over 256 mostly empty buckets.  Any digit
+   width gives the same stable order. *)
 
 let digit_bits = 8
+
+let rec bits_for b n = if 1 lsl b >= n then b else bits_for (b + 1) n
 
 (* One stable counting pass on the [w]-bit digit at [shift]. *)
 let counting_pass counts src dst len ~shift ~w =
@@ -196,7 +200,8 @@ let open_level (a : Arena.t) ~lo ~bits =
   let len = a.next_len in
   if Array.length a.cur < Array.length a.next then a.cur <- Array.make (Array.length a.next) 0;
   if Array.length a.counts = 0 then a.counts <- Array.make (1 lsl digit_bits) 0;
-  let passes = (bits + digit_bits - 1) / digit_bits in
+  let widest = Int.max 2 (Int.min digit_bits (bits_for 0 len)) in
+  let passes = (bits + widest - 1) / widest in
   let w = (bits + passes - 1) / passes in
   for p = 0 to passes - 1 do
     counting_pass a.counts a.next a.cur len ~shift:(lo + (p * w)) ~w;
@@ -218,8 +223,6 @@ let open_level (a : Arena.t) ~lo ~bits =
     a.next_len <- base + k;
     a.later_len <- 0
   end
-
-let rec bits_for b n = if 1 lsl b >= n then b else bits_for (b + 1) n
 
 (* Caller-owned result + timeline from the arena's generation tags and
    trace buffers — the common epilogue of [run_core] and every bespoke
@@ -322,11 +325,19 @@ module Scratch = struct
   let finish s ~source ~completion = materialize s.a ~tick:s.tick ~n:s.n ~source ~completion
 end
 
-(* One decide-style broadcast on an acquired arena.  Transmissions at
-   time t happen while level t is read in ascending receiver order, and
-   a node transmits at most once, so [next] fills in ascending sender
-   order: sorting it by the receiver field alone (stably) yields the
-   (receiver, sender) order. *)
+(* One decide-style broadcast on an acquired arena; returns its
+   completion time, and leaves the run's tags, timeline and delivered
+   count ([a.reached]) in the arena for an epilogue to read.
+   Transmissions at time t happen while level t is read in ascending
+   receiver order, and a node transmits at most once, so [next] fills in
+   ascending sender order: sorting it by the receiver field alone
+   (stably) yields the (receiver, sender) order.
+
+   Without [drop], a copy to a neighbour that has already transmitted is
+   never scheduled: such a node is delivered and is never offered a copy
+   again, so its reception would change nothing, and with no loss
+   stream no draw is tied to it.  With [drop], every copy is scheduled,
+   so the loss draws keep their order. *)
 let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
   let n = Graph.n g in
   let tick = start a ~n in
@@ -334,18 +345,30 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
   let off, nbr = Graph.csr g in
   let shift = bits_for 1 n in
   let mask = (1 lsl shift) - 1 in
-  let completion = ref 0 in
+  let completion = ref 0 and reached = ref 1 in
   let transmit time v p =
     Array.unsafe_set transmitted v tick;
     trace_push a time v;
     Array.unsafe_set payload v (Obj.repr p);
     let lo = Array.unsafe_get off v and hi = Array.unsafe_get off (v + 1) in
-    let base = reserve_next a (hi - lo) - lo in
+    let base = reserve_next a (hi - lo) in
     let buf = a.next in
-    for i = lo to hi - 1 do
-      Array.unsafe_set buf (base + i) ((Array.unsafe_get nbr i lsl shift) lor v)
-    done;
-    a.next_len <- base + hi
+    match drop with
+    | None ->
+      let j = ref base in
+      for i = lo to hi - 1 do
+        let w = Array.unsafe_get nbr i in
+        if Array.unsafe_get transmitted w <> tick then begin
+          Array.unsafe_set buf !j ((w lsl shift) lor v);
+          incr j
+        end
+      done;
+      a.next_len <- !j
+    | Some _ ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set buf (base + i - lo) ((Array.unsafe_get nbr i lsl shift) lor v)
+      done;
+      a.next_len <- base + hi - lo
   in
   Array.unsafe_set delivered source tick;
   transmit 0 source initial;
@@ -357,10 +380,14 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
       (* A failed node neither receives nor (therefore) forwards; the
          [down] guard sits after [drop] so the loss stream is identical
          with and without failures. *)
-      if not (drop ()) && not (down ~time ~node:(key lsr shift)) then begin
-        let receiver = key lsr shift in
+      let receiver = key lsr shift in
+      if
+        (match drop with None -> true | Some drop -> not (drop ()))
+        && match down with None -> true | Some down -> not (down ~time ~node:receiver)
+      then begin
         if Array.unsafe_get delivered receiver <> tick then begin
           Array.unsafe_set delivered receiver tick;
+          incr reached;
           completion := time
         end;
         (* Every copy is offered to the node until it transmits: a
@@ -375,19 +402,40 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
       end
     done
   done;
-  materialize a ~tick ~n ~source ~completion:!completion
+  a.reached <- !reached;
+  !completion
 
-(* The one event loop shared by every decide-style execution: the
-   perfect engine ([drop] never fires), and the lossy engine ([drop]
-   draws from its generator once per reception, in processing order).
-   Either way the results are the same whichever arena runs it. *)
-let run_core ?(drop = never_drop) ?(down = never_down) ?arena g ~source ~initial ~decide =
-  if source < 0 || source >= Graph.n g then invalid_arg "Engine.run_core: source out of range";
+(* Runs [broadcast] on an acquired arena and reads the result with
+   [epilogue] before the arena is released: [run_core] and [run_count]
+   share everything but the epilogue. *)
+let drive name ~epilogue ?drop ?down ?arena g ~source ~initial ~decide =
+  if source < 0 || source >= Graph.n g then invalid_arg (name ^ ": source out of range");
   let a = acquire arena in
-  match broadcast a ~drop ~down g ~source ~initial ~decide with
+  match
+    let completion = broadcast a ~drop ~down g ~source ~initial ~decide in
+    epilogue a g ~source ~completion
+  with
   | r ->
     release a;
     r
   | exception e ->
     release a;
     raise e
+
+(* The one event loop shared by every decide-style execution: the
+   perfect engine ([drop] absent), and the lossy engine ([drop] draws
+   from its generator once per reception, in processing order).  Either
+   way the results are the same whichever arena runs it. *)
+let run_core ?drop ?down ?arena g ~source ~initial ~decide =
+  drive "Engine.run_core" ?drop ?down ?arena g ~source ~initial ~decide
+    ~epilogue:(fun a g ~source ~completion ->
+      materialize a ~tick:a.Arena.gen ~n:(Graph.n g) ~source ~completion)
+
+type counts = { forwards : int; delivered : int; completion_time : int }
+
+(* Every transmitter is traced exactly once, so the timeline's length is
+   the forward count. *)
+let run_count ?drop ?down ?arena g ~source ~initial ~decide =
+  drive "Engine.run_count" ?drop ?down ?arena g ~source ~initial ~decide
+    ~epilogue:(fun a _ ~source:_ ~completion ->
+      { forwards = a.Arena.trace_len; delivered = a.Arena.reached; completion_time = completion })

@@ -27,10 +27,12 @@ module Arena : sig
   (** Reusable engine scratch: generation-tagged delivered/transmitted
       maps, the frontier calendar of pending receptions, the per-sender
       payload slots and the transmission timeline.  Reusing an arena
-      across broadcasts makes the engine's steady-state allocation O(1)
-      (only the caller-owned {!Result.t} and timeline are built per run)
-      and never changes results — runs are bit-identical whether the
-      arena is fresh, reused, or absent.
+      across broadcasts makes the engine's own steady-state allocation
+      O(1) and never changes results — runs are bit-identical whether
+      the arena is fresh, reused, or absent.  What a run builds on top
+      is its epilogue's: {!run_core} materializes the caller-owned
+      {!Result.t} and timeline (O(n) per run), {!run_count} only a
+      three-field {!counts} record.
 
       The calendar holds one time unit (a {e level}) at a time: the
       receptions for time [t + 1] are appended to a buffer while level
@@ -149,10 +151,15 @@ val run_core :
 
     [drop] is consulted once per reception event, in (time, receiver,
     sender) processing order; a [true] verdict discards that reception
-    before the node sees it.  Defaults to never dropping (the perfect
-    MAC); {!Protocol.run_decide} passes a closure that draws from the
+    before the node sees it.  Absent, nothing drops (the perfect MAC);
+    {!Protocol.run_decide} passes a closure that draws from the
     environment's generator, so one code path serves the perfect and the
-    lossy engine.
+    lossy engine.  Without [drop], a copy addressed to a node that has
+    already transmitted is never scheduled: that node is delivered and
+    is never offered a copy again, so the reception could change
+    nothing.  With [drop] (even one that never fires) every copy is
+    scheduled and consulted, so the loss draws keep their order; both
+    give identical results, timelines and [decide] calls.
 
     [down ~time ~node] injects {e node} failures on the same loop: a
     node down at a reception's delivery time neither receives nor
@@ -168,4 +175,28 @@ val run_core :
     arena ({!Arena.get}), so repeated broadcasts on one domain already
     reuse storage.  Results and timelines are bit-identical for any
     arena state — see {!Arena}.
+    @raise Invalid_argument if [source] is out of range. *)
+
+type counts = {
+  forwards : int;  (** nodes that transmitted, the source included *)
+  delivered : int;  (** nodes that received the packet, the source included *)
+  completion_time : int;  (** time of the last first delivery *)
+}
+
+val run_count :
+  ?drop:(unit -> bool) ->
+  ?down:(time:int -> node:int -> bool) ->
+  ?arena:Arena.t ->
+  Manet_graph.Graph.t ->
+  source:int ->
+  initial:'a ->
+  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
+  counts
+(** {!run_core}'s broadcast read through a count-only epilogue: the same
+    event loop, [decide] calls, [drop] draws and [down] queries, and
+    counts equal to {!Result.forward_count}, {!Result.delivered_count}
+    and [completion_time] of {!run_core}'s result.  It builds neither
+    the delivered array, the forwarder set nor the timeline, so a run
+    allocates nothing that grows with [n] — the serving loop's entry
+    point, which reads only the counts.
     @raise Invalid_argument if [source] is out of range. *)

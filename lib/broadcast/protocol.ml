@@ -65,27 +65,35 @@ type t = {
   prepare : env -> built;
 }
 
-(* The uniform pipeline: one engine core, perfect or lossy.  A [Lossy 0.]
-   drop closure never draws from the generator (its threshold is 0), so
+(* The loss model of a mode: [None] when no reception can drop, else a
+   closure drawing once per reception.  [Lossy 0.] (and [-0.]) gets
+   [None] too: its threshold is 0, so its closure would never draw, and
    loss 0 is bit-identical to [Perfect]. *)
-let run_decide env ~source ~mode ~initial ~decide =
-  let down = env.down in
-  match mode with
-  | Perfect -> Engine.run_core ?down ~arena:env.arena env.graph ~source ~initial ~decide
+let drop_of env = function
+  | Perfect -> None
   | Lossy loss ->
     (* Written so that NaN fails too: [nan < 0.] and [nan > 1.] are
        both false, and a NaN threshold would never drop. *)
     if not (loss >= 0. && loss <= 1.) then invalid_arg "Protocol.run: loss must be within [0, 1]";
-    let rng = env.rng in
     (* [bits53 rng < threshold] decides [float rng 1. < loss] on the
        same generator draw without boxing a float per reception:
        [loss *. 2^53] is exact scaling by a power of two, and the
        53-bit draw is exactly representable, so ceil makes the integer
        comparison equivalent bit-for-bit. *)
     let threshold = int_of_float (Float.ceil (loss *. 9007199254740992.)) in
-    Engine.run_core
-      ~drop:(fun () -> threshold > 0 && Rng.bits53 rng < threshold)
-      ?down ~arena:env.arena env.graph ~source ~initial ~decide
+    if threshold = 0 then None
+    else
+      let rng = env.rng in
+      Some (fun () -> Rng.bits53 rng < threshold)
+
+(* The uniform pipeline: one engine core, perfect or lossy. *)
+let run_decide env ~source ~mode ~initial ~decide =
+  Engine.run_core ?drop:(drop_of env mode) ?down:env.down ~arena:env.arena env.graph ~source
+    ~initial ~decide
+
+let run_decide_count env ~source ~mode ~initial ~decide =
+  Engine.run_count ?drop:(drop_of env mode) ?down:env.down ~arena:env.arena env.graph ~source
+    ~initial ~decide
 
 let si_decide members ~node ~from:_ ~payload:() =
   if Nodeset.mem node members then Some () else None

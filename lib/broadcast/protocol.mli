@@ -179,6 +179,20 @@ val run_decide :
     @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]
     (NaN included) or [source] is out of range. *)
 
+val run_decide_count :
+  env ->
+  source:int ->
+  mode:mode ->
+  initial:'a ->
+  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
+  Engine.counts
+(** {!run_decide} through {!Engine.run_count}: the same broadcast, the
+    same draws from [env.rng] and the same [decide] calls, but only its
+    forward, delivery and completion counts are returned, and nothing
+    O(n) is built — for callers that discard the result and timeline
+    (the serving loop).
+    @raise Invalid_argument as {!run_decide}. *)
+
 val frozen_lossy :
   env ->
   run:(source:int -> Result.t * (int * int) list) ->

@@ -229,16 +229,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
       dirty := false
     end
   in
-  (* Deliveries are counted as the broadcast runs: every delivered node
-     but the source is offered a copy before it can transmit, and a
-     parked node, isolated, is offered none, so a broadcast reaches
-     1 + (nodes offered a copy) active nodes. *)
-  let offered = Array.make n 0 and stamp = ref 0 and got = ref 0 in
   let decide ~node ~from:_ ~payload:() =
-    if Array.unsafe_get offered node <> !stamp then begin
-      Array.unsafe_set offered node !stamp;
-      incr got
-    end;
     if Bytes.unsafe_get member node <> '\000' then Some () else None
   in
   let finished = ref false in
@@ -315,13 +306,14 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
           (* One split per arrival: a broadcast that draws more (loss
              mode) never perturbs the next broadcast's stream. *)
           Protocol.retarget ~rng:(Rng.split traffic_rng) env;
-          incr stamp;
-          got := 1;
-          ignore (Protocol.run_decide env ~source ~mode ~initial:() ~decide);
+          (* A parked node is isolated, so every delivered node is an
+             active one. *)
+          let c = Protocol.run_decide_count env ~source ~mode ~initial:() ~decide in
           if counted then begin
             incr broadcasts;
             delivery_sum :=
-              !delivery_sum +. (float_of_int !got /. float_of_int (Roster.live roster));
+              !delivery_sum
+              +. (float_of_int c.Engine.delivered /. float_of_int (Roster.live roster));
             staleness_sum := !staleness_sum +. float_of_int !stale_since_maint
           end
         end;

@@ -22,6 +22,12 @@ let flood ~node:_ ~from:_ ~payload:() = Some ()
 let flooding_delivery g ~rng ~loss ~source =
   Result.delivery_ratio (lossy_run g ~rng ~loss ~source ~decide:flood)
 
+let result_t = Alcotest.testable Result.pp (fun (a : Result.t) b ->
+    a.source = b.source
+    && Nodeset.equal a.forwarders b.forwarders
+    && a.delivered = b.delivered
+    && a.completion_time = b.completion_time)
+
 (* Result accessors *)
 
 let test_result_accessors () =
@@ -99,7 +105,12 @@ let test_first_copy_smallest_sender () =
 let test_source_out_of_range () =
   let g = Graph.path 2 in
   Alcotest.check_raises "range" (Invalid_argument "Engine.run_core: source out of range") (fun () ->
-      ignore (run g ~source:5 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None)))
+      ignore (run g ~source:5 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None)));
+  Alcotest.check_raises "range" (Invalid_argument "Engine.run_count: source out of range")
+    (fun () ->
+      ignore
+        (Engine.run_count g ~source:(-1) ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() ->
+             None)))
 
 let test_single_node_graph () =
   let g = Graph.empty 1 in
@@ -160,6 +171,22 @@ let test_lossy_zero_loss_equals_engine () =
   let b = run g ~source:0 ~initial:() ~decide:flood in
   Alcotest.check nodeset "identical at zero loss" a.forwarders b.forwarders;
   Alcotest.(check (array bool)) "same deliveries" a.delivered b.delivered
+
+(* Loss 0 of either sign takes the no-drop path: same result as
+   [Perfect], and not one draw from the generator. *)
+let test_lossy_signed_zero_draws_nothing () =
+  let g = (Test_helpers.udg ~seed:24 ~n:40 ~d:8.).graph in
+  let perfect = run g ~source:0 ~initial:() ~decide:flood in
+  List.iter
+    (fun loss ->
+      let rng = Manet_rng.Rng.create ~seed:3 in
+      let r = lossy_run g ~rng ~loss ~source:0 ~decide:flood in
+      Alcotest.check result_t (Printf.sprintf "loss %g = perfect" loss) perfect r;
+      Alcotest.(check int)
+        (Printf.sprintf "loss %g draws nothing" loss)
+        (Manet_rng.Rng.bits53 (Manet_rng.Rng.create ~seed:3))
+        (Manet_rng.Rng.bits53 rng))
+    [ 0.; -0. ]
 
 let test_lossy_total_loss () =
   let g = paper_graph () in
@@ -353,12 +380,6 @@ let test_reliable_timeout_reported () =
    different sizes back and forth, and re-entrant runs from inside a
    decide callback falling back safely. *)
 
-let result_t = Alcotest.testable Result.pp (fun (a : Result.t) b ->
-    a.source = b.source
-    && Nodeset.equal a.forwarders b.forwarders
-    && a.delivered = b.delivered
-    && a.completion_time = b.completion_time)
-
 let test_arena_across_sizes () =
   let arena = Engine.Arena.create () in
   let graphs = [ udg ~seed:7 ~n:60 ~d:6.; udg ~seed:8 ~n:9 ~d:4.; udg ~seed:9 ~n:120 ~d:10. ] in
@@ -474,6 +495,73 @@ let test_order_drops () =
         [ None; Some 4 ])
     order_cases
 
+(* The count-only epilogue and the no-op filter.  [run_count] reads
+   [run_core]'s broadcast through a different epilogue, and [run_core]
+   without [drop] never schedules a copy to a node that has already
+   transmitted.  On random connected graphs, for flooding, a random SI
+   member set and a rule that reads [from], under no loss, [Lossy 0.3]
+   and a [down] schedule, neither may change anything observable. *)
+
+let down_schedule ~time ~node = ((node * 31) + time) mod 7 = 0
+
+let decide_kinds g seed =
+  let rng = Manet_rng.Rng.create ~seed in
+  let members = Array.init (Graph.n g) (fun _ -> Manet_rng.Rng.bool rng) in
+  [
+    flood;
+    (fun ~node ~from:_ ~payload:() -> if members.(node) then Some () else None);
+    (fun ~node ~from ~payload:() -> if declines ~node ~from then None else Some ());
+  ]
+
+(* (mode, down): no loss, loss, node failures. *)
+let conditions =
+  [ (Protocol.Perfect, None); (Protocol.Lossy 0.3, None); (Protocol.Perfect, Some down_schedule) ]
+
+let prop_count_equals_core =
+  qtest "run_count = run_core's counts, same draws" ~count:60 (arb_udg ())
+    (fun ((seed, n, _) as c) ->
+      let g = (sample_of c).graph and source = seed mod n in
+      List.for_all
+        (fun decide ->
+          List.for_all
+            (fun (mode, down) ->
+              let env () = Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed) ?down g in
+              let e1 = env () and e2 = env () in
+              let r, _ = Protocol.run_decide e1 ~source ~mode ~initial:() ~decide in
+              let c = Protocol.run_decide_count e2 ~source ~mode ~initial:() ~decide in
+              c.Engine.forwards = Result.forward_count r
+              && c.Engine.delivered = Result.delivered_count r
+              && c.Engine.completion_time = r.Result.completion_time
+              && Manet_rng.Rng.bits53 e1.Protocol.rng = Manet_rng.Rng.bits53 e2.Protocol.rng)
+            conditions)
+        (decide_kinds g seed))
+
+(* Every [decide] call as (time, node, from): the copy from [from]
+   arrives one unit after [from] transmitted. *)
+let logged_run ?drop ?down g ~source ~decide =
+  let log = ref [] in
+  let decide ~node ~from ~payload =
+    log := (node, from) :: !log;
+    decide ~node ~from ~payload
+  in
+  let r, timeline = Engine.run_core ?drop ?down g ~source ~initial:() ~decide in
+  let tx = transmit_times g timeline in
+  (r, timeline, List.rev_map (fun (node, from) -> (tx.(from) + 1, node, from)) !log)
+
+let prop_filter_is_invisible =
+  qtest "no-drop filter = never-firing drop" ~count:60 (arb_udg ())
+    (fun ((seed, n, _) as c) ->
+      let g = (sample_of c).graph and source = seed mod n in
+      List.for_all
+        (fun decide ->
+          List.for_all
+            (fun down ->
+              let r1, t1, l1 = logged_run ?down g ~source ~decide in
+              let r2, t2, l2 = logged_run ~drop:(fun () -> false) ?down g ~source ~decide in
+              Alcotest.equal result_t r1 r2 && t1 = t2 && l1 = l2)
+            [ None; Some down_schedule ])
+        (decide_kinds g seed))
+
 module Scratch = Engine.Scratch
 
 (* Random schedules through Scratch: events come back in (time, node,
@@ -584,9 +672,12 @@ let () =
           Alcotest.test_case "scratch: push window" `Quick test_scratch_window;
           Alcotest.test_case "scratch: equal keys" `Quick test_scratch_equal_keys;
         ] );
+      ("epilogue", [ prop_count_equals_core; prop_filter_is_invisible ]);
       ( "lossy",
         [
           Alcotest.test_case "zero loss = reliable engine" `Quick test_lossy_zero_loss_equals_engine;
+          Alcotest.test_case "signed zero loss draws nothing" `Quick
+            test_lossy_signed_zero_draws_nothing;
           Alcotest.test_case "total loss" `Quick test_lossy_total_loss;
           Alcotest.test_case "validation" `Quick test_lossy_validation;
           Alcotest.test_case "monotone in loss" `Quick test_lossy_monotone_in_loss;

@@ -202,6 +202,71 @@ let test_pinned_stream () =
   let lossy = serve ~mode:(Manet_broadcast.Protocol.Lossy 0.2) w in
   Alcotest.(check (float 0.)) "lossy delivery" 0x1.f88d5bf88ae1p-1 lossy.Workload.delivery
 
+(* Edge cases of the serving loop, each under a perfect MAC and under
+   [Lossy 0.5], pinned to the stats of the loop that counted deliveries
+   in its own [decide] callback (every node offered a copy, plus the
+   source) before delivery came from the engine's count: two nodes;
+   a source pool larger than the network, under churn; a maintenance
+   period longer than the stream; and a leave-heavy stream drained to
+   two live nodes (28 of the 30 nodes leave). *)
+let edge_cases =
+  let two =
+    ( Spec.make ~n:2 ~avg_degree:1. (),
+      [| Manet_geom.Point.make ~x:10. ~y:10.; Manet_geom.Point.make ~x:15. ~y:10. |],
+      10. )
+  in
+  [
+    ( "n=2",
+      two,
+      Workload.make ~arrival_rate:20. ~duration:6. ~warmup:1. ~join_rate:1. ~leave_rate:1. (),
+      (106, 0x1.5333333333333p+4, 0, 6, 0, 0x0p+0, 0x0p+0),
+      (0x1p+0, 0x1.6f1826a439f65p-1) );
+    ( "sources > n under churn",
+      sample 7,
+      Workload.make ~arrival_rate:30. ~duration:8. ~warmup:1. ~join_rate:0.8 ~leave_rate:0.8
+        ~sources:50 (),
+      (219, 0x1.f492492492492p+4, 4, 8, 63, 0x1.f8p+3, 0x1.b7866de19b786p-3),
+      (0x1p+0, 0x1.857218f9a7c9ep-2) );
+    ( "maintenance_every > duration",
+      sample 7,
+      Workload.make ~arrival_rate:30. ~duration:8. ~join_rate:0.6 ~leave_rate:0.6
+        ~maintenance_every:20. (),
+      (247, 0x1.eep+4, 3, 0, 0, 0x0p+0, 0x1.2b87c5f5a2b88p+0),
+      (0x1p+0, 0x1.9049eb10fc548p-2) );
+    ( "drained to two live nodes",
+      sample 7,
+      Workload.make ~arrival_rate:30. ~duration:10. ~leave_rate:20. (),
+      (306, 0x1.e99999999999ap+4, 28, 10, 73, 0x1.4db6db6db6db7p+1, 0x1.62b80d62b80d6p+0),
+      (0x1.00d3a6097d47dp-1, 0x1.d45407745b72ap-2) );
+  ]
+
+let test_edge_cases () =
+  List.iter
+    (fun ( name,
+           (spec, points, radius),
+           w,
+           (broadcasts, throughput, churn_events, maintenance_updates, maintenance_messages,
+            messages_per_churn, mean_staleness),
+           (perfect, lossy) ) ->
+      List.iter
+        (fun (mode, delivery) ->
+          let st = Workload.run ~mode ~rng:(Rng.create ~seed:11) ~points ~radius ~spec w in
+          Alcotest.(check bool) name true
+            (st
+            = {
+                Workload.broadcasts;
+                skipped = 0;
+                throughput;
+                churn_events;
+                maintenance_updates;
+                maintenance_messages;
+                messages_per_churn;
+                mean_staleness;
+                delivery;
+              }))
+        [ (Manet_broadcast.Protocol.Perfect, perfect); (Manet_broadcast.Protocol.Lossy 0.5, lossy) ])
+    edge_cases
+
 let () =
   Alcotest.run "workload"
     [
@@ -216,5 +281,6 @@ let () =
           Alcotest.test_case "roster = full scan on a churning stream" `Quick
             test_roster_matches_scan;
           Alcotest.test_case "pinned motion-plus-churn stream (n=300)" `Quick test_pinned_stream;
+          Alcotest.test_case "pinned edge cases, perfect and lossy" `Quick test_edge_cases;
         ] );
     ]
