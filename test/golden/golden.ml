@@ -9,24 +9,8 @@
 module Rng = Manet_rng.Rng
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
-module Spec = Manet_topology.Spec
-module Generator = Manet_topology.Generator
 module Protocol = Manet_broadcast.Protocol
 module Result = Manet_broadcast.Result
-
-let degrees = [| 4.; 6.; 10.; 18. |]
-
-(* (seed, n, d) with n in 8..60 and d in {4, 6, 10, 18}; a degree too
-   high for a small n falls back to the largest one below n - 1. *)
-let cases =
-  List.init 30 (fun i ->
-      let n = 8 + (i * 17 mod 53) in
-      let fits d = d <= float_of_int (n - 2) in
-      let d = degrees.(i mod 4) in
-      let d =
-        if fits d then d else Array.fold_left (fun a x -> if fits x then x else a) 4. degrees
-      in
-      (1000 + (7919 * i), n, d))
 
 let modes = [ Protocol.Perfect; Protocol.Lossy 0.2 ]
 
@@ -35,13 +19,7 @@ let pp_mode = function
   | Protocol.Lossy l -> Printf.sprintf "Lossy %g" l
 
 let () =
-  let samples =
-    List.map
-      (fun (seed, n, d) ->
-        let s = Generator.sample_connected (Rng.create ~seed) (Spec.make ~n ~avg_degree:d ()) in
-        ((seed, n, d), s.Generator.graph))
-      cases
-  in
+  let samples = Cases.samples () in
   List.iter
     (fun (p : Protocol.t) ->
       List.iter
