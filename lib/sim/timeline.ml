@@ -1,30 +1,57 @@
-module Key = struct
-  type t = { time : float; rank : int; seq : int }
+(* A binary min-heap of entries ordered by (time, rank, seq), where
+   [seq] numbers the entries in scheduling order. *)
+type 'a entry = { time : float; rank : int; seq : int; v : 'a }
 
-  let compare a b =
-    let c = Float.compare a.time b.time in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.rank b.rank in
-      if c <> 0 then c else Int.compare a.seq b.seq
-end
+type 'a t = { mutable data : 'a entry array; mutable len : int; mutable seq : int }
 
-module H = Heap.Make (Key)
+let create () = { data = [||]; len = 0; seq = 0 }
 
-type 'a t = { heap : 'a H.t; mutable seq : int }
+let less a b =
+  let c = Float.compare a.time b.time in
+  if c <> 0 then c < 0 else if a.rank <> b.rank then a.rank < b.rank else a.seq < b.seq
 
-let create () = { heap = H.create (); seq = 0 }
+let swap d i j =
+  let tmp = d.(i) in
+  d.(i) <- d.(j);
+  d.(j) <- tmp
+
+let rec sift_up d i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && less d.(i) d.(parent) then begin
+    swap d i parent;
+    sift_up d parent
+  end
+
+let rec sift_down d len i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = if l < len && less d.(l) d.(i) then l else i in
+  let smallest = if r < len && less d.(r) d.(smallest) then r else smallest in
+  if smallest <> i then begin
+    swap d i smallest;
+    sift_down d len smallest
+  end
 
 let schedule t ~time ~rank v =
   if not (Float.is_finite time) then invalid_arg "Timeline.schedule: time must be finite";
-  H.push t.heap { Key.time; rank; seq = t.seq } v;
-  t.seq <- t.seq + 1
+  let e = { time; rank; seq = t.seq; v } in
+  t.seq <- t.seq + 1;
+  if t.len = Array.length t.data then begin
+    let data = Array.make (max 8 (2 * t.len)) e in
+    Array.blit t.data 0 data 0 t.len;
+    t.data <- data
+  end;
+  t.data.(t.len) <- e;
+  t.len <- t.len + 1;
+  sift_up t.data (t.len - 1)
 
 let pop t =
-  match H.pop t.heap with None -> None | Some (k, v) -> Some (k.Key.time, v)
-
-let peek_time t = match H.peek t.heap with None -> None | Some (k, _) -> Some k.Key.time
-
-let is_empty t = H.is_empty t.heap
-
-let length t = H.length t.heap
+  if t.len = 0 then None
+  else begin
+    let top = t.data.(0) in
+    t.len <- t.len - 1;
+    if t.len > 0 then begin
+      t.data.(0) <- t.data.(t.len);
+      sift_down t.data t.len 0
+    end;
+    Some (top.time, top.v)
+  end

@@ -8,7 +8,8 @@
     visible to a broadcast arriving at the same t when its rank says so)
     and then by scheduling order, so a run is a pure function of the
     schedule — the determinism contract the resumable serving runs rely
-    on. *)
+    on.  The queue is a binary min-heap; [schedule] and [pop] take
+    O(log k) for k pending events. *)
 
 type 'a t
 
@@ -22,10 +23,3 @@ val schedule : 'a t -> time:float -> rank:int -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event: smallest [time], then smallest
     [rank], then first scheduled. *)
-
-val peek_time : 'a t -> float option
-(** The earliest scheduled time, if any. *)
-
-val is_empty : 'a t -> bool
-
-val length : 'a t -> int

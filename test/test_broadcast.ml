@@ -564,8 +564,9 @@ let prop_filter_is_invisible =
 
 module Scratch = Engine.Scratch
 
-(* Random schedules through Scratch: events come back in (time, node,
-   sender) order, ties in push order, each exactly once. *)
+(* Random schedules through Scratch, each event 1..4 units ahead:
+   events come back in (time, node, sender) order, ties in push order,
+   each exactly once. *)
 let test_scratch_order () =
   List.iter
     (fun (seed, n) ->
@@ -588,13 +589,13 @@ let test_scratch_order () =
       in
       Scratch.with_scratch ~arena:(Engine.Arena.create ()) ~n ~payload_bound:budget (fun scr ->
           for _ = 1 to 40 do
-            push scr ~time:(1 + Manet_rng.Rng.int rng 2)
+            push scr ~time:(1 + Manet_rng.Rng.int rng 4)
           done;
           while Scratch.advance scr do
             let time = Scratch.time scr in
             seen := (time, Scratch.node scr, Scratch.sender scr, Scratch.payload scr) :: !seen;
             for _ = 1 to Manet_rng.Rng.int rng 3 do
-              push scr ~time:(time + 1 + Manet_rng.Rng.int rng 2)
+              push scr ~time:(time + 1 + Manet_rng.Rng.int rng 4)
             done
           done);
       Alcotest.(check (list (pair (triple int int int) int)))
@@ -610,42 +611,60 @@ let test_scratch_window () =
         List.iter
           (fun time ->
             Alcotest.check_raises (Printf.sprintf "t=%d %s" time label)
-              (Invalid_argument "Engine.Scratch.push: time must be now + 1 or now + 2")
+              (Invalid_argument "Engine.Scratch.push: time must be within now + 1 .. now + 4")
               (bad time))
           times
       in
-      rejects "at 0" [ 0; 3; -1 ];
+      rejects "at 0" [ 0; 5; -1 ];
       Alcotest.check_raises "payload"
         (Invalid_argument "Engine.Scratch.push: payload out of range") (fun () ->
           Scratch.push scr ~time:1 ~node:1 ~sender:0 ~payload:4);
+      (* The window's edges are accepted. *)
       bad 1 ();
+      bad 3 ();
+      bad 4 ();
       Alcotest.(check bool) "advance" true (Scratch.advance scr);
       Alcotest.(check int) "time" 1 (Scratch.time scr);
-      rejects "at 1" [ 1; 4 ];
-      bad 3 ();
+      rejects "at 1" [ 1; 6 ];
       Alcotest.(check bool) "advance" true (Scratch.advance scr);
       Alcotest.(check int) "skips the empty level" 3 (Scratch.time scr);
+      Alcotest.(check bool) "advance" true (Scratch.advance scr);
+      Alcotest.(check int) "time" 4 (Scratch.time scr);
+      bad 8 ();
+      Alcotest.(check bool) "advance" true (Scratch.advance scr);
+      Alcotest.(check int) "skips three empty levels" 8 (Scratch.time scr);
       Alcotest.(check bool) "drained" false (Scratch.advance scr))
 
 (* A designation and a data copy from the same sender can reach the
    same node at the same time under equal keys: both are read, in push
-   order — whether both were pushed one unit ahead, or the designation
-   two units ahead (the side buffer) and the copy one unit ahead a level
-   later. *)
+   order — whether both were pushed one unit ahead, or the first two
+   or four units ahead (the ring of future levels) and the second one
+   unit ahead a level later. *)
 let test_scratch_equal_keys () =
   Scratch.with_scratch ~n:8 ~payload_bound:4 (fun scr ->
       Scratch.push scr ~time:1 ~node:4 ~sender:3 ~payload:1;
       Scratch.push scr ~time:1 ~node:4 ~sender:3 ~payload:0;
       Scratch.push scr ~time:2 ~node:5 ~sender:3 ~payload:1;
+      Scratch.push scr ~time:4 ~node:6 ~sender:3 ~payload:1;
+      Scratch.push scr ~time:3 ~node:7 ~sender:2 ~payload:0;
       let read = ref [] in
       while Scratch.advance scr do
         let time = Scratch.time scr in
         if time = 1 && !read = [] then Scratch.push scr ~time:2 ~node:5 ~sender:3 ~payload:2;
+        if time = 3 then Scratch.push scr ~time:4 ~node:6 ~sender:3 ~payload:3;
         read := ((time, Scratch.node scr), (Scratch.sender scr, Scratch.payload scr)) :: !read
       done;
       Alcotest.(check (list (pair (pair int int) (pair int int))))
         "all handled, in push order"
-        [ ((1, 4), (3, 1)); ((1, 4), (3, 0)); ((2, 5), (3, 1)); ((2, 5), (3, 2)) ]
+        [
+          ((1, 4), (3, 1));
+          ((1, 4), (3, 0));
+          ((2, 5), (3, 1));
+          ((2, 5), (3, 2));
+          ((3, 7), (2, 0));
+          ((4, 6), (3, 1));
+          ((4, 6), (3, 3));
+        ]
         (List.rev !read))
 
 let () =
