@@ -224,12 +224,20 @@ let alloc_cases =
      was measured under Lossy 0.1 before the rework.  Its ceiling was
      ratcheted from 95k to 85k when the per-reception loss draw moved
      from a boxed [Rng.float] comparison to an unboxed [Rng.bits53]
-     int-threshold test (measured ~76k after). *)
+     int-threshold test (measured ~76k after).  The self-pruning row
+     pins the backoff schemes' shared loop on Engine.Scratch.  Its seed
+     pair is the per-scheme event-heap loop it replaced (a key record
+     and a tuple per event, per-node Nodeset unions at each expiry);
+     the Scratch loop measures ~17,600 words, mostly the 1000 backoff
+     draws, the timeline and the forward set, and the ceiling sits
+     about 13% above that: two words per event (a tuple, an option)
+     over its ~2000 events cross it. *)
   [
     ("flooding", "perfect", Manet_broadcast.Protocol.Perfect, 16_000., 4548.7, 181_307.);
     ("static-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 9_000., 2559.7, 94_252.);
     ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 50_000., 4007.8, 440_236.);
     ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 85_000., 5010.1, 451_774.);
+    ("self-pruning", "perfect", Manet_broadcast.Protocol.Perfect, 20_000., 12632.8, 2_344_293.);
   ]
 
 (* One unit-disk build of the same n = 1000, d = 12 placement, each with

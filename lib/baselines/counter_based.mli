@@ -2,8 +2,10 @@
     remedy from the broadcast storm paper that motivates Section 1.
 
     Each node backs off a random 1..4 time units at its first copy and
-    counts the duplicates it overhears; at expiry it rebroadcasts only
-    if it heard fewer than C = 3 copies (the paper's sweet spot).  Unlike
+    counts the duplicates it overhears (one per neighbor that
+    transmitted before the expiry); at expiry it rebroadcasts only if it
+    heard fewer than C = 3 copies (the paper's sweet spot).  The timers
+    run on {!Backoff.run}, on the broadcast engine's calendar.  Unlike
     {!Self_pruning} it needs no neighborhood knowledge at all, but the
     counter is a heuristic: delivery is not guaranteed (sparse networks
     can strand nodes), which the tests and the ext-baselines discussion

@@ -9,8 +9,8 @@
     - a node adjacent to two or more clusterheads becomes a gateway and
       forwards, {e unless} gateways it already heard announced a
       clusterhead set covering its own (the gateway-suppression rule —
-      every transmission piggybacks the sender's role and its known
-      clusterhead neighbors);
+      every transmission piggybacks the sender's role and the
+      clusterhead neighbors it had heard when it transmitted);
     - everything else stays ordinary and silent (it may still upgrade if
       later copies reveal new clusterheads).
 
@@ -28,9 +28,10 @@ type t = {
 
 val run : rng:Manet_rng.Rng.t -> Manet_graph.Graph.t -> source:int -> t * (int * int) list
 (** One flood with passive clustering forming along the way — the
-    scheme's native event loop, exposed for the roles it leaves behind;
-    under a perfect MAC, {!protocol}'s broadcast is exactly this run.  The source declares itself
-    clusterhead.  Each node defers its role decision by a random backoff
+    scheme's native event loop ({!Backoff.run}, on the broadcast
+    engine's calendar), exposed for the roles it leaves behind; under a
+    perfect MAC, {!protocol}'s broadcast is exactly this run.  The
+    source declares itself clusterhead.  Each node defers its role decision by a random backoff
     of 1..4 time units, modelling the MAC serialization the suppression
     rule depends on: without it, same-layer nodes decide simultaneously
     and nobody ever hears a suppressing declaration in time.  The second

@@ -10,9 +10,10 @@
     neighbor-coverage variant of the broadcast-storm counter schemes.
 
     Each node draws a random backoff of 1..4 time units at its first
-    copy; while waiting it records the senders of every copy it
-    hears; at expiry it rebroadcasts unless its whole neighborhood lies
-    in the union of the heard senders' closed neighborhoods.
+    copy and keeps listening; at expiry it rebroadcasts unless its whole
+    neighborhood lies in the union of the closed neighborhoods of the
+    neighbors it heard (those that transmitted before the expiry).  The
+    timers run on {!Backoff.run}, on the broadcast engine's calendar.
 
     The trade-off the paper points out is visible in the results: fewer
     forwards than flooding, but completion times stretched by the

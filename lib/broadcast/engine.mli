@@ -16,7 +16,8 @@
     source-dependent protocols: a node's forward-node designation can
     arrive in a later copy than its first.  The SI-CDS broadcast,
     flooding, dominant pruning, PDP, AHBP and MPR are all instances
-    (the dynamic backbone's designation events use {!Scratch}).
+    (the dynamic backbone's designation events and the backoff
+    schemes' timers use {!Scratch}, on the same calendar).
 
     Determinism: receptions are processed in (time, receiver, sender)
     order, so when several copies arrive in the same time unit the
@@ -63,15 +64,18 @@ module Arena : sig
 end
 
 (** The arena opened up for protocols with bespoke event loops (the
-    dynamic backbone's designation events, which {!run_core}'s
-    decide-callback shape cannot express): the same generation-tagged
+    dynamic backbone's designation events and the backoff schemes'
+    timers, which {!run_core}'s decide-callback shape cannot express):
+    the same generation-tagged
     delivered/transmitted maps, the same frontier calendar, and the
     arena's {!Manet_graph.Flatset.pool} for the loop's transient
     coverage sets.  An event is one int: its payload, a small
     non-negative int, rides in the key's low bits, so a bespoke loop
     pushes and reads events without allocating.  An event is scheduled
-    one or two time units after the open level (a data copy, or a
-    designation travelling up to two hops).  Events are read in exactly
+    one to four time units after the open level (a data copy, a
+    designation travelling up to two hops, or a backoff expiry); the
+    levels beyond the next one wait in a small ring of future levels.
+    Events are read in exactly
     {!run_core}'s order — (time, node, sender) lexicographic; events
     carrying {e equal} keys (possible when a designation and a data copy
     arrive together) are all read, in push order. *)
@@ -106,8 +110,8 @@ module Scratch : sig
       transmitting node, in processing order. *)
 
   val push : t -> time:int -> node:int -> sender:int -> payload:int -> unit
-  (** Schedule an event at [time], which must be one or two units after
-      the current event's time (after time 0 before the first
+  (** Schedule an event at [time], which must be one to four units
+      after the current event's time (after time 0 before the first
       {!advance}).
       @raise Invalid_argument if [time] is outside that window or
       [payload] outside [\[0, payload_bound)]. *)
