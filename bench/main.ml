@@ -224,20 +224,23 @@ let alloc_cases =
      was measured under Lossy 0.1 before the rework.  Its ceiling was
      ratcheted from 95k to 85k when the per-reception loss draw moved
      from a boxed [Rng.float] comparison to an unboxed [Rng.bits53]
-     int-threshold test (measured ~76k after).  The self-pruning row
-     pins the backoff schemes' shared loop on Engine.Scratch.  Its seed
-     pair is the per-scheme event-heap loop it replaced (a key record
-     and a tuple per event, per-node Nodeset unions at each expiry);
-     the Scratch loop measures ~17,600 words, mostly the 1000 backoff
-     draws, the timeline and the forward set, and the ceiling sits
+     int-threshold test (measured ~76k after), and from 85k to 52k when
+     the generator state became unboxed (76,420 -> 46,691 words: a draw
+     no longer allocates), ~12% above the measured value.  The
+     self-pruning row pins the backoff schemes' shared loop on
+     Engine.Scratch.  Its seed pair is the per-scheme event-heap loop it
+     replaced (a key record and a tuple per event, per-node Nodeset
+     unions at each expiry); the Scratch loop measured ~17,600 words,
+     mostly the 1000 backoff draws, and ~5,660 once a draw allocated
+     nothing (the timeline and the forward set).  The ceiling sits
      about 13% above that: two words per event (a tuple, an option)
-     over its ~2000 events cross it. *)
+     over its ~2000 events, or a boxed draw again, cross it. *)
   [
     ("flooding", "perfect", Manet_broadcast.Protocol.Perfect, 16_000., 4548.7, 181_307.);
     ("static-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 9_000., 2559.7, 94_252.);
     ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 50_000., 4007.8, 440_236.);
-    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 85_000., 5010.1, 451_774.);
-    ("self-pruning", "perfect", Manet_broadcast.Protocol.Perfect, 20_000., 12632.8, 2_344_293.);
+    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 52_000., 5010.1, 451_774.);
+    ("self-pruning", "perfect", Manet_broadcast.Protocol.Perfect, 6_400., 12632.8, 2_344_293.);
   ]
 
 (* One unit-disk build of the same n = 1000, d = 12 placement, each with
@@ -269,13 +272,15 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
    largest sparse point of the paper's figures, where rejection sampling
    draws about 11 placements per connected one, so what each attempt
    allocates dominates.  Averaged over one fixed seeded sequence, the
-   same in quick and full runs.  The ceiling is the value this loop
-   measured (30,516.1 words, rounded up) before the unit-disk build
-   shared one scratch across a call's attempts, when the flat cell index
-   allocated its tables per attempt: a table allocated per attempt again
-   crosses it. *)
+   same in quick and full runs.  The loop measured 30,516.1 words when
+   the flat cell index allocated its tables per attempt, 23,764 once the
+   unit-disk build shared one scratch across a call's attempts, and
+   10,168 once the generator state was unboxed (a placement draws two
+   floats per node, and an [Rng.float] no longer allocates its state).
+   The ceiling sits about 13% above that: a boxed generator state or a
+   table allocated per attempt again crosses it. *)
 let sample_count = 200
-let sample_ceiling_words = 30_517.
+let sample_ceiling_words = 11_500.
 
 let alloc_sample () =
   let spec = Manet_topology.Spec.make ~n:100 ~avg_degree:6. () in
@@ -364,6 +369,41 @@ let alloc_arrival () =
   let per = float_of_int arrivals in
   (1e6 *. (dt -. setup_s) /. per, (words -. setup_words) /. per, arrivals)
 
+(* Minor words per sample of [Sweep.run_point] over fig8's four series
+   (forwards of static and dynamic, 2.5-hop and 3-hop) at n = 60, d = 18:
+   the topology draw, then four broadcasts on the sample's one
+   environment.  One chunk of 8 samples, run [sweep_runs] times on the
+   same seed after a warm-up run, so the value is the same in quick and
+   full runs.  The seed pair is this loop when every series prepared
+   on a fresh environment and built its own CH_HOP tables (four per
+   sample, where one per coverage mode does).  Sharing them measures
+   20,786 words; the ceiling sits about 13% above that, below the
+   27,413 words of fresh environments with the unboxed generator, so a
+   series that builds its own tables again crosses it. *)
+let sweep_samples = 8
+let sweep_runs = 5
+let sweep_ceiling_words = 23_500.
+let sweep_seed_us = 371.2
+let sweep_seed_words = 28_150.
+
+let alloc_sweep () =
+  let metrics = Scenario.compile (Figures.builtin_exn "fig8") in
+  let spec = Manet_topology.Spec.make ~n:60 ~avg_degree:18. () in
+  let run () =
+    ignore
+      (Manet_experiment.Sweep.run_point ~min_samples:sweep_samples ~max_samples:sweep_samples
+         ~rng:(Manet_rng.Rng.create ~seed:1008) ~spec metrics)
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  for _ = 1 to sweep_runs do
+    run ()
+  done;
+  let dt = Sys.time () -. t0 in
+  let per = float_of_int (sweep_runs * sweep_samples) in
+  (1e6 *. dt /. per, (Gc.minor_words () -. w0) /. per)
+
 let alloc () =
   section "Allocation: per-broadcast cost on the uniform pipeline (n = 1000, d = 12)";
   let n = 1000 in
@@ -435,6 +475,14 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10s %14.0f %14.0f %10.0f%s\n" "" "" arrival_us "" arrival_words
     arrival_seed_words arrival_ceiling_words
     (if arrival_over then "  EXCEEDED" else "");
+  let sweep_us, sweep_words = alloc_sweep () in
+  let sweep_over = sweep_words > sweep_ceiling_words in
+  if sweep_over then failures := "sweep sample" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "sweep sample" "n=60 d=18"
+    "us/sample" "seed us" "words/sample" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" sweep_us sweep_seed_us
+    sweep_words sweep_seed_words sweep_ceiling_words
+    (if sweep_over then "  EXCEEDED" else "");
   merge_timing_json
     [
       ( "per_broadcast",
@@ -502,6 +550,21 @@ let alloc () =
             ("ceiling_words", num arrival_ceiling_words);
             ("seed_minor_words_per_arrival", num arrival_seed_words);
             ("alloc_reduction", num (arrival_seed_words /. arrival_words));
+          ] );
+      ( "per_sweep_sample",
+        Json.Obj
+          [
+            ("name", Json.Str "sweep-sample-fig8");
+            ("n", int 60);
+            ("avg_degree", int 18);
+            ("samples", int (sweep_runs * sweep_samples));
+            ("us_per_sample", num sweep_us);
+            ("minor_words_per_sample", num sweep_words);
+            ("ceiling_words", num sweep_ceiling_words);
+            ("seed_us_per_sample", num sweep_seed_us);
+            ("seed_minor_words_per_sample", num sweep_seed_words);
+            ("speedup", num (sweep_seed_us /. sweep_us));
+            ("alloc_reduction", num (sweep_seed_words /. sweep_words));
           ] );
       ( "per_update",
         Json.Obj

@@ -77,9 +77,8 @@ let protocol =
     ~family:Manet_broadcast.Protocol.Source_dependent
     (fun env ~source ~mode ->
       let open Manet_broadcast.Protocol in
-      let tree =
-        build env.graph (Lazy.force env.clustering) Manet_coverage.Coverage.Hop25 ~source
-      in
+      let cache = coverage env Coverage.Hop25 in
+      let tree = build ~cache env.graph (Coverage.Cache.clustering cache) Coverage.Hop25 ~source in
       run_decide env ~source ~mode ~initial:()
         ~decide:(fun ~node ~from:_ ~payload:() ->
           if Nodeset.mem node tree.members then Some () else None))

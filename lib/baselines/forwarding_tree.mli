@@ -48,4 +48,5 @@ val protocol : Manet_broadcast.Protocol.t
     source's clusterhead, so construction happens per broadcast (no
     proactive phase); the source sends to its clusterhead and
     forwarding is SI-CDS over the tree members, over the 2.5-hop
-    coverage sets. *)
+    coverage sets the environment keeps
+    ({!Manet_broadcast.Protocol.coverage}). *)

@@ -10,11 +10,15 @@ type t = {
   members : Nodeset.t;
 }
 
-let build ?clustering g =
-  let clustering =
-    match clustering with Some c -> c | None -> Manet_cluster.Lowest_id.cluster g
+let build ?clustering ?cache g =
+  let cache =
+    match (cache, clustering) with
+    | Some cache, _ -> cache
+    | None, Some cl -> Coverage.Cache.create g cl Coverage.Hop3
+    | None, None -> Coverage.Cache.create g (Manet_cluster.Lowest_id.cluster g) Coverage.Hop3
   in
-  let coverages = Coverage.all g clustering Coverage.Hop3 in
+  let clustering = Coverage.Cache.clustering cache in
+  let coverages = Coverage.Cache.coverages cache in
   let connectors = ref Nodeset.empty in
   List.iter
     (fun h ->
@@ -44,4 +48,4 @@ let protocol =
     ~description:"message-optimal CDS of Alzoubi, Wan and Frieder (MobiHoc'02), the paper's comparator"
     ~build:(fun env ->
       let open Manet_broadcast.Protocol in
-      (build ~clustering:(Lazy.force env.clustering) env.graph).members)
+      (build ~cache:(coverage env Coverage.Hop3) env.graph).members)

@@ -18,7 +18,15 @@ type t = {
   members : Manet_graph.Nodeset.t;  (** the CDS: clusterheads plus connectors *)
 }
 
-val build : ?clustering:Manet_cluster.Clustering.t -> Manet_graph.Graph.t -> t
+val build :
+  ?clustering:Manet_cluster.Clustering.t ->
+  ?cache:Manet_coverage.Coverage.Cache.t ->
+  Manet_graph.Graph.t ->
+  t
+(** [clustering] defaults to lowest-ID clustering of the graph.  [cache]
+    shares precomputed 3-hop CH_HOP tables: it must have been created
+    from the graph in [Hop3] mode, and its clustering is the one used (a
+    [clustering] passed beside it is ignored). *)
 
 val size : t -> int
 
@@ -26,5 +34,6 @@ val is_cds : t -> bool
 
 val protocol : Manet_broadcast.Protocol.t
 (** [mo_cds] in the protocol registry: {!build} over the environment's
-    clustering as the build phase, SI-CDS forwarding over the members —
+    3-hop CH_HOP tables ({!Manet_broadcast.Protocol.coverage}) as the
+    build phase, SI-CDS forwarding over the members —
     the comparator series of Figures 6 and 7. *)

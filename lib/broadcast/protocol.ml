@@ -1,6 +1,7 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 module Rng = Manet_rng.Rng
+module Coverage = Manet_coverage.Coverage
 
 type family = Source_independent | Source_dependent | Probabilistic
 
@@ -15,6 +16,8 @@ type env = {
   mutable rng : Rng.t;
   arena : Engine.Arena.t;
   mutable down : (time:int -> node:int -> bool) option;
+  mutable hop25 : Coverage.Cache.t option;
+  mutable hop3 : Coverage.Cache.t option;
 }
 
 let make_env ?clustering ?rng ?arena ?down graph =
@@ -25,7 +28,21 @@ let make_env ?clustering ?rng ?arena ?down graph =
   in
   let rng = match rng with Some r -> r | None -> Rng.create ~seed:0 in
   let arena = match arena with Some a -> a | None -> Engine.Arena.get () in
-  { graph; clustering; rng; arena; down }
+  { graph; clustering; rng; arena; down; hop25 = None; hop3 = None }
+
+(* A kept table is valid only while it was built from the env's current
+   graph and clustering, compared physically: [retarget] and an
+   [{ env with clustering }] copy both change one of them, so neither
+   can read a stale table, and nothing has to invalidate it. *)
+let coverage env mode =
+  let cl = Lazy.force env.clustering in
+  let kept = match mode with Coverage.Hop25 -> env.hop25 | Coverage.Hop3 -> env.hop3 in
+  match kept with
+  | Some c when Coverage.Cache.graph c == env.graph && Coverage.Cache.clustering c == cl -> c
+  | _ ->
+    let c = Coverage.Cache.create env.graph cl mode in
+    (match mode with Coverage.Hop25 -> env.hop25 <- Some c | Coverage.Hop3 -> env.hop3 <- Some c);
+    c
 
 (* The live-view entry point: a long-lived environment tracks a mutating
    network.  Swapping the topology (and the clustering derived from it)
@@ -138,15 +155,6 @@ let per_broadcast ~name ~description ~family run =
     family;
     has_build = false;
     prepare = (fun env -> { members = None; run = (fun ~source ~mode -> run env ~source ~mode) });
-  }
-
-let per_broadcast_prepared ~name ~description ~family prepare =
-  {
-    name;
-    description;
-    family;
-    has_build = false;
-    prepare = (fun env -> { members = None; run = prepare env });
   }
 
 let frozen_lossy env ~run ~source ~mode =

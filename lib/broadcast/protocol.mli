@@ -41,8 +41,14 @@ val family_tag : family -> string
 (** What a protocol may consume, threaded uniformly by every driver:
     the topology, a clustering (forced only by cluster-based schemes),
     a generator (drawn from only by probabilistic schemes and by loss
-    injection), and the engine arena its broadcasts reuse for scratch
-    storage. *)
+    injection), the engine arena its broadcasts reuse for scratch
+    storage, and the CH_HOP tables of the topology ({!coverage}).
+
+    One environment may serve many protocols: the experiment metrics
+    evaluate every series of a sample on one environment, so the
+    static and dynamic backbones, MO_CDS, the forwarding tree and the
+    k-connected family all read the one CH_HOP1/CH_HOP2 exchange of
+    their mode, as the paper's nodes do. *)
 type env = {
   mutable graph : Manet_graph.Graph.t;
       (** the live network view; mutable so a long-running workload can
@@ -63,6 +69,11 @@ type env = {
           because failure experiments pick their victims from the
           {e prepared} structure: prepare first, then install the
           schedule, then run. *)
+  mutable hop25 : Manet_coverage.Coverage.Cache.t option;
+  mutable hop3 : Manet_coverage.Coverage.Cache.t option;
+      (** the tables {!coverage} keeps, one per mode; read them only
+          through {!coverage}, which checks that they are still those
+          of [graph] and [clustering] *)
 }
 
 val make_env :
@@ -92,6 +103,16 @@ val retarget :
     out of step; protocols prepared against the old snapshot are the
     caller's to invalidate (a {e stale} structure over a {e live} view
     is the continuous-traffic measurement, not a bug). *)
+
+val coverage : env -> Manet_coverage.Coverage.mode -> Manet_coverage.Coverage.Cache.t
+(** [coverage env mode] is the CH_HOP cache of the environment's graph
+    and (forced) clustering in [mode], built on the first call and kept
+    in [env] after it, so every protocol prepared on [env] shares one
+    table per mode.  A kept table is returned only while its graph and
+    clustering are {e physically} the environment's current ones: after
+    {!retarget}, or on an [{ env with clustering = ... }] copy, the next
+    call builds a fresh table (and keeps it in that record), so a stale
+    table is never read and nothing needs invalidating. *)
 
 (** How one broadcast is executed. *)
 type mode =
@@ -144,19 +165,6 @@ val per_broadcast :
   (env -> source:int -> mode:mode -> Result.t * (int * int) list) ->
   t
 (** A protocol with no proactive phase: all work happens per broadcast. *)
-
-val per_broadcast_prepared :
-  name:string ->
-  description:string ->
-  family:family ->
-  (env -> source:int -> mode:mode -> Result.t * (int * int) list) ->
-  t
-(** Like {!per_broadcast}, but the protocol sees the environment once,
-    at prepare time, and returns the per-broadcast closure — the hook
-    for caching environment-derived state (e.g. the dynamic backbone's
-    CH_HOP tables) across the broadcasts of one prepared instance.
-    Still [has_build = false]: preparing must not do significant
-    construction work eagerly. *)
 
 (** {1 Execution helpers (the uniform pipeline)} *)
 

@@ -34,8 +34,8 @@ let drop_coverage_entry =
 (* The genuine k2m2 construction, for seeding faults into. *)
 let kmcds_members ~k ~m env =
   let g = env.Protocol.graph in
-  let clustering = Lazy.force env.Protocol.clustering in
-  let base = (Static_backbone.build ~clustering g Coverage.Hop25).Static_backbone.members in
+  let cache = Protocol.coverage env Coverage.Hop25 in
+  let base = (Static_backbone.build ~cache g Coverage.Hop25).Static_backbone.members in
   Manet_mcds.Kmcds.augment g ~base ~k ~m
 
 let drop_connector =
@@ -91,55 +91,62 @@ let under_dominate =
 let stale_pool =
   let module Flatset = Manet_graph.Flatset in
   let module Result = Manet_broadcast.Result in
-  Protocol.per_broadcast_prepared ~name:"dynamic-2.5hop!stale-pool"
-    ~description:
+  {
+    Protocol.name = "dynamic-2.5hop!stale-pool";
+    description =
       "MUTANT: dynamic broadcast whose forward set is corrupted through a flatset slice kept \
-       across a pool reset and retagged (harness self-test; expected to fail flatset-reuse)"
-    ~family:Protocol.Source_dependent
-    (fun env ->
-      let pool = Flatset.create_pool () in
-      let saved = ref None in
-      let scratch = Array.make 64 0 in
-      let scratch = ref scratch in
-      let dynamic = Manet_backbone.Dynamic_backbone.protocol Coverage.Hop25 in
-      let native ~source =
-        (* A clean native run: no failure schedule, so the wrapped
-           protocol never takes its own frozen-replay path. *)
-        let clean = { env with Protocol.down = None } in
-        let r, timeline =
-          (dynamic.Protocol.prepare clean).Protocol.run ~source ~mode:Protocol.Perfect
-        in
-        let stale = !saved in
-        Flatset.reset pool;
-        (* Store this broadcast's forward set; the slice deliberately
-           outlives the next reset. *)
-        let fwd = r.Result.forwarders in
-        let len = Nodeset.cardinal fwd in
-        if Array.length !scratch < len then scratch := Array.make (2 * len) 0;
-        let i = ref 0 in
-        Nodeset.iter
-          (fun v ->
-            !scratch.(!i) <- v;
-            incr i)
-          fwd;
-        saved := Some (Flatset.of_increasing pool !scratch ~len);
-        match stale with
-        | None -> (r, timeline)
-        | Some slice ->
-          (* The seeded bug: the retagged stale slice now reads the new
-             broadcast's data through the old slice's window. *)
-          let victims =
-            Flatset.fold
-              (fun acc v ->
-                if v <> source && Nodeset.mem v fwd then Nodeset.add v acc else acc)
-              Nodeset.empty
-              (Flatset.unsafe_retag slice)
+       across a pool reset and retagged (harness self-test; expected to fail flatset-reuse)";
+    family = Protocol.Source_dependent;
+    has_build = false;
+    prepare =
+      (fun env ->
+        let pool = Flatset.create_pool () in
+        let saved = ref None in
+        let scratch = Array.make 64 0 in
+        let scratch = ref scratch in
+        let dynamic = Manet_backbone.Dynamic_backbone.protocol Coverage.Hop25 in
+        let native ~source =
+          (* A clean native run: no failure schedule, so the wrapped
+             protocol never takes its own frozen-replay path. *)
+          let clean = { env with Protocol.down = None } in
+          let r, timeline =
+            (dynamic.Protocol.prepare clean).Protocol.run ~source ~mode:Protocol.Perfect
           in
-          if Nodeset.is_empty victims then (r, timeline)
-          else
-            ( { r with Result.forwarders = Nodeset.diff fwd victims },
-              List.filter (fun (_, v) -> not (Nodeset.mem v victims)) timeline )
-      in
-      fun ~source ~mode -> Protocol.frozen_lossy env ~run:native ~source ~mode)
+          let stale = !saved in
+          Flatset.reset pool;
+          (* Store this broadcast's forward set; the slice deliberately
+             outlives the next reset. *)
+          let fwd = r.Result.forwarders in
+          let len = Nodeset.cardinal fwd in
+          if Array.length !scratch < len then scratch := Array.make (2 * len) 0;
+          let i = ref 0 in
+          Nodeset.iter
+            (fun v ->
+              !scratch.(!i) <- v;
+              incr i)
+            fwd;
+          saved := Some (Flatset.of_increasing pool !scratch ~len);
+          match stale with
+          | None -> (r, timeline)
+          | Some slice ->
+            (* The seeded bug: the retagged stale slice now reads the new
+               broadcast's data through the old slice's window. *)
+            let victims =
+              Flatset.fold
+                (fun acc v ->
+                  if v <> source && Nodeset.mem v fwd then Nodeset.add v acc else acc)
+                Nodeset.empty
+                (Flatset.unsafe_retag slice)
+            in
+            if Nodeset.is_empty victims then (r, timeline)
+            else
+              ( { r with Result.forwarders = Nodeset.diff fwd victims },
+                List.filter (fun (_, v) -> not (Nodeset.mem v victims)) timeline )
+        in
+        {
+          Protocol.members = None;
+          run = (fun ~source ~mode -> Protocol.frozen_lossy env ~run:native ~source ~mode);
+        });
+  }
 
 let all = [ drop_coverage_entry; drop_connector; under_dominate; stale_pool ]

@@ -155,21 +155,16 @@ let protocol ?(pruning = Coverage_and_relay) mode =
     | Coverage_piggyback ->
       "dynamic backbone ablation: prune by the upstream's piggybacked coverage set only"
   in
-  Manet_broadcast.Protocol.per_broadcast_prepared
+  Manet_broadcast.Protocol.per_broadcast
     ~name:("dynamic-" ^ mode_tag mode ^ suffix)
     ~description ~family:Manet_broadcast.Protocol.Source_dependent
-    (fun env ->
+    (fun env ~source ~mode:m ->
       let open Manet_broadcast.Protocol in
-      (* One CH_HOP cache per prepared environment: the tables depend
-         only on (graph, clustering, mode), so every broadcast of the
-         prepared protocol shares them.  Lazy because preparing must
-         stay cheap for consumers that list protocols without running
-         them. *)
-      let cache =
-        lazy (Coverage.Cache.create env.graph (Lazy.force env.clustering) mode)
-      in
-      fun ~source ~mode:m ->
-        frozen_lossy env ~source ~mode:m
-          ~run:(fun ~source ->
-            run ~pruning ~cache:(Lazy.force cache) ~arena:env.arena env.graph
-              (Lazy.force env.clustering) ~source))
+      (* Every broadcast reads the environment's CH_HOP tables of [mode],
+         built by the first one and shared with every other protocol on
+         the environment. *)
+      frozen_lossy env ~source ~mode:m
+        ~run:(fun ~source ->
+          let cache = coverage env mode in
+          run ~pruning ~cache ~arena:env.arena env.graph (Coverage.Cache.clustering cache)
+            ~source))

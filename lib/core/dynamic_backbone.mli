@@ -44,10 +44,11 @@ val protocol : ?pruning:pruning -> Manet_coverage.Coverage.mode -> Manet_broadca
     [Coverage_and_relay].  No build phase — the SD-CDS forms while the
     packet propagates, and a broadcast's forward set is that SD-CDS:
     its size is the quantity of the paper's Figures 7 and 8 (dynamic
-    backbone).  Each prepared instance computes the CH_HOP tables and
-    coverage sets of its environment once, on its first broadcast, and
-    runs every broadcast's event loop and flat coverage sets in the
-    environment's arena.  Under loss the forward set is frozen from a
+    backbone).  Every broadcast reads the CH_HOP tables and coverage
+    sets the environment keeps ({!Manet_broadcast.Protocol.coverage}),
+    built on the first broadcast and shared with every other protocol
+    on that environment, and runs its event loop and flat coverage sets
+    in the environment's arena.  Under loss the forward set is frozen from a
     loss-free run and replayed ({!Manet_broadcast.Protocol.frozen_lossy}):
     designations are control signals with no loss model, only data
     propagation is unreliable.  Broadcasting from a source outside the

@@ -14,19 +14,14 @@ type t = {
 }
 
 let build ?clustering ?cache g mode =
-  let clustering =
-    match clustering with
-    | Some c -> c
-    | None ->
-      (match cache with
-      | Some cache -> Coverage.Cache.clustering cache
-      | None -> Manet_cluster.Lowest_id.cluster g)
+  let cache =
+    match (cache, clustering) with
+    | Some cache, _ -> cache
+    | None, Some cl -> Coverage.Cache.create g cl mode
+    | None, None -> Coverage.Cache.create g (Manet_cluster.Lowest_id.cluster g) mode
   in
-  let coverages =
-    match cache with
-    | Some cache -> Coverage.Cache.coverages cache
-    | None -> Coverage.all g clustering mode
-  in
+  let clustering = Coverage.Cache.clustering cache in
+  let coverages = Coverage.Cache.coverages cache in
   let gateways = Gateway_selection.select_all coverages ~n:(Graph.n g) in
   let members = Nodeset.union (Clustering.head_set clustering) gateways in
   { graph = g; clustering; mode; coverages; gateways; members }
@@ -48,4 +43,4 @@ let protocol mode =
          (match mode with Manet_coverage.Coverage.Hop25 -> "2.5-hop" | Manet_coverage.Coverage.Hop3 -> "3-hop"))
     ~build:(fun env ->
       let open Manet_broadcast.Protocol in
-      (build ~clustering:(Lazy.force env.clustering) env.graph mode).members)
+      (build ~cache:(coverage env mode) env.graph mode).members)

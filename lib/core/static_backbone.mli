@@ -26,9 +26,10 @@ val build :
     clustering of the graph; pass it explicitly to share one clustering
     across several constructions (as the experiments do when comparing
     algorithms on the same topology).  [cache] shares precomputed CH_HOP
-    tables (it must have been created from [g], the same clustering, and
-    the same mode); when absent the coverage sets are computed from a
-    fresh cache. *)
+    tables: it must have been created from [g] and [mode], and its
+    clustering is the backbone's (a [clustering] passed beside it is
+    ignored); when absent the coverage sets are computed from a fresh
+    cache. *)
 
 val size : t -> int
 (** |CDS| — the quantity of the paper's Figure 6. *)
@@ -41,6 +42,7 @@ val is_cds : t -> bool
 
 val protocol : Manet_coverage.Coverage.mode -> Manet_broadcast.Protocol.t
 (** [static-2.5hop] / [static-3hop] in the protocol registry: {!build}
-    over the environment's clustering as the build phase, SI-CDS
+    over the environment's CH_HOP tables
+    ({!Manet_broadcast.Protocol.coverage}) as the build phase, SI-CDS
     forwarding over the members (its forward count is what Figure 8
     reports for the static backbone). *)

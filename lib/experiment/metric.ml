@@ -53,14 +53,48 @@ type t = { name : string; eval : ctx -> float }
    comparison.  The arena is the evaluating domain's own — metrics run
    on sweep worker domains, so each worker reuses its private engine
    scratch across every sample it evaluates. *)
+let fresh_env ctx =
+  Protocol.make_env ~clustering:(Lazy.from_val ctx.clustering) ~rng:ctx.rng ctx.graph
+
+(* The per-sample store: what the series of one sample share — its one
+   environment (and so its CH_HOP tables) and the {!per_sample} memos.
+   Domain-local and holding one context at a time, keyed on its
+   physical identity: a sweep evaluates all metrics of one sample
+   consecutively on one domain, and [clear_sample] drops the sample
+   once its row is complete. *)
+type entry = ..
+
+type store = {
+  mutable owner : ctx option;
+  mutable env : Protocol.env option;
+  mutable entries : entry list;
+}
+
+let store = Domain.DLS.new_key (fun () -> { owner = None; env = None; entries = [] })
+
+let clear_sample () =
+  let s = Domain.DLS.get store in
+  s.owner <- None;
+  s.env <- None;
+  s.entries <- []
+
+let sample ctx =
+  let s = Domain.DLS.get store in
+  (match s.owner with
+  | Some c when c == ctx -> ()
+  | _ ->
+    clear_sample ();
+    s.owner <- Some ctx);
+  s
+
 let env_of ctx =
-  {
-    Protocol.graph = ctx.graph;
-    clustering = lazy ctx.clustering;
-    rng = ctx.rng;
-    arena = Manet_broadcast.Engine.Arena.get ();
-    down = None;
-  }
+  let s = sample ctx in
+  match s.env with
+  | Some env -> env
+  | None ->
+    let env = fresh_env ctx in
+    s.env <- Some env;
+    env
 
 let prepared ?clustering protocol ctx =
   let env = env_of ctx in
@@ -177,8 +211,10 @@ let install_failures ~spec env (built : Protocol.built) ctx =
         && match heal with None -> true | Some h -> time < h);
   killed
 
+(* Failure injection installs a [down] schedule, so it runs on an
+   environment of its own rather than the sample's shared one. *)
 let run_with_failures ~spec ~mode protocol ctx =
-  let env = env_of ctx in
+  let env = fresh_env ctx in
   let built = protocol.Protocol.prepare env in
   let killed = install_failures ~spec env built ctx in
   let r, _ = built.Protocol.run ~source:ctx.source ~mode in
@@ -244,20 +280,22 @@ let redundancy ?name pname =
           if !outside = 0 then 0. else float_of_int !covers /. float_of_int !outside);
   }
 
-(* Shared per-sample computations: domain-local, one context at a time,
-   keyed on its physical identity (a sweep evaluates all metrics of one
-   sample consecutively on one domain). *)
+(* Shared per-sample computations, held in the per-sample store: each
+   memo adds its own constructor to [entry], so one store keeps values
+   of every memo's type. *)
 
-let per_sample () =
-  let slot = Domain.DLS.new_key (fun () -> ref None) in
+let per_sample (type k v) () : ctx -> k -> (unit -> v) -> v =
+  let module M = struct
+    type entry += Memo of k * v
+  end in
   fun ctx key compute ->
-    let cell = Domain.DLS.get slot in
-    let entries = match !cell with Some (c, entries) when c == ctx -> entries | _ -> [] in
-    match List.assoc_opt key entries with
+    let find = function M.Memo (k, v) when compare k key = 0 -> Some v | _ -> None in
+    match List.find_map find (sample ctx).entries with
     | Some v -> v
     | None ->
       let v = compute () in
-      cell := Some (ctx, (key, v) :: entries);
+      let s = sample ctx in
+      s.entries <- M.Memo (key, v) :: s.entries;
       v
 
 (* Reliable broadcast: ack/retransmit over the Pagani-Rossi forwarding
@@ -277,8 +315,9 @@ let reliable_run ctx loss =
   let g = ctx.graph in
   let n = Manet_graph.Graph.n g in
   let tree =
-    Manet_baselines.Forwarding_tree.build g ctx.clustering Manet_coverage.Coverage.Hop25
-      ~source:ctx.source
+    Manet_baselines.Forwarding_tree.build
+      ~cache:(Protocol.coverage (env_of ctx) Manet_coverage.Coverage.Hop25)
+      g ctx.clustering Manet_coverage.Coverage.Hop25 ~source:ctx.source
   in
   let parent =
     Array.init n (fun v ->

@@ -63,7 +63,18 @@ type t = { name : string; eval : ctx -> float }
 
 val env_of : ctx -> Manet_broadcast.Protocol.env
 (** The context as a protocol environment: its topology, its
-    clustering (lazily) and its per-sample generator. *)
+    clustering and its per-sample generator.  One environment per
+    context: every call with the physically same context returns the
+    same environment, held in the calling domain's per-sample store, so
+    all series of a sample share its CH_HOP tables
+    ({!Manet_broadcast.Protocol.coverage}).  The store holds one context
+    at a time; evaluating a metric on another context replaces it, and
+    {!clear_sample} empties it. *)
+
+val clear_sample : unit -> unit
+(** Empty the calling domain's per-sample store: the environment of
+    {!env_of} and every {!per_sample} value.  {!Sweep.run_point} calls it
+    after each sample's row, so no sample's tables outlive its row. *)
 
 (** {1 Registry-driven series} *)
 
@@ -103,7 +114,8 @@ type failure_spec = { kill : int; round : int; heal : int option; backbone_only 
 
 val failure_delivery : ?name:string -> ?loss:float -> spec:failure_spec -> string -> t
 (** Post-failure delivery ratio: one broadcast with the failure schedule
-    installed, counted over the nodes alive at the end (victims are
+    installed, on an environment of its own (the schedule must not reach
+    the sample's shared one), counted over the nodes alive at the end (victims are
     excluded unless healed — a healed node that missed the broadcast
     counts against delivery).  [name] defaults to [proto ^ "/fail"];
     [loss] layers per-reception loss on top of the failures. *)
@@ -141,10 +153,11 @@ val per_sample : unit -> ctx -> 'k -> (unit -> 'v) -> 'v
 (** [let memo = per_sample ()] makes a cache for one computation that
     several series of a sample read: [memo ctx key compute] runs
     [compute] on the first call for this context and [key], and returns
-    the stored value afterwards.  The cache is domain-local and holds
-    one context at a time, keyed on its physical identity — sound
-    because a sweep evaluates all metrics of one sample consecutively
-    on one domain. *)
+    the stored value afterwards.  Values live in the per-sample store of
+    {!env_of}: domain-local, one context at a time, keyed on its
+    physical identity — sound because a sweep evaluates all metrics of
+    one sample consecutively on one domain — and emptied by
+    {!clear_sample}. *)
 
 (** {1 Extension probes}
 

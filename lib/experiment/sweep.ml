@@ -39,7 +39,9 @@ let run_point ?(z = Confidence.z99) ?(rel_precision = 0.05) ?(min_samples = 30)
       let len = min chunk_size (max_samples - (c * chunk_size)) in
       ( Array.init len (fun _ ->
             let ctx = Metric.draw ?perturb rng spec in
-            Array.map (fun (m : Metric.t) -> m.eval ctx) metric_arr),
+            let row = Array.map (fun (m : Metric.t) -> m.eval ctx) metric_arr in
+            Metric.clear_sample ();
+            row),
         true )
   in
   let summaries = Array.map (fun _ -> Summary.create ()) metric_arr in

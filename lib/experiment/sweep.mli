@@ -52,6 +52,11 @@ val run_point :
     time changes.  Chunks evaluated speculatively past the stopping
     sample are discarded.
 
+    All metrics of one sample are evaluated on one domain, in list
+    order, on one shared environment ({!Metric.env_of}); the domain's
+    per-sample store is emptied ({!Metric.clear_sample}) as soon as the
+    sample's row is complete.
+
     [perturb] walks every drawn topology under the given mobility regime
     before measuring (see {!Metric.perturbation}); omitted, generator
     consumption is unchanged.

@@ -19,10 +19,11 @@ let greedy_cds =
    weight. *)
 let kmcds_build ?(stable = false) ~k ~m env =
   let g = env.Protocol.graph in
-  let clustering =
-    if stable then Manet_cluster.Stability.cluster g else Lazy.force env.Protocol.clustering
+  let backbone =
+    if stable then Static.build ~clustering:(Manet_cluster.Stability.cluster g) g Coverage.Hop25
+    else Static.build ~cache:(Protocol.coverage env Coverage.Hop25) g Coverage.Hop25
   in
-  let base = (Static.build ~clustering g Coverage.Hop25).Static.members in
+  let base = backbone.Static.members in
   Manet_mcds.Kmcds.augment g ~base ~k ~m
 
 let kmcds ?(stable = false) ~k ~m () =

@@ -1,26 +1,38 @@
 (* SplitMix64: state advances by the golden-gamma constant; outputs are the
-   state passed through a 64-bit variant of the MurmurHash3 finalizer. *)
+   state passed through a 64-bit variant of the MurmurHash3 finalizer.
 
-type t = { mutable state : int64 }
+   The state lives in an 8-byte buffer rather than a mutable [int64]
+   field: a field holds a boxed [int64], so every draw allocated a fresh
+   box, while [Bytes.get/set_int64_ne] read and write it unboxed.  With
+   [mix] and [next_int64] inlined into their callers, a draw that returns
+   an [int] allocates nothing. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 s;
+  g
 
-let copy g = { state = g.state }
+let create ~seed = of_state (mix (Int64.of_int seed))
 
-let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let copy = Bytes.copy
 
-let split g = { state = mix (next_int64 g) }
+let[@inline] next_int64 g =
+  let s = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 s;
+  mix s
 
-let bits g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2)
+let split g = of_state (mix (next_int64 g))
+
+let[@inline] bits g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2)
 
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -28,11 +40,11 @@ let int g bound =
      draw exactly uniform. *)
   let max62 = (1 lsl 62) - 1 in
   let limit = max62 - (max62 mod bound) in
-  let rec draw () =
-    let v = bits g in
-    if v < limit then v mod bound else draw ()
-  in
-  draw ()
+  let v = ref (bits g) in
+  while !v >= limit do
+    v := bits g
+  done;
+  !v mod bound
 
 let int_in g ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

@@ -66,7 +66,88 @@ let test_metric_draw_perturbed () =
     (Manet_graph.Graph.m still.Metric.graph)
     (Manet_graph.Graph.m frozen.Metric.graph)
 
+(* One environment per sample: the series of fig6, fig7 and fig8 read
+   the same values from one shared environment (one CH_HOP table per
+   mode) as from a fresh environment per series.  A structure-size
+   series over a highest-degree clustering sits between them: it must
+   get tables of its own clustering, and leave the shared ones intact. *)
+let test_shared_env_rows () =
+  let series name = Scenario.compile (Figures.builtin_exn name) in
+  let highest = Manet_cluster.Highest_degree.cluster in
+  let metrics =
+    Array.of_list
+      (series "fig6"
+      @ [
+          Metric.structure_size ~name:"static-2.5hop/deg" ~clustering:highest "static-2.5hop";
+          Metric.structure_size ~name:"mo_cds/deg" ~clustering:highest "mo_cds";
+        ]
+      @ series "fig7" @ series "fig8")
+  in
+  let bits row = Array.map Int64.bits_of_float row in
+  List.iter
+    (fun (seed, n, d) ->
+      let spec = Manet_topology.Spec.make ~n ~avg_degree:d () in
+      (* Two draws of the same stream: equal contexts, physically apart. *)
+      let draw () = Metric.draw (Manet_rng.Rng.create ~seed) spec in
+      let shared_ctx = draw () and fresh_ctx = draw () in
+      Metric.clear_sample ();
+      let shared = Array.map (fun (m : Metric.t) -> m.eval shared_ctx) metrics in
+      let fresh =
+        Array.map
+          (fun (m : Metric.t) ->
+            Metric.clear_sample ();
+            m.eval fresh_ctx)
+          metrics
+      in
+      Metric.clear_sample ();
+      Array.iteri
+        (fun i (m : Metric.t) ->
+          Alcotest.(check int64)
+            (Printf.sprintf "seed %d n=%d d=%g: %s" seed n d m.name)
+            (bits fresh).(i) (bits shared).(i))
+        metrics)
+    [ (1, 20, 6.); (2, 50, 6.); (3, 100, 6.); (4, 30, 18.); (5, 60, 18.); (6, 100, 18.) ]
+
+let test_env_of_per_sample () =
+  let spec = Manet_topology.Spec.make ~n:30 ~avg_degree:6. () in
+  let ctx = Metric.draw (Manet_rng.Rng.create ~seed:8) spec in
+  let other = Metric.draw (Manet_rng.Rng.create ~seed:9) spec in
+  let env = Metric.env_of ctx in
+  Alcotest.(check bool) "one env per context" true (Metric.env_of ctx == env);
+  Alcotest.(check bool) "another context, another env" false (Metric.env_of other == env);
+  Alcotest.(check bool) "the store holds one context" false (Metric.env_of ctx == env);
+  let env = Metric.env_of ctx in
+  Metric.clear_sample ();
+  Alcotest.(check bool) "cleared store, fresh env" false (Metric.env_of ctx == env);
+  Metric.clear_sample ()
+
 (* Sweep mechanics *)
+
+(* The series of one sample see one environment, and the sample is
+   dropped from the store once its row is complete. *)
+let test_sweep_clears_sample () =
+  let seen = ref [] in
+  let probe name =
+    {
+      Metric.name;
+      eval =
+        (fun ctx ->
+          seen := (name, ctx, Metric.env_of ctx) :: !seen;
+          0.);
+    }
+  in
+  let spec = Manet_topology.Spec.make ~n:20 ~avg_degree:6. () in
+  ignore
+    (Sweep.run_point ~min_samples:3 ~max_samples:3 ~rng:(Manet_rng.Rng.create ~seed:12) ~spec
+       [ probe "a"; probe "b" ]);
+  Alcotest.(check int) "two series, three samples" 6 (List.length !seen);
+  (match !seen with
+  | ("b", ctx, env_b) :: ("a", ctx', env_a) :: _ ->
+    Alcotest.(check bool) "same sample" true (ctx == ctx');
+    Alcotest.(check bool) "one env per sample" true (env_a == env_b);
+    Alcotest.(check bool) "store emptied after the row" false (Metric.env_of ctx == env_b);
+    Metric.clear_sample ()
+  | _ -> Alcotest.fail "series evaluated out of order")
 
 let test_sweep_shape () =
   let rng = Manet_rng.Rng.create ~seed:1 in
@@ -327,6 +408,8 @@ let () =
         [
           Alcotest.test_case "draw" `Quick test_metric_draw;
           Alcotest.test_case "perturbed draw" `Quick test_metric_draw_perturbed;
+          Alcotest.test_case "env_of: one env per sample" `Quick test_env_of_per_sample;
+          Alcotest.test_case "fig6-8 rows: shared env = fresh envs" `Quick test_shared_env_rows;
         ] );
       ( "sweep",
         [
@@ -334,6 +417,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sweep_deterministic;
           Alcotest.test_case "domains deterministic" `Quick test_sweep_domains_deterministic;
           Alcotest.test_case "stopping rule" `Quick test_sweep_stopping_rule;
+          Alcotest.test_case "one env per sample, dropped after its row" `Quick
+            test_sweep_clears_sample;
         ] );
       ( "figures",
         [

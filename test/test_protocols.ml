@@ -244,6 +244,51 @@ let arena_tests =
             samples))
     Registry.all
 
+(* The environment's CH_HOP tables: kept per mode, and never read once
+   the graph or clustering they were built from is no longer the
+   environment's. *)
+
+module Coverage = Manet_coverage.Coverage
+
+let test_coverage_kept () =
+  let g = (udg ~seed:41 ~n:40 ~d:8.).Manet_topology.Generator.graph in
+  let env = Protocol.make_env g in
+  let a = Protocol.coverage env Coverage.Hop25 and b = Protocol.coverage env Coverage.Hop3 in
+  Alcotest.(check bool) "2.5-hop table kept" true (Protocol.coverage env Coverage.Hop25 == a);
+  Alcotest.(check bool) "3-hop table kept" true (Protocol.coverage env Coverage.Hop3 == b);
+  Alcotest.(check bool) "one table per mode" false (a == b);
+  Alcotest.(check bool) "built from the env's graph" true (Coverage.Cache.graph a == g);
+  Alcotest.(check bool) "built from the env's clustering" true
+    (Coverage.Cache.clustering a == Lazy.force env.Protocol.clustering)
+
+let test_coverage_fresh () =
+  let g = (udg ~seed:42 ~n:40 ~d:8.).Manet_topology.Generator.graph in
+  let g' = (udg ~seed:43 ~n:40 ~d:8.).Manet_topology.Generator.graph in
+  let env = Protocol.make_env g in
+  let old = Protocol.coverage env Coverage.Hop25 in
+  (* An [{ env with clustering }] copy builds its own table, and leaves
+     the original's in place. *)
+  let copy =
+    { env with Protocol.clustering = lazy (Manet_cluster.Highest_degree.cluster g) }
+  in
+  let c = Protocol.coverage copy Coverage.Hop25 in
+  Alcotest.(check bool) "copy: fresh table" false (c == old);
+  Alcotest.(check bool) "copy: its own clustering" true
+    (Coverage.Cache.clustering c == Lazy.force copy.Protocol.clustering);
+  Alcotest.(check bool) "copy: kept" true (Protocol.coverage copy Coverage.Hop25 == c);
+  Alcotest.(check bool) "original untouched" true (Protocol.coverage env Coverage.Hop25 == old);
+  (* Retargeting the graph (with its default clustering) or only the
+     clustering both retire the table. *)
+  Protocol.retarget ~graph:g' env;
+  let r = Protocol.coverage env Coverage.Hop25 in
+  Alcotest.(check bool) "retarget graph: fresh table" false (r == old);
+  Alcotest.(check bool) "retarget graph: the new graph" true (Coverage.Cache.graph r == g');
+  Protocol.retarget ~clustering:(lazy (Manet_cluster.Highest_degree.cluster g')) env;
+  let r' = Protocol.coverage env Coverage.Hop25 in
+  Alcotest.(check bool) "retarget clustering: fresh table" false (r' == r);
+  Alcotest.(check bool) "retarget clustering: the new clustering" true
+    (Coverage.Cache.clustering r' == Lazy.force env.Protocol.clustering)
+
 let () =
   Alcotest.run "protocols"
     [
@@ -255,6 +300,8 @@ let () =
           Alcotest.test_case "backbones are SI with build" `Quick test_backbones_materialize;
           Alcotest.test_case "backbones build CDSes" `Quick test_backbones_are_cds;
           Alcotest.test_case "equivalence table covers registry" `Quick test_golden_covers_registry;
+          Alcotest.test_case "env keeps one CH_HOP table per mode" `Quick test_coverage_kept;
+          Alcotest.test_case "env CH_HOP table never stale" `Quick test_coverage_fresh;
         ] );
       ("equivalence", equivalence_tests);
       ("arena", arena_tests);

@@ -7,6 +7,33 @@ let test_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
   done
 
+(* Known answers: the first outputs of two seeded streams, recorded
+   from the boxed-state implementation.  Any change to the state layout,
+   the mixer, the rejection loop, the float scaling or [split] that
+   alters a stream fails here, and every seeded figure would move with
+   it. *)
+let known_answers =
+  [
+    (42, -7450291807549245335L, 797, 0.78270255402966404, 3214031116667150, 6681730451915146451L, 6);
+    (7, -8774268681488515761L, 181, 0.16028168192290515, 7688009560981339, -3098375835980254485L, 4);
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, next, int1000, float1, bits53, child, int7) ->
+      let g = Rng.create ~seed in
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check int64) (label "next_int64") next (Rng.next_int64 g);
+      Alcotest.(check int) (label "int 1000") int1000 (Rng.int g 1000);
+      Alcotest.(check int64) (label "float 1.")
+        (Int64.bits_of_float float1)
+        (Int64.bits_of_float (Rng.float g 1.));
+      Alcotest.(check int) (label "bits53") bits53 (Rng.bits53 g);
+      let c = Rng.split g in
+      Alcotest.(check int64) (label "split child") child (Rng.next_int64 c);
+      Alcotest.(check int) (label "parent after split") int7 (Rng.int g 7))
+    known_answers
+
 let test_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   let differs = ref false in
@@ -194,6 +221,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy independence" `Quick test_copy_independent;
           Alcotest.test_case "split independence" `Quick test_split_independent;
