@@ -268,6 +268,33 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
   let words = (Gc.minor_words () -. w0) /. float_of_int reps in
   (1e6 *. dt /. float_of_int reps, words)
 
+(* One static backbone build of the same n = 1000, d = 12 placement
+   over a shared 2.5-hop CH_HOP cache whose coverage sets are forced
+   before the timed loop, so the row measures gateway selection and the
+   member union alone.  The seed pair is this loop over the list-based
+   batched selection that [Gateway_selection.select_all] used to be
+   (fresh per-head arrays and cons cells for every connector entry);
+   the shared kernel on a per-call scratch measures 50,090 words.  The
+   ceiling sits about 13% above that, well below the seed, so per-entry
+   allocation in the static build crosses it. *)
+let static_ceiling_words = 56_500.
+let static_seed_us = 550.8
+let static_seed_words = 76_790.
+
+let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
+  let g = sample.Manet_topology.Generator.graph in
+  let cache = Coverage.Cache.create g (Manet_cluster.Lowest_id.cluster g) Coverage.Hop25 in
+  ignore (Coverage.Cache.coverages cache);
+  let build () = ignore (Manet_backbone.Static_backbone.build ~cache g Coverage.Hop25) in
+  build ();
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  for _ = 1 to reps do
+    build ()
+  done;
+  let dt = Sys.time () -. t0 in
+  (1e6 *. dt /. float_of_int reps, (Gc.minor_words () -. w0) /. float_of_int reps)
+
 (* Minor words per [Generator.sample_connected] at n = 100, d = 6: the
    largest sparse point of the paper's figures, where rejection sampling
    draws about 11 placements per connected one, so what each attempt
@@ -451,6 +478,14 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" build_us build_seed_us
     build_words build_seed_words build_ceiling_words
     (if build_over then "  EXCEEDED" else "");
+  let static_us, static_words = alloc_static ~reps sample in
+  let static_over = static_words > static_ceiling_words in
+  if static_over then failures := "static build" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "static build" "n=1000" "us/build"
+    "seed us" "words/build" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" static_us static_seed_us
+    static_words static_seed_words static_ceiling_words
+    (if static_over then "  EXCEEDED" else "");
   let sample_us, sample_words, sample_attempts = alloc_sample () in
   let sample_over = sample_words > sample_ceiling_words in
   if sample_over then failures := "connected sample" :: !failures;
@@ -523,6 +558,21 @@ let alloc () =
             ("seed_minor_words_per_build", num build_seed_words);
             ("speedup", num (build_seed_us /. build_us));
             ("alloc_reduction", num (build_seed_words /. build_words));
+          ] );
+      ( "per_static_build",
+        Json.Obj
+          [
+            ("name", Json.Str "static-backbone-build");
+            ("n", int 1000);
+            ("avg_degree", int 12);
+            ("reps", int reps);
+            ("us_per_build", num static_us);
+            ("minor_words_per_build", num static_words);
+            ("ceiling_words", num static_ceiling_words);
+            ("seed_us_per_build", num static_seed_us);
+            ("seed_minor_words_per_build", num static_seed_words);
+            ("speedup", num (static_seed_us /. static_us));
+            ("alloc_reduction", num (static_seed_words /. static_words));
           ] );
       ( "per_sample",
         Json.Obj

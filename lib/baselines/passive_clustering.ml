@@ -25,7 +25,7 @@ let native ~arena ~rng g ~source =
   (* [mark.(w) = v]: head [w] is bridged by a gateway [v] heard. *)
   let mark = Array.make n (-1) in
   roles.(source) <- Clusterhead;
-  let decide ~tx ~time v =
+  let decide ~(tx : int array) ~time v =
     let lo = off.(v) and hi = off.(v + 1) in
     let heads = ref 0 in
     for i = lo to hi - 1 do

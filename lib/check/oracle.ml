@@ -13,11 +13,6 @@ module Result = Manet_broadcast.Result
 
 type verdict = Pass | Fail of string | Skip of string
 
-let pp_verdict ppf = function
-  | Pass -> Format.fprintf ppf "pass"
-  | Fail m -> Format.fprintf ppf "FAIL: %s" m
-  | Skip m -> Format.fprintf ppf "skip (%s)" m
-
 let failf fmt = Format.kasprintf (fun m -> Fail m) fmt
 
 type ctx = {

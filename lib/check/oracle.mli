@@ -25,8 +25,6 @@ type verdict =
   | Fail of string  (** the property is violated; the message names the witness *)
   | Skip of string  (** the property does not apply to this case/protocol *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** Memoizing evaluation context for one case. *)
 type ctx
 

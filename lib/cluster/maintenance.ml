@@ -94,8 +94,6 @@ let update t g =
 
 let head_churn e = e.new_heads + e.deposed_heads
 
-let no_events = { reaffiliations = 0; new_heads = 0; deposed_heads = 0; messages = 0 }
-
 let add a b =
   {
     reaffiliations = a.reaffiliations + b.reaffiliations;

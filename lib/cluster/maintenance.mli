@@ -44,10 +44,6 @@ val head_churn : events -> int
     forces the affected neighborhood to refresh coverage sets and
     gateways. *)
 
-val no_events : events
-(** The all-zero tally — the identity of {!add}, the starting point of a
-    workload's running maintenance-cost accumulator. *)
-
 val add : events -> events -> events
 (** Field-wise sum: fold the per-update tallies of a serving run into the
     stream's total maintenance cost. *)

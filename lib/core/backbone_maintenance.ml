@@ -207,15 +207,7 @@ let iter_members t f =
     (Clustering.heads (clustering t))
 
 let backbone t =
-  let cl = clustering t in
   let ind = Array.make (Graph.n t.graph) false in
   Array.iter (Array.iter (fun v -> ind.(v) <- true)) t.selections;
-  let gateways = Nodeset.of_indicator ind in
-  {
-    Static_backbone.graph = t.graph;
-    clustering = cl;
-    mode = t.mode;
-    coverages = Array.copy t.coverages;
-    gateways;
-    members = Nodeset.union (Clustering.head_set cl) gateways;
-  }
+  Static_backbone.make ~graph:t.graph ~clustering:(clustering t) ~mode:t.mode
+    ~coverages:(Array.copy t.coverages) ~gateways:(Nodeset.of_indicator ind)

@@ -38,14 +38,7 @@ let measure g mode =
         gateway := !gateway + 1 + one_hop)
     (Clustering.heads cl);
   let backbone =
-    {
-      Static_backbone.graph = g;
-      clustering = cl;
-      mode;
-      coverages;
-      gateways = !all_gateways;
-      members = Nodeset.union (Clustering.head_set cl) !all_gateways;
-    }
+    Static_backbone.make ~graph:g ~clustering:cl ~mode ~coverages ~gateways:!all_gateways
   in
   let cost =
     {

@@ -6,11 +6,6 @@ module Scratch = Manet_broadcast.Engine.Scratch
 
 type pruning = Sender_only | Coverage_piggyback | Coverage_and_relay
 
-let pp_pruning fmt = function
-  | Sender_only -> Format.pp_print_string fmt "sender-only"
-  | Coverage_piggyback -> Format.pp_print_string fmt "coverage"
-  | Coverage_and_relay -> Format.pp_print_string fmt "coverage+relay"
-
 (* Event-loop design.  A clusterhead transmits on its first reception.  A
    gateway selected by clusterhead h relays exactly once, at
    h's-transmission-time + its hop distance from h (1 for direct

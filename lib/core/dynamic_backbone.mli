@@ -36,8 +36,6 @@
 
 type pruning = Sender_only | Coverage_piggyback | Coverage_and_relay
 
-val pp_pruning : Format.formatter -> pruning -> unit
-
 val protocol : ?pruning:pruning -> Manet_coverage.Coverage.mode -> Manet_broadcast.Protocol.t
 (** [dynamic-2.5hop] / [dynamic-3hop] (plus [/sender] and [/coverage]
     ablation entries) in the protocol registry; [pruning] defaults to

@@ -11,7 +11,8 @@ module Coverage = Manet_coverage.Coverage
    linear scan over the candidates instead of a set intersection per
    candidate.
 
-   All working storage lives in a domain-local [scratch]: stamp-tagged
+   All working storage lives in a [scratch] (domain-local for the
+   per-head entry points, private to a {!select_all} call): stamp-tagged
    node maps (reset is a counter bump), chain-linked entry pools
    replacing the per-slot lists, and an output buffer.  One selection
    allocates nothing beyond its result, which is what lets the dynamic
@@ -364,139 +365,19 @@ let select_flat ?targets ~pool (cov : Coverage.t) =
   Flatset.of_increasing pool scr.out ~len:k
 
 (* Batched selection over every clusterhead of a topology: the same
-   greedy routine, with the candidate slot map, the per-head selected
-   set, and the output accumulated through generation-tagged arrays
-   shared across heads (the generation is the head id), so no per-head
-   set or hash structure is built.  Must select exactly what {!select}
-   selects head by head — asserted by the test suite. *)
+   kernel, head by head, on a scratch private to the call.  The
+   domain-local one would be grown to the largest head's tables for the
+   rest of the domain's life. *)
 let select_all coverages ~n =
+  let scr = create_scratch () in
   let ind = Array.make n false in
-  let tag = Array.make n (-1) in
-  let slotv = Array.make n 0 in
-  let sel_tag = Array.make n (-1) in
-  let cand_buf = ref (Array.make 64 0) in
   Array.iter
     (function
       | None -> ()
-      | Some (cov : Coverage.t) ->
-        let u = cov.owner in
-        let c2 = Array.of_list cov.c2 in
-        let c3 = Array.of_list cov.c3 in
-        let n2_live = ref (Array.length c2) in
-        (* Distinct candidates, ascending — the greedy scan order. *)
-        let k = ref 0 in
-        let add v =
-          if tag.(v) <> u then begin
-            tag.(v) <- u;
-            if !k = Array.length !cand_buf then begin
-              let b = Array.make (2 * Array.length !cand_buf) 0 in
-              Array.blit !cand_buf 0 b 0 !k;
-              cand_buf := b
-            end;
-            !cand_buf.(!k) <- v;
-            incr k
-          end
-        in
-        Array.iter (fun (_, connectors) -> Array.iter add connectors) c2;
-        Array.iter (fun (_, pairs) -> Array.iter (fun (v, _) -> add v) pairs) c3;
-        let cands = Array.sub !cand_buf 0 !k in
-        Array.sort Int.compare cands;
-        Array.iteri (fun i v -> slotv.(v) <- i) cands;
-        let n_cands = !k in
-        let live_direct = Array.make n_cands 0 in
-        let live_indirect = Array.make n_cands 0 in
-        let direct = Array.make n_cands [] in
-        let indirect = Array.make n_cands [] in
-        let live2 = Array.make (Array.length c2) true in
-        let live3 = Array.make (Array.length c3) true in
-        let rev2 = Array.make (Array.length c2) [] in
-        let rev3 = Array.make (Array.length c3) [] in
-        Array.iteri
-          (fun i (_, connectors) ->
-            Array.iter
-              (fun v ->
-                let s = slotv.(v) in
-                direct.(s) <- i :: direct.(s);
-                live_direct.(s) <- live_direct.(s) + 1;
-                rev2.(i) <- s :: rev2.(i))
-              connectors)
-          c2;
-        Array.iteri
-          (fun i (_, pairs) ->
-            Array.iter
-              (fun (v, w) ->
-                let s = slotv.(v) in
-                indirect.(s) <- (i, w) :: indirect.(s);
-                live_indirect.(s) <- live_indirect.(s) + 1;
-                rev3.(i) <- s :: rev3.(i))
-              pairs)
-          c3;
-        let take v =
-          sel_tag.(v) <- u;
-          ind.(v) <- true
-        in
-        let cover2 i =
-          if live2.(i) then begin
-            live2.(i) <- false;
-            decr n2_live;
-            List.iter (fun s -> live_direct.(s) <- live_direct.(s) - 1) rev2.(i)
-          end
-        in
-        let cover3 i =
-          live3.(i) <- false;
-          List.iter (fun s -> live_indirect.(s) <- live_indirect.(s) - 1) rev3.(i)
-        in
-        (* Phase 1: greedy direct coverage of the 2-hop targets. *)
-        let continue_ = ref true in
-        while !n2_live > 0 && !continue_ do
-          let best = ref (-1) in
-          for s = 0 to n_cands - 1 do
-            if
-              live_direct.(s) > 0
-              && (!best < 0
-                 || live_direct.(s) > live_direct.(!best)
-                 || (live_direct.(s) = live_direct.(!best)
-                    && live_indirect.(s) > live_indirect.(!best)))
-            then best := s
-          done;
-          if !best < 0 then continue_ := false
-          else begin
-            let s = !best in
-            take cands.(s);
-            List.iter cover2 direct.(s);
-            List.iter
-              (fun (i, w) ->
-                if live3.(i) then begin
-                  cover3 i;
-                  take w
-                end)
-              indirect.(s)
-          end
-        done;
-        (* Phase 2: pairs for the remaining 3-hop targets. *)
-        let pair_score (v, w) =
-          (if sel_tag.(v) = u then 1 else 0) + if sel_tag.(w) = u then 1 else 0
-        in
-        let pair_lt (v1, w1) (v2, w2) = v1 < v2 || (v1 = v2 && w1 < w2) in
-        Array.iteri
-          (fun i (_, pairs) ->
-            if live3.(i) then begin
-              let best = ref None in
-              Array.iter
-                (fun p ->
-                  match !best with
-                  | None -> best := Some p
-                  | Some b ->
-                    let sp = pair_score p and sb = pair_score b in
-                    if sp > sb || (sp = sb && pair_lt p b) then best := Some p)
-                pairs;
-              match !best with
-              | Some (v, w) ->
-                live3.(i) <- false;
-                take v;
-                take w
-              | None -> ()
-            end)
-          c3)
+      | Some cov ->
+        let k = run_select scr cov ~live:(fun _ -> true) in
+        for i = 0 to k - 1 do
+          ind.(scr.out.(i)) <- true
+        done)
     coverages;
   Nodeset.of_indicator ind

@@ -50,5 +50,6 @@ val select_all :
   Manet_coverage.Coverage.t option array -> n:int -> Manet_graph.Nodeset.t
 (** [select_all coverages ~n] (with [n] the number of nodes) is the
     union over every clusterhead of [select cov] — the static backbone's
-    gateway set — computed with work arrays shared across heads instead
-    of per-head sets. *)
+    gateway set — computed by the same kernel as {!select}, on working
+    storage private to the call (a whole-topology build leaves the
+    domain-local scratch as it was). *)

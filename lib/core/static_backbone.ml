@@ -13,6 +13,10 @@ type t = {
   members : Nodeset.t;
 }
 
+let make ~graph ~clustering ~mode ~coverages ~gateways =
+  let members = Nodeset.union (Clustering.head_set clustering) gateways in
+  { graph; clustering; mode; coverages; gateways; members }
+
 let build ?clustering ?cache g mode =
   let cache =
     match (cache, clustering) with
@@ -23,8 +27,7 @@ let build ?clustering ?cache g mode =
   let clustering = Coverage.Cache.clustering cache in
   let coverages = Coverage.Cache.coverages cache in
   let gateways = Gateway_selection.select_all coverages ~n:(Graph.n g) in
-  let members = Nodeset.union (Clustering.head_set clustering) gateways in
-  { graph = g; clustering; mode; coverages; gateways; members }
+  make ~graph:g ~clustering ~mode ~coverages ~gateways
 
 let size t = Nodeset.cardinal t.members
 

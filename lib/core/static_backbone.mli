@@ -6,7 +6,7 @@
     CDS of the network (Theorem 1); a broadcast is then forwarded by
     every backbone node reached (Section 3). *)
 
-type t = {
+type t = private {
   graph : Manet_graph.Graph.t;
   clustering : Manet_cluster.Clustering.t;
   mode : Manet_coverage.Coverage.mode;
@@ -15,6 +15,17 @@ type t = {
   gateways : Manet_graph.Nodeset.t;  (** union of all clusterheads' selections *)
   members : Manet_graph.Nodeset.t;  (** the backbone: clusterheads plus gateways *)
 }
+
+val make :
+  graph:Manet_graph.Graph.t ->
+  clustering:Manet_cluster.Clustering.t ->
+  mode:Manet_coverage.Coverage.mode ->
+  coverages:Manet_coverage.Coverage.t option array ->
+  gateways:Manet_graph.Nodeset.t ->
+  t
+(** The one constructor: [members] is the clusterheads of [clustering]
+    plus [gateways].  {!build}, the incrementally maintained backbone and
+    the distributed construction all assemble their result here. *)
 
 val build :
   ?clustering:Manet_cluster.Clustering.t ->

@@ -355,9 +355,8 @@ module Cache = struct
     hop1 : int array array;
     mutable hop2 : rows option;
     mutable scratch : scratch option;
-    mutable covs : coverage option array option;
-    mutable memo : coverage option array;  (** per-head {!coverage} memo; [[||]] until first use *)
-    head_sets : Nodeset.t option array;
+    mutable memo : coverage option array;  (** per-head memo; [[||]] until first use *)
+    mutable complete : bool;  (** every head of [memo] filled *)
     covered_rows : int array option array;
   }
 
@@ -394,9 +393,8 @@ module Cache = struct
       hop1;
       hop2 = None;
       scratch = None;
-      covs = None;
       memo = [||];
-      head_sets = Array.make (Graph.n g) None;
+      complete = false;
       covered_rows = Array.make (Graph.n g) None;
     }
 
@@ -429,41 +427,31 @@ module Cache = struct
     of_head_from t.graph ~hop1:t.hop1 ~rows:(hop2_rows t) ~scratch:(scratch t) t.clustering
       t.mode v
 
-  let coverages t =
-    match t.covs with
-    | Some c -> c
-    | None ->
-      let cl = t.clustering in
-      let c =
-        Array.init (Graph.n t.graph) (fun v ->
-            if not (Clustering.is_head cl v) then None
-            else if Array.length t.memo > 0 && Option.is_some t.memo.(v) then t.memo.(v)
-            else Some (compute t v))
-      in
-      t.covs <- Some c;
-      c
+  let memo t =
+    if Array.length t.memo = 0 then t.memo <- Array.make (Graph.n t.graph) None;
+    t.memo
 
   let coverage t h =
     if not (Clustering.is_head t.clustering h) then
       invalid_arg "Coverage.Cache.coverage: not a clusterhead";
-    match t.covs with
-    | Some c -> Option.get c.(h)
-    | None -> (
-      if Array.length t.memo = 0 then t.memo <- Array.make (Graph.n t.graph) None;
-      match t.memo.(h) with
-      | Some c -> c
-      | None ->
-        let c = compute t h in
-        t.memo.(h) <- Some c;
-        c)
-
-  let neighbor_heads t v =
-    match t.head_sets.(v) with
-    | Some s -> s
+    let m = memo t in
+    match m.(h) with
+    | Some c -> c
     | None ->
-      let s = Array.fold_left (fun s u -> Nodeset.add u s) Nodeset.empty t.hop1.(v) in
-      t.head_sets.(v) <- Some s;
-      s
+      let c = compute t h in
+      m.(h) <- Some c;
+      c
+
+  (* Completes the per-head memo and hands it out as the batch result. *)
+  let coverages t =
+    let m = memo t in
+    if not t.complete then begin
+      for v = 0 to Array.length m - 1 do
+        if Clustering.is_head t.clustering v && Option.is_none m.(v) then m.(v) <- Some (compute t v)
+      done;
+      t.complete <- true
+    end;
+    m
 
   (* C(v) as a flat sorted row — the dynamic broadcast's pruning input.
      The c2 and c3 key lists are each increasing and mutually disjoint,

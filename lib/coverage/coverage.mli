@@ -81,9 +81,9 @@ val of_head : Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> mode -> int -
     plus an offset array of length n+1, built in one pass over the graph
     (a node-id stamp deduplicates each row, which is then sorted in
     place) — no per-row arrays.  Coverage sets are built from those rows
-    either all at once ({!coverages}) or one head at a time
-    ({!coverage}, memoised per head, all heads sharing one working
-    scratch); both give the same sets.
+    one head at a time into one per-head memo (all heads sharing one
+    working scratch): {!coverage} fills one slot, {!coverages} fills the
+    rest and returns the memo.
 
     Tables are filled lazily on first use and memoised; a cache must be
     discarded whenever the graph or clustering changes. *)
@@ -115,20 +115,18 @@ module Cache : sig
       rows — a fresh array each call. *)
 
   val coverages : t -> coverage option array
-  (** Same contents as {!all}; computed once and memoised.  Heads already
-      computed through {!coverage} are reused, not recomputed. *)
+  (** Same contents as {!all}: the cache's per-head memo, completed on
+      the first call (heads already computed through {!coverage} are
+      reused, not recomputed) and returned itself — every call returns
+      the same array.  Callers must not mutate it. *)
 
   val coverage : t -> int -> coverage
-  (** [coverage c h] is head [h]'s coverage set — equal to
-      [Option.get (coverages c).(h)] and to {!of_head}.  Only [h]'s set
-      is built (on top of the shared hop tables) and it is memoised; the
-      memo and the working scratch are allocated on the first call, so a
-      cache that only ever calls {!coverages} pays nothing for them.
+  (** [coverage c h] is head [h]'s coverage set — physically
+      [Option.get (coverages c).(h)], and equal to {!of_head}.  Only
+      [h]'s set is built (on top of the shared hop tables) and it is
+      memoised; the memo and the working scratch are allocated on first
+      use.
       @raise Invalid_argument if [h] is not a clusterhead. *)
-
-  val neighbor_heads : t -> int -> Manet_graph.Nodeset.t
-  (** The node's adjacent clusterheads as a set (the relayer-heads
-      exclusion set of the dynamic broadcast); memoised per node. *)
 
   val covered_row : t -> int -> int array
   (** C(v) = C2(v) union C3(v) as a flat strictly increasing row —

@@ -283,10 +283,6 @@ let to_string_value ~context = function
   | Str s -> Ok s
   | v -> shape_error context "a string" v
 
-let to_bool ~context = function
-  | Bool b -> Ok b
-  | v -> shape_error context "a boolean" v
-
 let to_list ~context = function
   | Arr items -> Ok items
   | v -> shape_error context "an array" v

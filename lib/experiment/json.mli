@@ -48,6 +48,5 @@ val number_to_string : float -> string
 val to_float : context:string -> t -> (float, string) result
 val to_int : context:string -> t -> (int, string) result
 val to_string_value : context:string -> t -> (string, string) result
-val to_bool : context:string -> t -> (bool, string) result
 val to_list : context:string -> t -> (t list, string) result
 val to_obj : context:string -> t -> ((string * t) list, string) result

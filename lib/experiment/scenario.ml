@@ -283,6 +283,10 @@ let clustering_fn = function
 let mcds_size_of (ctx : Metric.ctx) =
   float_of_int (Manet_graph.Nodeset.cardinal (Manet_mcds.Exact.build ctx.Metric.graph))
 
+(* The construction-cost series of a sample all read one distributed
+   construction (three message-level protocol runs). *)
+let cost_memo = Metric.per_sample ()
+
 let compile s =
   (match validate s with Ok () -> () | Error m -> invalid_arg m);
   let default_loss = s.loss in
@@ -355,11 +359,11 @@ let compile s =
           Metric.name;
           eval =
             (fun ctx ->
-              let c, _ =
-                Manet_backbone.Construction_cost.measure ctx.Metric.graph
-                  Manet_coverage.Coverage.Hop25
-              in
-              pick c);
+              pick
+                (cost_memo ctx () (fun () ->
+                     fst
+                       (Manet_backbone.Construction_cost.measure ctx.Metric.graph
+                          Manet_coverage.Coverage.Hop25))));
         })
     s.metrics
 

@@ -88,7 +88,7 @@ module Roster = struct
   let nth_active r k = r.ids.(k)
 
   (* The first index in [lo, hi) whose id is at least [v] ([hi] if none). *)
-  let rec lower_bound ids v lo hi =
+  let rec lower_bound (ids : int array) v lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in

@@ -46,17 +46,6 @@ let of_increasing p a ~len =
 
 let of_sorted p a = of_increasing p a ~len:(Array.length a)
 
-let of_nodeset p s =
-  ensure p (Nodeset.cardinal s);
-  let k = ref 0 in
-  let d = p.data and top = p.top in
-  Nodeset.iter
-    (fun v ->
-      d.(top + !k) <- v;
-      incr k)
-    s;
-  seal p !k
-
 let length t =
   check t;
   t.len
@@ -197,7 +186,7 @@ let remove p a v =
   done;
   seal p (!k - p.top)
 
-let sort_ints a ~lo ~hi =
+let sort_ints (a : int array) ~lo ~hi =
   let len = hi - lo in
   if len > 1 then begin
     let swap i j =

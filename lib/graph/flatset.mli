@@ -42,8 +42,6 @@ val of_increasing : pool -> int array -> len:int -> t
 val of_sorted : pool -> int array -> t
 (** [of_increasing p a ~len:(Array.length a)]. *)
 
-val of_nodeset : pool -> Nodeset.t -> t
-
 val to_nodeset : t -> Nodeset.t
 (** The slice as a {!Nodeset.t} ({!Nodeset.of_increasing}, one tree
     node per element). *)

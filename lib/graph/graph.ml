@@ -58,7 +58,7 @@ let unsafe_of_csr ~off ~nbr =
 (* Squeezes duplicate entries out of every (sorted) row in place,
    rebuilding the offsets.  The write cursor never passes the read
    cursor, so the compaction is safe on the shared buffer. *)
-let dedup_rows n off nbr =
+let dedup_rows n off (nbr : int array) =
   let w = ref 0 in
   let row_start = ref 0 in
   for v = 0 to n - 1 do
@@ -207,7 +207,9 @@ let induced t s =
 
 (* Rows are sorted and duplicate-free, so the CSR arrays are a canonical
    form: structural equality on them is graph equality. *)
-let equal a b = a.n = b.n && a.off = b.off && a.nbr = b.nbr
+let equal a b =
+  let same x y = Array.length x = Array.length y && Array.for_all2 Int.equal x y in
+  a.n = b.n && same a.off b.off && same a.nbr b.nbr
 
 let pp fmt t =
   for v = 0 to t.n - 1 do

@@ -55,7 +55,6 @@ let create ?(pause_time = 0.) ~model ~speed_min ~speed_max ~rng ~spec points =
 
 let positions t = Array.copy t.pos
 let unsafe_positions t = t.pos
-let iter_positions t f = Array.iter f t.pos
 
 (* Advance node [i] by [dt], possibly consuming several legs (arrive,
    pause, re-target) within the interval. *)

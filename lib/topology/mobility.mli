@@ -37,9 +37,6 @@ val unsafe_positions : t -> Manet_geom.Point.t array
     are only valid until the next step.  This is the per-step hot-path
     accessor behind {!graph}. *)
 
-val iter_positions : t -> (Manet_geom.Point.t -> unit) -> unit
-(** Iterate the current positions in node order without copying. *)
-
 val step : t -> dt:float -> unit
 (** Advance every node by [dt] time units, handling waypoint arrivals,
     pauses and boundary reflections inside the interval. *)

@@ -250,9 +250,6 @@ let prop_cache_matches_uncached =
               if not (Nodeset.equal (set_of_list (Array.to_list hop1)) (Coverage.ch_hop1 g cl v))
               then ok := false;
               if Array.to_list (Coverage.Cache.ch_hop2 cache v) <> Coverage.ch_hop2 g cl mode v
-              then ok := false;
-              if not (Nodeset.equal (Coverage.Cache.neighbor_heads cache v)
-                        (Coverage.ch_hop1 g cl v))
               then ok := false
             end
           done;
@@ -262,7 +259,8 @@ let prop_cache_matches_uncached =
 (* Per-head memoised coverage: [Cache.coverage] must give exactly the
    independent per-head reference and the batch table, whichever of the
    two entry points a cache sees first, on seeded topologies up to the
-   sweep scale. *)
+   sweep scale.  Both entry points read one memo: a head's set is the
+   very value in the batch table, and the batch table is one array. *)
 let seeded_udgs () =
   [ udg ~seed:71 ~n:60 ~d:6.; udg ~seed:72 ~n:300 ~d:10.; udg ~seed:73 ~n:1000 ~d:12. ]
 
@@ -295,8 +293,12 @@ let test_cache_coverage_per_head () =
               check "coverage vs coverages" h c (Option.get batch.(h));
               check "coverage before vs after coverages" h c
                 (Coverage.Cache.coverage batch_first h);
-              check "coverages, either order" h c (Option.get batch2.(h)))
+              check "coverages, either order" h c (Option.get batch2.(h));
+              if c != Option.get batch.(h) || Coverage.Cache.coverage batch_first h != Option.get batch2.(h)
+              then Alcotest.failf "n=%d head %d: coverage is not the memoised batch entry" (Graph.n g) h)
             heads;
+          if Coverage.Cache.coverages head_first != batch || Coverage.Cache.coverages batch_first != batch2
+          then Alcotest.failf "n=%d: repeated coverages returned a new array" (Graph.n g);
           let member = List.find (fun v -> not (Clustering.is_head cl v)) (List.init (Graph.n g) Fun.id) in
           Alcotest.check_raises "non-head"
             (Invalid_argument "Coverage.Cache.coverage: not a clusterhead") (fun () ->
