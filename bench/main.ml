@@ -106,10 +106,12 @@ let ext_mobility () =
 
 (* BENCH_timing.json holds the top-level keys of three experiments:
    the Bechamel table ([timing]: n, avg_degree, results), the
-   allocation tables ([alloc]: per_broadcast, per_build, per_sample,
-   per_update, per_arrival) and the serving throughput ([traffic]).  Each experiment replaces only its own keys
-   in the file on disk and keeps every other key, so `--json . alloc`
-   leaves the Bechamel results and the traffic section in place. *)
+   allocation tables ([alloc]: per_broadcast, per_build,
+   per_static_build, per_cluster, per_sample, per_update, per_arrival,
+   per_sweep_sample) and the serving throughput ([traffic]).  Each
+   experiment replaces only its own keys in the file on disk and keeps
+   every other key, so `--json . alloc` leaves the Bechamel results and
+   the traffic section in place. *)
 let merge_timing_json fields =
   match !json_dir with
   | None -> ()
@@ -291,6 +293,31 @@ let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
   let t0 = Sys.time () in
   for _ = 1 to reps do
     build ()
+  done;
+  let dt = Sys.time () -. t0 in
+  (1e6 *. dt /. float_of_int reps, (Gc.minor_words () -. w0) /. float_of_int reps)
+
+(* One lowest-ID clustering ([Lowest_id.cluster]) of the same n = 1000,
+   d = 12 placement: the election every backbone construction and
+   every sweep sample runs first.  The seed pair is this loop when the
+   election's declare/join passes folded each neighbour row through a
+   closure and collected the declaring nodes in a list.  The ceiling
+   is set from the one [Clustering.elect] kernel, which scans the CSR
+   rows directly and collects declarations in one int buffer: 6,319
+   words, all but 3 of them [Clustering.of_head_array]'s validation and
+   head list.  It sits about 14% above that, so a return to a closure
+   per neighbour scan (some 12,900 words of the seed) crosses it. *)
+let cluster_ceiling_words = 7_200.
+let cluster_seed_us = 239.4
+let cluster_seed_words = 19_220.
+
+let alloc_cluster ~reps (sample : Manet_topology.Generator.sample) =
+  let g = sample.Manet_topology.Generator.graph in
+  ignore (Manet_cluster.Lowest_id.cluster g);
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  for _ = 1 to reps do
+    ignore (Manet_cluster.Lowest_id.cluster g)
   done;
   let dt = Sys.time () -. t0 in
   (1e6 *. dt /. float_of_int reps, (Gc.minor_words () -. w0) /. float_of_int reps)
@@ -486,6 +513,14 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" static_us static_seed_us
     static_words static_seed_words static_ceiling_words
     (if static_over then "  EXCEEDED" else "");
+  let cluster_us, cluster_words = alloc_cluster ~reps sample in
+  let cluster_over = cluster_words > cluster_ceiling_words in
+  if cluster_over then failures := "clustering" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "clustering" "n=1000"
+    "us/cluster" "seed us" "words/cluster" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" cluster_us
+    cluster_seed_us cluster_words cluster_seed_words cluster_ceiling_words
+    (if cluster_over then "  EXCEEDED" else "");
   let sample_us, sample_words, sample_attempts = alloc_sample () in
   let sample_over = sample_words > sample_ceiling_words in
   if sample_over then failures := "connected sample" :: !failures;
@@ -573,6 +608,21 @@ let alloc () =
             ("seed_minor_words_per_build", num static_seed_words);
             ("speedup", num (static_seed_us /. static_us));
             ("alloc_reduction", num (static_seed_words /. static_words));
+          ] );
+      ( "per_cluster",
+        Json.Obj
+          [
+            ("name", Json.Str "lowest-id-cluster");
+            ("n", int 1000);
+            ("avg_degree", int 12);
+            ("reps", int reps);
+            ("us_per_cluster", num cluster_us);
+            ("minor_words_per_cluster", num cluster_words);
+            ("ceiling_words", num cluster_ceiling_words);
+            ("seed_us_per_cluster", num cluster_seed_us);
+            ("seed_minor_words_per_cluster", num cluster_seed_words);
+            ("speedup", num (cluster_seed_us /. cluster_us));
+            ("alloc_reduction", num (cluster_seed_words /. cluster_words));
           ] );
       ( "per_sample",
         Json.Obj

@@ -27,6 +27,51 @@ let of_head_array g head_of =
     invalid_arg "Clustering.of_head_array: clusterheads are not an independent set";
   { graph_n = n; head_arr = Array.copy head_of; head_list = heads }
 
+(* Candidates are the nodes with [head.(v) < 0].  Each pass first lets
+   every candidate join its best adjacent head (joining never creates a
+   head, so the pass can update in place), then lets every candidate that
+   no candidate neighbour beats declare, all at once: the winners are
+   collected in [declares] before any of them is marked. *)
+let elect ~beats g head =
+  let n = Graph.n g in
+  if Array.length head <> n then invalid_arg "Clustering.elect: wrong length";
+  let off, nbr = Graph.csr g in
+  let declares = Array.make n 0 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for v = 0 to n - 1 do
+      if head.(v) < 0 then begin
+        let best = ref (-1) in
+        for i = off.(v) to off.(v + 1) - 1 do
+          let u = nbr.(i) in
+          if head.(u) = u && (!best < 0 || beats u !best) then best := u
+        done;
+        if !best >= 0 then begin
+          head.(v) <- !best;
+          changed := true
+        end
+      end
+    done;
+    let k = ref 0 in
+    for v = 0 to n - 1 do
+      if head.(v) < 0 then begin
+        let i = ref off.(v) and stop = off.(v + 1) in
+        while !i < stop && not (head.(nbr.(!i)) < 0 && beats nbr.(!i) v) do
+          incr i
+        done;
+        if !i = stop then begin
+          declares.(!k) <- v;
+          incr k
+        end
+      end
+    done;
+    for j = 0 to !k - 1 do
+      head.(declares.(j)) <- declares.(j)
+    done;
+    if !k > 0 then changed := true
+  done
+
 let head_of t v = t.head_arr.(v)
 let is_head t v = t.head_arr.(v) = v
 let heads t = t.head_list

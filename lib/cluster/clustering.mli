@@ -16,6 +16,24 @@ val of_head_array : Manet_graph.Graph.t -> int array -> t
     - heads form an independent set.
     @raise Invalid_argument if any property fails. *)
 
+val elect : beats:(int -> int -> bool) -> Manet_graph.Graph.t -> int array -> unit
+(** [elect ~beats g head] runs the synchronous declare/join election of
+    Section 2 in place.  [head.(v) < 0] marks a candidate; any other
+    entry is kept, and a node with [head.(h) = h] is a head candidates
+    can join.  Each pass, until nothing changes:
+    - every candidate joins its best adjacent head, the one that [beats]
+      all others;
+    - then every candidate that no candidate neighbour [beats] declares
+      itself head, all at once.
+
+    [beats u v] must be a strict total order (lowest-ID clustering uses
+    [(<)]).  Started from all candidates, the first join finds no head
+    and the result is the classic declare-then-join fixpoint; on a
+    partial assignment ({!Maintenance}) orphans join the heads they
+    already see before any of them declares.  Every candidate ends
+    assigned.
+    @raise Invalid_argument if [head] is not of length [Graph.n g]. *)
+
 val head_of : t -> int -> int
 (** The clusterhead of the node's cluster (itself, for a head). *)
 

@@ -1,51 +1,12 @@
 module Graph = Manet_graph.Graph
 
-(* Same synchronous declare/join fixpoint as {!Lowest_id}, with the
-   (degree, id) order replacing the id order: higher degree wins, lower
-   id breaks ties. *)
-let beats g u v =
-  let du = Graph.degree g u and dv = Graph.degree g v in
-  du > dv || (du = dv && u < v)
-
-let head_array g =
-  let n = Graph.n g in
-  let head = Array.make n (-1) in
-  let is_candidate v = head.(v) < 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let declares = ref [] in
-    for v = 0 to n - 1 do
-      if is_candidate v then begin
-        let wins =
-          Graph.fold_neighbors g v (fun acc u -> acc && not (is_candidate u && beats g u v)) true
-        in
-        if wins then declares := v :: !declares
-      end
-    done;
-    List.iter
-      (fun v ->
-        head.(v) <- v;
-        changed := true)
-      !declares;
-    for v = 0 to n - 1 do
-      if is_candidate v then begin
-        let best =
-          Graph.fold_neighbors g v
-            (fun acc u ->
-              if head.(u) = u then
-                match acc with Some b when beats g b u -> acc | Some _ | None -> Some u
-              else acc)
-            None
-        in
-        match best with
-        | Some h ->
-          head.(v) <- h;
-          changed := true
-        | None -> ()
-      end
-    done
-  done;
-  head
-
-let cluster g = Clustering.of_head_array g (head_array g)
+(* [Clustering.elect] with the (degree, id) order replacing the id order:
+   higher degree wins, lower id breaks ties. *)
+let cluster g =
+  let beats u v =
+    let du = Graph.degree g u and dv = Graph.degree g v in
+    du > dv || (du = dv && u < v)
+  in
+  let head = Array.make (Graph.n g) (-1) in
+  Clustering.elect ~beats g head;
+  Clustering.of_head_array g head

@@ -9,8 +9,8 @@
     The paper builds on lowest-ID clustering; this module exists for the
     ext-clustering ablation — every backbone construction accepts any
     {!Clustering.t}, so the effect of the election rule on backbone size
-    can be isolated. *)
+    can be isolated.  The election is {!Clustering.elect} with the
+    (degree, id) order; the registry's ["kmcds-k2m2/stable"] scheme also
+    builds on it. *)
 
 val cluster : Manet_graph.Graph.t -> Clustering.t
-
-val head_array : Manet_graph.Graph.t -> int array

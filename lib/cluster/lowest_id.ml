@@ -1,55 +1,15 @@
 module Graph = Manet_graph.Graph
 
-(* Synchronous fixpoint of the distributed algorithm.  Each iteration
-   performs one declare/join step:
-
-   - every candidate that is the lowest id among its candidate neighbors
-     declares itself head (simultaneously);
-   - every candidate with at least one declared head neighbor joins the
-     smallest such head.
-
-   The head set is the greedy-by-id maximal independent set regardless of
+(* The head set is the greedy-by-id maximal independent set regardless of
    timing, but {e membership} is timing-dependent: a candidate joins the
    earliest head it hears, which with synchronous rounds is the smallest
-   head among those declared in the same iteration — not necessarily the
-   smallest adjacent head overall.  Keeping declare and join as separate
-   simultaneous steps makes this function compute exactly the fixpoint the
-   message-passing protocol in {!Lowest_id_proto} reaches. *)
+   head among those declared in the same pass — not necessarily the
+   smallest adjacent head overall.  [Clustering.elect] keeps declare and
+   join as separate simultaneous steps, so this computes exactly the
+   fixpoint the message-passing protocol in {!Lowest_id_proto} reaches. *)
 let head_array g =
-  let n = Graph.n g in
-  let head = Array.make n (-1) in
-  let is_candidate v = head.(v) < 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let declares = ref [] in
-    for v = 0 to n - 1 do
-      if is_candidate v then begin
-        let lowest =
-          Graph.fold_neighbors g v (fun acc u -> acc && not (is_candidate u && u < v)) true
-        in
-        if lowest then declares := v :: !declares
-      end
-    done;
-    List.iter
-      (fun v ->
-        head.(v) <- v;
-        changed := true)
-      !declares;
-    for v = 0 to n - 1 do
-      if is_candidate v then begin
-        let best =
-          Graph.fold_neighbors g v
-            (fun acc u -> if head.(u) = u && u < acc then u else acc)
-            max_int
-        in
-        if best < max_int then begin
-          head.(v) <- best;
-          changed := true
-        end
-      end
-    done
-  done;
+  let head = Array.make (Graph.n g) (-1) in
+  Clustering.elect ~beats:( < ) g head;
   head
 
 let cluster g = Clustering.of_head_array g (head_array g)

@@ -4,9 +4,10 @@
     among all its candidate neighbors; a candidate that hears a
     clusterhead declaration joins the cluster of the smallest-id declaring
     neighbor (Section 2).  This module is the {e centralized reference}:
-    a synchronous declare/join fixpoint that computes exactly the result
-    the distributed protocol ({!Lowest_id_proto}) reaches — the test
-    suite checks the two agree on random graphs.
+    {!Clustering.elect} with [beats = (<)], the synchronous declare/join
+    fixpoint that computes exactly the result the distributed protocol
+    ({!Lowest_id_proto}) reaches — the test suite checks the two agree
+    on random graphs.
 
     The resulting head set is always the greedy-by-id maximal independent
     set; cluster {e membership} follows the protocol's "join the first

@@ -44,39 +44,9 @@ let update t g =
     if h >= 0 && h <> v && not (head.(h) = h && Graph.mem_edge g v h) then head.(v) <- -1
   done;
   (* 3. Orphans re-affiliate with the lowest-id adjacent head, else run a
-     local lowest-ID election (same fixpoint as the global algorithm,
-     restricted to orphans). *)
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for v = 0 to n - 1 do
-      if head.(v) < 0 then begin
-        let best =
-          Graph.fold_neighbors g v
-            (fun acc u -> if is_head u && u < acc then u else acc)
-            max_int
-        in
-        if best < max_int then begin
-          head.(v) <- best;
-          progress := true
-        end
-      end
-    done;
-    let declares = ref [] in
-    for v = 0 to n - 1 do
-      if head.(v) < 0 then begin
-        let lowest_orphan =
-          Graph.fold_neighbors g v (fun acc u -> acc && not (head.(u) < 0 && u < v)) true
-        in
-        if lowest_orphan then declares := v :: !declares
-      end
-    done;
-    List.iter
-      (fun v ->
-        head.(v) <- v;
-        progress := true)
-      !declares
-  done;
+     local lowest-ID election (the global algorithm restricted to
+     orphans). *)
+  Clustering.elect ~beats:( < ) g head;
   t.graph <- g;
   let reaffiliations = ref 0 and new_heads = ref 0 and deposed_heads = ref 0 in
   for v = 0 to n - 1 do

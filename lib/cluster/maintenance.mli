@@ -13,6 +13,9 @@
       the lowest-id adjacent clusterhead if any;
     - remaining orphans run a local lowest-ID election.
 
+    The last two steps are one {!Clustering.elect} with [beats = (<)] on
+    the partial head array, orphans marked as candidates.
+
     Every role change costs one control transmission (the node announces
     its new state), which is what {!events.messages} counts; rebuilding
     from scratch would cost n transmissions per topology change. *)

@@ -1,7 +1,4 @@
 module Graph = Manet_graph.Graph
-module Nodeset = Manet_graph.Nodeset
-module Clustering = Manet_cluster.Clustering
-module Coverage = Manet_coverage.Coverage
 
 type t = {
   hello : int;
@@ -19,39 +16,20 @@ let measure g mode =
   let cl = cl_report.clustering in
   let ch_report = Manet_coverage.Ch_hop_proto.run g cl mode in
   let coverages = ch_report.coverages in
-  (* GATEWAY: each head transmits once; each selected 1-hop gateway
-     re-broadcasts the message (TTL 2 -> 1), so 2-hop gateways hear it. *)
-  let gateway = ref 0 in
-  let all_gateways = ref Nodeset.empty in
-  List.iter
-    (fun h ->
-      match coverages.(h) with
-      | None -> ()
-      | Some cov ->
-        let selected = Gateway_selection.select cov in
-        all_gateways := Nodeset.union !all_gateways selected;
-        let one_hop =
-          Graph.fold_neighbors g h
-            (fun acc u -> if Nodeset.mem u selected then acc + 1 else acc)
-            0
-        in
-        gateway := !gateway + 1 + one_hop)
-    (Clustering.heads cl);
+  let gw_report = Gateway_proto.run g cl coverages in
   let backbone =
-    Static_backbone.make ~graph:g ~clustering:cl ~mode ~coverages ~gateways:!all_gateways
+    Static_backbone.make ~graph:g ~clustering:cl ~mode ~coverages ~gateways:gw_report.informed
   in
-  let cost =
-    {
+  ( {
       hello;
       clustering = cl_report.transmissions;
       clustering_rounds = cl_report.rounds;
       ch_hop = ch_report.transmissions;
       ch_hop_rounds = ch_report.rounds;
-      gateway = !gateway;
-      total = hello + cl_report.transmissions + ch_report.transmissions + !gateway;
-    }
-  in
-  (cost, backbone)
+      gateway = gw_report.transmissions;
+      total = hello + cl_report.transmissions + ch_report.transmissions + gw_report.transmissions;
+    },
+    backbone )
 
 let pp fmt t =
   Format.fprintf fmt

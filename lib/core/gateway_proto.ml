@@ -1,7 +1,6 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 module Clustering = Manet_cluster.Clustering
-module Coverage = Manet_coverage.Coverage
 
 type report = { informed : Nodeset.t; rounds : int; transmissions : int }
 
@@ -16,9 +15,7 @@ type state = {
   mutable forwarded : Nodeset.t;  (** heads whose message was already forwarded *)
 }
 
-let run ?cache g cl mode =
-  let cache = match cache with Some c -> c | None -> Coverage.Cache.create g cl mode in
-  let coverages = Coverage.Cache.coverages cache in
+let run g cl coverages =
   let module P = struct
     type nonrec msg = msg
 

@@ -8,11 +8,10 @@
     the message does not reach 0."
 
     Runs on the synchronous round engine after clustering and coverage
-    are known (each clusterhead computes its selection locally).  The
-    test suite checks that the nodes informed by the protocol are exactly
-    the gateways of {!Static_backbone.build}, and that the transmission
-    count matches {!Construction_cost}'s analytic accounting — closing
-    the loop on the fully distributed construction. *)
+    are known (each clusterhead computes its selection locally from its
+    coverage set).  {!Construction_cost} runs it as the construction's
+    last stage; the test suite checks that the nodes it informs are
+    exactly the gateways of {!Static_backbone.build}. *)
 
 type report = {
   informed : Manet_graph.Nodeset.t;  (** nodes that learned they are gateways *)
@@ -21,10 +20,10 @@ type report = {
 }
 
 val run :
-  ?cache:Manet_coverage.Coverage.Cache.t ->
   Manet_graph.Graph.t ->
   Manet_cluster.Clustering.t ->
-  Manet_coverage.Coverage.mode ->
+  Manet_coverage.Coverage.t option array ->
   report
-(** [cache] shares precomputed CH_HOP tables and coverage sets with the
-    other constructions; it must match the graph, clustering, and mode. *)
+(** [run g cl coverages] notifies the gateways each clusterhead selects
+    from its coverage set, [coverages.(h)] ([Some] exactly at the heads
+    of [cl], as {!Manet_coverage.Ch_hop_proto} reports them). *)

@@ -24,7 +24,7 @@ type chunk = float array array
    streaming journal appends exactly those. *)
 let chunk_size = 8
 
-let run_point ?(z = Confidence.z99) ?(rel_precision = 0.05) ?(min_samples = 30)
+let run_point ?(rel_precision = 0.05) ?(min_samples = 30)
     ?(max_samples = 500) ?(domains = 1) ?perturb ?(cached = fun _ -> None)
     ?(on_chunk = fun _ _ -> ()) ~rng ~spec metrics =
   if min_samples < 2 || max_samples < min_samples then invalid_arg "Sweep.run_point: bad bounds";
@@ -45,11 +45,7 @@ let run_point ?(z = Confidence.z99) ?(rel_precision = 0.05) ?(min_samples = 30)
         true )
   in
   let summaries = Array.map (fun _ -> Summary.create ()) metric_arr in
-  let precise s =
-    let hw = Summary.ci_half_width s ~z in
-    let mean = Float.abs (Summary.mean s) in
-    if mean = 0. then hw = 0. else hw <= rel_precision *. mean
-  in
+  let precise = Confidence.precise ~z:Confidence.z99 ~rel_precision in
   let samples = ref 0 in
   let continue () =
     !samples < max_samples && not (!samples >= min_samples && Array.for_all precise summaries)
@@ -123,7 +119,7 @@ let run_point ?(z = Confidence.z99) ?(rel_precision = 0.05) ?(min_samples = 30)
         metrics;
   }
 
-let run ?z ?rel_precision ?min_samples ?max_samples ?(domains = 1) ?perturb ?cached ?on_chunk
+let run ?rel_precision ?min_samples ?max_samples ?(domains = 1) ?perturb ?cached ?on_chunk
     ?(progress = fun _ -> ()) ?width ?height ~rng ~d ~ns metrics =
   (* Generators are split sequentially up front, one per point; each
      point then parallelizes over its own sample chunks, so neither the
@@ -136,7 +132,7 @@ let run ?z ?rel_precision ?min_samples ?max_samples ?(domains = 1) ?perturb ?cac
         let cached = Option.map (fun f c -> f ~point:i ~chunk:c) cached in
         let on_chunk = Option.map (fun f c rows -> f ~point:i ~chunk:c rows) on_chunk in
         let p =
-          run_point ?z ?rel_precision ?min_samples ?max_samples ~domains ?perturb ?cached
+          run_point ?rel_precision ?min_samples ?max_samples ~domains ?perturb ?cached
             ?on_chunk ~rng ~spec metrics
         in
         progress p;

@@ -28,7 +28,6 @@ type chunk = float array array
     [i] of the chunk (at most 8 rows; the last chunk may be shorter). *)
 
 val run_point :
-  ?z:float ->
   ?rel_precision:float ->
   ?min_samples:int ->
   ?max_samples:int ->
@@ -40,9 +39,14 @@ val run_point :
   spec:Manet_topology.Spec.t ->
   Metric.t list ->
   point
-(** Defaults: z = 99% quantile, rel_precision = 0.05, min_samples = 30,
-    max_samples = 500.  The cap trades exactness of the stopping rule
-    for bounded bench runtime; cells report [converged] individually.
+(** The stopping rule is {!Manet_stats.Confidence.precise} at the 99%
+    quantile, for every metric, checked before each sample once
+    [min_samples] are in.  Defaults: rel_precision = 0.05,
+    min_samples = 30, max_samples = 500.  The cap trades exactness of
+    the stopping rule for bounded bench runtime; cells report
+    [converged] individually.
+    @raise Invalid_argument if [min_samples < 2] or
+    [max_samples < min_samples].
 
     [domains] (default 1) evaluates samples in parallel on that many
     OCaml 5 domains.  Samples are drawn in fixed-size chunks from
@@ -70,7 +74,6 @@ val run_point :
     the calling domain, before the chunk's samples enter the summaries. *)
 
 val run :
-  ?z:float ->
   ?rel_precision:float ->
   ?min_samples:int ->
   ?max_samples:int ->

@@ -129,7 +129,7 @@ let rank = function Join | Leave -> 0 | Move -> 1 | Maintain -> 2 | Arrival -> 3
    a pathological [u = 0] draw cannot stall the clock. *)
 let exp_draw rng rate = Float.max (-.log (1. -. Rng.float rng 1.) /. rate) 1e-9
 
-let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_maintenance
+let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
     ?skip_maintenance ~rng ~points ~radius ~spec w =
   let n = Array.length points in
   if n < 2 then invalid_arg "Workload.run: need at least 2 nodes";
@@ -177,7 +177,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?(coverage = Coverage.Hop25) ?on_main
     Unit_disk.build ~scratch:udg ~radius positions
   in
   let graph = ref (snapshot ()) in
-  let bm = Bm.create !graph coverage in
+  let bm = Bm.create !graph Coverage.Hop25 in
   (* The SI-CDS rule reads the maintained backbone through a flat
      per-node indicator, refilled in place after each maintenance
      update: one byte read per reception, no allocation per update. *)

@@ -135,7 +135,6 @@ end
 val run :
   ?mode:Manet_broadcast.Protocol.mode ->
   ?motion:motion ->
-  ?coverage:Manet_coverage.Coverage.mode ->
   ?on_maintenance:(probe -> unit) ->
   ?skip_maintenance:int ->
   rng:Manet_rng.Rng.t ->
@@ -146,8 +145,8 @@ val run :
   stats
 (** Serve one stream over the initial placement [points] (transmission
     range [radius], field dimensions from [spec]).  Broadcasts run under
-    [mode] (default perfect) over the maintained backbone's members —
-    stale between maintenance events by design.  Left nodes are parked
+    [mode] (default perfect) over the members of the maintained 2.5-hop
+    backbone — stale between maintenance events by design.  Left nodes are parked
     outside the field (isolated in every snapshot) and rejoin at their
     walker position, so the node count is invariant; delivery counts
     active nodes only.

@@ -4,7 +4,10 @@ module Dominating = Manet_graph.Dominating
 
 exception Found of Nodeset.t
 
-let build ?(max_nodes = 24) g =
+(* A guard against accidentally launching an exponential search. *)
+let max_nodes = 24
+
+let build g =
   let n = Graph.n g in
   if n = 0 then invalid_arg "Exact.build: empty graph";
   if n > max_nodes then invalid_arg "Exact.build: graph too large for exact search";
@@ -60,4 +63,4 @@ let build ?(max_nodes = 24) g =
    with Found s -> result := s);
   !result
 
-let size ?max_nodes g = Nodeset.cardinal (build ?max_nodes g)
+let size g = Nodeset.cardinal (build g)

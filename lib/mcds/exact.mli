@@ -12,11 +12,11 @@
     (the lexicographically smallest one of minimum size, keeping results
     deterministic). *)
 
-val build : ?max_nodes:int -> Manet_graph.Graph.t -> Manet_graph.Nodeset.t
+val build : Manet_graph.Graph.t -> Manet_graph.Nodeset.t
 (** [build g] is a minimum CDS of [g].
     @raise Invalid_argument if the graph is empty, disconnected, or has
-    more than [max_nodes] (default 24) nodes — a guard against
-    accidentally launching an exponential search. *)
+    more than 24 nodes — a guard against accidentally launching an
+    exponential search. *)
 
-val size : ?max_nodes:int -> Manet_graph.Graph.t -> int
+val size : Manet_graph.Graph.t -> int
 (** [Nodeset.cardinal (build g)]. *)

@@ -13,14 +13,17 @@ let greedy_cds =
 (* The fault-tolerant family: the paper's static backbone augmented to a
    k-connected m-dominating set (Zhou et al.).  Like greedy CDS, the
    augmentation is a pure solver, so the wrappers live here.  The
-   [stable] variant swaps the base clustering for the stability-aware
-   election (Ramalakshmi-Radhakrishnan); with no mobility history in the
-   environment it elects by connectivity, the static half of that
-   weight. *)
+   [stable] variant swaps the base clustering for highest-degree
+   clustering ([Clustering.elect] with the (degree, id) order): the
+   stability-aware election of Ramalakshmi and Radhakrishnan reduces to
+   it when, as in a one-shot environment, there is no mobility history
+   to weigh.  Protocol names are stable identifiers, so the name and
+   description keep the stability wording. *)
 let kmcds_build ?(stable = false) ~k ~m env =
   let g = env.Protocol.graph in
   let backbone =
-    if stable then Static.build ~clustering:(Manet_cluster.Stability.cluster g) g Coverage.Hop25
+    if stable then
+      Static.build ~clustering:(Manet_cluster.Highest_degree.cluster g) g Coverage.Hop25
     else Static.build ~cache:(Protocol.coverage env Coverage.Hop25) g Coverage.Hop25
   in
   let base = backbone.Static.members in

@@ -1,22 +1,6 @@
 let z99 = 2.576
-let z95 = 1.960
 
-type outcome = { summary : Summary.t; converged : bool }
-
-let run_until ?(z = z99) ?(rel_precision = 0.05) ?(min_samples = 30) ?(max_samples = 2000) f =
-  if min_samples < 2 then invalid_arg "Confidence.run_until: min_samples < 2";
-  if max_samples < min_samples then invalid_arg "Confidence.run_until: max_samples < min_samples";
-  let s = Summary.create () in
-  let precise () =
-    let hw = Summary.ci_half_width s ~z in
-    let m = Float.abs (Summary.mean s) in
-    if m = 0. then hw = 0. else hw <= rel_precision *. m
-  in
-  let rec loop i =
-    if i >= max_samples then { summary = s; converged = precise () }
-    else begin
-      Summary.add s (f i);
-      if i + 1 >= min_samples && precise () then { summary = s; converged = true } else loop (i + 1)
-    end
-  in
-  loop 0
+let precise ~z ~rel_precision s =
+  let hw = Summary.ci_half_width s ~z in
+  let m = Float.abs (Summary.mean s) in
+  if m = 0. then hw = 0. else hw <= rel_precision *. m

@@ -1,35 +1,17 @@
 (** The paper's experiment stopping rule.
 
     Section 4: "We repeat the simulation until the 99% confidential
-    interval of the result is within +-5%."  {!run_until} keeps drawing
-    observations until the confidence interval half-width is within the
-    requested fraction of the running mean, subject to a floor (so a lucky
-    start cannot stop the run early) and a cap (so a zero-variance-then-
-    noisy stream cannot run forever). *)
+    interval of the result is within +-5%."  {!precise} is that test on
+    the observations so far; [Sweep.run_point] applies it before every
+    sample, between a floor (so a lucky start cannot stop the run early)
+    and a cap (so a zero-variance-then-noisy stream cannot run
+    forever). *)
 
 val z99 : float
 (** Two-sided 99% normal quantile, 2.576. *)
 
-val z95 : float
-(** Two-sided 95% normal quantile, 1.960. *)
-
-type outcome = {
-  summary : Summary.t;
-  converged : bool;  (** false when the sample cap stopped the run *)
-}
-
-val run_until :
-  ?z:float ->
-  ?rel_precision:float ->
-  ?min_samples:int ->
-  ?max_samples:int ->
-  (int -> float) ->
-  outcome
-(** [run_until f] calls [f 0], [f 1], ... and accumulates the results until
-    [ci_half_width <= rel_precision * |mean|] (both at least
-    [min_samples] draws and, when the mean is 0, a zero half-width).
-
-    Defaults: [z = z99], [rel_precision = 0.05], [min_samples = 30],
-    [max_samples = 2000] — the paper's rule with safety bounds.
-    @raise Invalid_argument if [min_samples < 2] or
-    [max_samples < min_samples]. *)
+val precise : z:float -> rel_precision:float -> Summary.t -> bool
+(** [precise ~z ~rel_precision s] holds when the confidence interval's
+    half-width [Summary.ci_half_width s ~z] is at most
+    [rel_precision *. |mean s|]; when the mean is 0 it holds only for a
+    zero half-width. *)

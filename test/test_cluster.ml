@@ -166,6 +166,16 @@ let test_proto_chain_rounds_linear () =
     true
     (r.rounds >= n / 2 && r.rounds <= (2 * n) + 4)
 
+(* The election kernel on a partial assignment *)
+
+let test_elect_orphan_joins_head () =
+  (* 0 - 1 - 2 with 0 a surviving head and 1, 2 orphans.  Orphans join
+     the heads they already see before any of them declares: 1 joins 0
+     although no orphan neighbour (2) beats it, and only 2 declares. *)
+  let head = [| 0; -1; -1 |] in
+  Clustering.elect ~beats:( < ) (Graph.path 3) head;
+  Alcotest.(check (array int)) "1 joins 0, 2 declares" [| 0; 0; 2 |] head
+
 (* Highest-degree clustering *)
 
 let test_highest_degree_star () =
@@ -295,6 +305,9 @@ let () =
           prop_invariants;
           prop_greedy_mis;
         ] );
+      ( "elect",
+        [ Alcotest.test_case "orphan joins its visible head" `Quick test_elect_orphan_joins_head ]
+      );
       ( "highest_degree",
         [
           Alcotest.test_case "star center wins" `Quick test_highest_degree_star;

@@ -187,10 +187,12 @@ let prop_distributed_equals_centralized =
 
 module Gateway_proto = Manet_backbone.Gateway_proto
 
+let gateway_proto g cl =
+  Gateway_proto.run g cl (Manet_coverage.Ch_hop_proto.run g cl Coverage.Hop25).coverages
+
 let test_gateway_proto_paper () =
   let g = paper_graph () in
-  let cl = Lowest_id.cluster g in
-  let r = Gateway_proto.run g cl Coverage.Hop25 in
+  let r = gateway_proto g (Lowest_id.cluster g) in
   Alcotest.check nodeset "informed = paper gateways" (set_of_list [ 4; 5; 6; 7; 8 ]) r.informed;
   (* 4 head broadcasts + forwards by selected 1-hop gateways (see the
      construction-cost walkthrough: total 12). *)
@@ -202,17 +204,7 @@ let prop_gateway_proto_matches_centralized =
       let g = (sample_of case).graph in
       let cl = Lowest_id.cluster g in
       let bb = Static.build ~clustering:cl g Coverage.Hop25 in
-      let r = Gateway_proto.run g cl Coverage.Hop25 in
-      Nodeset.equal r.informed bb.gateways)
-
-let prop_gateway_proto_matches_cost_accounting =
-  qtest "GATEWAY protocol transmissions = analytic accounting" ~count:30
-    (arb_udg ~n_max:40 ()) (fun case ->
-      let g = (sample_of case).graph in
-      let cost, _ = Cost.measure g Coverage.Hop25 in
-      let cl = Lowest_id.cluster g in
-      let r = Gateway_proto.run g cl Coverage.Hop25 in
-      r.transmissions = cost.gateway)
+      Nodeset.equal (gateway_proto g cl).informed bb.gateways)
 
 (* Incremental backbone maintenance *)
 
@@ -359,7 +351,6 @@ let () =
         [
           Alcotest.test_case "paper example" `Quick test_gateway_proto_paper;
           prop_gateway_proto_matches_centralized;
-          prop_gateway_proto_matches_cost_accounting;
         ] );
       ( "backbone_maintenance",
         [

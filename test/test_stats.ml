@@ -1,6 +1,7 @@
 module Summary = Manet_stats.Summary
 module Confidence = Manet_stats.Confidence
-module Histogram = Manet_stats.Histogram
+module Sweep = Manet_experiment.Sweep
+module Metric = Manet_experiment.Metric
 
 let feq = Alcotest.float 1e-9
 let feq6 = Alcotest.float 1e-6
@@ -85,87 +86,82 @@ let test_merge_with_empty () =
   Alcotest.(check (float 1e-9)) "merge left empty" (Summary.mean a)
     (Summary.mean (Summary.merge e a))
 
-(* Confidence driver *)
+(* The stopping rule: [Confidence.precise] on a summary, applied by
+   [Sweep.run_point] between its sample floor and cap. *)
 
-let test_run_until_constant () =
-  let o = Confidence.run_until (fun _ -> 5.) in
-  Alcotest.(check bool) "converged" true o.converged;
-  Alcotest.(check int) "stops at floor" 30 (Summary.count o.summary)
+let summary_of l =
+  let s = Summary.create () in
+  List.iter (Summary.add s) l;
+  s
 
-let test_run_until_noisy_converges () =
-  let rng = Manet_rng.Rng.create ~seed:11 in
-  let o =
-    Confidence.run_until ~rel_precision:0.1 (fun _ -> 10. +. Manet_rng.Rng.float rng 2.)
+let test_precise () =
+  let precise = Confidence.precise ~z:Confidence.z99 in
+  Alcotest.(check bool) "constant" true (precise ~rel_precision:0.05 (summary_of [ 5.; 5.; 5. ]));
+  Alcotest.(check bool) "zero mean, zero spread" true
+    (precise ~rel_precision:0.05 (summary_of [ 0.; 0. ]));
+  Alcotest.(check bool) "zero mean, spread" false
+    (precise ~rel_precision:0.05 (summary_of [ -1.; 1. ]));
+  let s = summary_of [ 9.; 10.; 11.; 10. ] in
+  let rel = Summary.ci_half_width s ~z:Confidence.z99 /. Summary.mean s in
+  Alcotest.(check bool) "just over the bound" true (precise ~rel_precision:(rel *. 1.001) s);
+  Alcotest.(check bool) "just under the bound" false (precise ~rel_precision:(rel *. 0.999) s)
+
+let run_point ?rel_precision ?min_samples ?max_samples ?on_chunk eval =
+  Sweep.run_point ?rel_precision ?min_samples ?max_samples ?on_chunk
+    ~rng:(Manet_rng.Rng.create ~seed:11)
+    ~spec:(Manet_topology.Spec.make ~n:20 ~avg_degree:6. ())
+    [ { Metric.name = "m"; eval } ]
+
+let cell (p : Sweep.point) = List.assoc "m" p.cells
+
+let test_run_point_constant () =
+  let p = run_point (fun _ -> 5.) in
+  Alcotest.(check bool) "converged" true (cell p).converged;
+  Alcotest.(check int) "stops at floor" 30 p.samples
+
+let test_run_point_noisy_converges () =
+  let p =
+    run_point ~rel_precision:0.1 (fun ctx -> 10. +. Manet_rng.Rng.float ctx.Metric.rng 2.)
   in
-  Alcotest.(check bool) "converged" true o.converged;
-  let hw = Summary.ci_half_width o.summary ~z:Confidence.z99 in
-  Alcotest.(check bool) "precision satisfied" true (hw <= 0.1 *. Summary.mean o.summary)
+  let c = cell p in
+  Alcotest.(check bool) "converged" true c.converged;
+  let hw = Summary.ci_half_width c.summary ~z:Confidence.z99 in
+  Alcotest.(check bool) "precision satisfied" true (hw <= 0.1 *. Summary.mean c.summary)
 
-let test_run_until_cap () =
+let test_run_point_cap () =
   (* Enormous variance relative to the mean: the cap must stop the run and
      report non-convergence. *)
-  let rng = Manet_rng.Rng.create ~seed:13 in
-  let o =
-    Confidence.run_until ~rel_precision:0.0001 ~max_samples:50 (fun _ ->
-        Manet_rng.Rng.float rng 1000.)
+  let p =
+    run_point ~rel_precision:0.0001 ~max_samples:50 (fun ctx ->
+        Manet_rng.Rng.float ctx.Metric.rng 1000.)
   in
-  Alcotest.(check int) "hit the cap" 50 (Summary.count o.summary);
-  Alcotest.(check bool) "not converged" false o.converged
+  Alcotest.(check int) "hit the cap" 50 p.samples;
+  Alcotest.(check int) "summary holds every sample" 50 (Summary.count (cell p).summary);
+  Alcotest.(check bool) "not converged" false (cell p).converged
 
-let test_run_until_counter () =
-  let calls = ref [] in
-  let _ = Confidence.run_until ~min_samples:3 ~max_samples:3 (fun i -> calls := i :: !calls; 1.) in
-  Alcotest.(check (list int)) "indices in order" [ 0; 1; 2 ] (List.rev !calls)
+let test_run_point_chunk_order () =
+  let chunks = ref [] in
+  let p =
+    run_point ~min_samples:20 ~max_samples:20
+      ~on_chunk:(fun c _ -> chunks := c :: !chunks)
+      (fun _ -> 1.)
+  in
+  Alcotest.(check int) "samples" 20 p.samples;
+  Alcotest.(check (list int)) "chunks in order" [ 0; 1; 2 ] (List.rev !chunks)
 
-let test_run_until_invalid () =
-  Alcotest.check_raises "min < 2" (Invalid_argument "Confidence.run_until: min_samples < 2")
-    (fun () -> ignore (Confidence.run_until ~min_samples:1 (fun _ -> 0.)))
+let test_run_point_invalid () =
+  Alcotest.check_raises "min < 2" (Invalid_argument "Sweep.run_point: bad bounds") (fun () ->
+      ignore (run_point ~min_samples:1 (fun _ -> 0.)));
+  Alcotest.check_raises "max < min" (Invalid_argument "Sweep.run_point: bad bounds") (fun () ->
+      ignore (run_point ~min_samples:10 ~max_samples:9 (fun _ -> 0.)))
 
-let test_quantiles () =
-  Alcotest.(check (float 1e-3)) "z99" 2.576 Confidence.z99;
-  Alcotest.(check (float 1e-3)) "z95" 1.960 Confidence.z95
-
-(* Histogram *)
-
-let test_histogram_basic () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Histogram.add h) [ 0.; 1.9; 2.; 9.9; 5. ];
-  Alcotest.(check int) "total" 5 (Histogram.count h);
-  Alcotest.(check int) "bin 0" 2 (Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 1 (Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 2" 1 (Histogram.bin_count h 2);
-  Alcotest.(check int) "bin 4" 1 (Histogram.bin_count h 4)
-
-let test_histogram_saturation () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:2 in
-  Histogram.add h (-5.);
-  Histogram.add h 100.;
-  Alcotest.(check int) "low edge" 1 (Histogram.bin_count h 0);
-  Alcotest.(check int) "high edge" 1 (Histogram.bin_count h 1)
-
-let test_histogram_ranges () =
-  let h = Histogram.create ~lo:2. ~hi:6. ~bins:4 in
-  let lo, hi = Histogram.bin_range h 1 in
-  Alcotest.check feq "range lo" 3. lo;
-  Alcotest.check feq "range hi" 4. hi;
-  Alcotest.check_raises "bad index" (Invalid_argument "Histogram.bin_range: bad index") (fun () ->
-      ignore (Histogram.bin_range h 4))
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "no bins" (Invalid_argument "Histogram.create: bins <= 0") (fun () ->
-      ignore (Histogram.create ~lo:0. ~hi:1. ~bins:0));
-  Alcotest.check_raises "inverted" (Invalid_argument "Histogram.create: hi <= lo") (fun () ->
-      ignore (Histogram.create ~lo:1. ~hi:1. ~bins:3))
+let test_quantiles () = Alcotest.(check (float 1e-3)) "z99" 2.576 Confidence.z99
 
 let test_pp_smoke () =
   let s = Summary.create () in
   List.iter (Summary.add s) [ 1.; 2.; 3. ];
   let text = Format.asprintf "%a" Summary.pp s in
-  Alcotest.(check bool) "summary pp mentions n" true (Test_helpers.contains text "n=3");
-  let h = Histogram.create ~lo:0. ~hi:4. ~bins:2 in
-  List.iter (Histogram.add h) [ 0.5; 1.; 3. ];
-  let htext = Format.asprintf "%a" Histogram.pp h in
-  Alcotest.(check bool) "histogram pp draws bars" true (Test_helpers.contains htext "#")
+  Alcotest.(check bool) "summary pp mentions n" true (Test_helpers.contains text "n=3")
 
 let () =
   Alcotest.run "stats"
@@ -184,18 +180,12 @@ let () =
         ] );
       ( "confidence",
         [
-          Alcotest.test_case "constant converges at floor" `Quick test_run_until_constant;
-          Alcotest.test_case "noisy converges" `Quick test_run_until_noisy_converges;
-          Alcotest.test_case "cap stops" `Quick test_run_until_cap;
-          Alcotest.test_case "index order" `Quick test_run_until_counter;
-          Alcotest.test_case "invalid bounds" `Quick test_run_until_invalid;
+          Alcotest.test_case "constant converges at floor" `Quick test_run_point_constant;
+          Alcotest.test_case "noisy converges" `Quick test_run_point_noisy_converges;
+          Alcotest.test_case "cap stops" `Quick test_run_point_cap;
+          Alcotest.test_case "index order" `Quick test_run_point_chunk_order;
+          Alcotest.test_case "invalid bounds" `Quick test_run_point_invalid;
           Alcotest.test_case "quantiles" `Quick test_quantiles;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "basic binning" `Quick test_histogram_basic;
-          Alcotest.test_case "edge saturation" `Quick test_histogram_saturation;
-          Alcotest.test_case "bin ranges" `Quick test_histogram_ranges;
-          Alcotest.test_case "invalid creation" `Quick test_histogram_invalid;
+          Alcotest.test_case "precise" `Quick test_precise;
         ] );
     ]
