@@ -236,12 +236,16 @@ let alloc_cases =
      mostly the 1000 backoff draws, and ~5,660 once a draw allocated
      nothing (the timeline and the forward set).  The ceiling sits
      about 13% above that: two words per event (a tuple, an option)
-     over its ~2000 events, or a boxed draw again, cross it. *)
+     over its ~2000 events, or a boxed draw again, cross it.  The two
+     dynamic rows were ratcheted to 40k and 45.5k, about 13% above
+     35,223 and 40,246 words, once the gateway selection was read in
+     place (no per-head copy of the selection) and [Graph.mem_edge]
+     stopped allocating a closure per call. *)
   [
     ("flooding", "perfect", Manet_broadcast.Protocol.Perfect, 16_000., 4548.7, 181_307.);
     ("static-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 9_000., 2559.7, 94_252.);
-    ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 50_000., 4007.8, 440_236.);
-    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 52_000., 5010.1, 451_774.);
+    ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 40_000., 4007.8, 440_236.);
+    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 45_500., 5010.1, 451_774.);
     ("self-pruning", "perfect", Manet_broadcast.Protocol.Perfect, 6_400., 12632.8, 2_344_293.);
   ]
 
@@ -276,10 +280,11 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
    member union alone.  The seed pair is this loop over the list-based
    batched selection that [Gateway_selection.select_all] used to be
    (fresh per-head arrays and cons cells for every connector entry);
-   the shared kernel on a per-call scratch measures 50,090 words.  The
-   ceiling sits about 13% above that, well below the seed, so per-entry
-   allocation in the static build crosses it. *)
-let static_ceiling_words = 56_500.
+   the shared kernel on a per-call scratch measures 46,242 words (with
+   [Graph.mem_edge] allocating no closure).  The ceiling sits about 13%
+   above that, well below the seed, so per-entry allocation in the
+   static build crosses it. *)
+let static_ceiling_words = 52_300.
 let static_seed_us = 550.8
 let static_seed_words = 76_790.
 
@@ -303,11 +308,12 @@ let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
    election's declare/join passes folded each neighbour row through a
    closure and collected the declaring nodes in a list.  The ceiling
    is set from the one [Clustering.elect] kernel, which scans the CSR
-   rows directly and collects declarations in one int buffer: 6,319
-   words, all but 3 of them [Clustering.of_head_array]'s validation and
-   head list.  It sits about 14% above that, so a return to a closure
-   per neighbour scan (some 12,900 words of the seed) crosses it. *)
-let cluster_ceiling_words = 7_200.
+   rows directly and collects declarations in one int buffer, over a
+   [Graph.mem_edge] that allocates no closure per membership test (one
+   per member in [Clustering.of_head_array]'s validation): 1,219 words.
+   It sits about 15% above that, so a closure per neighbour scan or per
+   edge test crosses it. *)
+let cluster_ceiling_words = 1_400.
 let cluster_seed_us = 239.4
 let cluster_seed_words = 19_220.
 
@@ -431,12 +437,13 @@ let alloc_arrival () =
    full runs.  The seed pair is this loop when every series prepared
    on a fresh environment and built its own CH_HOP tables (four per
    sample, where one per coverage mode does).  Sharing them measures
-   20,786 words; the ceiling sits about 13% above that, below the
+   17,343 words (gateway selections read in place, [Graph.mem_edge]
+   closure-free); the ceiling sits about 13% above that, below the
    27,413 words of fresh environments with the unboxed generator, so a
    series that builds its own tables again crosses it. *)
 let sweep_samples = 8
 let sweep_runs = 5
-let sweep_ceiling_words = 23_500.
+let sweep_ceiling_words = 19_600.
 let sweep_seed_us = 371.2
 let sweep_seed_words = 28_150.
 

@@ -54,10 +54,6 @@ module Arena = struct
             in slot [t mod ring] ({!Scratch} only; empty until used) *)
     ahead_len : int array;
     mutable counts : int array;  (** radix digit counts, allocated on first use *)
-    pool : Manet_graph.Flatset.pool;
-        (** scratch storage for the per-broadcast flat coverage sets of
-            bespoke event loops (the dynamic backbone's pruning);
-            generation-bumped alongside the node maps *)
     mutable busy : bool;
   }
 
@@ -85,7 +81,6 @@ module Arena = struct
       ahead = Array.make ring [||];
       ahead_len = Array.make ring 0;
       counts = [||];
-      pool = Manet_graph.Flatset.create_pool ();
       busy = false;
     }
 
@@ -257,9 +252,7 @@ let materialize (a : Arena.t) ~tick ~n ~source ~completion =
    acquisition, generation bump and frontier calendar as [run_core],
    with the event's int payload packed into the key's low bits, below
    the sorted (receiver, sender) field, so a bespoke loop allocates
-   nothing per event.  [with_scratch] also resets the arena's flatset
-   pool, scoping every {!Manet_graph.Flatset.t} the loop creates to this
-   one broadcast. *)
+   nothing per event. *)
 module Scratch = struct
   type t = { a : Arena.t; tick : int; shift : int; pbits : int; n : int }
 
@@ -271,7 +264,6 @@ module Scratch = struct
       invalid_arg "Engine.Scratch.with_scratch: keys do not fit an int";
     let a = acquire arena in
     let s = { a; tick = start a ~n; shift; pbits; n } in
-    Manet_graph.Flatset.reset a.pool;
     match f s with
     | r ->
       release a;
@@ -280,7 +272,6 @@ module Scratch = struct
       release a;
       raise e
 
-  let pool s = s.a.Arena.pool
   let delivered s v = s.a.Arena.delivered.(v) = s.tick
 
   (* Marks [v] delivered; [true] iff it was not already. *)

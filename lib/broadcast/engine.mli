@@ -66,17 +66,14 @@ end
 (** The arena opened up for protocols with bespoke event loops (the
     dynamic backbone's designation events and the backoff schemes'
     timers, which {!run_core}'s decide-callback shape cannot express):
-    the same generation-tagged
-    delivered/transmitted maps, the same frontier calendar, and the
-    arena's {!Manet_graph.Flatset.pool} for the loop's transient
-    coverage sets.  An event is one int: its payload, a small
+    the same generation-tagged delivered/transmitted maps and the same
+    frontier calendar.  An event is one int: its payload, a small
     non-negative int, rides in the key's low bits, so a bespoke loop
     pushes and reads events without allocating.  An event is scheduled
     one to four time units after the open level (a data copy, a
     designation travelling up to two hops, or a backoff expiry); the
     levels beyond the next one wait in a small ring of future levels.
-    Events are read in exactly
-    {!run_core}'s order — (time, node, sender) lexicographic; events
+    Events are read in exactly {!run_core}'s order — (time, node, sender) lexicographic; events
     carrying {e equal} keys (possible when a designation and a data copy
     arrive together) are all read, in push order. *)
 module Scratch : sig
@@ -87,15 +84,11 @@ module Scratch : sig
       event payloads lie in [\[0, payload_bound)]: the same busy-flag
       acquisition and silent fresh-arena fallback as {!run_core}
       (default: the calling domain's arena), one generation bump
-      resetting the node maps, calendar, trace and flatset pool.  The
+      resetting the node maps, calendar and trace.  The
       clock starts at time 0.  The scratch value must not escape the
       callback.
       @raise Invalid_argument if [payload_bound < 1], or if the packed
       (node, sender, payload) key does not fit an int. *)
-
-  val pool : t -> Manet_graph.Flatset.pool
-  (** The arena's flatset pool, reset at acquisition: slices created
-      here live exactly as long as this broadcast. *)
 
   val delivered : t -> int -> bool
 

@@ -47,7 +47,7 @@ let coverage env mode =
 (* The live-view entry point: a long-lived environment tracks a mutating
    network.  Swapping the topology (and the clustering derived from it)
    in place keeps the same arena — and so the same generation-tagged
-   scratch, event calendar and flatset pool — serving every broadcast of a
+   scratch and event calendar — serving every broadcast of a
    continuous stream; the arena grows monotonically to the largest
    graph it has seen and is never torn down between events. *)
 let retarget ?graph ?clustering ?rng env =

@@ -96,7 +96,7 @@ val retarget :
   unit
 (** The live-view entry point: point an existing environment at a new
     topology snapshot (and/or generator) {e in place}, keeping its arena
-    — the generation-tagged scratch, event calendar and flatset pool keep
+    — the generation-tagged scratch and event calendar keep
     serving the stream, growing monotonically to the largest graph seen.
     Passing [graph] without [clustering] re-derives the default (lazy
     lowest-ID) clustering of the new graph, so the pair can never fall

@@ -78,32 +78,27 @@ let under_dominate =
       | Some dominator -> Nodeset.remove dominator full
       | None -> full)
 
-(* A flatset slice kept across a pool reset and retagged to the current
-   generation reads whatever the pool now holds.  The mutant reenacts
-   that bug deliberately: after each broadcast it saves its forward set
-   as a slice in a private pool; on the next broadcast (same prepared
-   instance) it reads the saved slice through [unsafe_retag] — the pool
-   has been reset and refilled with the *new* forward set by then — and
-   silently drops the nodes it "finds" from the result.  The first
-   broadcast of every prepared instance is clean, so only an oracle that
-   reuses one instance across broadcasts and compares against fresh
-   preparation (flatset-reuse) can see the fault. *)
-let stale_pool =
-  let module Flatset = Manet_graph.Flatset in
+(* Per-broadcast state that outlives its broadcast: a window sized by
+   the previous broadcast of the same prepared instance reads into the
+   current one.  The mutant reenacts that bug deliberately: it remembers
+   the length of each broadcast's forward set, and on the next broadcast
+   of the same prepared instance it drops that many leading (smallest-id)
+   forwarders, never the source, from the result.  The first broadcast
+   of every prepared instance is clean, so only an oracle that reuses
+   one instance across broadcasts and compares against fresh
+   preparation (instance-reuse) can see the fault. *)
+let stale_window =
   let module Result = Manet_broadcast.Result in
   {
-    Protocol.name = "dynamic-2.5hop!stale-pool";
+    Protocol.name = "dynamic-2.5hop!stale-window";
     description =
-      "MUTANT: dynamic broadcast whose forward set is corrupted through a flatset slice kept \
-       across a pool reset and retagged (harness self-test; expected to fail flatset-reuse)";
+      "MUTANT: dynamic broadcast that drops as many leading forwarders as the previous \
+       broadcast of the same instance had (harness self-test; expected to fail instance-reuse)";
     family = Protocol.Source_dependent;
     has_build = false;
     prepare =
       (fun env ->
-        let pool = Flatset.create_pool () in
-        let saved = ref None in
-        let scratch = Array.make 64 0 in
-        let scratch = ref scratch in
+        let window = ref 0 in
         let dynamic = Manet_backbone.Dynamic_backbone.protocol Coverage.Hop25 in
         let native ~source =
           (* A clean native run: no failure schedule, so the wrapped
@@ -112,36 +107,19 @@ let stale_pool =
           let r, timeline =
             (dynamic.Protocol.prepare clean).Protocol.run ~source ~mode:Protocol.Perfect
           in
-          let stale = !saved in
-          Flatset.reset pool;
-          (* Store this broadcast's forward set; the slice deliberately
-             outlives the next reset. *)
           let fwd = r.Result.forwarders in
-          let len = Nodeset.cardinal fwd in
-          if Array.length !scratch < len then scratch := Array.make (2 * len) 0;
-          let i = ref 0 in
-          Nodeset.iter
-            (fun v ->
-              !scratch.(!i) <- v;
-              incr i)
-            fwd;
-          saved := Some (Flatset.of_increasing pool !scratch ~len);
-          match stale with
-          | None -> (r, timeline)
-          | Some slice ->
-            (* The seeded bug: the retagged stale slice now reads the new
-               broadcast's data through the old slice's window. *)
-            let victims =
-              Flatset.fold
-                (fun acc v ->
-                  if v <> source && Nodeset.mem v fwd then Nodeset.add v acc else acc)
-                Nodeset.empty
-                (Flatset.unsafe_retag slice)
-            in
-            if Nodeset.is_empty victims then (r, timeline)
-            else
-              ( { r with Result.forwarders = Nodeset.diff fwd victims },
-                List.filter (fun (_, v) -> not (Nodeset.mem v victims)) timeline )
+          let stale = !window in
+          window := Nodeset.cardinal fwd;
+          (* The seeded bug: the previous broadcast's window over this
+             broadcast's forward set. *)
+          let victims =
+            List.filteri (fun i v -> i < stale && v <> source) (Nodeset.elements fwd)
+          in
+          if victims = [] then (r, timeline)
+          else
+            let victims = Nodeset.of_list victims in
+            ( { r with Result.forwarders = Nodeset.diff fwd victims },
+              List.filter (fun (_, v) -> not (Nodeset.mem v victims)) timeline )
         in
         {
           Protocol.members = None;
@@ -149,4 +127,4 @@ let stale_pool =
         });
   }
 
-let all = [ drop_coverage_entry; drop_connector; under_dominate; stale_pool ]
+let all = [ drop_coverage_entry; drop_connector; under_dominate; stale_window ]

@@ -30,11 +30,12 @@ val under_dominate : Manet_broadcast.Protocol.t
     redundant-coverage bug the [m-domination] oracle exists to catch.
     A no-op when every outside node is slack-dominated. *)
 
-val stale_pool : Manet_broadcast.Protocol.t
-(** [dynamic-2.5hop!stale-pool]: the dynamic broadcast with a flatset
-    slice kept across its pool's reset and retagged to the current
-    generation — the stale-storage-reuse bug class the [flatset-reuse]
-    oracle exists to catch.  Clean on the first broadcast of every
-    prepared instance; corrupts from the second broadcast on. *)
+val stale_window : Manet_broadcast.Protocol.t
+(** [dynamic-2.5hop!stale-window]: the dynamic broadcast minus as many
+    leading forwarders (never the source) as the previous broadcast of
+    the same prepared instance had — the stale-state-reuse bug class the
+    [instance-reuse] oracle exists to catch.  Clean on the first
+    broadcast of every prepared instance; corrupts from the second
+    broadcast on. *)
 
 val all : Manet_broadcast.Protocol.t list

@@ -420,17 +420,17 @@ let check_arena_reuse ctx (p : Protocol.t) =
     failf "%s: lossy results (loss %.3f) differ across arena states" p.Protocol.name loss
   else Pass
 
-(* Flatset-pool reuse transparency: the dynamic backbone's per-broadcast
-   coverage and forward sets live in the arena's flatset pool, retired
-   between broadcasts by a generation bump.  Running several broadcasts
-   back-to-back on one prepared instance (one arena, one pool, stale
-   slices from earlier broadcasts still in storage) must be bit-identical
-   to preparing afresh — fresh arena, empty pool — for every source.  A
-   slice surviving a pool reset with a forged generation tag is exactly
-   the corruption this oracle exists to catch (see the [stale-pool]
-   mutant).  Probabilistic protocols are skipped: their per-broadcast
-   generator draws desynchronize the shared and fresh environments. *)
-let check_flatset_reuse ctx (p : Protocol.t) =
+(* Prepared-instance reuse transparency: a prepared protocol keeps its
+   per-broadcast state (arena maps, calendar, selection scratch) across
+   broadcasts and retires it by generation bumps or overwrites.  Running
+   several broadcasts back-to-back on one prepared instance (one arena,
+   earlier broadcasts' state still in storage) must be bit-identical to
+   preparing afresh — fresh arena — for every source.  State from one
+   broadcast leaking into the next is exactly the corruption this oracle
+   exists to catch (see the [stale-window] mutant).  Probabilistic
+   protocols are skipped: their per-broadcast generator draws
+   desynchronize the shared and fresh environments. *)
+let check_instance_reuse ctx (p : Protocol.t) =
   if p.Protocol.family = Protocol.Probabilistic then
     Skip "probabilistic: per-broadcast draws desync shared vs fresh environments"
   else begin
@@ -452,10 +452,10 @@ let check_flatset_reuse ctx (p : Protocol.t) =
           (p.Protocol.prepare (make_env ())).Protocol.run ~source ~mode:Protocol.Perfect
         in
         if not (result_equal rr rf) then
-          failf "%s: broadcast from %d on the reused flatset pool differs from a fresh arena"
+          failf "%s: broadcast from %d on the reused instance differs from a fresh arena"
             p.Protocol.name source
         else if tr <> tf then
-          failf "%s: broadcast from %d traced different timelines on reused vs fresh pools"
+          failf "%s: broadcast from %d traced different timelines on reused vs fresh instances"
             p.Protocol.name source
         else scan rest
     in
@@ -656,11 +656,11 @@ let all =
       check = Per_protocol check_arena_reuse;
     };
     {
-      name = "flatset-reuse";
+      name = "instance-reuse";
       description =
-        "broadcasts run back-to-back on one reused flatset pool are bit-identical to \
-         fresh-arena runs per source (stale-slice detection)";
-      check = Per_protocol check_flatset_reuse;
+        "broadcasts run back-to-back on one reused prepared instance are bit-identical to \
+         fresh-arena runs per source (stale-state detection)";
+      check = Per_protocol check_instance_reuse;
     };
     {
       name = "k-connectivity";

@@ -1,5 +1,4 @@
 module Graph = Manet_graph.Graph
-module Flatset = Manet_graph.Flatset
 module Clustering = Manet_cluster.Clustering
 module Coverage = Manet_coverage.Coverage
 module Scratch = Manet_broadcast.Engine.Scratch
@@ -57,7 +56,6 @@ let run ~pruning ~cache ~arena g cl ~source =
     | None -> invalid_arg "Dynamic_backbone: stale coverage array"
   in
   Scratch.with_scratch ~arena ~n ~payload_bound:(encode ~upstream:(n - 1) + 2) (fun scr ->
-      let pool = Scratch.pool scr in
       let completion = ref 0 in
       let transmit time v ~upstream =
         Scratch.mark_transmitted scr v;
@@ -94,16 +92,13 @@ let run ~pruning ~cache ~arena g cl ~source =
               (fun ch -> ch <> upstream && (not (mem_row cov_u ch)) && not (mem_row hop_r ch))
           end
         in
-        let forwards = Gateway_selection.select_flat ?targets ~pool cov in
         (* Designation reaches a selected gateway together with the
            packet: one hop for direct neighbors of h, two hops for the
            second nodes of connector pairs. *)
         let payload = encode ~upstream:h lor designate_bit in
-        Flatset.iter
-          (fun x ->
+        Gateway_selection.iter_selected ?targets cov (fun x ->
             let hops = if Graph.mem_edge g h x then 1 else 2 in
-            Scratch.push scr ~time:(time + hops) ~node:x ~sender:h ~payload)
-          forwards;
+            Scratch.push scr ~time:(time + hops) ~node:x ~sender:h ~payload);
         transmit time h ~upstream:h
       in
       (* Source transmission. *)

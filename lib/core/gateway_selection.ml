@@ -1,5 +1,4 @@
 module Nodeset = Manet_graph.Nodeset
-module Flatset = Manet_graph.Flatset
 module Coverage = Manet_coverage.Coverage
 
 (* The candidate table is a set of parallel arrays indexed by candidate
@@ -191,7 +190,7 @@ let run_select scr (cov : Coverage.t) ~live =
       incr i3)
     cov.c3;
   let n_cands = !n_cands in
-  Flatset.sort_ints cands ~lo:0 ~hi:n_cands;
+  Manet_graph.Row_sort.sort_range cands 0 n_cands;
   for s = 0 to n_cands - 1 do
     slotv.(cands.(s)) <- s;
     live_direct.(s) <- 0;
@@ -342,7 +341,7 @@ let run_select scr (cov : Coverage.t) ~live =
       end;
       incr i3)
     cov.c3;
-  Flatset.sort_ints out ~lo:0 ~hi:!n_out;
+  Manet_graph.Row_sort.sort_range out 0 !n_out;
   !n_out
 
 let select ?targets (cov : Coverage.t) =
@@ -358,11 +357,13 @@ let select_array (cov : Coverage.t) =
   let k = run_select scr cov ~live:(fun _ -> true) in
   Array.sub scr.out 0 k
 
-let select_flat ?targets ~pool (cov : Coverage.t) =
+let iter_selected ?targets (cov : Coverage.t) f =
   let scr = Domain.DLS.get dls in
-  let live = match targets with None -> fun _ -> true | Some f -> f in
+  let live = match targets with None -> fun _ -> true | Some t -> t in
   let k = run_select scr cov ~live in
-  Flatset.of_increasing pool scr.out ~len:k
+  for i = 0 to k - 1 do
+    f scr.out.(i)
+  done
 
 (* Batched selection over every clusterhead of a topology: the same
    kernel, head by head, on a scratch private to the call.  The

@@ -31,20 +31,18 @@ val select :
 val select_array : Manet_coverage.Coverage.t -> int array
 (** [select_array cov] is [select cov] (the whole coverage set as
     targets) as a fresh strictly increasing array, built on the same
-    domain-local scratch as {!select_flat}: nothing is allocated beyond
+    domain-local scratch as {!iter_selected}: nothing is allocated beyond
     the result. *)
 
-val select_flat :
-  ?targets:(int -> bool) ->
-  pool:Manet_graph.Flatset.pool ->
-  Manet_coverage.Coverage.t ->
-  Manet_graph.Flatset.t
-(** The allocation-free variant for the dynamic-broadcast hot path: the
-    target set is a predicate over clusterhead ids, and the selection is
-    returned as a flat slice on [pool].  Selects exactly what {!select}
-    selects for the corresponding [targets] set; all working storage is
-    domain-local scratch reused across calls, so a call allocates
-    nothing beyond the returned slice's pool storage. *)
+val iter_selected :
+  ?targets:(int -> bool) -> Manet_coverage.Coverage.t -> (int -> unit) -> unit
+(** [iter_selected ?targets cov f] calls [f] on every gateway {!select}
+    selects for the corresponding [targets] set, in ascending order —
+    the allocation-free variant for the dynamic-broadcast hot path: the
+    target set is a predicate over clusterhead ids, and [f] reads the
+    selection in place from the domain-local scratch.  [f] must not
+    select again (through any entry point of this module) on the same
+    domain: that would overwrite the selection being iterated. *)
 
 val select_all :
   Manet_coverage.Coverage.t option array -> n:int -> Manet_graph.Nodeset.t

@@ -1,6 +1,5 @@
 module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
-module Flatset = Manet_graph.Flatset
 module Clustering = Manet_cluster.Clustering
 
 type mode = Hop25 | Hop3
@@ -331,7 +330,7 @@ let flat_rows g cl mode (hop1 : int array array) =
             done
         end
       done;
-      Flatset.sort_ints !buf ~lo:off.(v) ~hi:!len
+      Manet_graph.Row_sort.sort_range !buf off.(v) !len
     end
   done;
   off.(n) <- !len;

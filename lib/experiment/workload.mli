@@ -6,8 +6,8 @@
     sources, node join/leave churn, mobility steps and periodic
     incremental backbone maintenance ({!Manet_backbone.Backbone_maintenance})
     interleave on one deterministic clock ({!Manet_sim.Timeline}), over
-    one long-lived broadcast environment whose engine arena, flatset
-    pool and prepared structure persist across the whole stream
+    one long-lived broadcast environment whose engine arena and
+    prepared structure persist across the whole stream
     ({!Manet_broadcast.Protocol.retarget}).
 
     The backbone the broadcasts forward over is refreshed only at

@@ -153,17 +153,17 @@ let max_degree t =
 
 let avg_degree t = if t.n = 0 then 0. else 2. *. float_of_int t.m /. float_of_int t.n
 
-let mem_edge t u v =
-  let nbr = t.nbr in
-  let rec search lo hi =
-    if lo >= hi then false
-    else begin
-      let mid = (lo + hi) / 2 in
-      let x = Array.unsafe_get nbr mid in
-      if x = v then true else if x < v then search (mid + 1) hi else search lo mid
-    end
-  in
-  u <> v && search t.off.(u) t.off.(u + 1)
+(* Binary search for [v] in the sorted [nbr.(lo .. hi - 1)]: top level,
+   so a membership test allocates no closure. *)
+let rec search (nbr : int array) v lo hi =
+  if lo >= hi then false
+  else begin
+    let mid = (lo + hi) / 2 in
+    let x = Array.unsafe_get nbr mid in
+    if x = v then true else if x < v then search nbr v (mid + 1) hi else search nbr v lo mid
+  end
+
+let mem_edge t u v = u <> v && search t.nbr v t.off.(u) t.off.(u + 1)
 
 let iter_neighbors t v f =
   let nbr = t.nbr in

@@ -178,24 +178,24 @@ let check_kmcds_mutant ~mutant ~oracle () =
     Alcotest.(check bool) "reproduce re-fails" true
       (match v with Oracle.Fail _ -> true | _ -> false)
 
-(* The stale-pool mutant (a flatset slice surviving its pool's reset
-   with a forged generation tag) is invisible to every single-broadcast
-   oracle — the first broadcast of each prepared instance is clean — and
-   must be caught by exactly the flatset-reuse oracle, which reuses one
-   instance across sources. *)
-let test_stale_pool_caught () =
+(* The stale-window mutant (the previous broadcast's forward-set length
+   leaking into the next broadcast of the same prepared instance) is
+   invisible to every single-broadcast oracle — the first broadcast of
+   each prepared instance is clean — and must be caught by exactly the
+   instance-reuse oracle, which reuses one instance across sources. *)
+let test_stale_window_caught () =
   let outcome =
     Runner.run
-      (Runner.config ~seed:42 ~cases:300 ~protos:[ Mutate.stale_pool ]
-         ~oracles:[ Oracle.find_exn "flatset-reuse" ] ())
+      (Runner.config ~seed:42 ~cases:300 ~protos:[ Mutate.stale_window ]
+         ~oracles:[ Oracle.find_exn "instance-reuse" ] ())
   in
   match outcome.Runner.failure with
-  | None -> Alcotest.fail "stale-pool mutant not caught by flatset-reuse within 300 cases"
+  | None -> Alcotest.fail "stale-window mutant not caught by instance-reuse within 300 cases"
   | Some f ->
-    Alcotest.(check string) "caught by the targeted oracle" "flatset-reuse"
+    Alcotest.(check string) "caught by the targeted oracle" "instance-reuse"
       f.Runner.oracle.Oracle.name;
     let v =
-      Runner.reproduce ~oracle:"flatset-reuse" ?proto:f.Runner.proto
+      Runner.reproduce ~oracle:"instance-reuse" ?proto:f.Runner.proto
         f.Runner.shrunk.Shrink.graph ~source:f.Runner.shrunk.Shrink.source
     in
     Alcotest.(check bool) "reproduce re-fails" true
@@ -322,8 +322,8 @@ let () =
           Alcotest.test_case "clean run over the registry" `Quick test_clean_run_all_protocols;
           Alcotest.test_case "mutant caught and shrunk (issue acceptance)" `Quick
             test_mutant_caught_and_shrunk;
-          Alcotest.test_case "stale-pool caught by flatset-reuse" `Quick
-            test_stale_pool_caught;
+          Alcotest.test_case "stale-window caught by instance-reuse" `Quick
+            test_stale_window_caught;
         ] );
       ( "fault-tolerance",
         [

@@ -119,7 +119,13 @@ let prop_selection_size_bound =
           List.for_all
             (fun targets ->
               let sel = Gateway_selection.select cov ~targets in
-              Nodeset.cardinal sel <= 2 * Nodeset.cardinal targets)
+              let iterated = ref [] in
+              Gateway_selection.iter_selected
+                ~targets:(fun c -> Nodeset.mem c targets)
+                cov
+                (fun x -> iterated := x :: !iterated);
+              Nodeset.cardinal sel <= 2 * Nodeset.cardinal targets
+              && List.rev !iterated = Nodeset.elements sel)
             [
               Coverage.covered cov;
               Nodeset.filter (fun c -> c mod 2 = 0) (Coverage.covered cov);

@@ -662,6 +662,25 @@ let test_nodeset_of_predicate () =
   raises "card too small" "more than card elements" 4;
   raises "negative card" "card must be non-negative" (-1)
 
+(* The one in-place int sort: ranges on both sides of its 64-entry
+   insertion-sort/heapsort switch, with duplicates, leaving the rest of
+   the array untouched. *)
+let prop_sort_range =
+  qtest "sort_range sorts exactly the requested range" ~count:200
+    QCheck.(pair (int_bound 100_000) (int_range 1 160))
+    (fun (seed, n) ->
+      let rng = Manet_rng.Rng.create ~seed in
+      let a = Array.init n (fun _ -> Manet_rng.Rng.int rng 50) in
+      let len = Manet_rng.Rng.int rng (n + 1) in
+      let lo = Manet_rng.Rng.int rng (n - len + 1) in
+      let hi = lo + len in
+      let expect = Array.copy a in
+      let sorted = Array.sub a lo len in
+      Array.sort Int.compare sorted;
+      Array.blit sorted 0 expect lo len;
+      Manet_graph.Row_sort.sort_range a lo hi;
+      a = expect)
+
 let () =
   Alcotest.run "graph"
     [
@@ -738,6 +757,7 @@ let () =
         [
           prop_csr_matches_reference;
           prop_construction_paths_agree;
+          prop_sort_range;
           Alcotest.test_case "adversarial shapes" `Quick test_csr_adversarial;
           Alcotest.test_case "of_half_edges validation" `Quick test_of_half_edges_validation;
           Alcotest.test_case "neighbors returns a copy" `Quick test_neighbors_is_a_copy;
