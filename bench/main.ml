@@ -240,12 +240,27 @@ let alloc_cases =
      dynamic rows were ratcheted to 40k and 45.5k, about 13% above
      35,223 and 40,246 words, once the gateway selection was read in
      place (no per-head copy of the selection) and [Graph.mem_edge]
-     stopped allocating a closure per call. *)
+     stopped allocating a closure per call, and to 8,500 and 14,200,
+     about 13% above 7,501 and 12,524 words, once the gateway kernel
+     stopped allocating (no closure over boxed counters per selection)
+     and a transmission pushed its copies without a closure.
+
+     The two "count" rows run the same perfect broadcast through the
+     prepared protocol's [count] instead of [run]: no result, no
+     timeline.  Their seed pair is the same protocol's [run] reading
+     when the rows were added (flooding 302.3 us, 11,032 words;
+     dynamic-2.5hop 694.4 us, 35,223 words), so [alloc_reduction] is
+     what the count-only epilogue and the allocation-free gateway
+     kernel save.  They read 21 and 2,450 words; each ceiling sits
+     about 13% above, so an O(n) epilogue, or one word per node,
+     crosses it. *)
   [
     ("flooding", "perfect", Manet_broadcast.Protocol.Perfect, 16_000., 4548.7, 181_307.);
+    ("flooding", "count", Manet_broadcast.Protocol.Perfect, 24., 302.3, 11_032.);
     ("static-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 9_000., 2559.7, 94_252.);
-    ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 40_000., 4007.8, 440_236.);
-    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 45_500., 5010.1, 451_774.);
+    ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 8_500., 4007.8, 440_236.);
+    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 14_200., 5010.1, 451_774.);
+    ("dynamic-2.5hop", "count", Manet_broadcast.Protocol.Perfect, 2_770., 694.4, 35_223.);
     ("self-pruning", "perfect", Manet_broadcast.Protocol.Perfect, 6_400., 12632.8, 2_344_293.);
   ]
 
@@ -280,11 +295,12 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
    member union alone.  The seed pair is this loop over the list-based
    batched selection that [Gateway_selection.select_all] used to be
    (fresh per-head arrays and cons cells for every connector entry);
-   the shared kernel on a per-call scratch measures 46,242 words (with
-   [Graph.mem_edge] allocating no closure).  The ceiling sits about 13%
-   above that, well below the seed, so per-entry allocation in the
-   static build crosses it. *)
-let static_ceiling_words = 52_300.
+   the shared kernel on a per-call scratch measured 46,242 words (with
+   [Graph.mem_edge] allocating no closure), and 14,603 once the kernel
+   stopped allocating per selection: what is left is the per-call
+   scratch and the member set.  The ceiling sits about 13% above that,
+   so per-head allocation in the static build crosses it. *)
+let static_ceiling_words = 16_500.
 let static_seed_us = 550.8
 let static_seed_words = 76_790.
 
@@ -301,6 +317,44 @@ let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
   done;
   let dt = Sys.time () -. t0 in
   (1e6 *. dt /. float_of_int reps, (Gc.minor_words () -. w0) /. float_of_int reps)
+
+(* One head's gateway selection ([Gateway_selection.iter_selected] over
+   its whole coverage set) on the same n = 1000, d = 12 placement's
+   2.5-hop coverage sets, averaged over every head: the kernel the
+   dynamic broadcast runs once per relaying clusterhead and the static
+   build and backbone maintenance once per head.  The seed pair is this
+   loop when the kernel walked the coverage lists through closures over
+   boxed counters.  The kernel now allocates nothing once its scratch
+   has grown, and the ceiling is 0: a single word per selection
+   crosses it. *)
+let select_ceiling_words = 0.
+let select_seed_us = 1.85
+let select_seed_words = 210.89
+
+let alloc_select ~reps (sample : Manet_topology.Generator.sample) =
+  let g = sample.Manet_topology.Generator.graph in
+  let cache = Coverage.Cache.create g (Manet_cluster.Lowest_id.cluster g) Coverage.Hop25 in
+  let coverages = Coverage.Cache.coverages cache in
+  let heads = ref 0 in
+  let sink = ref 0 in
+  let f x = sink := !sink + x in
+  let pass () =
+    for h = 0 to Array.length coverages - 1 do
+      match coverages.(h) with
+      | None -> ()
+      | Some cov -> Manet_backbone.Gateway_selection.iter_selected cov f
+    done
+  in
+  Array.iter (fun c -> if Option.is_some c then incr heads) coverages;
+  pass ();
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  for _ = 1 to reps do
+    pass ()
+  done;
+  let dt = Sys.time () -. t0 in
+  let per = float_of_int (reps * !heads) in
+  (1e6 *. dt /. per, (Gc.minor_words () -. w0) /. per)
 
 (* One lowest-ID clustering ([Lowest_id.cluster]) of the same n = 1000,
    d = 12 placement: the election every backbone construction and
@@ -365,9 +419,13 @@ let alloc_sample () =
    alone.  The seed pair was measured with this loop when every
    refreshed head rebuilt its CH_HOP rows through [Coverage.of_head] and
    the state lived in hashtables; the ceiling sits well under half the
-   seed, so a return to per-head row rebuilding crosses it. *)
+   seed.  The loop measured 61,390 words while each refreshed head's
+   gateway selection allocated ~210 words, and 32,694 once the kernel
+   allocated nothing beyond its result; the ceiling sits about 13% above
+   that, so a return to per-head row rebuilding, or an allocating
+   selection, crosses it. *)
 let maint_steps = 40
-let maint_ceiling_words = 200_000.
+let maint_ceiling_words = 37_000.
 let maint_seed_us = 8347.
 let maint_seed_words = 543_562.
 
@@ -436,14 +494,16 @@ let alloc_arrival () =
    same seed after a warm-up run, so the value is the same in quick and
    full runs.  The seed pair is this loop when every series prepared
    on a fresh environment and built its own CH_HOP tables (four per
-   sample, where one per coverage mode does).  Sharing them measures
+   sample, where one per coverage mode does).  Sharing them measured
    17,343 words (gateway selections read in place, [Graph.mem_edge]
-   closure-free); the ceiling sits about 13% above that, below the
-   27,413 words of fresh environments with the unboxed generator, so a
-   series that builds its own tables again crosses it. *)
+   closure-free), and 10,835 once each series read counts only, the
+   gateway kernel stopped allocating and the 3-hop table reused the
+   2.5-hop table's CH_HOP1 rows.  The ceiling sits about 13% above
+   that, so a series that builds its own tables or materializes its
+   result again crosses it. *)
 let sweep_samples = 8
 let sweep_runs = 5
-let sweep_ceiling_words = 19_600.
+let sweep_ceiling_words = 12_200.
 let sweep_seed_us = 371.2
 let sweep_seed_words = 28_150.
 
@@ -483,15 +543,19 @@ let alloc () =
         let p = Manet_protocols.Registry.find_exn name in
         let env = Manet_broadcast.Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed:17) g in
         let built = p.Manet_broadcast.Protocol.prepare env in
+        let broadcast ~source =
+          if mode_label = "count" then ignore (built.Manet_broadcast.Protocol.count ~source ~mode)
+          else ignore (built.Manet_broadcast.Protocol.run ~source ~mode)
+        in
         (* Warm-up grows the arena to this graph's capacity, so the
            timed loop measures steady-state reuse. *)
         for s = 0 to 2 do
-          ignore (built.Manet_broadcast.Protocol.run ~source:s ~mode)
+          broadcast ~source:s
         done;
         let w0 = Gc.minor_words () in
         let t0 = Sys.time () in
         for i = 0 to reps - 1 do
-          ignore (built.Manet_broadcast.Protocol.run ~source:(i mod n) ~mode)
+          broadcast ~source:(i mod n)
         done;
         let dt = Sys.time () -. t0 in
         let words = (Gc.minor_words () -. w0) /. float_of_int reps in
@@ -520,6 +584,14 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" static_us static_seed_us
     static_words static_seed_words static_ceiling_words
     (if static_over then "  EXCEEDED" else "");
+  let select_us, select_words = alloc_select ~reps sample in
+  let select_over = select_words > select_ceiling_words in
+  if select_over then failures := "gateway selection" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "gateway selection" "n=1000"
+    "us/head" "seed us" "words/head" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10.2f %10.2f %14.2f %14.0f %10.0f%s\n" "" "" select_us
+    select_seed_us select_words select_seed_words select_ceiling_words
+    (if select_over then "  EXCEEDED" else "");
   let cluster_us, cluster_words = alloc_cluster ~reps sample in
   let cluster_over = cluster_words > cluster_ceiling_words in
   if cluster_over then failures := "clustering" :: !failures;
@@ -615,6 +687,20 @@ let alloc () =
             ("seed_minor_words_per_build", num static_seed_words);
             ("speedup", num (static_seed_us /. static_us));
             ("alloc_reduction", num (static_seed_words /. static_words));
+          ] );
+      ( "per_selection",
+        Json.Obj
+          [
+            ("name", Json.Str "gateway-selection-per-head");
+            ("n", int 1000);
+            ("avg_degree", int 12);
+            ("reps", int reps);
+            ("us_per_head", num select_us);
+            ("minor_words_per_head", num select_words);
+            ("ceiling_words", num select_ceiling_words);
+            ("seed_us_per_head", num select_seed_us);
+            ("seed_minor_words_per_head", num select_seed_words);
+            ("speedup", num (select_seed_us /. select_us));
           ] );
       ( "per_cluster",
         Json.Obj

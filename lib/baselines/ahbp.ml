@@ -30,6 +30,4 @@ let protocol =
   Protocol.per_broadcast ~name:"ahbp"
     ~description:"ad hoc broadcast protocol (Peng and Lu): BRG designation excluding the upstream BRG set"
     ~family:Protocol.Source_dependent
-    (fun env ~source ~mode ->
-      let initial, decide = pipeline env.Protocol.graph ~source in
-      Protocol.run_decide env ~source ~mode ~initial ~decide)
+    (fun env ~source -> pipeline env.Protocol.graph ~source)

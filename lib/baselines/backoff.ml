@@ -17,7 +17,7 @@ let window = 4
    neighbours u with [tx.(u) < t], whatever the order of the events
    within a level.  Expiries of one level are read in node order, so
    are the transmissions they trigger. *)
-let run ~name ~arena ~rng g ~source ~decide =
+let run ~name ~epilogue ~arena ~rng g ~source ~decide =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg (name ^ ": source out of range");
   (* Drawn up front, so results depend only on the generator's state. *)
@@ -46,4 +46,4 @@ let run ~name ~arena ~rng g ~source ~decide =
           Scratch.push s ~time:(time + backoff.(v)) ~node:v ~sender:v ~payload:0
         else if decide ~tx ~time v then transmit time v
       done;
-      Scratch.finish s ~source ~completion:!completion)
+      epilogue s ~source ~completion:!completion)

@@ -10,14 +10,19 @@
 
 val run :
   name:string ->
+  epilogue:'r Manet_broadcast.Engine.Scratch.epilogue ->
   arena:Manet_broadcast.Engine.Arena.t ->
   rng:Manet_rng.Rng.t ->
   Manet_graph.Graph.t ->
   source:int ->
   decide:(tx:int array -> time:int -> int -> bool) ->
-  Manet_broadcast.Result.t * (int * int) list
-(** One broadcast: the result and the [(time, node)] transmission
-    timeline.  [decide ~tx ~time v] is called once, at [v]'s expiry;
+  'r
+(** One broadcast, read through [epilogue]:
+    {!Manet_broadcast.Engine.Scratch.finish} gives the result and the
+    [(time, node)] transmission timeline,
+    {!Manet_broadcast.Engine.Scratch.count} only the counts; the loop,
+    its draws and its [decide] calls are the same either way.
+    [decide ~tx ~time v] is called once, at [v]'s expiry;
     [tx.(u)] is [u]'s transmission time ([max_int] if it has not
     transmitted), so the copies [v] has heard are exactly those of its
     neighbours [u] with [tx.(u) < time].  The run's scratch comes from

@@ -4,9 +4,9 @@ module Graph = Manet_graph.Graph
    one from each neighbour that transmitted before its expiry. *)
 let threshold = 3
 
-let run ~arena ~rng g ~source =
+let run ~epilogue ~arena ~rng g ~source =
   let off, nbr = Graph.csr g in
-  Backoff.run ~name:"Counter_based" ~arena ~rng g ~source ~decide:(fun ~tx ~time v ->
+  Backoff.run ~name:"Counter_based" ~epilogue ~arena ~rng g ~source ~decide:(fun ~tx ~time v ->
       let copies = ref 0 and i = ref off.(v) in
       while !copies < threshold && !i < off.(v + 1) do
         if tx.(nbr.(!i)) < time then incr copies;
@@ -15,10 +15,11 @@ let run ~arena ~rng g ~source =
       !copies < threshold)
 
 let protocol =
-  Manet_broadcast.Protocol.per_broadcast ~name:"counter"
+  let open Manet_broadcast in
+  let loop epilogue (env : Protocol.env) ~source =
+    run ~epilogue ~arena:env.arena ~rng:env.rng env.graph ~source
+  in
+  Protocol.native ~name:"counter"
     ~description:"counter-based scheme (Ni et al., MOBICOM'99): rebroadcast unless C >= 3 copies heard"
-    ~family:Manet_broadcast.Protocol.Probabilistic
-    (fun env ~source ~mode ->
-      let open Manet_broadcast.Protocol in
-      frozen_lossy env ~source ~mode
-        ~run:(fun ~source -> run ~arena:env.arena ~rng:env.rng env.graph ~source))
+    ~family:Protocol.Probabilistic ~run:(loop Engine.Scratch.finish)
+    ~count:(loop Engine.Scratch.count)

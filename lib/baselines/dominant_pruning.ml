@@ -27,6 +27,4 @@ let protocol =
   Protocol.per_broadcast ~name:"dp"
     ~description:"dominant pruning (Lim and Kim): senders designate a greedy 2-hop cover"
     ~family:Protocol.Source_dependent
-    (fun env ~source ~mode ->
-      let initial, decide = pipeline env.Protocol.graph ~source in
-      Protocol.run_decide env ~source ~mode ~initial ~decide)
+    (fun env ~source -> pipeline env.Protocol.graph ~source)

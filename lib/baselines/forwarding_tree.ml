@@ -75,10 +75,8 @@ let protocol =
   Manet_broadcast.Protocol.per_broadcast ~name:"fwd-tree"
     ~description:"Pagani-Rossi cluster-based forwarding tree rooted at the source's clusterhead"
     ~family:Manet_broadcast.Protocol.Source_dependent
-    (fun env ~source ~mode ->
+    (fun env ~source ->
       let open Manet_broadcast.Protocol in
       let cache = coverage env Coverage.Hop25 in
       let tree = build ~cache env.graph (Coverage.Cache.clustering cache) Coverage.Hop25 ~source in
-      run_decide env ~source ~mode ~initial:()
-        ~decide:(fun ~node ~from:_ ~payload:() ->
-          if Nodeset.mem node tree.members then Some () else None))
+      ((), fun ~node ~from:_ ~payload:() -> if Nodeset.mem node tree.members then Some () else None))

@@ -41,11 +41,7 @@ let protocol =
     ~family:Manet_broadcast.Protocol.Source_dependent
     (fun env ->
       let sets = mpr_sets env.Manet_broadcast.Protocol.graph in
-      {
-        Manet_broadcast.Protocol.members = None;
-        run =
-          (fun ~source ~mode ->
-            Manet_broadcast.Protocol.run_decide env ~source ~mode ~initial:()
-              ~decide:(fun ~node ~from ~payload:() ->
-                if Nodeset.mem node sets.(from) then Some () else None));
-      })
+      let pipeline =
+        ((), fun ~node ~from ~payload:() -> if Nodeset.mem node sets.(from) then Some () else None)
+      in
+      Manet_broadcast.Protocol.of_pipeline env ~members:None (fun ~source:_ -> pipeline))

@@ -38,6 +38,4 @@ let protocol =
   Protocol.per_broadcast ~name:"pdp"
     ~description:"partial dominant pruning (Lou and Wu, TMC'02): DP minus the common-neighbor coverage"
     ~family:Protocol.Source_dependent
-    (fun env ~source ~mode ->
-      let initial, decide = pipeline env.Protocol.graph ~source in
-      Protocol.run_decide env ~source ~mode ~initial ~decide)
+    (fun env ~source -> pipeline env.Protocol.graph ~source)

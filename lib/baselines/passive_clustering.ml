@@ -17,7 +17,7 @@ let is_head = function Clusterhead -> true | Gateway | Ordinary -> false
    - clusterheads heard but all bridged by heard gateways -> ordinary;
    - otherwise -> gateway candidate: forward, announcing its bridged
      clusterheads (two or more make it a full gateway). *)
-let native ~arena ~rng g ~source =
+let native ~epilogue ~arena ~rng g ~source =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Passive_clustering.run: source out of range";
   let off, nbr = Graph.csr g in
@@ -60,21 +60,25 @@ let native ~arena ~rng g ~source =
       end
     end
   in
-  let result, timeline = Backoff.run ~name:"Passive_clustering.run" ~arena ~rng g ~source ~decide in
+  let r = Backoff.run ~name:"Passive_clustering.run" ~epilogue ~arena ~rng g ~source ~decide in
+  (r, roles)
+
+let run ~rng g ~source =
+  let (result, timeline), roles =
+    native ~epilogue:Manet_broadcast.Engine.Scratch.finish
+      ~arena:(Manet_broadcast.Engine.Arena.get ()) ~rng g ~source
+  in
   ({ result; roles }, timeline)
 
-let run ~rng g ~source = native ~arena:(Manet_broadcast.Engine.Arena.get ()) ~rng g ~source
-
 let protocol =
-  Manet_broadcast.Protocol.per_broadcast ~name:"passive"
+  let open Manet_broadcast in
+  let loop epilogue (env : Protocol.env) ~source =
+    fst (native ~epilogue ~arena:env.arena ~rng:env.rng env.graph ~source)
+  in
+  Protocol.native ~name:"passive"
     ~description:"passive clustering (Kwon and Gerla): roles declared in-flight, gateways may suppress"
-    ~family:Manet_broadcast.Protocol.Probabilistic
-    (fun env ~source ~mode ->
-      let open Manet_broadcast.Protocol in
-      frozen_lossy env ~source ~mode
-        ~run:(fun ~source ->
-          let p, trace = native ~arena:env.arena ~rng:env.rng env.graph ~source in
-          (p.result, trace)))
+    ~family:Protocol.Probabilistic ~run:(loop Engine.Scratch.finish)
+    ~count:(loop Engine.Scratch.count)
 
 let collect t role =
   let s = ref Nodeset.empty in

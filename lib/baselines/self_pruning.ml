@@ -4,10 +4,10 @@ module Graph = Manet_graph.Graph
    neighbourhoods of the neighbours it heard: those are stamped with
    [v] (a node decides once, so stamps never go stale), then N(v) is
    searched for an unstamped node. *)
-let run ~arena ~rng g ~source =
+let run ~epilogue ~arena ~rng g ~source =
   let off, nbr = Graph.csr g in
   let mark = Array.make (Graph.n g) (-1) in
-  Backoff.run ~name:"Self_pruning" ~arena ~rng g ~source ~decide:(fun ~tx ~time v ->
+  Backoff.run ~name:"Self_pruning" ~epilogue ~arena ~rng g ~source ~decide:(fun ~tx ~time v ->
       let lo = off.(v) and hi = off.(v + 1) in
       for i = lo to hi - 1 do
         let u = nbr.(i) in
@@ -25,10 +25,11 @@ let run ~arena ~rng g ~source =
       !i < hi)
 
 let protocol =
-  Manet_broadcast.Protocol.per_broadcast ~name:"self-pruning"
+  let open Manet_broadcast in
+  let loop epilogue (env : Protocol.env) ~source =
+    run ~epilogue ~arena:env.arena ~rng:env.rng env.graph ~source
+  in
+  Protocol.native ~name:"self-pruning"
     ~description:"backoff neighbor-coverage self-pruning (Lim and Kim): resign if heard copies cover N(v)"
-    ~family:Manet_broadcast.Protocol.Probabilistic
-    (fun env ~source ~mode ->
-      let open Manet_broadcast.Protocol in
-      frozen_lossy env ~source ~mode
-        ~run:(fun ~source -> run ~arena:env.arena ~rng:env.rng env.graph ~source))
+    ~family:Protocol.Probabilistic ~run:(loop Engine.Scratch.finish)
+    ~count:(loop Engine.Scratch.count)

@@ -42,7 +42,7 @@ module Arena = struct
     mutable trace_time : int array;
     mutable trace_node : int array;
     mutable trace_len : int;
-    mutable reached : int;  (** nodes delivered by the last [broadcast] *)
+    mutable reached : int;  (** nodes delivered so far in the current run *)
     mutable now : int;  (** time of the level in [cur] *)
     mutable cur : int array;  (** the open level's keys, sorted *)
     mutable cur_len : int;
@@ -127,6 +127,7 @@ let start (a : Arena.t) ~n =
   Arena.reserve a ~n;
   a.gen <- a.gen + 1;
   a.trace_len <- 0;
+  a.reached <- 0;
   a.now <- 0;
   a.cur_len <- 0;
   a.pos <- -1;
@@ -162,11 +163,12 @@ let reserve_next (a : Arena.t) k =
    Stable LSD radix sort of [next] by the key field [(x lsr lo)] of
    [bits] bits (every key bit above the field is zero), in passes of at
    most [digit_bits] bits, scattering between [next] and the consumed
-   [cur].  A pass over a [w]-bit digit costs 2^w bucket steps besides
-   its key steps, so a level of [len] keys uses digits of about
-   log2 len bits: a short level takes a few passes over small bucket
-   arrays instead of one over 256 mostly empty buckets.  Any digit
-   width gives the same stable order. *)
+   [cur]; a level of at most [small_level] keys is insertion-sorted
+   instead, into the same order.  A pass over a [w]-bit digit costs 2^w
+   bucket steps besides its key steps, so a level of [len] keys uses
+   digits of about log2 len bits: a short level takes a few passes over
+   small bucket arrays instead of one over 256 mostly empty buckets.  Any
+   digit width gives the same stable order. *)
 
 let digit_bits = 8
 
@@ -194,6 +196,26 @@ let counting_pass counts src dst len ~shift ~w =
     Array.unsafe_set counts d (j + 1)
   done
 
+(* Levels of at most this many keys are sorted by insertion instead:
+   the radix passes cost ceil(bits / w) sweeps over their buckets
+   whatever the level's length. *)
+let small_level = 16
+
+(* Stable insertion sort of [src.(0 .. len - 1)] into [dst] by the field
+   [(x lsr lo)]: a key moves past only strictly greater fields, so equal
+   fields keep push order, as in the radix passes. *)
+let insertion_sort src dst len ~lo =
+  for i = 0 to len - 1 do
+    let x = Array.unsafe_get src i in
+    let f = x lsr lo in
+    let j = ref (i - 1) in
+    while !j >= 0 && Array.unsafe_get dst !j lsr lo > f do
+      Array.unsafe_set dst (!j + 1) (Array.unsafe_get dst !j);
+      decr j
+    done;
+    Array.unsafe_set dst (!j + 1) x
+  done
+
 (* Opens the next time unit: its keys ([next]) sorted into [cur], the
    cursor before the first of them, and the ring's level for the new
    [now + 1] moved into the emptied [next]. *)
@@ -201,20 +223,23 @@ let open_level (a : Arena.t) ~lo ~bits =
   a.now <- a.now + 1;
   let len = a.next_len in
   if Array.length a.cur < Array.length a.next then a.cur <- Array.make (Array.length a.next) 0;
-  if Array.length a.counts = 0 then a.counts <- Array.make (1 lsl digit_bits) 0;
-  let widest = Int.max 2 (Int.min digit_bits (bits_for 0 len)) in
-  let passes = (bits + widest - 1) / widest in
-  let w = (bits + passes - 1) / passes in
-  for p = 0 to passes - 1 do
-    counting_pass a.counts a.next a.cur len ~shift:(lo + (p * w)) ~w;
-    let sorted = a.cur in
-    a.cur <- a.next;
-    a.next <- sorted
-  done;
-  (* After the last pass the sorted keys are in [next]. *)
-  let sorted = a.next in
-  a.next <- a.cur;
-  a.cur <- sorted;
+  if len <= small_level then insertion_sort a.next a.cur len ~lo
+  else begin
+    if Array.length a.counts = 0 then a.counts <- Array.make (1 lsl digit_bits) 0;
+    let widest = Int.max 2 (Int.min digit_bits (bits_for 0 len)) in
+    let passes = (bits + widest - 1) / widest in
+    let w = (bits + passes - 1) / passes in
+    for p = 0 to passes - 1 do
+      counting_pass a.counts a.next a.cur len ~shift:(lo + (p * w)) ~w;
+      let sorted = a.cur in
+      a.cur <- a.next;
+      a.next <- sorted
+    done;
+    (* After the last pass the sorted keys are in [next]. *)
+    let sorted = a.next in
+    a.next <- a.cur;
+    a.cur <- sorted
+  end;
   a.cur_len <- len;
   a.pos <- -1;
   a.next_len <- 0;
@@ -247,6 +272,13 @@ let materialize (a : Arena.t) ~tick ~n ~source ~completion =
   done;
   ({ Result.source; forwarders; delivered = delivered_out; completion_time = completion }, !trace)
 
+type counts = { forwards : int; delivered : int; completion_time : int }
+
+(* The count-only epilogue: every transmitter is traced exactly once, so
+   the timeline's length is the forward count. *)
+let counts_of (a : Arena.t) ~completion =
+  { forwards = a.trace_len; delivered = a.reached; completion_time = completion }
+
 (* The arena, opened up for protocols with bespoke event loops (the
    dynamic backbone's designation events): the same busy-flag
    acquisition, generation bump and frontier calendar as [run_core],
@@ -276,9 +308,11 @@ module Scratch = struct
 
   (* Marks [v] delivered; [true] iff it was not already. *)
   let mark_delivered s v =
-    if s.a.Arena.delivered.(v) = s.tick then false
+    let a = s.a in
+    if a.Arena.delivered.(v) = s.tick then false
     else begin
-      s.a.Arena.delivered.(v) <- s.tick;
+      a.delivered.(v) <- s.tick;
+      a.reached <- a.reached + 1;
       true
     end
 
@@ -329,7 +363,11 @@ module Scratch = struct
   let node s = key s lsr (s.pbits + s.shift)
   let sender s = (key s lsr s.pbits) land ((1 lsl s.shift) - 1)
   let payload s = key s land ((1 lsl s.pbits) - 1)
+
+  type 'r epilogue = t -> source:int -> completion:int -> 'r
+
   let finish s ~source ~completion = materialize s.a ~tick:s.tick ~n:s.n ~source ~completion
+  let count s ~source:_ ~completion = counts_of s.a ~completion
 end
 
 (* One decide-style broadcast on an acquired arena; returns its
@@ -438,11 +476,6 @@ let run_core ?drop ?down ?arena g ~source ~initial ~decide =
     ~epilogue:(fun a g ~source ~completion ->
       materialize a ~tick:a.Arena.gen ~n:(Graph.n g) ~source ~completion)
 
-type counts = { forwards : int; delivered : int; completion_time : int }
-
-(* Every transmitter is traced exactly once, so the timeline's length is
-   the forward count. *)
 let run_count ?drop ?down ?arena g ~source ~initial ~decide =
   drive "Engine.run_count" ?drop ?down ?arena g ~source ~initial ~decide
-    ~epilogue:(fun a _ ~source:_ ~completion ->
-      { forwards = a.Arena.trace_len; delivered = a.Arena.reached; completion_time = completion })
+    ~epilogue:(fun a _ ~source:_ ~completion -> counts_of a ~completion)

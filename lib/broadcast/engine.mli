@@ -63,6 +63,15 @@ module Arena : sig
       stream grows the arena mid-run.  Idempotent; never shrinks. *)
 end
 
+(** What a count-only epilogue returns: the broadcast's counts, equal to
+    {!Result.forward_count}, {!Result.delivered_count} and
+    [completion_time] of the materialized result. *)
+type counts = {
+  forwards : int;  (** nodes that transmitted, the source included *)
+  delivered : int;  (** nodes that received the packet, the source included *)
+  completion_time : int;  (** time of the last first delivery *)
+}
+
 (** The arena opened up for protocols with bespoke event loops (the
     dynamic backbone's designation events and the backoff schemes'
     timers, which {!run_core}'s decide-callback shape cannot express):
@@ -121,9 +130,22 @@ module Scratch : sig
   val sender : t -> int
   val payload : t -> int
 
-  val finish : t -> source:int -> completion:int -> Result.t * (int * int) list
+  type 'r epilogue = t -> source:int -> completion:int -> 'r
+  (** How a bespoke loop reads its finished broadcast, inside
+      {!with_scratch}: a loop is written once, parametrised by its
+      epilogue, and run with {!finish} or {!count}. *)
+
+  val finish : (Result.t * (int * int) list) epilogue
   (** The caller-owned result and timeline, materialized from the
       generation tags — the same epilogue {!run_core} uses. *)
+
+  val count : counts epilogue
+  (** The count-only epilogue, {!run_count}'s: the timeline's length
+      (every transmitter is traced once), the number of
+      {!mark_delivered} calls that returned [true], and [completion].
+      It reads three fields and allocates only the record, so a loop
+      run through it builds nothing that grows with [n].  Equal to the
+      counts of {!finish}'s result when [completion] is. *)
 end
 
 val run_core :
@@ -174,12 +196,6 @@ val run_core :
     arena state — see {!Arena}.
     @raise Invalid_argument if [source] is out of range. *)
 
-type counts = {
-  forwards : int;  (** nodes that transmitted, the source included *)
-  delivered : int;  (** nodes that received the packet, the source included *)
-  completion_time : int;  (** time of the last first delivery *)
-}
-
 val run_count :
   ?drop:(unit -> bool) ->
   ?down:(time:int -> node:int -> bool) ->
@@ -194,6 +210,7 @@ val run_count :
     counts equal to {!Result.forward_count}, {!Result.delivered_count}
     and [completion_time] of {!run_core}'s result.  It builds neither
     the delivered array, the forwarder set nor the timeline, so a run
-    allocates nothing that grows with [n] — the serving loop's entry
-    point, which reads only the counts.
+    allocates nothing that grows with [n].  Every caller that reads
+    only counts goes through it: the serving loop's arrivals and, via
+    {!Protocol.built}'s [count], the sweep metrics.
     @raise Invalid_argument if [source] is out of range. *)

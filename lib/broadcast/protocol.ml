@@ -33,14 +33,22 @@ let make_env ?clustering ?rng ?arena ?down graph =
 (* A kept table is valid only while it was built from the env's current
    graph and clustering, compared physically: [retarget] and an
    [{ env with clustering }] copy both change one of them, so neither
-   can read a stale table, and nothing has to invalidate it. *)
+   can read a stale table, and nothing has to invalidate it.  A valid
+   table of the other mode lends a new one its hop-1 rows. *)
+let current env cl c = Coverage.Cache.graph c == env.graph && Coverage.Cache.clustering c == cl
+
 let coverage env mode =
   let cl = Lazy.force env.clustering in
   let kept = match mode with Coverage.Hop25 -> env.hop25 | Coverage.Hop3 -> env.hop3 in
   match kept with
-  | Some c when Coverage.Cache.graph c == env.graph && Coverage.Cache.clustering c == cl -> c
+  | Some c when current env cl c -> c
   | _ ->
-    let c = Coverage.Cache.create env.graph cl mode in
+    let other = match mode with Coverage.Hop25 -> env.hop3 | Coverage.Hop3 -> env.hop25 in
+    let c =
+      match other with
+      | Some o when current env cl o -> Coverage.Cache.with_mode o mode
+      | _ -> Coverage.Cache.create env.graph cl mode
+    in
     (match mode with Coverage.Hop25 -> env.hop25 <- Some c | Coverage.Hop3 -> env.hop3 <- Some c);
     c
 
@@ -72,6 +80,7 @@ type mode = Perfect | Lossy of float
 type built = {
   members : Nodeset.t option;
   run : source:int -> mode:mode -> Result.t * (int * int) list;
+  count : source:int -> mode:mode -> Engine.counts;
 }
 
 type t = {
@@ -127,6 +136,19 @@ let indicator_decide members =
   fun ~node ~from:_ ~payload:() ->
     if node < Bytes.length ind && Bytes.unsafe_get ind node <> '\000' then Some () else None
 
+let of_pipeline env ~members pipeline =
+  {
+    members;
+    run =
+      (fun ~source ~mode ->
+        let initial, decide = pipeline ~source in
+        run_decide env ~source ~mode ~initial ~decide);
+    count =
+      (fun ~source ~mode ->
+        let initial, decide = pipeline ~source in
+        run_decide_count env ~source ~mode ~initial ~decide);
+  }
+
 let si ~name ~description ~build =
   {
     name;
@@ -136,34 +158,31 @@ let si ~name ~description ~build =
     prepare =
       (fun env ->
         let members = build env in
-        let decide = lazy (indicator_decide members) in
-        {
-          members = Some members;
-          run =
-            (fun ~source ~mode ->
-              run_decide env ~source ~mode ~initial:() ~decide:(Lazy.force decide));
-        });
+        let pipeline = lazy ((), indicator_decide members) in
+        of_pipeline env ~members:(Some members) (fun ~source:_ -> Lazy.force pipeline));
   }
 
 let with_build ~name ~description ~family prepare =
   { name; description; family; has_build = true; prepare }
 
-let per_broadcast ~name ~description ~family run =
+let per_broadcast ~name ~description ~family pipeline =
   {
     name;
     description;
     family;
     has_build = false;
-    prepare = (fun env -> { members = None; run = (fun ~source ~mode -> run env ~source ~mode) });
+    prepare = (fun env -> of_pipeline env ~members:None (pipeline env));
   }
 
-let frozen_lossy env ~run ~source ~mode =
+(* [clean] under [Perfect] (or [Lossy 0.]) with no [down] schedule, else
+   [replay] of the forward set frozen from a clean native [run]. *)
+let frozen env ~run ~clean ~replay ~source ~mode =
   match (mode, env.down) with
   | (Perfect | Lossy 0.), None ->
     (* No reception can drop and no node can fail: keep the native
        event loop, so loss 0 is bit-identical to [Perfect], like
        everywhere else. *)
-    run ~source
+    clean ~source
   | _ ->
     (* Freeze the forward set from a failure-free, loss-free native
        run, then replay it through the uniform pipeline where loss and
@@ -173,11 +192,31 @@ let frozen_lossy env ~run ~source ~mode =
     (* A forward set lives for one broadcast: an indicator built for it
        would cost more than the membership tests it saves. *)
     let fwd = frozen.Result.forwarders in
-    run_decide env ~source ~mode ~initial:() ~decide:(si_decide fwd)
+    replay env ~source ~mode ~initial:() ~decide:(si_decide fwd)
+
+let frozen_lossy env ~run ~count =
+  {
+    members = None;
+    run = (fun ~source ~mode -> frozen env ~run ~clean:run ~replay:run_decide ~source ~mode);
+    count =
+      (fun ~source ~mode -> frozen env ~run ~clean:count ~replay:run_decide_count ~source ~mode);
+  }
+
+let native ~name ~description ~family ~run ~count =
+  {
+    name;
+    description;
+    family;
+    has_build = false;
+    prepare = (fun env -> frozen_lossy env ~run:(run env) ~count:(count env));
+  }
+
+(* Built once: a pair returned fresh by each broadcast's pipeline call
+   would be allocated per broadcast. *)
+let flood = ((), fun ~node:_ ~from:_ ~payload:() -> Some ())
 
 let flooding =
   per_broadcast ~name:"flooding"
     ~description:"blind flooding: every node forwards its first copy (Ni et al.'s broadcast storm)"
     ~family:Source_independent
-    (fun env ~source ~mode ->
-      run_decide env ~source ~mode ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ()))
+    (fun _ ~source:_ -> flood)

@@ -11,14 +11,17 @@
 
     A {!t} packages exactly that: a stable name, a one-line description,
     a family tag (source-independent / source-dependent / probabilistic),
-    and a [prepare] phase returning the {!built} protocol whose [run]
-    executes one broadcast.  Protocols built from a [decide] callback
-    (see {!Engine}) run {e unchanged} under the perfect and the lossy
-    engine — both modes share one event loop ({!Engine.run_core}) and
-    always return the timeline — while protocols
-    with bespoke event loops (the dynamic backbone's designation events,
-    the backoff schemes' timers) plug in their native runs and fall back
-    to {!frozen_lossy} replay under loss.
+    and a [prepare] phase returning the {!built} protocol, which
+    executes one broadcast two ways: [count] returns only the forward,
+    delivery and completion counts, and [run] materializes the
+    {!Result.t} and the transmission timeline.  Both read the same
+    broadcast, with the same draws, through different epilogues.
+    Protocols built from a [decide] callback (see {!Engine}) run
+    {e unchanged} under the perfect and the lossy engine — both modes
+    share one event loop ({!Engine.run_core} / {!Engine.run_count}) —
+    while protocols with bespoke event loops (the dynamic backbone's
+    designation events, the backoff schemes' timers) plug in their
+    native loops and fall back to {!frozen_lossy} replay under loss.
 
     The registry of every protocol in the repository lives one layer up,
     in [Manet_protocols.Registry]; this module only defines the
@@ -129,7 +132,17 @@ type built = {
           structure is per-source or implicit *)
   run : source:int -> mode:mode -> Result.t * (int * int) list;
       (** one broadcast; the second component is the transmission
-          timeline as [(time, node)] pairs in transmission order *)
+          timeline as [(time, node)] pairs in transmission order.  For
+          the callers that read more than counts: the CLI, the oracles,
+          the failure metrics and the examples *)
+  count : source:int -> mode:mode -> Engine.counts;
+      (** the same broadcast as [run] — same [decide] calls, same draws
+          from [env.rng], so the generator ends in the same state — read
+          through a count-only epilogue: its counts equal
+          {!Result.forward_count}, {!Result.delivered_count} and
+          [completion_time] of [run]'s result, and nothing O(n) is built
+          (the frozen replay under loss or failures still materializes
+          its clean native run).  The sweep metrics' entry point *)
 }
 
 type t = {
@@ -156,15 +169,37 @@ val si :
 
 val with_build : name:string -> description:string -> family:family -> (env -> built) -> t
 (** A protocol with a proactive build phase that is not a plain SI-CDS
-    (e.g. MPR's per-node relay sets). *)
+    (e.g. MPR's per-node relay sets, whose [built] is {!of_pipeline}'s). *)
+
+val of_pipeline :
+  env ->
+  members:Manet_graph.Nodeset.t option ->
+  (source:int -> 'a * (node:int -> from:int -> payload:'a -> 'a option)) ->
+  built
+(** The [built] of a decide protocol: for each broadcast, [pipeline
+    ~source] gives the source's payload and the [decide] callback, run
+    through {!run_decide} ([run]) or {!run_decide_count} ([count]). *)
 
 val per_broadcast :
   name:string ->
   description:string ->
   family:family ->
-  (env -> source:int -> mode:mode -> Result.t * (int * int) list) ->
+  (env -> source:int -> 'a * (node:int -> from:int -> payload:'a -> 'a option)) ->
   t
-(** A protocol with no proactive phase: all work happens per broadcast. *)
+(** A decide protocol with no proactive phase: its [built] is
+    [of_pipeline env ~members:None (pipeline env)]. *)
+
+val native :
+  name:string ->
+  description:string ->
+  family:family ->
+  run:(env -> source:int -> Result.t * (int * int) list) ->
+  count:(env -> source:int -> Engine.counts) ->
+  t
+(** A protocol with a bespoke event loop and no proactive phase: [run]
+    and [count] are one loss-free broadcast of the loop read through
+    {!Engine.Scratch.finish} and {!Engine.Scratch.count}; the prepared
+    protocol is {!frozen_lossy}'s. *)
 
 (** {1 Execution helpers (the uniform pipeline)} *)
 
@@ -198,24 +233,25 @@ val run_decide_count :
     same draws from [env.rng] and the same [decide] calls, but only its
     forward, delivery and completion counts are returned, and nothing
     O(n) is built — for callers that discard the result and timeline
-    (the serving loop).
+    (the serving loop, and every decide protocol's [count]).
     @raise Invalid_argument as {!run_decide}. *)
 
 val frozen_lossy :
   env ->
   run:(source:int -> Result.t * (int * int) list) ->
-  source:int ->
-  mode:mode ->
-  Result.t * (int * int) list
-(** For protocols whose native event loop has no loss or failure
-    semantics (the dynamic backbone's designation signals, the backoff
-    schemes' timers): under [Perfect] or [Lossy 0.] with no [down]
-    schedule, just [run]; otherwise freeze the forward set from a
-    clean native [run], then replay it as an SI-CDS broadcast through
-    the uniform pipeline — the designations are decided loss- and
-    failure-free, only the data propagation is unreliable.  This is
-    the sparsest-case treatment the lossy-links experiment has always
-    used for the dynamic backbone, extended to node failures. *)
+  count:(source:int -> Engine.counts) ->
+  built
+(** The [built] of a protocol whose native event loop has no loss or
+    failure semantics (the dynamic backbone's designation signals, the
+    backoff schemes' timers), given its native [run] and [count].
+    Under [Perfect] or [Lossy 0.] with no [down] schedule, a broadcast
+    is just the native [run] or [count]; otherwise both freeze the
+    forward set from a clean native [run], then replay it as an SI-CDS
+    broadcast through {!run_decide} or {!run_decide_count} — the
+    designations are decided loss- and failure-free, only the data
+    propagation is unreliable.  This is the sparsest-case treatment the
+    lossy-links experiment has always used for the dynamic backbone,
+    extended to node failures.  [members] is [None]. *)
 
 (** {1 The engine's own protocol} *)
 

@@ -121,10 +121,16 @@ let stale_window =
             ( { r with Result.forwarders = Nodeset.diff fwd victims },
               List.filter (fun (_, v) -> not (Nodeset.mem v victims)) timeline )
         in
-        {
-          Protocol.members = None;
-          run = (fun ~source ~mode -> Protocol.frozen_lossy env ~run:native ~source ~mode);
-        });
+        (* The counts of the (mutated) native result. *)
+        let count ~source =
+          let r, _ = native ~source in
+          {
+            Manet_broadcast.Engine.forwards = Result.forward_count r;
+            delivered = Result.delivered_count r;
+            completion_time = r.Result.completion_time;
+          }
+        in
+        Protocol.frozen_lossy env ~run:native ~count);
   }
 
 let all = [ drop_coverage_entry; drop_connector; under_dominate; stale_window ]

@@ -45,8 +45,9 @@ let mem_row (row : int array) x =
   done;
   !lo < Array.length row && row.(!lo) = x
 
-(* One broadcast over the shared CH_HOP [cache] of (g, cl, mode). *)
-let run ~pruning ~cache ~arena g cl ~source =
+(* One broadcast over the shared CH_HOP [cache] of (g, cl, mode), read
+   through [epilogue] ([Scratch.finish] or [Scratch.count]). *)
+let run ~epilogue ~pruning ~cache ~arena g cl ~source =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Dynamic_backbone: source out of range";
   let coverages = Coverage.Cache.coverages cache in
@@ -55,14 +56,16 @@ let run ~pruning ~cache ~arena g cl ~source =
     | Some c -> c
     | None -> invalid_arg "Dynamic_backbone: stale coverage array"
   in
+  let off, nbr = Graph.csr g in
   Scratch.with_scratch ~arena ~n ~payload_bound:(encode ~upstream:(n - 1) + 2) (fun scr ->
       let completion = ref 0 in
       let transmit time v ~upstream =
         Scratch.mark_transmitted scr v;
         Scratch.trace scr ~time ~node:v;
         let payload = encode ~upstream in
-        Graph.iter_neighbors g v (fun u ->
-            Scratch.push scr ~time:(time + 1) ~node:u ~sender:v ~payload)
+        for i = off.(v) to off.(v + 1) - 1 do
+          Scratch.push scr ~time:(time + 1) ~node:nbr.(i) ~sender:v ~payload
+        done
       in
       (* One relaying clusterhead: prune targets by upstream history,
          select gateways, designate them, transmit.  [upstream] is the
@@ -123,7 +126,7 @@ let run ~pruning ~cache ~arena g cl ~source =
         else if Clustering.is_head cl receiver && not (Scratch.transmitted scr receiver) then
           head_transmit time receiver ~upstream ~relayer:sender
       done;
-      Scratch.finish scr ~source ~completion:!completion)
+      epilogue scr ~source ~completion:!completion)
 
 let mode_tag = function Coverage.Hop25 -> "2.5hop" | Coverage.Hop3 -> "3hop"
 
@@ -145,16 +148,15 @@ let protocol ?(pruning = Coverage_and_relay) mode =
     | Coverage_piggyback ->
       "dynamic backbone ablation: prune by the upstream's piggybacked coverage set only"
   in
-  Manet_broadcast.Protocol.per_broadcast
+  (* Every broadcast reads the environment's CH_HOP tables of [mode],
+     built by the first one and shared with every other protocol on the
+     environment. *)
+  let loop epilogue (env : Manet_broadcast.Protocol.env) ~source =
+    let cache = Manet_broadcast.Protocol.coverage env mode in
+    run ~epilogue ~pruning ~cache ~arena:env.arena env.graph (Coverage.Cache.clustering cache)
+      ~source
+  in
+  Manet_broadcast.Protocol.native
     ~name:("dynamic-" ^ mode_tag mode ^ suffix)
-    ~description ~family:Manet_broadcast.Protocol.Source_dependent
-    (fun env ~source ~mode:m ->
-      let open Manet_broadcast.Protocol in
-      (* Every broadcast reads the environment's CH_HOP tables of [mode],
-         built by the first one and shared with every other protocol on
-         the environment. *)
-      frozen_lossy env ~source ~mode:m
-        ~run:(fun ~source ->
-          let cache = coverage env mode in
-          run ~pruning ~cache ~arena:env.arena env.graph (Coverage.Cache.clustering cache)
-            ~source))
+    ~description ~family:Manet_broadcast.Protocol.Source_dependent ~run:(loop Scratch.finish)
+    ~count:(loop Scratch.count)

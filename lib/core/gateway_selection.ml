@@ -13,8 +13,9 @@ module Coverage = Manet_coverage.Coverage
    All working storage lives in a [scratch] (domain-local for the
    per-head entry points, private to a {!select_all} call): stamp-tagged
    node maps (reset is a counter bump), chain-linked entry pools
-   replacing the per-slot lists, and an output buffer.  One selection
-   allocates nothing beyond its result, which is what lets the dynamic
+   replacing the per-slot lists, and an output buffer, each grown (and
+   kept) when a selection's sizing pass finds it too small.  Once grown,
+   one selection allocates nothing, which is what lets the dynamic
    broadcast call this once per relaying clusterhead without feeding the
    minor heap.  The chains replicate the original per-slot lists exactly
    — prepend during the build scan, walk head-first — because one order
@@ -93,37 +94,96 @@ let grown a size init =
 
 let grown_bool a size = if Array.length a >= size then a else Array.make (max size 8) false
 
+(* The kernel's steps that touch only the scratch, as top-level
+   functions: a local closure over the counters would box them and be
+   allocated on every call. *)
+
+(* Collects [v] as a candidate (once); returns the new candidate count. *)
+let add_cand scr stamp n v =
+  if scr.cand_tag.(v) = stamp then n
+  else begin
+    scr.cand_tag.(v) <- stamp;
+    scr.cands.(n) <- v;
+    n + 1
+  end
+
+(* Selects [v] (once); returns the new output count. *)
+let take scr stamp n v =
+  if scr.sel_tag.(v) = stamp then n
+  else begin
+    scr.sel_tag.(v) <- stamp;
+    scr.out.(n) <- v;
+    n + 1
+  end
+
+(* Covers 2-hop target [i] if it is still live, taking one live direct
+   cover from each of its connectors; returns 1 if it was live, else 0. *)
+let cover2 scr i =
+  if scr.live2.(i) then begin
+    scr.live2.(i) <- false;
+    let e = ref scr.r2head.(i) in
+    while !e >= 0 do
+      let s = scr.d_slot.(!e) in
+      scr.live_direct.(s) <- scr.live_direct.(s) - 1;
+      e := scr.d_next_i.(!e)
+    done;
+    1
+  end
+  else 0
+
+(* Covers 3-hop target [i], taking one live indirect cover from each of
+   its pairs' first hops. *)
+let cover3 scr i =
+  scr.live3.(i) <- false;
+  let e = ref scr.r3head.(i) in
+  while !e >= 0 do
+    let s = scr.i_slot.(!e) in
+    scr.live_indirect.(s) <- scr.live_indirect.(s) - 1;
+    e := scr.i_next_i.(!e)
+  done
+
 (* One greedy selection; [live] decides which coverage entries are
    targets.  Selected nodes are written to [scr.out] in ascending order;
-   returns their count. *)
+   returns their count.  Each pass walks [cov.c2] / [cov.c3] with a list
+   cursor and plain loops, so the counters stay unboxed. *)
 let run_select scr (cov : Coverage.t) ~live =
   scr.stamp <- scr.stamp + 1;
   let stamp = scr.stamp in
-  (* Sizing pass: largest node id touched, entry counts, live flags. *)
+  (* Sizing pass: largest node id touched, entry counts. *)
   let max_id = ref (-1) in
-  let seen v = if v > !max_id then max_id := v in
   let len2 = ref 0 and len3 = ref 0 in
   let nd = ref 0 and ni = ref 0 in
-  List.iter
-    (fun (ch, connectors) ->
+  let l2 = ref cov.c2 in
+  while !l2 != [] do
+    match !l2 with
+    | [] -> ()
+    | (ch, connectors) :: tl ->
       if live ch then begin
         nd := !nd + Array.length connectors;
-        Array.iter seen connectors
+        for j = 0 to Array.length connectors - 1 do
+          let v = connectors.(j) in
+          if v > !max_id then max_id := v
+        done
       end;
-      incr len2)
-    cov.c2;
-  List.iter
-    (fun (ch, pairs) ->
+      incr len2;
+      l2 := tl
+  done;
+  let l3 = ref cov.c3 in
+  while !l3 != [] do
+    match !l3 with
+    | [] -> ()
+    | (ch, pairs) :: tl ->
       if live ch then begin
         ni := !ni + Array.length pairs;
-        Array.iter
-          (fun (v, w) ->
-            seen v;
-            seen w)
-          pairs
+        for j = 0 to Array.length pairs - 1 do
+          let v, w = pairs.(j) in
+          if v > !max_id then max_id := v;
+          if w > !max_id then max_id := w
+        done
       end;
-      incr len3)
-    cov.c3;
+      incr len3;
+      l3 := tl
+  done;
   scr.cand_tag <- grown scr.cand_tag (!max_id + 1) (-1);
   scr.slotv <- grown scr.slotv (!max_id + 1) 0;
   scr.sel_tag <- grown scr.sel_tag (!max_id + 1) (-1);
@@ -147,9 +207,7 @@ let run_select scr (cov : Coverage.t) ~live =
   scr.i_next_slot <- grown scr.i_next_slot !ni 0;
   scr.i_next_i <- grown scr.i_next_i !ni 0;
   scr.out <- grown scr.out (cap_cands + !ni + (2 * !len3)) 0;
-  let cand_tag = scr.cand_tag
-  and slotv = scr.slotv
-  and sel_tag = scr.sel_tag
+  let slotv = scr.slotv
   and cands = scr.cands
   and live_direct = scr.live_direct
   and live_indirect = scr.live_indirect
@@ -158,37 +216,43 @@ let run_select scr (cov : Coverage.t) ~live =
   and live2 = scr.live2
   and r2head = scr.r2head
   and live3 = scr.live3
-  and r3head = scr.r3head
-  and out = scr.out in
-  (* Distinct candidates, ascending — the greedy scan order. *)
+  and r3head = scr.r3head in
+  (* Live flags, and the distinct candidates, ascending — the greedy
+     scan order. *)
   let n_cands = ref 0 in
-  let add_cand v =
-    if cand_tag.(v) <> stamp then begin
-      cand_tag.(v) <- stamp;
-      cands.(!n_cands) <- v;
-      incr n_cands
-    end
-  in
   let n2_live = ref 0 in
-  let i2 = ref 0 in
-  List.iter
-    (fun (ch, connectors) ->
+  let i = ref 0 in
+  let l2 = ref cov.c2 in
+  while !l2 != [] do
+    match !l2 with
+    | [] -> ()
+    | (ch, connectors) :: tl ->
       let l = live ch in
-      live2.(!i2) <- l;
+      live2.(!i) <- l;
       if l then begin
         incr n2_live;
-        Array.iter add_cand connectors
+        for j = 0 to Array.length connectors - 1 do
+          n_cands := add_cand scr stamp !n_cands connectors.(j)
+        done
       end;
-      incr i2)
-    cov.c2;
-  let i3 = ref 0 in
-  List.iter
-    (fun (ch, pairs) ->
+      incr i;
+      l2 := tl
+  done;
+  let i = ref 0 in
+  let l3 = ref cov.c3 in
+  while !l3 != [] do
+    match !l3 with
+    | [] -> ()
+    | (ch, pairs) :: tl ->
       let l = live ch in
-      live3.(!i3) <- l;
-      if l then Array.iter (fun (v, _) -> add_cand v) pairs;
-      incr i3)
-    cov.c3;
+      live3.(!i) <- l;
+      if l then
+        for j = 0 to Array.length pairs - 1 do
+          n_cands := add_cand scr stamp !n_cands (fst pairs.(j))
+        done;
+      incr i;
+      l3 := tl
+  done;
   let n_cands = !n_cands in
   Manet_graph.Row_sort.sort_range cands 0 n_cands;
   for s = 0 to n_cands - 1 do
@@ -200,82 +264,59 @@ let run_select scr (cov : Coverage.t) ~live =
   done;
   (* Entry chains: per-slot (the covers of a candidate) and per-target
      (the slots to decrement when the target gets covered). *)
-  let nd = ref 0 in
-  let i2 = ref 0 in
-  List.iter
-    (fun (_, connectors) ->
-      let i = !i2 in
-      if live2.(i) then begin
-        r2head.(i) <- -1;
-        Array.iter
-          (fun v ->
-            let s = slotv.(v) in
-            let e = !nd in
-            scr.d_i.(e) <- i;
-            scr.d_slot.(e) <- s;
-            scr.d_next_slot.(e) <- dhead.(s);
-            dhead.(s) <- e;
-            live_direct.(s) <- live_direct.(s) + 1;
-            scr.d_next_i.(e) <- r2head.(i);
-            r2head.(i) <- e;
-            incr nd)
-          connectors
+  let e = ref 0 in
+  let i = ref 0 in
+  let l2 = ref cov.c2 in
+  while !l2 != [] do
+    match !l2 with
+    | [] -> ()
+    | (_, connectors) :: tl ->
+      let i' = !i in
+      if live2.(i') then begin
+        r2head.(i') <- -1;
+        for j = 0 to Array.length connectors - 1 do
+          let s = slotv.(connectors.(j)) in
+          scr.d_i.(!e) <- i';
+          scr.d_slot.(!e) <- s;
+          scr.d_next_slot.(!e) <- dhead.(s);
+          dhead.(s) <- !e;
+          live_direct.(s) <- live_direct.(s) + 1;
+          scr.d_next_i.(!e) <- r2head.(i');
+          r2head.(i') <- !e;
+          incr e
+        done
       end;
-      incr i2)
-    cov.c2;
-  let ni = ref 0 in
-  let i3 = ref 0 in
-  List.iter
-    (fun (_, pairs) ->
-      let i = !i3 in
-      if live3.(i) then begin
-        r3head.(i) <- -1;
-        Array.iter
-          (fun (v, w) ->
-            let s = slotv.(v) in
-            let e = !ni in
-            scr.i_i.(e) <- i;
-            scr.i_w.(e) <- w;
-            scr.i_slot.(e) <- s;
-            scr.i_next_slot.(e) <- ihead.(s);
-            ihead.(s) <- e;
-            live_indirect.(s) <- live_indirect.(s) + 1;
-            scr.i_next_i.(e) <- r3head.(i);
-            r3head.(i) <- e;
-            incr ni)
-          pairs
+      incr i;
+      l2 := tl
+  done;
+  let e = ref 0 in
+  let i = ref 0 in
+  let l3 = ref cov.c3 in
+  while !l3 != [] do
+    match !l3 with
+    | [] -> ()
+    | (_, pairs) :: tl ->
+      let i' = !i in
+      if live3.(i') then begin
+        r3head.(i') <- -1;
+        for j = 0 to Array.length pairs - 1 do
+          let v, w = pairs.(j) in
+          let s = slotv.(v) in
+          scr.i_i.(!e) <- i';
+          scr.i_w.(!e) <- w;
+          scr.i_slot.(!e) <- s;
+          scr.i_next_slot.(!e) <- ihead.(s);
+          ihead.(s) <- !e;
+          live_indirect.(s) <- live_indirect.(s) + 1;
+          scr.i_next_i.(!e) <- r3head.(i');
+          r3head.(i') <- !e;
+          incr e
+        done
       end;
-      incr i3)
-    cov.c3;
+      incr i;
+      l3 := tl
+  done;
   let n_out = ref 0 in
-  let take v =
-    if sel_tag.(v) <> stamp then begin
-      sel_tag.(v) <- stamp;
-      out.(!n_out) <- v;
-      incr n_out
-    end
-  in
-  let cover2 i =
-    if live2.(i) then begin
-      live2.(i) <- false;
-      decr n2_live;
-      let e = ref r2head.(i) in
-      while !e >= 0 do
-        let s = scr.d_slot.(!e) in
-        live_direct.(s) <- live_direct.(s) - 1;
-        e := scr.d_next_i.(!e)
-      done
-    end
-  in
-  let cover3 i =
-    live3.(i) <- false;
-    let e = ref r3head.(i) in
-    while !e >= 0 do
-      let s = scr.i_slot.(!e) in
-      live_indirect.(s) <- live_indirect.(s) - 1;
-      e := scr.i_next_i.(!e)
-    done
-  in
   (* Phase 1: greedy direct coverage of the 2-hop targets.  Scanning in
      ascending id with strict improvement implements the greedy order:
      most direct, then most indirect, then lowest id. *)
@@ -297,18 +338,18 @@ let run_select scr (cov : Coverage.t) ~live =
       continue_ := false
     else begin
       let s = !best in
-      take cands.(s);
+      n_out := take scr stamp !n_out cands.(s);
       let e = ref dhead.(s) in
       while !e >= 0 do
-        cover2 scr.d_i.(!e);
+        n2_live := !n2_live - cover2 scr scr.d_i.(!e);
         e := scr.d_next_slot.(!e)
       done;
       let e = ref ihead.(s) in
       while !e >= 0 do
         let i = scr.i_i.(!e) in
         if live3.(i) then begin
-          cover3 i;
-          take scr.i_w.(!e)
+          cover3 scr i;
+          n_out := take scr stamp !n_out scr.i_w.(!e)
         end;
         e := scr.i_next_slot.(!e)
       done
@@ -316,50 +357,54 @@ let run_select scr (cov : Coverage.t) ~live =
   done;
   (* Phase 2: connect the remaining 3-hop targets with pairs, preferring
      pairs that reuse already-selected gateways, then the smallest pair. *)
-  let i3 = ref 0 in
-  List.iter
-    (fun (_, pairs) ->
-      let i = !i3 in
-      if live3.(i) then begin
+  let sel_tag = scr.sel_tag in
+  let i = ref 0 in
+  let l3 = ref cov.c3 in
+  while !l3 != [] do
+    match !l3 with
+    | [] -> ()
+    | (_, pairs) :: tl ->
+      if live3.(!i) then begin
         let bv = ref (-1) and bw = ref (-1) and bs = ref (-1) in
-        Array.iter
-          (fun (v, w) ->
-            let sp =
-              (if sel_tag.(v) = stamp then 1 else 0) + if sel_tag.(w) = stamp then 1 else 0
-            in
-            if !bv < 0 || sp > !bs || (sp = !bs && (v < !bv || (v = !bv && w < !bw))) then begin
-              bv := v;
-              bw := w;
-              bs := sp
-            end)
-          pairs;
+        for j = 0 to Array.length pairs - 1 do
+          let v, w = pairs.(j) in
+          let sp =
+            (if sel_tag.(v) = stamp then 1 else 0) + if sel_tag.(w) = stamp then 1 else 0
+          in
+          if !bv < 0 || sp > !bs || (sp = !bs && (v < !bv || (v = !bv && w < !bw))) then begin
+            bv := v;
+            bw := w;
+            bs := sp
+          end
+        done;
         if !bv >= 0 then begin
-          live3.(i) <- false;
-          take !bv;
-          take !bw
+          live3.(!i) <- false;
+          n_out := take scr stamp !n_out !bv;
+          n_out := take scr stamp !n_out !bw
         end
       end;
-      incr i3)
-    cov.c3;
-  Manet_graph.Row_sort.sort_range out 0 !n_out;
+      incr i;
+      l3 := tl
+  done;
+  Manet_graph.Row_sort.sort_range scr.out 0 !n_out;
   !n_out
+
+let every _ = true
 
 let select ?targets (cov : Coverage.t) =
   let scr = Domain.DLS.get dls in
-  let live =
-    match targets with None -> fun _ -> true | Some t -> fun ch -> Nodeset.mem ch t
-  in
+  let live = match targets with None -> every | Some t -> fun ch -> Nodeset.mem ch t in
   let k = run_select scr cov ~live in
   Nodeset.of_increasing scr.out ~len:k
 
 let select_array (cov : Coverage.t) =
   let scr = Domain.DLS.get dls in
-  let k = run_select scr cov ~live:(fun _ -> true) in
+  let k = run_select scr cov ~live:every in
   Array.sub scr.out 0 k
 
 let iter_selected ?targets (cov : Coverage.t) f =
   let scr = Domain.DLS.get dls in
-  let live = match targets with None -> fun _ -> true | Some t -> t in
+  let live = match targets with None -> every | Some t -> t in
   let k = run_select scr cov ~live in
   for i = 0 to k - 1 do
     f scr.out.(i)
@@ -372,13 +417,13 @@ let iter_selected ?targets (cov : Coverage.t) f =
 let select_all coverages ~n =
   let scr = create_scratch () in
   let ind = Array.make n false in
-  Array.iter
-    (function
-      | None -> ()
-      | Some cov ->
-        let k = run_select scr cov ~live:(fun _ -> true) in
-        for i = 0 to k - 1 do
-          ind.(scr.out.(i)) <- true
-        done)
-    coverages;
+  for h = 0 to Array.length coverages - 1 do
+    match coverages.(h) with
+    | None -> ()
+    | Some cov ->
+      let k = run_select scr cov ~live:every in
+      for i = 0 to k - 1 do
+        ind.(scr.out.(i)) <- true
+      done
+  done;
   Nodeset.of_indicator ind

@@ -356,8 +356,21 @@ module Cache = struct
     mutable scratch : scratch option;
     mutable memo : coverage option array;  (** per-head memo; [[||]] until first use *)
     mutable complete : bool;  (** every head of [memo] filled *)
-    covered_rows : int array option array;
+    mutable covered_rows : int array option array;  (** [[||]] until first use *)
   }
+
+  let of_hop1 g cl mode hop1 =
+    {
+      graph = g;
+      clustering = cl;
+      mode;
+      hop1;
+      hop2 = None;
+      scratch = None;
+      memo = [||];
+      complete = false;
+      covered_rows = [||];
+    }
 
   let create g cl mode =
     (* One pass per node through a shared buffer; clusterheads keep the
@@ -385,17 +398,11 @@ module Cache = struct
             Array.sub !buf 0 !len
           end)
     in
-    {
-      graph = g;
-      clustering = cl;
-      mode;
-      hop1;
-      hop2 = None;
-      scratch = None;
-      memo = [||];
-      complete = false;
-      covered_rows = Array.make (Graph.n g) None;
-    }
+    of_hop1 g cl mode hop1
+
+  (* The hop-1 rows do not depend on the mode: a second mode's table
+     reads the same arrays. *)
+  let with_mode t mode = of_hop1 t.graph t.clustering mode t.hop1
 
   let graph t = t.graph
   let clustering t = t.clustering
@@ -457,6 +464,8 @@ module Cache = struct
      so one merge materializes the union; memoised per head ([[||]] for
      non-heads), and callers must not mutate the returned array. *)
   let covered_row t v =
+    if Array.length t.covered_rows = 0 then
+      t.covered_rows <- Array.make (Graph.n t.graph) None;
     match t.covered_rows.(v) with
     | Some r -> r
     | None ->

@@ -98,6 +98,12 @@ module Cache : sig
   (** Builds the hop-1 rows eagerly (one O(sum deg) pass); everything else
       is filled on demand. *)
 
+  val with_mode : t -> mode -> t
+  (** [with_mode t mode] is a fresh table over [t]'s graph and
+      clustering in [mode] — equal to [create (graph t) (clustering t)
+      mode] — that shares [t]'s hop-1 rows, since CH_HOP1 does not
+      depend on the mode: nothing is computed eagerly. *)
+
   val graph : t -> Manet_graph.Graph.t
 
   val clustering : t -> Manet_cluster.Clustering.t

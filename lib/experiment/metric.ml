@@ -105,9 +105,9 @@ let prepared ?clustering protocol ctx =
   in
   protocol.Protocol.prepare env
 
-let run_once ?clustering ~mode protocol ctx =
-  let built = prepared ?clustering protocol ctx in
-  fst (built.Protocol.run ~source:ctx.source ~mode)
+(* One broadcast of the sample, read through the count-only epilogue:
+   every broadcast metric reads counts alone. *)
+let count_once ~mode protocol ctx = (prepared protocol ctx).Protocol.count ~source:ctx.source ~mode
 
 let mode_of_loss = function None -> Protocol.Perfect | Some l -> Protocol.Lossy l
 
@@ -116,7 +116,7 @@ let forwards ?name ?loss pname =
   let mode = mode_of_loss loss in
   {
     name = Option.value name ~default:pname;
-    eval = (fun ctx -> float_of_int (Result.forward_count (run_once ~mode protocol ctx)));
+    eval = (fun ctx -> float_of_int (count_once ~mode protocol ctx).forwards);
   }
 
 let delivery ?name ?loss pname =
@@ -124,7 +124,11 @@ let delivery ?name ?loss pname =
   let mode = mode_of_loss loss in
   {
     name = Option.value name ~default:pname;
-    eval = (fun ctx -> Result.delivery_ratio (run_once ~mode protocol ctx));
+    eval =
+      (fun ctx ->
+        (* [Result.delivery_ratio]'s expression, over the counts. *)
+        let c = count_once ~mode protocol ctx in
+        float_of_int c.delivered /. float_of_int (Manet_graph.Graph.n ctx.graph));
   }
 
 let structure_size ?name ?clustering pname =
@@ -145,8 +149,7 @@ let completion_time ?name pname =
   {
     name = Option.value name ~default:pname;
     eval =
-      (fun ctx ->
-        float_of_int (run_once ~mode:Protocol.Perfect protocol ctx).Result.completion_time);
+      (fun ctx -> float_of_int (count_once ~mode:Protocol.Perfect protocol ctx).completion_time);
   }
 
 (* Non-protocol diagnostics. *)

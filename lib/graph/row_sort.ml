@@ -1,3 +1,20 @@
+let swap (a : int array) i j =
+  let tmp = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- tmp
+
+(* Sifts [root] down the heap [a.(lo) .. a.(lo + len - 1)]: top-level, so
+   the heapsort allocates no closure over [a] and [lo]. *)
+let rec sift (a : int array) lo root len =
+  let l = (2 * root) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
+    if a.(lo + c) > a.(lo + root) then begin
+      swap a (lo + c) (lo + root);
+      sift a lo c len
+    end
+  end
+
 (* In-place sort of [a.(lo) .. a.(hi - 1)], shared by every CSR builder:
    insertion sort for rows of up to 64 entries, heapsort above that.
    Rows are short and arrive nearly sorted (a unit-disk row is a merge of
@@ -18,27 +35,12 @@ let sort_range (a : int array) lo hi =
         Array.unsafe_set a (!j + 1) x
       done
     else begin
-      let swap i j =
-        let tmp = a.(lo + i) in
-        a.(lo + i) <- a.(lo + j);
-        a.(lo + j) <- tmp
-      in
-      let rec sift root len =
-        let l = (2 * root) + 1 in
-        if l < len then begin
-          let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
-          if a.(lo + c) > a.(lo + root) then begin
-            swap c root;
-            sift c len
-          end
-        end
-      in
       for root = (len - 2) / 2 downto 0 do
-        sift root len
+        sift a lo root len
       done;
       for last = len - 1 downto 1 do
-        swap 0 last;
-        sift 0 last
+        swap a lo (lo + last);
+        sift a lo 0 last
       done
     end
   end

@@ -1,4 +1,5 @@
-(* The 30 fixed golden cases shared by golden.ml and backoff.ml. *)
+(* The 30 fixed golden cases shared by golden.ml, backoff.ml and
+   test_protocols. *)
 
 module Rng = Manet_rng.Rng
 module Spec = Manet_topology.Spec

@@ -604,6 +604,32 @@ let test_scratch_order () =
         (List.rev_map (fun (t, v, s, p) -> ((t, v, s), p)) !seen))
     [ (11, 10); (12, 200); (13, 1000); (14, 5000) ]
 
+(* Levels of up to 16 keys are insertion-sorted, longer ones radix-sorted:
+   for one level of 1 to 20 keys over a few (node, sender) fields, so
+   most keys repeat a field, both give the stable order — ascending
+   fields, equal fields in push order. *)
+let test_scratch_small_levels () =
+  let rng = Manet_rng.Rng.create ~seed:21 in
+  for len = 1 to 20 do
+    let pushed =
+      List.init len (fun i -> (Manet_rng.Rng.int rng 3, Manet_rng.Rng.int rng 3, i))
+    in
+    let read = ref [] in
+    Scratch.with_scratch ~arena:(Engine.Arena.create ()) ~n:8 ~payload_bound:32 (fun scr ->
+        List.iter
+          (fun (node, sender, i) -> Scratch.push scr ~time:1 ~node ~sender ~payload:i)
+          pushed;
+        while Scratch.advance scr do
+          read := (Scratch.node scr, Scratch.sender scr, Scratch.payload scr) :: !read
+        done);
+    let expected =
+      List.stable_sort (fun (v, s, _) (v', s', _) -> compare (v, s) (v', s')) pushed
+    in
+    Alcotest.(check (list (triple int int int)))
+      (Printf.sprintf "level of %d keys" len)
+      expected (List.rev !read)
+  done
+
 let test_scratch_window () =
   Scratch.with_scratch ~n:10 ~payload_bound:4 (fun scr ->
       let bad time () = Scratch.push scr ~time ~node:1 ~sender:0 ~payload:0 in
@@ -688,6 +714,7 @@ let () =
           Alcotest.test_case "offers in order, once each" `Quick test_order_offers;
           Alcotest.test_case "one drop per reception" `Quick test_order_drops;
           Alcotest.test_case "scratch: random schedules" `Quick test_scratch_order;
+          Alcotest.test_case "scratch: small levels" `Quick test_scratch_small_levels;
           Alcotest.test_case "scratch: push window" `Quick test_scratch_window;
           Alcotest.test_case "scratch: equal keys" `Quick test_scratch_equal_keys;
         ] );

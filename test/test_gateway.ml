@@ -153,6 +153,64 @@ let prop_select_all_matches_per_head =
           Nodeset.equal batched one_by_one)
         [ Coverage.Hop25; Coverage.Hop3 ])
 
+(* The kernel allocates nothing once its scratch has grown: on the
+   2.5-hop and 3-hop coverage sets of a fixed n = 200 network, after a
+   warm-up pass, selecting for every head — with and without a target
+   predicate — allocates no minor word, and [select_array] allocates
+   exactly its result (a header and one word per gateway, nothing for
+   an empty selection). *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_selection_allocates_nothing () =
+  let spec = Manet_topology.Spec.make ~n:200 ~avg_degree:12. () in
+  let g =
+    (Manet_topology.Generator.sample_connected (Manet_rng.Rng.create ~seed:2024) spec).graph
+  in
+  let cl = Lowest_id.cluster g in
+  List.iter
+    (fun mode ->
+      let coverages = Coverage.all g cl mode in
+      let sink = ref 0 in
+      let f x = sink := !sink + x in
+      let targets = Some (fun c -> c land 1 = 0) in
+      let every () =
+        for h = 0 to Array.length coverages - 1 do
+          match coverages.(h) with
+          | None -> ()
+          | Some cov -> Gateway_selection.iter_selected cov f
+        done
+      in
+      let some () =
+        for h = 0 to Array.length coverages - 1 do
+          match coverages.(h) with
+          | None -> ()
+          | Some cov -> Gateway_selection.iter_selected ?targets cov f
+        done
+      in
+      let result_words = ref 0 in
+      let arrays () =
+        for h = 0 to Array.length coverages - 1 do
+          match coverages.(h) with
+          | None -> ()
+          | Some cov ->
+            let k = Array.length (Gateway_selection.select_array cov) in
+            if k > 0 then result_words := !result_words + k + 1
+        done
+      in
+      every ();
+      some ();
+      arrays ();
+      let label = Format.asprintf "%a" Coverage.pp_mode mode in
+      Alcotest.(check (float 0.)) (label ^ ": iter_selected") 0. (minor_words every);
+      Alcotest.(check (float 0.)) (label ^ ": iter_selected ~targets") 0. (minor_words some);
+      result_words := 0;
+      let w = minor_words arrays in
+      Alcotest.(check (float 0.)) (label ^ ": select_array") (float_of_int !result_words) w)
+    [ Coverage.Hop25; Coverage.Hop3 ]
+
 let () =
   Alcotest.run "gateway"
     [
@@ -169,5 +227,7 @@ let () =
           prop_selection_covers_targets;
           prop_selection_size_bound;
           prop_select_all_matches_per_head;
+          Alcotest.test_case "selection allocates nothing" `Quick
+            test_selection_allocates_nothing;
         ] );
     ]

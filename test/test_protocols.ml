@@ -9,6 +9,7 @@ module Graph = Manet_graph.Graph
 module Nodeset = Manet_graph.Nodeset
 module Result = Manet_broadcast.Result
 module Protocol = Manet_broadcast.Protocol
+module Engine = Manet_broadcast.Engine
 module Registry = Manet_protocols.Registry
 open Test_helpers
 
@@ -174,6 +175,43 @@ let lossless_tests =
           true))
     Registry.all
 
+(* [count] is [run] read through the count-only epilogue: for every
+   registered protocol, on every golden case, under a perfect MAC and
+   30% loss, its counts are those of [run]'s result, and it leaves the
+   environment's generator in the same state (the next draws agree). *)
+let count_tests =
+  let samples = Cases.samples () in
+  List.map
+    (fun p ->
+      let name = p.Protocol.name in
+      Alcotest.test_case (name ^ " count = run") `Quick (fun () ->
+          List.iter
+            (fun ((seed, n, _), g) ->
+              let source = seed mod n in
+              List.iter
+                (fun mode ->
+                  let label =
+                    Printf.sprintf "%s seed %d %s" name seed
+                      (match mode with Protocol.Perfect -> "perfect" | Protocol.Lossy _ -> "lossy")
+                  in
+                  let env_r = Protocol.make_env ~rng:(Rng.create ~seed) g in
+                  let env_c = Protocol.make_env ~rng:(Rng.create ~seed) g in
+                  let r, _ = (p.Protocol.prepare env_r).Protocol.run ~source ~mode in
+                  let c = (p.Protocol.prepare env_c).Protocol.count ~source ~mode in
+                  Alcotest.(check int) (label ^ ": forwards") (Result.forward_count r)
+                    c.Engine.forwards;
+                  Alcotest.(check int) (label ^ ": delivered") (Result.delivered_count r)
+                    c.Engine.delivered;
+                  Alcotest.(check int) (label ^ ": completion") r.Result.completion_time
+                    c.Engine.completion_time;
+                  for _ = 1 to 4 do
+                    Alcotest.(check int64) (label ^ ": rng state")
+                      (Rng.next_int64 env_r.Protocol.rng) (Rng.next_int64 env_c.Protocol.rng)
+                  done)
+                [ Protocol.Perfect; Protocol.Lossy 0.3 ])
+            samples))
+    Registry.all
+
 (* Delivery under loss stays a valid ratio for every protocol. *)
 let test_delivery_ratio_bounds () =
   let sample = udg ~seed:5 ~n:30 ~d:8. in
@@ -193,8 +231,6 @@ let test_delivery_ratio_bounds () =
    domain's shared arena, or an arena deliberately dirtied by unrelated
    runs — under the perfect and the lossy engine.  This is the
    acceptance property of the arena layer: reuse must be unobservable. *)
-
-module Engine = Manet_broadcast.Engine
 
 let run_with_arena p (sample : Manet_topology.Generator.sample) ~arena ~mode =
   let env =
@@ -259,7 +295,15 @@ let test_coverage_kept () =
   Alcotest.(check bool) "one table per mode" false (a == b);
   Alcotest.(check bool) "built from the env's graph" true (Coverage.Cache.graph a == g);
   Alcotest.(check bool) "built from the env's clustering" true
-    (Coverage.Cache.clustering a == Lazy.force env.Protocol.clustering)
+    (Coverage.Cache.clustering a == Lazy.force env.Protocol.clustering);
+  (* CH_HOP1 does not depend on the mode: the second table reads the
+     first one's rows. *)
+  for v = 0 to Graph.n g - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "hop-1 row of %d shared" v)
+      true
+      (Coverage.Cache.ch_hop1 a v == Coverage.Cache.ch_hop1 b v)
+  done
 
 let test_coverage_fresh () =
   let g = (udg ~seed:42 ~n:40 ~d:8.).Manet_topology.Generator.graph in
@@ -304,6 +348,7 @@ let () =
           Alcotest.test_case "env CH_HOP table never stale" `Quick test_coverage_fresh;
         ] );
       ("equivalence", equivalence_tests);
+      ("count", count_tests);
       ("arena", arena_tests);
       ("timelines", timeline_tests);
       ( "loss",
