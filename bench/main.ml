@@ -243,7 +243,10 @@ let alloc_cases =
      stopped allocating a closure per call, and to 8,500 and 14,200,
      about 13% above 7,501 and 12,524 words, once the gateway kernel
      stopped allocating (no closure over boxed counters per selection)
-     and a transmission pushed its copies without a closure.
+     and a transmission pushed its copies without a closure, and to
+     5,770 and 11,450, about 13% above 5,104 and 10,127 words, once
+     coverage sets were flat arrays and a relaying head's selection
+     took its pruning rows as arguments (no predicate, no callback).
 
      The two "count" rows run the same perfect broadcast through the
      prepared protocol's [count] instead of [run]: no result, no
@@ -251,18 +254,44 @@ let alloc_cases =
      when the rows were added (flooding 302.3 us, 11,032 words;
      dynamic-2.5hop 694.4 us, 35,223 words), so [alloc_reduction] is
      what the count-only epilogue and the allocation-free gateway
-     kernel save.  They read 21 and 2,450 words; each ceiling sits
-     about 13% above, so an O(n) epilogue, or one word per node,
-     crosses it. *)
+     kernel save.  They read 21 and 2,450 words, and the dynamic row
+     53 once a relaying head allocated no pruning predicate, no [Some]
+     and no selection callback; each ceiling sits about 13% above, so
+     an O(n) epilogue, one word per node, or a closure per relaying
+     head crosses it. *)
   [
     ("flooding", "perfect", Manet_broadcast.Protocol.Perfect, 16_000., 4548.7, 181_307.);
     ("flooding", "count", Manet_broadcast.Protocol.Perfect, 24., 302.3, 11_032.);
     ("static-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 9_000., 2559.7, 94_252.);
-    ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 8_500., 4007.8, 440_236.);
-    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 14_200., 5010.1, 451_774.);
-    ("dynamic-2.5hop", "count", Manet_broadcast.Protocol.Perfect, 2_770., 694.4, 35_223.);
+    ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 5_770., 4007.8, 440_236.);
+    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 11_450., 5010.1, 451_774.);
+    ("dynamic-2.5hop", "count", Manet_broadcast.Protocol.Perfect, 60., 694.4, 35_223.);
     ("self-pruning", "perfect", Manet_broadcast.Protocol.Perfect, 6_400., 12632.8, 2_344_293.);
   ]
+
+(* Every row is timed over [intervals] back-to-back intervals of [per]
+   operations each and reports the median interval, so one slow slice
+   (another process on the core, a major collection) does not become the
+   committed [speedup]; minor words are averaged over all of them.
+   [prepare k] runs before interval [k], outside both measurements, and
+   hands its result to [interval]. *)
+let intervals = 5
+
+let measure_with ~per prepare interval =
+  let times = Array.make intervals 0. in
+  let words = ref 0. in
+  for k = 0 to intervals - 1 do
+    let x = prepare k in
+    let w0 = Gc.minor_words () in
+    let t0 = Sys.time () in
+    interval x;
+    times.(k) <- Sys.time () -. t0;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  Array.sort Float.compare times;
+  (1e6 *. times.(intervals / 2) /. float_of_int per, !words /. float_of_int (intervals * per))
+
+let measure ~per interval = measure_with ~per Fun.id interval
 
 (* One unit-disk build of the same n = 1000, d = 12 placement, each with
    a fresh scratch: every topology sample and every serving-loop snapshot
@@ -280,14 +309,11 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
   let points = sample.Manet_topology.Generator.points
   and radius = sample.Manet_topology.Generator.radius in
   ignore (Manet_graph.Unit_disk.build ~radius points);
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  for _ = 1 to reps do
-    ignore (Manet_graph.Unit_disk.build ~radius points)
-  done;
-  let dt = Sys.time () -. t0 in
-  let words = (Gc.minor_words () -. w0) /. float_of_int reps in
-  (1e6 *. dt /. float_of_int reps, words)
+  let per = reps / intervals in
+  measure ~per (fun _ ->
+      for _ = 1 to per do
+        ignore (Manet_graph.Unit_disk.build ~radius points)
+      done)
 
 (* One static backbone build of the same n = 1000, d = 12 placement
    over a shared 2.5-hop CH_HOP cache whose coverage sets are forced
@@ -296,11 +322,14 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
    batched selection that [Gateway_selection.select_all] used to be
    (fresh per-head arrays and cons cells for every connector entry);
    the shared kernel on a per-call scratch measured 46,242 words (with
-   [Graph.mem_edge] allocating no closure), and 14,603 once the kernel
-   stopped allocating per selection: what is left is the per-call
-   scratch and the member set.  The ceiling sits about 13% above that,
-   so per-head allocation in the static build crosses it. *)
-let static_ceiling_words = 16_500.
+   [Graph.mem_edge] allocating no closure), 14,603 once the kernel
+   stopped allocating per selection, and 5,879 once the members were
+   built from one indicator (no per-head [Nodeset.add], no union) and
+   the per-call scratch's node maps were presized to n: what is left is
+   the scratch's entry tables and the two sets.  The ceiling sits about
+   13% above that, so per-head allocation in the static build crosses
+   it. *)
+let static_ceiling_words = 6_650.
 let static_seed_us = 550.8
 let static_seed_words = 76_790.
 
@@ -310,16 +339,40 @@ let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
   ignore (Coverage.Cache.coverages cache);
   let build () = ignore (Manet_backbone.Static_backbone.build ~cache g Coverage.Hop25) in
   build ();
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  for _ = 1 to reps do
-    build ()
-  done;
-  let dt = Sys.time () -. t0 in
-  (1e6 *. dt /. float_of_int reps, (Gc.minor_words () -. w0) /. float_of_int reps)
+  let per = reps / intervals in
+  measure ~per (fun _ ->
+      for _ = 1 to per do
+        build ()
+      done)
 
-(* One head's gateway selection ([Gateway_selection.iter_selected] over
-   its whole coverage set) on the same n = 1000, d = 12 placement's
+(* One [Coverage.Cache.coverages] call on a fresh 2.5-hop CH_HOP cache
+   of the same n = 1000, d = 12 placement: the flat CH_HOP2 rows, the
+   working scratch and every head's coverage set, which the static
+   build, the dynamic broadcast, maintenance, the forwarding tree and
+   MO_CDS all read.  The caches (and their CH_HOP1 rows) are created
+   before each interval, outside the measurement.  The seed pair is
+   this loop when a coverage set was a list of (clusterhead, connector
+   array) tuples with one boxed tuple per connector pair, and each head
+   sorted its keys with the stdlib [Array.sort].  The O(n) arrays
+   bypass the minor heap at this size, so the row reads the per-head
+   sets; the list layout measured 27,911 words, the flat one 7,999: one
+   record, its [Some] and seven exact-sized int arrays per head.  The
+   ceiling sits about 13% above that, so per-entry boxing or an
+   allocating sort crosses it. *)
+let coverage_ceiling_words = 9_050.
+let coverage_seed_us = 508.8
+let coverage_seed_words = 27_911.
+
+let alloc_coverage ~reps (sample : Manet_topology.Generator.sample) =
+  let g = sample.Manet_topology.Generator.graph in
+  let cl = Manet_cluster.Lowest_id.cluster g in
+  let per = reps / intervals in
+  measure_with ~per
+    (fun _ -> Array.init per (fun _ -> Coverage.Cache.create g cl Coverage.Hop25))
+    (fun caches -> Array.iter (fun c -> ignore (Coverage.Cache.coverages c)) caches)
+
+(* One head's gateway selection ([Gateway_selection.select_pruned] with
+   nothing pruned: its whole coverage set) on the same n = 1000, d = 12 placement's
    2.5-hop coverage sets, averaged over every head: the kernel the
    dynamic broadcast runs once per relaying clusterhead and the static
    build and backbone maintenance once per head.  The seed pair is this
@@ -337,24 +390,25 @@ let alloc_select ~reps (sample : Manet_topology.Generator.sample) =
   let coverages = Coverage.Cache.coverages cache in
   let heads = ref 0 in
   let sink = ref 0 in
-  let f x = sink := !sink + x in
   let pass () =
     for h = 0 to Array.length coverages - 1 do
       match coverages.(h) with
       | None -> ()
-      | Some cov -> Manet_backbone.Gateway_selection.iter_selected cov f
+      | Some cov ->
+        let k =
+          Manet_backbone.Gateway_selection.select_pruned cov ~upstream:(-1) ~covered:[||]
+            ~heard:[||]
+        in
+        sink := !sink + k
     done
   in
   Array.iter (fun c -> if Option.is_some c then incr heads) coverages;
   pass ();
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  for _ = 1 to reps do
-    pass ()
-  done;
-  let dt = Sys.time () -. t0 in
-  let per = float_of_int (reps * !heads) in
-  (1e6 *. dt /. per, (Gc.minor_words () -. w0) /. per)
+  let passes = reps / intervals in
+  measure ~per:(passes * !heads) (fun _ ->
+      for _ = 1 to passes do
+        pass ()
+      done)
 
 (* One lowest-ID clustering ([Lowest_id.cluster]) of the same n = 1000,
    d = 12 placement: the election every backbone construction and
@@ -374,13 +428,11 @@ let cluster_seed_words = 19_220.
 let alloc_cluster ~reps (sample : Manet_topology.Generator.sample) =
   let g = sample.Manet_topology.Generator.graph in
   ignore (Manet_cluster.Lowest_id.cluster g);
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  for _ = 1 to reps do
-    ignore (Manet_cluster.Lowest_id.cluster g)
-  done;
-  let dt = Sys.time () -. t0 in
-  (1e6 *. dt /. float_of_int reps, (Gc.minor_words () -. w0) /. float_of_int reps)
+  let per = reps / intervals in
+  measure ~per (fun _ ->
+      for _ = 1 to per do
+        ignore (Manet_cluster.Lowest_id.cluster g)
+      done)
 
 (* Minor words per [Generator.sample_connected] at n = 100, d = 6: the
    largest sparse point of the paper's figures, where rejection sampling
@@ -400,17 +452,15 @@ let alloc_sample () =
   let spec = Manet_topology.Spec.make ~n:100 ~avg_degree:6. () in
   let rng = Manet_rng.Rng.create ~seed:1007 in
   let attempts = ref 0 in
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  for _ = 1 to sample_count do
-    let s = Manet_topology.Generator.sample_connected rng spec in
-    attempts := !attempts + s.Manet_topology.Generator.attempts
-  done;
-  let dt = Sys.time () -. t0 in
-  let words = (Gc.minor_words () -. w0) /. float_of_int sample_count in
-  ( 1e6 *. dt /. float_of_int sample_count,
-    words,
-    float_of_int !attempts /. float_of_int sample_count )
+  let per = sample_count / intervals in
+  let us, words =
+    measure ~per (fun _ ->
+        for _ = 1 to per do
+          let s = Manet_topology.Generator.sample_connected rng spec in
+          attempts := !attempts + s.Manet_topology.Generator.attempts
+        done)
+  in
+  (us, words, float_of_int !attempts /. float_of_int sample_count)
 
 (* One incremental maintenance update of the same n = 1000, d = 12
    placement, over random-waypoint steps (speed 0-2, dt 1): the per-step
@@ -421,11 +471,12 @@ let alloc_sample () =
    the state lived in hashtables; the ceiling sits well under half the
    seed.  The loop measured 61,390 words while each refreshed head's
    gateway selection allocated ~210 words, and 32,694 once the kernel
-   allocated nothing beyond its result; the ceiling sits about 13% above
-   that, so a return to per-head row rebuilding, or an allocating
-   selection, crosses it. *)
+   allocated nothing beyond its result, and 14,016 once each refreshed
+   head's coverage set was a flat record of int arrays; the ceiling
+   sits about 13% above that, so a return to per-head row rebuilding,
+   per-entry boxing or an allocating selection crosses it. *)
 let maint_steps = 40
-let maint_ceiling_words = 37_000.
+let maint_ceiling_words = 15_850.
 let maint_seed_us = 8347.
 let maint_seed_words = 543_562.
 
@@ -442,12 +493,11 @@ let alloc_maint (sample : Manet_topology.Generator.sample) spec =
         Manet_topology.Mobility.graph mob ~radius:sample.Manet_topology.Generator.radius)
   in
   let bm = Bm.create sample.Manet_topology.Generator.graph Coverage.Hop25 in
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  Array.iter (fun g -> ignore (Bm.update bm g)) snapshots;
-  let dt = Sys.time () -. t0 in
-  let words = (Gc.minor_words () -. w0) /. float_of_int maint_steps in
-  (1e6 *. dt /. float_of_int maint_steps, words)
+  let per = maint_steps / intervals in
+  measure ~per (fun k ->
+      for i = k * per to ((k + 1) * per) - 1 do
+        ignore (Bm.update bm snapshots.(i))
+      done)
 
 (* Minor words per serving-loop arrival on the [traffic] stream (n = 200,
    d = 12, arrivals at 50 per time unit under join/leave churn at 0.4),
@@ -472,38 +522,41 @@ let alloc_arrival () =
   in
   let serve duration =
     let w = Workload.make ~arrival_rate:50. ~duration ~join_rate:0.4 ~leave_rate:0.4 () in
-    let w0 = Gc.minor_words () in
-    let t0 = Sys.time () in
-    let stats =
-      Workload.run
-        ~rng:(Manet_rng.Rng.create ~seed:4242)
-        ~points:sample.Manet_topology.Generator.points
-        ~radius:sample.Manet_topology.Generator.radius ~spec:topo w
+    let arrivals = ref 0 in
+    let us, words =
+      measure ~per:1 (fun _ ->
+          let stats =
+            Workload.run
+              ~rng:(Manet_rng.Rng.create ~seed:4242)
+              ~points:sample.Manet_topology.Generator.points
+              ~radius:sample.Manet_topology.Generator.radius ~spec:topo w
+          in
+          arrivals := stats.Workload.broadcasts)
     in
-    (Sys.time () -. t0, Gc.minor_words () -. w0, stats.Workload.broadcasts)
+    (us, words, !arrivals)
   in
-  let setup_s, setup_words, _ = serve 1e-6 in
-  let dt, words, arrivals = serve arrival_duration in
+  let setup_us, setup_words, _ = serve 1e-6 in
+  let us, words, arrivals = serve arrival_duration in
   let per = float_of_int arrivals in
-  (1e6 *. (dt -. setup_s) /. per, (words -. setup_words) /. per, arrivals)
+  ((us -. setup_us) /. per, (words -. setup_words) /. per, arrivals)
 
 (* Minor words per sample of [Sweep.run_point] over fig8's four series
    (forwards of static and dynamic, 2.5-hop and 3-hop) at n = 60, d = 18:
    the topology draw, then four broadcasts on the sample's one
-   environment.  One chunk of 8 samples, run [sweep_runs] times on the
+   environment.  One chunk of 8 samples, run [intervals] times on the
    same seed after a warm-up run, so the value is the same in quick and
    full runs.  The seed pair is this loop when every series prepared
    on a fresh environment and built its own CH_HOP tables (four per
    sample, where one per coverage mode does).  Sharing them measured
    17,343 words (gateway selections read in place, [Graph.mem_edge]
-   closure-free), and 10,835 once each series read counts only, the
+   closure-free), 10,835 once each series read counts only, the
    gateway kernel stopped allocating and the 3-hop table reused the
-   2.5-hop table's CH_HOP1 rows.  The ceiling sits about 13% above
-   that, so a series that builds its own tables or materializes its
-   result again crosses it. *)
+   2.5-hop table's CH_HOP1 rows, and 6,657 once coverage sets were
+   flat arrays and the static members came from one indicator.  The
+   ceiling sits about 13% above that, so a series that builds its own
+   tables or materializes its result again crosses it. *)
 let sweep_samples = 8
-let sweep_runs = 5
-let sweep_ceiling_words = 12_200.
+let sweep_ceiling_words = 7_520.
 let sweep_seed_us = 371.2
 let sweep_seed_words = 28_150.
 
@@ -516,14 +569,7 @@ let alloc_sweep () =
          ~rng:(Manet_rng.Rng.create ~seed:1008) ~spec metrics)
   in
   run ();
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  for _ = 1 to sweep_runs do
-    run ()
-  done;
-  let dt = Sys.time () -. t0 in
-  let per = float_of_int (sweep_runs * sweep_samples) in
-  (1e6 *. dt /. per, (Gc.minor_words () -. w0) /. per)
+  measure ~per:sweep_samples (fun _ -> run ())
 
 let alloc () =
   section "Allocation: per-broadcast cost on the uniform pipeline (n = 1000, d = 12)";
@@ -552,14 +598,13 @@ let alloc () =
         for s = 0 to 2 do
           broadcast ~source:s
         done;
-        let w0 = Gc.minor_words () in
-        let t0 = Sys.time () in
-        for i = 0 to reps - 1 do
-          broadcast ~source:(i mod n)
-        done;
-        let dt = Sys.time () -. t0 in
-        let words = (Gc.minor_words () -. w0) /. float_of_int reps in
-        let us = 1e6 *. dt /. float_of_int reps in
+        let per = reps / intervals in
+        let us, words =
+          measure ~per (fun k ->
+              for i = k * per to ((k + 1) * per) - 1 do
+                broadcast ~source:(i mod n)
+              done)
+        in
         let key = Printf.sprintf "%s (%s)" name mode_label in
         if words > ceiling then failures := key :: !failures;
         Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" name mode_label us
@@ -584,6 +629,14 @@ let alloc () =
   Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" static_us static_seed_us
     static_words static_seed_words static_ceiling_words
     (if static_over then "  EXCEEDED" else "");
+  let coverage_us, coverage_words = alloc_coverage ~reps sample in
+  let coverage_over = coverage_words > coverage_ceiling_words in
+  if coverage_over then failures := "coverage sets" :: !failures;
+  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "coverage sets" "n=1000" "us/cache"
+    "seed us" "words/cache" "seed words" "ceiling";
+  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" coverage_us
+    coverage_seed_us coverage_words coverage_seed_words coverage_ceiling_words
+    (if coverage_over then "  EXCEEDED" else "");
   let select_us, select_words = alloc_select ~reps sample in
   let select_over = select_words > select_ceiling_words in
   if select_over then failures := "gateway selection" :: !failures;
@@ -688,6 +741,21 @@ let alloc () =
             ("speedup", num (static_seed_us /. static_us));
             ("alloc_reduction", num (static_seed_words /. static_words));
           ] );
+      ( "per_coverage_sets",
+        Json.Obj
+          [
+            ("name", Json.Str "coverage-sets-fresh-cache");
+            ("n", int 1000);
+            ("avg_degree", int 12);
+            ("reps", int reps);
+            ("us_per_cache", num coverage_us);
+            ("minor_words_per_cache", num coverage_words);
+            ("ceiling_words", num coverage_ceiling_words);
+            ("seed_us_per_cache", num coverage_seed_us);
+            ("seed_minor_words_per_cache", num coverage_seed_words);
+            ("speedup", num (coverage_seed_us /. coverage_us));
+            ("alloc_reduction", num (coverage_seed_words /. coverage_words));
+          ] );
       ( "per_selection",
         Json.Obj
           [
@@ -750,7 +818,7 @@ let alloc () =
             ("name", Json.Str "sweep-sample-fig8");
             ("n", int 60);
             ("avg_degree", int 18);
-            ("samples", int (sweep_runs * sweep_samples));
+            ("samples", int (intervals * sweep_samples));
             ("us_per_sample", num sweep_us);
             ("minor_words_per_sample", num sweep_words);
             ("ceiling_words", num sweep_ceiling_words);

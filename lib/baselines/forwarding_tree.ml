@@ -33,25 +33,26 @@ let build ?cache g cl mode ~source =
     match coverages.(u) with
     | None -> failwith "Forwarding_tree.build: tree node is not a clusterhead"
     | Some cov ->
-      List.iter
-        (fun (ch, connectors) ->
-          if not in_tree.(ch) then begin
-            let v = connectors.(0) in
-            attach v u;
-            attach ch v;
-            Queue.add ch queue
-          end)
-        cov.Coverage.c2;
-      List.iter
-        (fun (ch, pairs) ->
-          if not in_tree.(ch) then begin
-            let v, w = pairs.(0) in
-            attach v u;
-            attach w v;
-            attach ch w;
-            Queue.add ch queue
-          end)
-        cov.Coverage.c3
+      let { Coverage.c2_keys; c2_off; c2_via; c3_keys; c3_off; c3_v; c3_w; _ } = cov in
+      for i = 0 to Array.length c2_keys - 1 do
+        let ch = c2_keys.(i) in
+        if not in_tree.(ch) then begin
+          let v = c2_via.(c2_off.(i)) in
+          attach v u;
+          attach ch v;
+          Queue.add ch queue
+        end
+      done;
+      for i = 0 to Array.length c3_keys - 1 do
+        let ch = c3_keys.(i) in
+        if not in_tree.(ch) then begin
+          let v = c3_v.(c3_off.(i)) and w = c3_w.(c3_off.(i)) in
+          attach v u;
+          attach w v;
+          attach ch w;
+          Queue.add ch queue
+        end
+      done
   done;
   let missing =
     List.filter (fun h -> not in_tree.(h)) (Clustering.heads cl)

@@ -19,7 +19,8 @@ let build ?clustering ?cache g =
   in
   let clustering = Coverage.Cache.clustering cache in
   let coverages = Coverage.Cache.coverages cache in
-  let connectors = ref Nodeset.empty in
+  let heads = Clustering.heads clustering in
+  let ind = Array.make (Graph.n g) false in
   List.iter
     (fun h ->
       match coverages.(h) with
@@ -27,17 +28,19 @@ let build ?clustering ?cache g =
       | Some cov ->
         (* One connector per 2-hop clusterhead, a pair per 3-hop
            clusterhead; lowest ids, no cross-clusterhead reuse. *)
-        List.iter
-          (fun (_ch, vs) -> connectors := Nodeset.add vs.(0) !connectors)
-          cov.Coverage.c2;
-        List.iter
-          (fun (_ch, pairs) ->
-            let v, w = pairs.(0) in
-            connectors := Nodeset.add v (Nodeset.add w !connectors))
-          cov.Coverage.c3)
-    (Clustering.heads clustering);
-  let members = Nodeset.union (Clustering.head_set clustering) !connectors in
-  { graph = g; clustering; connectors = !connectors; members }
+        for i = 0 to Array.length cov.Coverage.c2_keys - 1 do
+          ind.(cov.c2_via.(cov.c2_off.(i))) <- true
+        done;
+        for i = 0 to Array.length cov.c3_keys - 1 do
+          let j = cov.c3_off.(i) in
+          ind.(cov.c3_v.(j)) <- true;
+          ind.(cov.c3_w.(j)) <- true
+        done)
+    heads;
+  let connectors = Nodeset.of_indicator ind in
+  List.iter (fun h -> ind.(h) <- true) heads;
+  let members = Nodeset.of_indicator ind in
+  { graph = g; clustering; connectors; members }
 
 let size t = Nodeset.cardinal t.members
 

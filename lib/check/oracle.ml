@@ -113,38 +113,39 @@ let check_coverage ctx =
             if not (Nodeset.equal (Coverage.c2_set cov) dist2) then
               fail "%s: C2 of head %d is %a, heads at distance 2 are %a" mode_name u Nodeset.pp
                 (Coverage.c2_set cov) Nodeset.pp dist2;
-            List.iter
-              (fun (c, connectors) ->
-                if Array.length connectors = 0 then
+            let { Coverage.c2_keys; c2_off; c2_via; c3_keys; c3_off; c3_v; c3_w; _ } = cov in
+            Array.iteri
+              (fun i c ->
+                if c2_off.(i + 1) <= c2_off.(i) then
                   fail "%s: head %d has no connector for 2-hop head %d" mode_name u c;
-                Array.iter
-                  (fun v ->
-                    if
-                      Clustering.is_head cl v
-                      || (not (Graph.mem_edge g u v))
-                      || not (Graph.mem_edge g v c)
-                    then fail "%s: head %d: invalid direct connector %d to %d" mode_name u v c)
-                  connectors)
-              cov.Coverage.c2;
-            List.iter
-              (fun (c, pairs) ->
-                if Array.length pairs = 0 then
+                for j = c2_off.(i) to c2_off.(i + 1) - 1 do
+                  let v = c2_via.(j) in
+                  if
+                    Clustering.is_head cl v
+                    || (not (Graph.mem_edge g u v))
+                    || not (Graph.mem_edge g v c)
+                  then fail "%s: head %d: invalid direct connector %d to %d" mode_name u v c
+                done)
+              c2_keys;
+            Array.iteri
+              (fun i c ->
+                if c3_off.(i + 1) <= c3_off.(i) then
                   fail "%s: head %d has no connector pair for 3-hop head %d" mode_name u c;
-                Array.iter
-                  (fun (v, w) ->
-                    if
-                      Clustering.is_head cl v
-                      || Clustering.is_head cl w
-                      || (not (Graph.mem_edge g u v))
-                      || (not (Graph.mem_edge g v w))
-                      || not (Graph.mem_edge g w c)
-                    then
-                      fail "%s: head %d: invalid connector pair (%d,%d) to %d" mode_name u v w c;
-                    if mode = Coverage.Hop25 && Clustering.head_of cl w <> c then
-                      fail "%s: head %d: connector pair (%d,%d) to %d but %d's head is %d"
-                        mode_name u v w c w (Clustering.head_of cl w))
-                  pairs)
-              cov.Coverage.c3)
+                for j = c3_off.(i) to c3_off.(i + 1) - 1 do
+                  let v = c3_v.(j) and w = c3_w.(j) in
+                  if
+                    Clustering.is_head cl v
+                    || Clustering.is_head cl w
+                    || (not (Graph.mem_edge g u v))
+                    || (not (Graph.mem_edge g v w))
+                    || not (Graph.mem_edge g w c)
+                  then
+                    fail "%s: head %d: invalid connector pair (%d,%d) to %d" mode_name u v w c;
+                  if mode = Coverage.Hop25 && Clustering.head_of cl w <> c then
+                    fail "%s: head %d: connector pair (%d,%d) to %d but %d's head is %d"
+                      mode_name u v w c w (Clustering.head_of cl w)
+                done)
+              c3_keys)
           heads)
       [ Coverage.Hop25; Coverage.Hop3 ];
     Pass

@@ -75,7 +75,7 @@ let elect ~beats g head =
 let head_of t v = t.head_arr.(v)
 let is_head t v = t.head_arr.(v) = v
 let heads t = t.head_list
-let head_set t = List.fold_left (fun s h -> Nodeset.add h s) Nodeset.empty t.head_list
+let head_set t = Nodeset.of_increasing (Array.of_list t.head_list) ~len:(List.length t.head_list)
 let num_clusters t = List.length t.head_list
 
 let members t h =

@@ -36,15 +36,6 @@ let designate_bit = 1
 
 let encode ~upstream = (upstream + 1) lsl 1
 
-(* Binary search in a sorted cache row ([ch_hop1] / [covered_row]). *)
-let mem_row (row : int array) x =
-  let lo = ref 0 and hi = ref (Array.length row) in
-  while !hi > !lo do
-    let mid = (!lo + !hi) / 2 in
-    if row.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length row && row.(!lo) = x
-
 (* One broadcast over the shared CH_HOP [cache] of (g, cl, mode), read
    through [epilogue] ([Scratch.finish] or [Scratch.count]). *)
 let run ~epilogue ~pruning ~cache ~arena g cl ~source =
@@ -73,35 +64,30 @@ let run ~epilogue ~pruning ~cache ~arena g cl ~source =
          whose transmission delivered the packet (-1 only for the
          source-clusterhead case, which prunes nothing). *)
       let head_transmit time h ~upstream ~relayer =
-        let cov = coverage_of h in
-        let targets =
-          if relayer < 0 then None
-          else begin
-            (* C(h) - C(u) - {u} - N(r), evaluated as a membership
-               predicate over the cache's sorted rows: nothing is
-               materialised.  [ch_hop1] is empty for clusterhead
-               relayers, matching the paper's observation that
-               head-to-gateway hops exclude nothing. *)
-            let cov_u =
-              if upstream >= 0 && pruning <> Sender_only then
-                Coverage.Cache.covered_row cache upstream
-              else [||]
-            in
-            let hop_r =
-              if pruning = Coverage_and_relay then Coverage.Cache.ch_hop1 cache relayer
-              else [||]
-            in
-            Some
-              (fun ch -> ch <> upstream && (not (mem_row cov_u ch)) && not (mem_row hop_r ch))
-          end
+        (* Targets C(h) - C(u) - {u} - N(r), read by the kernel from the
+           cache's sorted rows: nothing is materialised.  [ch_hop1] is
+           empty for clusterhead relayers, matching the paper's
+           observation that head-to-gateway hops exclude nothing. *)
+        let covered =
+          if upstream >= 0 && pruning <> Sender_only then
+            Coverage.Cache.covered_row cache upstream
+          else [||]
         in
+        let heard =
+          if relayer >= 0 && pruning = Coverage_and_relay then Coverage.Cache.ch_hop1 cache relayer
+          else [||]
+        in
+        let k = Gateway_selection.select_pruned (coverage_of h) ~upstream ~covered ~heard in
+        let out = Gateway_selection.selection () in
         (* Designation reaches a selected gateway together with the
            packet: one hop for direct neighbors of h, two hops for the
            second nodes of connector pairs. *)
         let payload = encode ~upstream:h lor designate_bit in
-        Gateway_selection.iter_selected ?targets cov (fun x ->
-            let hops = if Graph.mem_edge g h x then 1 else 2 in
-            Scratch.push scr ~time:(time + hops) ~node:x ~sender:h ~payload);
+        for i = 0 to k - 1 do
+          let x = out.(i) in
+          let hops = if Graph.mem_edge g h x then 1 else 2 in
+          Scratch.push scr ~time:(time + hops) ~node:x ~sender:h ~payload
+        done;
         transmit time h ~upstream:h
       in
       (* Source transmission. *)

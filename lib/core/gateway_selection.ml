@@ -4,11 +4,11 @@ module Coverage = Manet_coverage.Coverage
 (* The candidate table is a set of parallel arrays indexed by candidate
    slot; candidates (the first-hop connectors) are collected, deduplicated
    and sorted up front, so a slot lookup is one array read.  Targets are
-   referred to by their index in the (sorted) c2/c3 entry lists, with
-   liveness flags and per-candidate live cover counts maintained
-   incrementally as targets get covered — each greedy round is then a
-   linear scan over the candidates instead of a set intersection per
-   candidate.
+   referred to by their index in the coverage set's sorted C2/C3 key
+   arrays, with liveness flags (marked before the selection runs) and
+   per-candidate live cover counts maintained incrementally as targets
+   get covered — each greedy round is then a linear scan over the
+   candidates instead of a set intersection per candidate.
 
    All working storage lives in a [scratch] (domain-local for the
    per-head entry points, private to a {!select_all} call): stamp-tagged
@@ -55,12 +55,12 @@ type scratch = {
   mutable out : int array;
 }
 
-let create_scratch () =
+let create_scratch n =
   {
     stamp = 0;
-    cand_tag = [||];
-    slotv = [||];
-    sel_tag = [||];
+    cand_tag = Array.make n (-1);
+    slotv = Array.make n 0;
+    sel_tag = Array.make n (-1);
     cands = [||];
     live_direct = [||];
     live_indirect = [||];
@@ -82,7 +82,7 @@ let create_scratch () =
     out = [||];
   }
 
-let dls = Domain.DLS.new_key create_scratch
+let dls = Domain.DLS.new_key (fun () -> create_scratch 0)
 
 let grown a size init =
   if Array.length a >= size then a
@@ -142,71 +142,84 @@ let cover3 scr i =
     e := scr.i_next_i.(!e)
   done
 
-(* One greedy selection; [live] decides which coverage entries are
-   targets.  Selected nodes are written to [scr.out] in ascending order;
-   returns their count.  Each pass walks [cov.c2] / [cov.c3] with a list
-   cursor and plain loops, so the counters stay unboxed. *)
-let run_select scr (cov : Coverage.t) ~live =
-  scr.stamp <- scr.stamp + 1;
-  let stamp = scr.stamp in
-  (* Sizing pass: largest node id touched, entry counts. *)
+(* Sizing pass, once the targets are marked: grows every other table to
+   fit the live targets' entries and the largest node id they name. *)
+let fit scr (cov : Coverage.t) =
+  let { Coverage.c2_keys; c2_off; c2_via; c3_keys; c3_off; c3_v; c3_w; _ } = cov in
+  let len2 = Array.length c2_keys and len3 = Array.length c3_keys in
   let max_id = ref (-1) in
-  let len2 = ref 0 and len3 = ref 0 in
   let nd = ref 0 and ni = ref 0 in
-  let l2 = ref cov.c2 in
-  while !l2 != [] do
-    match !l2 with
-    | [] -> ()
-    | (ch, connectors) :: tl ->
-      if live ch then begin
-        nd := !nd + Array.length connectors;
-        for j = 0 to Array.length connectors - 1 do
-          let v = connectors.(j) in
-          if v > !max_id then max_id := v
-        done
-      end;
-      incr len2;
-      l2 := tl
+  for i = 0 to len2 - 1 do
+    if scr.live2.(i) then
+      for j = c2_off.(i) to c2_off.(i + 1) - 1 do
+        incr nd;
+        if c2_via.(j) > !max_id then max_id := c2_via.(j)
+      done
   done;
-  let l3 = ref cov.c3 in
-  while !l3 != [] do
-    match !l3 with
-    | [] -> ()
-    | (ch, pairs) :: tl ->
-      if live ch then begin
-        ni := !ni + Array.length pairs;
-        for j = 0 to Array.length pairs - 1 do
-          let v, w = pairs.(j) in
-          if v > !max_id then max_id := v;
-          if w > !max_id then max_id := w
-        done
-      end;
-      incr len3;
-      l3 := tl
+  for i = 0 to len3 - 1 do
+    if scr.live3.(i) then
+      for j = c3_off.(i) to c3_off.(i + 1) - 1 do
+        incr ni;
+        if c3_v.(j) > !max_id then max_id := c3_v.(j);
+        if c3_w.(j) > !max_id then max_id := c3_w.(j)
+      done
   done;
+  let nd = !nd and ni = !ni in
   scr.cand_tag <- grown scr.cand_tag (!max_id + 1) (-1);
   scr.slotv <- grown scr.slotv (!max_id + 1) 0;
   scr.sel_tag <- grown scr.sel_tag (!max_id + 1) (-1);
-  let cap_cands = !nd + !ni in
+  let cap_cands = nd + ni in
   scr.cands <- grown scr.cands cap_cands 0;
   scr.live_direct <- grown scr.live_direct cap_cands 0;
   scr.live_indirect <- grown scr.live_indirect cap_cands 0;
   scr.dhead <- grown scr.dhead cap_cands 0;
   scr.ihead <- grown scr.ihead cap_cands 0;
-  scr.live2 <- grown_bool scr.live2 !len2;
-  scr.r2head <- grown scr.r2head !len2 0;
-  scr.live3 <- grown_bool scr.live3 !len3;
-  scr.r3head <- grown scr.r3head !len3 0;
-  scr.d_i <- grown scr.d_i !nd 0;
-  scr.d_slot <- grown scr.d_slot !nd 0;
-  scr.d_next_slot <- grown scr.d_next_slot !nd 0;
-  scr.d_next_i <- grown scr.d_next_i !nd 0;
-  scr.i_i <- grown scr.i_i !ni 0;
-  scr.i_w <- grown scr.i_w !ni 0;
-  scr.i_slot <- grown scr.i_slot !ni 0;
-  scr.i_next_slot <- grown scr.i_next_slot !ni 0;
-  scr.i_next_i <- grown scr.i_next_i !ni 0;
-  scr.out <- grown scr.out (cap_cands + !ni + (2 * !len3)) 0;
+  scr.r2head <- grown scr.r2head len2 0;
+  scr.r3head <- grown scr.r3head len3 0;
+  scr.d_i <- grown scr.d_i nd 0;
+  scr.d_slot <- grown scr.d_slot nd 0;
+  scr.d_next_slot <- grown scr.d_next_slot nd 0;
+  scr.d_next_i <- grown scr.d_next_i nd 0;
+  scr.i_i <- grown scr.i_i ni 0;
+  scr.i_w <- grown scr.i_w ni 0;
+  scr.i_slot <- grown scr.i_slot ni 0;
+  scr.i_next_slot <- grown scr.i_next_slot ni 0;
+  scr.i_next_i <- grown scr.i_next_i ni 0;
+  scr.out <- grown scr.out (cap_cands + ni + (2 * len3)) 0
+
+(* Binary search in a sorted row. *)
+let mem_row (row : int array) x =
+  let lo = ref 0 and hi = ref (Array.length row) in
+  while !hi > !lo do
+    let mid = (!lo + !hi) / 2 in
+    if row.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length row && row.(!lo) = x
+
+let pruned ~upstream ~covered ~heard c =
+  c <> upstream && (not (mem_row covered c)) && not (mem_row heard c)
+
+(* Starts a selection over [cov]: a new generation of the node maps, and
+   a target flag per key — set unless the key is [upstream] or in one of
+   the sorted rows [covered] and [heard]. *)
+let mark scr (cov : Coverage.t) ~upstream ~covered ~heard =
+  scr.stamp <- scr.stamp + 1;
+  scr.live2 <- grown_bool scr.live2 (Array.length cov.c2_keys);
+  scr.live3 <- grown_bool scr.live3 (Array.length cov.c3_keys);
+  for i = 0 to Array.length cov.c2_keys - 1 do
+    scr.live2.(i) <- pruned ~upstream ~covered ~heard cov.c2_keys.(i)
+  done;
+  for i = 0 to Array.length cov.c3_keys - 1 do
+    scr.live3.(i) <- pruned ~upstream ~covered ~heard cov.c3_keys.(i)
+  done
+
+(* One greedy selection over the targets marked in [scr.live2] /
+   [scr.live3] (after [mark] and [fit]).  Selected nodes are written to
+   [scr.out] in ascending order; returns their count.  Each pass walks
+   the key ranges of [cov] in place with plain loops, so the counters
+   stay unboxed. *)
+let run_select scr (cov : Coverage.t) =
+  let stamp = scr.stamp in
   let slotv = scr.slotv
   and cands = scr.cands
   and live_direct = scr.live_direct
@@ -217,41 +230,25 @@ let run_select scr (cov : Coverage.t) ~live =
   and r2head = scr.r2head
   and live3 = scr.live3
   and r3head = scr.r3head in
-  (* Live flags, and the distinct candidates, ascending — the greedy
+  let { Coverage.c2_keys; c2_off; c2_via; c3_keys; c3_off; c3_v; c3_w; _ } = cov in
+  let len2 = Array.length c2_keys and len3 = Array.length c3_keys in
+  (* The distinct candidates of the live targets, ascending — the greedy
      scan order. *)
   let n_cands = ref 0 in
   let n2_live = ref 0 in
-  let i = ref 0 in
-  let l2 = ref cov.c2 in
-  while !l2 != [] do
-    match !l2 with
-    | [] -> ()
-    | (ch, connectors) :: tl ->
-      let l = live ch in
-      live2.(!i) <- l;
-      if l then begin
-        incr n2_live;
-        for j = 0 to Array.length connectors - 1 do
-          n_cands := add_cand scr stamp !n_cands connectors.(j)
-        done
-      end;
-      incr i;
-      l2 := tl
+  for i = 0 to len2 - 1 do
+    if live2.(i) then begin
+      incr n2_live;
+      for j = c2_off.(i) to c2_off.(i + 1) - 1 do
+        n_cands := add_cand scr stamp !n_cands c2_via.(j)
+      done
+    end
   done;
-  let i = ref 0 in
-  let l3 = ref cov.c3 in
-  while !l3 != [] do
-    match !l3 with
-    | [] -> ()
-    | (ch, pairs) :: tl ->
-      let l = live ch in
-      live3.(!i) <- l;
-      if l then
-        for j = 0 to Array.length pairs - 1 do
-          n_cands := add_cand scr stamp !n_cands (fst pairs.(j))
-        done;
-      incr i;
-      l3 := tl
+  for i = 0 to len3 - 1 do
+    if live3.(i) then
+      for j = c3_off.(i) to c3_off.(i + 1) - 1 do
+        n_cands := add_cand scr stamp !n_cands c3_v.(j)
+      done
   done;
   let n_cands = !n_cands in
   Manet_graph.Row_sort.sort_range cands 0 n_cands;
@@ -265,56 +262,39 @@ let run_select scr (cov : Coverage.t) ~live =
   (* Entry chains: per-slot (the covers of a candidate) and per-target
      (the slots to decrement when the target gets covered). *)
   let e = ref 0 in
-  let i = ref 0 in
-  let l2 = ref cov.c2 in
-  while !l2 != [] do
-    match !l2 with
-    | [] -> ()
-    | (_, connectors) :: tl ->
-      let i' = !i in
-      if live2.(i') then begin
-        r2head.(i') <- -1;
-        for j = 0 to Array.length connectors - 1 do
-          let s = slotv.(connectors.(j)) in
-          scr.d_i.(!e) <- i';
-          scr.d_slot.(!e) <- s;
-          scr.d_next_slot.(!e) <- dhead.(s);
-          dhead.(s) <- !e;
-          live_direct.(s) <- live_direct.(s) + 1;
-          scr.d_next_i.(!e) <- r2head.(i');
-          r2head.(i') <- !e;
-          incr e
-        done
-      end;
-      incr i;
-      l2 := tl
+  for i = 0 to len2 - 1 do
+    if live2.(i) then begin
+      r2head.(i) <- -1;
+      for j = c2_off.(i) to c2_off.(i + 1) - 1 do
+        let s = slotv.(c2_via.(j)) in
+        scr.d_i.(!e) <- i;
+        scr.d_slot.(!e) <- s;
+        scr.d_next_slot.(!e) <- dhead.(s);
+        dhead.(s) <- !e;
+        live_direct.(s) <- live_direct.(s) + 1;
+        scr.d_next_i.(!e) <- r2head.(i);
+        r2head.(i) <- !e;
+        incr e
+      done
+    end
   done;
   let e = ref 0 in
-  let i = ref 0 in
-  let l3 = ref cov.c3 in
-  while !l3 != [] do
-    match !l3 with
-    | [] -> ()
-    | (_, pairs) :: tl ->
-      let i' = !i in
-      if live3.(i') then begin
-        r3head.(i') <- -1;
-        for j = 0 to Array.length pairs - 1 do
-          let v, w = pairs.(j) in
-          let s = slotv.(v) in
-          scr.i_i.(!e) <- i';
-          scr.i_w.(!e) <- w;
-          scr.i_slot.(!e) <- s;
-          scr.i_next_slot.(!e) <- ihead.(s);
-          ihead.(s) <- !e;
-          live_indirect.(s) <- live_indirect.(s) + 1;
-          scr.i_next_i.(!e) <- r3head.(i');
-          r3head.(i') <- !e;
-          incr e
-        done
-      end;
-      incr i;
-      l3 := tl
+  for i = 0 to len3 - 1 do
+    if live3.(i) then begin
+      r3head.(i) <- -1;
+      for j = c3_off.(i) to c3_off.(i + 1) - 1 do
+        let s = slotv.(c3_v.(j)) in
+        scr.i_i.(!e) <- i;
+        scr.i_w.(!e) <- c3_w.(j);
+        scr.i_slot.(!e) <- s;
+        scr.i_next_slot.(!e) <- ihead.(s);
+        ihead.(s) <- !e;
+        live_indirect.(s) <- live_indirect.(s) + 1;
+        scr.i_next_i.(!e) <- r3head.(i);
+        r3head.(i) <- !e;
+        incr e
+      done
+    end
   done;
   let n_out = ref 0 in
   (* Phase 1: greedy direct coverage of the 2-hop targets.  Scanning in
@@ -358,70 +338,68 @@ let run_select scr (cov : Coverage.t) ~live =
   (* Phase 2: connect the remaining 3-hop targets with pairs, preferring
      pairs that reuse already-selected gateways, then the smallest pair. *)
   let sel_tag = scr.sel_tag in
-  let i = ref 0 in
-  let l3 = ref cov.c3 in
-  while !l3 != [] do
-    match !l3 with
-    | [] -> ()
-    | (_, pairs) :: tl ->
-      if live3.(!i) then begin
-        let bv = ref (-1) and bw = ref (-1) and bs = ref (-1) in
-        for j = 0 to Array.length pairs - 1 do
-          let v, w = pairs.(j) in
-          let sp =
-            (if sel_tag.(v) = stamp then 1 else 0) + if sel_tag.(w) = stamp then 1 else 0
-          in
-          if !bv < 0 || sp > !bs || (sp = !bs && (v < !bv || (v = !bv && w < !bw))) then begin
-            bv := v;
-            bw := w;
-            bs := sp
-          end
-        done;
-        if !bv >= 0 then begin
-          live3.(!i) <- false;
-          n_out := take scr stamp !n_out !bv;
-          n_out := take scr stamp !n_out !bw
+  for i = 0 to len3 - 1 do
+    if live3.(i) then begin
+      let bv = ref (-1) and bw = ref (-1) and bs = ref (-1) in
+      for j = c3_off.(i) to c3_off.(i + 1) - 1 do
+        let v = c3_v.(j) and w = c3_w.(j) in
+        let sp =
+          (if sel_tag.(v) = stamp then 1 else 0) + if sel_tag.(w) = stamp then 1 else 0
+        in
+        if !bv < 0 || sp > !bs || (sp = !bs && (v < !bv || (v = !bv && w < !bw))) then begin
+          bv := v;
+          bw := w;
+          bs := sp
         end
-      end;
-      incr i;
-      l3 := tl
+      done;
+      if !bv >= 0 then begin
+        live3.(i) <- false;
+        n_out := take scr stamp !n_out !bv;
+        n_out := take scr stamp !n_out !bw
+      end
+    end
   done;
   Manet_graph.Row_sort.sort_range scr.out 0 !n_out;
   !n_out
 
-let every _ = true
+let select_on scr cov ~upstream ~covered ~heard =
+  mark scr cov ~upstream ~covered ~heard;
+  fit scr cov;
+  run_select scr cov
 
 let select ?targets (cov : Coverage.t) =
   let scr = Domain.DLS.get dls in
-  let live = match targets with None -> every | Some t -> fun ch -> Nodeset.mem ch t in
-  let k = run_select scr cov ~live in
+  (* The targets' complement in C(owner), as a pruning row. *)
+  let covered =
+    match targets with
+    | None -> [||]
+    | Some t -> Array.of_list (Nodeset.elements (Nodeset.diff (Coverage.covered cov) t))
+  in
+  let k = select_on scr cov ~upstream:(-1) ~covered ~heard:[||] in
   Nodeset.of_increasing scr.out ~len:k
 
 let select_array (cov : Coverage.t) =
   let scr = Domain.DLS.get dls in
-  let k = run_select scr cov ~live:every in
+  let k = select_on scr cov ~upstream:(-1) ~covered:[||] ~heard:[||] in
   Array.sub scr.out 0 k
 
-let iter_selected ?targets (cov : Coverage.t) f =
-  let scr = Domain.DLS.get dls in
-  let live = match targets with None -> every | Some t -> t in
-  let k = run_select scr cov ~live in
-  for i = 0 to k - 1 do
-    f scr.out.(i)
-  done
+let select_pruned cov ~upstream ~covered ~heard =
+  select_on (Domain.DLS.get dls) cov ~upstream ~covered ~heard
+
+let selection () = (Domain.DLS.get dls).out
 
 (* Batched selection over every clusterhead of a topology: the same
-   kernel, head by head, on a scratch private to the call.  The
-   domain-local one would be grown to the largest head's tables for the
-   rest of the domain's life. *)
+   kernel, head by head, on a scratch private to the call (its node
+   maps presized to [n]).  The domain-local one would be grown to the
+   largest head's tables for the rest of the domain's life. *)
 let select_all coverages ~n =
-  let scr = create_scratch () in
+  let scr = create_scratch n in
   let ind = Array.make n false in
   for h = 0 to Array.length coverages - 1 do
     match coverages.(h) with
     | None -> ()
     | Some cov ->
-      let k = run_select scr cov ~live:every in
+      let k = select_on scr cov ~upstream:(-1) ~covered:[||] ~heard:[||] in
       for i = 0 to k - 1 do
         ind.(scr.out.(i)) <- true
       done

@@ -31,18 +31,27 @@ val select :
 val select_array : Manet_coverage.Coverage.t -> int array
 (** [select_array cov] is [select cov] (the whole coverage set as
     targets) as a fresh strictly increasing array, built on the same
-    domain-local scratch as {!iter_selected}: nothing is allocated beyond
-    the result. *)
+    domain-local scratch as {!select_pruned}: nothing is allocated
+    beyond the result. *)
 
-val iter_selected :
-  ?targets:(int -> bool) -> Manet_coverage.Coverage.t -> (int -> unit) -> unit
-(** [iter_selected ?targets cov f] calls [f] on every gateway {!select}
-    selects for the corresponding [targets] set, in ascending order —
-    the allocation-free variant for the dynamic-broadcast hot path: the
-    target set is a predicate over clusterhead ids, and [f] reads the
-    selection in place from the domain-local scratch.  [f] must not
-    select again (through any entry point of this module) on the same
-    domain: that would overwrite the selection being iterated. *)
+val select_pruned :
+  Manet_coverage.Coverage.t -> upstream:int -> covered:int array -> heard:int array -> int
+(** [select_pruned cov ~upstream ~covered ~heard] selects for the targets
+    C(owner) - [covered] - \{[upstream]\} - [heard], with [covered] and
+    [heard] strictly increasing rows (the dynamic backbone's pruning
+    inputs: the upstream clusterhead's [Cache.covered_row] and the
+    relaying node's [Cache.ch_hop1]; [[||]] and [-1] prune nothing).
+    It returns the number [k] of gateways {!select} selects for those
+    targets, which are [(selection ()).(0 .. k - 1)], ascending — the
+    allocation-free variant for the dynamic-broadcast hot path: no
+    predicate, no callback, nothing allocated once the domain-local
+    scratch has grown. *)
+
+val selection : unit -> int array
+(** The domain-local output buffer of the selections: after [k =
+    select_pruned ...] its first [k] entries are that selection, until
+    the next selection on the same domain overwrites them.  Callers
+    must not write to it. *)
 
 val select_all :
   Manet_coverage.Coverage.t option array -> n:int -> Manet_graph.Nodeset.t

@@ -99,18 +99,15 @@ let run g cl mode =
             entries)
         s.heard_hop2;
       let sorted_assoc tbl cmp_payload =
-        Hashtbl.fold (fun c l acc -> (c, Array.of_list (List.sort cmp_payload l)) :: acc) tbl []
+        Hashtbl.fold (fun c l acc -> (c, List.sort cmp_payload l) :: acc) tbl []
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
       in
       Some
-        {
-          Coverage.owner = s.id;
-          mode;
-          c2 = sorted_assoc c2_tbl Int.compare;
-          c3 =
-            sorted_assoc c3_tbl (fun (v1, w1) (v2, w2) ->
-                match Int.compare v1 v2 with 0 -> Int.compare w1 w2 | c -> c);
-        }
+        (Coverage.of_sorted ~owner:s.id mode
+           ~c2:(sorted_assoc c2_tbl Int.compare)
+           ~c3:
+             (sorted_assoc c3_tbl (fun (v1, w1) (v2, w2) ->
+                  match Int.compare v1 v2 with 0 -> Int.compare w1 w2 | c -> c)))
     end
   in
   {

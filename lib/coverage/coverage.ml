@@ -11,9 +11,17 @@ let pp_mode fmt = function
 type t = {
   owner : int;
   mode : mode;
-  c2 : (int * int array) list;
-  c3 : (int * (int * int) array) list;
+  c2_keys : int array;
+  c2_off : int array;
+  c2_via : int array;
+  c3_keys : int array;
+  c3_off : int array;
+  c3_v : int array;
+  c3_w : int array;
 }
+
+(* The offsets of an empty key array: shared, never written. *)
+let no_keys = [| 0 |]
 
 (* CH_HOP1 content as a sorted array: the clusterheads adjacent to [v].
    Well-defined for every node — clusterheads form an independent set, so
@@ -42,8 +50,11 @@ let hop1_row g cl v =
 (* Bits needed for a node id of a graph with [n] nodes: the packed-row
    encoding places the clusterhead above the via node. *)
 let row_shift n =
-  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
-  go 1
+  let b = ref 1 in
+  while 1 lsl !b < n do
+    incr b
+  done;
+  !b
 
 (* CH_HOP2 content of non-clusterhead [v] as a sorted array, deduplicated
    through a shared stamp array ([stamp.(c) = tick] marks clusterhead [c]
@@ -112,31 +123,30 @@ let ch_hop2 g cl mode v =
   let buf = ref (Array.make 64 0) in
   Array.to_list (unpack_row ~n (hop2_row g cl mode ~hop1:(hop1_row g cl) ~stamp ~gen ~buf v))
 
-(* Reusable per-graph working storage for {!of_head_from}: generation
-   tags (the current head id) turn the O(n) arrays into O(1)-reset maps
-   shared across heads, and connector entries accumulate in a shared
-   buffer chained per key so each CH_HOP row is scanned only once. *)
+(* Reusable per-graph working storage for {!of_head_from}: the graph's
+   CSR rows and packed-row shift, read once here rather than per head,
+   and O(n) arrays that a generation tag (derived from the current head
+   id) turns into O(1)-reset maps shared across heads. *)
 type scratch = {
-  tag2 : int array;  (** [tag2.(c) = u] iff clusterhead [c] is in C2(u) *)
-  tag3 : int array;
-  slot : int array;  (** index of clusterhead [c] in the key buffer *)
+  goff : int array;
+  gnbr : int array;
+  shift : int;
+  tag : int array;
+      (** [tag.(c) = 2u] iff clusterhead [c] is in C2(u), [2u + 1] iff in C3(u) *)
   keys : int array;  (** distinct clusterheads, in first-seen order *)
-  cnt : int array;  (** connector count per key *)
-  chain : int array;  (** head of the entry chain per key *)
-  mutable evals : int array;  (** entry values (packed, for C3) *)
-  mutable enext : int array;  (** next entry in the key's chain *)
+  cnt : int array;  (** per clusterhead: its connector count, then its write cursor *)
 }
 
-let make_scratch n =
+let make_scratch g =
+  let n = Graph.n g in
+  let goff, gnbr = Graph.csr g in
   {
-    tag2 = Array.make n (-1);
-    tag3 = Array.make n (-1);
-    slot = Array.make n 0;
+    goff;
+    gnbr;
+    shift = row_shift n;
+    tag = Array.make n (-1);
     keys = Array.make n 0;
     cnt = Array.make n 0;
-    chain = Array.make n (-1);
-    evals = Array.make 256 0;
-    enext = Array.make 256 0;
   }
 
 (* CH_HOP2 rows laid out flat: node [v]'s row is
@@ -144,119 +154,115 @@ let make_scratch n =
    and strictly increasing; nodes without a row have an empty range. *)
 type rows = { off : int array; buf : int array }
 
+(* The first [k] entries of [keys], sorted. *)
+let sorted_keys keys k =
+  let sorted = Array.sub keys 0 k in
+  Manet_graph.Row_sort.sort_range sorted 0 k;
+  sorted
+
+(* The offset array of [sorted], the connector count of each key [c]
+   read from [cnt.(c)] — which becomes [c]'s write cursor into the
+   connector buffer. *)
+let offsets sorted cnt =
+  let k = Array.length sorted in
+  if k = 0 then no_keys
+  else begin
+    let off = Array.make (k + 1) 0 in
+    for i = 0 to k - 1 do
+      let c = sorted.(i) in
+      let m = cnt.(c) in
+      cnt.(c) <- off.(i);
+      off.(i + 1) <- off.(i) + m
+    done;
+    off
+  end
+
 (* Coverage set of clusterhead [u] from CH_HOP row lookups ([hop1] is
    indexed by node and read only at [u]'s neighbors, as are the [rows]).
-   Because the outer scan visits the connectors [v] in increasing id and
-   each CH_HOP row names a clusterhead at most once, the per-clusterhead
-   connector arrays come out already sorted — only the key lists need
-   sorting.  Connector entries are prepended to a per-key chain in the
-   shared buffer during the single row scan; emitting each chain
-   back-to-front restores ascending order in exact-sized arrays. *)
-let of_head_from g ~hop1 ~rows ~scratch cl mode u =
+   Each of C2 and C3 takes two scans of the same rows: the first
+   collects the keys and counts their connectors, the second writes
+   each connector at its key's cursor in the exact-sized buffer.
+   Because the scans visit the connectors [v] in increasing id and each
+   CH_HOP row names a clusterhead at most once, every key's connector
+   range comes out sorted — only the keys need sorting. *)
+let of_head_from ~hop1 ~rows ~scratch cl mode u =
   if not (Clustering.is_head cl u) then invalid_arg "Coverage.of_head: not a clusterhead";
-  let { tag2; tag3; slot; keys; cnt; chain; _ } = scratch in
-  let n_entries = ref 0 in
-  let push_entry x s =
-    if !n_entries = Array.length scratch.evals then begin
-      let size = 2 * Array.length scratch.evals in
-      let ev = Array.make size 0 and en = Array.make size 0 in
-      Array.blit scratch.evals 0 ev 0 !n_entries;
-      Array.blit scratch.enext 0 en 0 !n_entries;
-      scratch.evals <- ev;
-      scratch.enext <- en
-    end;
-    scratch.evals.(!n_entries) <- x;
-    scratch.enext.(!n_entries) <- chain.(s);
-    chain.(s) <- !n_entries;
-    incr n_entries
-  in
+  let { goff; gnbr; shift; tag; keys; cnt } = scratch in
+  let t2 = 2 * u and t3 = (2 * u) + 1 in
   (* C2: all clusterheads named by the neighbors' CH_HOP1 messages, with
      the naming neighbors as direct connectors. *)
-  let goff, gnbr = Graph.csr g in
-  let k2 = ref 0 in
-  for i = goff.(u) to goff.(u + 1) - 1 do
+  let lo = goff.(u) and hi = goff.(u + 1) - 1 in
+  let k2 = ref 0 and e2 = ref 0 in
+  for i = lo to hi do
+    let r = hop1.(Array.unsafe_get gnbr i) in
+    for j = 0 to Array.length r - 1 do
+      let c = Array.unsafe_get r j in
+      if c <> u then begin
+        if tag.(c) <> t2 then begin
+          tag.(c) <- t2;
+          keys.(!k2) <- c;
+          cnt.(c) <- 0;
+          incr k2
+        end;
+        cnt.(c) <- cnt.(c) + 1;
+        incr e2
+      end
+    done
+  done;
+  let c2_keys = sorted_keys keys !k2 in
+  let c2_off = offsets c2_keys cnt in
+  let c2_via = Array.make !e2 0 in
+  for i = lo to hi do
     let v = Array.unsafe_get gnbr i in
     let r = hop1.(v) in
     for j = 0 to Array.length r - 1 do
       let c = Array.unsafe_get r j in
       if c <> u then begin
-        if tag2.(c) <> u then begin
-          tag2.(c) <- u;
-          slot.(c) <- !k2;
-          keys.(!k2) <- c;
-          cnt.(!k2) <- 0;
-          chain.(!k2) <- -1;
-          incr k2
-        end;
-        let s = slot.(c) in
-        cnt.(s) <- cnt.(s) + 1;
-        push_entry v s
+        let p = cnt.(c) in
+        c2_via.(p) <- v;
+        cnt.(c) <- p + 1
       end
     done
   done;
-  let sorted2 = Array.sub keys 0 !k2 in
-  Array.sort Int.compare sorted2;
-  let c2 =
-    Array.fold_right
-      (fun c acc ->
-        let s = slot.(c) in
-        let m = cnt.(s) in
-        let arr = Array.make m 0 in
-        let e = ref chain.(s) in
-        for i = m - 1 downto 0 do
-          arr.(i) <- scratch.evals.(!e);
-          e := scratch.enext.(!e)
-        done;
-        (c, arr) :: acc)
-      sorted2 []
-  in
   (* C3: entries of the neighbors' CH_HOP2 messages, dropping clusterheads
-     already in C2 (and u itself).  [slot], [cnt] and [chain] can be
-     reused: C2 only needed them up to this point, and C3 keys are
-     disjoint from C2 keys.  Entries repack as [v lsl shift lor w]. *)
-  let shift = row_shift (Graph.n g) in
+     already in C2 (and u itself); each pair (v, w) is split into the
+     two parallel buffers. *)
   let mask = (1 lsl shift) - 1 in
   let { off; buf } = rows in
-  n_entries := 0;
-  let k3 = ref 0 in
-  for i = goff.(u) to goff.(u + 1) - 1 do
+  let k3 = ref 0 and e3 = ref 0 in
+  for i = lo to hi do
+    let v = Array.unsafe_get gnbr i in
+    for j = off.(v) to off.(v + 1) - 1 do
+      let c = Array.unsafe_get buf j lsr shift in
+      if c <> u && tag.(c) <> t2 then begin
+        if tag.(c) <> t3 then begin
+          tag.(c) <- t3;
+          keys.(!k3) <- c;
+          cnt.(c) <- 0;
+          incr k3
+        end;
+        cnt.(c) <- cnt.(c) + 1;
+        incr e3
+      end
+    done
+  done;
+  let c3_keys = sorted_keys keys !k3 in
+  let c3_off = offsets c3_keys cnt in
+  let c3_v = Array.make !e3 0 and c3_w = Array.make !e3 0 in
+  for i = lo to hi do
     let v = Array.unsafe_get gnbr i in
     for j = off.(v) to off.(v + 1) - 1 do
       let x = Array.unsafe_get buf j in
       let c = x lsr shift in
-      if c <> u && tag2.(c) <> u then begin
-        if tag3.(c) <> u then begin
-          tag3.(c) <- u;
-          slot.(c) <- !k3;
-          keys.(!k3) <- c;
-          cnt.(!k3) <- 0;
-          chain.(!k3) <- -1;
-          incr k3
-        end;
-        let s = slot.(c) in
-        cnt.(s) <- cnt.(s) + 1;
-        push_entry ((v lsl shift) lor (x land mask)) s
+      if c <> u && tag.(c) = t3 then begin
+        let p = cnt.(c) in
+        c3_v.(p) <- v;
+        c3_w.(p) <- x land mask;
+        cnt.(c) <- p + 1
       end
     done
   done;
-  let sorted3 = Array.sub keys 0 !k3 in
-  Array.sort Int.compare sorted3;
-  let c3 =
-    Array.fold_right
-      (fun c acc ->
-        let s = slot.(c) in
-        let m = cnt.(s) in
-        let arr = Array.make m (0, 0) in
-        let e = ref chain.(s) in
-        for i = m - 1 downto 0 do
-          let y = scratch.evals.(!e) in
-          arr.(i) <- (y lsr shift, y land mask);
-          e := scratch.enext.(!e)
-        done;
-        (c, arr) :: acc)
-      sorted3 []
-  in
-  { owner = u; mode; c2; c3 }
+  { owner = u; mode; c2_keys; c2_off; c2_via; c3_keys; c3_off; c3_v; c3_w }
 
 (* The independent per-head reference: CH_HOP rows are built through the
    per-row path ([hop1_row], [hop2_row]) for [u]'s own neighbors only and
@@ -281,7 +287,7 @@ let of_head g cl mode u =
   done;
   let flat = Array.make off.(n) 0 in
   Array.iteri (fun k v -> Array.blit own.(k) 0 flat off.(v) (Array.length own.(k))) nbrs;
-  of_head_from g ~hop1 ~rows:{ off; buf = flat } ~scratch:(make_scratch n) cl mode u
+  of_head_from ~hop1 ~rows:{ off; buf = flat } ~scratch:(make_scratch g) cl mode u
 
 (* Every node's CH_HOP2 row in one pass over the graph, into one growable
    buffer (starting at one entry per node, doubling when full).  The
@@ -335,6 +341,25 @@ let flat_rows g cl mode (hop1 : int array array) =
   done;
   off.(n) <- !len;
   { off; buf = !buf }
+
+(* C2 and C3 keys merged into one strictly increasing array: each key
+   array is increasing and the two are disjoint. *)
+let merged_keys t =
+  let a = t.c2_keys and b = t.c3_keys in
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to na + nb - 1 do
+    if !j >= nb || (!i < na && a.(!i) < b.(!j)) then begin
+      out.(k) <- a.(!i);
+      incr i
+    end
+    else begin
+      out.(k) <- b.(!j);
+      incr j
+    end
+  done;
+  out
 
 (* Shared CH_HOP tables for one (graph, clustering, mode): every CH_HOP1
    and CH_HOP2 row is computed exactly once — one O(sum deg) pass for the
@@ -425,13 +450,12 @@ module Cache = struct
     match t.scratch with
     | Some s -> s
     | None ->
-      let s = make_scratch (Graph.n t.graph) in
+      let s = make_scratch t.graph in
       t.scratch <- Some s;
       s
 
   let compute t v =
-    of_head_from t.graph ~hop1:t.hop1 ~rows:(hop2_rows t) ~scratch:(scratch t) t.clustering
-      t.mode v
+    of_head_from ~hop1:t.hop1 ~rows:(hop2_rows t) ~scratch:(scratch t) t.clustering t.mode v
 
   let memo t =
     if Array.length t.memo = 0 then t.memo <- Array.make (Graph.n t.graph) None;
@@ -459,69 +483,68 @@ module Cache = struct
     end;
     m
 
-  (* C(v) as a flat sorted row — the dynamic broadcast's pruning input.
-     The c2 and c3 key lists are each increasing and mutually disjoint,
-     so one merge materializes the union; memoised per head ([[||]] for
-     non-heads), and callers must not mutate the returned array. *)
+  (* C(v) as a flat sorted row — the dynamic broadcast's pruning input;
+     memoised per head ([[||]] for non-heads), and callers must not
+     mutate the returned array. *)
   let covered_row t v =
     if Array.length t.covered_rows = 0 then
       t.covered_rows <- Array.make (Graph.n t.graph) None;
     match t.covered_rows.(v) with
     | Some r -> r
     | None ->
-      let r =
-        match (coverages t).(v) with
-        | None -> [||]
-        | Some cov ->
-          let out = Array.make (List.length cov.c2 + List.length cov.c3) 0 in
-          let rec merge k l2 l3 =
-            match (l2, l3) with
-            | [], [] -> ()
-            | (c, _) :: t2, [] ->
-              out.(k) <- c;
-              merge (k + 1) t2 []
-            | [], (c, _) :: t3 ->
-              out.(k) <- c;
-              merge (k + 1) [] t3
-            | (c2, _) :: t2, (c3, _) :: t3 ->
-              if c2 < c3 then begin
-                out.(k) <- c2;
-                merge (k + 1) t2 l3
-              end
-              else begin
-                out.(k) <- c3;
-                merge (k + 1) l2 t3
-              end
-          in
-          merge 0 cov.c2 cov.c3;
-          out
-      in
+      let r = match (coverages t).(v) with None -> [||] | Some cov -> merged_keys cov in
       t.covered_rows.(v) <- Some r;
       r
 end
 
 let all g cl mode = Cache.coverages (Cache.create g cl mode)
 
-let keys l = List.fold_left (fun s (c, _) -> Nodeset.add c s) Nodeset.empty l
+let of_sorted ~owner mode ~c2 ~c3 =
+  let rec increasing cmp = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && increasing cmp rest
+    | _ -> true
+  in
+  let table cmp entries =
+    increasing (fun (a, _) (b, _) -> Int.compare a b) entries
+    && List.for_all (fun (_, l) -> match l with [] -> false | _ -> increasing cmp l) entries
+  in
+  let pair (v1, w1) (v2, w2) = match Int.compare v1 v2 with 0 -> Int.compare w1 w2 | c -> c in
+  if not (table Int.compare c2 && table pair c3) then
+    invalid_arg "Coverage.of_sorted: keys or connectors not strictly increasing";
+  let layout entries =
+    let keys = Array.of_list (List.map fst entries) in
+    let off = Array.make (Array.length keys + 1) 0 in
+    List.iteri (fun i (_, l) -> off.(i + 1) <- off.(i) + List.length l) entries;
+    (keys, off)
+  in
+  let c2_keys, c2_off = layout c2 and c3_keys, c3_off = layout c3 in
+  let c2_via = Array.of_list (List.concat_map snd c2) in
+  let pairs = List.concat_map snd c3 in
+  let c3_v = Array.of_list (List.map fst pairs) and c3_w = Array.of_list (List.map snd pairs) in
+  { owner; mode; c2_keys; c2_off; c2_via; c3_keys; c3_off; c3_v; c3_w }
 
-let c2_set t = keys t.c2
-let c3_set t = keys t.c3
-let covered t = Nodeset.union (c2_set t) (c3_set t)
-let size t = List.length t.c2 + List.length t.c3
+let c2_set t = Nodeset.of_increasing t.c2_keys ~len:(Array.length t.c2_keys)
+let c3_set t = Nodeset.of_increasing t.c3_keys ~len:(Array.length t.c3_keys)
+
+let covered t =
+  let keys = merged_keys t in
+  Nodeset.of_increasing keys ~len:(Array.length keys)
+
+let size t = Array.length t.c2_keys + Array.length t.c3_keys
 
 let pp fmt t =
-  let pp_pair fmt (v, w) = Format.fprintf fmt "(%d,%d)" v w in
+  let pp_ranges fmt keys off pp_entry =
+    Array.iteri
+      (fun i c ->
+        Format.fprintf fmt " %d via {" c;
+        for j = off.(i) to off.(i + 1) - 1 do
+          if j > off.(i) then Format.pp_print_char fmt ',';
+          pp_entry fmt j
+        done;
+        Format.pp_print_char fmt '}')
+      keys
+  in
   Format.fprintf fmt "C(%d) [%a]: C2 =" t.owner pp_mode t.mode;
-  List.iter
-    (fun (c, vs) ->
-      Format.fprintf fmt " %d via {%a}" c
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",") Format.pp_print_int)
-        (Array.to_list vs))
-    t.c2;
+  pp_ranges fmt t.c2_keys t.c2_off (fun fmt j -> Format.pp_print_int fmt t.c2_via.(j));
   Format.fprintf fmt "; C3 =";
-  List.iter
-    (fun (c, ps) ->
-      Format.fprintf fmt " %d via {%a}" c
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",") pp_pair)
-        (Array.to_list ps))
-    t.c3
+  pp_ranges fmt t.c3_keys t.c3_off (fun fmt j -> Format.fprintf fmt "(%d,%d)" t.c3_v.(j) t.c3_w.(j))

@@ -23,22 +23,48 @@
       with c in CH_HOP1(v);
     - a clusterhead c in C3(u) has {e connector pairs} (v, w): u - v - w - c,
       one pair per first-hop v (the protocol keeps the first entry it
-      hears per clusterhead, i.e. the smallest second hop w). *)
+      hears per clusterhead, i.e. the smallest second hop w).
+
+    A coverage set is flat: one record of exact-sized int arrays, and
+    nothing per covered clusterhead or per connector.  Each of C2 and C3
+    is a sorted key array, an offset array and one connector buffer, the
+    entries of key [i] lying at [off.(i) .. off.(i + 1) - 1]; a C3 pair
+    is split across two parallel buffers.  Every reader (gateway
+    selection, the forwarding tree, MO_CDS, the oracles) walks these
+    arrays in place. *)
 
 type mode = Hop25 | Hop3
 
 val pp_mode : Format.formatter -> mode -> unit
 
-type t = {
+type t = private {
   owner : int;  (** the clusterhead this coverage set belongs to *)
   mode : mode;
-  c2 : (int * int array) list;
-      (** (clusterhead, direct connectors); keys increasing, connectors
-          sorted, nonempty *)
-  c3 : (int * (int * int) array) list;
-      (** (clusterhead, connector pairs (first hop, second hop)); keys
-          increasing, disjoint from c2 keys, pairs sorted, nonempty *)
+  c2_keys : int array;  (** C2(owner), strictly increasing *)
+  c2_off : int array;
+      (** length [|c2_keys| + 1], starting at 0: key [i]'s direct
+          connectors are [c2_via.(c2_off.(i) .. c2_off.(i + 1) - 1)] *)
+  c2_via : int array;  (** direct connectors; each key's range strictly increasing, nonempty *)
+  c3_keys : int array;  (** C3(owner), strictly increasing, disjoint from [c2_keys] *)
+  c3_off : int array;  (** length [|c3_keys| + 1], starting at 0, as [c2_off] *)
+  c3_v : int array;  (** first hops of the connector pairs *)
+  c3_w : int array;
+      (** second hops, parallel to [c3_v]: key [i]'s pairs are
+          [(c3_v.(j), c3_w.(j))] for [j] in [c3_off.(i) .. c3_off.(i + 1) - 1],
+          strictly increasing in lexicographic order, nonempty *)
 }
+(** The arrays are shared with the cache that built them (the offset
+    array of an empty key array is one shared constant): callers must
+    not mutate them. *)
+
+val of_sorted :
+  owner:int -> mode -> c2:(int * int list) list -> c3:(int * (int * int) list) list -> t
+(** [of_sorted ~owner mode ~c2 ~c3] lays out a coverage set given as
+    [(clusterhead, connectors)] lists — the message-level result of
+    {!Ch_hop_proto}.  Keys must be strictly increasing, and each
+    connector list nonempty and strictly increasing (pairs
+    lexicographically).
+    @raise Invalid_argument otherwise. *)
 
 val ch_hop1 : Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> int -> Manet_graph.Nodeset.t
 (** [ch_hop1 g cl v] is the CH_HOP1(v) message content: all clusterheads
@@ -83,7 +109,10 @@ val of_head : Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> mode -> int -
     place) — no per-row arrays.  Coverage sets are built from those rows
     one head at a time into one per-head memo (all heads sharing one
     working scratch): {!coverage} fills one slot, {!coverages} fills the
-    rest and returns the memo.
+    rest and returns the memo.  Once the scratch exists, a head's set
+    allocates its record, its [Some] and its seven arrays, nothing else:
+    two scans of the neighbors' rows per half (count, then write at
+    per-key cursors) and one in-place sort of the keys.
 
     Tables are filled lazily on first use and memoised; a cache must be
     discarded whenever the graph or clustering changes. *)

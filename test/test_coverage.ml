@@ -11,6 +11,17 @@ let paper () =
   let g = paper_graph () in
   (g, Lowest_id.cluster g)
 
+(* A coverage set's C2 / C3 tables as [(clusterhead, connectors)] lists. *)
+let c2_table (cov : Coverage.t) =
+  List.init (Array.length cov.c2_keys) (fun i ->
+      let lo = cov.c2_off.(i) in
+      (cov.c2_keys.(i), Array.sub cov.c2_via lo (cov.c2_off.(i + 1) - lo)))
+
+let c3_table (cov : Coverage.t) =
+  List.init (Array.length cov.c3_keys) (fun i ->
+      let lo = cov.c3_off.(i) in
+      (cov.c3_keys.(i), Array.init (cov.c3_off.(i + 1) - lo) (fun j -> (cov.c3_v.(lo + j), cov.c3_w.(lo + j)))))
+
 (* CH_HOP1: paper Figure 3 walk-through (0-indexed). *)
 let test_ch_hop1_paper () =
   let g, cl = paper () in
@@ -80,12 +91,12 @@ let test_coverage_connectors_paper () =
   Alcotest.(check (list (pair int (array int))))
     "connector table"
     [ (0, [| 6 |]); (1, [| 7 |]); (3, [| 8; 9 |]) ]
-    cov.c2;
+    (c2_table cov);
   let cov3 = Coverage.of_head g cl Coverage.Hop25 3 in
   Alcotest.(check (list (pair int (array (pair int int)))))
     "pair table"
     [ (0, [| (8, 4) |]) ]
-    cov3.c3
+    (c3_table cov3)
 
 let test_coverage_rejects_non_head () =
   let g, cl = paper () in
@@ -165,14 +176,14 @@ let prop_connectors_valid =
               Array.for_all
                 (fun v -> Graph.mem_edge g h v && Graph.mem_edge g v ch)
                 connectors)
-            cov.c2
+            (c2_table cov)
           && List.for_all
                (fun (ch, pairs) ->
                  Array.for_all
                    (fun (v, w) ->
                      Graph.mem_edge g h v && Graph.mem_edge g v w && Graph.mem_edge g w ch)
                    pairs)
-               cov.c3)
+               (c3_table cov))
         (Clustering.heads cl))
 
 let test_pp_smoke () =
@@ -186,8 +197,7 @@ let test_pp_smoke () =
 
 (* Distributed CH_HOP protocol *)
 
-let coverages_equal (a : Coverage.t) (b : Coverage.t) =
-  a.owner = b.owner && a.mode = b.mode && a.c2 = b.c2 && a.c3 = b.c3
+let coverages_equal (a : Coverage.t) b = a = b
 
 let test_proto_matches_centralized_paper () =
   let g, cl = paper () in
@@ -306,6 +316,103 @@ let test_cache_coverage_per_head () =
         [ Coverage.Hop25; Coverage.Hop3 ])
     (seeded_udgs ())
 
+(* The flat layout is well formed: the key arrays are strictly
+   increasing and disjoint, never name the owner, the offsets start at
+   0 and end at the buffer length, and every connector range is
+   nonempty and strictly increasing (pairs lexicographically). *)
+let well_formed (cov : Coverage.t) =
+  let increasing a = Array.for_all Fun.id (Array.init (max 0 (Array.length a - 1)) (fun i -> a.(i) < a.(i + 1))) in
+  let offsets keys off len =
+    Array.length off = Array.length keys + 1
+    && off.(0) = 0
+    && off.(Array.length keys) = len
+    && Array.for_all Fun.id (Array.init (Array.length keys) (fun i -> off.(i) < off.(i + 1)))
+  in
+  let ranges keys off ok =
+    Array.for_all Fun.id
+      (Array.init (Array.length keys) (fun i ->
+           List.for_all ok (List.init (off.(i + 1) - off.(i) - 1) (fun j -> off.(i) + j))))
+  in
+  increasing cov.c2_keys && increasing cov.c3_keys
+  && Array.for_all (fun c -> not (Array.mem c cov.c3_keys) && c <> cov.owner) cov.c2_keys
+  && (not (Array.mem cov.owner cov.c3_keys))
+  && offsets cov.c2_keys cov.c2_off (Array.length cov.c2_via)
+  && offsets cov.c3_keys cov.c3_off (Array.length cov.c3_v)
+  && Array.length cov.c3_w = Array.length cov.c3_v
+  && ranges cov.c2_keys cov.c2_off (fun j -> cov.c2_via.(j) < cov.c2_via.(j + 1))
+  && ranges cov.c3_keys cov.c3_off (fun j ->
+         cov.c3_v.(j) < cov.c3_v.(j + 1)
+         || (cov.c3_v.(j) = cov.c3_v.(j + 1) && cov.c3_w.(j) < cov.c3_w.(j + 1)))
+
+(* Every head's flat set, from the cache, the per-head reference and the
+   distributed CH_HOP protocol: one value, well formed, in both modes. *)
+let prop_flat_sets =
+  qtest "flat sets well formed, cache = of_head = protocol" ~count:40 (arb_udg ~n_max:60 ())
+    (fun case ->
+      let g = (sample_of case).graph in
+      let cl = Lowest_id.cluster g in
+      List.for_all
+        (fun mode ->
+          let cache = Coverage.Cache.create g cl mode in
+          let proto = (Ch_hop_proto.run g cl mode).coverages in
+          List.for_all
+            (fun h ->
+              let cov = Coverage.Cache.coverage cache h in
+              well_formed cov
+              && coverages_equal cov (Coverage.of_head g cl mode h)
+              && coverages_equal cov (Option.get proto.(h))
+              && Array.to_list (Coverage.Cache.covered_row cache h)
+                 = Nodeset.elements (Coverage.covered cov))
+            (Clustering.heads cl))
+        [ Coverage.Hop25; Coverage.Hop3 ])
+
+let test_of_sorted_rejects () =
+  let bad = Invalid_argument "Coverage.of_sorted: keys or connectors not strictly increasing" in
+  let make ~c2 ~c3 () = ignore (Coverage.of_sorted ~owner:0 Coverage.Hop25 ~c2 ~c3) in
+  Alcotest.check_raises "keys out of order" bad (make ~c2:[ (3, [ 1 ]); (2, [ 1 ]) ] ~c3:[]);
+  Alcotest.check_raises "no connector" bad (make ~c2:[ (3, []) ] ~c3:[]);
+  Alcotest.check_raises "connectors out of order" bad (make ~c2:[ (3, [ 5; 4 ]) ] ~c3:[]);
+  Alcotest.check_raises "pairs out of order" bad (make ~c2:[] ~c3:[ (3, [ (4, 6); (4, 5) ]) ]);
+  let cov = Coverage.of_sorted ~owner:0 Coverage.Hop25 ~c2:[ (2, [ 4; 5 ]) ] ~c3:[ (3, [ (4, 6) ]) ] in
+  Alcotest.(check bool) "well formed" true (well_formed cov);
+  Alcotest.(check string) "pp" "C(0) [2.5-hop]: C2 = 2 via {4,5}; C3 = 3 via {(4,6)}"
+    (Format.asprintf "%a" Coverage.pp cov)
+
+(* Allocation pin: on a fixed n = 200 network, once one head has been
+   computed (so the memo, the working scratch and the CH_HOP2 rows
+   exist), completing [Cache.coverages] allocates at most the output
+   arrays' own words (a header and one word per entry; an empty array
+   and the offsets of an empty key array are shared constants) plus 16
+   words per head — the record and its [Some] take 12, so a sort, a
+   closure or a tuple per head crosses it. *)
+let test_coverages_allocation () =
+  let g = (udg ~seed:2024 ~n:200 ~d:12.).graph in
+  let cl = Lowest_id.cluster g in
+  List.iter
+    (fun mode ->
+      let cache = Coverage.Cache.create g cl mode in
+      let first = List.hd (Clustering.heads cl) in
+      ignore (Coverage.Cache.coverage cache first);
+      let w0 = Gc.minor_words () in
+      let all = Coverage.Cache.coverages cache in
+      let words = Gc.minor_words () -. w0 in
+      let array a = if Array.length a = 0 then 0 else Array.length a + 1 in
+      let bound = ref 0 in
+      List.iter
+        (fun h ->
+          if h <> first then begin
+            let c = Option.get all.(h) in
+            let offsets keys off = if Array.length keys = 0 then 0 else array off in
+            bound :=
+              !bound + 16 + array c.c2_keys + offsets c.c2_keys c.c2_off + array c.c2_via
+              + array c.c3_keys + offsets c.c3_keys c.c3_off + array c.c3_v + array c.c3_w
+          end)
+        (Clustering.heads cl);
+      if words > float_of_int !bound then
+        Alcotest.failf "%a: coverages allocated %.0f words, bound %d" Coverage.pp_mode mode words
+          !bound)
+    [ Coverage.Hop25; Coverage.Hop3 ]
+
 (* The flat CH_HOP2 rows decode to exactly the per-row reference for
    every node.  The row buffer starts at one entry per node, so on these
    dense 3-hop cases (asserted: more entries than nodes) it must grow at
@@ -365,5 +472,9 @@ let () =
           Alcotest.test_case "per-head coverage = of_head = batch" `Quick
             test_cache_coverage_per_head;
           Alcotest.test_case "flat rows = ch_hop2, grown buffer" `Quick test_cache_flat_rows_grow;
+          prop_flat_sets;
+          Alcotest.test_case "of_sorted rejects unsorted input" `Quick test_of_sorted_rejects;
+          Alcotest.test_case "coverages allocate only their arrays" `Quick
+            test_coverages_allocation;
         ] );
     ]

@@ -108,7 +108,11 @@ let prop_selection_covers_targets =
         [ Coverage.Hop25; Coverage.Hop3 ])
 
 (* Size bound: every selection step removes at least one target and adds
-   at most a pair of gateways, so |selection| <= 2 |targets|. *)
+   at most a pair of gateways, so |selection| <= 2 |targets|.  The
+   pruned entry selects exactly what [select] selects for the targets
+   left after pruning: here the upstream is the highest covered head,
+   the covered row every third covered head and the heard row the odd
+   ones. *)
 let prop_selection_size_bound =
   qtest "selection size at most twice the targets" ~count:40 (arb_udg ~n_max:40 ()) (fun case ->
       let g = (sample_of case).graph in
@@ -116,20 +120,25 @@ let prop_selection_size_bound =
       List.for_all
         (fun h ->
           let cov = Coverage.of_head g cl Coverage.Hop25 h in
+          let all = Coverage.covered cov in
+          let row p = Array.of_list (List.filter p (Nodeset.elements all)) in
+          let upstream = Option.value ~default:(-1) (Nodeset.max_elt_opt all) in
+          let covered = row (fun c -> c mod 3 = 0) and heard = row (fun c -> c mod 2 = 1) in
+          let targets =
+            Nodeset.filter
+              (fun c -> c <> upstream && c mod 3 <> 0 && c mod 2 = 0)
+              all
+          in
+          let pruned = Gateway_selection.select_pruned cov ~upstream ~covered ~heard in
+          let pruned = Array.to_list (Array.sub (Gateway_selection.selection ()) 0 pruned) in
+          let whole = Gateway_selection.select_pruned cov ~upstream:(-1) ~covered:[||] ~heard:[||] in
+          let whole = Array.to_list (Array.sub (Gateway_selection.selection ()) 0 whole) in
           List.for_all
             (fun targets ->
-              let sel = Gateway_selection.select cov ~targets in
-              let iterated = ref [] in
-              Gateway_selection.iter_selected
-                ~targets:(fun c -> Nodeset.mem c targets)
-                cov
-                (fun x -> iterated := x :: !iterated);
-              Nodeset.cardinal sel <= 2 * Nodeset.cardinal targets
-              && List.rev !iterated = Nodeset.elements sel)
-            [
-              Coverage.covered cov;
-              Nodeset.filter (fun c -> c mod 2 = 0) (Coverage.covered cov);
-            ])
+              Nodeset.cardinal (Gateway_selection.select cov ~targets) <= 2 * Nodeset.cardinal targets)
+            [ all; targets ]
+          && pruned = Nodeset.elements (Gateway_selection.select cov ~targets)
+          && whole = Nodeset.elements (Gateway_selection.select cov))
         (Manet_cluster.Clustering.heads cl))
 
 (* The batched selection used by the static backbone is exactly the
@@ -155,10 +164,10 @@ let prop_select_all_matches_per_head =
 
 (* The kernel allocates nothing once its scratch has grown: on the
    2.5-hop and 3-hop coverage sets of a fixed n = 200 network, after a
-   warm-up pass, selecting for every head — with and without a target
-   predicate — allocates no minor word, and [select_array] allocates
-   exactly its result (a header and one word per gateway, nothing for
-   an empty selection). *)
+   warm-up pass, selecting for every head — with and without pruning
+   rows — allocates no minor word, and [select_array] allocates exactly
+   its result (a header and one word per gateway, nothing for an empty
+   selection). *)
 let minor_words f =
   let w0 = Gc.minor_words () in
   f ();
@@ -172,24 +181,30 @@ let test_selection_allocates_nothing () =
   let cl = Lowest_id.cluster g in
   List.iter
     (fun mode ->
-      let coverages = Coverage.all g cl mode in
+      let cache = Coverage.Cache.create g cl mode in
+      let coverages = Coverage.Cache.coverages cache in
       let sink = ref 0 in
-      let f x = sink := !sink + x in
-      let targets = Some (fun c -> c land 1 = 0) in
-      let every () =
+      let select ~pruning =
         for h = 0 to Array.length coverages - 1 do
           match coverages.(h) with
           | None -> ()
-          | Some cov -> Gateway_selection.iter_selected cov f
+          | Some cov ->
+            let k =
+              if pruning then
+                (* prune by the previous node's rows, as a relay would *)
+                let u = (h + Graph.n g - 1) mod Graph.n g in
+                Gateway_selection.select_pruned cov ~upstream:u
+                  ~covered:(Coverage.Cache.covered_row cache u)
+                  ~heard:(Coverage.Cache.ch_hop1 cache u)
+              else Gateway_selection.select_pruned cov ~upstream:(-1) ~covered:[||] ~heard:[||]
+            in
+            let out = Gateway_selection.selection () in
+            for i = 0 to k - 1 do
+              sink := !sink + out.(i)
+            done
         done
       in
-      let some () =
-        for h = 0 to Array.length coverages - 1 do
-          match coverages.(h) with
-          | None -> ()
-          | Some cov -> Gateway_selection.iter_selected ?targets cov f
-        done
-      in
+      let every () = select ~pruning:false and some () = select ~pruning:true in
       let result_words = ref 0 in
       let arrays () =
         for h = 0 to Array.length coverages - 1 do
@@ -204,8 +219,8 @@ let test_selection_allocates_nothing () =
       some ();
       arrays ();
       let label = Format.asprintf "%a" Coverage.pp_mode mode in
-      Alcotest.(check (float 0.)) (label ^ ": iter_selected") 0. (minor_words every);
-      Alcotest.(check (float 0.)) (label ^ ": iter_selected ~targets") 0. (minor_words some);
+      Alcotest.(check (float 0.)) (label ^ ": select_pruned") 0. (minor_words every);
+      Alcotest.(check (float 0.)) (label ^ ": select_pruned, pruning rows") 0. (minor_words some);
       result_words := 0;
       let w = minor_words arrays in
       Alcotest.(check (float 0.)) (label ^ ": select_array") (float_of_int !result_words) w)

@@ -77,14 +77,20 @@ let prop_theorem1 =
           Static.is_cds bb)
         [ Coverage.Hop25; Coverage.Hop3 ])
 
-(* Gateways are non-heads; members = heads + gateways. *)
+(* Gateways are non-heads; members = heads + gateways, in both modes and
+   for the distributed construction, whose result is assembled by the
+   same constructor; [head_set] is exactly the head list. *)
 let prop_composition =
   qtest "members = heads U gateways, disjointly" ~count:60 (arb_udg ()) (fun case ->
       let g = (sample_of case).graph in
-      let bb = Static.build g Coverage.Hop25 in
-      let heads = Clustering.head_set bb.clustering in
-      Nodeset.equal bb.members (Nodeset.union heads bb.gateways)
-      && Nodeset.is_empty (Nodeset.inter heads bb.gateways))
+      let composed (bb : Static.t) =
+        let heads = Clustering.head_set bb.clustering in
+        Nodeset.elements heads = Clustering.heads bb.clustering
+        && Nodeset.equal bb.members (Nodeset.union heads bb.gateways)
+        && Nodeset.is_empty (Nodeset.inter heads bb.gateways)
+      in
+      List.for_all (fun mode -> composed (Static.build g mode)) [ Coverage.Hop25; Coverage.Hop3 ]
+      && composed (snd (Cost.measure g Coverage.Hop25)))
 
 (* SI broadcast over the backbone delivers to everyone from any source. *)
 let prop_broadcast_delivers =
@@ -244,8 +250,7 @@ let coverage_slots_equal (a : Coverage.t option array) (b : Coverage.t option ar
        (fun x y ->
          match (x, y) with
          | None, None -> true
-         | Some (x : Coverage.t), Some (y : Coverage.t) ->
-           x.owner = y.owner && x.mode = y.mode && x.c2 = y.c2 && x.c3 = y.c3
+         | Some (x : Coverage.t), Some y -> x = y
          | Some _, None | None, Some _ -> false)
        a b
 
