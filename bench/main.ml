@@ -325,11 +325,12 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
    [Graph.mem_edge] allocating no closure), 14,603 once the kernel
    stopped allocating per selection, and 5,879 once the members were
    built from one indicator (no per-head [Nodeset.add], no union) and
-   the per-call scratch's node maps were presized to n: what is left is
-   the scratch's entry tables and the two sets.  The ceiling sits about
-   13% above that, so per-head allocation in the static build crosses
-   it. *)
-let static_ceiling_words = 6_650.
+   the per-call scratch's node maps were presized to n, and 5,376 once
+   the scratch's chain-linked entry pools became per-slot ranges: what
+   is left is the scratch's tables and the two sets.  The ceiling sits
+   about 13% above that, so per-head allocation in the static build
+   crosses it. *)
+let static_ceiling_words = 6_080.
 let static_seed_us = 550.8
 let static_seed_words = 76_790.
 
@@ -471,12 +472,14 @@ let alloc_sample () =
    the state lived in hashtables; the ceiling sits well under half the
    seed.  The loop measured 61,390 words while each refreshed head's
    gateway selection allocated ~210 words, and 32,694 once the kernel
-   allocated nothing beyond its result, and 14,016 once each refreshed
-   head's coverage set was a flat record of int arrays; the ceiling
-   sits about 13% above that, so a return to per-head row rebuilding,
-   per-entry boxing or an allocating selection crosses it. *)
+   allocated nothing beyond its result, 14,016 once each refreshed
+   head's coverage set was a flat record of int arrays, and 13,587 once
+   the kernel's scratch held per-slot ranges and reading a graph's CSR
+   arrays stopped allocating a tuple; the ceiling sits about 13% above
+   that, so a return to per-head row rebuilding, per-entry boxing or an
+   allocating selection crosses it. *)
 let maint_steps = 40
-let maint_ceiling_words = 15_850.
+let maint_ceiling_words = 15_360.
 let maint_seed_us = 8347.
 let maint_seed_words = 543_562.
 
@@ -551,12 +554,14 @@ let alloc_arrival () =
    17,343 words (gateway selections read in place, [Graph.mem_edge]
    closure-free), 10,835 once each series read counts only, the
    gateway kernel stopped allocating and the 3-hop table reused the
-   2.5-hop table's CH_HOP1 rows, and 6,657 once coverage sets were
-   flat arrays and the static members came from one indicator.  The
-   ceiling sits about 13% above that, so a series that builds its own
-   tables or materializes its result again crosses it. *)
+   2.5-hop table's CH_HOP1 rows, 6,657 once coverage sets were flat
+   arrays and the static members came from one indicator, and 6,216
+   once the gateway kernel's scratch held per-slot ranges instead of
+   chain-linked entry pools.  The ceiling sits about 13% above that, so
+   a series that builds its own tables or materializes its result
+   again crosses it. *)
 let sweep_samples = 8
-let sweep_ceiling_words = 7_520.
+let sweep_ceiling_words = 7_030.
 let sweep_seed_us = 371.2
 let sweep_seed_words = 28_150.
 

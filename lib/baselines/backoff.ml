@@ -23,7 +23,7 @@ let run ~name ~epilogue ~arena ~rng g ~source ~decide =
   (* Drawn up front, so results depend only on the generator's state. *)
   let backoff = Array.init n (fun _ -> 1 + Rng.int rng window) in
   let tx = Array.make n max_int in
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   Scratch.with_scratch ~arena ~n ~payload_bound:1 (fun s ->
       let completion = ref 0 in
       let transmit time v =

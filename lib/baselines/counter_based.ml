@@ -5,7 +5,7 @@ module Graph = Manet_graph.Graph
 let threshold = 3
 
 let run ~epilogue ~arena ~rng g ~source =
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   Backoff.run ~name:"Counter_based" ~epilogue ~arena ~rng g ~source ~decide:(fun ~tx ~time v ->
       let copies = ref 0 and i = ref off.(v) in
       while !copies < threshold && !i < off.(v + 1) do

@@ -20,7 +20,7 @@ let is_head = function Clusterhead -> true | Gateway | Ordinary -> false
 let native ~epilogue ~arena ~rng g ~source =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Passive_clustering.run: source out of range";
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let roles = Array.make n Ordinary in
   (* [mark.(w) = v]: head [w] is bridged by a gateway [v] heard. *)
   let mark = Array.make n (-1) in

@@ -5,7 +5,7 @@ module Graph = Manet_graph.Graph
    [v] (a node decides once, so stamps never go stale), then N(v) is
    searched for an unstamped node. *)
 let run ~epilogue ~arena ~rng g ~source =
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let mark = Array.make (Graph.n g) (-1) in
   Backoff.run ~name:"Self_pruning" ~epilogue ~arena ~rng g ~source ~decide:(fun ~tx ~time v ->
       let lo = off.(v) and hi = off.(v + 1) in

@@ -4,7 +4,7 @@ module Nodeset = Manet_graph.Nodeset
 type t = { graph : Graph.t; marked : Nodeset.t; members : Nodeset.t }
 
 let marking g =
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let marked = ref Nodeset.empty in
   for v = 0 to Graph.n g - 1 do
     let lo = off.(v) and hi = off.(v + 1) in
@@ -43,7 +43,7 @@ let build g =
   Nodeset.iter
     (fun v ->
       if Nodeset.mem v !members then begin
-        let off, nbr = Graph.csr g in
+        let { Graph.off; nbr; _ } = g in
         let lo = off.(v) and hi = off.(v + 1) in
         let dominated = ref false in
         for i = lo to hi - 1 do

@@ -387,7 +387,7 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
   let n = Graph.n g in
   let tick = start a ~n in
   let delivered = a.delivered and transmitted = a.transmitted and payload = a.payload in
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let shift = bits_for 1 n in
   let mask = (1 lsl shift) - 1 in
   let completion = ref 0 and reached = ref 1 in

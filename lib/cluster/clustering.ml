@@ -35,7 +35,7 @@ let of_head_array g head_of =
 let elect ~beats g head =
   let n = Graph.n g in
   if Array.length head <> n then invalid_arg "Clustering.elect: wrong length";
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let declares = Array.make n 0 in
   let changed = ref true in
   while !changed do

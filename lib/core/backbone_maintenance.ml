@@ -46,7 +46,7 @@ let refresh_head t g cache h =
   for i = 0 to Array.length sel - 1 do
     t.mark.(sel.(i)) <- s
   done;
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let msgs = ref 1 in
   for i = off.(h) to off.(h + 1) - 1 do
     if t.mark.(nbr.(i)) = s then incr msgs
@@ -86,7 +86,7 @@ let ball t g dist ~seeds ~limit =
     dist.(t.affected.(i)) <- 0;
     q.(i) <- t.affected.(i)
   done;
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let head = ref 0 and tail = ref seeds in
   while !head < !tail do
     let u = q.(!head) in
@@ -113,7 +113,8 @@ let update t g =
   let new_head_of = Array.init n (Clustering.head_of cl) in
   (* Affected nodes: adjacency changed or cluster role changed.  Rows are
      compared in place on the CSR arrays — no per-node copies. *)
-  let ooff, onbr = Graph.csr old_graph and noff, nnbr = Graph.csr g in
+  let { Graph.off = ooff; nbr = onbr; _ } = old_graph in
+  let { Graph.off = noff; nbr = nnbr; _ } = g in
   let same_row v =
     let lo = ooff.(v) and ln = noff.(v) in
     let d = ooff.(v + 1) - lo in

@@ -47,7 +47,7 @@ let run ~epilogue ~pruning ~cache ~arena g cl ~source =
     | Some c -> c
     | None -> invalid_arg "Dynamic_backbone: stale coverage array"
   in
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   Scratch.with_scratch ~arena ~n ~payload_bound:(encode ~upstream:(n - 1) + 2) (fun scr ->
       let completion = ref 0 in
       let transmit time v ~upstream =

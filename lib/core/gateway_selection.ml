@@ -10,47 +10,44 @@ module Coverage = Manet_coverage.Coverage
    get covered — each greedy round is then a linear scan over the
    candidates instead of a set intersection per candidate.
 
+   A target's connectors are its own key range in the coverage set, read
+   in place.  A candidate's covers are one offset range per slot, laid
+   out like the coverage set's ranges by a counting sort: the covers are
+   counted while the candidates are collected, then scattered once.
+   The order within a range decides nothing: a coverage set holds at
+   most one pair per first hop per C3 key ({!Coverage.of_sorted}
+   enforces it), so a selected candidate pulls in the same second hops
+   whichever order it walks its covers in, and the output is sorted at
+   the end.
+
    All working storage lives in a [scratch] (domain-local for the
    per-head entry points, private to a {!select_all} call): stamp-tagged
-   node maps (reset is a counter bump), chain-linked entry pools
-   replacing the per-slot lists, and an output buffer, each grown (and
-   kept) when a selection's sizing pass finds it too small.  Once grown,
-   one selection allocates nothing, which is what lets the dynamic
-   broadcast call this once per relaying clusterhead without feeding the
-   minor heap.  The chains replicate the original per-slot lists exactly
-   — prepend during the build scan, walk head-first — because one order
-   is semantically load-bearing: when a candidate v reaches the same
-   3-hop target through several pairs (v, w), the walk order decides
-   which w is pulled in. *)
+   node maps (reset is a counter bump), the per-slot ranges and an
+   output buffer, each grown (and kept) when a selection's sizing pass
+   finds it too small.  Once grown, one selection allocates nothing,
+   which is what lets the dynamic broadcast call this once per relaying
+   clusterhead without feeding the minor heap. *)
 
 type scratch = {
   mutable stamp : int;
   (* node-indexed maps, grown to the largest id seen *)
   mutable cand_tag : int array;  (** node tagged iff collected as candidate *)
-  mutable slotv : int array;  (** candidate slot of a tagged node *)
+  mutable slotv : int array;  (** candidate slot of a tagged node; its cover counts until then *)
   mutable sel_tag : int array;  (** node tagged iff selected *)
   (* slot-indexed *)
   mutable cands : int array;
   mutable live_direct : int array;
   mutable live_indirect : int array;
-  mutable dhead : int array;  (** direct-entry chain per slot *)
-  mutable ihead : int array;  (** indirect-entry chain per slot *)
-  (* c2/c3-entry-indexed *)
+  mutable d_off : int array;
+      (** slot [s]'s direct covers are [d_i.(d_off.(s) .. d_off.(s + 1) - 1)] *)
+  mutable i_off : int array;  (** slot [s]'s indirect covers, in [i_i]/[i_w] likewise *)
+  (* c2/c3-key-indexed *)
   mutable live2 : bool array;
-  mutable r2head : int array;  (** direct-entry chain per c2 index *)
   mutable live3 : bool array;
-  mutable r3head : int array;  (** indirect-entry chain per c3 index *)
-  (* direct entry pool: one entry per (c2 index, connector) *)
-  mutable d_i : int array;
-  mutable d_slot : int array;
-  mutable d_next_slot : int array;  (** next entry in the slot's chain *)
-  mutable d_next_i : int array;  (** next entry in the c2 index's chain *)
-  (* indirect entry pool: one entry per (c3 index, pair) *)
-  mutable i_i : int array;
-  mutable i_w : int array;
-  mutable i_slot : int array;
-  mutable i_next_slot : int array;
-  mutable i_next_i : int array;
+  (* per-slot cover ranges *)
+  mutable d_i : int array;  (** c2 key index *)
+  mutable i_i : int array;  (** c3 key index *)
+  mutable i_w : int array;  (** second hop of the slot's pair for that key *)
   (* selected nodes, in selection order *)
   mutable out : int array;
 }
@@ -64,21 +61,13 @@ let create_scratch n =
     cands = [||];
     live_direct = [||];
     live_indirect = [||];
-    dhead = [||];
-    ihead = [||];
+    d_off = [||];
+    i_off = [||];
     live2 = [||];
-    r2head = [||];
     live3 = [||];
-    r3head = [||];
     d_i = [||];
-    d_slot = [||];
-    d_next_slot = [||];
-    d_next_i = [||];
     i_i = [||];
     i_w = [||];
-    i_slot = [||];
-    i_next_slot = [||];
-    i_next_i = [||];
     out = [||];
   }
 
@@ -98,11 +87,21 @@ let grown_bool a size = if Array.length a >= size then a else Array.make (max si
    functions: a local closure over the counters would box them and be
    allocated on every call. *)
 
-(* Collects [v] as a candidate (once); returns the new candidate count. *)
-let add_cand scr stamp n v =
-  if scr.cand_tag.(v) = stamp then n
+(* A candidate's live covers are counted in [slotv] until the slots are
+   assigned: direct ones in the low [count_bits] bits, indirect ones
+   above.  A count is at most the number of keys of one coverage set. *)
+let count_bits = 31
+
+(* Collects [v] as a candidate (once) and adds [inc] to its cover
+   counts; returns the new candidate count. *)
+let add_cand scr stamp n v inc =
+  if scr.cand_tag.(v) = stamp then begin
+    scr.slotv.(v) <- scr.slotv.(v) + inc;
+    n
+  end
   else begin
     scr.cand_tag.(v) <- stamp;
+    scr.slotv.(v) <- inc;
     scr.cands.(n) <- v;
     n + 1
   end
@@ -118,14 +117,12 @@ let take scr stamp n v =
 
 (* Covers 2-hop target [i] if it is still live, taking one live direct
    cover from each of its connectors; returns 1 if it was live, else 0. *)
-let cover2 scr i =
+let cover2 scr (cov : Coverage.t) i =
   if scr.live2.(i) then begin
     scr.live2.(i) <- false;
-    let e = ref scr.r2head.(i) in
-    while !e >= 0 do
-      let s = scr.d_slot.(!e) in
-      scr.live_direct.(s) <- scr.live_direct.(s) - 1;
-      e := scr.d_next_i.(!e)
+    for j = cov.c2_off.(i) to cov.c2_off.(i + 1) - 1 do
+      let s = scr.slotv.(cov.c2_via.(j)) in
+      scr.live_direct.(s) <- scr.live_direct.(s) - 1
     done;
     1
   end
@@ -133,13 +130,11 @@ let cover2 scr i =
 
 (* Covers 3-hop target [i], taking one live indirect cover from each of
    its pairs' first hops. *)
-let cover3 scr i =
+let cover3 scr (cov : Coverage.t) i =
   scr.live3.(i) <- false;
-  let e = ref scr.r3head.(i) in
-  while !e >= 0 do
-    let s = scr.i_slot.(!e) in
-    scr.live_indirect.(s) <- scr.live_indirect.(s) - 1;
-    e := scr.i_next_i.(!e)
+  for j = cov.c3_off.(i) to cov.c3_off.(i + 1) - 1 do
+    let s = scr.slotv.(cov.c3_v.(j)) in
+    scr.live_indirect.(s) <- scr.live_indirect.(s) - 1
   done
 
 (* Sizing pass, once the targets are marked: grows every other table to
@@ -172,29 +167,18 @@ let fit scr (cov : Coverage.t) =
   scr.cands <- grown scr.cands cap_cands 0;
   scr.live_direct <- grown scr.live_direct cap_cands 0;
   scr.live_indirect <- grown scr.live_indirect cap_cands 0;
-  scr.dhead <- grown scr.dhead cap_cands 0;
-  scr.ihead <- grown scr.ihead cap_cands 0;
-  scr.r2head <- grown scr.r2head len2 0;
-  scr.r3head <- grown scr.r3head len3 0;
+  scr.d_off <- grown scr.d_off (cap_cands + 1) 0;
+  scr.i_off <- grown scr.i_off (cap_cands + 1) 0;
   scr.d_i <- grown scr.d_i nd 0;
-  scr.d_slot <- grown scr.d_slot nd 0;
-  scr.d_next_slot <- grown scr.d_next_slot nd 0;
-  scr.d_next_i <- grown scr.d_next_i nd 0;
   scr.i_i <- grown scr.i_i ni 0;
   scr.i_w <- grown scr.i_w ni 0;
-  scr.i_slot <- grown scr.i_slot ni 0;
-  scr.i_next_slot <- grown scr.i_next_slot ni 0;
-  scr.i_next_i <- grown scr.i_next_i ni 0;
   scr.out <- grown scr.out (cap_cands + ni + (2 * len3)) 0
 
-(* Binary search in a sorted row. *)
+(* Membership in a strictly increasing row. *)
 let mem_row (row : int array) x =
-  let lo = ref 0 and hi = ref (Array.length row) in
-  while !hi > !lo do
-    let mid = (!lo + !hi) / 2 in
-    if row.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length row && row.(!lo) = x
+  let n = Array.length row in
+  let i = Manet_graph.Row_sort.lower_bound row 0 n x in
+  i < n && row.(i) = x
 
 let pruned ~upstream ~covered ~heard c =
   c <> upstream && (not (mem_row covered c)) && not (mem_row heard c)
@@ -224,77 +208,65 @@ let run_select scr (cov : Coverage.t) =
   and cands = scr.cands
   and live_direct = scr.live_direct
   and live_indirect = scr.live_indirect
-  and dhead = scr.dhead
-  and ihead = scr.ihead
+  and d_off = scr.d_off
+  and i_off = scr.i_off
   and live2 = scr.live2
-  and r2head = scr.r2head
-  and live3 = scr.live3
-  and r3head = scr.r3head in
+  and live3 = scr.live3 in
   let { Coverage.c2_keys; c2_off; c2_via; c3_keys; c3_off; c3_v; c3_w; _ } = cov in
   let len2 = Array.length c2_keys and len3 = Array.length c3_keys in
   (* The distinct candidates of the live targets, ascending — the greedy
-     scan order. *)
+     scan order — and their live cover counts. *)
   let n_cands = ref 0 in
   let n2_live = ref 0 in
   for i = 0 to len2 - 1 do
     if live2.(i) then begin
       incr n2_live;
       for j = c2_off.(i) to c2_off.(i + 1) - 1 do
-        n_cands := add_cand scr stamp !n_cands c2_via.(j)
+        n_cands := add_cand scr stamp !n_cands c2_via.(j) 1
       done
     end
   done;
   for i = 0 to len3 - 1 do
     if live3.(i) then
       for j = c3_off.(i) to c3_off.(i + 1) - 1 do
-        n_cands := add_cand scr stamp !n_cands c3_v.(j)
+        n_cands := add_cand scr stamp !n_cands c3_v.(j) (1 lsl count_bits)
       done
   done;
   let n_cands = !n_cands in
   Manet_graph.Row_sort.sort_range cands 0 n_cands;
+  (* Per-slot cover ranges by counting sort: with the counts known, set
+     [off.(s + 1)] to the start of slot [s]'s range, then scatter with
+     [off.(s + 1)] as its cursor — which leaves it at the range's end,
+     i.e. the start of slot [s + 1]. *)
+  d_off.(0) <- 0;
+  i_off.(0) <- 0;
+  let nd = ref 0 and ni = ref 0 in
   for s = 0 to n_cands - 1 do
+    let counts = slotv.(cands.(s)) in
     slotv.(cands.(s)) <- s;
-    live_direct.(s) <- 0;
-    live_indirect.(s) <- 0;
-    dhead.(s) <- -1;
-    ihead.(s) <- -1
+    live_direct.(s) <- counts land ((1 lsl count_bits) - 1);
+    live_indirect.(s) <- counts lsr count_bits;
+    d_off.(s + 1) <- !nd;
+    nd := !nd + live_direct.(s);
+    i_off.(s + 1) <- !ni;
+    ni := !ni + live_indirect.(s)
   done;
-  (* Entry chains: per-slot (the covers of a candidate) and per-target
-     (the slots to decrement when the target gets covered). *)
-  let e = ref 0 in
   for i = 0 to len2 - 1 do
-    if live2.(i) then begin
-      r2head.(i) <- -1;
+    if live2.(i) then
       for j = c2_off.(i) to c2_off.(i + 1) - 1 do
-        let s = slotv.(c2_via.(j)) in
-        scr.d_i.(!e) <- i;
-        scr.d_slot.(!e) <- s;
-        scr.d_next_slot.(!e) <- dhead.(s);
-        dhead.(s) <- !e;
-        live_direct.(s) <- live_direct.(s) + 1;
-        scr.d_next_i.(!e) <- r2head.(i);
-        r2head.(i) <- !e;
-        incr e
+        let s = slotv.(c2_via.(j)) + 1 in
+        scr.d_i.(d_off.(s)) <- i;
+        d_off.(s) <- d_off.(s) + 1
       done
-    end
   done;
-  let e = ref 0 in
   for i = 0 to len3 - 1 do
-    if live3.(i) then begin
-      r3head.(i) <- -1;
+    if live3.(i) then
       for j = c3_off.(i) to c3_off.(i + 1) - 1 do
-        let s = slotv.(c3_v.(j)) in
-        scr.i_i.(!e) <- i;
-        scr.i_w.(!e) <- c3_w.(j);
-        scr.i_slot.(!e) <- s;
-        scr.i_next_slot.(!e) <- ihead.(s);
-        ihead.(s) <- !e;
-        live_indirect.(s) <- live_indirect.(s) + 1;
-        scr.i_next_i.(!e) <- r3head.(i);
-        r3head.(i) <- !e;
-        incr e
+        let s = slotv.(c3_v.(j)) + 1 in
+        scr.i_i.(i_off.(s)) <- i;
+        scr.i_w.(i_off.(s)) <- c3_w.(j);
+        i_off.(s) <- i_off.(s) + 1
       done
-    end
   done;
   let n_out = ref 0 in
   (* Phase 1: greedy direct coverage of the 2-hop targets.  Scanning in
@@ -319,19 +291,15 @@ let run_select scr (cov : Coverage.t) =
     else begin
       let s = !best in
       n_out := take scr stamp !n_out cands.(s);
-      let e = ref dhead.(s) in
-      while !e >= 0 do
-        n2_live := !n2_live - cover2 scr scr.d_i.(!e);
-        e := scr.d_next_slot.(!e)
+      for e = d_off.(s) to d_off.(s + 1) - 1 do
+        n2_live := !n2_live - cover2 scr cov scr.d_i.(e)
       done;
-      let e = ref ihead.(s) in
-      while !e >= 0 do
-        let i = scr.i_i.(!e) in
+      for e = i_off.(s) to i_off.(s + 1) - 1 do
+        let i = scr.i_i.(e) in
         if live3.(i) then begin
-          cover3 scr i;
-          n_out := take scr stamp !n_out scr.i_w.(!e)
-        end;
-        e := scr.i_next_slot.(!e)
+          cover3 scr cov i;
+          n_out := take scr stamp !n_out scr.i_w.(e)
+        end
       done
     end
   done;

@@ -27,7 +27,7 @@ let no_keys = [| 0 |]
    Well-defined for every node — clusterheads form an independent set, so
    a clusterhead's row is empty. *)
 let hop1_row g cl v =
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let lo = off.(v) and hi = off.(v + 1) in
   let k = ref 0 in
   for i = lo to hi - 1 do
@@ -87,7 +87,7 @@ let hop2_row g cl mode ~hop1 ~stamp ~gen ~buf v =
     !buf.(!len) <- x;
     incr len
   in
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   for i = off.(v) to off.(v + 1) - 1 do
     let w = Array.unsafe_get nbr i in
     if not (Clustering.is_head cl w) then begin
@@ -139,7 +139,7 @@ type scratch = {
 
 let make_scratch g =
   let n = Graph.n g in
-  let goff, gnbr = Graph.csr g in
+  let { Graph.off = goff; nbr = gnbr; _ } = g in
   {
     goff;
     gnbr;
@@ -270,7 +270,7 @@ let of_head_from ~hop1 ~rows ~scratch cl mode u =
 let of_head g cl mode u =
   if not (Clustering.is_head cl u) then invalid_arg "Coverage.of_head: not a clusterhead";
   let n = Graph.n g in
-  let goff, gnbr = Graph.csr g in
+  let { Graph.off = goff; nbr = gnbr; _ } = g in
   let nbrs = Array.sub gnbr goff.(u) (goff.(u + 1) - goff.(u)) in
   let hop1 = Array.make n [||] in
   Array.iter (fun v -> hop1.(v) <- hop1_row g cl v) nbrs;
@@ -316,7 +316,7 @@ let flat_rows g cl mode (hop1 : int array array) =
       incr len
     end
   in
-  let goff, gnbr = Graph.csr g in
+  let { Graph.off = goff; nbr = gnbr; _ } = g in
   for v = 0 to n - 1 do
     off.(v) <- !len;
     if not (Clustering.is_head cl v) then begin
@@ -402,7 +402,7 @@ module Cache = struct
        empty row directly (they form an independent set, so scanning
        their neighbors would find no head anyway). *)
     let hop1 =
-      let off, nbr = Graph.csr g in
+      let { Graph.off; nbr; _ } = g in
       let buf = ref (Array.make 64 0) in
       Array.init (Graph.n g) (fun v ->
           if Clustering.is_head cl v then [||]
@@ -508,8 +508,9 @@ let of_sorted ~owner mode ~c2 ~c3 =
     increasing (fun (a, _) (b, _) -> Int.compare a b) entries
     && List.for_all (fun (_, l) -> match l with [] -> false | _ -> increasing cmp l) entries
   in
-  let pair (v1, w1) (v2, w2) = match Int.compare v1 v2 with 0 -> Int.compare w1 w2 | c -> c in
-  if not (table Int.compare c2 && table pair c3) then
+  (* One pair per first hop: the gateway kernel relies on it. *)
+  let first_hop (v1, _) (v2, _) = Int.compare v1 v2 in
+  if not (table Int.compare c2 && table first_hop c3) then
     invalid_arg "Coverage.of_sorted: keys or connectors not strictly increasing";
   let layout entries =
     let keys = Array.of_list (List.map fst entries) in

@@ -51,7 +51,8 @@ type t = private {
   c3_w : int array;
       (** second hops, parallel to [c3_v]: key [i]'s pairs are
           [(c3_v.(j), c3_w.(j))] for [j] in [c3_off.(i) .. c3_off.(i + 1) - 1],
-          strictly increasing in lexicographic order, nonempty *)
+          nonempty, their first hops strictly increasing: one pair per
+          first hop, which gateway selection relies on *)
 }
 (** The arrays are shared with the cache that built them (the offset
     array of an empty key array is one shared constant): callers must
@@ -62,8 +63,8 @@ val of_sorted :
 (** [of_sorted ~owner mode ~c2 ~c3] lays out a coverage set given as
     [(clusterhead, connectors)] lists — the message-level result of
     {!Ch_hop_proto}.  Keys must be strictly increasing, and each
-    connector list nonempty and strictly increasing (pairs
-    lexicographically).
+    connector list nonempty and strictly increasing (a pair list by
+    first hop: one pair per first hop).
     @raise Invalid_argument otherwise. *)
 
 val ch_hop1 : Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> int -> Manet_graph.Nodeset.t

@@ -1,4 +1,5 @@
 module Graph = Manet_graph.Graph
+module Row_sort = Manet_graph.Row_sort
 module Unit_disk = Manet_graph.Unit_disk
 module Point = Manet_geom.Point
 module Rng = Manet_rng.Rng
@@ -87,14 +88,7 @@ module Roster = struct
   let is_active r v = r.active.(v)
   let nth_active r k = r.ids.(k)
 
-  (* The first index in [lo, hi) whose id is at least [v] ([hi] if none). *)
-  let rec lower_bound (ids : int array) v lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if ids.(mid) < v then lower_bound ids v (mid + 1) hi else lower_bound ids v lo mid
-
-  let active_below r bound = lower_bound r.ids bound 0 r.live
+  let active_below r bound = Row_sort.lower_bound r.ids 0 r.live bound
 
   (* Move the id at index [a] to index [b], shifting the ids between
      them by one. *)
@@ -105,13 +99,13 @@ module Roster = struct
 
   let leave r k =
     let v = r.ids.(k) in
-    move r.ids k (lower_bound r.ids v r.live (Array.length r.ids) - 1);
+    move r.ids k (Row_sort.lower_bound r.ids r.live (Array.length r.ids) v - 1);
     r.live <- r.live - 1;
     r.active.(v) <- false
 
   let join r k =
     let v = r.ids.(r.live + k) in
-    move r.ids (r.live + k) (lower_bound r.ids v 0 r.live);
+    move r.ids (r.live + k) (Row_sort.lower_bound r.ids 0 r.live v);
     r.live <- r.live + 1;
     r.active.(v) <- true
 end

@@ -7,7 +7,7 @@ let distances_upto g ~source ~limit =
   let n = Graph.n g in
   let dist = Array.make n max_int in
   dist.(source) <- 0;
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let queue = Array.make (max n 1) 0 in
   queue.(0) <- source;
   let head = ref 0 and tail = ref 1 in
@@ -52,7 +52,7 @@ let bfs_order g ~source =
   let n = Graph.n g in
   let seen = Array.make n false in
   seen.(source) <- true;
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let queue = Array.make (max n 1) 0 in
   queue.(0) <- source;
   let head = ref 0 and tail = ref 1 in

@@ -2,7 +2,7 @@ let components g =
   let n = Graph.n g in
   let comp = Array.make n (-1) in
   let k = ref 0 in
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   (* Flat BFS frontier: each node is enqueued exactly once across the
      whole sweep, so one n-slot array serves every component. *)
   let queue = Array.make (max n 1) 0 in
@@ -41,7 +41,7 @@ let is_connected_without g ~v =
   if v < 0 || v >= n then invalid_arg "Connectivity.is_connected_without: node out of range";
   if n <= 2 then true
   else begin
-    let off, nbr = Graph.csr g in
+    let { Graph.off; nbr; _ } = g in
     let seen = Array.make n false in
     seen.(v) <- true;
     let start = if v = 0 then 1 else 0 in
@@ -67,7 +67,7 @@ let is_connected_without g ~v =
 let reachable_within g ~from s =
   if not (Nodeset.mem from s) then Nodeset.empty
   else begin
-    let off, nbr = Graph.csr g in
+    let { Graph.off; nbr; _ } = g in
     let seen = ref (Nodeset.singleton from) in
     let queue = Array.make (max (Graph.n g) 1) 0 in
     queue.(0) <- from;

@@ -27,14 +27,8 @@ let successors t v = t.adj.(v)
 
 let mem_arc t u v =
   let a = t.adj.(u) in
-  let rec search lo hi =
-    if lo >= hi then false
-    else begin
-      let mid = (lo + hi) / 2 in
-      if a.(mid) = v then true else if a.(mid) < v then search (mid + 1) hi else search lo mid
-    end
-  in
-  search 0 (Array.length a)
+  let i = Row_sort.lower_bound a 0 (Array.length a) v in
+  i < Array.length a && a.(i) = v
 
 (* Iterative Tarjan: an explicit frame stack of (node, next-successor
    index) replaces recursion so deep digraphs cannot blow the OCaml

@@ -1,5 +1,5 @@
 let undominated g s =
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   let out = ref Nodeset.empty in
   for v = 0 to Graph.n g - 1 do
     let dominated = ref (Nodeset.mem v s) in
@@ -16,7 +16,7 @@ let undominated g s =
 let is_dominating g s = Nodeset.is_empty (undominated g s)
 
 let is_independent g s =
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   Nodeset.for_all
     (fun u ->
       let clash = ref false in

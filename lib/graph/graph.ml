@@ -139,7 +139,6 @@ let star n = of_edges ~n (List.init (max 0 (n - 1)) (fun i -> (0, i + 1)))
 
 let n t = t.n
 let m t = t.m
-let csr t = (t.off, t.nbr)
 let neighbors t v = Array.sub t.nbr t.off.(v) (t.off.(v + 1) - t.off.(v))
 let degree t v = t.off.(v + 1) - t.off.(v)
 
@@ -153,17 +152,10 @@ let max_degree t =
 
 let avg_degree t = if t.n = 0 then 0. else 2. *. float_of_int t.m /. float_of_int t.n
 
-(* Binary search for [v] in the sorted [nbr.(lo .. hi - 1)]: top level,
-   so a membership test allocates no closure. *)
-let rec search (nbr : int array) v lo hi =
-  if lo >= hi then false
-  else begin
-    let mid = (lo + hi) / 2 in
-    let x = Array.unsafe_get nbr mid in
-    if x = v then true else if x < v then search nbr v (mid + 1) hi else search nbr v lo mid
-  end
-
-let mem_edge t u v = u <> v && search t.nbr v t.off.(u) t.off.(u + 1)
+let mem_edge t u v =
+  let hi = t.off.(u + 1) in
+  let i = Row_sort.lower_bound t.nbr t.off.(u) hi v in
+  u <> v && i < hi && t.nbr.(i) = v
 
 let iter_neighbors t v f =
   let nbr = t.nbr in

@@ -7,7 +7,18 @@
     neighbor array plus an [n+1] offset array), so neighbor iteration is a
     contiguous scan and membership tests are O(log degree). *)
 
-type t
+type t = private {
+  n : int;  (** number of nodes *)
+  m : int;  (** number of (undirected) edges *)
+  off : int array;  (** length [n + 1], starting at 0 *)
+  nbr : int array;
+      (** node [v]'s neighbor row is [nbr.(off.(v)) .. nbr.(off.(v + 1) - 1)],
+          sorted strictly increasing *)
+}
+(** The CSR arrays are the graph's own storage, read-only: mutating them
+    corrupts the graph.  Inner loops that cannot afford the closure of
+    {!iter_neighbors} read them directly, as
+    [let { Graph.off; nbr; _ } = g in]. *)
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] nodes.  Edges are undirected;
@@ -38,7 +49,7 @@ val of_half_edges : n:int -> len:int -> int array -> t
 
 val unsafe_of_csr : off:int array -> nbr:int array -> t
 (** [unsafe_of_csr ~off ~nbr] takes ownership of a ready-made CSR pair
-    (see {!csr}) on [Array.length off - 1] nodes.  {b Unchecked}: the
+    (the [off]/[nbr] fields of {!t}) on [Array.length off - 1] nodes.  {b Unchecked}: the
     caller guarantees [off.(0) = 0], non-decreasing offsets,
     [Array.length nbr = off.(n)], rows sorted strictly increasing,
     endpoints in range, no self-loops and symmetry.  A violation is not
@@ -67,15 +78,8 @@ val m : t -> int
 
 val neighbors : t -> int -> int array
 (** Sorted, strictly increasing.  Returns a fresh copy of the CSR row —
-    use {!iter_neighbors}/{!fold_neighbors} (or {!csr}) on hot paths to
-    avoid the allocation. *)
-
-val csr : t -> int array * int array
-(** [csr g] is the internal [(off, nbr)] CSR pair: node [v]'s neighbor
-    row is [nbr.(off.(v)) .. nbr.(off.(v + 1) - 1)], sorted strictly
-    increasing.  The arrays are the graph's own storage — read-only;
-    mutating them corrupts the graph.  Intended for inner loops that
-    cannot afford the closure of {!iter_neighbors}. *)
+    use {!iter_neighbors}/{!fold_neighbors} (or the CSR fields of {!t})
+    on hot paths to avoid the allocation. *)
 
 val degree : t -> int -> int
 

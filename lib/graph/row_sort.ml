@@ -44,3 +44,12 @@ let sort_range (a : int array) lo hi =
       done
     end
   end
+
+(* Binary search over a sorted range: top-level and recursive on plain
+   ints, so a call allocates nothing. *)
+let rec lower_bound (a : int array) lo hi x =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if Array.unsafe_get a mid < x then lower_bound a (mid + 1) hi x else lower_bound a lo mid x
+  end

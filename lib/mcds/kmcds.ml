@@ -76,7 +76,7 @@ let connect_step g ~excluded members =
     rootcomp;
   (match excluded with Some v -> parent.(v) <- v | None -> ());
   let target = ref (-1) in
-  let off, nbr = Graph.csr g in
+  let { Graph.off; nbr; _ } = g in
   while !target < 0 && !head < !tail do
     let u = queue.(!head) in
     incr head;

@@ -39,7 +39,7 @@ let sample_connected ?(max_attempts = 10_000) rng (spec : Spec.t) =
   let connected g =
     n <= 1
     ||
-    let off, nbr = Graph.csr g in
+    let { Graph.off; nbr; _ } = g in
     incr gen;
     let tick = !gen in
     seen.(0) <- tick;

@@ -319,7 +319,8 @@ let test_cache_coverage_per_head () =
 (* The flat layout is well formed: the key arrays are strictly
    increasing and disjoint, never name the owner, the offsets start at
    0 and end at the buffer length, and every connector range is
-   nonempty and strictly increasing (pairs lexicographically). *)
+   nonempty and strictly increasing (pairs by first hop: one pair per
+   first hop, the invariant gateway selection relies on). *)
 let well_formed (cov : Coverage.t) =
   let increasing a = Array.for_all Fun.id (Array.init (max 0 (Array.length a - 1)) (fun i -> a.(i) < a.(i + 1))) in
   let offsets keys off len =
@@ -340,9 +341,7 @@ let well_formed (cov : Coverage.t) =
   && offsets cov.c3_keys cov.c3_off (Array.length cov.c3_v)
   && Array.length cov.c3_w = Array.length cov.c3_v
   && ranges cov.c2_keys cov.c2_off (fun j -> cov.c2_via.(j) < cov.c2_via.(j + 1))
-  && ranges cov.c3_keys cov.c3_off (fun j ->
-         cov.c3_v.(j) < cov.c3_v.(j + 1)
-         || (cov.c3_v.(j) = cov.c3_v.(j + 1) && cov.c3_w.(j) < cov.c3_w.(j + 1)))
+  && ranges cov.c3_keys cov.c3_off (fun j -> cov.c3_v.(j) < cov.c3_v.(j + 1))
 
 (* Every head's flat set, from the cache, the per-head reference and the
    distributed CH_HOP protocol: one value, well formed, in both modes. *)
@@ -358,9 +357,10 @@ let prop_flat_sets =
           List.for_all
             (fun h ->
               let cov = Coverage.Cache.coverage cache h in
-              well_formed cov
-              && coverages_equal cov (Coverage.of_head g cl mode h)
-              && coverages_equal cov (Option.get proto.(h))
+              let reference = Coverage.of_head g cl mode h and sent = Option.get proto.(h) in
+              List.for_all well_formed [ cov; reference; sent ]
+              && coverages_equal cov reference
+              && coverages_equal cov sent
               && Array.to_list (Coverage.Cache.covered_row cache h)
                  = Nodeset.elements (Coverage.covered cov))
             (Clustering.heads cl))
@@ -373,6 +373,8 @@ let test_of_sorted_rejects () =
   Alcotest.check_raises "no connector" bad (make ~c2:[ (3, []) ] ~c3:[]);
   Alcotest.check_raises "connectors out of order" bad (make ~c2:[ (3, [ 5; 4 ]) ] ~c3:[]);
   Alcotest.check_raises "pairs out of order" bad (make ~c2:[] ~c3:[ (3, [ (4, 6); (4, 5) ]) ]);
+  Alcotest.check_raises "two pairs through one first hop" bad
+    (make ~c2:[] ~c3:[ (3, [ (4, 5); (4, 6) ]) ]);
   let cov = Coverage.of_sorted ~owner:0 Coverage.Hop25 ~c2:[ (2, [ 4; 5 ]) ] ~c3:[ (3, [ (4, 6) ]) ] in
   Alcotest.(check bool) "well formed" true (well_formed cov);
   Alcotest.(check string) "pp" "C(0) [2.5-hop]: C2 = 2 via {4,5}; C3 = 3 via {(4,6)}"

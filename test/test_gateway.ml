@@ -141,6 +141,125 @@ let prop_selection_size_bound =
           && whole = Nodeset.elements (Gateway_selection.select cov))
         (Manet_cluster.Clustering.heads cl))
 
+(* An independent reference for the kernel, written from the
+   interface's spec with plain lists over the targets left after pruning
+   ([live]).  Phase 1: while 2-hop targets remain, select the neighbor
+   covering the most of them directly, then the most 3-hop targets
+   indirectly, then the lowest id; it covers those targets and pulls in
+   the second hop of each pair through which it reaches a 3-hop one.
+   Phase 2: each 3-hop target left, in ascending order, is connected by
+   the pair reusing the most selected gateways, then the smallest pair.
+   Returns the selection ascending. *)
+let reference_select (cov : Coverage.t) ~live =
+  let ranges keys off entry =
+    List.filter
+      (fun (c, _) -> live c)
+      (List.init (Array.length keys) (fun i ->
+           (keys.(i), List.init (off.(i + 1) - off.(i)) (fun j -> entry (off.(i) + j)))))
+  in
+  let c2 = ranges cov.c2_keys cov.c2_off (fun j -> cov.c2_via.(j)) in
+  let c3 = ranges cov.c3_keys cov.c3_off (fun j -> (cov.c3_v.(j), cov.c3_w.(j))) in
+  let rec phase1 t2 t3 sel =
+    match List.sort_uniq Int.compare (List.concat_map snd t2) with
+    | [] -> (t3, sel)
+    | first :: rest ->
+      let direct v = List.length (List.filter (fun (_, via) -> List.mem v via) t2) in
+      let indirect v = List.length (List.filter (fun (_, pairs) -> List.mem_assoc v pairs) t3) in
+      let better v b =
+        direct v > direct b
+        || (direct v = direct b && (indirect v > indirect b || (indirect v = indirect b && v < b)))
+      in
+      let best = List.fold_left (fun b v -> if better v b then v else b) first rest in
+      let pulled = List.filter_map (fun (_, pairs) -> List.assoc_opt best pairs) t3 in
+      phase1
+        (List.filter (fun (_, via) -> not (List.mem best via)) t2)
+        (List.filter (fun (_, pairs) -> not (List.mem_assoc best pairs)) t3)
+        ((best :: pulled) @ sel)
+  in
+  let t3, sel = phase1 c2 c3 [] in
+  let connect sel (_, pairs) =
+    let reuse (v, w) = Bool.to_int (List.mem v sel) + Bool.to_int (List.mem w sel) in
+    let better (v, w) (bv, bw) =
+      reuse (v, w) > reuse (bv, bw)
+      || (reuse (v, w) = reuse (bv, bw) && (v < bv || (v = bv && w < bw)))
+    in
+    let v, w = List.fold_left (fun b p -> if better p b then p else b) (List.hd pairs) pairs in
+    v :: w :: sel
+  in
+  List.sort_uniq Int.compare (List.fold_left connect sel t3)
+
+(* The kernel selects exactly what the reference does, on every head of
+   random networks of up to 120 nodes (large enough for phase 2 to meet
+   pairs whose second hop is already selected) in both modes: without
+   pruning, with a relay's
+   pruning (the upstream is the head's lowest covered head, the covered
+   row that head's C, the heard row the CH_HOP1 of the head's lowest
+   neighbor), and with synthetic rows that drop about two targets in
+   three. *)
+let prop_kernel_matches_reference =
+  qtest "select_pruned = list-based reference greedy" ~count:100
+    (arb_udg ~n_max:120 ~ds:[ 6.; 10.; 18. ] ()) (fun case ->
+      let g = (sample_of case).graph in
+      let cl = Lowest_id.cluster g in
+      List.for_all
+        (fun mode ->
+          let cache = Coverage.Cache.create g cl mode in
+          List.for_all
+            (fun h ->
+              let cov = Coverage.Cache.coverage cache h in
+              let all = Coverage.Cache.covered_row cache h in
+              let relay =
+                let u = if Array.length all = 0 then -1 else all.(0) in
+                let covered = if u < 0 then [||] else Coverage.Cache.covered_row cache u in
+                let heard =
+                  match Graph.neighbors g h with
+                  | [||] -> [||]
+                  | nbrs -> Coverage.Cache.ch_hop1 cache nbrs.(0)
+                in
+                (u, covered, heard)
+              in
+              let row p = Array.of_list (List.filter p (Array.to_list all)) in
+              let synthetic = (-1, row (fun c -> c mod 3 = 0), row (fun c -> c mod 3 = 1)) in
+              List.for_all
+                (fun (upstream, covered, heard) ->
+                  let k = Gateway_selection.select_pruned cov ~upstream ~covered ~heard in
+                  let live c =
+                    c <> upstream && (not (Array.mem c covered)) && not (Array.mem c heard)
+                  in
+                  Array.to_list (Array.sub (Gateway_selection.selection ()) 0 k)
+                  = reference_select cov ~live)
+                [ (-1, [||], [||]); relay; synthetic ])
+            (Manet_cluster.Clustering.heads cl))
+        [ Coverage.Hop25; Coverage.Hop3 ])
+
+(* The same check on synthetic coverage sets over a dozen heads and
+   twenty connectors, where ties, phase 2 and second hops shared between
+   3-hop targets are far more common than in a unit-disk network: each
+   first hop and second hop is drawn from overlapping ranges, and a
+   random third of the keys is pruned. *)
+let prop_kernel_matches_reference_synthetic =
+  qtest "select_pruned = reference, synthetic sets" ~count:500 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let subset lo hi p =
+        List.filter (fun _ -> Random.State.float st 1. < p) (List.init (hi - lo + 1) (( + ) lo))
+      in
+      let nonempty lo hi p =
+        match subset lo hi p with [] -> [ lo + Random.State.int st (hi - lo + 1) ] | l -> l
+      in
+      let c2, c3 = List.partition (fun _ -> Random.State.bool st) (subset 1 12 0.7) in
+      let pairs c = (c, List.map (fun v -> (v, 18 + Random.State.int st 12)) (nonempty 13 24 0.3)) in
+      let cov =
+        Coverage.of_sorted ~owner:0 Coverage.Hop3
+          ~c2:(List.map (fun c -> (c, nonempty 13 24 0.3)) c2)
+          ~c3:(List.map pairs c3)
+      in
+      let covered = Array.of_list (subset 1 12 0.2) and heard = Array.of_list (subset 1 12 0.2) in
+      let upstream = 1 + Random.State.int st 12 in
+      let k = Gateway_selection.select_pruned cov ~upstream ~covered ~heard in
+      let live c = c <> upstream && (not (Array.mem c covered)) && not (Array.mem c heard) in
+      Array.to_list (Array.sub (Gateway_selection.selection ()) 0 k) = reference_select cov ~live)
+
 (* The batched selection used by the static backbone is exactly the
    per-head selection, head by head. *)
 let prop_select_all_matches_per_head =
@@ -242,6 +361,8 @@ let () =
           prop_selection_covers_targets;
           prop_selection_size_bound;
           prop_select_all_matches_per_head;
+          prop_kernel_matches_reference;
+          prop_kernel_matches_reference_synthetic;
           Alcotest.test_case "selection allocates nothing" `Quick
             test_selection_allocates_nothing;
         ] );

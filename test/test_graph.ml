@@ -480,7 +480,7 @@ let prop_csr_matches_reference =
       let g = Graph.of_edges ~n edges in
       let reference = reference_adjacency ~n edges in
       let m_ref = Array.fold_left (fun acc r -> acc + Array.length r) 0 reference / 2 in
-      let off, nbr = Graph.csr g in
+      let { Graph.off; nbr; _ } = g in
       Graph.n g = n
       && Graph.m g = m_ref
       && off.(0) = 0
