@@ -304,7 +304,8 @@ let run_select scr (cov : Coverage.t) =
     end
   done;
   (* Phase 2: connect the remaining 3-hop targets with pairs, preferring
-     pairs that reuse already-selected gateways, then the smallest pair. *)
+     pairs that reuse already-selected gateways, then the smallest first
+     hop (a coverage set holds one pair per first hop per target). *)
   let sel_tag = scr.sel_tag in
   for i = 0 to len3 - 1 do
     if live3.(i) then begin
@@ -314,7 +315,7 @@ let run_select scr (cov : Coverage.t) =
         let sp =
           (if sel_tag.(v) = stamp then 1 else 0) + if sel_tag.(w) = stamp then 1 else 0
         in
-        if !bv < 0 || sp > !bs || (sp = !bs && (v < !bv || (v = !bv && w < !bw))) then begin
+        if !bv < 0 || sp > !bs || (sp = !bs && v < !bv) then begin
           bv := v;
           bw := w;
           bs := sp

@@ -12,8 +12,9 @@
        gateway.}
     {- Any 3-hop targets left are connected by a pair of
        non-clusterheads.  The paper leaves the pair choice open; we prefer
-       pairs reusing already-selected gateways, then the lexicographically
-       smallest pair — a deterministic choice documented in DESIGN.md.}}
+       pairs reusing already-selected gateways, then the smallest first
+       hop (a coverage set holds one pair per first hop per target) — a
+       deterministic choice documented in DESIGN.md.}}
 
     The same routine serves the static backbone (targets = the whole
     coverage set) and the dynamic backbone (targets = the coverage set

@@ -6,58 +6,64 @@ let magic = "manet-sweep"
 
 let format_version = 1
 
-let header_json scenario =
-  Json.Obj
-    [
-      ("journal", Json.Str magic);
-      ("version", Json.Num (float_of_int format_version));
-      ("scenario", Scenario.to_json scenario);
-    ]
+(* The header carries the whole scenario; [journal] and [version] are
+   constants of this format, checked on load. *)
+let header =
+  Json.(
+    obj (fun _ _ scenario -> scenario)
+    |> mem
+         (req "journal"
+            (where (String.equal magic) (fun m -> Printf.sprintf "%S is not %S" m magic) string)
+            (fun _ -> magic))
+    |> mem
+         (req "version"
+            (where (Int.equal format_version)
+               (fun v ->
+                 Printf.sprintf "%d is not supported (this build reads format version %d)" v
+                   format_version)
+               int)
+            (fun _ -> format_version))
+    |> mem (req "scenario" Scenario.codec Fun.id)
+    |> seal)
 
-let entry_json e =
-  (* d and n are redundant with the coordinates but make the journal
-     readable (and greppable) on its own. *)
-  Json.Obj
-    [
-      ("degree", Json.Num (float_of_int e.degree));
-      ("point", Json.Num (float_of_int e.point));
-      ("chunk", Json.Num (float_of_int e.chunk));
-      ( "rows",
-        Json.Arr
-          (Array.to_list
-             (Array.map
-                (fun row -> Json.Arr (Array.to_list (Array.map (fun v -> Json.Num v) row)))
-                e.rows)) );
-    ]
+(* One chunk per line: its RNG coordinates and its rows. *)
+let entry =
+  Json.(
+    obj (fun degree point chunk rows -> { degree; point; chunk; rows })
+    |> mem (req "degree" int (fun e -> e.degree))
+    |> mem (req "point" int (fun e -> e.point))
+    |> mem (req "chunk" int (fun e -> e.chunk))
+    |> mem (req "rows" (array (array float)) (fun e -> e.rows))
+    |> seal)
 
 let create ~path scenario =
   let oc = open_out path in
-  output_string oc (Json.print ~compact:true (header_json scenario));
+  output_string oc (Json.print ~compact:true (Json.encode header scenario));
   output_char oc '\n';
   flush oc;
   oc
 
-let reopen ~path =
-  (* A crash can leave a half-written final line; appending after it
-     would corrupt the journal, so rewrite only the complete prefix. *)
+(* A crash can leave a final line without its newline: an incomplete
+   append, which loading drops and reopening cuts off (appending after
+   it would corrupt the journal). *)
+let complete_prefix path =
+  let ic = open_in_bin path in
   let text =
-    let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let complete =
-    match String.rindex_opt text '\n' with
-    | None -> ""
-    | Some i -> String.sub text 0 (i + 1)
-  in
+  match String.rindex_opt text '\n' with None -> "" | Some i -> String.sub text 0 (i + 1)
+
+let reopen ~path =
+  let complete = complete_prefix path in
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
   output_string oc complete;
   flush oc;
   oc
 
 let append oc e =
-  output_string oc (Json.print ~compact:true (entry_json e));
+  output_string oc (Json.print ~compact:true (Json.encode entry e));
   output_char oc '\n';
   flush oc
 
@@ -65,99 +71,22 @@ let close = close_out
 
 (* Loading *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let entry_of_json ~line j =
-  let context = Printf.sprintf "journal line %d" line in
-  let* fields = Json.to_obj ~context j in
-  let get key conv =
-    match List.assoc_opt key fields with
-    | None -> Error (Printf.sprintf "%s: missing field %S" context key)
-    | Some v -> conv ~context:(context ^ "." ^ key) v
-  in
-  let* degree = get "degree" Json.to_int in
-  let* point = get "point" Json.to_int in
-  let* chunk = get "chunk" Json.to_int in
-  let* rows = get "rows" Json.to_list in
-  let* rows =
-    List.fold_left
-      (fun acc row ->
-        let* acc = acc in
-        let* cells = Json.to_list ~context:(context ^ ".rows") row in
-        let* values =
-          List.fold_left
-            (fun acc cell ->
-              let* acc = acc in
-              let* v = Json.to_float ~context:(context ^ ".rows") cell in
-              Ok (v :: acc))
-            (Ok []) cells
-        in
-        Ok (Array.of_list (List.rev values) :: acc))
-      (Ok []) rows
-  in
-  Ok { degree; point; chunk; rows = Array.of_list (List.rev rows) }
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      (* A crash can leave a final line without its newline; such a line
-         is by definition an incomplete append and is dropped. *)
-      let complete =
-        match String.rindex_opt text '\n' with
-        | None -> ""
-        | Some i -> String.sub text 0 i
-      in
-      if complete = "" then [] else String.split_on_char '\n' complete)
-
 let load ~path =
-  match read_lines path with
+  match String.split_on_char '\n' (complete_prefix path) with
   | exception Sys_error m -> Error (Printf.sprintf "journal: cannot read %s: %s" path m)
-  | [] -> Error (Printf.sprintf "journal: %s has no complete header line" path)
-  | header :: rest ->
-    let* hj =
-      match Json.parse header with
-      | Ok j -> Ok j
-      | Error m -> Error (Printf.sprintf "journal: %s header: %s" path m)
-    in
-    let* fields = Json.to_obj ~context:"journal header" hj in
-    let* () =
-      match List.assoc_opt "journal" fields with
-      | Some (Json.Str m) when m = magic -> Ok ()
-      | _ -> Error (Printf.sprintf "journal: %s is not a %s journal" path magic)
-    in
-    let* () =
-      match List.assoc_opt "version" fields with
-      | Some (Json.Num v) when int_of_float v = format_version -> Ok ()
-      | Some (Json.Num v) ->
-        Error
-          (Printf.sprintf "journal: %s has format version %d (this build reads %d)" path
-             (int_of_float v) format_version)
-      | _ -> Error (Printf.sprintf "journal: %s header lacks a version" path)
-    in
-    let* scenario =
-      match List.assoc_opt "scenario" fields with
-      | None -> Error (Printf.sprintf "journal: %s header lacks the scenario" path)
-      | Some sj -> Scenario.of_json sj
-    in
-    let* entries =
+  | [] | [ "" ] -> Error (Printf.sprintf "journal: %s has no complete header line" path)
+  | first :: rest -> (
+    match Result.bind (Json.parse first) (Json.decode header) with
+    | Error m -> Error (Printf.sprintf "journal: %s header: %s" path m)
+    | Ok scenario ->
       let rec go line acc = function
-        | [] -> Ok (List.rev acc)
-        | text :: rest ->
-          let* j =
-            match Json.parse text with
-            | Ok j -> Ok j
-            | Error m -> Error (Printf.sprintf "journal line %d: %s" line m)
-          in
-          let* e = entry_of_json ~line j in
-          go (line + 1) (e :: acc) rest
+        | [] | [ "" ] -> Ok (scenario, List.rev acc)
+        | text :: rest -> (
+          match Result.bind (Json.parse text) (Json.decode entry) with
+          | Ok e -> go (line + 1) (e :: acc) rest
+          | Error m -> Error (Printf.sprintf "journal line %d: %s" line m))
       in
-      go 2 [] rest
-    in
-    Ok (scenario, entries)
+      go 2 [] rest)
 
 let matches recorded requested =
   Scenario.to_string { recorded with Scenario.domains = 1 }

@@ -7,12 +7,13 @@
 
     {v
     {"journal": "manet-sweep", "version": 1, "scenario": {...}}
-    {"degree": 0, "point": 0, "chunk": 0, "d": 6, "n": 20, "rows": [[...], ...]}
+    {"degree": 0, "point": 0, "chunk": 0, "rows": [[...], ...]}
     v}
 
     [degree]/[point]/[chunk] are the RNG coordinates — the indices of
     the degree table, the size point within it, and the sample chunk
-    within the point.  Together with the scenario seed they pin the
+    within the point (the degree and size themselves are not
+    repeated).  Together with the scenario seed they pin the
     generator that produced the rows, so feeding the entries back
     through {!Sweep}'s [cached] hook replays a killed sweep
     bit-identically: recorded chunks are trusted, missing ones are
@@ -20,9 +21,12 @@
     in shortest-exact form ({!Json.number_to_string}), so a round trip
     loses nothing.
 
-    A trailing line without a terminating newline (the footprint of a
-    kill mid-append) is ignored on load; any other malformation is an
-    error naming the line. *)
+    Both kinds of line are decoded by {!Json}'s strict codec, the header
+    with {!Scenario.codec}: unknown or repeated members, a non-integer
+    coordinate or version, and a foreign [journal] tag are errors.  A
+    trailing line without a terminating newline (the footprint of a kill
+    mid-append) is ignored on load; any other malformation is an error
+    naming the line. *)
 
 type entry = {
   degree : int;  (** index into the scenario's degree grid *)

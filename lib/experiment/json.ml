@@ -256,9 +256,25 @@ let parse s =
   | v -> Ok v
   | exception Parse_error (at, msg) -> Error (Printf.sprintf "JSON error at byte %d: %s" at msg)
 
-(* Typed accessors *)
+(* Codecs.  A failure raises [Invalid] with the path below the failing
+   level; each object or list level re-raises it with its own segment
+   prepended, so no path or message is built while decoding or checking
+   succeeds.  A range error prints "path message", a shape error
+   "path: message". *)
 
-let shape_error context expected got =
+type error = { path : string; range : bool; msg : string }
+
+exception Invalid of error
+
+let shape msg = raise (Invalid { path = ""; range = false; msg })
+
+let fail ?(at = "") msg = raise (Invalid { path = at; range = true; msg })
+
+let within seg e =
+  let sep = if e.path = "" || e.path.[0] = '[' then "" else "." in
+  Invalid { e with path = seg ^ sep ^ e.path }
+
+let mismatch expected got =
   let tag =
     match got with
     | Null -> "null"
@@ -268,25 +284,192 @@ let shape_error context expected got =
     | Arr _ -> "an array"
     | Obj _ -> "an object"
   in
-  Error (Printf.sprintf "%s: expected %s, found %s" context expected tag)
+  shape (Printf.sprintf "expected %s, found %s" expected tag)
 
-let to_float ~context = function
-  | Num f -> Ok f
-  | v -> shape_error context "a number" v
+(* [checked] is false when [check] has nothing to check, so validation
+   skips the value without walking it. *)
+type 'a codec = { enc : 'a -> t; dec : t -> 'a; check : 'a -> unit; checked : bool }
 
-let to_int ~context = function
-  | Num f when Float.is_integer f && Float.abs f <= 1e15 -> Ok (int_of_float f)
-  | Num f -> Error (Printf.sprintf "%s: expected an integer, found %s" context (number_to_string f))
-  | v -> shape_error context "an integer" v
+let no_check _ = ()
 
-let to_string_value ~context = function
-  | Str s -> Ok s
-  | v -> shape_error context "a string" v
+let plain enc dec = { enc; dec; check = no_check; checked = false }
 
-let to_list ~context = function
-  | Arr items -> Ok items
-  | v -> shape_error context "an array" v
+let float = plain (fun f -> Num f) (function Num f -> f | v -> mismatch "a number" v)
 
-let to_obj ~context = function
-  | Obj fields -> Ok fields
-  | v -> shape_error context "an object" v
+let int =
+  plain
+    (fun i -> Num (float_of_int i))
+    (function
+      | Num f when Float.is_integer f && Float.abs f <= 1e15 -> int_of_float f
+      | Num f -> shape ("expected an integer, found " ^ number_to_string f)
+      | v -> mismatch "an integer" v)
+
+let string = plain (fun s -> Str s) (function Str s -> s | v -> mismatch "a string" v)
+
+let rec member key = function
+  | [] -> None
+  | (k, j) :: rest -> if String.equal k key then Some j else member key rest
+
+let unknown what tag tags =
+  shape (Printf.sprintf "unknown %s %S (expected one of: %s)" what tag (String.concat ", " tags))
+
+let enum ~what tags =
+  let rec tag_of v = function
+    | (tag, v') :: rest -> if v' = v then tag else tag_of v rest
+    | [] -> invalid_arg ("Json.enum: untagged " ^ what)
+  in
+  plain
+    (fun v -> Str (tag_of v tags))
+    (function
+      | Str s -> (
+        match member s tags with Some v -> v | None -> unknown what s (List.map fst tags))
+      | v -> mismatch "a string" v)
+
+let where ok msg c =
+  let verify v = if not (ok v) then fail (msg v) in
+  let check = if c.checked then fun v -> (c.check v; verify v) else verify in
+  { c with dec = (fun j -> let v = c.dec j in verify v; v); check; checked = true }
+
+let list c =
+  let at i e = within ("[" ^ string_of_int i ^ "]") e in
+  let rec dec i = function
+    | [] -> []
+    | x :: rest ->
+      let v = try c.dec x with Invalid e -> raise (at i e) in
+      v :: dec (i + 1) rest
+  in
+  let rec check i = function
+    | [] -> ()
+    | x :: rest ->
+      (try c.check x with Invalid e -> raise (at i e));
+      check (i + 1) rest
+  in
+  {
+    enc = (fun l -> Arr (List.map c.enc l));
+    dec = (function Arr items -> dec 0 items | v -> mismatch "an array" v);
+    check = check 0;
+    checked = c.checked;
+  }
+
+let array c =
+  let l = list c in
+  let rec enc a i acc = if i < 0 then acc else enc a (i - 1) (c.enc a.(i) :: acc) in
+  {
+    enc = (fun a -> Arr (enc a (Array.length a - 1) []));
+    dec = (fun j -> Array.of_list (l.dec j));
+    check = (fun a -> l.check (Array.to_list a));
+    checked = c.checked;
+  }
+
+(* Objects *)
+
+type 'a presence = Required | Default of 'a | Omit of 'a
+
+type ('r, 'a) field = { key : string; codec : 'a codec; presence : 'a presence; proj : 'r -> 'a }
+
+let req key codec proj = { key; codec; presence = Required; proj }
+
+let dflt key codec d proj = { key; codec; presence = Default d; proj }
+
+let omit key codec d proj = { key; codec; presence = Omit d; proj }
+
+let opt key c proj =
+  let enc = function Some v -> c.enc v | None -> Null in
+  let check = function Some v -> c.check v | None -> () in
+  omit key { enc; dec = (fun j -> Some (c.dec j)); check; checked = c.checked } None proj
+
+type 'r mem = Mem : ('r, 'a) field -> 'r mem
+
+type ('r, 'f) obj = { mems : 'r mem list; build : (string * t) list -> 'f }
+
+let obj f = { mems = []; build = (fun _ -> f) }
+
+let get f members =
+  match member f.key members with
+  | Some j -> ( try f.codec.dec j with Invalid e -> raise (within f.key e))
+  | None -> (
+    match f.presence with
+    | Default d | Omit d -> d
+    | Required -> shape (Printf.sprintf "missing required field %S" f.key))
+
+let mem f o =
+  { mems = Mem f :: o.mems; build = (fun members -> let k = o.build members in k (get f members)) }
+
+let rec encode_members r = function
+  | [] -> []
+  | Mem f :: rest -> (
+    let v = f.proj r in
+    match f.presence with
+    | Omit d when v = d -> encode_members r rest
+    | Required | Default _ | Omit _ -> (f.key, f.codec.enc v) :: encode_members r rest)
+
+let rec check_members r = function
+  | [] -> ()
+  | Mem f :: rest ->
+    (try f.codec.check (f.proj r) with Invalid e -> raise (within f.key e));
+    check_members r rest
+
+let rec declared k = function [] -> false | key :: rest -> String.equal k key || declared k rest
+
+let rec known keys = function
+  | [] -> ()
+  | (k, _) :: rest ->
+    if not (declared k keys) then
+      shape (Printf.sprintf "unknown field %S (expected one of: %s)" k (String.concat ", " keys));
+    if Option.is_some (member k rest) then shape (Printf.sprintf "duplicate field %S" k);
+    known keys rest
+
+let seal ?check o =
+  let fields = List.rev o.mems in
+  let keys = List.map (fun (Mem f) -> f.key) fields in
+  (* [validate] visits only the members that have something to check. *)
+  let checks = List.filter (fun (Mem f) -> f.codec.checked) fields in
+  let whole = Option.value check ~default:no_check in
+  let dec members =
+    known keys members;
+    let r = o.build members in
+    whole r;
+    r
+  in
+  {
+    enc = (fun r -> Obj (encode_members r fields));
+    dec = (function Obj members -> dec members | v -> mismatch "an object" v);
+    check = (fun r -> check_members r checks; whole r);
+    checked = checks <> [] || Option.is_some check;
+  }
+
+(* Variants: objects told apart by one string member, written first. *)
+
+type 'r case = string * 'r codec
+
+let case tag o = (tag, seal o)
+
+let variant ~key ~what cases case_of =
+  let tag_field = req key string Fun.id in
+  let untagged (k, _) = not (String.equal k key) in
+  let dec members =
+    let tag = get tag_field members in
+    let rest = List.filter untagged members in
+    if List.length members - List.length rest > 1 then
+      shape (Printf.sprintf "duplicate field %S" key);
+    match member tag cases with
+    | Some c -> c.dec (Obj rest)
+    | None -> ( try unknown what tag (List.map fst cases) with Invalid e -> raise (within key e))
+  in
+  {
+    enc =
+      (fun r ->
+        let tag, c = case_of r in
+        match c.enc r with Obj members -> Obj ((key, Str tag) :: members) | j -> j);
+    dec = (function Obj members -> dec members | v -> mismatch "an object" v);
+    check = (fun r -> (snd (case_of r)).check r);
+    checked = true;
+  }
+
+let encode c v = c.enc v
+
+let message e = if e.path = "" then e.msg else e.path ^ (if e.range then " " else ": ") ^ e.msg
+
+let decode c j = match c.dec j with v -> Ok v | exception Invalid e -> Error (message e)
+
+let validate c v = match c.check v with () -> Ok () | exception Invalid e -> Error (message e)

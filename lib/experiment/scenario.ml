@@ -161,118 +161,335 @@ let metric_name = function
   | Toroidal { field } -> "toroidal-" ^ tag_of toroidal_fields field
   | Motion { field; speed } -> label_at (tag_of motion_fields field) speed
 
-(* Validation *)
+(* JSON codec.  Every field is declared once, with its key, codec,
+   default, range check and projection from the record; encoding, strict
+   decoding and [validate] all walk these declarations.  Optional fields
+   are omitted at their default, so every builtin keeps its bytes. *)
 
-let protocol_of = function
-  | Forwards { protocol; _ }
-  | Delivery { protocol; _ }
-  | Structure_size { protocol; _ }
-  | Completion_time { protocol; _ }
-  | Mcds_ratio { protocol; _ }
-  | Failure_delivery { protocol; _ }
-  | Reconnection_rounds { protocol; _ }
-  | Redundancy { protocol; _ } ->
-    Some protocol
-  | Cluster_count _ | Realized_degree | Mcds_size | Construction_cost _ | Workload_throughput _
-  | Workload_maintenance _ | Workload_staleness _ | Workload_delivery _ | Reliable_broadcast _
-  | Toroidal _ | Motion _ ->
-    None
+let num = Json.number_to_string
 
-let needs_failures = function
-  | Failure_delivery _ | Reconnection_rounds _ -> true
-  | Forwards _ | Delivery _ | Structure_size _ | Completion_time _ | Cluster_count _
-  | Realized_degree | Mcds_size | Mcds_ratio _ | Construction_cost _ | Redundancy _
-  | Workload_throughput _ | Workload_maintenance _ | Workload_staleness _ | Workload_delivery _
-  | Reliable_broadcast _ | Toroidal _ | Motion _ ->
-    false
+let finite ok what =
+  Json.where (fun x -> Float.is_finite x && ok x) (fun x -> num x ^ " must be finite and " ^ what)
+    Json.float
 
-let needs_workload = function
-  | Workload_throughput _ | Workload_maintenance _ | Workload_staleness _ | Workload_delivery _ ->
-    true
-  | Forwards _ | Delivery _ | Structure_size _ | Completion_time _ | Cluster_count _
-  | Realized_degree | Mcds_size | Mcds_ratio _ | Construction_cost _ | Failure_delivery _
-  | Reconnection_rounds _ | Redundancy _ | Reliable_broadcast _ | Toroidal _ | Motion _ ->
-    false
+let positive = finite (fun x -> x > 0.) "> 0"
 
-let validate s =
-  let err fmt = Printf.ksprintf (fun m -> Error ("scenario: " ^ m)) fmt in
-  let rec check_metrics i seen = function
-    | [] -> Ok ()
-    | m :: rest -> (
-      let bad_loss l = l < 0. || l > 1. || Float.is_nan l in
-      let metric_loss =
-        match m with
-        | Forwards { loss; _ } | Delivery { loss; _ } | Failure_delivery { loss; _ } -> loss
-        | Reliable_broadcast { loss; _ } -> Some loss
-        | _ -> None
-      in
-      match protocol_of m with
-      | Some p when Registry.find p = None ->
-        err "metrics[%d]: unknown protocol %S; registered protocols: %s" i p
-          (String.concat ", " Registry.names)
-      | _ when needs_failures m && s.failures = None ->
-        err "metrics[%d]: %S needs the scenario-level \"failures\" event" i (metric_name m)
-      | _ when needs_workload m && s.workload = None ->
-        err "metrics[%d]: %S needs the scenario-level \"workload\" object" i (metric_name m)
-      | _ ->
-        (match (metric_loss, m) with
-        | Some l, _ when bad_loss l ->
-          err "metrics[%d]: loss %s outside [0, 1]" i (Json.number_to_string l)
-        | _, Motion { speed; _ } when not (Float.is_finite speed && speed >= 0.) ->
-          err "metrics[%d]: speed %s must be finite and >= 0" i (Json.number_to_string speed)
-        | _ ->
-          let name = metric_name m in
-          if List.mem name seen then
-            err
-              "metrics[%d]: duplicate series label %S; set a distinct \"name\" on one of the \
-               colliding metrics"
-              i name
-          else check_metrics (i + 1) (name :: seen) rest))
+let non_negative = finite (fun x -> x >= 0.) ">= 0"
+
+let at_least lo =
+  Json.where (fun i -> i >= lo) (fun i -> Printf.sprintf "must be >= %d (got %d)" lo i) Json.int
+
+let probability =
+  Json.where (fun l -> l >= 0. && l <= 1.) (fun l -> num l ^ " outside [0, 1]") Json.float
+
+let non_empty what c = Json.where (fun l -> l <> []) (fun _ -> "must list at least one " ^ what) c
+
+let topology =
+  Json.(
+    obj (fun ns degrees width height -> { ns; degrees; width; height })
+    |> mem
+         (req "n"
+            (non_empty "network size"
+               (where (List.for_all (fun n -> n >= 2))
+                  (fun ns ->
+                    Printf.sprintf "every size must be >= 2 (got %s)"
+                      (String.concat ", " (List.map string_of_int ns)))
+                  (list int)))
+            (fun t -> t.ns))
+    |> mem (req "degree" (non_empty "target degree" (list positive)) (fun t -> t.degrees))
+    |> mem (dflt "width" positive 100. (fun t -> t.width))
+    |> mem (dflt "height" positive 100. (fun t -> t.height))
+    |> seal)
+
+let mobility =
+  Json.(
+    obj (fun model steps dt speed_min speed_max pause_time ->
+        { Metric.model; steps; dt; speed_min; speed_max; pause_time })
+    |> mem
+         (req "model"
+            (enum ~what:"model"
+               [
+                 ("random-waypoint", Mobility.Random_waypoint);
+                 ("random-direction", Random_direction);
+               ])
+            (fun p -> p.Metric.model))
+    |> mem (req "steps" (at_least 0) (fun p -> p.Metric.steps))
+    |> mem (req "dt" positive (fun p -> p.Metric.dt))
+    |> mem (req "speed_min" non_negative (fun p -> p.Metric.speed_min))
+    |> mem (req "speed_max" non_negative (fun p -> p.Metric.speed_max))
+    |> mem (dflt "pause_time" non_negative 0. (fun p -> p.Metric.pause_time))
+    |> seal ~check:(fun p ->
+           if p.Metric.speed_max < p.Metric.speed_min then
+             fail ~at:"speed_max"
+               (Printf.sprintf "%s must be >= speed_min (%s)" (num p.Metric.speed_max)
+                  (num p.Metric.speed_min))))
+
+let failures =
+  Json.(
+    obj (fun kill round heal backbone_only -> { Metric.kill; round; heal; backbone_only })
+    |> mem (req "kill" (at_least 1) (fun f -> f.Metric.kill))
+    |> mem (req "round" (at_least 0) (fun f -> f.Metric.round))
+    |> mem (opt "heal" int (fun f -> f.Metric.heal))
+    |> mem
+         (omit "scope"
+            (enum ~what:"scope" [ ("backbone", true); ("any", false) ])
+            true
+            (fun f -> f.Metric.backbone_only))
+    |> seal ~check:(fun f ->
+           match f.Metric.heal with
+           | Some h when h <= f.Metric.round ->
+             fail ~at:"heal"
+               (Printf.sprintf "%d must be after failures.round (%d)" h f.Metric.round)
+           | _ -> ()))
+
+let workload =
+  Json.(
+    obj (fun arrival_rate duration warmup join_rate leave_rate sources maintenance_every ->
+        (* [Workload.make] owns the stream's range checks. *)
+        match
+          Workload.make ~warmup ~join_rate ~leave_rate ~sources ~maintenance_every ~arrival_rate
+            ~duration ()
+        with
+        | w -> w
+        | exception Invalid_argument m ->
+          (* Drop the function name: the message names the member. *)
+          let i = match String.index_opt m ' ' with Some i -> i + 1 | None -> 0 in
+          fail (String.sub m i (String.length m - i)))
+    |> mem (req "arrival_rate" float (fun w -> w.Workload.arrival_rate))
+    |> mem (req "duration" float (fun w -> w.Workload.duration))
+    |> mem (omit "warmup" float 0. (fun w -> w.Workload.warmup))
+    |> mem (omit "join_rate" float 0. (fun w -> w.Workload.join_rate))
+    |> mem (omit "leave_rate" float 0. (fun w -> w.Workload.leave_rate))
+    |> mem (omit "sources" int 0 (fun w -> w.Workload.sources))
+    |> mem (omit "maintenance_every" float 1. (fun w -> w.Workload.maintenance_every))
+    |> seal)
+
+let stopping =
+  Json.(
+    obj (fun min_samples max_samples rel_precision -> { min_samples; max_samples; rel_precision })
+    |> mem (req "min_samples" (at_least 2) (fun s -> s.min_samples))
+    |> mem (req "max_samples" int (fun s -> s.max_samples))
+    |> mem (req "rel_precision" positive (fun s -> s.rel_precision))
+    |> seal ~check:(fun s ->
+           if s.max_samples < s.min_samples then
+             fail ~at:"max_samples"
+               (Printf.sprintf "%d must be >= stopping.min_samples (%d)" s.max_samples
+                  s.min_samples)))
+
+(* Metric members.  A member shared by several kinds is declared once;
+   its projection reads it from every kind that carries it. *)
+
+let protocol =
+  Json.(
+    req "protocol"
+      (where
+         (fun p -> Option.is_some (Registry.find p))
+         (fun p ->
+           Printf.sprintf "names unknown protocol %S; registered protocols: %s" p
+             (String.concat ", " Registry.names))
+         string)
+      (function
+        | Forwards { protocol; _ } | Delivery { protocol; _ } | Structure_size { protocol; _ }
+        | Completion_time { protocol; _ } | Mcds_ratio { protocol; _ }
+        | Failure_delivery { protocol; _ } | Reconnection_rounds { protocol; _ }
+        | Redundancy { protocol; _ } -> protocol
+        | _ -> assert false))
+
+let name =
+  Json.opt "name" Json.string (function
+    | Forwards { name; _ } | Delivery { name; _ } | Structure_size { name; _ }
+    | Completion_time { name; _ } | Mcds_ratio { name; _ } | Construction_cost { name; _ }
+    | Failure_delivery { name; _ } | Reconnection_rounds { name; _ } | Redundancy { name; _ }
+    | Workload_throughput { name } | Workload_maintenance { name } | Workload_staleness { name }
+    | Workload_delivery { name } -> name
+    | _ -> assert false)
+
+(* A series' override of the scenario-level loss. *)
+let loss_override =
+  Json.opt "loss" probability (function
+    | Forwards { loss; _ } | Delivery { loss; _ } | Failure_delivery { loss; _ } -> loss
+    | _ -> assert false)
+
+let clustering =
+  Json.enum ~what:"clustering" [ ("lowest-id", Lowest_id); ("highest-degree", Highest_degree) ]
+
+let field what tags proj = Json.req "field" (Json.enum ~what:(what ^ " field") tags) proj
+
+let metric =
+  let open Json in
+  let lossy tag make = case tag (obj make |> mem protocol |> mem name |> mem loss_override) in
+  let of_protocol tag make = case tag (obj make |> mem protocol |> mem name) in
+  let named tag make = case tag (obj make |> mem name) in
+  let forwards = lossy "forwards" (fun protocol name loss -> Forwards { protocol; name; loss }) in
+  let delivery = lossy "delivery" (fun protocol name loss -> Delivery { protocol; name; loss }) in
+  let structure_size =
+    case "structure-size"
+      (obj (fun protocol name clustering -> Structure_size { protocol; name; clustering })
+      |> mem protocol |> mem name
+      |> mem
+           (opt "clustering" clustering (function
+             | Structure_size r -> r.clustering
+             | _ -> assert false)))
   in
-  if s.name = "" then err "\"name\" must be non-empty"
-  else if s.domains < 1 then err "\"domains\" must be >= 1 (got %d)" s.domains
-  else if s.topology.ns = [] then err "topology.n must list at least one network size"
-  else if List.exists (fun n -> n < 2) s.topology.ns then
-    err "topology.n: every size must be >= 2 (got %s)"
-      (String.concat ", " (List.map string_of_int s.topology.ns))
-  else if s.topology.degrees = [] then err "topology.degree must list at least one target degree"
-  else if List.exists (fun d -> d <= 0. || Float.is_nan d) s.topology.degrees then
-    err "topology.degree: every target degree must be positive"
-  else if s.topology.width <= 0. || s.topology.height <= 0. then
-    err "topology.width and topology.height must be positive"
-  else if s.stopping.min_samples < 2 then
-    err "stopping.min_samples must be >= 2 (got %d)" s.stopping.min_samples
-  else if s.stopping.max_samples < s.stopping.min_samples then
-    err "stopping.max_samples (%d) must be >= stopping.min_samples (%d)" s.stopping.max_samples
-      s.stopping.min_samples
-  else if s.stopping.rel_precision <= 0. || Float.is_nan s.stopping.rel_precision then
-    err "stopping.rel_precision must be positive"
-  else
-    match s.loss with
-    | Some l when l < 0. || l > 1. || Float.is_nan l ->
-      err "\"loss\" %s outside [0, 1]" (Json.number_to_string l)
-    | _ -> (
-      match s.failures with
-      | Some f when f.Metric.kill < 1 -> err "failures.kill must be >= 1 (got %d)" f.Metric.kill
-      | Some f when f.Metric.round < 0 -> err "failures.round must be >= 0 (got %d)" f.Metric.round
-      | Some { Metric.heal = Some h; round; _ } when h <= round ->
-        err "failures.heal (%d) must be after failures.round (%d)" h round
-      | _ -> (
-      match s.mobility with
-      | Some p when p.Metric.steps < 0 -> err "mobility.steps must be >= 0 (got %d)" p.Metric.steps
-      | Some p when p.Metric.dt <= 0. -> err "mobility.dt must be positive"
-      | Some p
-        when match s.workload with
-             | Some w -> not (Workload.advances ~duration:w.Workload.duration p.Metric.dt)
-             | None -> false ->
-        err "mobility.dt %s is too small to advance the workload clock within its duration"
-          (Json.number_to_string p.Metric.dt)
-      | Some p when p.Metric.speed_min < 0. || p.Metric.speed_max < p.Metric.speed_min ->
-        err "mobility speeds must satisfy 0 <= speed_min <= speed_max"
-      | Some p when p.Metric.pause_time < 0. -> err "mobility.pause_time must be >= 0"
-      | _ ->
-        if s.metrics = [] then err "\"metrics\" must list at least one series"
-        else check_metrics 0 [] s.metrics))
+  let completion_time =
+    of_protocol "completion-time" (fun protocol name -> Completion_time { protocol; name })
+  in
+  let cluster_count =
+    case "cluster-count"
+      (obj (fun clustering -> Cluster_count { clustering })
+      |> mem
+           (omit "clustering" clustering Lowest_id (function
+             | Cluster_count r -> r.clustering
+             | _ -> assert false)))
+  in
+  let realized_degree = case "realized-degree" (obj Realized_degree) in
+  let mcds_size = case "mcds-size" (obj Mcds_size) in
+  let mcds_ratio = of_protocol "mcds-ratio" (fun protocol name -> Mcds_ratio { protocol; name }) in
+  let construction_cost =
+    case "construction-cost"
+      (obj (fun field name -> Construction_cost { field; name })
+      |> mem
+           (field "construction-cost" cost_fields (function
+             | Construction_cost r -> r.field
+             | _ -> assert false))
+      |> mem name)
+  in
+  let failure_delivery =
+    lossy "failure-delivery" (fun protocol name loss -> Failure_delivery { protocol; name; loss })
+  in
+  let reconnection_rounds =
+    of_protocol "reconnection-rounds" (fun protocol name -> Reconnection_rounds { protocol; name })
+  in
+  let redundancy = of_protocol "redundancy" (fun protocol name -> Redundancy { protocol; name }) in
+  let throughput = named "workload-throughput" (fun name -> Workload_throughput { name }) in
+  let maintenance = named "workload-maintenance" (fun name -> Workload_maintenance { name }) in
+  let staleness = named "workload-staleness" (fun name -> Workload_staleness { name }) in
+  let churn_delivery = named "workload-delivery" (fun name -> Workload_delivery { name }) in
+  let reliable =
+    case "reliable-broadcast"
+      (obj (fun field loss -> Reliable_broadcast { field; loss })
+      |> mem
+           (field "reliable-broadcast" reliable_fields (function
+             | Reliable_broadcast r -> r.field
+             | _ -> assert false))
+      |> mem (req "loss" probability (function Reliable_broadcast r -> r.loss | _ -> assert false)))
+  in
+  let toroidal =
+    case "toroidal"
+      (obj (fun field -> Toroidal { field })
+      |> mem
+           (field "toroidal" toroidal_fields (function Toroidal r -> r.field | _ -> assert false)))
+  in
+  let motion =
+    case "motion"
+      (obj (fun field speed -> Motion { field; speed })
+      |> mem (field "motion" motion_fields (function Motion r -> r.field | _ -> assert false))
+      |> mem (req "speed" non_negative (function Motion r -> r.speed | _ -> assert false)))
+  in
+  variant ~key:"kind" ~what:"metric kind"
+    [
+      forwards; delivery; structure_size; completion_time; cluster_count; realized_degree;
+      mcds_size; mcds_ratio; construction_cost; failure_delivery; reconnection_rounds;
+      redundancy; throughput; maintenance; staleness; churn_delivery; reliable; toroidal; motion;
+    ]
+    (function
+      | Forwards _ -> forwards
+      | Delivery _ -> delivery
+      | Structure_size _ -> structure_size
+      | Completion_time _ -> completion_time
+      | Cluster_count _ -> cluster_count
+      | Realized_degree -> realized_degree
+      | Mcds_size -> mcds_size
+      | Mcds_ratio _ -> mcds_ratio
+      | Construction_cost _ -> construction_cost
+      | Failure_delivery _ -> failure_delivery
+      | Reconnection_rounds _ -> reconnection_rounds
+      | Redundancy _ -> redundancy
+      | Workload_throughput _ -> throughput
+      | Workload_maintenance _ -> maintenance
+      | Workload_staleness _ -> staleness
+      | Workload_delivery _ -> churn_delivery
+      | Reliable_broadcast _ -> reliable
+      | Toroidal _ -> toroidal
+      | Motion _ -> motion)
+
+(* Relations between a series and the rest of the scenario: the failure
+   and workload series need their scenario-level object, and labels must
+   be distinct.  The path is formatted only on failure. *)
+
+let series_fail i msg = Json.fail ~at:(Printf.sprintf "metrics[%d]" i) msg
+
+let rec check_series s i seen = function
+  | [] -> ()
+  | m :: rest ->
+    let label = metric_name m in
+    (match (m, s.failures, s.workload) with
+    | (Failure_delivery _ | Reconnection_rounds _), None, _ ->
+      series_fail i (Printf.sprintf "%S needs the scenario-level \"failures\" event" label)
+    | ( ( Workload_throughput _ | Workload_maintenance _ | Workload_staleness _
+        | Workload_delivery _ ),
+        _,
+        None ) ->
+      series_fail i (Printf.sprintf "%S needs the scenario-level \"workload\" object" label)
+    | _ -> ());
+    if List.mem label seen then
+      series_fail i
+        (Printf.sprintf
+           "has a duplicate series label %S; set a distinct \"name\" on one of the colliding \
+            metrics"
+           label);
+    check_series s (i + 1) (label :: seen) rest
+
+let codec =
+  Json.(
+    obj
+      (fun v name description seed domains topology mobility loss failures workload stopping
+           metrics ->
+        if v < 1 || v > version then
+          fail (Printf.sprintf "unsupported version %d (this build reads versions 1-%d)" v version);
+        if v < 2 && Option.is_some workload then
+          fail
+            (Printf.sprintf "\"workload\" requires version 2 (this scenario declares version %d)" v);
+        { name; description; seed; domains; topology; mobility; loss; failures; workload; stopping;
+          metrics })
+    (* The oldest version expressing the scenario: v1 files keep their
+       historical bytes, and only a workload pays for the bump. *)
+    |> mem (req "version" int (fun s -> if Option.is_some s.workload then version else 1))
+    |> mem
+         (req "name" (where (fun n -> n <> "") (fun _ -> "must be non-empty") string) (fun s -> s.name))
+    |> mem (omit "description" string "" (fun s -> s.description))
+    |> mem (req "seed" int (fun s -> s.seed))
+    |> mem (dflt "domains" (at_least 1) 1 (fun s -> s.domains))
+    |> mem (req "topology" topology (fun s -> s.topology))
+    |> mem (opt "mobility" mobility (fun s -> s.mobility))
+    |> mem (opt "loss" probability (fun s -> s.loss))
+    |> mem (opt "failures" failures (fun s -> s.failures))
+    |> mem (opt "workload" workload (fun s -> s.workload))
+    |> mem (req "stopping" stopping (fun s -> s.stopping))
+    |> mem (req "metrics" (non_empty "series" (list metric)) (fun s -> s.metrics))
+    |> seal ~check:(fun s ->
+           (match (s.mobility, s.workload) with
+           | Some p, Some w
+             when not (Workload.advances ~duration:w.Workload.duration p.Metric.dt) ->
+             fail ~at:"mobility.dt"
+               (num p.Metric.dt ^ " is too small to advance the workload clock within its duration")
+           | _ -> ());
+           check_series s 0 [] s.metrics))
+
+let in_scenario = function Ok _ as ok -> ok | Error m -> Error ("scenario: " ^ m)
+
+let validate s = in_scenario (Json.validate codec s)
+
+let to_json s = Json.encode codec s
+
+let to_string s = Json.print (to_json s) ^ "\n"
+
+let of_json j = in_scenario (Json.decode codec j)
+
+let of_string text =
+  match Json.parse text with
+  | Error m -> Error ("scenario: " ^ m)
+  | Ok j -> of_json j
 
 (* Compilation to executable metrics *)
 
@@ -291,16 +508,8 @@ let compile s =
   (match validate s with Ok () -> () | Error m -> invalid_arg m);
   let default_loss = s.loss in
   let eff loss = match loss with Some _ -> loss | None -> default_loss in
-  let spec () =
-    match s.failures with
-    | Some f -> f
-    | None -> assert false (* validate requires failures for failure metrics *)
-  in
-  let workload () =
-    match s.workload with
-    | Some w -> w
-    | None -> assert false (* validate requires a workload for workload metrics *)
-  in
+  (* [validate] requires the object of every failure or workload series. *)
+  let spec () = Option.get s.failures and workload () = Option.get s.workload in
   (* The scenario's mobility regime doubles as the workload's continuous
      motion: the walker advances every [dt] on the stream clock ([steps]
      governs only the one-shot pre-measurement walk of plain metrics). *)
@@ -366,437 +575,3 @@ let compile s =
                           Manet_coverage.Coverage.Hop25))));
         })
     s.metrics
-
-(* JSON codec.
-
-   Canonical shape (optional fields omitted when at their default):
-
-   { "version": 1, "name": ..., "description": ..., "seed": ...,
-     "domains": ...,
-     "topology": {"n": [...], "degree": [...], "width": ..., "height": ...},
-     "mobility": {"model": ..., "steps": ..., "dt": ...,
-                  "speed_min": ..., "speed_max": ..., "pause_time": ...},
-     "loss": ...,
-     "stopping": {"min_samples": ..., "max_samples": ..., "rel_precision": ...},
-     "metrics": [{"kind": ..., ...}, ...] } *)
-
-let clustering_tag = function Lowest_id -> "lowest-id" | Highest_degree -> "highest-degree"
-
-let model_tag = function
-  | Mobility.Random_waypoint -> "random-waypoint"
-  | Mobility.Random_direction -> "random-direction"
-
-let metric_to_json m =
-  let opt_str key = function None -> [] | Some v -> [ (key, Json.Str v) ] in
-  let opt_num key = function None -> [] | Some v -> [ (key, Json.Num v) ] in
-  let kind k fields = Json.Obj (("kind", Json.Str k) :: fields) in
-  match m with
-  | Forwards { protocol; name; loss } ->
-    kind "forwards" ([ ("protocol", Json.Str protocol) ] @ opt_str "name" name @ opt_num "loss" loss)
-  | Delivery { protocol; name; loss } ->
-    kind "delivery" ([ ("protocol", Json.Str protocol) ] @ opt_str "name" name @ opt_num "loss" loss)
-  | Structure_size { protocol; name; clustering } ->
-    kind "structure-size"
-      ([ ("protocol", Json.Str protocol) ]
-      @ opt_str "name" name
-      @ opt_str "clustering" (Option.map clustering_tag clustering))
-  | Completion_time { protocol; name } ->
-    kind "completion-time" ([ ("protocol", Json.Str protocol) ] @ opt_str "name" name)
-  | Cluster_count { clustering = Lowest_id } -> kind "cluster-count" []
-  | Cluster_count { clustering = Highest_degree } ->
-    kind "cluster-count" [ ("clustering", Json.Str (clustering_tag Highest_degree)) ]
-  | Realized_degree -> kind "realized-degree" []
-  | Mcds_size -> kind "mcds-size" []
-  | Mcds_ratio { protocol; name } ->
-    kind "mcds-ratio" ([ ("protocol", Json.Str protocol) ] @ opt_str "name" name)
-  | Construction_cost { field; name } ->
-    kind "construction-cost"
-      ([ ("field", Json.Str (cost_field_tag field)) ] @ opt_str "name" name)
-  | Failure_delivery { protocol; name; loss } ->
-    kind "failure-delivery"
-      ([ ("protocol", Json.Str protocol) ] @ opt_str "name" name @ opt_num "loss" loss)
-  | Reconnection_rounds { protocol; name } ->
-    kind "reconnection-rounds" ([ ("protocol", Json.Str protocol) ] @ opt_str "name" name)
-  | Redundancy { protocol; name } ->
-    kind "redundancy" ([ ("protocol", Json.Str protocol) ] @ opt_str "name" name)
-  | Workload_throughput { name } -> kind "workload-throughput" (opt_str "name" name)
-  | Workload_maintenance { name } -> kind "workload-maintenance" (opt_str "name" name)
-  | Workload_staleness { name } -> kind "workload-staleness" (opt_str "name" name)
-  | Workload_delivery { name } -> kind "workload-delivery" (opt_str "name" name)
-  | Reliable_broadcast { field; loss } ->
-    kind "reliable-broadcast"
-      [ ("field", Json.Str (tag_of reliable_fields field)); ("loss", Json.Num loss) ]
-  | Toroidal { field } -> kind "toroidal" [ ("field", Json.Str (tag_of toroidal_fields field)) ]
-  | Motion { field; speed } ->
-    kind "motion" [ ("field", Json.Str (tag_of motion_fields field)); ("speed", Json.Num speed) ]
-
-let to_json s =
-  let ints ns = Json.Arr (List.map (fun n -> Json.Num (float_of_int n)) ns) in
-  let floats ds = Json.Arr (List.map (fun d -> Json.Num d) ds) in
-  (* v1 scenarios keep their exact historical bytes: the version bump is
-     paid only by scenarios using the v2 "workload" object. *)
-  let emitted_version = match s.workload with None -> 1 | Some _ -> version in
-  Json.Obj
-    ([
-       ("version", Json.Num (float_of_int emitted_version));
-       ("name", Json.Str s.name);
-     ]
-    @ (if s.description = "" then [] else [ ("description", Json.Str s.description) ])
-    @ [
-        ("seed", Json.Num (float_of_int s.seed));
-        ("domains", Json.Num (float_of_int s.domains));
-        ( "topology",
-          Json.Obj
-            [
-              ("n", ints s.topology.ns);
-              ("degree", floats s.topology.degrees);
-              ("width", Json.Num s.topology.width);
-              ("height", Json.Num s.topology.height);
-            ] );
-      ]
-    @ (match s.mobility with
-      | None -> []
-      | Some p ->
-        [
-          ( "mobility",
-            Json.Obj
-              [
-                ("model", Json.Str (model_tag p.Metric.model));
-                ("steps", Json.Num (float_of_int p.Metric.steps));
-                ("dt", Json.Num p.Metric.dt);
-                ("speed_min", Json.Num p.Metric.speed_min);
-                ("speed_max", Json.Num p.Metric.speed_max);
-                ("pause_time", Json.Num p.Metric.pause_time);
-              ] );
-        ])
-    @ (match s.loss with None -> [] | Some l -> [ ("loss", Json.Num l) ])
-    @ (match s.failures with
-      | None -> []
-      | Some f ->
-        [
-          ( "failures",
-            Json.Obj
-              ([
-                 ("kill", Json.Num (float_of_int f.Metric.kill));
-                 ("round", Json.Num (float_of_int f.Metric.round));
-               ]
-              @ (match f.Metric.heal with
-                | None -> []
-                | Some h -> [ ("heal", Json.Num (float_of_int h)) ])
-              @
-              if f.Metric.backbone_only then []
-              else [ ("scope", Json.Str "any") ]) );
-        ])
-    @ (match s.workload with
-      | None -> []
-      | Some w ->
-        [
-          ( "workload",
-            Json.Obj
-              ([
-                 ("arrival_rate", Json.Num w.Workload.arrival_rate);
-                 ("duration", Json.Num w.Workload.duration);
-               ]
-              @ (if w.Workload.warmup = 0. then [] else [ ("warmup", Json.Num w.Workload.warmup) ])
-              @ (if w.Workload.join_rate = 0. then []
-                 else [ ("join_rate", Json.Num w.Workload.join_rate) ])
-              @ (if w.Workload.leave_rate = 0. then []
-                 else [ ("leave_rate", Json.Num w.Workload.leave_rate) ])
-              @ (if w.Workload.sources = 0 then []
-                 else [ ("sources", Json.Num (float_of_int w.Workload.sources)) ])
-              @
-              if w.Workload.maintenance_every = 1. then []
-              else [ ("maintenance_every", Json.Num w.Workload.maintenance_every) ]) );
-        ])
-    @ [
-        ( "stopping",
-          Json.Obj
-            [
-              ("min_samples", Json.Num (float_of_int s.stopping.min_samples));
-              ("max_samples", Json.Num (float_of_int s.stopping.max_samples));
-              ("rel_precision", Json.Num s.stopping.rel_precision);
-            ] );
-        ("metrics", Json.Arr (List.map metric_to_json s.metrics));
-      ])
-
-let to_string s = Json.print (to_json s) ^ "\n"
-
-(* Strict decoding: every object traversal checks for unknown fields so
-   a typo'd scenario fails loudly instead of silently running defaults. *)
-
-exception Reject of string
-
-let reject fmt = Printf.ksprintf (fun m -> raise (Reject ("scenario: " ^ m))) fmt
-
-let lift v = match v with Ok v -> v | Error m -> raise (Reject ("scenario: " ^ m))
-
-let obj_of ~context j = lift (Json.to_obj ~context j)
-
-let check_fields ~context ~allowed fields =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k allowed) then
-        reject "unknown field %S in %s (expected one of: %s)" k context
-          (String.concat ", " allowed))
-    fields
-
-let field fields key = List.assoc_opt key fields
-
-let required ~context fields key =
-  match field fields key with
-  | Some v -> v
-  | None -> reject "missing required field %S in %s" key context
-
-let get_int ~context j = lift (Json.to_int ~context j)
-let get_float ~context j = lift (Json.to_float ~context j)
-let get_str ~context j = lift (Json.to_string_value ~context j)
-let get_list ~context j = lift (Json.to_list ~context j)
-
-let clustering_of_tag ~context = function
-  | "lowest-id" -> Lowest_id
-  | "highest-degree" -> Highest_degree
-  | other -> reject "%s: unknown clustering %S (expected \"lowest-id\" or \"highest-degree\")" context other
-
-let metric_of_json i j =
-  let context = Printf.sprintf "metrics[%d]" i in
-  let fields = obj_of ~context j in
-  let kind = get_str ~context:(context ^ ".kind") (required ~context fields "kind") in
-  let protocol ?(key = "protocol") () =
-    get_str ~context:(context ^ "." ^ key) (required ~context fields key)
-  in
-  let name () = Option.map (get_str ~context:(context ^ ".name")) (field fields "name") in
-  let loss () = Option.map (get_float ~context:(context ^ ".loss")) (field fields "loss") in
-  let clustering () =
-    Option.map
-      (fun v -> clustering_of_tag ~context (get_str ~context:(context ^ ".clustering") v))
-      (field fields "clustering")
-  in
-  let check allowed = check_fields ~context ~allowed:("kind" :: allowed) fields in
-  let req_float key = get_float ~context:(context ^ "." ^ key) (required ~context fields key) in
-  let field_of fields_of_kind =
-    let tag = get_str ~context:(context ^ ".field") (required ~context fields "field") in
-    match List.assoc_opt tag fields_of_kind with
-    | Some f -> f
-    | None ->
-      reject "%s: unknown %s field %S (expected one of: %s)" context kind tag
-        (String.concat ", " (List.map fst fields_of_kind))
-  in
-  match kind with
-  | "forwards" ->
-    check [ "protocol"; "name"; "loss" ];
-    Forwards { protocol = protocol (); name = name (); loss = loss () }
-  | "delivery" ->
-    check [ "protocol"; "name"; "loss" ];
-    Delivery { protocol = protocol (); name = name (); loss = loss () }
-  | "structure-size" ->
-    check [ "protocol"; "name"; "clustering" ];
-    Structure_size { protocol = protocol (); name = name (); clustering = clustering () }
-  | "completion-time" ->
-    check [ "protocol"; "name" ];
-    Completion_time { protocol = protocol (); name = name () }
-  | "cluster-count" ->
-    check [ "clustering" ];
-    Cluster_count { clustering = Option.value (clustering ()) ~default:Lowest_id }
-  | "realized-degree" ->
-    check [];
-    Realized_degree
-  | "mcds-size" ->
-    check [];
-    Mcds_size
-  | "mcds-ratio" ->
-    check [ "protocol"; "name" ];
-    Mcds_ratio { protocol = protocol (); name = name () }
-  | "construction-cost" ->
-    check [ "field"; "name" ];
-    Construction_cost { field = field_of cost_fields; name = name () }
-  | "failure-delivery" ->
-    check [ "protocol"; "name"; "loss" ];
-    Failure_delivery { protocol = protocol (); name = name (); loss = loss () }
-  | "reconnection-rounds" ->
-    check [ "protocol"; "name" ];
-    Reconnection_rounds { protocol = protocol (); name = name () }
-  | "redundancy" ->
-    check [ "protocol"; "name" ];
-    Redundancy { protocol = protocol (); name = name () }
-  | "workload-throughput" ->
-    check [ "name" ];
-    Workload_throughput { name = name () }
-  | "workload-maintenance" ->
-    check [ "name" ];
-    Workload_maintenance { name = name () }
-  | "workload-staleness" ->
-    check [ "name" ];
-    Workload_staleness { name = name () }
-  | "workload-delivery" ->
-    check [ "name" ];
-    Workload_delivery { name = name () }
-  | "reliable-broadcast" ->
-    check [ "field"; "loss" ];
-    Reliable_broadcast { field = field_of reliable_fields; loss = req_float "loss" }
-  | "toroidal" ->
-    check [ "field" ];
-    Toroidal { field = field_of toroidal_fields }
-  | "motion" ->
-    check [ "field"; "speed" ];
-    Motion { field = field_of motion_fields; speed = req_float "speed" }
-  | other ->
-    reject
-      "%s: unknown metric kind %S (expected forwards, delivery, structure-size, completion-time, \
-       cluster-count, realized-degree, mcds-size, mcds-ratio, construction-cost, \
-       failure-delivery, reconnection-rounds, redundancy, workload-throughput, \
-       workload-maintenance, workload-staleness, workload-delivery, reliable-broadcast, \
-       toroidal or motion)"
-      context other
-
-let topology_of_json j =
-  let context = "topology" in
-  let fields = obj_of ~context j in
-  check_fields ~context ~allowed:[ "n"; "degree"; "width"; "height" ] fields;
-  let ns =
-    List.map (get_int ~context:"topology.n") (get_list ~context:"topology.n" (required ~context fields "n"))
-  in
-  let degrees =
-    List.map (get_float ~context:"topology.degree")
-      (get_list ~context:"topology.degree" (required ~context fields "degree"))
-  in
-  let dim key default =
-    match field fields key with
-    | None -> default
-    | Some v -> get_float ~context:("topology." ^ key) v
-  in
-  { ns; degrees; width = dim "width" 100.; height = dim "height" 100. }
-
-let stopping_of_json j =
-  let context = "stopping" in
-  let fields = obj_of ~context j in
-  check_fields ~context ~allowed:[ "min_samples"; "max_samples"; "rel_precision" ] fields;
-  {
-    min_samples = get_int ~context:"stopping.min_samples" (required ~context fields "min_samples");
-    max_samples = get_int ~context:"stopping.max_samples" (required ~context fields "max_samples");
-    rel_precision =
-      get_float ~context:"stopping.rel_precision" (required ~context fields "rel_precision");
-  }
-
-let mobility_of_json j =
-  let context = "mobility" in
-  let fields = obj_of ~context j in
-  check_fields ~context
-    ~allowed:[ "model"; "steps"; "dt"; "speed_min"; "speed_max"; "pause_time" ]
-    fields;
-  let model =
-    match get_str ~context:"mobility.model" (required ~context fields "model") with
-    | "random-waypoint" -> Mobility.Random_waypoint
-    | "random-direction" -> Mobility.Random_direction
-    | other ->
-      reject
-        "mobility.model: unknown model %S (expected \"random-waypoint\" or \"random-direction\")"
-        other
-  in
-  {
-    Metric.model;
-    steps = get_int ~context:"mobility.steps" (required ~context fields "steps");
-    dt = get_float ~context:"mobility.dt" (required ~context fields "dt");
-    speed_min = get_float ~context:"mobility.speed_min" (required ~context fields "speed_min");
-    speed_max = get_float ~context:"mobility.speed_max" (required ~context fields "speed_max");
-    pause_time =
-      (match field fields "pause_time" with
-      | None -> 0.
-      | Some v -> get_float ~context:"mobility.pause_time" v);
-  }
-
-let failures_of_json j =
-  let context = "failures" in
-  let fields = obj_of ~context j in
-  check_fields ~context ~allowed:[ "kill"; "round"; "heal"; "scope" ] fields;
-  {
-    Metric.kill = get_int ~context:"failures.kill" (required ~context fields "kill");
-    round = get_int ~context:"failures.round" (required ~context fields "round");
-    heal = Option.map (get_int ~context:"failures.heal") (field fields "heal");
-    backbone_only =
-      (match field fields "scope" with
-      | None -> true
-      | Some v -> (
-        match get_str ~context:"failures.scope" v with
-        | "backbone" -> true
-        | "any" -> false
-        | other ->
-          reject "failures.scope: unknown scope %S (expected \"backbone\" or \"any\")" other));
-  }
-
-let workload_of_json j =
-  let context = "workload" in
-  let fields = obj_of ~context j in
-  check_fields ~context
-    ~allowed:[ "arrival_rate"; "duration"; "warmup"; "join_rate"; "leave_rate"; "sources"; "maintenance_every" ]
-    fields;
-  let get_f key v = get_float ~context:("workload." ^ key) v in
-  let req_f key = get_f key (required ~context fields key) in
-  let opt_f key default = match field fields key with None -> default | Some v -> get_f key v in
-  let arrival_rate = req_f "arrival_rate" in
-  let duration = req_f "duration" in
-  let warmup = opt_f "warmup" 0. in
-  let join_rate = opt_f "join_rate" 0. in
-  let leave_rate = opt_f "leave_rate" 0. in
-  let sources =
-    match field fields "sources" with
-    | None -> 0
-    | Some v -> get_int ~context:"workload.sources" v
-  in
-  let maintenance_every = opt_f "maintenance_every" 1. in
-  (* [Workload.make] owns the range checks (positive rates, warmup
-     inside the duration, ...); surface its verdict as a parse error. *)
-  match
-    Workload.make ~warmup ~join_rate ~leave_rate ~sources ~maintenance_every ~arrival_rate
-      ~duration ()
-  with
-  | w -> w
-  | exception Invalid_argument m -> reject "%s" m
-
-let of_json j =
-  match
-    let context = "scenario" in
-    let fields = obj_of ~context j in
-    check_fields ~context
-      ~allowed:
-        [
-          "version"; "name"; "description"; "seed"; "domains"; "topology"; "mobility"; "loss";
-          "failures"; "workload"; "stopping"; "metrics";
-        ]
-      fields;
-    let v = get_int ~context:"version" (required ~context fields "version") in
-    if v < 1 || v > version then
-      reject "unsupported version %d (this build reads versions 1-%d)" v version;
-    if v < 2 && field fields "workload" <> None then
-      reject "\"workload\" requires version 2 (this scenario declares version %d)" v;
-    let s =
-      {
-        name = get_str ~context:"name" (required ~context fields "name");
-        description =
-          (match field fields "description" with
-          | None -> ""
-          | Some v -> get_str ~context:"description" v);
-        seed = get_int ~context:"seed" (required ~context fields "seed");
-        domains =
-          (match field fields "domains" with
-          | None -> 1
-          | Some v -> get_int ~context:"domains" v);
-        topology = topology_of_json (required ~context fields "topology");
-        mobility = Option.map mobility_of_json (field fields "mobility");
-        loss = Option.map (get_float ~context:"loss") (field fields "loss");
-        failures = Option.map failures_of_json (field fields "failures");
-        workload = Option.map workload_of_json (field fields "workload");
-        stopping = stopping_of_json (required ~context fields "stopping");
-        metrics =
-          List.mapi metric_of_json (get_list ~context:"metrics" (required ~context fields "metrics"));
-      }
-    in
-    (match validate s with Ok () -> () | Error m -> raise (Reject m));
-    s
-  with
-  | s -> Ok s
-  | exception Reject m -> Error m
-
-let of_string text =
-  match Json.parse text with
-  | Error m -> Error ("scenario: " ^ m)
-  | Ok j -> of_json j

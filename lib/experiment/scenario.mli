@@ -11,9 +11,12 @@
     grids, loss grids, any registered protocol) are plain JSON edits,
     not code.
 
-    The codec is strict: unknown fields, unknown protocols, malformed
-    grids and out-of-range parameters are rejected at parse time with
-    messages naming the offending field — a scenario that parses runs. *)
+    The codec ({!codec}) declares each field once; encoding, strict
+    decoding and {!validate} all walk that declaration.  Unknown or
+    repeated fields, unknown protocols, malformed grids, non-finite and
+    out-of-range parameters are rejected at parse time with messages
+    naming the offending field by its path — a scenario that parses
+    runs. *)
 
 (** Which clustering election feeds cluster-based series. *)
 type clustering = Lowest_id | Highest_degree
@@ -161,14 +164,15 @@ val label_at : string -> float -> string
     a second axis spread over the columns (["flooding@0.3"]). *)
 
 val validate : t -> (unit, string) result
-(** Full strictness: non-empty grids with n >= 2 and positive degrees,
-    positive working space, a sane stopping rule, loss in [0, 1], motion
-    speeds finite and >= 0, a sane mobility regime, a sane failure event (kill >= 1, round >= 0, heal
-    after round) present whenever a failure metric needs one, a
-    [workload] object present whenever a workload series needs one, at
-    least one metric, every protocol registered, and no duplicate series
-    labels.  Messages name the offending field and, for protocols, list
-    the registered names. *)
+(** The range checks {!of_json} applies, on a scenario built in OCaml:
+    non-empty grids with n >= 2 and finite positive degrees, a finite
+    positive working space, a sane stopping rule, losses in [0, 1], a
+    finite mobility regime with 0 <= speed_min <= speed_max, a sane
+    failure event (kill >= 1, round >= 0, heal after round) present
+    whenever a failure series needs one, a [workload] object present
+    whenever a workload series needs one, at least one metric, every
+    protocol registered, and distinct series labels.  Messages name the
+    offending field and, for protocols, list the registered names. *)
 
 val compile : t -> Metric.t list
 (** The scenario's series as executable metrics, in order, with the
@@ -176,6 +180,11 @@ val compile : t -> Metric.t list
     @raise Invalid_argument if {!validate} rejects the scenario. *)
 
 (** {1 Versioned JSON codec} *)
+
+val codec : t Json.codec
+(** The scenario document, declared field by field; {!to_json},
+    {!of_json} and {!validate} all run it, and a journal header embeds
+    it. *)
 
 val to_json : t -> Json.t
 
@@ -185,6 +194,6 @@ val to_string : t -> string
 val of_json : Json.t -> (t, string) result
 
 val of_string : string -> (t, string) result
-(** Strict parse + {!validate}: rejects unknown fields ("scenario:
-    unknown field ..."), a missing or unsupported ["version"], and
+(** Strict parse: rejects unknown and repeated fields ("scenario:
+    duplicate field ..."), a missing or unsupported ["version"], and
     everything {!validate} rejects. *)

@@ -148,7 +148,8 @@ let prop_selection_size_bound =
    indirectly, then the lowest id; it covers those targets and pulls in
    the second hop of each pair through which it reaches a 3-hop one.
    Phase 2: each 3-hop target left, in ascending order, is connected by
-   the pair reusing the most selected gateways, then the smallest pair.
+   the pair reusing the most selected gateways, then the smallest first
+   hop.
    Returns the selection ascending. *)
 let reference_select (cov : Coverage.t) ~live =
   let ranges keys off entry =
@@ -180,8 +181,7 @@ let reference_select (cov : Coverage.t) ~live =
   let connect sel (_, pairs) =
     let reuse (v, w) = Bool.to_int (List.mem v sel) + Bool.to_int (List.mem w sel) in
     let better (v, w) (bv, bw) =
-      reuse (v, w) > reuse (bv, bw)
-      || (reuse (v, w) = reuse (bv, bw) && (v < bv || (v = bv && w < bw)))
+      reuse (v, w) > reuse (bv, bw) || (reuse (v, w) = reuse (bv, bw) && v < bv)
     in
     let v, w = List.fold_left (fun b p -> if better p b then p else b) (List.hd pairs) pairs in
     v :: w :: sel

@@ -438,6 +438,86 @@ let test_probes_rejections () =
       ({|{"kind": "motion", "field": "gateways", "speed": 1, "name": "g"}|}, {|unknown field "name"|});
     ]
 
+(* The strict input boundary: a key given twice is rejected in every
+   object (first-wins would run another scenario than the file states),
+   and every float that sizes or paces the run must be finite. *)
+
+let scenario_with ?(topology = {|{"n": [20], "degree": [6]}|}) ?(extra = "")
+    ?(stopping = {|{"min_samples": 2, "max_samples": 4, "rel_precision": 0.5}|})
+    ?(metric = {|{"kind": "forwards", "protocol": "flooding"}|}) () =
+  Printf.sprintf
+    {|{"version": 1, "name": "t", "seed": 1, "topology": %s,%s
+       "stopping": %s, "metrics": [%s]}|}
+    topology extra stopping metric
+
+let mobility_with field =
+  Printf.sprintf
+    {| "mobility": {"model": "random-waypoint", "steps": 1, "dt": 0.5, "speed_min": 0,
+                    "speed_max": 2, %s},|}
+    field
+
+let test_duplicate_keys () =
+  List.iter
+    (fun (text, fragment) -> rejects text fragment)
+    [
+      ( {|{"version": 1, "name": "t", "seed": 1, "seed": 2,
+           "topology": {"n": [20], "degree": [6]},
+           "stopping": {"min_samples": 2, "max_samples": 4, "rel_precision": 0.5},
+           "metrics": [{"kind": "forwards", "protocol": "flooding"}]}|},
+        {|duplicate field "seed"|} );
+      (scenario_with ~topology:{|{"n": [20], "degree": [6], "n": [30]}|} (), {|duplicate field "n"|});
+      ( scenario_with
+          ~stopping:{|{"min_samples": 2, "max_samples": 4, "rel_precision": 0.5, "max_samples": 9}|}
+          (),
+        {|duplicate field "max_samples"|} );
+      ( scenario_with ~metric:{|{"kind": "forwards", "protocol": "flooding", "protocol": "dp"}|} (),
+        {|duplicate field "protocol"|} );
+      ( scenario_with ~metric:{|{"kind": "forwards", "kind": "delivery", "protocol": "dp"}|} (),
+        {|duplicate field "kind"|} );
+      ( scenario_with
+          ~extra:{| "failures": {"kill": 1, "round": 1, "kill": 2},|}
+          ~metric:{|{"kind": "failure-delivery", "protocol": "dp"}|}
+          (),
+        {|duplicate field "kill"|} );
+      (scenario_with ~extra:(mobility_with {|"dt": 1|}) (), {|duplicate field "dt"|});
+    ]
+
+let test_non_finite () =
+  List.iter
+    (fun (text, fragment) -> rejects text fragment)
+    [
+      (scenario_with ~topology:{|{"n": [20], "degree": [6], "width": inf}|} (), "topology.width inf");
+      (scenario_with ~topology:{|{"n": [20], "degree": [6], "height": nan}|} (), "topology.height nan");
+      (scenario_with ~topology:{|{"n": [20], "degree": [inf]}|} (), "topology.degree[0] inf");
+      (scenario_with ~topology:{|{"n": [20], "degree": [6, nan]}|} (), "topology.degree[1] nan");
+      ( scenario_with ~stopping:{|{"min_samples": 2, "max_samples": 4, "rel_precision": inf}|} (),
+        "stopping.rel_precision inf" );
+      ( scenario_with
+          ~extra:
+            {| "mobility": {"model": "random-waypoint", "steps": 1, "dt": inf, "speed_min": 0,
+                            "speed_max": 2},|}
+          (),
+        "mobility.dt inf" );
+      ( scenario_with
+          ~extra:
+            {| "mobility": {"model": "random-waypoint", "steps": 1, "dt": 0.5, "speed_min": nan,
+                            "speed_max": 2},|}
+          (),
+        "mobility.speed_min nan" );
+      ( scenario_with
+          ~extra:
+            {| "mobility": {"model": "random-waypoint", "steps": 1, "dt": 0.5, "speed_min": 0,
+                            "speed_max": inf},|}
+          (),
+        "mobility.speed_max inf" );
+      (scenario_with ~extra:(mobility_with {|"pause_time": inf|}) (), "mobility.pause_time inf");
+    ];
+  (* The same checks guard a scenario built in OCaml. *)
+  let s = Scenario.make ~name:"t" ~degrees:[ Float.infinity ] [ Scenario.Realized_degree ] in
+  match Scenario.validate s with
+  | Ok () -> Alcotest.fail "infinite degree validated"
+  | Error m -> Alcotest.(check bool) ("message: " ^ m) true (contains m "topology.degree[0] inf")
+
 (* Parity: every builtin figure, compiled from its scenario and run by
    the Runner, reproduces bit-identically the table the historical
    hand-coded sweep produced under the quick configuration.  The legacy
@@ -818,6 +898,89 @@ let test_resume_missing_journal_is_fresh () =
       let again = Runner.run s in
       List.iter2 (same_table "fresh under --resume") again fresh)
 
+(* Journals are decoded by the same strict codec: an integer field must
+   be an integer, and unknown or repeated members are rejected in the
+   header and in every entry. *)
+
+let replace_first text pattern by =
+  let np = String.length pattern in
+  let rec find i =
+    if i + np > String.length text then Alcotest.failf "%S not found" pattern
+    else if String.sub text i np = pattern then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub text 0 i ^ by ^ String.sub text (i + np) (String.length text - i - np)
+
+let test_journal_rejections () =
+  with_temp (fun path ->
+      let _ = Runner.run ~journal:path (resume_scenario ()) in
+      let header, entry =
+        match journal_lines path with h :: e :: _ -> (h, e) | _ -> Alcotest.fail "short journal"
+      in
+      List.iter
+        (fun (what, header, entry, fragment) ->
+          write_file path (header ^ "\n" ^ entry ^ "\n");
+          match Journal.load ~path with
+          | Ok _ -> Alcotest.failf "%s accepted" what
+          | Error m -> Alcotest.(check bool) (what ^ ": " ^ m) true (contains m fragment))
+        [
+          ( "fractional version",
+            replace_first header {|"version": 1, "scenario"|} {|"version": 1.5, "scenario"|},
+            entry,
+            "version: expected an integer, found 1.5" );
+          ( "unknown header field",
+            replace_first header {|{"journal"|} {|{"checksum": 0, "journal"|},
+            entry,
+            {|unknown field "checksum"|} );
+          ( "repeated header field",
+            replace_first header {|"version": 1,|} {|"version": 1, "version": 1,|},
+            entry,
+            {|duplicate field "version"|} );
+          ( "foreign journal",
+            replace_first header {|"manet-sweep"|} {|"other"|},
+            entry,
+            {|journal "other" is not "manet-sweep"|} );
+          ( "unknown entry field",
+            header,
+            replace_first entry {|"chunk": 0,|} {|"chunk": 0, "d": 6,|},
+            {|line 2: unknown field "d"|} );
+          ( "repeated entry field",
+            header,
+            replace_first entry {|"chunk": 0,|} {|"chunk": 0, "chunk": 1,|},
+            {|line 2: duplicate field "chunk"|} );
+          ( "fractional coordinate",
+            header,
+            replace_first entry {|"point": 0,|} {|"point": 0.5,|},
+            "point: expected an integer" );
+        ])
+
+(* A journal written by an earlier build (golden/resume.jsonl: the header
+   and the first four chunks of a sweep with mobility, loss, a failure
+   event and series overrides) must load, resume to the tables of a fresh
+   run, and hold exactly the bytes this build writes for the same run. *)
+let test_committed_journal_resumes () =
+  let committed =
+    read_file (Filename.concat (Filename.dirname Sys.executable_name) "golden/resume.jsonl")
+  in
+  with_temp (fun path ->
+      with_temp (fun fresh_path ->
+          write_file path committed;
+          let s =
+            match Journal.load ~path with
+            | Error m -> Alcotest.fail m
+            | Ok (s, entries) ->
+              Alcotest.(check int) "recorded chunks" 4 (List.length entries);
+              s
+          in
+          let resumed = Runner.run ~journal:path ~resume:true s in
+          let fresh = Runner.run ~journal:fresh_path s in
+          List.iter2 (same_table "committed journal resume") fresh resumed;
+          let written = read_file fresh_path in
+          Alcotest.(check string) "same bytes as the earlier build" committed
+            (String.sub written 0 (String.length committed));
+          Alcotest.(check string) "resumed journal = fresh journal" written (read_file path)))
+
 let () =
   Alcotest.run "scenario"
     [
@@ -843,6 +1006,8 @@ let () =
           Alcotest.test_case "stalled workload clocks rejected" `Quick test_workload_stalled_clock;
           Alcotest.test_case "probe kinds round-trip" `Quick test_probes_roundtrip;
           Alcotest.test_case "malformed probe kinds rejected" `Quick test_probes_rejections;
+          Alcotest.test_case "repeated keys rejected" `Quick test_duplicate_keys;
+          Alcotest.test_case "non-finite floats rejected" `Quick test_non_finite;
         ] );
       ( "parity",
         Alcotest.test_case "coverage" `Quick test_every_builtin_has_parity_coverage
@@ -858,5 +1023,8 @@ let () =
           Alcotest.test_case "failure sweep is domain-invariant" `Quick
             test_failure_sweep_domain_invariant;
           Alcotest.test_case "resume mid-traffic-stream" `Quick test_resume_mid_traffic_stream;
+          Alcotest.test_case "malformed journals rejected" `Quick test_journal_rejections;
+          Alcotest.test_case "earlier build's journal resumes" `Quick
+            test_committed_journal_resumes;
         ] );
     ]
