@@ -61,56 +61,35 @@ let run_builtin title name =
       maybe_csv (if List.length degrees = 1 then base else Printf.sprintf "%s_d%g" base d) t)
     degrees (Runner.run s)
 
-let fig6 () = run_builtin "Figure 6: average CDS size (static backbone vs MO_CDS)" "fig6"
-
-let fig7 () =
-  run_builtin "Figure 7: average forward-node-set size (dynamic backbone vs MO_CDS)" "fig7"
-
-let fig8 () = run_builtin "Figure 8: forward-node-set size (static vs dynamic backbone)" "fig8"
-
-let ext_baselines () =
-  run_builtin "Extension: forward counts across baseline protocols" "ext-baselines"
-
-let ext_si_cds () = run_builtin "Extension: CDS sizes across SI algorithms" "ext-si-cds"
-
-let ext_clustering () =
-  run_builtin "Ablation: lowest-ID vs highest-connectivity clustering" "ext-clustering"
-
-let ext_pruning () =
-  run_builtin "Ablation: dynamic backbone pruning levels (2.5-hop)" "ext-pruning"
-
-let ext_approx () =
-  run_builtin "Extension: approximation ratios vs exact MCDS (d = 6, small n)" "ext-approx"
-
-let ext_msgs () =
-  run_builtin "Extension: construction message complexity (O(n) check)" "ext-msgs"
-
-let ext_delivery () = run_builtin "Diagnostic: delivery ratios of SD protocols" "ext-delivery"
-
-let ext_lossy () = run_builtin "Extension: delivery under lossy links" "ext-lossy"
-
-let ext_border () =
-  run_builtin "Diagnostic: border effects of the confined working space" "ext-border"
-
-let ext_reliable () =
-  run_builtin "Extension: reliable broadcast (ack/retransmit) under loss" "ext-reliable"
-
-let ext_maintenance () =
-  run_builtin "Extension: clustering maintenance cost under mobility" "ext-maintenance"
-
-let ext_traffic () =
-  run_builtin "Extension: continuous-traffic serving under churn" "ext-traffic"
-
-let ext_mobility () =
-  run_builtin "Extension: static backbone maintenance under mobility" "ext-mobility"
+(* The builtin figure scenarios [all] runs, in order, with their section
+   titles; ext-resilience stays out of [all] (run it through `manet
+   run`). *)
+let figures =
+  [
+    ("fig6", "Figure 6: average CDS size (static backbone vs MO_CDS)");
+    ("fig7", "Figure 7: average forward-node-set size (dynamic backbone vs MO_CDS)");
+    ("fig8", "Figure 8: forward-node-set size (static vs dynamic backbone)");
+    ("ext-baselines", "Extension: forward counts across baseline protocols");
+    ("ext-si-cds", "Extension: CDS sizes across SI algorithms");
+    ("ext-clustering", "Ablation: lowest-ID vs highest-connectivity clustering");
+    ("ext-pruning", "Ablation: dynamic backbone pruning levels (2.5-hop)");
+    ("ext-approx", "Extension: approximation ratios vs exact MCDS (d = 6, small n)");
+    ("ext-msgs", "Extension: construction message complexity (O(n) check)");
+    ("ext-delivery", "Diagnostic: delivery ratios of SD protocols");
+    ("ext-lossy", "Extension: delivery under lossy links");
+    ("ext-border", "Diagnostic: border effects of the confined working space");
+    ("ext-reliable", "Extension: reliable broadcast (ack/retransmit) under loss");
+    ("ext-maintenance", "Extension: clustering maintenance cost under mobility");
+    ("ext-mobility", "Extension: static backbone maintenance under mobility");
+    ("ext-traffic", "Extension: continuous-traffic serving under churn");
+  ]
 
 (* BENCH_timing.json holds the top-level keys of three experiments:
    the Bechamel table ([timing]: n, avg_degree, results), the
-   allocation tables ([alloc]: per_broadcast, per_build,
-   per_static_build, per_cluster, per_sample, per_update, per_arrival,
-   per_sweep_sample) and the serving throughput ([traffic]).  Each
-   experiment replaces only its own keys in the file on disk and keeps
-   every other key, so `--json . alloc` leaves the Bechamel results and
+   allocation tables ([alloc]: per_broadcast, then one key for each row
+   with a section of its own) and the serving throughput ([traffic]).
+   Each experiment replaces only its own keys in the file on disk and
+   keeps every other key, so `--json . alloc` leaves the Bechamel results and
    the traffic section in place. *)
 let merge_timing_json fields =
   match !json_dir with
@@ -205,70 +184,6 @@ let timing () =
              rows) );
     ]
 
-(* Per-broadcast latency and allocation at the sweep scale (n = 1000,
-   d = 12): prepare each protocol once, then run broadcasts back to
-   back through the uniform pipeline — the same motion as [Metric]'s
-   per-source loops, reusing the calling domain's engine arena.  The
-   seed_* fields are the measurements recorded before the CSR/arena
-   rework and stay pinned so the JSON carries the before/after pair;
-   the ceiling is a hard bound on minor words per broadcast — exceed
-   it and the bench exits nonzero, failing the CI smoke run. *)
-let alloc_cases =
-  (* name, mode label, mode, ceiling (minor words/broadcast), seed µs,
-     seed minor words *)
-  (* Every ceiling sits well below a tenth of its seed measurement, so
-     the guard enforces the >= 10x reduction outright.  The dynamic
-     backbone's seed pair predates the flat-coverage-set rework (its
-     bespoke designation loop used to rebuild the CH_HOP cache and AVL
-     coverage sets per broadcast); its ceilings pin the arena-backed
-     loop.  The lossy row covers the frozen-replay path — a clean
-     native run plus an SI replay through the loss engine — whose seed
-     was measured under Lossy 0.1 before the rework.  Its ceiling was
-     ratcheted from 95k to 85k when the per-reception loss draw moved
-     from a boxed [Rng.float] comparison to an unboxed [Rng.bits53]
-     int-threshold test (measured ~76k after), and from 85k to 52k when
-     the generator state became unboxed (76,420 -> 46,691 words: a draw
-     no longer allocates), ~12% above the measured value.  The
-     self-pruning row pins the backoff schemes' shared loop on
-     Engine.Scratch.  Its seed pair is the per-scheme event-heap loop it
-     replaced (a key record and a tuple per event, per-node Nodeset
-     unions at each expiry); the Scratch loop measured ~17,600 words,
-     mostly the 1000 backoff draws, and ~5,660 once a draw allocated
-     nothing (the timeline and the forward set).  The ceiling sits
-     about 13% above that: two words per event (a tuple, an option)
-     over its ~2000 events, or a boxed draw again, cross it.  The two
-     dynamic rows were ratcheted to 40k and 45.5k, about 13% above
-     35,223 and 40,246 words, once the gateway selection was read in
-     place (no per-head copy of the selection) and [Graph.mem_edge]
-     stopped allocating a closure per call, and to 8,500 and 14,200,
-     about 13% above 7,501 and 12,524 words, once the gateway kernel
-     stopped allocating (no closure over boxed counters per selection)
-     and a transmission pushed its copies without a closure, and to
-     5,770 and 11,450, about 13% above 5,104 and 10,127 words, once
-     coverage sets were flat arrays and a relaying head's selection
-     took its pruning rows as arguments (no predicate, no callback).
-
-     The two "count" rows run the same perfect broadcast through the
-     prepared protocol's [count] instead of [run]: no result, no
-     timeline.  Their seed pair is the same protocol's [run] reading
-     when the rows were added (flooding 302.3 us, 11,032 words;
-     dynamic-2.5hop 694.4 us, 35,223 words), so [alloc_reduction] is
-     what the count-only epilogue and the allocation-free gateway
-     kernel save.  They read 21 and 2,450 words, and the dynamic row
-     53 once a relaying head allocated no pruning predicate, no [Some]
-     and no selection callback; each ceiling sits about 13% above, so
-     an O(n) epilogue, one word per node, or a closure per relaying
-     head crosses it. *)
-  [
-    ("flooding", "perfect", Manet_broadcast.Protocol.Perfect, 16_000., 4548.7, 181_307.);
-    ("flooding", "count", Manet_broadcast.Protocol.Perfect, 24., 302.3, 11_032.);
-    ("static-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 9_000., 2559.7, 94_252.);
-    ("dynamic-2.5hop", "perfect", Manet_broadcast.Protocol.Perfect, 5_770., 4007.8, 440_236.);
-    ("dynamic-2.5hop", "lossy-0.1", Manet_broadcast.Protocol.Lossy 0.1, 11_450., 5010.1, 451_774.);
-    ("dynamic-2.5hop", "count", Manet_broadcast.Protocol.Perfect, 60., 694.4, 35_223.);
-    ("self-pruning", "perfect", Manet_broadcast.Protocol.Perfect, 6_400., 12632.8, 2_344_293.);
-  ]
-
 (* Every row is timed over [intervals] back-to-back intervals of [per]
    operations each and reports the median interval, so one slow slice
    (another process on the core, a major collection) does not become the
@@ -293,6 +208,76 @@ let measure_with ~per prepare interval =
 
 let measure ~per interval = measure_with ~per Fun.id interval
 
+(* Per-broadcast latency and allocation at the sweep scale (n = 1000,
+   d = 12): prepare each protocol once, then run broadcasts back to
+   back through the uniform pipeline — the same motion as [Metric]'s
+   per-source loops, reusing the calling domain's engine arena.  The
+   seed_* fields are the measurements recorded before the CSR/arena
+   rework and stay pinned so the JSON carries the before/after pair;
+   the ceiling is a hard bound on minor words per broadcast — exceed
+   it and the bench exits nonzero, failing the CI smoke run.
+
+   Every ceiling sits well below a tenth of its seed measurement, so
+   the guard enforces the >= 10x reduction outright.  The dynamic
+   backbone's seed pair predates the flat-coverage-set rework (its
+   bespoke designation loop used to rebuild the CH_HOP cache and AVL
+   coverage sets per broadcast); its ceilings pin the arena-backed
+   loop.  The lossy row covers the frozen-replay path — a clean
+   native run plus an SI replay through the loss engine — whose seed
+   was measured under Lossy 0.1 before the rework.  Its ceiling was
+   ratcheted from 95k to 85k when the per-reception loss draw moved
+   from a boxed [Rng.float] comparison to an unboxed [Rng.bits53]
+   int-threshold test (measured ~76k after), and from 85k to 52k when
+   the generator state became unboxed (76,420 -> 46,691 words: a draw
+   no longer allocates), ~12% above the measured value.  The
+   self-pruning row pins the backoff schemes' shared loop on
+   Engine.Scratch.  Its seed pair is the per-scheme event-heap loop it
+   replaced (a key record and a tuple per event, per-node Nodeset
+   unions at each expiry); the Scratch loop measured ~17,600 words,
+   mostly the 1000 backoff draws, and ~5,660 once a draw allocated
+   nothing (the timeline and the forward set).  The ceiling sits
+   about 13% above that: two words per event (a tuple, an option)
+   over its ~2000 events, or a boxed draw again, cross it.  The two
+   dynamic rows were ratcheted to 40k and 45.5k, about 13% above
+   35,223 and 40,246 words, once the gateway selection was read in
+   place (no per-head copy of the selection) and [Graph.mem_edge]
+   stopped allocating a closure per call, and to 8,500 and 14,200,
+   about 13% above 7,501 and 12,524 words, once the gateway kernel
+   stopped allocating (no closure over boxed counters per selection)
+   and a transmission pushed its copies without a closure, and to
+   5,770 and 11,450, about 13% above 5,104 and 10,127 words, once
+   coverage sets were flat arrays and a relaying head's selection
+   took its pruning rows as arguments (no predicate, no callback).
+
+   The two "count" rows run the same perfect broadcast through the
+   prepared protocol's [count] instead of [run]: no result, no
+   timeline.  Their seed pair is the same protocol's [run] reading
+   when the rows were added (flooding 302.3 us, 11,032 words;
+   dynamic-2.5hop 694.4 us, 35,223 words), so [alloc_reduction] is
+   what the count-only epilogue and the allocation-free gateway
+   kernel save.  They read 21 and 2,450 words, and the dynamic row
+   53 once a relaying head allocated no pruning predicate, no [Some]
+   and no selection callback; each ceiling sits about 13% above, so
+   an O(n) epilogue, one word per node, or a closure per relaying
+   head crosses it. *)
+let alloc_broadcast ~reps g name mode_label mode =
+  let p = Manet_protocols.Registry.find_exn name in
+  let built = p.Protocol.prepare (Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed:17) g) in
+  let broadcast ~source =
+    if mode_label = "count" then ignore (built.Protocol.count ~source ~mode)
+    else ignore (built.Protocol.run ~source ~mode)
+  in
+  (* Warm-up grows the arena to this graph's capacity, so the timed loop
+     measures steady-state reuse. *)
+  for s = 0 to 2 do
+    broadcast ~source:s
+  done;
+  let n = Manet_graph.Graph.n g and per = reps / intervals in
+  measure ~per (fun k ->
+      for i = k * per to ((k + 1) * per) - 1 do
+        broadcast ~source:(i mod n)
+      done)
+
 (* One unit-disk build of the same n = 1000, d = 12 placement, each with
    a fresh scratch: every topology sample and every serving-loop snapshot
    that is read pays it.  The seed pair was measured with this loop on
@@ -301,10 +286,6 @@ let measure ~per interval = measure_with ~per Fun.id interval
    arrays, which bypass the minor heap at this size, so the ceiling sits
    at a five-hundredth of the seed: any per-node or per-probe allocation
    crosses it. *)
-let build_ceiling_words = 1_000.
-let build_seed_us = 4772.
-let build_seed_words = 492_543.
-
 let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
   let points = sample.Manet_topology.Generator.points
   and radius = sample.Manet_topology.Generator.radius in
@@ -330,10 +311,6 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
    is left is the scratch's tables and the two sets.  The ceiling sits
    about 13% above that, so per-head allocation in the static build
    crosses it. *)
-let static_ceiling_words = 6_080.
-let static_seed_us = 550.8
-let static_seed_words = 76_790.
-
 let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
   let g = sample.Manet_topology.Generator.graph in
   let cache = Coverage.Cache.create g (Manet_cluster.Lowest_id.cluster g) Coverage.Hop25 in
@@ -360,10 +337,6 @@ let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
    record, its [Some] and seven exact-sized int arrays per head.  The
    ceiling sits about 13% above that, so per-entry boxing or an
    allocating sort crosses it. *)
-let coverage_ceiling_words = 9_050.
-let coverage_seed_us = 508.8
-let coverage_seed_words = 27_911.
-
 let alloc_coverage ~reps (sample : Manet_topology.Generator.sample) =
   let g = sample.Manet_topology.Generator.graph in
   let cl = Manet_cluster.Lowest_id.cluster g in
@@ -381,10 +354,6 @@ let alloc_coverage ~reps (sample : Manet_topology.Generator.sample) =
    boxed counters.  The kernel now allocates nothing once its scratch
    has grown, and the ceiling is 0: a single word per selection
    crosses it. *)
-let select_ceiling_words = 0.
-let select_seed_us = 1.85
-let select_seed_words = 210.89
-
 let alloc_select ~reps (sample : Manet_topology.Generator.sample) =
   let g = sample.Manet_topology.Generator.graph in
   let cache = Coverage.Cache.create g (Manet_cluster.Lowest_id.cluster g) Coverage.Hop25 in
@@ -422,10 +391,6 @@ let alloc_select ~reps (sample : Manet_topology.Generator.sample) =
    per member in [Clustering.of_head_array]'s validation): 1,219 words.
    It sits about 15% above that, so a closure per neighbour scan or per
    edge test crosses it. *)
-let cluster_ceiling_words = 1_400.
-let cluster_seed_us = 239.4
-let cluster_seed_words = 19_220.
-
 let alloc_cluster ~reps (sample : Manet_topology.Generator.sample) =
   let g = sample.Manet_topology.Generator.graph in
   ignore (Manet_cluster.Lowest_id.cluster g);
@@ -447,7 +412,6 @@ let alloc_cluster ~reps (sample : Manet_topology.Generator.sample) =
    The ceiling sits about 13% above that: a boxed generator state or a
    table allocated per attempt again crosses it. *)
 let sample_count = 200
-let sample_ceiling_words = 11_500.
 
 let alloc_sample () =
   let spec = Manet_topology.Spec.make ~n:100 ~avg_degree:6. () in
@@ -479,9 +443,6 @@ let alloc_sample () =
    that, so a return to per-head row rebuilding, per-entry boxing or an
    allocating selection crosses it. *)
 let maint_steps = 40
-let maint_ceiling_words = 15_360.
-let maint_seed_us = 8347.
-let maint_seed_words = 543_562.
 
 let alloc_maint (sample : Manet_topology.Generator.sample) spec =
   let module Bm = Manet_backbone.Backbone_maintenance in
@@ -514,8 +475,6 @@ let alloc_maint (sample : Manet_topology.Generator.sample) spec =
    only to discard it; the ceiling is half the seed, so a returning O(n)
    epilogue crosses it. *)
 let arrival_duration = 20.
-let arrival_ceiling_words = 770.
-let arrival_seed_words = 1540.1
 
 let alloc_arrival () =
   let module Workload = Manet_experiment.Workload in
@@ -561,9 +520,6 @@ let alloc_arrival () =
    a series that builds its own tables or materializes its result
    again crosses it. *)
 let sweep_samples = 8
-let sweep_ceiling_words = 7_030.
-let sweep_seed_us = 371.2
-let sweep_seed_words = 28_150.
 
 let alloc_sweep () =
   let metrics = Scenario.compile (Figures.builtin_exn "fig8") in
@@ -576,278 +532,159 @@ let alloc_sweep () =
   run ();
   measure ~per:sweep_samples (fun _ -> run ())
 
+(* One pinned ceiling of [alloc]: a line of its table and its JSON.
+   [run] measures the µs and minor words per [unit] and returns the
+   members the JSON reports beside them (sizes, counts).  A row without
+   a [section] (its JSON key and name) is an entry of
+   per_broadcast.results, printed under the protocol/mode header; a row
+   with one is its own top-level key, printed under its own header.  A
+   row without seed words shows its [aside] member in that column, and
+   a [fine] row prints µs and words to two decimals.  Each ceiling's
+   history and reason are at its measurement function above. *)
+type row = {
+  label : string;
+  scale : string;
+  unit : string;
+  section : (string * string) option;
+  ceiling : float;
+  seed_us : float option;
+  seed_words : float option;
+  fine : bool;
+  aside : (string * string) option;
+  run : unit -> float * float * (string * float) list;
+}
+
+let row ?section ?seed_us ?seed_words ?(fine = false) ?aside ~ceiling label scale unit run =
+  { label; scale; unit; section; ceiling; seed_us; seed_words; fine; aside; run }
+
 let alloc () =
   section "Allocation: per-broadcast cost on the uniform pipeline (n = 1000, d = 12)";
-  let n = 1000 in
   let reps = if !quick then 40 else 200 in
-  let spec = Manet_topology.Spec.make ~n ~avg_degree:12. () in
+  let spec = Manet_topology.Spec.make ~n:1000 ~avg_degree:12. () in
   let sample =
     Manet_topology.Generator.sample_connected (Manet_rng.Rng.create ~seed:1005) spec
   in
-  let g = sample.Manet_topology.Generator.graph in
-  Printf.printf "%-18s %-10s %10s %10s %14s %14s %10s\n" "protocol" "mode" "us/bcast" "seed us"
-    "words/bcast" "seed words" "ceiling";
-  let failures = ref [] in
-  let rows =
-    List.map
-      (fun (name, mode_label, mode, ceiling, seed_us, seed_words) ->
-        let p = Manet_protocols.Registry.find_exn name in
-        let env = Manet_broadcast.Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed:17) g in
-        let built = p.Manet_broadcast.Protocol.prepare env in
-        let broadcast ~source =
-          if mode_label = "count" then ignore (built.Manet_broadcast.Protocol.count ~source ~mode)
-          else ignore (built.Manet_broadcast.Protocol.run ~source ~mode)
-        in
-        (* Warm-up grows the arena to this graph's capacity, so the
-           timed loop measures steady-state reuse. *)
-        for s = 0 to 2 do
-          broadcast ~source:s
-        done;
-        let per = reps / intervals in
-        let us, words =
-          measure ~per (fun k ->
-              for i = k * per to ((k + 1) * per) - 1 do
-                broadcast ~source:(i mod n)
-              done)
-        in
-        let key = Printf.sprintf "%s (%s)" name mode_label in
-        if words > ceiling then failures := key :: !failures;
-        Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" name mode_label us
-          seed_us words seed_words ceiling
-          (if words > ceiling then "  EXCEEDED" else "");
-        (name, mode_label, us, words, ceiling, seed_us, seed_words))
-      alloc_cases
+  let bcast name mode_label mode ~ceiling ~seed:(seed_us, seed_words) =
+    row ~seed_us ~seed_words ~ceiling name mode_label "broadcast" (fun () ->
+        let us, words = alloc_broadcast ~reps sample.graph name mode_label mode in
+        (us, words, []))
   in
-  let build_us, build_words = alloc_build ~reps sample in
-  let build_over = build_words > build_ceiling_words in
-  if build_over then failures := "unit-disk build" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "unit-disk build" "n=1000" "us/build"
-    "seed us" "words/build" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" build_us build_seed_us
-    build_words build_seed_words build_ceiling_words
-    (if build_over then "  EXCEEDED" else "");
-  let static_us, static_words = alloc_static ~reps sample in
-  let static_over = static_words > static_ceiling_words in
-  if static_over then failures := "static build" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "static build" "n=1000" "us/build"
-    "seed us" "words/build" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" static_us static_seed_us
-    static_words static_seed_words static_ceiling_words
-    (if static_over then "  EXCEEDED" else "");
-  let coverage_us, coverage_words = alloc_coverage ~reps sample in
-  let coverage_over = coverage_words > coverage_ceiling_words in
-  if coverage_over then failures := "coverage sets" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "coverage sets" "n=1000" "us/cache"
-    "seed us" "words/cache" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" coverage_us
-    coverage_seed_us coverage_words coverage_seed_words coverage_ceiling_words
-    (if coverage_over then "  EXCEEDED" else "");
-  let select_us, select_words = alloc_select ~reps sample in
-  let select_over = select_words > select_ceiling_words in
-  if select_over then failures := "gateway selection" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "gateway selection" "n=1000"
-    "us/head" "seed us" "words/head" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.2f %10.2f %14.2f %14.0f %10.0f%s\n" "" "" select_us
-    select_seed_us select_words select_seed_words select_ceiling_words
-    (if select_over then "  EXCEEDED" else "");
-  let cluster_us, cluster_words = alloc_cluster ~reps sample in
-  let cluster_over = cluster_words > cluster_ceiling_words in
-  if cluster_over then failures := "clustering" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "clustering" "n=1000"
-    "us/cluster" "seed us" "words/cluster" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" cluster_us
-    cluster_seed_us cluster_words cluster_seed_words cluster_ceiling_words
-    (if cluster_over then "  EXCEEDED" else "");
-  let sample_us, sample_words, sample_attempts = alloc_sample () in
-  let sample_over = sample_words > sample_ceiling_words in
-  if sample_over then failures := "connected sample" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "connected sample" "n=100 d=6"
-    "us/sample" "" "words/sample" "attempts" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10s %14.0f %14.2f %10.0f%s\n" "" "" sample_us "" sample_words
-    sample_attempts sample_ceiling_words
-    (if sample_over then "  EXCEEDED" else "");
-  let maint_us, maint_words = alloc_maint sample spec in
-  let maint_over = maint_words > maint_ceiling_words in
-  if maint_over then failures := "maintenance update" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "maintenance update" "n=1000"
-    "us/update" "seed us" "words/update" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" maint_us maint_seed_us
-    maint_words maint_seed_words maint_ceiling_words
-    (if maint_over then "  EXCEEDED" else "");
-  let arrival_us, arrival_words, arrivals = alloc_arrival () in
-  let arrival_over = arrival_words > arrival_ceiling_words in
-  if arrival_over then failures := "serving arrival" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "serving arrival" "n=200 d=12"
-    "us/arrival" "" "words/arrival" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10s %14.0f %14.0f %10.0f%s\n" "" "" arrival_us "" arrival_words
-    arrival_seed_words arrival_ceiling_words
-    (if arrival_over then "  EXCEEDED" else "");
-  let sweep_us, sweep_words = alloc_sweep () in
-  let sweep_over = sweep_words > sweep_ceiling_words in
-  if sweep_over then failures := "sweep sample" :: !failures;
-  Printf.printf "\n%-18s %-10s %10s %10s %14s %14s %10s\n" "sweep sample" "n=60 d=18"
-    "us/sample" "seed us" "words/sample" "seed words" "ceiling";
-  Printf.printf "%-18s %-10s %10.1f %10.1f %14.0f %14.0f %10.0f%s\n" "" "" sweep_us sweep_seed_us
-    sweep_words sweep_seed_words sweep_ceiling_words
-    (if sweep_over then "  EXCEEDED" else "");
-  merge_timing_json
+  let sized ?(n = 1000) ?(d = 12) members (us, words) =
+    (us, words, ("n", float_of_int n) :: ("avg_degree", float_of_int d) :: members)
+  in
+  let per_rep = sized [ ("reps", float_of_int reps) ] in
+  let rows =
     [
-      ( "per_broadcast",
-        Json.Obj
+      bcast "flooding" "perfect" Perfect ~ceiling:16_000. ~seed:(4548.7, 181_307.);
+      bcast "flooding" "count" Perfect ~ceiling:24. ~seed:(302.3, 11_032.);
+      bcast "static-2.5hop" "perfect" Perfect ~ceiling:9_000. ~seed:(2559.7, 94_252.);
+      bcast "dynamic-2.5hop" "perfect" Perfect ~ceiling:5_770. ~seed:(4007.8, 440_236.);
+      bcast "dynamic-2.5hop" "lossy-0.1" (Lossy 0.1) ~ceiling:11_450. ~seed:(5010.1, 451_774.);
+      bcast "dynamic-2.5hop" "count" Perfect ~ceiling:60. ~seed:(694.4, 35_223.);
+      bcast "self-pruning" "perfect" Perfect ~ceiling:6_400. ~seed:(12632.8, 2_344_293.);
+      row ~section:("per_build", "unit-disk-build") ~ceiling:1_000. ~seed_us:4772.
+        ~seed_words:492_543. "unit-disk build" "n=1000" "build" (fun () ->
+          per_rep (alloc_build ~reps sample));
+      row ~section:("per_static_build", "static-backbone-build") ~ceiling:6_080. ~seed_us:550.8
+        ~seed_words:76_790. "static build" "n=1000" "build" (fun () ->
+          per_rep (alloc_static ~reps sample));
+      row ~section:("per_coverage_sets", "coverage-sets-fresh-cache") ~ceiling:9_050.
+        ~seed_us:508.8 ~seed_words:27_911. "coverage sets" "n=1000" "cache" (fun () ->
+          per_rep (alloc_coverage ~reps sample));
+      row ~section:("per_selection", "gateway-selection-per-head") ~ceiling:0. ~seed_us:1.85
+        ~seed_words:210.89 ~fine:true "gateway selection" "n=1000" "head" (fun () ->
+          per_rep (alloc_select ~reps sample));
+      row ~section:("per_cluster", "lowest-id-cluster") ~ceiling:1_400. ~seed_us:239.4
+        ~seed_words:19_220. "clustering" "n=1000" "cluster" (fun () ->
+          per_rep (alloc_cluster ~reps sample));
+      row ~section:("per_sample", "sample-connected") ~ceiling:11_500.
+        ~aside:("attempts", "attempts_per_sample") "connected sample" "n=100 d=6" "sample"
+        (fun () ->
+          let us, words, attempts = alloc_sample () in
+          sized ~n:100 ~d:6
+            [ ("samples", float_of_int sample_count); ("attempts_per_sample", attempts) ]
+            (us, words));
+      row ~section:("per_update", "backbone-maintenance-update") ~ceiling:15_360. ~seed_us:8347.
+        ~seed_words:543_562. "maintenance update" "n=1000" "update" (fun () ->
+          sized [ ("steps", float_of_int maint_steps) ] (alloc_maint sample spec));
+      row ~section:("per_arrival", "serving-arrival") ~ceiling:770. ~seed_words:1540.1
+        "serving arrival" "n=200 d=12" "arrival" (fun () ->
+          let us, words, arrivals = alloc_arrival () in
+          sized ~n:200
+            [
+              ("arrival_rate", 50.);
+              ("duration", arrival_duration);
+              ("arrivals", float_of_int arrivals);
+            ]
+            (us, words));
+      row ~section:("per_sweep_sample", "sweep-sample-fig8") ~ceiling:7_030. ~seed_us:371.2
+        ~seed_words:28_150. "sweep sample" "n=60 d=18" "sample" (fun () ->
+          sized ~n:60 ~d:18
+            [ ("samples", float_of_int (intervals * sweep_samples)) ]
+            (alloc_sweep ()));
+    ]
+  in
+  let line = Printf.printf "%-18s %-10s %10s %10s %14s %14s %10s%s\n" in
+  line "protocol" "mode" "us/bcast" "seed us" "words/bcast" "seed words" "ceiling" "";
+  let failures = ref [] in
+  let results, sections =
+    List.partition_map
+      (fun r ->
+        let us, words, members = r.run () in
+        let over = words > r.ceiling in
+        let fixed digits x = Printf.sprintf "%.*f" digits x in
+        let us_digits, words_digits = if r.fine then (2, 2) else (1, 0) in
+        let aside_head, aside =
+          match (r.seed_words, r.aside) with
+          | Some w, _ -> ("seed words", fixed 0 w)
+          | None, Some (head, key) -> (head, fixed 2 (List.assoc key members))
+          | None, None -> ("", "")
+        in
+        let cells first second =
+          line first second (fixed us_digits us)
+            (Option.fold ~none:"" ~some:(fixed us_digits) r.seed_us)
+            (fixed words_digits words) aside (fixed 0 r.ceiling)
+            (if over then "  EXCEEDED" else "")
+        in
+        let seeded key f = Option.fold ~none:[] ~some:(fun s -> [ (key, num (f s)) ]) in
+        let measured =
           [
-            ("n", int 1000);
-            ("avg_degree", int 12);
-            ("reps", int reps);
-            ( "results",
-              Json.Arr
-                (List.map
-                   (fun (name, mode_label, us, words, ceiling, seed_us, seed_words) ->
-                     Json.Obj
-                       [
-                         ("name", Json.Str name);
-                         ("mode", Json.Str mode_label);
-                         ("us_per_broadcast", num us);
-                         ("minor_words_per_broadcast", num words);
-                         ("ceiling_words", num ceiling);
-                         ("seed_us_per_broadcast", num seed_us);
-                         ("seed_minor_words_per_broadcast", num seed_words);
-                         ("speedup", num (seed_us /. us));
-                         ("alloc_reduction", num (seed_words /. words));
-                       ])
-                   rows) );
-          ] );
-      ( "per_build",
-        Json.Obj
-          [
-            ("name", Json.Str "unit-disk-build");
-            ("n", int 1000);
-            ("avg_degree", int 12);
-            ("reps", int reps);
-            ("us_per_build", num build_us);
-            ("minor_words_per_build", num build_words);
-            ("ceiling_words", num build_ceiling_words);
-            ("seed_us_per_build", num build_seed_us);
-            ("seed_minor_words_per_build", num build_seed_words);
-            ("speedup", num (build_seed_us /. build_us));
-            ("alloc_reduction", num (build_seed_words /. build_words));
-          ] );
-      ( "per_static_build",
-        Json.Obj
-          [
-            ("name", Json.Str "static-backbone-build");
-            ("n", int 1000);
-            ("avg_degree", int 12);
-            ("reps", int reps);
-            ("us_per_build", num static_us);
-            ("minor_words_per_build", num static_words);
-            ("ceiling_words", num static_ceiling_words);
-            ("seed_us_per_build", num static_seed_us);
-            ("seed_minor_words_per_build", num static_seed_words);
-            ("speedup", num (static_seed_us /. static_us));
-            ("alloc_reduction", num (static_seed_words /. static_words));
-          ] );
-      ( "per_coverage_sets",
-        Json.Obj
-          [
-            ("name", Json.Str "coverage-sets-fresh-cache");
-            ("n", int 1000);
-            ("avg_degree", int 12);
-            ("reps", int reps);
-            ("us_per_cache", num coverage_us);
-            ("minor_words_per_cache", num coverage_words);
-            ("ceiling_words", num coverage_ceiling_words);
-            ("seed_us_per_cache", num coverage_seed_us);
-            ("seed_minor_words_per_cache", num coverage_seed_words);
-            ("speedup", num (coverage_seed_us /. coverage_us));
-            ("alloc_reduction", num (coverage_seed_words /. coverage_words));
-          ] );
-      ( "per_selection",
-        Json.Obj
-          [
-            ("name", Json.Str "gateway-selection-per-head");
-            ("n", int 1000);
-            ("avg_degree", int 12);
-            ("reps", int reps);
-            ("us_per_head", num select_us);
-            ("minor_words_per_head", num select_words);
-            ("ceiling_words", num select_ceiling_words);
-            ("seed_us_per_head", num select_seed_us);
-            ("seed_minor_words_per_head", num select_seed_words);
-            ("speedup", num (select_seed_us /. select_us));
-          ] );
-      ( "per_cluster",
-        Json.Obj
-          [
-            ("name", Json.Str "lowest-id-cluster");
-            ("n", int 1000);
-            ("avg_degree", int 12);
-            ("reps", int reps);
-            ("us_per_cluster", num cluster_us);
-            ("minor_words_per_cluster", num cluster_words);
-            ("ceiling_words", num cluster_ceiling_words);
-            ("seed_us_per_cluster", num cluster_seed_us);
-            ("seed_minor_words_per_cluster", num cluster_seed_words);
-            ("speedup", num (cluster_seed_us /. cluster_us));
-            ("alloc_reduction", num (cluster_seed_words /. cluster_words));
-          ] );
-      ( "per_sample",
-        Json.Obj
-          [
-            ("name", Json.Str "sample-connected");
-            ("n", int 100);
-            ("avg_degree", int 6);
-            ("samples", int sample_count);
-            ("attempts_per_sample", num sample_attempts);
-            ("us_per_sample", num sample_us);
-            ("minor_words_per_sample", num sample_words);
-            ("ceiling_words", num sample_ceiling_words);
-          ] );
-      ( "per_arrival",
-        Json.Obj
-          [
-            ("name", Json.Str "serving-arrival");
-            ("n", int 200);
-            ("avg_degree", int 12);
-            ("arrival_rate", int 50);
-            ("duration", num arrival_duration);
-            ("arrivals", int arrivals);
-            ("us_per_arrival", num arrival_us);
-            ("minor_words_per_arrival", num arrival_words);
-            ("ceiling_words", num arrival_ceiling_words);
-            ("seed_minor_words_per_arrival", num arrival_seed_words);
-            ("alloc_reduction", num (arrival_seed_words /. arrival_words));
-          ] );
-      ( "per_sweep_sample",
-        Json.Obj
-          [
-            ("name", Json.Str "sweep-sample-fig8");
-            ("n", int 60);
-            ("avg_degree", int 18);
-            ("samples", int (intervals * sweep_samples));
-            ("us_per_sample", num sweep_us);
-            ("minor_words_per_sample", num sweep_words);
-            ("ceiling_words", num sweep_ceiling_words);
-            ("seed_us_per_sample", num sweep_seed_us);
-            ("seed_minor_words_per_sample", num sweep_seed_words);
-            ("speedup", num (sweep_seed_us /. sweep_us));
-            ("alloc_reduction", num (sweep_seed_words /. sweep_words));
-          ] );
-      ( "per_update",
-        Json.Obj
-          [
-            ("name", Json.Str "backbone-maintenance-update");
-            ("n", int 1000);
-            ("avg_degree", int 12);
-            ("steps", int maint_steps);
-            ("us_per_update", num maint_us);
-            ("minor_words_per_update", num maint_words);
-            ("ceiling_words", num maint_ceiling_words);
-            ("seed_us_per_update", num maint_seed_us);
-            ("seed_minor_words_per_update", num maint_seed_words);
-            ("speedup", num (maint_seed_us /. maint_us));
-            ("alloc_reduction", num (maint_seed_words /. maint_words));
-          ] );
-    ];
+            ("us_per_" ^ r.unit, num us);
+            ("minor_words_per_" ^ r.unit, num words);
+            ("ceiling_words", num r.ceiling);
+          ]
+          @ seeded ("seed_us_per_" ^ r.unit) Fun.id r.seed_us
+          @ seeded ("seed_minor_words_per_" ^ r.unit) Fun.id r.seed_words
+          @ seeded "speedup" (fun s -> s /. us) r.seed_us
+          @ seeded "alloc_reduction" (fun s -> s /. words) r.seed_words
+        in
+        match r.section with
+        | None ->
+          cells r.label r.scale;
+          if over then failures := Printf.sprintf "%s (%s)" r.label r.scale :: !failures;
+          Either.Left
+            (Json.Obj (("name", Json.Str r.label) :: ("mode", Json.Str r.scale) :: measured))
+        | Some (key, name) ->
+          print_newline ();
+          line r.label r.scale ("us/" ^ r.unit)
+            (if Option.is_some r.seed_us then "seed us" else "")
+            ("words/" ^ r.unit) aside_head "ceiling" "";
+          cells "" "";
+          if over then failures := r.label :: !failures;
+          let members = List.map (fun (k, v) -> (k, num v)) members in
+          Either.Right (key, Json.Obj ((("name", Json.Str name) :: members) @ measured)))
+      rows
+  in
+  merge_timing_json
+    (( "per_broadcast",
+       Json.Obj
+         [
+           ("n", int 1000);
+           ("avg_degree", int 12);
+           ("reps", int reps);
+           ("results", Json.Arr results);
+         ] )
+    :: sections);
   if !failures <> [] then begin
     Printf.eprintf "alloc: minor-words ceiling exceeded: %s\n"
       (String.concat ", " (List.rev !failures));
@@ -996,28 +833,8 @@ let timing_scale () =
     !json_dir
 
 let experiments =
-  [
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("ext-baselines", ext_baselines);
-    ("ext-si-cds", ext_si_cds);
-    ("ext-clustering", ext_clustering);
-    ("ext-pruning", ext_pruning);
-    ("ext-approx", ext_approx);
-    ("ext-msgs", ext_msgs);
-    ("ext-delivery", ext_delivery);
-    ("ext-lossy", ext_lossy);
-    ("ext-border", ext_border);
-    ("ext-reliable", ext_reliable);
-    ("ext-maintenance", ext_maintenance);
-    ("ext-mobility", ext_mobility);
-    ("ext-traffic", ext_traffic);
-    ("timing", timing);
-    ("timing-scale", timing_scale);
-    ("alloc", alloc);
-    ("traffic", traffic);
-  ]
+  List.map (fun (name, title) -> (name, fun () -> run_builtin title name)) figures
+  @ [ ("timing", timing); ("timing-scale", timing_scale); ("alloc", alloc); ("traffic", traffic) ]
 
 let usage oc =
   output_string oc

@@ -8,7 +8,8 @@
       domain counts) and run once per case;
     - {e per-protocol} oracles run once per (case, protocol) pair
       (domination, backbone connectivity, delivery, determinism, loss
-      sanity) over whatever protocol list the runner was given —
+      sanity, arena and instance reuse, k-connectivity, m-domination,
+      failure delivery) over whatever protocol list the runner was given —
       normally the whole registry.
 
     A [Skip] is not a pass: it records that the property does not apply
@@ -73,7 +74,20 @@ val all : t list
     - [determinism]: two preparations from equal generator states give
       bit-identical results and timelines;
     - [loss-sanity]: a lossy broadcast stays self-consistent with a
-      delivery ratio in [0, 1]. *)
+      delivery ratio in [0, 1];
+    - [arena-reuse]: broadcasts are bit-identical on a fresh, the
+      domain's, and a dirty reused engine arena, under perfect and lossy
+      engines;
+    - [instance-reuse]: broadcasts run back to back on one reused
+      prepared instance are bit-identical to fresh-arena runs per source;
+    - [k-connectivity]: a kmcds backbone (k = 2) stays connected after
+      the removal of any single member that is not a cut vertex of the
+      graph;
+    - [m-domination]: every non-backbone node of a kmcds scheme has
+      min(m, degree) backbone neighbors;
+    - [failure-delivery]: killing any single backbone node of a k = 2
+      scheme (the graph staying connected) still delivers to every
+      surviving node promised the packet. *)
 
 val names : string list
 

@@ -71,6 +71,35 @@ let close = close_out
 
 (* Loading *)
 
+(* The codec checks each entry's types; its shape depends on the
+   header's scenario: coordinates inside the grids, a chunk that
+   [max_samples] draws, as many rows as [Sweep] puts in that chunk, and
+   one value per series in every row. *)
+let fits (s : Scenario.t) e =
+  let max_samples = s.stopping.max_samples in
+  let inside what i count =
+    if i >= 0 && i < count then Ok ()
+    else Error (Printf.sprintf "%s %d is outside 0..%d" what i (count - 1))
+  in
+  let ( let* ) = Result.bind in
+  let* () = inside "degree" e.degree (List.length s.topology.degrees) in
+  let* () = inside "point" e.point (List.length s.topology.ns) in
+  let* () =
+    inside "chunk" e.chunk ((max_samples + Sweep.chunk_size - 1) / Sweep.chunk_size)
+  in
+  let rows = min Sweep.chunk_size (max_samples - (e.chunk * Sweep.chunk_size)) in
+  let series = List.length s.metrics in
+  if Array.length e.rows <> rows then
+    Error
+      (Printf.sprintf "chunk %d has %d rows, where max_samples %d gives it %d" e.chunk
+         (Array.length e.rows) max_samples rows)
+  else
+    match Array.find_index (fun r -> Array.length r <> series) e.rows with
+    | None -> Ok e
+    | Some i ->
+      Error
+        (Printf.sprintf "row %d has %d values for %d series" i (Array.length e.rows.(i)) series)
+
 let load ~path =
   match String.split_on_char '\n' (complete_prefix path) with
   | exception Sys_error m -> Error (Printf.sprintf "journal: cannot read %s: %s" path m)
@@ -82,7 +111,9 @@ let load ~path =
       let rec go line acc = function
         | [] | [ "" ] -> Ok (scenario, List.rev acc)
         | text :: rest -> (
-          match Result.bind (Json.parse text) (Json.decode entry) with
+          match
+            Result.bind (Result.bind (Json.parse text) (Json.decode entry)) (fits scenario)
+          with
           | Ok e -> go (line + 1) (e :: acc) rest
           | Error m -> Error (Printf.sprintf "journal line %d: %s" line m))
       in

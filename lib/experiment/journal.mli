@@ -52,7 +52,12 @@ val close : writer -> unit
 val load : path:string -> (Scenario.t * entry list, string) result
 (** Parse a journal back: the scenario of its header plus every complete
     entry, in file order.  Tolerates exactly one truncated trailing
-    line. *)
+    line.  Each entry must fit the header's scenario: [degree] and
+    [point] inside its grids, [chunk] one that [max_samples] draws, with
+    as many rows as {!Sweep} puts in that chunk ({!Sweep.chunk_size},
+    the last one shorter) and one value per series in every row; an
+    entry that does not is an error naming its line
+    (["journal line K: ..."]). *)
 
 val matches : Scenario.t -> Scenario.t -> bool
 (** Whether a journal written under the first scenario may resume the

@@ -25,7 +25,12 @@ type table = { d : float; metrics : string list; points : point list }
 
 type chunk = float array array
 (** One evaluated sample chunk: [rows.(i).(j)] is metric [j] on sample
-    [i] of the chunk (at most 8 rows; the last chunk may be shorter). *)
+    [i] of the chunk ({!chunk_size} rows; the last chunk of a point may
+    be shorter). *)
+
+val chunk_size : int
+(** Samples per chunk (8): chunk [c] of a point holds samples
+    [c * chunk_size] to [min ((c + 1) * chunk_size) max_samples - 1]. *)
 
 val run_point :
   ?rel_precision:float ->

@@ -981,6 +981,67 @@ let test_committed_journal_resumes () =
             (String.sub written 0 (String.length committed));
           Alcotest.(check string) "resumed journal = fresh journal" written (read_file path)))
 
+(* An entry's shape must fit the header's scenario: a copy of
+   golden/resume.jsonl (5 series, sizes [20; 30], one degree,
+   max_samples 24: three chunks of 8) whose first entry's member [key]
+   is mapped through [bend] is refused by [Journal.load], naming the
+   line, and a resume from it raises instead of returning tables. *)
+let check_misshapen key bend fragment () =
+  let committed =
+    read_file (Filename.concat (Filename.dirname Sys.executable_name) "golden/resume.jsonl")
+  in
+  with_temp (fun path ->
+      write_file path committed;
+      let s = match Journal.load ~path with Ok (s, _) -> s | Error m -> Alcotest.fail m in
+      let bent =
+        match String.split_on_char '\n' committed with
+        | header :: first :: rest -> (
+          match Json.parse first with
+          | Ok (Json.Obj members) ->
+            let members =
+              List.map (fun (k, v) -> if k = key then (k, bend v) else (k, v)) members
+            in
+            String.concat "\n" (header :: Json.print ~compact:true (Json.Obj members) :: rest)
+          | _ -> Alcotest.fail "entry is not an object")
+        | _ -> Alcotest.fail "short journal"
+      in
+      write_file path bent;
+      (match Journal.load ~path with
+      | Ok _ -> Alcotest.fail "accepted"
+      | Error m -> Alcotest.(check bool) m true (contains m fragment));
+      match Runner.run ~journal:path ~resume:true s with
+      | _ -> Alcotest.fail "resumed"
+      | exception Failure m -> Alcotest.(check bool) m true (contains m fragment))
+
+let rows f = function Json.Arr rows -> Json.Arr (f rows) | _ -> Alcotest.fail "rows"
+
+let misshapen_entries =
+  [
+    ( "3 values per row",
+      "rows",
+      rows
+        (List.map (function
+          | Json.Arr (a :: b :: c :: _) -> Json.Arr [ a; b; c ]
+          | _ -> Alcotest.fail "row")),
+      "journal line 2: row 0 has 3 values for 5 series" );
+    ( "point outside the grid",
+      "point",
+      (fun _ -> Json.Num 2.),
+      "journal line 2: point 2 is outside 0..1" );
+    ( "degree outside the grid",
+      "degree",
+      (fun _ -> Json.Num 1.),
+      "journal line 2: degree 1 is outside 0..0" );
+    ( "chunk past max_samples",
+      "chunk",
+      (fun _ -> Json.Num 3.),
+      "journal line 2: chunk 3 is outside 0..2" );
+    ( "short chunk",
+      "rows",
+      rows List.tl,
+      "journal line 2: chunk 0 has 7 rows, where max_samples 24 gives it 8" );
+  ]
+
 let () =
   Alcotest.run "scenario"
     [
@@ -1026,5 +1087,10 @@ let () =
           Alcotest.test_case "malformed journals rejected" `Quick test_journal_rejections;
           Alcotest.test_case "earlier build's journal resumes" `Quick
             test_committed_journal_resumes;
-        ] );
+        ]
+        @ List.map
+            (fun (what, key, bend, fragment) ->
+              Alcotest.test_case ("misshapen entry: " ^ what) `Quick
+                (check_misshapen key bend fragment))
+            misshapen_entries );
     ]
