@@ -259,7 +259,14 @@ let measure ~per interval = measure_with ~per Fun.id interval
    53 once a relaying head allocated no pruning predicate, no [Some]
    and no selection callback; each ceiling sits about 13% above, so
    an O(n) epilogue, one word per node, or a closure per relaying
-   head crosses it. *)
+   head crosses it.
+
+   The dp "count" row pins the neighbor-designation schemes' 2-hop
+   cover kernel.  Its seed pair is the same row before the kernel, when
+   every forwarding node rebuilt its 2-hop universe as AVL sets and ran
+   a list-of-sets greedy (17,165 us, 8,281,427 words); the kernel reads
+   4,691 words, the forward arrays and decide results, and the ceiling
+   sits about 13% above. *)
 let alloc_broadcast ~reps g name mode_label mode =
   let p = Manet_protocols.Registry.find_exn name in
   let built = p.Protocol.prepare (Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed:17) g) in
@@ -582,6 +589,7 @@ let alloc () =
       bcast "dynamic-2.5hop" "lossy-0.1" (Lossy 0.1) ~ceiling:11_450. ~seed:(5010.1, 451_774.);
       bcast "dynamic-2.5hop" "count" Perfect ~ceiling:60. ~seed:(694.4, 35_223.);
       bcast "self-pruning" "perfect" Perfect ~ceiling:6_400. ~seed:(12632.8, 2_344_293.);
+      bcast "dp" "count" Perfect ~ceiling:5_300. ~seed:(17165.1, 8_281_427.);
       row ~section:("per_build", "unit-disk-build") ~ceiling:1_000. ~seed_us:4772.
         ~seed_words:492_543. "unit-disk build" "n=1000" "build" (fun () ->
           per_rep (alloc_build ~reps sample));

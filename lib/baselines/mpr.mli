@@ -7,11 +7,9 @@
     node).  A node relays a broadcast iff it is an MPR of the neighbor
     from which it received the packet. *)
 
-val mpr_set : Manet_graph.Graph.t -> int -> Manet_graph.Nodeset.t
-(** The MPR set of one node. *)
-
-val mpr_sets : Manet_graph.Graph.t -> Manet_graph.Nodeset.t array
-(** MPR sets of every node. *)
+val mpr_sets : Manet_graph.Graph.t -> int array array
+(** MPR sets of every node, each strictly increasing
+    ({!Neighbor_cover.mpr} on one scan state). *)
 
 val protocol : Manet_broadcast.Protocol.t
 (** [mpr] in the protocol registry: {!mpr_sets} as the (proactive) build

@@ -1,4 +1,5 @@
 module Graph = Manet_graph.Graph
+module Bfs = Manet_graph.Bfs
 module Nodeset = Manet_graph.Nodeset
 module Clustering = Manet_cluster.Clustering
 module Maintenance = Manet_cluster.Maintenance
@@ -7,9 +8,9 @@ module Coverage = Manet_coverage.Coverage
 (* Coverages and selections are node-indexed and allocated once: an
    update overwrites the refreshed heads' slots in place, clears the
    deposed heads' slots and leaves every other slot (physically)
-   untouched.  The per-update working arrays — the affected list, the
-   two BFS distance maps, the BFS queue — are reused across updates;
-   [head_of] is a fresh snapshot per update. *)
+   untouched.  The per-update working storage — the affected list and
+   the two BFS states of the old and new 3-hop balls — is reused across
+   updates; [head_of] is a fresh snapshot per update. *)
 type t = {
   mode : Coverage.mode;
   maint : Maintenance.t;
@@ -18,9 +19,8 @@ type t = {
   coverages : Coverage.t option array;  (** [Some] exactly at the current heads *)
   selections : int array array;  (** sorted gateways per current head, [[||]] elsewhere *)
   affected : int array;
-  dist_old : int array;
-  dist_new : int array;
-  queue : int array;
+  ball_old : Bfs.t;  (** within 3 hops of a change, on the old topology *)
+  ball_new : Bfs.t;  (** the same on the new topology *)
   mark : int array;  (** [mark.(v) = stamp]: [v] already seen by the current scan *)
   mutable stamp : int;
 }
@@ -66,9 +66,8 @@ let create g mode =
       coverages = Array.make n None;
       selections = Array.make n [||];
       affected = Array.make n 0;
-      dist_old = Array.make n max_int;
-      dist_new = Array.make n max_int;
-      queue = Array.make n 0;
+      ball_old = Bfs.create ();
+      ball_new = Bfs.create ();
       mark = Array.make n 0;
       stamp = 0;
     }
@@ -77,31 +76,13 @@ let create g mode =
   List.iter (fun h -> ignore (refresh_head t g cache h)) (Clustering.heads cl);
   t
 
-(* Hop distance from the first [seeds] affected nodes, up to [limit]
-   ([max_int] beyond), via multi-source BFS into [dist]. *)
-let ball t g dist ~seeds ~limit =
-  Array.fill dist 0 (Array.length dist) max_int;
-  let q = t.queue in
+(* The nodes within 3 hops of the first [seeds] affected nodes. *)
+let ball t bfs g ~seeds =
+  Bfs.reset bfs ~n:(Graph.n g);
   for i = 0 to seeds - 1 do
-    dist.(t.affected.(i)) <- 0;
-    q.(i) <- t.affected.(i)
+    Bfs.seed bfs t.affected.(i)
   done;
-  let { Graph.off; nbr; _ } = g in
-  let head = ref 0 and tail = ref seeds in
-  while !head < !tail do
-    let u = q.(!head) in
-    incr head;
-    let du = dist.(u) in
-    if du < limit then
-      for i = off.(u) to off.(u + 1) - 1 do
-        let v = nbr.(i) in
-        if dist.(v) = max_int then begin
-          dist.(v) <- du + 1;
-          q.(!tail) <- v;
-          incr tail
-        end
-      done
-  done
+  Bfs.expand bfs g ~limit:3
 
 let update t g =
   let n = Graph.n g in
@@ -144,8 +125,8 @@ let update t g =
         total_messages = cluster_events.messages;
       }
     else begin
-      ball t old_graph t.dist_old ~seeds ~limit:3;
-      ball t g t.dist_new ~seeds ~limit:3;
+      ball t t.ball_old old_graph ~seeds;
+      ball t t.ball_new g ~seeds;
       (* Deposed heads drop out (a role change makes them affected). *)
       for i = 0 to seeds - 1 do
         let v = t.affected.(i) in
@@ -163,7 +144,8 @@ let update t g =
       let gateway_messages = ref 0 in
       List.iter
         (fun h ->
-          if t.dist_old.(h) <= 3 || t.dist_new.(h) <= 3 || Option.is_none t.coverages.(h) then begin
+          if Bfs.seen t.ball_old h || Bfs.seen t.ball_new h || Option.is_none t.coverages.(h)
+          then begin
             incr refreshed;
             gateway_messages := !gateway_messages + refresh_head t g (Lazy.force cache) h
           end)
@@ -172,7 +154,7 @@ let update t g =
          their CH_HOP1 and CH_HOP2. *)
       let ch_hop = ref 0 in
       for v = 0 to n - 1 do
-        if (not (Clustering.is_head cl v)) && t.dist_new.(v) <= 2 then ch_hop := !ch_hop + 2
+        if (not (Clustering.is_head cl v)) && Bfs.dist t.ball_new v <= 2 then ch_hop := !ch_hop + 2
       done;
       {
         cluster_events;

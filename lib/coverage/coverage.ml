@@ -23,28 +23,31 @@ type t = {
 (* The offsets of an empty key array: shared, never written. *)
 let no_keys = [| 0 |]
 
-(* CH_HOP1 content as a sorted array: the clusterheads adjacent to [v].
-   Well-defined for every node — clusterheads form an independent set, so
-   a clusterhead's row is empty. *)
-let hop1_row g cl v =
-  let { Graph.off; nbr; _ } = g in
-  let lo = off.(v) and hi = off.(v + 1) in
-  let k = ref 0 in
-  for i = lo to hi - 1 do
-    if Clustering.is_head cl (Array.unsafe_get nbr i) then incr k
-  done;
-  if !k = 0 then [||]
+(* Appends [x] at [len] to the growable buffer [buf], doubling it when
+   full; returns the new length. *)
+let push buf len x =
+  if len = Array.length !buf then begin
+    let b = Array.make (2 * len) 0 in
+    Array.blit !buf 0 b 0 len;
+    buf := b
+  end;
+  !buf.(len) <- x;
+  len + 1
+
+(* CH_HOP1 content as a sorted array: the clusterheads adjacent to [v],
+   in one pass through the growable buffer [buf].  Well-defined for
+   every node — clusterheads form an independent set, so a clusterhead's
+   row is empty, and is returned without a scan. *)
+let hop1_row ~buf g cl v =
+  if Clustering.is_head cl v then [||]
   else begin
-    let out = Array.make !k 0 in
-    let i = ref 0 in
-    for j = lo to hi - 1 do
-      let u = Array.unsafe_get nbr j in
-      if Clustering.is_head cl u then begin
-        out.(!i) <- u;
-        incr i
-      end
+    let { Graph.off; nbr; _ } = g in
+    let len = ref 0 in
+    for i = off.(v) to off.(v + 1) - 1 do
+      let u = Array.unsafe_get nbr i in
+      if Clustering.is_head cl u then len := push buf !len u
     done;
-    out
+    Array.sub !buf 0 !len
   end
 
 (* Bits needed for a node id of a graph with [n] nodes: the packed-row
@@ -78,15 +81,6 @@ let hop2_row g cl mode ~hop1 ~stamp ~gen ~buf v =
      the pair sort (and the per-entry allocations). *)
   let shift = row_shift (Array.length stamp) in
   let len = ref 0 in
-  let push x =
-    if !len = Array.length !buf then begin
-      let b = Array.make (2 * Array.length !buf) 0 in
-      Array.blit !buf 0 b 0 !len;
-      buf := b
-    end;
-    !buf.(!len) <- x;
-    incr len
-  in
   let { Graph.off; nbr; _ } = g in
   for i = off.(v) to off.(v + 1) - 1 do
     let w = Array.unsafe_get nbr i in
@@ -94,7 +88,7 @@ let hop2_row g cl mode ~hop1 ~stamp ~gen ~buf v =
       let record c =
         if stamp.(c) <> tick then begin
           stamp.(c) <- tick;
-          push ((c lsl shift) lor w)
+          len := push buf !len ((c lsl shift) lor w)
         end
       in
       match mode with
@@ -108,7 +102,7 @@ let hop2_row g cl mode ~hop1 ~stamp ~gen ~buf v =
 
 let ch_hop1 g cl v =
   if Clustering.is_head cl v then invalid_arg "Coverage.ch_hop1: clusterheads do not send CH_HOP1";
-  Array.fold_left (fun s u -> Nodeset.add u s) Nodeset.empty (hop1_row g cl v)
+  Array.fold_left (fun s u -> Nodeset.add u s) Nodeset.empty (hop1_row ~buf:(ref [| 0 |]) g cl v)
 
 let unpack_row ~n packed =
   let shift = row_shift n in
@@ -121,7 +115,8 @@ let ch_hop2 g cl mode v =
   let stamp = Array.make n (-1) in
   let gen = ref 0 in
   let buf = ref (Array.make 64 0) in
-  Array.to_list (unpack_row ~n (hop2_row g cl mode ~hop1:(hop1_row g cl) ~stamp ~gen ~buf v))
+  let hop1 = hop1_row ~buf:(ref [| 0 |]) g cl in
+  Array.to_list (unpack_row ~n (hop2_row g cl mode ~hop1 ~stamp ~gen ~buf v))
 
 (* Reusable per-graph working storage for {!of_head_from}: the graph's
    CSR rows and packed-row shift, read once here rather than per head,
@@ -272,13 +267,14 @@ let of_head g cl mode u =
   let n = Graph.n g in
   let { Graph.off = goff; nbr = gnbr; _ } = g in
   let nbrs = Array.sub gnbr goff.(u) (goff.(u + 1) - goff.(u)) in
+  let hop1_row = hop1_row ~buf:(ref [| 0 |]) g cl in
   let hop1 = Array.make n [||] in
-  Array.iter (fun v -> hop1.(v) <- hop1_row g cl v) nbrs;
+  Array.iter (fun v -> hop1.(v) <- hop1_row v) nbrs;
   let stamp = Array.make n (-1) in
   let gen = ref 0 in
   let buf = ref (Array.make 64 0) in
   let own =
-    Array.map (fun v -> hop2_row g cl mode ~hop1:(hop1_row g cl) ~stamp ~gen ~buf v) nbrs
+    Array.map (fun v -> hop2_row g cl mode ~hop1:hop1_row ~stamp ~gen ~buf v) nbrs
   in
   let off = Array.make (n + 1) 0 in
   Array.iteri (fun k v -> off.(v + 1) <- Array.length own.(k)) nbrs;
@@ -307,13 +303,7 @@ let flat_rows g cl mode (hop1 : int array array) =
   let record v c w =
     if stamp.(c) <> v then begin
       stamp.(c) <- v;
-      if !len = Array.length !buf then begin
-        let b = Array.make (2 * !len) 0 in
-        Array.blit !buf 0 b 0 !len;
-        buf := b
-      end;
-      Array.unsafe_set !buf !len ((c lsl shift) lor w);
-      incr len
+      len := push buf !len ((c lsl shift) lor w)
     end
   in
   let { Graph.off = goff; nbr = gnbr; _ } = g in
@@ -398,31 +388,7 @@ module Cache = struct
     }
 
   let create g cl mode =
-    (* One pass per node through a shared buffer; clusterheads keep the
-       empty row directly (they form an independent set, so scanning
-       their neighbors would find no head anyway). *)
-    let hop1 =
-      let { Graph.off; nbr; _ } = g in
-      let buf = ref (Array.make 64 0) in
-      Array.init (Graph.n g) (fun v ->
-          if Clustering.is_head cl v then [||]
-          else begin
-            let len = ref 0 in
-            for i = off.(v) to off.(v + 1) - 1 do
-              let u = Array.unsafe_get nbr i in
-              if Clustering.is_head cl u then begin
-                if !len = Array.length !buf then begin
-                  let b = Array.make (2 * Array.length !buf) 0 in
-                  Array.blit !buf 0 b 0 !len;
-                  buf := b
-                end;
-                !buf.(!len) <- u;
-                incr len
-              end
-            done;
-            Array.sub !buf 0 !len
-          end)
-    in
+    let hop1 = Array.init (Graph.n g) (hop1_row ~buf:(ref (Array.make 64 0)) g cl) in
     of_hop1 g cl mode hop1
 
   (* The hop-1 rows do not depend on the mode: a second mode's table

@@ -1,90 +1,66 @@
+(* Every query is one traversal on a fresh {!Bfs} state. *)
+let start g =
+  let t = Bfs.create () in
+  Bfs.reset t ~n:(Graph.n g);
+  t
+
 let components g =
   let n = Graph.n g in
   let comp = Array.make n (-1) in
+  let t = start g in
   let k = ref 0 in
-  let { Graph.off; nbr; _ } = g in
-  (* Flat BFS frontier: each node is enqueued exactly once across the
-     whole sweep, so one n-slot array serves every component. *)
-  let queue = Array.make (max n 1) 0 in
   for v = 0 to n - 1 do
-    if comp.(v) < 0 then begin
-      comp.(v) <- !k;
-      queue.(0) <- v;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let u = queue.(!head) in
-        incr head;
-        for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-          let w = Array.unsafe_get nbr i in
-          if Array.unsafe_get comp w < 0 then begin
-            Array.unsafe_set comp w !k;
-            queue.(!tail) <- w;
-            incr tail
-          end
-        done
+    if not (Bfs.seen t v) then begin
+      let first = Bfs.reached t in
+      Bfs.seed t v;
+      Bfs.expand t g ~limit:max_int;
+      for i = first to Bfs.reached t - 1 do
+        comp.(Bfs.nth t i) <- !k
       done;
       incr k
     end
   done;
   (comp, !k)
 
-let is_connected g = Graph.n g <= 1 || snd (components g) = 1
-
-let component_sizes g =
-  let comp, k = components g in
-  let sizes = Array.make k 0 in
-  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
-  List.sort (fun a b -> Int.compare b a) (Array.to_list sizes)
+let is_connected g =
+  Graph.n g <= 1
+  ||
+  let t = start g in
+  Bfs.seed t 0;
+  Bfs.expand t g ~limit:max_int;
+  Bfs.reached t = Graph.n g
 
 let is_connected_without g ~v =
   let n = Graph.n g in
   if v < 0 || v >= n then invalid_arg "Connectivity.is_connected_without: node out of range";
-  if n <= 2 then true
-  else begin
-    let { Graph.off; nbr; _ } = g in
-    let seen = Array.make n false in
-    seen.(v) <- true;
-    let start = if v = 0 then 1 else 0 in
-    seen.(start) <- true;
-    let queue = Array.make n 0 in
-    queue.(0) <- start;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-        let w = Array.unsafe_get nbr i in
-        if not (Array.unsafe_get seen w) then begin
-          Array.unsafe_set seen w true;
-          queue.(!tail) <- w;
-          incr tail
-        end
-      done
-    done;
-    !tail = n - 1
-  end
+  n <= 2
+  ||
+  let t = start g in
+  Bfs.block t v;
+  Bfs.seed t (if v = 0 then 1 else 0);
+  Bfs.expand t g ~limit:max_int;
+  Bfs.reached t = n - 1
 
 let reachable_within g ~from s =
   if not (Nodeset.mem from s) then Nodeset.empty
   else begin
-    let { Graph.off; nbr; _ } = g in
-    let seen = ref (Nodeset.singleton from) in
-    let queue = Array.make (max (Graph.n g) 1) 0 in
-    queue.(0) <- from;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-        let v = Array.unsafe_get nbr i in
-        if Nodeset.mem v s && not (Nodeset.mem v !seen) then begin
-          seen := Nodeset.add v !seen;
-          queue.(!tail) <- v;
-          incr tail
-        end
-      done
+    let n = Graph.n g in
+    let t = start g in
+    (* Block the complement of [s], walking its gaps in ascending order. *)
+    let next = ref 0 in
+    Nodeset.iter
+      (fun v ->
+        for w = !next to min v n - 1 do
+          Bfs.block t w
+        done;
+        next := v + 1)
+      s;
+    for w = !next to n - 1 do
+      Bfs.block t w
     done;
-    !seen
+    Bfs.seed t from;
+    Bfs.expand t g ~limit:max_int;
+    Nodeset.filter (fun v -> v < n && Bfs.seen t v) s
   end
 
 let is_connected_subset g s =

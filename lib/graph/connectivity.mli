@@ -2,7 +2,10 @@
 
     The paper's workload generator discards disconnected topologies, and
     both backbone theorems are statements about connectivity of induced
-    subgraphs, so these checks appear throughout tests and experiments. *)
+    subgraphs, so these checks appear throughout tests and experiments.
+    Each query is one traversal on a fresh {!Bfs} state: [reachable_within]
+    blocks the complement of its set, [is_connected_without] blocks the
+    deleted node. *)
 
 val is_connected : Graph.t -> bool
 (** True for the empty and one-node graphs. *)
@@ -10,9 +13,6 @@ val is_connected : Graph.t -> bool
 val components : Graph.t -> int array * int
 (** [(comp, k)]: [comp.(v)] is the component index of [v] (0-based, in
     order of smallest member), [k] the number of components. *)
-
-val component_sizes : Graph.t -> int list
-(** Sizes of the components, largest first. *)
 
 val is_connected_without : Graph.t -> v:int -> bool
 (** Whether the graph stays connected after deleting node [v] — the

@@ -1,36 +1,3 @@
 let uniform g ~lo ~hi =
   if hi < lo then invalid_arg "Dist.uniform: empty range";
   if hi = lo then lo else lo +. Rng.float g (hi -. lo)
-
-let exponential g ~rate =
-  if rate <= 0. then invalid_arg "Dist.exponential: rate must be positive";
-  (* 1 - u avoids log 0 since Rng.float is in [0, 1). *)
-  -.log (1. -. Rng.float g 1.) /. rate
-
-let gaussian g ~mean ~stddev =
-  let u1 = 1. -. Rng.float g 1. and u2 = Rng.float g 1. in
-  mean +. (stddev *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
-let shuffle_in_place g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Rng.int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Dist.choose: empty array";
-  a.(Rng.int g (Array.length a))
-
-let sample_distinct g ~n ~bound =
-  if n < 0 || n > bound then invalid_arg "Dist.sample_distinct";
-  (* Floyd's algorithm: for j = bound-n .. bound-1, insert a random element
-     of [0, j], falling back to j itself on collision. *)
-  let module S = Set.Make (Int) in
-  let chosen = ref S.empty in
-  for j = bound - n to bound - 1 do
-    let v = Rng.int g (j + 1) in
-    chosen := S.add (if S.mem v !chosen then j else v) !chosen
-  done;
-  S.elements !chosen

@@ -1,24 +1,5 @@
-(** Random distributions and sampling utilities on top of {!Rng}. *)
+(** Random distributions on top of {!Rng}. *)
 
 val uniform : Rng.t -> lo:float -> hi:float -> float
 (** [uniform g ~lo ~hi] is uniform in [\[lo, hi)].
     @raise Invalid_argument if [hi < lo]. *)
-
-val exponential : Rng.t -> rate:float -> float
-(** [exponential g ~rate] samples Exp(rate) by inversion.
-    @raise Invalid_argument if [rate <= 0.]. *)
-
-val gaussian : Rng.t -> mean:float -> stddev:float -> float
-(** [gaussian g ~mean ~stddev] samples a normal variate (Box–Muller). *)
-
-val shuffle_in_place : Rng.t -> 'a array -> unit
-(** Fisher–Yates shuffle; every permutation is equally likely. *)
-
-val choose : Rng.t -> 'a array -> 'a
-(** [choose g a] is a uniformly random element of [a].
-    @raise Invalid_argument on an empty array. *)
-
-val sample_distinct : Rng.t -> n:int -> bound:int -> int list
-(** [sample_distinct g ~n ~bound] draws [n] distinct integers from
-    [\[0, bound)], in increasing order (Floyd's algorithm).
-    @raise Invalid_argument if [n > bound] or [n < 0]. *)

@@ -2,7 +2,7 @@ module Rng = Manet_rng.Rng
 module Point = Manet_geom.Point
 module Graph = Manet_graph.Graph
 module Unit_disk = Manet_graph.Unit_disk
-module Connectivity = Manet_graph.Connectivity
+module Bfs = Manet_graph.Bfs
 
 type sample = { points : Point.t array; graph : Graph.t; radius : float; attempts : int }
 
@@ -28,36 +28,19 @@ let sample_connected ?(max_attempts = 10_000) rng (spec : Spec.t) =
   let radius = Spec.radius spec in
   (* One point buffer for the whole rejection loop, refilled in place on
      a reject, and one unit-disk and one BFS scratch shared across
-     attempts.  The connectivity test is a single traversal from node 0
-     that stops as soon as every node has been reached. *)
+     attempts.  The connectivity test is a single traversal from node 0,
+     which stops as soon as every node has been reached. *)
   let points = place_uniform rng spec in
   let n = spec.n in
   let scratch = Unit_disk.Scratch.create () in
-  let seen = Array.make (max n 1) 0 in
-  let queue = Array.make (max n 1) 0 in
-  let gen = ref 0 in
+  let bfs = Bfs.create () in
   let connected g =
     n <= 1
     ||
-    let { Graph.off; nbr; _ } = g in
-    incr gen;
-    let tick = !gen in
-    seen.(0) <- tick;
-    queue.(0) <- 0;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail && !tail < n do
-      let u = queue.(!head) in
-      incr head;
-      for i = off.(u) to off.(u + 1) - 1 do
-        let v = Array.unsafe_get nbr i in
-        if Array.unsafe_get seen v <> tick then begin
-          Array.unsafe_set seen v tick;
-          queue.(!tail) <- v;
-          incr tail
-        end
-      done
-    done;
-    !tail = n
+    (Bfs.reset bfs ~n;
+     Bfs.seed bfs 0;
+     Bfs.expand bfs g ~limit:max_int;
+     Bfs.reached bfs = n)
   in
   let rec draw attempts =
     if attempts > max_attempts then

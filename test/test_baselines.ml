@@ -8,36 +8,164 @@ module Mpr = Manet_baselines.Mpr
 module Passive = Manet_baselines.Passive_clustering
 module Tree_cds = Manet_baselines.Tree_cds
 module Forwarding_tree = Manet_baselines.Forwarding_tree
-module Set_cover = Manet_baselines.Set_cover
+module Cover = Manet_baselines.Neighbor_cover
 module Static = Manet_backbone.Static_backbone
 open Test_helpers
 
-(* Set cover *)
+(* 2-hop set cover *)
+
+(* The reference greedy: the list-of-sets set cover the kernel replaced.
+   Each round takes the first candidate (in list order) covering the most
+   still-uncovered elements, until none covers any. *)
+let greedy_cover ~universe ~candidates =
+  let remaining = ref universe in
+  let pool = ref (List.map (fun (id, s) -> (id, Nodeset.inter s universe)) candidates) in
+  let chosen = ref [] in
+  let continue = ref true in
+  while !continue do
+    let best =
+      List.fold_left
+        (fun acc (id, s) ->
+          let gain = Nodeset.cardinal (Nodeset.inter s !remaining) in
+          match acc with
+          | Some (_, best_gain) when best_gain >= gain -> acc
+          | Some _ | None -> if gain > 0 then Some (id, gain) else acc)
+        None !pool
+    in
+    match best with
+    | None -> continue := false
+    | Some (id, _) ->
+      chosen := id :: !chosen;
+      remaining := Nodeset.diff !remaining (List.assoc id !pool);
+      pool := List.remove_assoc id !pool
+  done;
+  List.rev !chosen
+
+(* The reference selection: [universe] covered by the open neighborhoods
+   of [node]'s neighbors, in increasing id order. *)
+let reference_forwards g ~node ~universe =
+  let candidates =
+    List.map
+      (fun b -> (b, Graph.open_neighborhood g b))
+      (Nodeset.elements (Graph.open_neighborhood g node))
+  in
+  set_of_list (greedy_cover ~universe ~candidates)
+
+(* The reference MPR set: the sole providers of some strict 2-hop node,
+   then the greedy over what they leave uncovered. *)
+let reference_mpr g v =
+  let targets = ring g ~source:v ~k:2 in
+  let cover_of b = Nodeset.inter (Graph.open_neighborhood g b) targets in
+  let nbrs = Nodeset.elements (Graph.open_neighborhood g v) in
+  let mandatory =
+    List.filter
+      (fun b ->
+        Nodeset.exists
+          (fun t -> List.for_all (fun c -> c = b || not (Nodeset.mem t (cover_of c))) nbrs)
+          (cover_of b))
+      nbrs
+  in
+  let covered =
+    List.fold_left (fun acc b -> Nodeset.union acc (cover_of b)) Nodeset.empty mandatory
+  in
+  let candidates =
+    List.filter_map (fun b -> if List.mem b mandatory then None else Some (b, cover_of b)) nbrs
+  in
+  Nodeset.union (set_of_list mandatory)
+    (set_of_list (greedy_cover ~universe:(Nodeset.diff targets covered) ~candidates))
+
+(* One scan of the kernel on [scr]: [exclude] adds the scheme's
+   exclusions, and the selection must be strictly increasing. *)
+let kernel_forwards scr g ~node exclude =
+  Cover.start scr g;
+  exclude ();
+  let a = Cover.forwards scr g ~node in
+  let s = set_of_list (Array.to_list a) in
+  if Nodeset.elements s <> Array.to_list a then
+    Alcotest.failf "selection of %d not increasing" node;
+  s
+
+let cover_on g ~node ?(exclude = fun _ -> ()) () =
+  let scr = Cover.create () in
+  Nodeset.elements (kernel_forwards scr g ~node (fun () -> exclude scr))
 
 let test_set_cover_basic () =
-  let u = set_of_list [ 1; 2; 3; 4; 5 ] in
-  let candidates =
-    [ (10, set_of_list [ 1; 2; 3 ]); (11, set_of_list [ 3; 4 ]); (12, set_of_list [ 4; 5 ]) ]
+  (* Neighbor 1 reaches targets 4, 5, 6; neighbor 2 reaches 6, 7;
+     neighbor 3 reaches 7, 8.  The bulk pick 1 leaves 7 and 8, both
+     reached by 3: a first-fit pass would take 2 as well. *)
+  let g =
+    Graph.of_edges ~n:9
+      [ (0, 1); (0, 2); (0, 3); (1, 4); (1, 5); (1, 6); (2, 6); (2, 7); (3, 7); (3, 8) ]
   in
-  Alcotest.(check (list int)) "greedy picks bulk first" [ 10; 12 ]
-    (Set_cover.greedy ~universe:u ~candidates)
+  Alcotest.(check (list int)) "greedy picks bulk first" [ 1; 3 ] (cover_on g ~node:0 ())
 
 let test_set_cover_tie_break () =
-  let u = set_of_list [ 1; 2 ] in
-  let candidates = [ (5, set_of_list [ 1; 2 ]); (3, set_of_list [ 1; 2 ]) ] in
-  (* ties break toward the earliest candidate in the list *)
-  Alcotest.(check (list int)) "first listed wins tie" [ 5 ]
-    (Set_cover.greedy ~universe:u ~candidates)
+  let g = Graph.of_edges ~n:5 [ (0, 1); (0, 2); (1, 3); (1, 4); (2, 3); (2, 4) ] in
+  Alcotest.(check (list int)) "lowest id wins tie" [ 1 ] (cover_on g ~node:0 ())
 
 let test_set_cover_uncoverable () =
-  let u = set_of_list [ 1; 9 ] in
-  let candidates = [ (0, set_of_list [ 1 ]) ] in
-  Alcotest.(check (list int)) "covers what it can" [ 0 ]
-    (Set_cover.greedy ~universe:u ~candidates)
+  (* Node 3 is three hops from 0: no neighbor of 0 reaches it. *)
+  Alcotest.(check (list int)) "covers what it can" [ 1 ] (cover_on (Graph.path 4) ~node:0 ())
 
 let test_set_cover_empty_universe () =
-  Alcotest.(check (list int)) "nothing to do" []
-    (Set_cover.greedy ~universe:Nodeset.empty ~candidates:[ (0, set_of_list [ 1 ]) ])
+  Alcotest.(check (list int)) "clique: nothing to do" [] (cover_on (Graph.complete 4) ~node:0 ());
+  (* On the path 0-1-2-3, node 1's only target is 3; the upstream 2 covers it. *)
+  let p4 = Graph.path 4 in
+  Alcotest.(check (list int)) "all excluded" []
+    (cover_on p4 ~node:1 ~exclude:(fun scr -> Cover.exclude_closed scr p4 2) ())
+
+(* The kernel against the reference, for every node and every upstream
+   neighbor: the dp, pdp and ahbp universes (ahbp's upstream BRG set is
+   the upstream's own source selection) and the MPR sets. *)
+let prop_cover_matches_reference =
+  qtest "2-hop cover kernel = reference greedy" ~count:40
+    (arb_udg ~n_max:120 ~ds:[ 6.; 10.; 18. ] ())
+    (fun case ->
+      let g = (sample_of case).graph in
+      let n = Graph.n g in
+      let scr = Cover.create () in
+      let ring2 = Array.init n (fun v -> ring g ~source:v ~k:2) in
+      let source_sel = Array.init n (fun v -> reference_forwards g ~node:v ~universe:ring2.(v)) in
+      let mprs = Manet_baselines.Mpr.mpr_sets g in
+      let check what v expected actual =
+        if not (Nodeset.equal expected actual) then
+          QCheck.Test.fail_reportf "%s at node %d: %a, reference %a" what v Nodeset.pp actual
+            Nodeset.pp expected
+      in
+      for v = 0 to n - 1 do
+        check "source" v source_sel.(v) (kernel_forwards scr g ~node:v ignore);
+        check "mpr" v (reference_mpr g v) (set_of_list (Array.to_list mprs.(v)));
+        Graph.iter_neighbors g v (fun u ->
+            let dp_universe = Nodeset.diff ring2.(v) (Graph.closed_neighborhood g u) in
+            check "dp" v
+              (reference_forwards g ~node:v ~universe:dp_universe)
+              (kernel_forwards scr g ~node:v (fun () -> Cover.exclude_closed scr g u));
+            let common =
+              Nodeset.inter (Graph.open_neighborhood g u) (Graph.open_neighborhood g v)
+            in
+            let pdp_universe =
+              Nodeset.fold
+                (fun w acc -> Nodeset.diff acc (Graph.open_neighborhood g w))
+                common dp_universe
+            in
+            check "pdp" v
+              (reference_forwards g ~node:v ~universe:pdp_universe)
+              (kernel_forwards scr g ~node:v (fun () ->
+                   Cover.exclude_closed scr g u;
+                   Nodeset.iter (Cover.exclude_open scr g) common));
+            let brg = source_sel.(u) in
+            let ahbp_universe =
+              Nodeset.fold
+                (fun b acc -> Nodeset.diff acc (Graph.closed_neighborhood g b))
+                brg dp_universe
+            in
+            check "ahbp" v
+              (reference_forwards g ~node:v ~universe:ahbp_universe)
+              (kernel_forwards scr g ~node:v (fun () ->
+                   Cover.exclude_closed scr g u;
+                   Nodeset.iter (Cover.exclude_closed scr g) brg)))
+      done;
+      true)
 
 (* MO_CDS *)
 
@@ -172,34 +300,26 @@ let test_pdp_not_worse_than_dp_on_average () =
 
 (* MPR *)
 
+let mpr_covers g sets v =
+  let covered =
+    Array.fold_left (fun acc m -> Nodeset.union acc (Graph.open_neighborhood g m)) Nodeset.empty
+      sets.(v)
+  in
+  Nodeset.subset (ring g ~source:v ~k:2) covered
+
 let test_mpr_sets_cover_two_hop () =
   let g = paper_graph () in
+  let sets = Mpr.mpr_sets g in
   for v = 0 to Graph.n g - 1 do
-    let mprs = Mpr.mpr_set g v in
-    let two_hop =
-      Nodeset.diff (Manet_graph.Bfs.ring g ~source:v ~k:2) Nodeset.empty
-    in
-    let covered =
-      Nodeset.fold (fun m acc -> Nodeset.union acc (Graph.open_neighborhood g m)) mprs
-        Nodeset.empty
-    in
-    if not (Nodeset.subset two_hop covered) then
+    if not (mpr_covers g sets v) then
       Alcotest.failf "MPR(%d) does not cover its 2-hop neighborhood" v
   done
 
 let prop_mpr_sets_cover =
   qtest "MPR sets cover strict 2-hop neighborhoods" ~count:60 (arb_udg ()) (fun case ->
       let g = (sample_of case).graph in
-      let ok = ref true in
-      for v = 0 to Graph.n g - 1 do
-        let covered =
-          Nodeset.fold
-            (fun m acc -> Nodeset.union acc (Graph.open_neighborhood g m))
-            (Mpr.mpr_set g v) Nodeset.empty
-        in
-        if not (Nodeset.subset (Manet_graph.Bfs.ring g ~source:v ~k:2) covered) then ok := false
-      done;
-      !ok)
+      let sets = Mpr.mpr_sets g in
+      List.for_all (mpr_covers g sets) (List.init (Graph.n g) Fun.id))
 
 let prop_mpr_delivers =
   qtest "MPR broadcast delivers" ~count:80 (arb_udg ()) (fun case ->
@@ -222,7 +342,7 @@ let test_mpr_shared_sets () =
       Nodeset.iter
         (fun v ->
           if v <> source && not (Graph.fold_neighbors g v (fun acc u ->
-              acc || (Nodeset.mem u shared.forwarders && Nodeset.mem v sets.(u))) false)
+              acc || (Nodeset.mem u shared.forwarders && Array.mem v sets.(u))) false)
           then Alcotest.failf "forwarder %d is no MPR of a forwarding neighbor" v)
         shared.forwarders)
     [ 0; 4; 9 ]
@@ -494,6 +614,7 @@ let () =
           Alcotest.test_case "tie break" `Quick test_set_cover_tie_break;
           Alcotest.test_case "uncoverable elements" `Quick test_set_cover_uncoverable;
           Alcotest.test_case "empty universe" `Quick test_set_cover_empty_universe;
+          prop_cover_matches_reference;
         ] );
       ( "mo_cds",
         [

@@ -127,7 +127,7 @@ let prop_flooding_latency_is_eccentricity =
       let r =
         run g ~source ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
       in
-      r.completion_time = Manet_graph.Bfs.eccentricity g source)
+      r.completion_time = eccentricity g source)
 
 (* SI broadcast *)
 

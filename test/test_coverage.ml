@@ -124,7 +124,7 @@ let prop_hop3_is_bfs_rings =
       List.for_all
         (fun h ->
           let cov = Coverage.of_head g cl Coverage.Hop3 h in
-          let ring k = Nodeset.inter heads (Bfs.ring g ~source:h ~k) in
+          let ring k = Nodeset.inter heads (Test_helpers.ring g ~source:h ~k) in
           Nodeset.equal (Coverage.c2_set cov) (ring 2)
           && Nodeset.equal (Coverage.c3_set cov) (ring 3))
         (Clustering.heads cl))

@@ -203,7 +203,7 @@ let prop_latency_bounded =
       let cl = Lowest_id.cluster g in
       let source = seed mod n in
       let r = broadcast g cl Coverage.Hop25 ~source in
-      let ecc = Manet_graph.Bfs.eccentricity g source in
+      let ecc = eccentricity g source in
       r.completion_time <= (3 * ecc) + 4)
 
 let () =

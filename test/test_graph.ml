@@ -92,8 +92,7 @@ let test_distances_disconnected () =
   let g = Graph.of_edges ~n:4 [ (0, 1) ] in
   let d = Bfs.distances g ~source:0 in
   Alcotest.(check int) "reachable" 1 d.(1);
-  Alcotest.(check bool) "unreachable marked" true (d.(2) = max_int && d.(3) = max_int);
-  Alcotest.(check (option int)) "hop_distance none" None (Bfs.hop_distance g 0 3)
+  Alcotest.(check bool) "unreachable marked" true (d.(2) = max_int && d.(3) = max_int)
 
 let test_distances_upto () =
   let g = Graph.path 6 in
@@ -101,27 +100,41 @@ let test_distances_upto () =
   Alcotest.(check int) "within limit" 2 d.(2);
   Alcotest.(check bool) "beyond limit untouched" true (d.(3) = max_int)
 
+(* N^k(source) read off the bounded traversal. *)
+let k_hop g ~source ~k =
+  let d = Bfs.distances_upto g ~source ~limit:k in
+  Nodeset.filter (fun v -> d.(v) <= k) (Nodeset.range (Graph.n g))
+
 let test_k_hop_and_ring () =
   let g = paper_graph () in
-  Alcotest.check nodeset "N^1(3)" (set_of_list [ 3; 8; 9 ]) (Bfs.k_hop g ~source:3 ~k:1);
-  Alcotest.check nodeset "N^2(3)" (set_of_list [ 2; 3; 4; 8; 9 ]) (Bfs.k_hop g ~source:3 ~k:2);
-  Alcotest.check nodeset "ring 2 of 3" (set_of_list [ 2; 4 ]) (Bfs.ring g ~source:3 ~k:2);
-  Alcotest.check nodeset "ring 0" (set_of_list [ 3 ]) (Bfs.ring g ~source:3 ~k:0)
+  Alcotest.check nodeset "N^1(3)" (set_of_list [ 3; 8; 9 ]) (k_hop g ~source:3 ~k:1);
+  Alcotest.check nodeset "N^2(3)" (set_of_list [ 2; 3; 4; 8; 9 ]) (k_hop g ~source:3 ~k:2);
+  Alcotest.check nodeset "ring 2 of 3" (set_of_list [ 2; 4 ]) (ring g ~source:3 ~k:2);
+  Alcotest.check nodeset "ring 0" (set_of_list [ 3 ]) (ring g ~source:3 ~k:0)
 
 let test_eccentricity () =
   let g = Graph.path 5 in
-  Alcotest.(check int) "end" 4 (Bfs.eccentricity g 0);
-  Alcotest.(check int) "middle" 2 (Bfs.eccentricity g 2)
+  Alcotest.(check int) "end" 4 (eccentricity g 0);
+  Alcotest.(check int) "middle" 2 (eccentricity g 2)
+
+(* The kernel's queue in discovery order, after one traversal from
+   [source]. *)
+let bfs_order g ~source =
+  let t = Bfs.create () in
+  Bfs.reset t ~n:(Graph.n g);
+  Bfs.seed t source;
+  Bfs.expand t g ~limit:max_int;
+  List.init (Bfs.reached t) (Bfs.nth t)
 
 let test_bfs_order () =
   let g = paper_graph () in
-  (match Bfs.bfs_order g ~source:0 with
+  (match bfs_order g ~source:0 with
   | s :: rest ->
     Alcotest.(check int) "starts at source" 0 s;
     Alcotest.(check int) "visits all (connected)" 9 (List.length rest)
   | [] -> Alcotest.fail "empty order");
   let g2 = Graph.of_edges ~n:4 [ (0, 1) ] in
-  Alcotest.(check (list int)) "only component" [ 0; 1 ] (Bfs.bfs_order g2 ~source:0)
+  Alcotest.(check (list int)) "only component" [ 0; 1 ] (bfs_order g2 ~source:0)
 
 let prop_khop_matches_distances =
   qtest "k_hop agrees with distances" ~count:50 (arb_udg ~n_max:40 ()) (fun case ->
@@ -130,7 +143,84 @@ let prop_khop_matches_distances =
       let k = 3 in
       let expected = ref Nodeset.empty in
       Array.iteri (fun v d -> if d <= k then expected := Nodeset.add v !expected) dist;
-      Nodeset.equal !expected (Bfs.k_hop g ~source:0 ~k))
+      Nodeset.equal !expected (k_hop g ~source:0 ~k))
+
+(* The reference traversal the kernel must match: a multi-source BFS on
+   a Queue that never enters a blocked node (a blocked seed is dropped)
+   and expands nodes below [limit] only. *)
+let reference_dist g ~seeds ~blocked ~limit =
+  let d = Array.make (Graph.n g) max_int in
+  let q = Queue.create () in
+  List.iter
+    (fun s ->
+      if (not blocked.(s)) && d.(s) = max_int then begin
+        d.(s) <- 0;
+        Queue.add s q
+      end)
+    seeds;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    if d.(u) < limit then
+      Graph.iter_neighbors g u (fun v ->
+          if (not blocked.(v)) && d.(v) = max_int then begin
+            d.(v) <- d.(u) + 1;
+            Queue.add v q
+          end)
+  done;
+  d
+
+(* One traversal on [t]: block, seed, expand; then every reader must
+   agree with the reference. *)
+let kernel_agrees t g ~seeds ~blocked ~limit =
+  let n = Graph.n g in
+  Bfs.reset t ~n;
+  Array.iteri (fun v b -> if b then Bfs.block t v) blocked;
+  List.iter (Bfs.seed t) seeds;
+  Bfs.expand t g ~limit;
+  let expected = reference_dist g ~seeds ~blocked ~limit in
+  let nodes = List.init n Fun.id in
+  let reached = List.init (Bfs.reached t) (Bfs.nth t) in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> expected.(a) <= expected.(b) && ascending rest
+    | _ -> true
+  in
+  Array.init n (Bfs.dist t) = expected
+  && List.for_all (fun v -> Bfs.seen t v = (blocked.(v) || expected.(v) < max_int)) nodes
+  && List.sort Int.compare reached = List.filter (fun v -> expected.(v) < max_int) nodes
+  && ascending reached
+
+(* Random seeds, blocked nodes and limit, drawn from [seed]. *)
+let traversal_case ~seed g =
+  let n = Graph.n g in
+  let rng = Rng.create ~seed in
+  let seeds = List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n) in
+  let blocked = Array.init n (fun _ -> Rng.int rng 8 = 0) in
+  let limit = if Rng.bool rng then max_int else Rng.int rng 5 in
+  (seeds, blocked, limit)
+
+(* One state shared by every case, so stale marks of earlier (larger and
+   smaller) graphs are in the map each time. *)
+let shared_bfs = Bfs.create ()
+
+let prop_bfs_matches_reference =
+  qtest "kernel = reference traversal" ~count:100 (arb_udg ~n_max:80 ~ds:[ 6.; 10.; 18. ] ())
+    (fun ((seed, _, _) as case) ->
+      let g = (sample_of case).graph in
+      let seeds, blocked, limit = traversal_case ~seed g in
+      kernel_agrees shared_bfs g ~seeds ~blocked ~limit
+      && kernel_agrees (Bfs.create ()) g ~seeds ~blocked ~limit)
+
+let test_bfs_reuse () =
+  let t = Bfs.create () in
+  List.iteri
+    (fun i (seed, n) ->
+      let g = (udg ~seed ~n ~d:12.).graph in
+      let seeds, blocked, limit = traversal_case ~seed:(seed + i) g in
+      Alcotest.(check bool) (Printf.sprintf "reused state, n=%d" n) true
+        (kernel_agrees t g ~seeds ~blocked ~limit);
+      Alcotest.(check bool) (Printf.sprintf "fresh state, n=%d" n) true
+        (kernel_agrees (Bfs.create ()) g ~seeds ~blocked ~limit))
+    [ (3, 1000); (4, 20); (5, 1000) ]
 
 (* Connectivity *)
 
@@ -140,7 +230,7 @@ let test_components () =
   Alcotest.(check int) "three components" 3 k;
   Alcotest.(check bool) "same component" true (comp.(0) = comp.(2));
   Alcotest.(check bool) "different" true (comp.(0) <> comp.(4));
-  Alcotest.(check (list int)) "sizes sorted" [ 3; 2; 1 ] (Connectivity.component_sizes g)
+  Alcotest.(check (array int)) "indexed by smallest member" [| 0; 0; 0; 1; 2; 2 |] comp
 
 let test_is_connected () =
   Alcotest.(check bool) "paper graph" true (Connectivity.is_connected (paper_graph ()));
@@ -710,6 +800,8 @@ let () =
           Alcotest.test_case "eccentricity" `Quick test_eccentricity;
           Alcotest.test_case "bfs order" `Quick test_bfs_order;
           prop_khop_matches_distances;
+          prop_bfs_matches_reference;
+          Alcotest.test_case "reused state = fresh state" `Quick test_bfs_reuse;
         ] );
       ( "connectivity",
         [

@@ -91,6 +91,17 @@ let nodeset = Alcotest.testable Nodeset.pp Nodeset.equal
 
 let set_of_list l = List.fold_left (fun s v -> Nodeset.add v s) Nodeset.empty l
 
+(* Reference hop-ball readings over [Bfs.distances]: the nodes at hop
+   distance exactly [k] from [source], and the largest finite hop
+   distance from [v]. *)
+let ring g ~source ~k =
+  let dist = Manet_graph.Bfs.distances g ~source in
+  Nodeset.filter (fun v -> dist.(v) = k) (Nodeset.range (Graph.n g))
+
+let eccentricity g v =
+  Array.fold_left (fun acc d -> if d = max_int then acc else max acc d) 0
+    (Manet_graph.Bfs.distances g ~source:v)
+
 (* QCheck generator producing connected unit-disk samples by seed; the
    printed counterexample is the (seed, n, d) triple plus the edge list,
    which is enough to reproduce any failure deterministically. *)
