@@ -249,9 +249,9 @@ let measure ~per interval = measure_with ~per Fun.id interval
    coverage sets were flat arrays and a relaying head's selection
    took its pruning rows as arguments (no predicate, no callback).
 
-   The two "count" rows run the same perfect broadcast through the
-   prepared protocol's [count] instead of [run]: no result, no
-   timeline.  Their seed pair is the same protocol's [run] reading
+   The flooding and dynamic-2.5hop "count" rows run the same perfect
+   broadcast through the prepared protocol's [count] instead of [run]:
+   no result, no timeline.  Their seed pair is the same protocol's [run] reading
    when the rows were added (flooding 302.3 us, 11,032 words;
    dynamic-2.5hop 694.4 us, 35,223 words), so [alloc_reduction] is
    what the count-only epilogue and the allocation-free gateway
@@ -259,7 +259,15 @@ let measure ~per interval = measure_with ~per Fun.id interval
    53 once a relaying head allocated no pruning predicate, no [Some]
    and no selection callback; each ceiling sits about 13% above, so
    an O(n) epilogue, one word per node, or a closure per relaying
-   head crosses it.
+   head crosses it.  The flooding row read 18 words until a loss-free
+   SI count became one traversal ([Engine.run_si_count]), and 6 after:
+   the counts record and the [Some] of the arena argument; its
+   ceiling went 24 -> 7.  The static-2.5hop "count" row pins that
+   traversal on a real backbone.  Its seed pair is the row's reading
+   on the reception loop (83.9 us, 18 words), so [speedup] is what
+   skipping the level sort, the packed keys and the decide call per
+   reception saves; it reads 6 words, and its ceiling of 7 is crossed
+   by any allocation per broadcast beyond those two blocks.
 
    The dp "count" row pins the neighbor-designation schemes' 2-hop
    cover kernel.  Its seed pair is the same row before the kernel, when
@@ -479,8 +487,12 @@ let alloc_maint (sample : Manet_topology.Generator.sample) spec =
    amortised over the arrivals, the fixed set-up is not.  The seed is
    this loop's value when every arrival materialized the engine's full
    result (an n-sized delivered array, the forwarder set, the timeline)
-   only to discard it; the ceiling is half the seed, so a returning O(n)
-   epilogue crosses it. *)
+   only to discard it.  The ceiling was half the seed (770) while an
+   arrival read 96 words on the reception loop; a loss-free arrival is
+   now one traversal ([Engine.run_si_count]) with no generator split,
+   which reads 76, and the ceiling sits about 13% above that, so a
+   returning split, an O(n) epilogue or a closure per arrival crosses
+   it. *)
 let arrival_duration = 20.
 
 let alloc_arrival () =
@@ -583,8 +595,9 @@ let alloc () =
   let rows =
     [
       bcast "flooding" "perfect" Perfect ~ceiling:16_000. ~seed:(4548.7, 181_307.);
-      bcast "flooding" "count" Perfect ~ceiling:24. ~seed:(302.3, 11_032.);
+      bcast "flooding" "count" Perfect ~ceiling:7. ~seed:(302.3, 11_032.);
       bcast "static-2.5hop" "perfect" Perfect ~ceiling:9_000. ~seed:(2559.7, 94_252.);
+      bcast "static-2.5hop" "count" Perfect ~ceiling:7. ~seed:(83.9, 18.);
       bcast "dynamic-2.5hop" "perfect" Perfect ~ceiling:5_770. ~seed:(4007.8, 440_236.);
       bcast "dynamic-2.5hop" "lossy-0.1" (Lossy 0.1) ~ceiling:11_450. ~seed:(5010.1, 451_774.);
       bcast "dynamic-2.5hop" "count" Perfect ~ceiling:60. ~seed:(694.4, 35_223.);
@@ -615,7 +628,7 @@ let alloc () =
       row ~section:("per_update", "backbone-maintenance-update") ~ceiling:15_360. ~seed_us:8347.
         ~seed_words:543_562. "maintenance update" "n=1000" "update" (fun () ->
           sized [ ("steps", float_of_int maint_steps) ] (alloc_maint sample spec));
-      row ~section:("per_arrival", "serving-arrival") ~ceiling:770. ~seed_words:1540.1
+      row ~section:("per_arrival", "serving-arrival") ~ceiling:86. ~seed_words:1540.1
         "serving arrival" "n=200 d=12" "arrival" (fun () ->
           let us, words, arrivals = alloc_arrival () in
           sized ~n:200

@@ -479,3 +479,41 @@ let run_core ?drop ?down ?arena g ~source ~initial ~decide =
 let run_count ?drop ?down ?arena g ~source ~initial ~decide =
   drive "Engine.run_count" ?drop ?down ?arena g ~source ~initial ~decide
     ~epilogue:(fun a _ ~source:_ ~completion -> counts_of a ~completion)
+
+(* The SI rule with no drop and no failure: a member transmits at the
+   time of its first reception, so a node's delivery time is one more
+   than that of the earliest transmitting neighbour, and a FIFO of
+   transmitters visits them in non-decreasing time.  The timeline
+   buffers are that FIFO: [trace_len] ends as the forward count, and
+   the last first delivery is the completion time. *)
+let si_traverse (a : Arena.t) g ~source ~member =
+  let tick = start a ~n:(Graph.n g) in
+  let delivered = a.delivered and times = a.trace_time and nodes = a.trace_node in
+  let { Graph.off; nbr; _ } = g in
+  let every = Option.is_none member and ind = Option.value member ~default:Bytes.empty in
+  Array.unsafe_set delivered source tick;
+  trace_push a 0 source;
+  let completion = ref 0 and reached = ref 1 and k = ref 0 in
+  while !k < a.trace_len do
+    let v = Array.unsafe_get nodes !k and time = Array.unsafe_get times !k + 1 in
+    incr k;
+    for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+      let w = Array.unsafe_get nbr i in
+      if Array.unsafe_get delivered w <> tick then begin
+        Array.unsafe_set delivered w tick;
+        incr reached;
+        completion := time;
+        if every || (w < Bytes.length ind && Bytes.unsafe_get ind w <> '\000') then
+          trace_push a time w
+      end
+    done
+  done;
+  a.reached <- !reached;
+  counts_of a ~completion:!completion
+
+let run_si_count ?arena g ~source ~member =
+  if source < 0 || source >= Graph.n g then invalid_arg "Engine.run_si_count: source out of range";
+  let a = acquire arena in
+  let c = si_traverse a g ~source ~member in
+  release a;
+  c

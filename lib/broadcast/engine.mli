@@ -214,3 +214,26 @@ val run_count :
     only counts goes through it: the serving loop's arrivals and, via
     {!Protocol.built}'s [count], the sweep metrics.
     @raise Invalid_argument if [source] is out of range. *)
+
+val run_si_count :
+  ?arena:Arena.t -> Manet_graph.Graph.t -> source:int -> member:Bytes.t option -> counts
+(** The counts of a source-independent broadcast with no loss and no
+    failed node, from one traversal instead of the reception loop:
+    [member] is the forwarding set as a byte indicator (node [v]
+    forwards iff [v < Bytes.length b] and byte [v] is non-zero), and
+    [None] makes every node forward (flooding).  The source always
+    transmits.
+
+    Equal to {!run_count}'s counts with the decide that answers
+    [Some ()] exactly at members: without [drop] or [down], that decide
+    makes a member transmit at its first reception, whatever the copy,
+    so a node's first delivery is one unit after the earliest
+    transmission among its neighbours.  A FIFO of transmitters, kept in
+    the arena's timeline buffers, visits them in non-decreasing time;
+    first deliveries are marked on the arena's generation-tagged map.
+    The forwards are the FIFO's length, the delivered count the marked
+    nodes and the completion time that of the last first delivery.
+    There is no level sort, no packed key and no call per reception.
+    Same arena contract as {!run_core}: results do not depend on the
+    arena's state, and a busy arena is replaced by a fresh one.
+    @raise Invalid_argument if [source] is out of range. *)

@@ -125,16 +125,32 @@ let si_decide members ~node ~from:_ ~payload:() =
   if Nodeset.mem node members then Some () else None
 
 (* [si_decide] over a flat membership indicator, one byte per node up to
-   the largest member: built once per prepared protocol, at its first
-   broadcast (a consumer that only reads [members] never pays for it),
-   it turns each reception's AVL descent into one byte read. *)
-let indicator_decide members =
+   the largest member, paired with the indicator itself as
+   {!Engine.run_si_count}'s [member]: built once per prepared protocol,
+   at its first broadcast (a consumer that only reads [members] never
+   pays for it), it turns each reception's AVL descent into one byte
+   read. *)
+let indicator members =
   let ind =
     Bytes.make (if Nodeset.is_empty members then 0 else Nodeset.max_elt members + 1) '\000'
   in
   Nodeset.iter (fun v -> Bytes.unsafe_set ind v '\001') members;
-  fun ~node ~from:_ ~payload:() ->
-    if node < Bytes.length ind && Bytes.unsafe_get ind node <> '\000' then Some () else None
+  ( Some ind,
+    fun ~node ~from:_ ~payload:() ->
+      if node < Bytes.length ind && Bytes.unsafe_get ind node <> '\000' then Some () else None )
+
+let loss_free env mode = Option.is_none (drop_of env mode) && Option.is_none env.down
+
+(* The counts of an SI broadcast over [member] ([None]: every node)
+   whose loop answers with [decide]: one traversal when no reception
+   can drop and no node can fail, where a member forwards its first
+   copy whatever it is; else the reception loop, whose draws and
+   failure queries keep their order. *)
+let si_count env ~member ~decide ~source ~mode =
+  match (drop_of env mode, env.down) with
+  | None, None -> Engine.run_si_count ~arena:env.arena env.graph ~source ~member
+  | drop, down ->
+    Engine.run_count ?drop ?down ~arena:env.arena env.graph ~source ~initial:() ~decide
 
 let of_pipeline env ~members pipeline =
   {
@@ -158,8 +174,18 @@ let si ~name ~description ~build =
     prepare =
       (fun env ->
         let members = build env in
-        let pipeline = lazy ((), indicator_decide members) in
-        of_pipeline env ~members:(Some members) (fun ~source:_ -> Lazy.force pipeline));
+        let ind = lazy (indicator members) in
+        {
+          members = Some members;
+          run =
+            (fun ~source ~mode ->
+              let _, decide = Lazy.force ind in
+              run_decide env ~source ~mode ~initial:() ~decide);
+          count =
+            (fun ~source ~mode ->
+              let member, decide = Lazy.force ind in
+              si_count env ~member ~decide ~source ~mode);
+        });
   }
 
 let with_build ~name ~description ~family prepare =
@@ -211,12 +237,20 @@ let native ~name ~description ~family ~run ~count =
     prepare = (fun env -> frozen_lossy env ~run:(run env) ~count:(count env));
   }
 
-(* Built once: a pair returned fresh by each broadcast's pipeline call
-   would be allocated per broadcast. *)
-let flood = ((), fun ~node:_ ~from:_ ~payload:() -> Some ())
+let flood ~node:_ ~from:_ ~payload:() = Some ()
 
 let flooding =
-  per_broadcast ~name:"flooding"
-    ~description:"blind flooding: every node forwards its first copy (Ni et al.'s broadcast storm)"
-    ~family:Source_independent
-    (fun _ ~source:_ -> flood)
+  {
+    name = "flooding";
+    description = "blind flooding: every node forwards its first copy (Ni et al.'s broadcast storm)";
+    family = Source_independent;
+    has_build = false;
+    prepare =
+      (fun env ->
+        {
+          members = None;
+          run = (fun ~source ~mode -> run_decide env ~source ~mode ~initial:() ~decide:flood);
+          count =
+            (fun ~source ~mode -> si_count env ~member:None ~decide:flood ~source ~mode);
+        });
+  }

@@ -142,7 +142,10 @@ type built = {
           {!Result.forward_count}, {!Result.delivered_count} and
           [completion_time] of [run]'s result, and nothing O(n) is built
           (the frozen replay under loss or failures still materializes
-          its clean native run).  The sweep metrics' entry point *)
+          its clean native run).  {!si} schemes and {!flooding} count a
+          {!loss_free} broadcast with {!Engine.run_si_count}'s
+          traversal, which draws nothing, as the loop would not.  The
+          sweep metrics' entry point *)
 }
 
 type t = {
@@ -165,7 +168,13 @@ val si :
   t
 (** A source-independent CDS scheme: [build] constructs the forwarding
     set once; each broadcast is the SI-CDS rule (members forward their
-    first copy) through the uniform decide pipeline. *)
+    first copy).  [run] goes through the uniform decide pipeline.
+    [count] takes {!Engine.run_si_count}'s traversal over the members'
+    byte indicator when {!loss_free} holds, and {!run_decide_count}
+    otherwise: with no drop and no failure, a member forwards at its
+    first reception whatever the copy, so the traversal's counts are
+    the reception loop's, while a loss draw or a failure query is tied
+    to each reception and needs the loop's order. *)
 
 val with_build : name:string -> description:string -> family:family -> (env -> built) -> t
 (** A protocol with a proactive build phase that is not a plain SI-CDS
@@ -236,6 +245,13 @@ val run_decide_count :
     (the serving loop, and every decide protocol's [count]).
     @raise Invalid_argument as {!run_decide}. *)
 
+val loss_free : env -> mode -> bool
+(** No reception of a broadcast in [mode] on [env] can drop and no node
+    can fail: [mode] is [Perfect] or [Lossy 0.] (which draws nothing)
+    and [env.down] is [None].  Exactly when a source-independent
+    broadcast's counts may come from {!Engine.run_si_count}.
+    @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]. *)
+
 val frozen_lossy :
   env ->
   run:(source:int -> Result.t * (int * int) list) ->
@@ -258,4 +274,6 @@ val frozen_lossy :
 val flooding : t
 (** Blind flooding — every node forwards its first copy.  Defined here
     (rather than in [Manet_baselines]) because it needs nothing beyond
-    the engine; [Manet_baselines.Flooding] re-exports it. *)
+    the engine; [Manet_baselines.Flooding] re-exports it.  Its [count]
+    is {!si}'s with every node a member: {!Engine.run_si_count} with
+    [~member:None] when {!loss_free} holds. *)

@@ -463,6 +463,57 @@ let check_instance_reuse ctx (p : Protocol.t) =
     scan sources
   end
 
+(* Count-first transparency: the sweep metrics read [built.count], the
+   CLI and the other oracles [built.run].  Two preparations from equal
+   generator states, one counted and one run, must give equal counts
+   and leave their generators in equal states under the perfect engine,
+   loss 0 (which draws nothing), loss 0.3 and a node-failure schedule:
+   between them the paths a count can take — the SI traversal, the
+   reception loop, the native loops and their frozen replay. *)
+let check_count_agrees ctx (p : Protocol.t) =
+  let module Engine = Manet_broadcast.Engine in
+  let g = ctx.case.Case.graph and source = ctx.case.Case.source in
+  let n = Graph.n g in
+  let make_env () =
+    Protocol.make_env ~clustering:ctx.clustering
+      ~rng:(Case.case_rng ctx.case ~salt:("count:" ^ p.Protocol.name))
+      g
+  in
+  let er = make_env () and ec = make_env () in
+  let br = p.Protocol.prepare er and bc = p.Protocol.prepare ec in
+  let victim =
+    (source + 1 + Rng.int (Case.case_rng ctx.case ~salt:"count-victim") (n - 1)) mod n
+  in
+  let settings =
+    [
+      ("perfect", Protocol.Perfect, None);
+      ("loss 0", Protocol.Lossy 0., None);
+      ("loss 0.3", Protocol.Lossy 0.3, None);
+      ("node down", Protocol.Perfect, Some (fun ~time ~node -> node = victim && time >= 2));
+    ]
+  in
+  let rec scan = function
+    | [] -> Pass
+    | (label, mode, down) :: rest ->
+      er.Protocol.down <- down;
+      ec.Protocol.down <- down;
+      let r, _ = br.Protocol.run ~source ~mode in
+      let { Engine.forwards; delivered; completion_time } = bc.Protocol.count ~source ~mode in
+      if
+        forwards <> Result.forward_count r
+        || delivered <> Result.delivered_count r
+        || completion_time <> r.Result.completion_time
+      then
+        failf "%s (%s): count gives %d forwards, %d delivered, completion %d; run gives %d, %d, %d"
+          p.Protocol.name label forwards delivered completion_time (Result.forward_count r)
+          (Result.delivered_count r) r.Result.completion_time
+      else if Rng.bits53 er.Protocol.rng <> Rng.bits53 ec.Protocol.rng then
+        failf "%s (%s): count and run leave the generator in different states" p.Protocol.name
+          label
+      else scan rest
+  in
+  scan settings
+
 (* ------------------------------------------------------------------ *)
 (* Fault-tolerance oracles (the kmcds family's contracts)             *)
 (* ------------------------------------------------------------------ *)
@@ -662,6 +713,13 @@ let all =
         "broadcasts run back-to-back on one reused prepared instance are bit-identical to \
          fresh-arena runs per source (stale-state detection)";
       check = Per_protocol check_instance_reuse;
+    };
+    {
+      name = "count-agrees-with-run";
+      description =
+        "a prepared protocol's count equals the counts of its run and draws the same, under \
+         perfect, loss 0, loss 0.3 and a node-failure schedule";
+      check = Per_protocol check_count_agrees;
     };
     {
       name = "k-connectivity";

@@ -8,7 +8,8 @@
       domain counts) and run once per case;
     - {e per-protocol} oracles run once per (case, protocol) pair
       (domination, backbone connectivity, delivery, determinism, loss
-      sanity, arena and instance reuse, k-connectivity, m-domination,
+      sanity, arena and instance reuse, count agreement, k-connectivity,
+      m-domination,
       failure delivery) over whatever protocol list the runner was given —
       normally the whole registry.
 
@@ -80,6 +81,9 @@ val all : t list
       engines;
     - [instance-reuse]: broadcasts run back to back on one reused
       prepared instance are bit-identical to fresh-arena runs per source;
+    - [count-agrees-with-run]: [count] equals the counts of [run] and
+      leaves the generator in the same state, under [Perfect], [Lossy
+      0.], [Lossy 0.3] and a node-failure schedule;
     - [k-connectivity]: a kmcds backbone (k = 2) stays connected after
       the removal of any single member that is not a cut vertex of the
       graph;

@@ -9,8 +9,8 @@ module Coverage = Manet_coverage.Coverage
    update overwrites the refreshed heads' slots in place, clears the
    deposed heads' slots and leaves every other slot (physically)
    untouched.  The per-update working storage — the affected list and
-   the two BFS states of the old and new 3-hop balls — is reused across
-   updates; [head_of] is a fresh snapshot per update. *)
+   the one BFS state of the old, then the new 3-hop ball — is reused
+   across updates; [head_of] is a fresh snapshot per update. *)
 type t = {
   mode : Coverage.mode;
   maint : Maintenance.t;
@@ -19,8 +19,7 @@ type t = {
   coverages : Coverage.t option array;  (** [Some] exactly at the current heads *)
   selections : int array array;  (** sorted gateways per current head, [[||]] elsewhere *)
   affected : int array;
-  ball_old : Bfs.t;  (** within 3 hops of a change, on the old topology *)
-  ball_new : Bfs.t;  (** the same on the new topology *)
+  ball : Bfs.t;  (** within 3 hops of a change, on the old topology, then the new *)
   mark : int array;  (** [mark.(v) = stamp]: [v] already seen by the current scan *)
   mutable stamp : int;
 }
@@ -66,8 +65,7 @@ let create g mode =
       coverages = Array.make n None;
       selections = Array.make n [||];
       affected = Array.make n 0;
-      ball_old = Bfs.create ();
-      ball_new = Bfs.create ();
+      ball = Bfs.create ();
       mark = Array.make n 0;
       stamp = 0;
     }
@@ -77,12 +75,12 @@ let create g mode =
   t
 
 (* The nodes within 3 hops of the first [seeds] affected nodes. *)
-let ball t bfs g ~seeds =
-  Bfs.reset bfs ~n:(Graph.n g);
+let ball t g ~seeds =
+  Bfs.reset t.ball ~n:(Graph.n g);
   for i = 0 to seeds - 1 do
-    Bfs.seed bfs t.affected.(i)
+    Bfs.seed t.ball t.affected.(i)
   done;
-  Bfs.expand bfs g ~limit:3
+  Bfs.expand t.ball g ~limit:3
 
 let update t g =
   let n = Graph.n g in
@@ -125,8 +123,17 @@ let update t g =
         total_messages = cluster_events.messages;
       }
     else begin
-      ball t t.ball_old old_graph ~seeds;
-      ball t t.ball_new g ~seeds;
+      (* The old ball is read only at heads: it is flagged in [mark]
+         under a stamp of its own before the state is reused for the new
+         ball.  A refresh stamps only gateways, never a head, so the
+         flags survive the refreshes below. *)
+      ball t old_graph ~seeds;
+      t.stamp <- t.stamp + 1;
+      let in_old_ball = t.stamp in
+      for i = 0 to Bfs.reached t.ball - 1 do
+        t.mark.(Bfs.nth t.ball i) <- in_old_ball
+      done;
+      ball t g ~seeds;
       (* Deposed heads drop out (a role change makes them affected). *)
       for i = 0 to seeds - 1 do
         let v = t.affected.(i) in
@@ -144,7 +151,7 @@ let update t g =
       let gateway_messages = ref 0 in
       List.iter
         (fun h ->
-          if Bfs.seen t.ball_old h || Bfs.seen t.ball_new h || Option.is_none t.coverages.(h)
+          if t.mark.(h) = in_old_ball || Bfs.seen t.ball h || Option.is_none t.coverages.(h)
           then begin
             incr refreshed;
             gateway_messages := !gateway_messages + refresh_head t g (Lazy.force cache) h
@@ -154,7 +161,7 @@ let update t g =
          their CH_HOP1 and CH_HOP2. *)
       let ch_hop = ref 0 in
       for v = 0 to n - 1 do
-        if (not (Clustering.is_head cl v)) && Bfs.dist t.ball_new v <= 2 then ch_hop := !ch_hop + 2
+        if (not (Clustering.is_head cl v)) && Bfs.dist t.ball v <= 2 then ch_hop := !ch_hop + 2
       done;
       {
         cluster_events;

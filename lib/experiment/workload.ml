@@ -226,6 +226,10 @@ let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
   let decide ~node ~from:_ ~payload:() =
     if Bytes.unsafe_get member node <> '\000' then Some () else None
   in
+  (* With no loss and no failure an arrival's counts come from one
+     traversal of the backbone, which draws nothing; otherwise the
+     reception loop draws from a fresh split per arrival. *)
+  let loss_free = Protocol.loss_free env mode and backbone = Some member in
   let finished = ref false in
   while not !finished do
     match Timeline.pop tl with
@@ -297,12 +301,19 @@ let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
         else begin
           let source = Roster.nth_active roster (Rng.int source_rng pool) in
           read_topology ();
-          (* One split per arrival: a broadcast that draws more (loss
-             mode) never perturbs the next broadcast's stream. *)
-          Protocol.retarget ~rng:(Rng.split traffic_rng) env;
           (* A parked node is isolated, so every delivered node is an
              active one. *)
-          let c = Protocol.run_decide_count env ~source ~mode ~initial:() ~decide in
+          let c =
+            if loss_free then
+              Engine.run_si_count ~arena:env.Protocol.arena env.Protocol.graph ~source
+                ~member:backbone
+            else begin
+              (* One split per arrival: a broadcast that draws more
+                 never perturbs the next broadcast's stream. *)
+              Protocol.retarget ~rng:(Rng.split traffic_rng) env;
+              Protocol.run_decide_count env ~source ~mode ~initial:() ~decide
+            end
+          in
           if counted then begin
             incr broadcasts;
             delivery_sum :=

@@ -20,8 +20,10 @@
     Determinism: the run is a pure function of its seed generator and
     inputs.  Each event stream draws from its own split, so adding
     traffic never perturbs churn (and vice versa), and every arrival
-    broadcasts under a fresh per-arrival split — the property the
-    resumable sweep journals rely on. *)
+    of a lossy mode broadcasts under a fresh per-arrival split — the
+    property the resumable sweep journals rely on.  A loss-free arrival
+    draws nothing: its counts come from one traversal of the backbone
+    ({!Manet_broadcast.Engine.run_si_count}). *)
 
 (** The stream's shape.  Rates are events per unit of simulated time. *)
 type spec = private {
@@ -149,15 +151,19 @@ val run :
     backbone — stale between maintenance events by design.  Left nodes are parked
     outside the field (isolated in every snapshot) and rejoin at their
     walker position, so the node count is invariant; delivery counts
-    active nodes only.
+    active nodes only.  Whether [mode] is loss-free
+    ({!Manet_broadcast.Protocol.loss_free}) is decided once per run: a
+    loss-free arrival is counted by {!Manet_broadcast.Engine.run_si_count}
+    over the member bytes, any other by the reception loop.
 
     [skip_maintenance k] is the seeded fault: the [k]-th maintenance
     event fires but applies no update — the mutant the
     timeline-vs-rebuild oracle must catch.  [on_maintenance] is called
     at every maintenance event (faulted or not), after any update.
     @raise Invalid_argument on fewer than 2 points, a non-positive
-    [radius], or a [motion] whose [dt] is not positive or too small to
-    advance the clock ([duration +. dt = duration]). *)
+    [radius], a [motion] whose [dt] is not positive or too small to
+    advance the clock ([duration +. dt = duration]), or a [Lossy] loss
+    outside [\[0, 1\]]. *)
 
 (** {1 Workload series (the scenario layer's metric kinds)}
 

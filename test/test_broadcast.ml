@@ -536,6 +536,45 @@ let prop_count_equals_core =
             conditions)
         (decide_kinds g seed))
 
+(* The SI traversal.  [Engine.run_si_count] must give [run_core]'s
+   counts with the member decide and with the flood decide, on graphs of
+   n > 256 (multi-pass level sorts) with isolated nodes appended, as the
+   serving loop parks the nodes that left, an indicator that may stop
+   short of n, and a source that may be a non-member or isolated.
+   [Protocol.si] and [Protocol.flooding] take the traversal for their
+   [count] under [Perfect] and [Lossy 0.]; both must agree too. *)
+let prop_si_traversal =
+  qtest "SI traversal = run_core's counts" ~count:30
+    (arb_udg ~n_min:260 ~n_max:400 ~ds:[ 6.; 10.; 18. ] ())
+    (fun ((seed, _, _) as c) ->
+      let module Rng = Manet_rng.Rng in
+      let base = (sample_of c).graph and rng = Rng.create ~seed in
+      let n = Graph.n base + Rng.int rng 5 in
+      let g = Graph.of_edges ~n (Graph.edges base) in
+      let source = Rng.int rng n in
+      let ind =
+        Bytes.init (Rng.int rng (n + 1)) (fun _ -> if Rng.bool rng then '\001' else '\000')
+      in
+      let is_member v = v < Bytes.length ind && Bytes.get ind v <> '\000' in
+      let members = Nodeset.of_list (List.filter is_member (List.init n Fun.id)) in
+      let by_members ~node ~from:_ ~payload:() = if is_member node then Some () else None in
+      let agree (c : Engine.counts) decide =
+        let r, _ = Engine.run_core g ~source ~initial:() ~decide in
+        c.forwards = Result.forward_count r
+        && c.delivered = Result.delivered_count r
+        && c.completion_time = r.Result.completion_time
+      in
+      let counted (p : Protocol.t) mode =
+        (p.prepare (Protocol.make_env g)).count ~source ~mode
+      in
+      let si = Protocol.si ~name:"members" ~description:"" ~build:(fun _ -> members) in
+      agree (Engine.run_si_count g ~source ~member:(Some ind)) by_members
+      && agree (Engine.run_si_count g ~source ~member:None) flood
+      && List.for_all
+           (fun mode ->
+             agree (counted si mode) by_members && agree (counted Protocol.flooding mode) flood)
+           [ Protocol.Perfect; Protocol.Lossy 0. ])
+
 (* Every [decide] call as (time, node, from): the copy from [from]
    arrives one unit after [from] transmitted. *)
 let logged_run ?drop ?down g ~source ~decide =
@@ -718,7 +757,7 @@ let () =
           Alcotest.test_case "scratch: push window" `Quick test_scratch_window;
           Alcotest.test_case "scratch: equal keys" `Quick test_scratch_equal_keys;
         ] );
-      ("epilogue", [ prop_count_equals_core; prop_filter_is_invisible ]);
+      ("epilogue", [ prop_count_equals_core; prop_filter_is_invisible; prop_si_traversal ]);
       ( "lossy",
         [
           Alcotest.test_case "zero loss = reliable engine" `Quick test_lossy_zero_loss_equals_engine;
