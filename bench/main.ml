@@ -248,6 +248,9 @@ let measure ~per interval = measure_with ~per Fun.id interval
    5,770 and 11,450, about 13% above 5,104 and 10,127 words, once
    coverage sets were flat arrays and a relaying head's selection
    took its pruning rows as arguments (no predicate, no callback).
+   The perfect row went to 5,720, about 13% above 5,065 words, once the
+   loop calendared only the receptions that decide something, with no
+   closure per broadcast and no [Some] around the arena.
 
    The flooding and dynamic-2.5hop "count" rows run the same perfect
    broadcast through the prepared protocol's [count] instead of [run]:
@@ -257,17 +260,21 @@ let measure ~per interval = measure_with ~per Fun.id interval
    what the count-only epilogue and the allocation-free gateway
    kernel save.  They read 21 and 2,450 words, and the dynamic row
    53 once a relaying head allocated no pruning predicate, no [Some]
-   and no selection callback; each ceiling sits about 13% above, so
-   an O(n) epilogue, one word per node, or a closure per relaying
-   head crosses it.  The flooding row read 18 words until a loss-free
-   SI count became one traversal ([Engine.run_si_count]), and 6 after:
-   the counts record and the [Some] of the arena argument; its
-   ceiling went 24 -> 7.  The static-2.5hop "count" row pins that
-   traversal on a real backbone.  Its seed pair is the row's reading
-   on the reception loop (83.9 us, 18 words), so [speedup] is what
-   skipping the level sort, the packed keys and the decide call per
-   reception saves; it reads 6 words, and its ceiling of 7 is crossed
-   by any allocation per broadcast beyond those two blocks.
+   and no selection callback, and 22 once the loop's [transmit] and
+   [head_transmit] were top-level functions instead of closures built
+   per broadcast and the arena argument lost its [Some]; its ceiling
+   went 60 -> 25, about 13% above, so a closure per broadcast (four
+   words or more) or an O(n) epilogue crosses it.  The flooding row
+   read 18 words until a loss-free SI count became one traversal
+   ([Engine.run_si_count]), 6 after (the counts record and the [Some]
+   of the arena argument), and 4 once the engine took its arena as a
+   required argument: the counts record alone; its ceiling went
+   24 -> 7 -> 5.  The static-2.5hop "count" row pins that traversal on
+   a real backbone.  Its seed pair is the row's reading on the
+   reception loop (83.9 us, 18 words), so [speedup] is what skipping
+   the level sort, the packed keys and the decide call per reception
+   saves; it reads 4 words, and its ceiling of 5 is crossed by any
+   allocation per broadcast beyond the counts record.
 
    The dp "count" row pins the neighbor-designation schemes' 2-hop
    cover kernel.  Its seed pair is the same row before the kernel, when
@@ -381,7 +388,7 @@ let alloc_select ~reps (sample : Manet_topology.Generator.sample) =
       | None -> ()
       | Some cov ->
         let k =
-          Manet_backbone.Gateway_selection.select_pruned cov ~upstream:(-1) ~covered:[||]
+          Manet_backbone.Gateway_selection.select_pruned cov ~upstream:(-1) ~upstream_cov:None
             ~heard:[||]
         in
         sink := !sink + k
@@ -490,9 +497,10 @@ let alloc_maint (sample : Manet_topology.Generator.sample) spec =
    only to discard it.  The ceiling was half the seed (770) while an
    arrival read 96 words on the reception loop; a loss-free arrival is
    now one traversal ([Engine.run_si_count]) with no generator split,
-   which reads 76, and the ceiling sits about 13% above that, so a
+   which read 76, and the ceiling sits about 13% above that, so a
    returning split, an O(n) epilogue or a closure per arrival crosses
-   it. *)
+   it.  It reads 74 since the engine takes its arena as a required
+   argument (no [Some] per broadcast). *)
 let arrival_duration = 20.
 
 let alloc_arrival () =
@@ -535,9 +543,11 @@ let alloc_arrival () =
    2.5-hop table's CH_HOP1 rows, 6,657 once coverage sets were flat
    arrays and the static members came from one indicator, and 6,216
    once the gateway kernel's scratch held per-slot ranges instead of
-   chain-linked entry pools.  The ceiling sits about 13% above that, so
-   a series that builds its own tables or materializes its result
-   again crosses it. *)
+   chain-linked entry pools, and 5,979 once a dynamic count pruned by
+   the upstream's coverage set in place (no merged C(u) row memoised
+   per environment) and built no closure per broadcast.  The ceiling
+   went 7,030 -> 6,760, about 13% above that, so a series that builds
+   its own tables or materializes its result again crosses it. *)
 let sweep_samples = 8
 
 let alloc_sweep () =
@@ -595,12 +605,12 @@ let alloc () =
   let rows =
     [
       bcast "flooding" "perfect" Perfect ~ceiling:16_000. ~seed:(4548.7, 181_307.);
-      bcast "flooding" "count" Perfect ~ceiling:7. ~seed:(302.3, 11_032.);
+      bcast "flooding" "count" Perfect ~ceiling:5. ~seed:(302.3, 11_032.);
       bcast "static-2.5hop" "perfect" Perfect ~ceiling:9_000. ~seed:(2559.7, 94_252.);
-      bcast "static-2.5hop" "count" Perfect ~ceiling:7. ~seed:(83.9, 18.);
-      bcast "dynamic-2.5hop" "perfect" Perfect ~ceiling:5_770. ~seed:(4007.8, 440_236.);
+      bcast "static-2.5hop" "count" Perfect ~ceiling:5. ~seed:(83.9, 18.);
+      bcast "dynamic-2.5hop" "perfect" Perfect ~ceiling:5_720. ~seed:(4007.8, 440_236.);
       bcast "dynamic-2.5hop" "lossy-0.1" (Lossy 0.1) ~ceiling:11_450. ~seed:(5010.1, 451_774.);
-      bcast "dynamic-2.5hop" "count" Perfect ~ceiling:60. ~seed:(694.4, 35_223.);
+      bcast "dynamic-2.5hop" "count" Perfect ~ceiling:25. ~seed:(694.4, 35_223.);
       bcast "self-pruning" "perfect" Perfect ~ceiling:6_400. ~seed:(12632.8, 2_344_293.);
       bcast "dp" "count" Perfect ~ceiling:5_300. ~seed:(17165.1, 8_281_427.);
       row ~section:("per_build", "unit-disk-build") ~ceiling:1_000. ~seed_us:4772.
@@ -638,7 +648,7 @@ let alloc () =
               ("arrivals", float_of_int arrivals);
             ]
             (us, words));
-      row ~section:("per_sweep_sample", "sweep-sample-fig8") ~ceiling:7_030. ~seed_us:371.2
+      row ~section:("per_sweep_sample", "sweep-sample-fig8") ~ceiling:6_760. ~seed_us:371.2
         ~seed_words:28_150. "sweep sample" "n=60 d=18" "sample" (fun () ->
           sized ~n:60 ~d:18
             [ ("samples", float_of_int (intervals * sweep_samples)) ]

@@ -30,8 +30,9 @@ module Nodeset = Manet_graph.Nodeset
    [v] transmitted, kept in the per-sender slot [payload.(v)].  The
    engine is polymorphic in the payload, but within one run all slots
    hold the same type, and the slots of the run's transmitters are
-   scrubbed back to an immediate on release so the arena never pins a
-   finished run's payloads. *)
+   scrubbed back to an immediate when the run ends so the arena never
+   pins a finished run's payloads.  The loops that store none
+   ({!Scratch}'s and {!run_si_count}'s) skip the scrub. *)
 module Arena = struct
   type t = {
     mutable cap : int;
@@ -102,25 +103,20 @@ end
 
 let nil = Obj.repr 0
 
-(* Takes [arena] (default: the calling domain's), or a private fresh one
-   when it is already mid-run — a broadcast nested inside [decide]. *)
+(* Takes [arena], or a private fresh one when it is already mid-run — a
+   broadcast nested inside [decide]. *)
 let acquire arena =
-  let a =
-    match arena with
-    | Some a when not a.Arena.busy -> a
-    | Some _ -> Arena.create ()
-    | None ->
-      let a = Arena.get () in
-      if a.Arena.busy then Arena.create () else a
-  in
+  let a = if arena.Arena.busy then Arena.create () else arena in
   a.busy <- true;
   a
 
-let release (a : Arena.t) =
+let release (a : Arena.t) = a.busy <- false
+
+(* Only [broadcast] stores payloads, so only its runs are scrubbed. *)
+let scrub (a : Arena.t) =
   for k = 0 to a.trace_len - 1 do
     Array.unsafe_set a.payload (Array.unsafe_get a.trace_node k) nil
-  done;
-  a.busy <- false
+  done
 
 (* Starts one broadcast on an acquired arena; returns its generation. *)
 let start (a : Arena.t) ~n =
@@ -288,7 +284,7 @@ let counts_of (a : Arena.t) ~completion =
 module Scratch = struct
   type t = { a : Arena.t; tick : int; shift : int; pbits : int; n : int }
 
-  let with_scratch ?arena ~n ~payload_bound f =
+  let with_scratch ~arena ~n ~payload_bound f =
     if payload_bound < 1 then
       invalid_arg "Engine.Scratch.with_scratch: payload_bound must be positive";
     let shift = bits_for 1 n and pbits = bits_for 0 payload_bound in
@@ -453,7 +449,7 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
 (* Runs [broadcast] on an acquired arena and reads the result with
    [epilogue] before the arena is released: [run_core] and [run_count]
    share everything but the epilogue. *)
-let drive name ~epilogue ?drop ?down ?arena g ~source ~initial ~decide =
+let drive name ~epilogue ?drop ?down ~arena g ~source ~initial ~decide =
   if source < 0 || source >= Graph.n g then invalid_arg (name ^ ": source out of range");
   let a = acquire arena in
   match
@@ -461,9 +457,11 @@ let drive name ~epilogue ?drop ?down ?arena g ~source ~initial ~decide =
     epilogue a g ~source ~completion
   with
   | r ->
+    scrub a;
     release a;
     r
   | exception e ->
+    scrub a;
     release a;
     raise e
 
@@ -471,13 +469,13 @@ let drive name ~epilogue ?drop ?down ?arena g ~source ~initial ~decide =
    perfect engine ([drop] absent), and the lossy engine ([drop] draws
    from its generator once per reception, in processing order).  Either
    way the results are the same whichever arena runs it. *)
-let run_core ?drop ?down ?arena g ~source ~initial ~decide =
-  drive "Engine.run_core" ?drop ?down ?arena g ~source ~initial ~decide
+let run_core ?drop ?down ~arena g ~source ~initial ~decide =
+  drive "Engine.run_core" ?drop ?down ~arena g ~source ~initial ~decide
     ~epilogue:(fun a g ~source ~completion ->
       materialize a ~tick:a.Arena.gen ~n:(Graph.n g) ~source ~completion)
 
-let run_count ?drop ?down ?arena g ~source ~initial ~decide =
-  drive "Engine.run_count" ?drop ?down ?arena g ~source ~initial ~decide
+let run_count ?drop ?down ~arena g ~source ~initial ~decide =
+  drive "Engine.run_count" ?drop ?down ~arena g ~source ~initial ~decide
     ~epilogue:(fun a _ ~source:_ ~completion -> counts_of a ~completion)
 
 (* The SI rule with no drop and no failure: a member transmits at the
@@ -511,7 +509,7 @@ let si_traverse (a : Arena.t) g ~source ~member =
   a.reached <- !reached;
   counts_of a ~completion:!completion
 
-let run_si_count ?arena g ~source ~member =
+let run_si_count ~arena g ~source ~member =
   if source < 0 || source >= Graph.n g then invalid_arg "Engine.run_si_count: source out of range";
   let a = acquire arena in
   let c = si_traverse a g ~source ~member in

@@ -30,7 +30,7 @@ module Arena : sig
       payload slots and the transmission timeline.  Reusing an arena
       across broadcasts makes the engine's own steady-state allocation
       O(1) and never changes results — runs are bit-identical whether
-      the arena is fresh, reused, or absent.  What a run builds on top
+      the arena is fresh or reused.  What a run builds on top
       is its epilogue's: {!run_core} materializes the caller-owned
       {!Result.t} and timeline (O(n) per run), {!run_count} only a
       three-field {!counts} record.
@@ -52,9 +52,9 @@ module Arena : sig
       serves and are retained between runs. *)
 
   val get : unit -> t
-  (** The calling domain's own arena (domain-local storage) — the
-      default scratch for every engine run, so per-domain reuse needs no
-      explicit threading. *)
+  (** The calling domain's own arena (domain-local storage): what
+      {!Protocol.make_env} takes when given none, so per-domain reuse
+      needs no explicit threading. *)
 
   val reserve : t -> n:int -> unit
   (** Pre-size the node-indexed buffers (maps, payload slots, timeline)
@@ -83,16 +83,16 @@ type counts = {
     designation travelling up to two hops, or a backoff expiry); the
     levels beyond the next one wait in a small ring of future levels.
     Events are read in exactly {!run_core}'s order — (time, node, sender) lexicographic; events
-    carrying {e equal} keys (possible when a designation and a data copy
-    arrive together) are all read, in push order. *)
+    carrying {e equal} (time, node, sender) keys are all read, in push
+    order. *)
 module Scratch : sig
   type t
 
-  val with_scratch : ?arena:Arena.t -> n:int -> payload_bound:int -> (t -> 'a) -> 'a
+  val with_scratch : arena:Arena.t -> n:int -> payload_bound:int -> (t -> 'a) -> 'a
   (** Acquire scratch for one broadcast over an [n]-node graph whose
       event payloads lie in [\[0, payload_bound)]: the same busy-flag
-      acquisition and silent fresh-arena fallback as {!run_core}
-      (default: the calling domain's arena), one generation bump
+      acquisition and silent fresh-arena fallback as {!run_core}, one
+      generation bump
       resetting the node maps, calendar and trace.  The
       clock starts at time 0.  The scratch value must not escape the
       callback.
@@ -151,7 +151,7 @@ end
 val run_core :
   ?drop:(unit -> bool) ->
   ?down:(time:int -> node:int -> bool) ->
-  ?arena:Arena.t ->
+  arena:Arena.t ->
   Manet_graph.Graph.t ->
   source:int ->
   initial:'a ->
@@ -190,16 +190,17 @@ val run_core :
     indistinguishable from not broadcasting.
 
     [arena] supplies the run's scratch storage, reset by a generation
-    bump instead of reallocation; it defaults to the calling domain's
-    arena ({!Arena.get}), so repeated broadcasts on one domain already
-    reuse storage.  Results and timelines are bit-identical for any
+    bump instead of reallocation, so repeated broadcasts on one arena
+    reuse storage ({!Arena.get} is the calling domain's).  A required
+    argument: an optional one would allocate its [Some] on every
+    broadcast.  Results and timelines are bit-identical for any
     arena state — see {!Arena}.
     @raise Invalid_argument if [source] is out of range. *)
 
 val run_count :
   ?drop:(unit -> bool) ->
   ?down:(time:int -> node:int -> bool) ->
-  ?arena:Arena.t ->
+  arena:Arena.t ->
   Manet_graph.Graph.t ->
   source:int ->
   initial:'a ->
@@ -216,7 +217,7 @@ val run_count :
     @raise Invalid_argument if [source] is out of range. *)
 
 val run_si_count :
-  ?arena:Arena.t -> Manet_graph.Graph.t -> source:int -> member:Bytes.t option -> counts
+  arena:Arena.t -> Manet_graph.Graph.t -> source:int -> member:Bytes.t option -> counts
 (** The counts of a source-independent broadcast with no loss and no
     failed node, from one traversal instead of the reception loop:
     [member] is the forwarding set as a byte indicator (node [v]

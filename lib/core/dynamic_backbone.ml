@@ -8,109 +8,114 @@ type pruning = Sender_only | Coverage_piggyback | Coverage_and_relay
 (* Event-loop design.  A clusterhead transmits on its first reception.  A
    gateway selected by clusterhead h relays exactly once, at
    h's-transmission-time + its hop distance from h (1 for direct
-   neighbors, 2 for second hops of connector pairs): the [Designate]
-   event.  Driving relays by designation events rather than by matching
-   the forward list piggybacked in received copies resolves a race the
+   neighbors, 2 for second hops of connector pairs): a designation
+   event.  Driving relays by designations rather than by matching the
+   forward list piggybacked in received copies resolves a race the
    paper's accounting ignores: a gateway serving two clusterheads
-   transmits only once, and the second clusterhead's 2-hop/3-hop chains
-   must still complete (its targets already hold the packet data from the
-   gateway's earlier transmission of this same broadcast; only the
-   designation, a 2-hop control signal, still travels).  See DESIGN.md,
-   "Dynamic broadcast".
+   transmits only once, yet the second clusterhead's 2-hop/3-hop chains
+   must still complete (only the designation, a 2-hop control signal,
+   still travels).  See DESIGN.md, "Dynamic broadcast".
 
-   The loop runs on {!Manet_broadcast.Engine.Scratch}, so the whole
-   packet state rides in the event's int payload: bit 0 distinguishes a
-   designation from a data copy, the remaining bits carry the upstream
-   clusterhead id + 1 (0 encodes "no upstream", the non-clusterhead
-   source's transmission).  Everything the paper piggybacks alongside —
+   The run is loss-free and failure-free ({!Manet_broadcast.Protocol}
+   replays a frozen forward set for the other modes), so only the
+   receptions that decide something go on the calendar.  A transmission
+   at [time] delivers every neighbour at [time + 1] on the spot.  A
+   clusterhead relays on its earliest copy, from the smallest sender
+   among equally early ones; one time unit's transmitters transmit in
+   ascending id (a level is read in (node, sender) order), so that copy
+   is the one from the transmitter that delivers it first, and it is the
+   head's one event.  A designation never delivers first (the
+   designating head, or the pair's first hop, has delivered the gateway
+   by then), so events mark nothing.
+
+   The loop runs on {!Manet_broadcast.Engine.Scratch}: bit 0 of an
+   event's int payload tells a designation from a data copy, the other
+   bits carry the upstream clusterhead id + 1 (0: "no upstream", the
+   non-clusterhead source's transmission).  What the paper piggybacks —
    the upstream's coverage set, the relaying node's 1-hop clusterheads
-   for the N(r) exclusion — is recovered at the receiver from the shared
-   coverage cache's rows, keyed by the upstream id and the event's
-   sender.  A designation and a data copy from the same clusterhead
-   reach a direct-neighbor gateway under {e equal} event keys; Scratch
-   reads both, in push order, and the two handlers commute anyway
-   (gateways are never clusterheads, and both orders transmit once at
-   the same time). *)
+   for the N(r) exclusion — is read at the receiver from the shared
+   coverage cache, keyed by the upstream id and the event's sender.
+   [transmit] and [head_transmit] take their context as arguments:
+   closures would be allocated on every broadcast. *)
 
 let designate_bit = 1
 
 let encode ~upstream = (upstream + 1) lsl 1
 
-(* One broadcast over the shared CH_HOP [cache] of (g, cl, mode), read
-   through [epilogue] ([Scratch.finish] or [Scratch.count]). *)
-let run ~epilogue ~pruning ~cache ~arena g cl ~source =
-  let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Dynamic_backbone: source out of range";
-  let coverages = Coverage.Cache.coverages cache in
-  let coverage_of h =
+(* [v] transmits at [time]: every neighbour not yet delivered is
+   delivered at [time + 1], and a clusterhead among them gets the data
+   copy that makes it relay.  Transmissions come in non-decreasing time,
+   so the last first delivery is the latest. *)
+let transmit scr g cl completion time v ~upstream =
+  Scratch.mark_transmitted scr v;
+  Scratch.trace scr ~time ~node:v;
+  let payload = encode ~upstream in
+  let { Graph.off; nbr; _ } = g in
+  for i = off.(v) to off.(v + 1) - 1 do
+    let w = nbr.(i) in
+    if Scratch.mark_delivered scr w then begin
+      completion := time + 1;
+      if Clustering.is_head cl w then Scratch.push scr ~time:(time + 1) ~node:w ~sender:v ~payload
+    end
+  done
+
+(* One relaying clusterhead: prune targets by upstream history, select
+   gateways, designate them, transmit.  [upstream] is the packet's
+   upstream clusterhead (-1 for none), [relayer] the node whose
+   transmission delivered the packet (-1 only for the source-clusterhead
+   case, which prunes nothing).  The targets C(h) - C(u) - {u} - N(r) are
+   read by the kernel from the upstream's coverage set and the cache's
+   rows in place: nothing is materialised.  [ch_hop1] is empty for
+   clusterhead relayers, matching the paper's observation that
+   head-to-gateway hops exclude nothing. *)
+let head_transmit scr g cl completion ~pruning ~cache ~coverages time h ~upstream ~relayer =
+  let upstream_cov = if upstream >= 0 && pruning <> Sender_only then coverages.(upstream) else None in
+  let heard =
+    if relayer >= 0 && pruning = Coverage_and_relay then Coverage.Cache.ch_hop1 cache relayer
+    else [||]
+  in
+  let cov =
     match coverages.(h) with
     | Some c -> c
     | None -> invalid_arg "Dynamic_backbone: stale coverage array"
   in
-  let { Graph.off; nbr; _ } = g in
+  let k = Gateway_selection.select_pruned cov ~upstream ~upstream_cov ~heard in
+  let out = Gateway_selection.selection () in
+  (* A designation reaches a selected gateway together with the packet:
+     one hop for direct neighbors of h, two hops for the second nodes of
+     connector pairs. *)
+  let payload = encode ~upstream:h lor designate_bit in
+  for i = 0 to k - 1 do
+    let x = out.(i) in
+    Scratch.push scr ~time:(time + Gateway_selection.hops x) ~node:x ~sender:h ~payload
+  done;
+  transmit scr g cl completion time h ~upstream:h
+
+(* One loss-free broadcast over the shared CH_HOP [cache] of (g, cl,
+   mode), read through [epilogue] ([Scratch.finish] or [Scratch.count]). *)
+let run ~epilogue ~pruning ~cache ~arena g cl ~source =
+  let n = Graph.n g in
+  if source < 0 || source >= n then invalid_arg "Dynamic_backbone: source out of range";
+  let coverages = Coverage.Cache.coverages cache in
   Scratch.with_scratch ~arena ~n ~payload_bound:(encode ~upstream:(n - 1) + 2) (fun scr ->
       let completion = ref 0 in
-      let transmit time v ~upstream =
-        Scratch.mark_transmitted scr v;
-        Scratch.trace scr ~time ~node:v;
-        let payload = encode ~upstream in
-        for i = off.(v) to off.(v + 1) - 1 do
-          Scratch.push scr ~time:(time + 1) ~node:nbr.(i) ~sender:v ~payload
-        done
-      in
-      (* One relaying clusterhead: prune targets by upstream history,
-         select gateways, designate them, transmit.  [upstream] is the
-         packet's upstream clusterhead (-1 for none), [relayer] the node
-         whose transmission delivered the packet (-1 only for the
-         source-clusterhead case, which prunes nothing). *)
-      let head_transmit time h ~upstream ~relayer =
-        (* Targets C(h) - C(u) - {u} - N(r), read by the kernel from the
-           cache's sorted rows: nothing is materialised.  [ch_hop1] is
-           empty for clusterhead relayers, matching the paper's
-           observation that head-to-gateway hops exclude nothing. *)
-        let covered =
-          if upstream >= 0 && pruning <> Sender_only then
-            Coverage.Cache.covered_row cache upstream
-          else [||]
-        in
-        let heard =
-          if relayer >= 0 && pruning = Coverage_and_relay then Coverage.Cache.ch_hop1 cache relayer
-          else [||]
-        in
-        let k = Gateway_selection.select_pruned (coverage_of h) ~upstream ~covered ~heard in
-        let out = Gateway_selection.selection () in
-        (* Designation reaches a selected gateway together with the
-           packet: one hop for direct neighbors of h, two hops for the
-           second nodes of connector pairs. *)
-        let payload = encode ~upstream:h lor designate_bit in
-        for i = 0 to k - 1 do
-          let x = out.(i) in
-          let hops = if Graph.mem_edge g h x then 1 else 2 in
-          Scratch.push scr ~time:(time + hops) ~node:x ~sender:h ~payload
-        done;
-        transmit time h ~upstream:h
-      in
-      (* Source transmission. *)
-      if Clustering.is_head cl source then head_transmit 0 source ~upstream:(-1) ~relayer:(-1)
-      else transmit 0 source ~upstream:(-1);
       ignore (Scratch.mark_delivered scr source : bool);
-      (* Event loop. *)
+      if Clustering.is_head cl source then
+        head_transmit scr g cl completion ~pruning ~cache ~coverages 0 source ~upstream:(-1)
+          ~relayer:(-1)
+      else transmit scr g cl completion 0 source ~upstream:(-1);
       while Scratch.advance scr do
-        let time = Scratch.time scr in
         let receiver = Scratch.node scr in
-        let sender = Scratch.sender scr in
-        let payload = Scratch.payload scr in
-        if Scratch.mark_delivered scr receiver then completion := time;
-        let upstream = (payload lsr 1) - 1 in
-        if payload land designate_bit <> 0 then begin
-          (* The designated gateway holds the packet data (its
-             designating clusterhead is within 2 hops and every node on
-             the connector path has transmitted this broadcast or does
-             so now). *)
-          if not (Scratch.transmitted scr receiver) then transmit time receiver ~upstream
+        if not (Scratch.transmitted scr receiver) then begin
+          let time = Scratch.time scr and payload = Scratch.payload scr in
+          let upstream = (payload lsr 1) - 1 in
+          (* A designated gateway holds the packet data already; a data
+             copy goes only to a clusterhead. *)
+          if payload land designate_bit <> 0 then transmit scr g cl completion time receiver ~upstream
+          else
+            head_transmit scr g cl completion ~pruning ~cache ~coverages time receiver ~upstream
+              ~relayer:(Scratch.sender scr)
         end
-        else if Clustering.is_head cl receiver && not (Scratch.transmitted scr receiver) then
-          head_transmit time receiver ~upstream ~relayer:sender
       done;
       epilogue scr ~source ~completion:!completion)
 

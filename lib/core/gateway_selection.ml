@@ -180,22 +180,31 @@ let mem_row (row : int array) x =
   let i = Manet_graph.Row_sort.lower_bound row 0 n x in
   i < n && row.(i) = x
 
-let pruned ~upstream ~covered ~heard c =
-  c <> upstream && (not (mem_row covered c)) && not (mem_row heard c)
+(* Membership in C(u), read in place from the two sorted key arrays of
+   u's coverage set ([None]: the empty set). *)
+let mem_covered (up : Coverage.t option) c =
+  match up with None -> false | Some u -> mem_row u.c2_keys c || mem_row u.c3_keys c
+
+let pruned ~upstream ~upstream_cov ~heard c =
+  c <> upstream && (not (mem_covered upstream_cov c)) && not (mem_row heard c)
 
 (* Starts a selection over [cov]: a new generation of the node maps, and
-   a target flag per key — set unless the key is [upstream] or in one of
-   the sorted rows [covered] and [heard]. *)
-let mark scr (cov : Coverage.t) ~upstream ~covered ~heard =
+   a target flag per key — set unless the key is [upstream], in
+   [upstream_cov]'s coverage set or in the sorted row [heard]. *)
+let mark scr (cov : Coverage.t) ~upstream ~upstream_cov ~heard =
   scr.stamp <- scr.stamp + 1;
   scr.live2 <- grown_bool scr.live2 (Array.length cov.c2_keys);
   scr.live3 <- grown_bool scr.live3 (Array.length cov.c3_keys);
   for i = 0 to Array.length cov.c2_keys - 1 do
-    scr.live2.(i) <- pruned ~upstream ~covered ~heard cov.c2_keys.(i)
+    scr.live2.(i) <- pruned ~upstream ~upstream_cov ~heard cov.c2_keys.(i)
   done;
   for i = 0 to Array.length cov.c3_keys - 1 do
-    scr.live3.(i) <- pruned ~upstream ~covered ~heard cov.c3_keys.(i)
+    scr.live3.(i) <- pruned ~upstream ~upstream_cov ~heard cov.c3_keys.(i)
   done
+
+let restrict scr (cov : Coverage.t) targets =
+  Array.iteri (fun i c -> if not (Nodeset.mem c targets) then scr.live2.(i) <- false) cov.c2_keys;
+  Array.iteri (fun i c -> if not (Nodeset.mem c targets) then scr.live3.(i) <- false) cov.c3_keys
 
 (* One greedy selection over the targets marked in [scr.live2] /
    [scr.live3] (after [mark] and [fit]).  Selected nodes are written to
@@ -331,31 +340,35 @@ let run_select scr (cov : Coverage.t) =
   Manet_graph.Row_sort.sort_range scr.out 0 !n_out;
   !n_out
 
-let select_on scr cov ~upstream ~covered ~heard =
-  mark scr cov ~upstream ~covered ~heard;
+let select_on scr cov ~upstream ~upstream_cov ~heard =
+  mark scr cov ~upstream ~upstream_cov ~heard;
   fit scr cov;
   run_select scr cov
 
 let select ?targets (cov : Coverage.t) =
   let scr = Domain.DLS.get dls in
-  (* The targets' complement in C(owner), as a pruning row. *)
-  let covered =
-    match targets with
-    | None -> [||]
-    | Some t -> Array.of_list (Nodeset.elements (Nodeset.diff (Coverage.covered cov) t))
-  in
-  let k = select_on scr cov ~upstream:(-1) ~covered ~heard:[||] in
+  mark scr cov ~upstream:(-1) ~upstream_cov:None ~heard:[||];
+  Option.iter (restrict scr cov) targets;
+  fit scr cov;
+  let k = run_select scr cov in
   Nodeset.of_increasing scr.out ~len:k
 
 let select_array (cov : Coverage.t) =
   let scr = Domain.DLS.get dls in
-  let k = select_on scr cov ~upstream:(-1) ~covered:[||] ~heard:[||] in
+  let k = select_on scr cov ~upstream:(-1) ~upstream_cov:None ~heard:[||] in
   Array.sub scr.out 0 k
 
-let select_pruned cov ~upstream ~covered ~heard =
-  select_on (Domain.DLS.get dls) cov ~upstream ~covered ~heard
+let select_pruned cov ~upstream ~upstream_cov ~heard =
+  select_on (Domain.DLS.get dls) cov ~upstream ~upstream_cov ~heard
 
 let selection () = (Domain.DLS.get dls).out
+
+(* Every node a selection takes as a first hop is a candidate, collected
+   from the live targets' connectors (neighbours of the owner); a second
+   hop of a pair is not adjacent to the owner, so it is none. *)
+let hops x =
+  let scr = Domain.DLS.get dls in
+  if scr.cand_tag.(x) = scr.stamp then 1 else 2
 
 (* Batched selection over every clusterhead of a topology: the same
    kernel, head by head, on a scratch private to the call (its node
@@ -368,7 +381,7 @@ let select_all coverages ~n =
     match coverages.(h) with
     | None -> ()
     | Some cov ->
-      let k = select_on scr cov ~upstream:(-1) ~covered:[||] ~heard:[||] in
+      let k = select_on scr cov ~upstream:(-1) ~upstream_cov:None ~heard:[||] in
       for i = 0 to k - 1 do
         ind.(scr.out.(i)) <- true
       done

@@ -36,23 +36,35 @@ val select_array : Manet_coverage.Coverage.t -> int array
     beyond the result. *)
 
 val select_pruned :
-  Manet_coverage.Coverage.t -> upstream:int -> covered:int array -> heard:int array -> int
-(** [select_pruned cov ~upstream ~covered ~heard] selects for the targets
-    C(owner) - [covered] - \{[upstream]\} - [heard], with [covered] and
-    [heard] strictly increasing rows (the dynamic backbone's pruning
-    inputs: the upstream clusterhead's [Cache.covered_row] and the
-    relaying node's [Cache.ch_hop1]; [[||]] and [-1] prune nothing).
-    It returns the number [k] of gateways {!select} selects for those
-    targets, which are [(selection ()).(0 .. k - 1)], ascending — the
-    allocation-free variant for the dynamic-broadcast hot path: no
-    predicate, no callback, nothing allocated once the domain-local
-    scratch has grown. *)
+  Manet_coverage.Coverage.t ->
+  upstream:int ->
+  upstream_cov:Manet_coverage.Coverage.t option ->
+  heard:int array ->
+  int
+(** [select_pruned cov ~upstream ~upstream_cov ~heard] selects for the
+    targets C(owner) - C(u) - \{[upstream]\} - [heard], the dynamic
+    backbone's pruning: C(u) is the key set of [upstream_cov] (the
+    upstream clusterhead's coverage set), tested in place against its
+    two sorted key arrays, and [heard] is a strictly increasing row (the
+    relaying node's [Cache.ch_hop1]); [None], [-1] and [[||]] prune
+    nothing.  It returns the number [k] of gateways {!select} selects
+    for those targets, which are [(selection ()).(0 .. k - 1)],
+    ascending — the allocation-free variant for the dynamic-broadcast
+    hot path: no predicate, no callback, nothing allocated once the
+    domain-local scratch has grown. *)
 
 val selection : unit -> int array
 (** The domain-local output buffer of the selections: after [k =
     select_pruned ...] its first [k] entries are that selection, until
     the next selection on the same domain overwrites them.  Callers
     must not write to it. *)
+
+val hops : int -> int
+(** [hops x], for a node [x] of the last {!select_pruned} selection on
+    the calling domain, is its hop distance from the coverage set's
+    owner: 1 for a first hop (a direct connector, adjacent to the
+    owner), 2 for the second hop of a connector pair.  The kernel
+    knows which it took, so no adjacency test is needed. *)
 
 val select_all :
   Manet_coverage.Coverage.t option array -> n:int -> Manet_graph.Nodeset.t

@@ -371,7 +371,6 @@ module Cache = struct
     mutable scratch : scratch option;
     mutable memo : coverage option array;  (** per-head memo; [[||]] until first use *)
     mutable complete : bool;  (** every head of [memo] filled *)
-    mutable covered_rows : int array option array;  (** [[||]] until first use *)
   }
 
   let of_hop1 g cl mode hop1 =
@@ -384,7 +383,6 @@ module Cache = struct
       scratch = None;
       memo = [||];
       complete = false;
-      covered_rows = [||];
     }
 
   let create g cl mode =
@@ -448,19 +446,6 @@ module Cache = struct
       t.complete <- true
     end;
     m
-
-  (* C(v) as a flat sorted row — the dynamic broadcast's pruning input;
-     memoised per head ([[||]] for non-heads), and callers must not
-     mutate the returned array. *)
-  let covered_row t v =
-    if Array.length t.covered_rows = 0 then
-      t.covered_rows <- Array.make (Graph.n t.graph) None;
-    match t.covered_rows.(v) with
-    | Some r -> r
-    | None ->
-      let r = match (coverages t).(v) with None -> [||] | Some cov -> merged_keys cov in
-      t.covered_rows.(v) <- Some r;
-      r
 end
 
 let all g cl mode = Cache.coverages (Cache.create g cl mode)

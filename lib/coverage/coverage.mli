@@ -163,12 +163,6 @@ module Cache : sig
       memoised; the memo and the working scratch are allocated on first
       use.
       @raise Invalid_argument if [h] is not a clusterhead. *)
-
-  val covered_row : t -> int -> int array
-  (** C(v) = C2(v) union C3(v) as a flat strictly increasing row —
-      equal, element for element, to {!val-covered} of the head's
-      coverage set; [[||]] for non-clusterheads.  Memoised; the returned
-      array is the cached one — callers must not mutate it. *)
 end
 
 val all : Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> mode -> t option array

@@ -7,7 +7,7 @@ module Result = Manet_broadcast.Result
 open Test_helpers
 
 (* One engine run, result only. *)
-let run g ~source ~initial ~decide = fst (Engine.run_core g ~source ~initial ~decide)
+let run g ~source ~initial ~decide = fst (Engine.run_core ~arena:(Engine.Arena.get ()) g ~source ~initial ~decide)
 
 (* A decide-style broadcast under per-reception loss, through the
    uniform pipeline with the loss draws taken from [rng]. *)
@@ -109,7 +109,7 @@ let test_source_out_of_range () =
   Alcotest.check_raises "range" (Invalid_argument "Engine.run_count: source out of range")
     (fun () ->
       ignore
-        (Engine.run_count g ~source:(-1) ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() ->
+        (Engine.run_count ~arena:(Engine.Arena.get ()) g ~source:(-1) ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() ->
              None)))
 
 let test_single_node_graph () =
@@ -242,7 +242,7 @@ let test_lossy_deterministic () =
 
 let test_timeline_chain () =
   let g = Graph.path 4 in
-  let r, timeline = Engine.run_core g ~source:0 ~initial:() ~decide:flood in
+  let r, timeline = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source:0 ~initial:() ~decide:flood in
   Alcotest.(check bool) "all delivered" true (Result.all_delivered r);
   Alcotest.(check (list (pair int int))) "chain timeline" [ (0, 0); (1, 1); (2, 2); (3, 3) ]
     timeline
@@ -255,7 +255,7 @@ let test_timeline_matches_pipeline () =
   let r1, t1 =
     Protocol.run_decide (Protocol.make_env g) ~source:0 ~mode:Protocol.Perfect ~initial:() ~decide
   in
-  let r2, timeline = Engine.run_core g ~source:0 ~initial:() ~decide in
+  let r2, timeline = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source:0 ~initial:() ~decide in
   Alcotest.(check (list (pair int int))) "same timeline" t1 timeline;
   Alcotest.check nodeset "same forwarders" r1.forwarders r2.forwarders;
   Alcotest.(check int) "one timeline entry per forwarder" (Result.forward_count r1)
@@ -389,7 +389,7 @@ let test_arena_across_sizes () =
     (fun _ ->
       List.iter
         (fun (s : Manet_topology.Generator.sample) ->
-          let fresh = Engine.run_core s.graph ~source:0 ~initial:() ~decide:flood in
+          let fresh = Engine.run_core ~arena:(Engine.Arena.create ()) s.graph ~source:0 ~initial:() ~decide:flood in
           let reused = Engine.run_core ~arena s.graph ~source:0 ~initial:() ~decide:flood in
           Alcotest.check result_t "result matches fresh run" (fst fresh) (fst reused);
           Alcotest.(check (list (pair int int))) "timeline matches" (snd fresh) (snd reused))
@@ -410,7 +410,7 @@ let test_arena_reentrant () =
     Some ()
   in
   let with_nesting = Engine.run_core ~arena outer.graph ~source:0 ~initial:() ~decide in
-  let plain = Engine.run_core outer.graph ~source:0 ~initial:() ~decide:flood in
+  let plain = Engine.run_core ~arena:(Engine.Arena.create ()) outer.graph ~source:0 ~initial:() ~decide:flood in
   Alcotest.check result_t "outer run unaffected by nesting" (fst plain) (fst with_nesting);
   let reference = run inner ~source:0 ~initial:() ~decide:flood in
   List.iter (Alcotest.check result_t "nested run correct" reference) !nested_results;
@@ -442,7 +442,7 @@ let recorded_run ?drop_every g ~source =
     offers := (node, from, accept) :: !offers;
     if accept then Some () else None
   in
-  let _, timeline = Engine.run_core ~drop g ~source ~initial:() ~decide in
+  let _, timeline = Engine.run_core ~drop ~arena:(Engine.Arena.get ()) g ~source ~initial:() ~decide in
   (List.rev !offers, !drops, timeline)
 
 let transmit_times g timeline =
@@ -559,7 +559,7 @@ let prop_si_traversal =
       let members = Nodeset.of_list (List.filter is_member (List.init n Fun.id)) in
       let by_members ~node ~from:_ ~payload:() = if is_member node then Some () else None in
       let agree (c : Engine.counts) decide =
-        let r, _ = Engine.run_core g ~source ~initial:() ~decide in
+        let r, _ = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source ~initial:() ~decide in
         c.forwards = Result.forward_count r
         && c.delivered = Result.delivered_count r
         && c.completion_time = r.Result.completion_time
@@ -568,8 +568,8 @@ let prop_si_traversal =
         (p.prepare (Protocol.make_env g)).count ~source ~mode
       in
       let si = Protocol.si ~name:"members" ~description:"" ~build:(fun _ -> members) in
-      agree (Engine.run_si_count g ~source ~member:(Some ind)) by_members
-      && agree (Engine.run_si_count g ~source ~member:None) flood
+      agree (Engine.run_si_count ~arena:(Engine.Arena.get ()) g ~source ~member:(Some ind)) by_members
+      && agree (Engine.run_si_count ~arena:(Engine.Arena.get ()) g ~source ~member:None) flood
       && List.for_all
            (fun mode ->
              agree (counted si mode) by_members && agree (counted Protocol.flooding mode) flood)
@@ -583,7 +583,7 @@ let logged_run ?drop ?down g ~source ~decide =
     log := (node, from) :: !log;
     decide ~node ~from ~payload
   in
-  let r, timeline = Engine.run_core ?drop ?down g ~source ~initial:() ~decide in
+  let r, timeline = Engine.run_core ?drop ?down ~arena:(Engine.Arena.get ()) g ~source ~initial:() ~decide in
   let tx = transmit_times g timeline in
   (r, timeline, List.rev_map (fun (node, from) -> (tx.(from) + 1, node, from)) !log)
 
@@ -670,7 +670,7 @@ let test_scratch_small_levels () =
   done
 
 let test_scratch_window () =
-  Scratch.with_scratch ~n:10 ~payload_bound:4 (fun scr ->
+  Scratch.with_scratch ~arena:(Engine.Arena.get ()) ~n:10 ~payload_bound:4 (fun scr ->
       let bad time () = Scratch.push scr ~time ~node:1 ~sender:0 ~payload:0 in
       let rejects label times =
         List.iter
@@ -706,7 +706,7 @@ let test_scratch_window () =
    or four units ahead (the ring of future levels) and the second one
    unit ahead a level later. *)
 let test_scratch_equal_keys () =
-  Scratch.with_scratch ~n:8 ~payload_bound:4 (fun scr ->
+  Scratch.with_scratch ~arena:(Engine.Arena.get ()) ~n:8 ~payload_bound:4 (fun scr ->
       Scratch.push scr ~time:1 ~node:4 ~sender:3 ~payload:1;
       Scratch.push scr ~time:1 ~node:4 ~sender:3 ~payload:0;
       Scratch.push scr ~time:2 ~node:5 ~sender:3 ~payload:1;

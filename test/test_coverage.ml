@@ -360,9 +360,7 @@ let prop_flat_sets =
               let reference = Coverage.of_head g cl mode h and sent = Option.get proto.(h) in
               List.for_all well_formed [ cov; reference; sent ]
               && coverages_equal cov reference
-              && coverages_equal cov sent
-              && Array.to_list (Coverage.Cache.covered_row cache h)
-                 = Nodeset.elements (Coverage.covered cov))
+              && coverages_equal cov sent)
             (Clustering.heads cl))
         [ Coverage.Hop25; Coverage.Hop3 ])
 

@@ -7,6 +7,9 @@ module Static = Manet_backbone.Static_backbone
 module Dynamic = Manet_backbone.Dynamic_backbone
 module Result = Manet_broadcast.Result
 module Protocol = Manet_broadcast.Protocol
+module Engine = Manet_broadcast.Engine
+module Scratch = Engine.Scratch
+module Gateway_selection = Manet_backbone.Gateway_selection
 open Test_helpers
 
 let paper () =
@@ -194,6 +197,138 @@ let test_chain () =
       Alcotest.(check bool) (Printf.sprintf "chain from %d" source) true (Result.all_delivered r))
     [ 0; 4; 8 ]
 
+(* The full-calendar loop the library's replaced, kept here as its
+   reference: every neighbour of every transmitter gets a calendar event
+   and an event marks its receiver delivered, a clusterhead relays on its
+   first event and a gateway on its designation, and a designation's hop
+   count is an adjacency test.  [on_designation ~time ~node] sees each
+   designation event as it is read. *)
+let full_calendar ?(on_designation = fun ~time:_ ~node:_ -> ()) ~pruning g cl mode ~source =
+  let n = Graph.n g in
+  let cache = Coverage.Cache.create g cl mode in
+  let coverages = Coverage.Cache.coverages cache in
+  let encode ~upstream = (upstream + 1) lsl 1 in
+  Scratch.with_scratch ~arena:(Engine.Arena.create ()) ~n
+    ~payload_bound:(encode ~upstream:(n - 1) + 2) (fun scr ->
+      let completion = ref 0 in
+      let transmit time v ~upstream =
+        Scratch.mark_transmitted scr v;
+        Scratch.trace scr ~time ~node:v;
+        Graph.iter_neighbors g v (fun w ->
+            Scratch.push scr ~time:(time + 1) ~node:w ~sender:v ~payload:(encode ~upstream))
+      in
+      let head_transmit time h ~upstream ~relayer =
+        let upstream_cov =
+          if upstream >= 0 && pruning <> Dynamic.Sender_only then coverages.(upstream) else None
+        in
+        let heard =
+          if relayer >= 0 && pruning = Dynamic.Coverage_and_relay then
+            Coverage.Cache.ch_hop1 cache relayer
+          else [||]
+        in
+        let cov = Option.get coverages.(h) in
+        let k = Gateway_selection.select_pruned cov ~upstream ~upstream_cov ~heard in
+        Array.iter
+          (fun x ->
+            let hops = if Graph.mem_edge g h x then 1 else 2 in
+            Scratch.push scr ~time:(time + hops) ~node:x ~sender:h
+              ~payload:(encode ~upstream:h lor 1))
+          (Array.sub (Gateway_selection.selection ()) 0 k);
+        transmit time h ~upstream:h
+      in
+      if Clustering.is_head cl source then head_transmit 0 source ~upstream:(-1) ~relayer:(-1)
+      else transmit 0 source ~upstream:(-1);
+      ignore (Scratch.mark_delivered scr source : bool);
+      while Scratch.advance scr do
+        let time = Scratch.time scr and receiver = Scratch.node scr in
+        let payload = Scratch.payload scr in
+        let upstream = (payload lsr 1) - 1 in
+        if payload land 1 <> 0 then on_designation ~time ~node:receiver;
+        if Scratch.mark_delivered scr receiver then completion := time;
+        if payload land 1 <> 0 then begin
+          if not (Scratch.transmitted scr receiver) then transmit time receiver ~upstream
+        end
+        else if Clustering.is_head cl receiver && not (Scratch.transmitted scr receiver) then
+          head_transmit time receiver ~upstream ~relayer:(Scratch.sender scr)
+      done;
+      Scratch.finish scr ~source ~completion:!completion)
+
+let prunings = [ Dynamic.Sender_only; Dynamic.Coverage_piggyback; Dynamic.Coverage_and_relay ]
+
+(* The library's loop calendars only the receptions that decide
+   something, yet gives the full-calendar loop's forward set, delivered
+   set, completion time and whole timeline, and its count the same
+   counts: both modes, every pruning level, three random sources, on
+   networks of up to 600 nodes (over 256, a level's packed keys take
+   several radix digits). *)
+let prop_matches_full_calendar =
+  qtest "lean loop = full-calendar loop" ~count:40
+    (QCheck.pair (arb_udg ~n_max:600 ~ds:[ 6.; 10.; 18. ] ()) QCheck.(triple (int_bound 100_000) (int_bound 100_000) (int_bound 100_000)))
+    (fun (case, (s1, s2, s3)) ->
+      let _, n, _ = case in
+      let g = (sample_of case).graph in
+      let cl = Lowest_id.cluster g in
+      List.for_all
+        (fun mode ->
+          List.for_all
+            (fun pruning ->
+              let built = prepare ~pruning g cl mode in
+              List.for_all
+                (fun s ->
+                  let source = s mod n in
+                  let r, timeline = built.Protocol.run ~source ~mode:Protocol.Perfect in
+                  let c = built.Protocol.count ~source ~mode:Protocol.Perfect in
+                  let r', timeline' = full_calendar ~pruning g cl mode ~source in
+                  Nodeset.equal r.forwarders r'.forwarders
+                  && r.delivered = r'.delivered
+                  && r.completion_time = r'.completion_time
+                  && timeline = timeline'
+                  && c.Engine.forwards = Result.forward_count r'
+                  && c.delivered = Result.delivered_count r'
+                  && c.completion_time = r'.completion_time)
+                [ s1; s2; s3 ])
+            prunings)
+        [ Coverage.Hop25; Coverage.Hop3 ])
+
+(* A designation never delivers first: in the full-calendar loop, every
+   designation event (time t, gateway x) finds a neighbour of x that
+   transmitted at t - 1 or earlier, so x holds the packet by t.  This is
+   what lets the library's loop mark deliveries at transmission only. *)
+let test_designation_finds_delivered () =
+  let cases =
+    paper ()
+    :: List.map
+         (fun (s : Manet_topology.Generator.sample) -> (s.graph, Lowest_id.cluster s.graph))
+         (udg_cases ~seed:31 ~count:4 ~n:80 ~d:6. @ udg_cases ~seed:32 ~count:2 ~n:300 ~d:12.)
+  in
+  let designations = ref 0 in
+  List.iter
+    (fun (g, cl) ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun pruning ->
+              List.iter
+                (fun source ->
+                  let seen = ref [] in
+                  let on_designation ~time ~node = seen := (time, node) :: !seen in
+                  let _, timeline = full_calendar ~on_designation ~pruning g cl mode ~source in
+                  List.iter
+                    (fun (time, x) ->
+                      incr designations;
+                      Alcotest.(check bool)
+                        (Printf.sprintf "designation of %d at %d finds it delivered" x time)
+                        true
+                        (List.exists
+                           (fun (t, v) -> t + 1 <= time && Graph.mem_edge g v x)
+                           timeline))
+                    !seen)
+                [ 0; Graph.n g / 2; Graph.n g - 1 ])
+            prunings)
+        [ Coverage.Hop25; Coverage.Hop3 ])
+    cases;
+  Alcotest.(check bool) "designations seen" true (!designations > 100)
+
 (* Completion time is bounded by a small multiple of the BFS eccentricity
    (each cluster-graph hop costs at most 3 network hops). *)
 let prop_latency_bounded =
@@ -238,5 +373,11 @@ let () =
           Alcotest.test_case "two nodes" `Quick test_two_nodes;
           Alcotest.test_case "chain" `Quick test_chain;
           prop_latency_bounded;
+        ] );
+      ( "loop",
+        [
+          prop_matches_full_calendar;
+          Alcotest.test_case "designations find their gateway delivered" `Quick
+            test_designation_finds_delivered;
         ] );
     ]

@@ -9,6 +9,15 @@ let paper () =
   let g = paper_graph () in
   (g, Lowest_id.cluster g)
 
+(* A stand-in for an upstream clusterhead's coverage set whose key set is
+   the strictly increasing row [keys], split between C2 and C3
+   alternately so that pruning reads both key arrays. *)
+let upstream_of keys =
+  let c2, c3 = List.partition (fun (i, _) -> i mod 2 = 0) (List.mapi (fun i c -> (i, c)) keys) in
+  Coverage.of_sorted ~owner:(-1) Coverage.Hop3
+    ~c2:(List.map (fun (_, c) -> (c, [ 0 ])) c2)
+    ~c3:(List.map (fun (_, c) -> (c, [ (0, 0) ])) c3)
+
 let select g cl mode h targets =
   Gateway_selection.select (Coverage.of_head g cl mode h) ~targets:(set_of_list targets)
 
@@ -111,8 +120,8 @@ let prop_selection_covers_targets =
    at most a pair of gateways, so |selection| <= 2 |targets|.  The
    pruned entry selects exactly what [select] selects for the targets
    left after pruning: here the upstream is the highest covered head,
-   the covered row every third covered head and the heard row the odd
-   ones. *)
+   the upstream's coverage set every third covered head and the heard
+   row the odd ones. *)
 let prop_selection_size_bound =
   qtest "selection size at most twice the targets" ~count:40 (arb_udg ~n_max:40 ()) (fun case ->
       let g = (sample_of case).graph in
@@ -121,17 +130,20 @@ let prop_selection_size_bound =
         (fun h ->
           let cov = Coverage.of_head g cl Coverage.Hop25 h in
           let all = Coverage.covered cov in
-          let row p = Array.of_list (List.filter p (Nodeset.elements all)) in
+          let row p = List.filter p (Nodeset.elements all) in
           let upstream = Option.value ~default:(-1) (Nodeset.max_elt_opt all) in
-          let covered = row (fun c -> c mod 3 = 0) and heard = row (fun c -> c mod 2 = 1) in
+          let upstream_cov = Some (upstream_of (row (fun c -> c mod 3 = 0))) in
+          let heard = Array.of_list (row (fun c -> c mod 2 = 1)) in
           let targets =
             Nodeset.filter
               (fun c -> c <> upstream && c mod 3 <> 0 && c mod 2 = 0)
               all
           in
-          let pruned = Gateway_selection.select_pruned cov ~upstream ~covered ~heard in
+          let pruned = Gateway_selection.select_pruned cov ~upstream ~upstream_cov ~heard in
           let pruned = Array.to_list (Array.sub (Gateway_selection.selection ()) 0 pruned) in
-          let whole = Gateway_selection.select_pruned cov ~upstream:(-1) ~covered:[||] ~heard:[||] in
+          let whole =
+            Gateway_selection.select_pruned cov ~upstream:(-1) ~upstream_cov:None ~heard:[||]
+          in
           let whole = Array.to_list (Array.sub (Gateway_selection.selection ()) 0 whole) in
           List.for_all
             (fun targets ->
@@ -191,11 +203,11 @@ let reference_select (cov : Coverage.t) ~live =
 (* The kernel selects exactly what the reference does, on every head of
    random networks of up to 120 nodes (large enough for phase 2 to meet
    pairs whose second hop is already selected) in both modes: without
-   pruning, with a relay's
-   pruning (the upstream is the head's lowest covered head, the covered
-   row that head's C, the heard row the CH_HOP1 of the head's lowest
-   neighbor), and with synthetic rows that drop about two targets in
-   three. *)
+   pruning, with a relay's pruning (the upstream is the head's lowest
+   covered head, pruning by that head's coverage set, the heard row the
+   CH_HOP1 of the head's lowest neighbor), and with a synthetic upstream
+   set and row that drop about two targets in three.  Every selected
+   node's [hops] is its distance from the head. *)
 let prop_kernel_matches_reference =
   qtest "select_pruned = list-based reference greedy" ~count:100
     (arb_udg ~n_max:120 ~ds:[ 6.; 10.; 18. ] ()) (fun case ->
@@ -207,28 +219,40 @@ let prop_kernel_matches_reference =
           List.for_all
             (fun h ->
               let cov = Coverage.Cache.coverage cache h in
-              let all = Coverage.Cache.covered_row cache h in
-              let relay =
-                let u = if Array.length all = 0 then -1 else all.(0) in
-                let covered = if u < 0 then [||] else Coverage.Cache.covered_row cache u in
-                let heard =
-                  match Graph.neighbors g h with
-                  | [||] -> [||]
-                  | nbrs -> Coverage.Cache.ch_hop1 cache nbrs.(0)
-                in
-                (u, covered, heard)
+              let all = Nodeset.elements (Coverage.covered cov) in
+              let keys = function
+                | None -> Nodeset.empty
+                | Some up -> Coverage.covered up
               in
-              let row p = Array.of_list (List.filter p (Array.to_list all)) in
-              let synthetic = (-1, row (fun c -> c mod 3 = 0), row (fun c -> c mod 3 = 1)) in
+              let relay =
+                let u = match all with [] -> -1 | u :: _ -> u in
+                let up = if u < 0 then None else Some (Coverage.Cache.coverage cache u) in
+                let heard =
+                  if Graph.degree g h = 0 then [||]
+                  else Coverage.Cache.ch_hop1 cache (Graph.fold_neighbors g h min max_int)
+                in
+                (u, up, heard)
+              in
+              let row p = List.filter p all in
+              let synthetic =
+                (-1, Some (upstream_of (row (fun c -> c mod 3 = 0))),
+                 Array.of_list (row (fun c -> c mod 3 = 1)))
+              in
               List.for_all
-                (fun (upstream, covered, heard) ->
-                  let k = Gateway_selection.select_pruned cov ~upstream ~covered ~heard in
+                (fun (upstream, upstream_cov, heard) ->
+                  let k = Gateway_selection.select_pruned cov ~upstream ~upstream_cov ~heard in
                   let live c =
-                    c <> upstream && (not (Array.mem c covered)) && not (Array.mem c heard)
+                    c <> upstream
+                    && (not (Nodeset.mem c (keys upstream_cov)))
+                    && not (Array.mem c heard)
                   in
-                  Array.to_list (Array.sub (Gateway_selection.selection ()) 0 k)
-                  = reference_select cov ~live)
-                [ (-1, [||], [||]); relay; synthetic ])
+                  let sel = Array.to_list (Array.sub (Gateway_selection.selection ()) 0 k) in
+                  sel = reference_select cov ~live
+                  && List.for_all
+                       (fun x ->
+                         Gateway_selection.hops x = if Graph.mem_edge g h x then 1 else 2)
+                       sel)
+                [ (-1, None, [||]); relay; synthetic ])
             (Manet_cluster.Clustering.heads cl))
         [ Coverage.Hop25; Coverage.Hop3 ])
 
@@ -254,10 +278,11 @@ let prop_kernel_matches_reference_synthetic =
           ~c2:(List.map (fun c -> (c, nonempty 13 24 0.3)) c2)
           ~c3:(List.map pairs c3)
       in
-      let covered = Array.of_list (subset 1 12 0.2) and heard = Array.of_list (subset 1 12 0.2) in
+      let covered = subset 1 12 0.2 and heard = Array.of_list (subset 1 12 0.2) in
       let upstream = 1 + Random.State.int st 12 in
-      let k = Gateway_selection.select_pruned cov ~upstream ~covered ~heard in
-      let live c = c <> upstream && (not (Array.mem c covered)) && not (Array.mem c heard) in
+      let upstream_cov = Some (upstream_of covered) in
+      let k = Gateway_selection.select_pruned cov ~upstream ~upstream_cov ~heard in
+      let live c = c <> upstream && (not (List.mem c covered)) && not (Array.mem c heard) in
       Array.to_list (Array.sub (Gateway_selection.selection ()) 0 k) = reference_select cov ~live)
 
 (* The batched selection used by the static backbone is exactly the
@@ -310,12 +335,14 @@ let test_selection_allocates_nothing () =
           | Some cov ->
             let k =
               if pruning then
-                (* prune by the previous node's rows, as a relay would *)
-                let u = (h + Graph.n g - 1) mod Graph.n g in
+                (* prune as a relay would: by an upstream head's
+                   coverage set (the head's lowest 2-hop head) and the
+                   previous node's CH_HOP1 row *)
+                let u = if Array.length cov.c2_keys = 0 then -1 else cov.c2_keys.(0) in
                 Gateway_selection.select_pruned cov ~upstream:u
-                  ~covered:(Coverage.Cache.covered_row cache u)
-                  ~heard:(Coverage.Cache.ch_hop1 cache u)
-              else Gateway_selection.select_pruned cov ~upstream:(-1) ~covered:[||] ~heard:[||]
+                  ~upstream_cov:(if u < 0 then None else coverages.(u))
+                  ~heard:(Coverage.Cache.ch_hop1 cache ((h + Graph.n g - 1) mod Graph.n g))
+              else Gateway_selection.select_pruned cov ~upstream:(-1) ~upstream_cov:None ~heard:[||]
             in
             let out = Gateway_selection.selection () in
             for i = 0 to k - 1 do
