@@ -68,6 +68,8 @@ type stats = {
   delivery : float;
 }
 
+type served = { stats : stats; traversals : int }
+
 type probe = {
   time : float;
   graph : Graph.t;
@@ -123,7 +125,7 @@ let rank = function Join | Leave -> 0 | Move -> 1 | Maintain -> 2 | Arrival -> 3
    a pathological [u = 0] draw cannot stall the clock. *)
 let exp_draw rng rate = Float.max (-.log (1. -. Rng.float rng 1.) /. rate) 1e-9
 
-let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
+let serve ?(mode = Protocol.Perfect) ?motion ?on_maintenance
     ?skip_maintenance ~rng ~points ~radius ~spec w =
   let n = Array.length points in
   if n < 2 then invalid_arg "Workload.run: need at least 2 nodes";
@@ -177,9 +179,14 @@ let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
      update: one byte read per reception, no allocation per update. *)
   let member = Bytes.make n '\000' in
   let mark v = Bytes.unsafe_set member v '\001' in
+  (* Set by a traversal that proves the active members a connected
+     dominating set of the live graph; cleared at every change of
+     [!graph] or [member] (see the Arrival case). *)
+  let certified = ref false in
   let refill_members () =
     Bytes.fill member 0 n '\000';
-    Bm.iter_members bm mark
+    Bm.iter_members bm mark;
+    certified := false
   in
   refill_members ();
   let env = Protocol.make_env ~rng:(Rng.split traffic_rng) !graph in
@@ -202,7 +209,7 @@ let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
   if w.leave_rate > 0. then schedule_next 0. Leave;
   (match motion with Some _ -> schedule_next 0. Move | None -> ());
   if w.maintenance_every > 0. then schedule_next 0. Maintain;
-  let broadcasts = ref 0 and skipped = ref 0 and churn_events = ref 0 in
+  let broadcasts = ref 0 and traversals = ref 0 and skipped = ref 0 and churn_events = ref 0 in
   let maintenance_updates = ref 0 and maintenance_messages = ref 0 in
   let maint_seen = ref 0 and stale_since_maint = ref 0 in
   let delivery_sum = ref 0. and staleness_sum = ref 0. in
@@ -220,15 +227,17 @@ let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
     if !dirty then begin
       graph := snapshot ();
       Protocol.retarget ~graph:!graph env;
-      dirty := false
+      dirty := false;
+      certified := false
     end
   in
   let decide ~node ~from:_ ~payload:() =
     if Bytes.unsafe_get member node <> '\000' then Some () else None
   in
-  (* With no loss and no failure an arrival's counts come from one
-     traversal of the backbone, which draws nothing; otherwise the
-     reception loop draws from a fresh split per arrival. *)
+  (* With no loss and no failure an arrival's delivery comes from one
+     traversal of the backbone, which draws nothing, or from the epoch
+     certificate with none; otherwise the reception loop draws from a
+     fresh split per arrival. *)
   let loss_free = Protocol.loss_free env mode and backbone = Some member in
   let finished = ref false in
   while not !finished do
@@ -301,24 +310,37 @@ let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
         else begin
           let source = Roster.nth_active roster (Rng.int source_rng pool) in
           read_topology ();
+          let live = Roster.live roster in
           (* A parked node is isolated, so every delivered node is an
-             active one. *)
-          let c =
-            if loss_free then
-              Engine.run_si_count ~arena:env.Protocol.arena env.Protocol.graph ~source
-                ~member:backbone
+             active one.  A traversal from a member that delivers every
+             live node certifies the epoch, and the epoch's later
+             loss-free arrivals deliver [live] with no traversal (the
+             lemma, and why a non-member source cannot certify, are in
+             the interface). *)
+          let delivered =
+            if loss_free && !certified then live
             else begin
-              (* One split per arrival: a broadcast that draws more
-                 never perturbs the next broadcast's stream. *)
-              Protocol.retarget ~rng:(Rng.split traffic_rng) env;
-              Protocol.run_decide_count env ~source ~mode ~initial:() ~decide
+              if counted then incr traversals;
+              if loss_free then begin
+                let c =
+                  Engine.run_si_count ~arena:env.Protocol.arena env.Protocol.graph ~source
+                    ~member:backbone
+                in
+                if c.Engine.delivered = live && Bytes.unsafe_get member source <> '\000' then
+                  certified := true;
+                c.Engine.delivered
+              end
+              else begin
+                (* One split per arrival: a broadcast that draws more
+                   never perturbs the next broadcast's stream. *)
+                Protocol.retarget ~rng:(Rng.split traffic_rng) env;
+                (Protocol.run_decide_count env ~source ~mode ~initial:() ~decide).Engine.delivered
+              end
             end
           in
           if counted then begin
             incr broadcasts;
-            delivery_sum :=
-              !delivery_sum
-              +. (float_of_int c.Engine.delivered /. float_of_int (Roster.live roster));
+            delivery_sum := !delivery_sum +. (float_of_int delivered /. float_of_int live);
             staleness_sum := !staleness_sum +. float_of_int !stale_since_maint
           end
         end;
@@ -326,16 +348,23 @@ let run ?(mode = Protocol.Perfect) ?motion ?on_maintenance
   done;
   let fdiv a b = if b = 0 then 0. else a /. float_of_int b in
   {
-    broadcasts = !broadcasts;
-    skipped = !skipped;
-    throughput = float_of_int !broadcasts /. (w.duration -. w.warmup);
-    churn_events = !churn_events;
-    maintenance_updates = !maintenance_updates;
-    maintenance_messages = !maintenance_messages;
-    messages_per_churn = fdiv (float_of_int !maintenance_messages) !churn_events;
-    mean_staleness = fdiv !staleness_sum !broadcasts;
-    delivery = fdiv !delivery_sum !broadcasts;
+    stats =
+      {
+        broadcasts = !broadcasts;
+        skipped = !skipped;
+        throughput = float_of_int !broadcasts /. (w.duration -. w.warmup);
+        churn_events = !churn_events;
+        maintenance_updates = !maintenance_updates;
+        maintenance_messages = !maintenance_messages;
+        messages_per_churn = fdiv (float_of_int !maintenance_messages) !churn_events;
+        mean_staleness = fdiv !staleness_sum !broadcasts;
+        delivery = fdiv !delivery_sum !broadcasts;
+      };
+    traversals = !traversals;
   }
+
+let run ?mode ?motion ?on_maintenance ?skip_maintenance ~rng ~points ~radius ~spec w =
+  (serve ?mode ?motion ?on_maintenance ?skip_maintenance ~rng ~points ~radius ~spec w).stats
 
 (* {2 Workload metrics}
 

@@ -22,8 +22,9 @@
     traffic never perturbs churn (and vice versa), and every arrival
     of a lossy mode broadcasts under a fresh per-arrival split — the
     property the resumable sweep journals rely on.  A loss-free arrival
-    draws nothing: its counts come from one traversal of the backbone
-    ({!Manet_broadcast.Engine.run_si_count}). *)
+    draws nothing: its delivery comes from one traversal of the
+    backbone ({!Manet_broadcast.Engine.run_si_count}), or from the
+    epoch certificate ({!serve}) with no traversal at all. *)
 
 (** The stream's shape.  Rates are events per unit of simulated time. *)
 type spec = private {
@@ -91,6 +92,13 @@ type stats = {
   delivery : float;  (** mean per-broadcast delivery over active nodes *)
 }
 
+(** One serving run's stats and how many of its counted arrivals ran a
+    traversal (the SI traversal or, under loss, the reception loop);
+    the rest were answered by the epoch certificate ({!serve}).  Kept
+    out of {!stats}, which the benchmark's traced replay builds field
+    by field. *)
+type served = { stats : stats; traversals : int }
+
 (** A maintenance-time snapshot, offered to {!run}'s [on_maintenance]:
     the check layer's hook for comparing the incrementally maintained
     backbone against a from-scratch rebuild on the live graph. *)
@@ -134,7 +142,7 @@ module Roster : sig
   (** [join r k] activates the [k]-th smallest inactive id. *)
 end
 
-val run :
+val serve :
   ?mode:Manet_broadcast.Protocol.mode ->
   ?motion:motion ->
   ?on_maintenance:(probe -> unit) ->
@@ -144,7 +152,7 @@ val run :
   radius:float ->
   spec:Manet_topology.Spec.t ->
   spec ->
-  stats
+  served
 (** Serve one stream over the initial placement [points] (transmission
     range [radius], field dimensions from [spec]).  Broadcasts run under
     [mode] (default perfect) over the members of the maintained 2.5-hop
@@ -156,6 +164,24 @@ val run :
     loss-free arrival is counted by {!Manet_broadcast.Engine.run_si_count}
     over the member bytes, any other by the reception loop.
 
+    The epoch certificate.  An epoch is the span between two changes
+    of the snapshot or of the member bytes (a rebuild after a topology
+    event, a refill after a maintenance update).  A loss-free traversal
+    whose source is a member {e certifies} the epoch when it delivers
+    every live node; every later loss-free arrival of the epoch then
+    delivers exactly the live count, with no traversal.  Lemma: parked
+    nodes are isolated, so the traversal reaches only active nodes, and
+    every member it delivers forwards.  Delivering every live node from
+    a member therefore reaches every active member through members (so
+    they are connected; the forward count is the number of active
+    members) and puts a forwarding member next to every live node (so
+    they dominate).  A member source then reaches every live node, and
+    a non-member source has a member neighbour that does.  A non-member
+    source cannot certify: its own transmission may bridge two member
+    components that cannot reach each other, although it delivers every
+    live node and forwards at every active member.  Lossy arrivals
+    never use the certificate.
+
     [skip_maintenance k] is the seeded fault: the [k]-th maintenance
     event fires but applies no update — the mutant the
     timeline-vs-rebuild oracle must catch.  [on_maintenance] is called
@@ -164,6 +190,19 @@ val run :
     [radius], a [motion] whose [dt] is not positive or too small to
     advance the clock ([duration +. dt = duration]), or a [Lossy] loss
     outside [\[0, 1\]]. *)
+
+val run :
+  ?mode:Manet_broadcast.Protocol.mode ->
+  ?motion:motion ->
+  ?on_maintenance:(probe -> unit) ->
+  ?skip_maintenance:int ->
+  rng:Manet_rng.Rng.t ->
+  points:Manet_geom.Point.t array ->
+  radius:float ->
+  spec:Manet_topology.Spec.t ->
+  spec ->
+  stats
+(** [(serve ...).stats]. *)
 
 (** {1 Workload series (the scenario layer's metric kinds)}
 

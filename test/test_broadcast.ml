@@ -575,6 +575,84 @@ let prop_si_traversal =
              agree (counted si mode) by_members && agree (counted Protocol.flooding mode) flood)
            [ Protocol.Perfect; Protocol.Lossy 0. ])
 
+(* The serving loop's epoch certificate ([Workload.serve]).  Parked
+   nodes are isolated and may keep a stale member byte.  A member source
+   whose traversal delivers every live node certifies the epoch: it has
+   forwarded at every active member, and every active source must then
+   deliver exactly the live count, forwarding at every active member
+   (plus itself when it is not one).  Member sets: the static backbone
+   of the parked graph (which must certify whenever the live nodes are
+   connected, by Theorem 1), the same with one member removed (possibly
+   disconnected) and a random subset, on graphs of n = 20 to 400. *)
+let active_members ind active =
+  let k = ref 0 in
+  Array.iteri (fun v a -> if a && Bytes.get ind v <> '\000' then incr k) active;
+  !k
+
+let si_count g ~source ind = Engine.run_si_count ~arena:(Engine.Arena.get ()) g ~source ~member:ind
+
+let prop_epoch_certificate =
+  qtest "epoch certificate: a member source certifies every source" ~count:40
+    (arb_udg ~n_min:20 ~n_max:400 ~ds:[ 6.; 10.; 18. ] ())
+    (fun ((seed, _, _) as c) ->
+      let module Rng = Manet_rng.Rng in
+      let base = (sample_of c).graph and rng = Rng.create ~seed in
+      let n = Graph.n base in
+      let active = Array.make n true in
+      for _ = 1 to Rng.int rng 4 do
+        active.(Rng.int rng n) <- false
+      done;
+      let g =
+        Graph.of_edges ~n (List.filter (fun (u, v) -> active.(u) && active.(v)) (Graph.edges base))
+      in
+      let live = Array.fold_left (fun k a -> if a then k + 1 else k) 0 active in
+      let nodes = List.init n Fun.id in
+      let bytes_of set = Bytes.init n (fun v -> if Nodeset.mem v set then '\001' else '\000') in
+      let backbone =
+        (Manet_backbone.Static_backbone.build g Manet_coverage.Coverage.Hop25).members
+      in
+      let dropped =
+        Nodeset.remove (List.nth (Nodeset.elements backbone) (Rng.int rng (Nodeset.cardinal backbone)))
+          backbone
+      in
+      let random = Bytes.init n (fun _ -> if Rng.bool rng then '\001' else '\000') in
+      let certifies ind =
+        let members = List.filter (fun v -> active.(v) && Bytes.get ind v <> '\000') nodes in
+        members <> []
+        &&
+        let c = si_count g ~source:(List.nth members (Rng.int rng (List.length members))) (Some ind) in
+        c.delivered = live
+        && (c.forwards = active_members ind active || QCheck.Test.fail_report "forwards <> members")
+      in
+      let every_source_delivers ind =
+        let k = active_members ind active in
+        List.for_all
+          (fun source ->
+            (not active.(source))
+            ||
+            let c = si_count g ~source (Some ind) in
+            c.delivered = live && c.forwards = if Bytes.get ind source <> '\000' then k else k + 1)
+          nodes
+      in
+      let connected = (si_count g ~source:(List.find (Array.get active) nodes) None).delivered = live in
+      ((not connected) || certifies (bytes_of backbone))
+      && List.for_all
+           (fun ind -> (not (certifies ind)) || every_source_delivers ind)
+           [ bytes_of backbone; bytes_of dropped; random ])
+
+(* Why a non-member source cannot certify: on 0 - 1 - 2 with members
+   {0, 2} (node 3 parked, its member byte stale), source 1 delivers
+   every live node and forwards at every active member plus itself, yet
+   member 0 cannot reach member 2. *)
+let test_certificate_needs_member_source () =
+  let g = Graph.of_edges ~n:4 [ (0, 1); (1, 2) ] in
+  let ind = Bytes.of_string "\001\000\001\001" in
+  let active = [| true; true; true; false |] in
+  let c = si_count g ~source:1 (Some ind) in
+  Alcotest.(check int) "non-member source delivers every live node" 3 c.delivered;
+  Alcotest.(check int) "forwards - 1 = active members" (active_members ind active) (c.forwards - 1);
+  Alcotest.(check int) "member source 0 delivers fewer" 2 (si_count g ~source:0 (Some ind)).delivered
+
 (* Every [decide] call as (time, node, from): the copy from [from]
    arrives one unit after [from] transmitted. *)
 let logged_run ?drop ?down g ~source ~decide =
@@ -757,7 +835,15 @@ let () =
           Alcotest.test_case "scratch: push window" `Quick test_scratch_window;
           Alcotest.test_case "scratch: equal keys" `Quick test_scratch_equal_keys;
         ] );
-      ("epilogue", [ prop_count_equals_core; prop_filter_is_invisible; prop_si_traversal ]);
+      ( "epilogue",
+        [
+          prop_count_equals_core;
+          prop_filter_is_invisible;
+          prop_si_traversal;
+          prop_epoch_certificate;
+          Alcotest.test_case "certificate needs a member source" `Quick
+            test_certificate_needs_member_source;
+        ] );
       ( "lossy",
         [
           Alcotest.test_case "zero loss = reliable engine" `Quick test_lossy_zero_loss_equals_engine;

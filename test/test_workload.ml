@@ -103,6 +103,70 @@ let test_nan_radius () =
           ignore (Workload.run ~rng:(Rng.create ~seed:4) ~points ~radius ~spec w)))
     [ Float.nan; 0.; -1. ]
 
+(* The epoch certificate, on two churning streams: the n = 30 stream
+   above (a stale backbone often fails to certify there) and the bench
+   traffic stream at n = 200 over nine measured time units.  Each
+   stream's stats, perfect and under [Lossy 0.5], are pinned to the loop
+   that traversed every arrival.  Loss-free, the n = 200 stream runs 30
+   traversals for 406 broadcasts; under loss every arrival runs the
+   reception loop. *)
+let certificate_cases =
+  let traffic =
+    let spec = Spec.make ~n:200 ~avg_degree:12. () in
+    let s = Generator.sample_connected (Rng.create ~seed:2027) spec in
+    (spec, s.Generator.points, s.Generator.radius)
+  in
+  [
+    ( "n=30",
+      sample 7,
+      w,
+      42,
+      (401, 0x1.40ccccccccccdp+5, 17, 11, 461, 0x1.b1e1e1e1e1e1ep+4, 0x1.9b21d5dd86b4p-1),
+      (0x1.e23a35da9befp-1, 0x1.71ea5f77b4272p-2),
+      217 );
+    ( "n=200",
+      traffic,
+      Workload.make ~arrival_rate:50. ~duration:10. ~warmup:1. ~join_rate:0.4 ~leave_rate:0.4 (),
+      4242,
+      (406, 0x1.68e38e38e38e4p+5, 4, 10, 235, 0x1.d6p+5, 0x1.c5fd7a533b456p-4),
+      (0x1p+0, 0x1.500af6726acc3p-1),
+      30 );
+  ]
+
+let test_certificate () =
+  List.iter
+    (fun ( name,
+           (spec, points, radius),
+           w,
+           seed,
+           (broadcasts, throughput, churn_events, maintenance_updates, maintenance_messages,
+            messages_per_churn, mean_staleness),
+           (perfect, lossy),
+           traversals ) ->
+      let serve mode delivery =
+        let r = Workload.serve ~mode ~rng:(Rng.create ~seed) ~points ~radius ~spec w in
+        Alcotest.(check bool) (name ^ " stats") true
+          (r.Workload.stats
+          = {
+              Workload.broadcasts;
+              skipped = 0;
+              throughput;
+              churn_events;
+              maintenance_updates;
+              maintenance_messages;
+              messages_per_churn;
+              mean_staleness;
+              delivery;
+            });
+        r.Workload.traversals
+      in
+      Alcotest.(check int) (name ^ " traversals") traversals
+        (serve Manet_broadcast.Protocol.Perfect perfect);
+      Alcotest.(check bool) (name ^ " traversals < broadcasts") true (traversals < broadcasts);
+      Alcotest.(check int) (name ^ " lossy: every arrival traverses") broadcasts
+        (serve (Manet_broadcast.Protocol.Lossy 0.5) lossy))
+    certificate_cases
+
 (* The roster answers the serving loop's three questions (the k-th
    inactive node for a join, the k-th active node for a leave or a
    source, the size of a bounded source pool) as a scan over all nodes
@@ -278,6 +342,7 @@ let () =
           Alcotest.test_case "skipped maintenance is observable" `Quick test_fault_observable;
           Alcotest.test_case "bad specs rejected" `Quick test_bad_specs;
           Alcotest.test_case "nan radius rejected" `Quick test_nan_radius;
+          Alcotest.test_case "epoch certificate: traversals and stats" `Quick test_certificate;
           Alcotest.test_case "roster = full scan on a churning stream" `Quick
             test_roster_matches_scan;
           Alcotest.test_case "pinned motion-plus-churn stream (n=300)" `Quick test_pinned_stream;
