@@ -80,4 +80,4 @@ let protocol =
       let open Manet_broadcast.Protocol in
       let cache = coverage env Coverage.Hop25 in
       let tree = build ~cache env.graph (Coverage.Cache.clustering cache) Coverage.Hop25 ~source in
-      ((), fun ~node ~from:_ ~payload:() -> if Nodeset.mem node tree.members then Some () else None))
+      fun ~node ~from:_ -> Nodeset.mem node tree.members)

@@ -13,7 +13,5 @@ let protocol =
     ~family:Manet_broadcast.Protocol.Source_dependent
     (fun env ->
       let sets = mpr_sets env.Manet_broadcast.Protocol.graph in
-      let pipeline =
-        ((), fun ~node ~from ~payload:() -> if Cover.mem sets.(from) node then Some () else None)
-      in
-      Manet_broadcast.Protocol.of_pipeline env ~members:None (fun ~source:_ -> pipeline))
+      let decide ~node ~from = Cover.mem sets.(from) node in
+      Manet_broadcast.Protocol.of_pipeline env ~members:None (fun ~source:_ -> decide))

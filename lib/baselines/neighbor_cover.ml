@@ -124,18 +124,24 @@ let mem a v =
   let i = Row_sort.lower_bound a 0 (Array.length a) v in
   i < Array.length a && a.(i) = v
 
+(* A transmitter's packet, its forward list, waits in [fwd] at its
+   index; copies come only from the current broadcast's transmitters. *)
 let protocol ~name ~description exclude =
   Protocol.per_broadcast ~name ~description ~family:Protocol.Source_dependent (fun env ->
-      let t = create () in
+      let t = create () and slots = ref [||] in
       fun ~source ->
         let g = env.Protocol.graph in
+        if Array.length !slots < Graph.n g then slots := Array.make (Graph.n g) [||];
+        let fwd = !slots in
         start t g;
-        ( forwards t g ~node:source,
-          fun ~node ~from ~payload ->
-            if mem payload node then begin
-              start t g;
-              exclude_closed t g from;
-              exclude t g ~node ~from ~payload;
-              Some (forwards t g ~node)
-            end
-            else None ))
+        fwd.(source) <- forwards t g ~node:source;
+        fun ~node ~from ->
+          let payload = fwd.(from) in
+          if mem payload node then begin
+            start t g;
+            exclude_closed t g from;
+            exclude t g ~node ~from ~payload;
+            fwd.(node) <- forwards t g ~node;
+            true
+          end
+          else false)

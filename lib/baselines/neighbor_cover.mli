@@ -51,5 +51,6 @@ val protocol :
     packet is the sender's {!forwards}, and a node designated in it
     forwards with its own, after excluding N[from] and what [exclude]
     adds for the packet [payload] it received from [from].  Each
-    prepared instance owns one scan state, which grows to the graph each
-    broadcast reads ([env.graph] is mutable). *)
+    prepared instance owns one scan state and one packet slot per
+    sender (the forward lists of the broadcast's transmitters), both
+    grown to the graph each broadcast reads ([env.graph] is mutable). *)

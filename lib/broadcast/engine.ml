@@ -25,21 +25,15 @@ module Nodeset = Manet_graph.Nodeset
    (time, receiver, sender) processing order of the seed's event heap,
    and results are bit-identical however the arena is reused.
 
-   [run_core]'s payloads do not ride in the events: a node transmits at
-   most once, so the payload of every copy from sender [v] is the one
-   [v] transmitted, kept in the per-sender slot [payload.(v)].  The
-   engine is polymorphic in the payload, but within one run all slots
-   hold the same type, and the slots of the run's transmitters are
-   scrubbed back to an immediate when the run ends so the arena never
-   pins a finished run's payloads.  The loops that store none
-   ({!Scratch}'s and {!run_si_count}'s) skip the scrub. *)
+   The arena holds no packets: a protocol whose decision reads what the
+   sender's copy carries keeps that packet in its own prepared state,
+   indexed by the sender. *)
 module Arena = struct
   type t = {
     mutable cap : int;
     mutable gen : int;
     mutable delivered : int array;
     mutable transmitted : int array;
-    mutable payload : Obj.t array;  (** per-sender payload slot of [run_core] *)
     mutable trace_time : int array;
     mutable trace_node : int array;
     mutable trace_len : int;
@@ -68,7 +62,6 @@ module Arena = struct
       gen = 0;
       delivered = [||];
       transmitted = [||];
-      payload = [||];
       trace_time = [||];
       trace_node = [||];
       trace_len = 0;
@@ -94,14 +87,11 @@ module Arena = struct
     if a.cap < n then begin
       a.delivered <- Array.make n 0;
       a.transmitted <- Array.make n 0;
-      a.payload <- Array.make n (Obj.repr 0);
       a.trace_time <- Array.make n 0;
       a.trace_node <- Array.make n 0;
       a.cap <- n
     end
 end
-
-let nil = Obj.repr 0
 
 (* Takes [arena], or a private fresh one when it is already mid-run — a
    broadcast nested inside [decide]. *)
@@ -111,12 +101,6 @@ let acquire arena =
   a
 
 let release (a : Arena.t) = a.busy <- false
-
-(* Only [broadcast] stores payloads, so only its runs are scrubbed. *)
-let scrub (a : Arena.t) =
-  for k = 0 to a.trace_len - 1 do
-    Array.unsafe_set a.payload (Array.unsafe_get a.trace_node k) nil
-  done
 
 (* Starts one broadcast on an acquired arena; returns its generation. *)
 let start (a : Arena.t) ~n =
@@ -379,18 +363,17 @@ end
    again, so its reception would change nothing, and with no loss
    stream no draw is tied to it.  With [drop], every copy is scheduled,
    so the loss draws keep their order. *)
-let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
+let broadcast (a : Arena.t) ~drop ~down g ~source ~decide =
   let n = Graph.n g in
   let tick = start a ~n in
-  let delivered = a.delivered and transmitted = a.transmitted and payload = a.payload in
+  let delivered = a.delivered and transmitted = a.transmitted in
   let { Graph.off; nbr; _ } = g in
   let shift = bits_for 1 n in
   let mask = (1 lsl shift) - 1 in
   let completion = ref 0 and reached = ref 1 in
-  let transmit time v p =
+  let transmit time v =
     Array.unsafe_set transmitted v tick;
     trace_push a time v;
-    Array.unsafe_set payload v (Obj.repr p);
     let lo = Array.unsafe_get off v and hi = Array.unsafe_get off (v + 1) in
     let base = reserve_next a (hi - lo) in
     let buf = a.next in
@@ -412,7 +395,7 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
       a.next_len <- base + hi - lo
   in
   Array.unsafe_set delivered source tick;
-  transmit 0 source initial;
+  transmit 0 source;
   while a.next_len > 0 do
     open_level a ~lo:shift ~bits:shift;
     let time = a.now and cur = a.cur in
@@ -434,12 +417,10 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
         (* Every copy is offered to the node until it transmits: a
            forward designation can arrive in a later copy than the
            first. *)
-        if Array.unsafe_get transmitted receiver <> tick then begin
-          let from = key land mask in
-          match decide ~node:receiver ~from ~payload:(Obj.obj (Array.unsafe_get payload from)) with
-          | Some p -> transmit time receiver p
-          | None -> ()
-        end
+        if
+          Array.unsafe_get transmitted receiver <> tick
+          && decide ~node:receiver ~from:(key land mask)
+        then transmit time receiver
       end
     done
   done;
@@ -449,19 +430,17 @@ let broadcast (a : Arena.t) ~drop ~down g ~source ~initial ~decide =
 (* Runs [broadcast] on an acquired arena and reads the result with
    [epilogue] before the arena is released: [run_core] and [run_count]
    share everything but the epilogue. *)
-let drive name ~epilogue ?drop ?down ~arena g ~source ~initial ~decide =
+let drive name ~epilogue ?drop ?down ~arena g ~source ~decide =
   if source < 0 || source >= Graph.n g then invalid_arg (name ^ ": source out of range");
   let a = acquire arena in
   match
-    let completion = broadcast a ~drop ~down g ~source ~initial ~decide in
+    let completion = broadcast a ~drop ~down g ~source ~decide in
     epilogue a g ~source ~completion
   with
   | r ->
-    scrub a;
     release a;
     r
   | exception e ->
-    scrub a;
     release a;
     raise e
 
@@ -469,13 +448,13 @@ let drive name ~epilogue ?drop ?down ~arena g ~source ~initial ~decide =
    perfect engine ([drop] absent), and the lossy engine ([drop] draws
    from its generator once per reception, in processing order).  Either
    way the results are the same whichever arena runs it. *)
-let run_core ?drop ?down ~arena g ~source ~initial ~decide =
-  drive "Engine.run_core" ?drop ?down ~arena g ~source ~initial ~decide
+let run_core ?drop ?down ~arena g ~source ~decide =
+  drive "Engine.run_core" ?drop ?down ~arena g ~source ~decide
     ~epilogue:(fun a g ~source ~completion ->
       materialize a ~tick:a.Arena.gen ~n:(Graph.n g) ~source ~completion)
 
-let run_count ?drop ?down ~arena g ~source ~initial ~decide =
-  drive "Engine.run_count" ?drop ?down ~arena g ~source ~initial ~decide
+let run_count ?drop ?down ~arena g ~source ~decide =
+  drive "Engine.run_count" ?drop ?down ~arena g ~source ~decide
     ~epilogue:(fun a _ ~source:_ ~completion -> counts_of a ~completion)
 
 (* The SI rule with no drop and no failure: a member transmits at the

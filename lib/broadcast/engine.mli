@@ -8,13 +8,15 @@
     contention are taken care of at the underground physical and MAC
     layers").
 
-    A protocol is a [decide] callback: offered each received copy of the
-    packet (with the payload that copy carries), the node either stays
-    silent ([None]) or transmits a payload of its own ([Some p]).  A node
-    transmits at most once, and once it has transmitted it is never asked
-    again.  Offering {e every} copy until transmission matters for
+    A protocol is a [decide] predicate: offered each received copy of
+    the packet, named by its receiver and its sender, the node either
+    stays silent ([false]) or transmits ([true]).  A node transmits at
+    most once, and once it has transmitted it is never asked again.
+    Offering {e every} copy until transmission matters for
     source-dependent protocols: a node's forward-node designation can
-    arrive in a later copy than its first.  The SI-CDS broadcast,
+    arrive in a later copy than its first.  The engine carries no packet:
+    a protocol that reads the sender's (dominant pruning's forward list)
+    keeps it itself, indexed by the sender.  The SI-CDS broadcast,
     flooding, dominant pruning, PDP, AHBP and MPR are all instances
     (the dynamic backbone's designation events and the backoff
     schemes' timers use {!Scratch}, on the same calendar).
@@ -26,10 +28,10 @@
 module Arena : sig
   type t
   (** Reusable engine scratch: generation-tagged delivered/transmitted
-      maps, the frontier calendar of pending receptions, the per-sender
-      payload slots and the transmission timeline.  Reusing an arena
-      across broadcasts makes the engine's own steady-state allocation
-      O(1) and never changes results — runs are bit-identical whether
+      maps, the frontier calendar of pending receptions and the
+      transmission timeline.  Reusing an arena across broadcasts makes
+      the engine's own steady-state allocation O(1) and never changes
+      results — runs are bit-identical whether
       the arena is fresh or reused.  What a run builds on top
       is its epilogue's: {!run_core} materializes the caller-owned
       {!Result.t} and timeline (O(n) per run), {!run_count} only a
@@ -57,8 +59,8 @@ module Arena : sig
       needs no explicit threading. *)
 
   val reserve : t -> n:int -> unit
-  (** Pre-size the node-indexed buffers (maps, payload slots, timeline)
-      for an [n]-node graph.  Runs do this on demand; a long-lived
+  (** Pre-size the node-indexed buffers (maps and timeline) for an
+      [n]-node graph.  Runs do this on demand; a long-lived
       serving loop calls it once up front so that no broadcast of the
       stream grows the arena mid-run.  Idempotent; never shrinks. *)
 end
@@ -154,25 +156,24 @@ val run_core :
   arena:Arena.t ->
   Manet_graph.Graph.t ->
   source:int ->
-  initial:'a ->
-  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
+  decide:(node:int -> from:int -> bool) ->
   Result.t * (int * int) list
 (** The one event loop behind every decide-style broadcast (the uniform
-    pipeline, {!Protocol.run_decide}, is its only caller in the library).
-    The source transmits [initial] at time 0 (the source always
-    transmits and is counted as a forwarder; [decide] is not called for
-    it).  Each transmission by [v] at time [t] delivers to every
-    neighbor at [t + 1]; deliveries invoke [decide] until the node
-    transmits, and [Some p] schedules the node's own transmission at its
-    delivery time.  Runs until no transmission is in flight, and returns
-    the result together with the transmission timeline as
-    [(time, node)] pairs in transmission order.
+    pipeline of {!Protocol}'s decide constructors).  The source
+    transmits at time 0 (the source always transmits and is counted as
+    a forwarder; [decide] is not called for it).  Each transmission by
+    [v] at time [t] delivers to every neighbor at [t + 1]; deliveries
+    invoke [decide ~node ~from] until the node transmits, and [true]
+    schedules the node's own transmission at its delivery time.  Runs
+    until no transmission is in flight, and returns the result together
+    with the transmission timeline as [(time, node)] pairs in
+    transmission order.
 
     [drop] is consulted once per reception event, in (time, receiver,
     sender) processing order; a [true] verdict discards that reception
     before the node sees it.  Absent, nothing drops (the perfect MAC);
-    {!Protocol.run_decide} passes a closure that draws from the
-    environment's generator, so one code path serves the perfect and the
+    under [Lossy], {!Protocol}'s pipeline passes a closure that draws
+    from the environment's generator, so one code path serves the perfect and the
     lossy engine.  Without [drop], a copy addressed to a node that has
     already transmitted is never scheduled: that node is delivered and
     is never offered a copy again, so the reception could change
@@ -203,8 +204,7 @@ val run_count :
   arena:Arena.t ->
   Manet_graph.Graph.t ->
   source:int ->
-  initial:'a ->
-  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
+  decide:(node:int -> from:int -> bool) ->
   counts
 (** {!run_core}'s broadcast read through a count-only epilogue: the same
     event loop, [decide] calls, [drop] draws and [down] queries, and
@@ -226,7 +226,7 @@ val run_si_count :
     transmits.
 
     Equal to {!run_count}'s counts with the decide that answers
-    [Some ()] exactly at members: without [drop] or [down], that decide
+    [true] exactly at members: without [drop] or [down], that decide
     makes a member transmit at its first reception, whatever the copy,
     so a node's first delivery is one unit after the earliest
     transmission among its neighbours.  A FIFO of transmitters, kept in

@@ -113,16 +113,23 @@ let drop_of env = function
       Some (fun () -> Rng.bits53 rng < threshold)
 
 (* The uniform pipeline: one engine core, perfect or lossy. *)
-let run_decide env ~source ~mode ~initial ~decide =
-  Engine.run_core ?drop:(drop_of env mode) ?down:env.down ~arena:env.arena env.graph ~source
-    ~initial ~decide
+let decide_run env ~source ~mode decide =
+  Engine.run_core ?drop:(drop_of env mode) ?down:env.down ~arena:env.arena env.graph ~source ~decide
 
-let run_decide_count env ~source ~mode ~initial ~decide =
+let decide_count env ~source ~mode decide =
   Engine.run_count ?drop:(drop_of env mode) ?down:env.down ~arena:env.arena env.graph ~source
-    ~initial ~decide
+    ~decide
 
-let si_decide members ~node ~from:_ ~payload:() =
-  if Nodeset.mem node members then Some () else None
+(* [decide_run] and [decide_count] in the unit-packet shape the traced
+   replay compiles against. *)
+let run_decide env ~source ~mode ~initial:() ~decide =
+  decide_run env ~source ~mode (fun ~node ~from -> Option.is_some (decide ~node ~from ~payload:()))
+
+let run_decide_count env ~source ~mode ~initial:() ~decide =
+  decide_count env ~source ~mode (fun ~node ~from ->
+      Option.is_some (decide ~node ~from ~payload:()))
+
+let si_decide members ~node ~from:_ = Nodeset.mem node members
 
 (* [si_decide] over a flat membership indicator, one byte per node up to
    the largest member, paired with the indicator itself as
@@ -135,9 +142,7 @@ let indicator members =
     Bytes.make (if Nodeset.is_empty members then 0 else Nodeset.max_elt members + 1) '\000'
   in
   Nodeset.iter (fun v -> Bytes.unsafe_set ind v '\001') members;
-  ( Some ind,
-    fun ~node ~from:_ ~payload:() ->
-      if node < Bytes.length ind && Bytes.unsafe_get ind node <> '\000' then Some () else None )
+  (Some ind, fun ~node ~from:_ -> node < Bytes.length ind && Bytes.unsafe_get ind node <> '\000')
 
 let loss_free env mode = Option.is_none (drop_of env mode) && Option.is_none env.down
 
@@ -149,20 +154,13 @@ let loss_free env mode = Option.is_none (drop_of env mode) && Option.is_none env
 let si_count env ~member ~decide ~source ~mode =
   match (drop_of env mode, env.down) with
   | None, None -> Engine.run_si_count ~arena:env.arena env.graph ~source ~member
-  | drop, down ->
-    Engine.run_count ?drop ?down ~arena:env.arena env.graph ~source ~initial:() ~decide
+  | drop, down -> Engine.run_count ?drop ?down ~arena:env.arena env.graph ~source ~decide
 
 let of_pipeline env ~members pipeline =
   {
     members;
-    run =
-      (fun ~source ~mode ->
-        let initial, decide = pipeline ~source in
-        run_decide env ~source ~mode ~initial ~decide);
-    count =
-      (fun ~source ~mode ->
-        let initial, decide = pipeline ~source in
-        run_decide_count env ~source ~mode ~initial ~decide);
+    run = (fun ~source ~mode -> decide_run env ~source ~mode (pipeline ~source));
+    count = (fun ~source ~mode -> decide_count env ~source ~mode (pipeline ~source));
   }
 
 let si ~name ~description ~build =
@@ -180,7 +178,7 @@ let si ~name ~description ~build =
           run =
             (fun ~source ~mode ->
               let _, decide = Lazy.force ind in
-              run_decide env ~source ~mode ~initial:() ~decide);
+              decide_run env ~source ~mode decide);
           count =
             (fun ~source ~mode ->
               let member, decide = Lazy.force ind in
@@ -218,14 +216,13 @@ let frozen env ~run ~clean ~replay ~source ~mode =
     (* A forward set lives for one broadcast: an indicator built for it
        would cost more than the membership tests it saves. *)
     let fwd = frozen.Result.forwarders in
-    replay env ~source ~mode ~initial:() ~decide:(si_decide fwd)
+    replay env ~source ~mode (si_decide fwd)
 
 let frozen_lossy env ~run ~count =
   {
     members = None;
-    run = (fun ~source ~mode -> frozen env ~run ~clean:run ~replay:run_decide ~source ~mode);
-    count =
-      (fun ~source ~mode -> frozen env ~run ~clean:count ~replay:run_decide_count ~source ~mode);
+    run = (fun ~source ~mode -> frozen env ~run ~clean:run ~replay:decide_run ~source ~mode);
+    count = (fun ~source ~mode -> frozen env ~run ~clean:count ~replay:decide_count ~source ~mode);
   }
 
 let native ~name ~description ~family ~run ~count =
@@ -237,7 +234,7 @@ let native ~name ~description ~family ~run ~count =
     prepare = (fun env -> frozen_lossy env ~run:(run env) ~count:(count env));
   }
 
-let flood ~node:_ ~from:_ ~payload:() = Some ()
+let flood ~node:_ ~from:_ = true
 
 let flooding =
   {
@@ -249,8 +246,7 @@ let flooding =
       (fun env ->
         {
           members = None;
-          run = (fun ~source ~mode -> run_decide env ~source ~mode ~initial:() ~decide:flood);
-          count =
-            (fun ~source ~mode -> si_count env ~member:None ~decide:flood ~source ~mode);
+          run = (fun ~source ~mode -> decide_run env ~source ~mode flood);
+          count = (fun ~source ~mode -> si_count env ~member:None ~decide:flood ~source ~mode);
         });
   }

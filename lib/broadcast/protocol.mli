@@ -16,7 +16,7 @@
     delivery and completion counts, and [run] materializes the
     {!Result.t} and the transmission timeline.  Both read the same
     broadcast, with the same draws, through different epilogues.
-    Protocols built from a [decide] callback (see {!Engine}) run
+    Protocols built from a [decide] predicate (see {!Engine}) run
     {e unchanged} under the perfect and the lossy engine — both modes
     share one event loop ({!Engine.run_core} / {!Engine.run_count}) —
     while protocols with bespoke event loops (the dynamic backbone's
@@ -170,7 +170,7 @@ val si :
     set once; each broadcast is the SI-CDS rule (members forward their
     first copy).  [run] goes through the uniform decide pipeline.
     [count] takes {!Engine.run_si_count}'s traversal over the members'
-    byte indicator when {!loss_free} holds, and {!run_decide_count}
+    byte indicator when {!loss_free} holds, and {!Engine.run_count}
     otherwise: with no drop and no failure, a member forwards at its
     first reception whatever the copy, so the traversal's counts are
     the reception loop's, while a loss draw or a failure query is tied
@@ -183,17 +183,19 @@ val with_build : name:string -> description:string -> family:family -> (env -> b
 val of_pipeline :
   env ->
   members:Manet_graph.Nodeset.t option ->
-  (source:int -> 'a * (node:int -> from:int -> payload:'a -> 'a option)) ->
+  (source:int -> node:int -> from:int -> bool) ->
   built
 (** The [built] of a decide protocol: for each broadcast, [pipeline
-    ~source] gives the source's payload and the [decide] callback, run
-    through {!run_decide} ([run]) or {!run_decide_count} ([count]). *)
+    ~source] is the [decide] predicate, run as {!run_decide} describes
+    ([run]) or counted as {!run_decide_count} does ([count]).  A
+    protocol that reads the sender's packet keeps it in the state
+    [pipeline] closes over, indexed by sender. *)
 
 val per_broadcast :
   name:string ->
   description:string ->
   family:family ->
-  (env -> source:int -> 'a * (node:int -> from:int -> payload:'a -> 'a option)) ->
+  (env -> source:int -> node:int -> from:int -> bool) ->
   t
 (** A decide protocol with no proactive phase: its [built] is
     [of_pipeline env ~members:None (pipeline env)]. *)
@@ -216,18 +218,20 @@ val run_decide :
   env ->
   source:int ->
   mode:mode ->
-  initial:'a ->
-  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
+  initial:unit ->
+  decide:(node:int -> from:int -> payload:unit -> unit option) ->
   Result.t * (int * int) list
-(** The uniform per-broadcast pipeline: execute an {!Engine}-style
-    [decide] protocol under the requested mode.  [Perfect] is exactly
-    {!Engine.run_core} with no drops; [Lossy loss] drops each reception
-    with probability [loss], drawn from [env.rng] once per reception in
-    (time, receiver, sender) processing order ([Lossy 0.] draws
-    nothing and equals [Perfect]).  Either way, the environment's
-    [down] schedule is injected into the engine, so node failures reach
-    every decide-style protocol under both engines through this one
-    funnel.
+(** One broadcast of the uniform pipeline, {!of_pipeline}'s [run], with
+    a [decide] in the engine's former packet shape ([Some ()] is
+    [true]).  [Perfect] is exactly {!Engine.run_core} with no drops;
+    [Lossy loss] drops each reception with probability [loss], drawn
+    from [env.rng] once per reception in (time, receiver, sender)
+    processing order ([Lossy 0.] draws nothing and equals [Perfect]).
+    Either way, the environment's [down] schedule is injected into the
+    engine, so node failures reach every decide-style protocol under
+    both engines through this one funnel.  The unit [initial] and
+    [payload] remain only because the traced replay compiles against
+    this shape; they go when ROADMAP item 1 deletes [replay.ml].
     @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]
     (NaN included) or [source] is out of range. *)
 
@@ -235,14 +239,15 @@ val run_decide_count :
   env ->
   source:int ->
   mode:mode ->
-  initial:'a ->
-  decide:(node:int -> from:int -> payload:'a -> 'a option) ->
+  initial:unit ->
+  decide:(node:int -> from:int -> payload:unit -> unit option) ->
   Engine.counts
-(** {!run_decide} through {!Engine.run_count}: the same broadcast, the
-    same draws from [env.rng] and the same [decide] calls, but only its
-    forward, delivery and completion counts are returned, and nothing
-    O(n) is built — for callers that discard the result and timeline
-    (the serving loop, and every decide protocol's [count]).
+(** {!run_decide} through {!Engine.run_count} ({!of_pipeline}'s
+    [count]): the same broadcast, the same draws from [env.rng] and the
+    same [decide] calls, but only its forward, delivery and completion
+    counts are returned, and nothing O(n) is built — for callers that
+    discard the result and timeline (the serving loop's lossy
+    arrivals).  Its unit shape goes with {!run_decide}'s.
     @raise Invalid_argument as {!run_decide}. *)
 
 val loss_free : env -> mode -> bool
@@ -263,7 +268,7 @@ val frozen_lossy :
     Under [Perfect] or [Lossy 0.] with no [down] schedule, a broadcast
     is just the native [run] or [count]; otherwise both freeze the
     forward set from a clean native [run], then replay it as an SI-CDS
-    broadcast through {!run_decide} or {!run_decide_count} — the
+    broadcast through {!Engine.run_core} or {!Engine.run_count} — the
     designations are decided loss- and failure-free, only the data
     propagation is unreliable.  This is the sparsest-case treatment the
     lossy-links experiment has always used for the dynamic backbone,

@@ -407,7 +407,7 @@ let check_arena_reuse ctx (p : Protocol.t) =
   in
   let dirty =
     let a = Engine.Arena.create () in
-    ignore (Engine.run_core ~arena:a g ~source ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ()));
+    ignore (Engine.run_core ~arena:a g ~source ~decide:(fun ~node:_ ~from:_ -> true));
     a
   in
   let (rf, tf), lf = run_with (Engine.Arena.create ()) in

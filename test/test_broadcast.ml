@@ -7,16 +7,16 @@ module Result = Manet_broadcast.Result
 open Test_helpers
 
 (* One engine run, result only. *)
-let run g ~source ~initial ~decide = fst (Engine.run_core ~arena:(Engine.Arena.get ()) g ~source ~initial ~decide)
+let run g ~source ~decide = fst (Engine.run_core ~arena:(Engine.Arena.get ()) g ~source ~decide)
 
 (* A decide-style broadcast under per-reception loss, through the
    uniform pipeline with the loss draws taken from [rng]. *)
 let lossy_run g ~rng ~loss ~source ~decide =
-  fst
-    (Protocol.run_decide (Protocol.make_env ~rng g) ~source ~mode:(Protocol.Lossy loss)
-       ~initial:() ~decide)
+  let env = Protocol.make_env ~rng g in
+  let built = Protocol.of_pipeline env ~members:None (fun ~source:_ -> decide) in
+  fst (built.run ~source ~mode:(Protocol.Lossy loss))
 
-let flood ~node:_ ~from:_ ~payload:() = Some ()
+let flood ~node:_ ~from:_ = true
 
 (* Delivery ratio of one blind flood under loss. *)
 let flooding_delivery g ~rng ~loss ~source =
@@ -48,31 +48,18 @@ let test_result_accessors () =
 
 let test_source_always_transmits () =
   let g = Graph.path 3 in
-  let r = run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None) in
+  let r = run g ~source:0 ~decide:(fun ~node:_ ~from:_ -> false) in
   Alcotest.check nodeset "only source" (set_of_list [ 0 ]) r.forwarders;
   Alcotest.(check bool) "neighbor delivered" true r.delivered.(1);
   Alcotest.(check bool) "two hops not delivered" false r.delivered.(2)
-
-let test_payload_propagation () =
-  (* Payload counts hops from the source. *)
-  let g = Graph.path 4 in
-  let seen = Array.make 4 (-1) in
-  let r =
-    run g ~source:0 ~initial:1 ~decide:(fun ~node ~from:_ ~payload ->
-        seen.(node) <- payload;
-        Some (payload + 1))
-  in
-  Alcotest.(check bool) "all delivered" true (Result.all_delivered r);
-  Alcotest.(check (array int)) "hop counters" [| -1; 1; 2; 3 |] seen;
-  Alcotest.(check int) "completion time" 3 r.completion_time
 
 let test_transmit_at_most_once () =
   let g = Graph.complete 5 in
   let decisions = ref 0 in
   let r =
-    run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() ->
+    run g ~source:0 ~decide:(fun ~node:_ ~from:_ ->
         incr decisions;
-        Some ())
+        true)
   in
   Alcotest.(check int) "everyone forwards once" 5 (Result.forward_count r);
   (* each node decides once (then it transmits and is never asked again) *)
@@ -85,8 +72,7 @@ let test_late_designation () =
      2 hears 0 first (t1), 3 later (t3). *)
   let g = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (1, 3); (3, 2) ] in
   let r =
-    run g ~source:0 ~initial:() ~decide:(fun ~node ~from ~payload:() ->
-        if node = 2 then if from = 3 then Some () else None else Some ())
+    run g ~source:0 ~decide:(fun ~node ~from -> node <> 2 || from = 3)
   in
   Alcotest.(check bool) "2 eventually forwards" true (Nodeset.mem 2 r.forwarders)
 
@@ -96,25 +82,25 @@ let test_first_copy_smallest_sender () =
   let g = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
   let first_from = ref (-1) in
   let _ =
-    run g ~source:0 ~initial:() ~decide:(fun ~node ~from ~payload:() ->
+    run g ~source:0 ~decide:(fun ~node ~from ->
         if node = 3 && !first_from < 0 then first_from := from;
-        Some ())
+        true)
   in
   Alcotest.(check int) "deterministic tie-break" 1 !first_from
 
 let test_source_out_of_range () =
   let g = Graph.path 2 in
   Alcotest.check_raises "range" (Invalid_argument "Engine.run_core: source out of range") (fun () ->
-      ignore (run g ~source:5 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> None)));
+      ignore (run g ~source:5 ~decide:(fun ~node:_ ~from:_ -> false)));
   Alcotest.check_raises "range" (Invalid_argument "Engine.run_count: source out of range")
     (fun () ->
       ignore
-        (Engine.run_count ~arena:(Engine.Arena.get ()) g ~source:(-1) ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() ->
-             None)))
+        (Engine.run_count ~arena:(Engine.Arena.get ()) g ~source:(-1)
+           ~decide:(fun ~node:_ ~from:_ -> false)))
 
 let test_single_node_graph () =
   let g = Graph.empty 1 in
-  let r = run g ~source:0 ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ()) in
+  let r = run g ~source:0 ~decide:flood in
   Alcotest.(check bool) "delivered" true (Result.all_delivered r);
   Alcotest.(check int) "one forward" 1 (Result.forward_count r)
 
@@ -124,9 +110,7 @@ let prop_flooding_latency_is_eccentricity =
       let seed, n, _ = case in
       let g = (Test_helpers.sample_of case).graph in
       let source = seed mod n in
-      let r =
-        run g ~source ~initial:() ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ())
-      in
+      let r = run g ~source ~decide:flood in
       r.completion_time = eccentricity g source)
 
 (* SI broadcast *)
@@ -168,7 +152,7 @@ let test_lossy_zero_loss_equals_engine () =
   let g = paper_graph () in
   let rng = Manet_rng.Rng.create ~seed:1 in
   let a = lossy_run g ~rng ~loss:0. ~source:0 ~decide:flood in
-  let b = run g ~source:0 ~initial:() ~decide:flood in
+  let b = run g ~source:0 ~decide:flood in
   Alcotest.check nodeset "identical at zero loss" a.forwarders b.forwarders;
   Alcotest.(check (array bool)) "same deliveries" a.delivered b.delivered
 
@@ -176,7 +160,7 @@ let test_lossy_zero_loss_equals_engine () =
    [Perfect], and not one draw from the generator. *)
 let test_lossy_signed_zero_draws_nothing () =
   let g = (Test_helpers.udg ~seed:24 ~n:40 ~d:8.).graph in
-  let perfect = run g ~source:0 ~initial:() ~decide:flood in
+  let perfect = run g ~source:0 ~decide:flood in
   List.iter
     (fun loss ->
       let rng = Manet_rng.Rng.create ~seed:3 in
@@ -242,8 +226,9 @@ let test_lossy_deterministic () =
 
 let test_timeline_chain () =
   let g = Graph.path 4 in
-  let r, timeline = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source:0 ~initial:() ~decide:flood in
+  let r, timeline = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source:0 ~decide:flood in
   Alcotest.(check bool) "all delivered" true (Result.all_delivered r);
+  Alcotest.(check int) "completion time" 3 r.completion_time;
   Alcotest.(check (list (pair int int))) "chain timeline" [ (0, 0); (1, 1); (2, 2); (3, 3) ]
     timeline
 
@@ -251,11 +236,14 @@ let test_timeline_chain () =
    included. *)
 let test_timeline_matches_pipeline () =
   let g = (Test_helpers.udg ~seed:71 ~n:40 ~d:8.).graph in
-  let decide ~node ~from:_ ~payload:() = if node mod 2 = 0 then Some () else None in
   let r1, t1 =
-    Protocol.run_decide (Protocol.make_env g) ~source:0 ~mode:Protocol.Perfect ~initial:() ~decide
+    Protocol.run_decide (Protocol.make_env g) ~source:0 ~mode:Protocol.Perfect ~initial:()
+      ~decide:(fun ~node ~from:_ ~payload:() -> if node mod 2 = 0 then Some () else None)
   in
-  let r2, timeline = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source:0 ~initial:() ~decide in
+  let r2, timeline =
+    Engine.run_core ~arena:(Engine.Arena.get ()) g ~source:0 ~decide:(fun ~node ~from:_ ->
+        node mod 2 = 0)
+  in
   Alcotest.(check (list (pair int int))) "same timeline" t1 timeline;
   Alcotest.check nodeset "same forwarders" r1.forwarders r2.forwarders;
   Alcotest.(check int) "one timeline entry per forwarder" (Result.forward_count r1)
@@ -389,8 +377,10 @@ let test_arena_across_sizes () =
     (fun _ ->
       List.iter
         (fun (s : Manet_topology.Generator.sample) ->
-          let fresh = Engine.run_core ~arena:(Engine.Arena.create ()) s.graph ~source:0 ~initial:() ~decide:flood in
-          let reused = Engine.run_core ~arena s.graph ~source:0 ~initial:() ~decide:flood in
+          let fresh =
+            Engine.run_core ~arena:(Engine.Arena.create ()) s.graph ~source:0 ~decide:flood
+          in
+          let reused = Engine.run_core ~arena s.graph ~source:0 ~decide:flood in
           Alcotest.check result_t "result matches fresh run" (fst fresh) (fst reused);
           Alcotest.(check (list (pair int int))) "timeline matches" (snd fresh) (snd reused))
         graphs)
@@ -404,15 +394,15 @@ let test_arena_reentrant () =
      nested run must fall back to private scratch and leave the outer
      run's state untouched. *)
   let nested_results = ref [] in
-  let decide ~node:_ ~from:_ ~payload:() =
-    let r, _ = Engine.run_core ~arena inner ~source:0 ~initial:() ~decide:flood in
+  let decide ~node:_ ~from:_ =
+    let r, _ = Engine.run_core ~arena inner ~source:0 ~decide:flood in
     nested_results := r :: !nested_results;
-    Some ()
+    true
   in
-  let with_nesting = Engine.run_core ~arena outer.graph ~source:0 ~initial:() ~decide in
-  let plain = Engine.run_core ~arena:(Engine.Arena.create ()) outer.graph ~source:0 ~initial:() ~decide:flood in
+  let with_nesting = Engine.run_core ~arena outer.graph ~source:0 ~decide in
+  let plain = Engine.run_core ~arena:(Engine.Arena.create ()) outer.graph ~source:0 ~decide:flood in
   Alcotest.check result_t "outer run unaffected by nesting" (fst plain) (fst with_nesting);
-  let reference = run inner ~source:0 ~initial:() ~decide:flood in
+  let reference = run inner ~source:0 ~decide:flood in
   List.iter (Alcotest.check result_t "nested run correct" reference) !nested_results;
   Alcotest.(check bool) "nesting actually happened" true (!nested_results <> [])
 
@@ -437,12 +427,12 @@ let recorded_run ?drop_every g ~source =
     incr drops;
     match drop_every with Some k -> !drops mod k = 0 | None -> false
   in
-  let decide ~node ~from ~payload:() =
+  let decide ~node ~from =
     let accept = not (declines ~node ~from) in
     offers := (node, from, accept) :: !offers;
-    if accept then Some () else None
+    accept
   in
-  let _, timeline = Engine.run_core ~drop ~arena:(Engine.Arena.get ()) g ~source ~initial:() ~decide in
+  let _, timeline = Engine.run_core ~drop ~arena:(Engine.Arena.get ()) g ~source ~decide in
   (List.rev !offers, !drops, timeline)
 
 let transmit_times g timeline =
@@ -509,8 +499,8 @@ let decide_kinds g seed =
   let members = Array.init (Graph.n g) (fun _ -> Manet_rng.Rng.bool rng) in
   [
     flood;
-    (fun ~node ~from:_ ~payload:() -> if members.(node) then Some () else None);
-    (fun ~node ~from ~payload:() -> if declines ~node ~from then None else Some ());
+    (fun ~node ~from:_ -> members.(node));
+    (fun ~node ~from -> not (declines ~node ~from));
   ]
 
 (* (mode, down): no loss, loss, node failures. *)
@@ -527,8 +517,9 @@ let prop_count_equals_core =
             (fun (mode, down) ->
               let env () = Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed) ?down g in
               let e1 = env () and e2 = env () in
-              let r, _ = Protocol.run_decide e1 ~source ~mode ~initial:() ~decide in
-              let c = Protocol.run_decide_count e2 ~source ~mode ~initial:() ~decide in
+              let built e = Protocol.of_pipeline e ~members:None (fun ~source:_ -> decide) in
+              let r, _ = (built e1).run ~source ~mode in
+              let c = (built e2).count ~source ~mode in
               c.Engine.forwards = Result.forward_count r
               && c.Engine.delivered = Result.delivered_count r
               && c.Engine.completion_time = r.Result.completion_time
@@ -557,9 +548,9 @@ let prop_si_traversal =
       in
       let is_member v = v < Bytes.length ind && Bytes.get ind v <> '\000' in
       let members = Nodeset.of_list (List.filter is_member (List.init n Fun.id)) in
-      let by_members ~node ~from:_ ~payload:() = if is_member node then Some () else None in
+      let by_members ~node ~from:_ = is_member node in
       let agree (c : Engine.counts) decide =
-        let r, _ = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source ~initial:() ~decide in
+        let r, _ = Engine.run_core ~arena:(Engine.Arena.get ()) g ~source ~decide in
         c.forwards = Result.forward_count r
         && c.delivered = Result.delivered_count r
         && c.completion_time = r.Result.completion_time
@@ -657,11 +648,11 @@ let test_certificate_needs_member_source () =
    arrives one unit after [from] transmitted. *)
 let logged_run ?drop ?down g ~source ~decide =
   let log = ref [] in
-  let decide ~node ~from ~payload =
+  let decide ~node ~from =
     log := (node, from) :: !log;
-    decide ~node ~from ~payload
+    decide ~node ~from
   in
-  let r, timeline = Engine.run_core ?drop ?down ~arena:(Engine.Arena.get ()) g ~source ~initial:() ~decide in
+  let r, timeline = Engine.run_core ?drop ?down ~arena:(Engine.Arena.get ()) g ~source ~decide in
   let tx = transmit_times g timeline in
   (r, timeline, List.rev_map (fun (node, from) -> (tx.(from) + 1, node, from)) !log)
 
@@ -817,7 +808,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "silent network" `Quick test_source_always_transmits;
-          Alcotest.test_case "payload propagation" `Quick test_payload_propagation;
           Alcotest.test_case "transmit at most once" `Quick test_transmit_at_most_once;
           Alcotest.test_case "late designation" `Quick test_late_designation;
           Alcotest.test_case "deterministic tie-break" `Quick test_first_copy_smallest_sender;

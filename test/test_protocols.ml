@@ -241,15 +241,14 @@ let run_with_arena p (sample : Manet_topology.Generator.sample) ~arena ~mode =
 
 let dirty_arena (sample : Manet_topology.Generator.sample) =
   let a = Engine.Arena.create () in
-  (* Pollute with broadcasts of a different payload type and a different
-     graph size, so stale tags, heap slots and trace lengths are all
+  (* Pollute with broadcasts of other decide rules and a different graph
+     size, so stale tags, calendar levels and trace lengths are all
      exercised. *)
   ignore
-    (Engine.run_core ~arena:a (Graph.path 3) ~source:2 ~initial:[ 1; 2; 3 ]
-       ~decide:(fun ~node:_ ~from:_ ~payload -> Some payload));
+    (Engine.run_core ~arena:a (Graph.path 3) ~source:2 ~decide:(fun ~node ~from:_ -> node = 1));
   ignore
-    (Engine.run_core ~arena:a sample.Manet_topology.Generator.graph ~source:1 ~initial:()
-       ~decide:(fun ~node:_ ~from:_ ~payload:() -> Some ()));
+    (Engine.run_core ~arena:a sample.Manet_topology.Generator.graph ~source:1
+       ~decide:(fun ~node:_ ~from:_ -> true));
   a
 
 let arena_tests =
@@ -279,6 +278,38 @@ let arena_tests =
                 [ Protocol.Perfect; Protocol.Lossy 0.3 ])
             samples))
     Registry.all
+
+(* A per-broadcast protocol keeps its scan state and its per-sender
+   packet slots across broadcasts, grown to the graph each one reads:
+   prepared on a 20-node graph, broadcast there, then retargeted to a
+   200-node one, it must run and count exactly as a protocol prepared
+   on the larger graph. *)
+let test_retarget_regrows () =
+  let small = (udg ~seed:51 ~n:20 ~d:6.).Manet_topology.Generator.graph in
+  let large = (udg ~seed:52 ~n:200 ~d:10.).Manet_topology.Generator.graph in
+  List.iter
+    (fun name ->
+      let p = Registry.find_exn name in
+      let env = Protocol.make_env small in
+      let grown = p.Protocol.prepare env in
+      ignore (grown.Protocol.run ~source:3 ~mode:Protocol.Perfect);
+      ignore (grown.Protocol.count ~source:5 ~mode:Protocol.Perfect);
+      Protocol.retarget ~graph:large env;
+      let fresh = p.Protocol.prepare (Protocol.make_env large) in
+      List.iter
+        (fun source ->
+          let at what = Printf.sprintf "%s from %d: %s" name source what in
+          let r, t = grown.run ~source ~mode:Protocol.Perfect in
+          let r', t' = fresh.run ~source ~mode:Protocol.Perfect in
+          Alcotest.check result (at "run") r' r;
+          Alcotest.(check (list (pair int int))) (at "timeline") t' t;
+          let c = grown.count ~source ~mode:Protocol.Perfect in
+          let c' = fresh.count ~source ~mode:Protocol.Perfect in
+          Alcotest.(check (list int)) (at "count")
+            [ c'.Engine.forwards; c'.delivered; c'.completion_time ]
+            [ c.Engine.forwards; c.delivered; c.completion_time ])
+        [ 0; 57; 123; 199 ])
+    [ "dp"; "pdp"; "ahbp"; "fwd-tree" ]
 
 (* The environment's CH_HOP tables: kept per mode, and never read once
    the graph or clustering they were built from is no longer the
@@ -346,6 +377,7 @@ let () =
           Alcotest.test_case "equivalence table covers registry" `Quick test_golden_covers_registry;
           Alcotest.test_case "env keeps one CH_HOP table per mode" `Quick test_coverage_kept;
           Alcotest.test_case "env CH_HOP table never stale" `Quick test_coverage_fresh;
+          Alcotest.test_case "retargeted prepare = fresh prepare" `Quick test_retarget_regrows;
         ] );
       ("equivalence", equivalence_tests);
       ("count", count_tests);
