@@ -285,7 +285,20 @@ let measure ~per interval = measure_with ~per Fun.id interval
    plain predicate and the protocol kept each sender's forward list in
    its own slot array, no [Some] boxed a packet per transmission: it
    reads 3,274 words, the forward arrays alone, and the ceiling went
-   5,300 -> 3,700, about 13% above. *)
+   5,300 -> 3,700, about 13% above.
+
+   Once node sets were sorted int arrays instead of AVL trees (a
+   word per element where a tree node took five), the rows that build
+   a forward-node set fell, and their ceilings went to about 13% above
+   the new readings: flooding perfect 11,026 -> 6,024 words (ceiling
+   16,000 -> 6,810), static-2.5hop perfect 5,736 -> 3,138 (9,000 ->
+   3,550), dynamic-2.5hop perfect 5,065 -> 2,781 (5,720 -> 3,150) and
+   lossy-0.1 10,090 -> 5,532 (11,450 -> 6,260), self-pruning 5,645 ->
+   3,101 (6,400 -> 3,510).  The fwd-tree "count" row pins the
+   forwarding tree's per-broadcast build.  Its seed pair is the row's
+   reading when the tree's members grew by one AVL insertion per node
+   (354.0 us, 15,131 words); built from the tree's indicator they read
+   502 words, and the ceiling is 570. *)
 let alloc_broadcast ~reps g name mode_label mode =
   let p = Manet_protocols.Registry.find_exn name in
   let built = p.Protocol.prepare (Protocol.make_env ~rng:(Manet_rng.Rng.create ~seed:17) g) in
@@ -333,10 +346,11 @@ let alloc_build ~reps (sample : Manet_topology.Generator.sample) =
    stopped allocating per selection, and 5,879 once the members were
    built from one indicator (no per-head [Nodeset.add], no union) and
    the per-call scratch's node maps were presized to n, and 5,376 once
-   the scratch's chain-linked entry pools became per-slot ranges: what
-   is left is the scratch's tables and the two sets.  The ceiling sits
-   about 13% above that, so per-head allocation in the static build
-   crosses it. *)
+   the scratch's chain-linked entry pools became per-slot ranges, and
+   1,068 once node sets were sorted int arrays and the members one
+   union of the heads and the gateways: what is left is the scratch's
+   tables and the sets.  The ceiling sits about 13% above that (6,080 ->
+   1,210), so per-head allocation in the static build crosses it. *)
 let alloc_static ~reps (sample : Manet_topology.Generator.sample) =
   let g = sample.Manet_topology.Generator.graph in
   let cache = Coverage.Cache.create g (Manet_cluster.Lowest_id.cluster g) Coverage.Hop25 in
@@ -551,9 +565,10 @@ let alloc_arrival () =
    once the gateway kernel's scratch held per-slot ranges instead of
    chain-linked entry pools, and 5,979 once a dynamic count pruned by
    the upstream's coverage set in place (no merged C(u) row memoised
-   per environment) and built no closure per broadcast.  The ceiling
-   went 7,030 -> 6,760, about 13% above that, so a series that builds
-   its own tables or materializes its result again crosses it. *)
+   per environment) and built no closure per broadcast, and 5,558 once
+   node sets were sorted int arrays instead of AVL trees.  The ceiling
+   went 7,030 -> 6,760 -> 6,290, about 13% above that, so a series that
+   builds its own tables or materializes its result again crosses it. *)
 let sweep_samples = 8
 
 let alloc_sweep () =
@@ -610,19 +625,20 @@ let alloc () =
   let per_rep = sized [ ("reps", float_of_int reps) ] in
   let rows =
     [
-      bcast "flooding" "perfect" Perfect ~ceiling:16_000. ~seed:(4548.7, 181_307.);
+      bcast "flooding" "perfect" Perfect ~ceiling:6_810. ~seed:(4548.7, 181_307.);
       bcast "flooding" "count" Perfect ~ceiling:5. ~seed:(302.3, 11_032.);
-      bcast "static-2.5hop" "perfect" Perfect ~ceiling:9_000. ~seed:(2559.7, 94_252.);
+      bcast "static-2.5hop" "perfect" Perfect ~ceiling:3_550. ~seed:(2559.7, 94_252.);
       bcast "static-2.5hop" "count" Perfect ~ceiling:5. ~seed:(83.9, 18.);
-      bcast "dynamic-2.5hop" "perfect" Perfect ~ceiling:5_720. ~seed:(4007.8, 440_236.);
-      bcast "dynamic-2.5hop" "lossy-0.1" (Lossy 0.1) ~ceiling:11_450. ~seed:(5010.1, 451_774.);
+      bcast "dynamic-2.5hop" "perfect" Perfect ~ceiling:3_150. ~seed:(4007.8, 440_236.);
+      bcast "dynamic-2.5hop" "lossy-0.1" (Lossy 0.1) ~ceiling:6_260. ~seed:(5010.1, 451_774.);
       bcast "dynamic-2.5hop" "count" Perfect ~ceiling:25. ~seed:(694.4, 35_223.);
-      bcast "self-pruning" "perfect" Perfect ~ceiling:6_400. ~seed:(12632.8, 2_344_293.);
+      bcast "self-pruning" "perfect" Perfect ~ceiling:3_510. ~seed:(12632.8, 2_344_293.);
       bcast "dp" "count" Perfect ~ceiling:3_700. ~seed:(17165.1, 8_281_427.);
+      bcast "fwd-tree" "count" Perfect ~ceiling:570. ~seed:(354.0, 15_131.);
       row ~section:("per_build", "unit-disk-build") ~ceiling:1_000. ~seed_us:4772.
         ~seed_words:492_543. "unit-disk build" "n=1000" "build" (fun () ->
           per_rep (alloc_build ~reps sample));
-      row ~section:("per_static_build", "static-backbone-build") ~ceiling:6_080. ~seed_us:550.8
+      row ~section:("per_static_build", "static-backbone-build") ~ceiling:1_210. ~seed_us:550.8
         ~seed_words:76_790. "static build" "n=1000" "build" (fun () ->
           per_rep (alloc_static ~reps sample));
       row ~section:("per_coverage_sets", "coverage-sets-fresh-cache") ~ceiling:9_050.
@@ -654,7 +670,7 @@ let alloc () =
               ("arrivals", float_of_int arrivals);
             ]
             (us, words));
-      row ~section:("per_sweep_sample", "sweep-sample-fig8") ~ceiling:6_760. ~seed_us:371.2
+      row ~section:("per_sweep_sample", "sweep-sample-fig8") ~ceiling:6_290. ~seed_us:371.2
         ~seed_words:28_150. "sweep sample" "n=60 d=18" "sample" (fun () ->
           sized ~n:60 ~d:18
             [ ("samples", float_of_int (intervals * sweep_samples)) ]

@@ -14,7 +14,6 @@ let build ?cache g cl mode ~source =
   in
   let root = Clustering.head_of cl source in
   let parent = Array.make n (-1) in
-  let members = ref (Nodeset.singleton root) in
   let in_tree = Array.make n false in
   in_tree.(root) <- true;
   let queue = Queue.create () in
@@ -22,8 +21,7 @@ let build ?cache g cl mode ~source =
   let attach child p =
     if not in_tree.(child) then begin
       in_tree.(child) <- true;
-      parent.(child) <- p;
-      members := Nodeset.add child !members
+      parent.(child) <- p
     end
   in
   (* Grow clusterhead by clusterhead: the first tree clusterhead covering
@@ -58,7 +56,7 @@ let build ?cache g cl mode ~source =
     List.filter (fun h -> not in_tree.(h)) (Clustering.heads cl)
   in
   if missing <> [] then failwith "Forwarding_tree.build: some cluster could not join the tree";
-  { graph = g; root; parent; members = !members }
+  { graph = g; root; parent; members = Nodeset.of_indicator in_tree }
 
 let is_cds t = Manet_graph.Dominating.is_cds t.graph t.members
 

@@ -80,10 +80,7 @@ let protocol =
     ~family:Protocol.Probabilistic ~run:(loop Engine.Scratch.finish)
     ~count:(loop Engine.Scratch.count)
 
-let collect t role =
-  let s = ref Nodeset.empty in
-  Array.iteri (fun v r -> if r = role then s := Nodeset.add v !s) t.roles;
-  !s
+let collect t role = Nodeset.of_indicator (Array.map (fun r -> r = role) t.roles)
 
 let heads t = collect t Clusterhead
 

@@ -43,13 +43,12 @@ let build g =
   (* Connectors: the BFS parent of each non-root MIS node.  The parent is
      dominated by an MIS node of strictly smaller rank (possibly itself),
      so following parents connects the whole MIS to the root. *)
-  let connectors = ref Nodeset.empty in
+  let is_connector = Array.make n false in
   for v = 0 to n - 1 do
-    if in_mis.(v) && v <> root && not in_mis.(parent.(v)) then
-      connectors := Nodeset.add parent.(v) !connectors
+    if in_mis.(v) && v <> root && not in_mis.(parent.(v)) then is_connector.(parent.(v)) <- true
   done;
-  let mis = Nodeset.of_indicator in_mis in
-  { graph = g; root; mis; connectors = !connectors; members = Nodeset.union mis !connectors }
+  let mis = Nodeset.of_indicator in_mis and connectors = Nodeset.of_indicator is_connector in
+  { graph = g; root; mis; connectors; members = Nodeset.union mis connectors }
 
 let size t = Nodeset.cardinal t.members
 

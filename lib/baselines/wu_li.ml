@@ -5,25 +5,19 @@ type t = { graph : Graph.t; marked : Nodeset.t; members : Nodeset.t }
 
 let marking g =
   let { Graph.off; nbr; _ } = g in
-  let marked = ref Nodeset.empty in
-  for v = 0 to Graph.n g - 1 do
-    let lo = off.(v) and hi = off.(v + 1) in
-    let has_unconnected_pair =
+  Array.init (Graph.n g) (fun v ->
+      let lo = off.(v) and hi = off.(v + 1) in
       let found = ref false in
       for i = lo to hi - 1 do
         for j = i + 1 to hi - 1 do
           if (not !found) && not (Graph.mem_edge g nbr.(i) nbr.(j)) then found := true
         done
       done;
-      !found
-    in
-    if has_unconnected_pair then marked := Nodeset.add v !marked
-  done;
-  !marked
+      !found)
 
 let build g =
-  let marked = marking g in
-  let members = ref marked in
+  let member = marking g in
+  let marked = Nodeset.of_indicator member in
   let closed v = Graph.closed_neighborhood g v in
   let opened v = Graph.open_neighborhood g v in
   (* Rule 1: coverage by one higher-id marked neighbor. *)
@@ -32,17 +26,17 @@ let build g =
       let dominated =
         Graph.fold_neighbors g v
           (fun acc u ->
-            acc || (u > v && Nodeset.mem u !members && Nodeset.subset (closed v) (closed u)))
+            acc || (u > v && member.(u) && Nodeset.subset (closed v) (closed u)))
           false
       in
-      if dominated then members := Nodeset.remove v !members)
+      if dominated then member.(v) <- false)
     marked;
   (* Rule 2: coverage by two adjacent higher-id marked neighbors.  Checked
      against the post-Rule-1 member set, as in the original paper's
      sequential application. *)
   Nodeset.iter
     (fun v ->
-      if Nodeset.mem v !members then begin
+      if member.(v) then begin
         let { Graph.off; nbr; _ } = g in
         let lo = off.(v) and hi = off.(v + 1) in
         let dominated = ref false in
@@ -52,16 +46,16 @@ let build g =
             if
               (not !dominated)
               && u > v && w > v
-              && Nodeset.mem u !members && Nodeset.mem w !members
+              && member.(u) && member.(w)
               && Graph.mem_edge g u w
               && Nodeset.subset (opened v) (Nodeset.union (opened u) (opened w))
             then dominated := true
           done
         done;
-        if !dominated then members := Nodeset.remove v !members
+        if !dominated then member.(v) <- false
       end)
     marked;
-  { graph = g; marked; members = !members }
+  { graph = g; marked; members = Nodeset.of_indicator member }
 
 let size t = Nodeset.cardinal t.members
 

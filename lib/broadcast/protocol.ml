@@ -120,14 +120,10 @@ let decide_count env ~source ~mode decide =
   Engine.run_count ?drop:(drop_of env mode) ?down:env.down ~arena:env.arena env.graph ~source
     ~decide
 
-(* [decide_run] and [decide_count] in the unit-packet shape the traced
-   replay compiles against. *)
+(* [decide_run] in the unit-packet shape the traced replay compiles
+   against. *)
 let run_decide env ~source ~mode ~initial:() ~decide =
   decide_run env ~source ~mode (fun ~node ~from -> Option.is_some (decide ~node ~from ~payload:()))
-
-let run_decide_count env ~source ~mode ~initial:() ~decide =
-  decide_count env ~source ~mode (fun ~node ~from ->
-      Option.is_some (decide ~node ~from ~payload:()))
 
 let si_decide members ~node ~from:_ = Nodeset.mem node members
 
@@ -135,7 +131,7 @@ let si_decide members ~node ~from:_ = Nodeset.mem node members
    the largest member, paired with the indicator itself as
    {!Engine.run_si_count}'s [member]: built once per prepared protocol,
    at its first broadcast (a consumer that only reads [members] never
-   pays for it), it turns each reception's AVL descent into one byte
+   pays for it), it turns each reception's binary search into one byte
    read. *)
 let indicator members =
   let ind =

@@ -187,9 +187,10 @@ val of_pipeline :
   built
 (** The [built] of a decide protocol: for each broadcast, [pipeline
     ~source] is the [decide] predicate, run as {!run_decide} describes
-    ([run]) or counted as {!run_decide_count} does ([count]).  A
-    protocol that reads the sender's packet keeps it in the state
-    [pipeline] closes over, indexed by sender. *)
+    ([run]) or counted through {!Engine.run_count} ([count]: the same
+    draws and [decide] calls, nothing O(n) built).  A protocol that
+    reads the sender's packet keeps it in the state [pipeline] closes
+    over, indexed by sender. *)
 
 val per_broadcast :
   name:string ->
@@ -234,21 +235,6 @@ val run_decide :
     this shape; they go when ROADMAP item 1 deletes [replay.ml].
     @raise Invalid_argument if a [Lossy] loss is outside [\[0, 1\]]
     (NaN included) or [source] is out of range. *)
-
-val run_decide_count :
-  env ->
-  source:int ->
-  mode:mode ->
-  initial:unit ->
-  decide:(node:int -> from:int -> payload:unit -> unit option) ->
-  Engine.counts
-(** {!run_decide} through {!Engine.run_count} ({!of_pipeline}'s
-    [count]): the same broadcast, the same draws from [env.rng] and the
-    same [decide] calls, but only its forward, delivery and completion
-    counts are returned, and nothing O(n) is built — for callers that
-    discard the result and timeline (the serving loop's lossy
-    arrivals).  Its unit shape goes with {!run_decide}'s.
-    @raise Invalid_argument as {!run_decide}. *)
 
 val loss_free : env -> mode -> bool
 (** No reception of a broadcast in [mode] on [env] can drop and no node

@@ -30,9 +30,7 @@ let largest_component g =
     Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
     let best = ref 0 in
     Array.iteri (fun c s -> if s > sizes.(!best) then best := c) sizes;
-    let members = ref Nodeset.empty in
-    Array.iteri (fun v c -> if c = !best then members := Nodeset.add v !members) comp;
-    fst (Graph.induced g !members)
+    fst (Graph.induced g (Nodeset.of_indicator (Array.map (fun c -> c = !best) comp)))
   end
 
 (* Random connected unit-disk graph, the paper's own workload. *)

@@ -58,11 +58,7 @@ let under_dominate =
     ~build:(fun env ->
       let g = env.Protocol.graph in
       let full = kmcds_members ~k:2 ~m:2 env in
-      let member_neighbors u =
-        Manet_graph.Graph.fold_neighbors g u
-          (fun acc w -> if Nodeset.mem w full then Nodeset.add w acc else acc)
-          Nodeset.empty
-      in
+      let member_neighbors u = Nodeset.inter (Manet_graph.Graph.open_neighborhood g u) full in
       (* A node dominated exactly min(m, deg) = 2 times: dropping either
          dominator leaves it under-dominated. *)
       let rec find u =

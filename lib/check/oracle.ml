@@ -93,18 +93,16 @@ let check_coverage ctx =
               fail "%s: cached coverage of head %d disagrees with of_head" mode_name u;
             let dist = Bfs.distances_upto g ~source:u ~limit:3 in
             let reference =
-              List.fold_left
-                (fun acc h ->
-                  if h = u then acc
-                  else
-                    let reachable =
-                      match mode with
-                      | Coverage.Hop3 -> dist.(h) <= 3
-                      | Coverage.Hop25 ->
-                        List.exists (fun m -> dist.(m) <= 2) (Clustering.members cl h)
-                    in
-                    if reachable then Nodeset.add h acc else acc)
-                Nodeset.empty heads
+              Nodeset.of_list
+                (List.filter
+                   (fun h ->
+                     h <> u
+                     &&
+                     match mode with
+                     | Coverage.Hop3 -> dist.(h) <= 3
+                     | Coverage.Hop25 ->
+                       List.exists (fun m -> dist.(m) <= 2) (Clustering.members cl h))
+                   heads)
             in
             if not (Nodeset.equal (Coverage.covered cov) reference) then
               fail "%s: coverage of head %d is %a, BFS reference says %a" mode_name u Nodeset.pp
@@ -311,9 +309,7 @@ let check_result_consistency (p : Protocol.t) g ~source (r : Result.t) timeline 
   else if not (Nodeset.for_all (fun v -> r.Result.delivered.(v)) r.Result.forwarders) then
     failf "%s: some forwarder never received the packet" p.Protocol.name
   else
-    let timeline_nodes =
-      List.fold_left (fun s (_, v) -> Nodeset.add v s) Nodeset.empty timeline
-    in
+    let timeline_nodes = Nodeset.of_list (List.map snd timeline) in
     if List.length timeline <> Result.forward_count r then
       failf "%s: %d timeline entries for %d forwards" p.Protocol.name (List.length timeline)
         (Result.forward_count r)
@@ -595,7 +591,7 @@ let check_failure_delivery ctx (p : Protocol.t) =
     in
     let b = p.Protocol.prepare env in
     let in_residual_backbone ~v u =
-      Nodeset.mem u (Nodeset.remove v members)
+      (u <> v && Nodeset.mem u members)
       || Graph.fold_neighbors g u
            (fun acc w -> acc || (w <> v && Nodeset.mem w members))
            false

@@ -75,7 +75,7 @@ let elect ~beats g head =
 let head_of t v = t.head_arr.(v)
 let is_head t v = t.head_arr.(v) = v
 let heads t = t.head_list
-let head_set t = Nodeset.of_increasing (Array.of_list t.head_list) ~len:(List.length t.head_list)
+let head_set t = Nodeset.of_predicate ~n:t.graph_n ~card:(List.length t.head_list) (is_head t)
 let num_clusters t = List.length t.head_list
 
 let members t h =
@@ -87,16 +87,10 @@ let members t h =
   !acc
 
 let classic_gateways t g =
-  let s = ref Nodeset.empty in
-  for v = 0 to t.graph_n - 1 do
-    if not (is_head t v) then begin
-      let foreign =
-        Graph.fold_neighbors g v (fun acc u -> acc || t.head_arr.(u) <> t.head_arr.(v)) false
-      in
-      if foreign then s := Nodeset.add v !s
-    end
-  done;
-  !s
+  Nodeset.of_indicator
+    (Array.init t.graph_n (fun v ->
+         (not (is_head t v))
+         && Graph.fold_neighbors g v (fun acc u -> acc || t.head_arr.(u) <> t.head_arr.(v)) false))
 
 let pp fmt t =
   List.iter

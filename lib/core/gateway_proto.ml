@@ -12,7 +12,7 @@ type state = {
   selection : Nodeset.t;  (** a head's own selection; empty otherwise *)
   mutable informed : bool;
   mutable pending : msg list;  (** forwards queued for the next round *)
-  mutable forwarded : Nodeset.t;  (** heads whose message was already forwarded *)
+  mutable forwarded : int list;  (** heads whose message was already forwarded *)
 }
 
 let run g cl coverages =
@@ -28,7 +28,7 @@ let run g cl coverages =
         | Some cov -> Gateway_selection.select cov
         | None -> Nodeset.empty
       in
-      { id = v; is_head; selection; informed = false; pending = []; forwarded = Nodeset.empty }
+      { id = v; is_head; selection; informed = false; pending = []; forwarded = [] }
 
     let on_start s =
       if s.is_head then [ Gateway { from_head = s.id; selected = s.selection; ttl = 2 } ]
@@ -37,8 +37,8 @@ let run g cl coverages =
     let on_message s ~from:_ (Gateway { from_head; selected; ttl }) =
       if Nodeset.mem s.id selected then begin
         s.informed <- true;
-        if ttl - 1 > 0 && not (Nodeset.mem from_head s.forwarded) then begin
-          s.forwarded <- Nodeset.add from_head s.forwarded;
+        if ttl - 1 > 0 && not (List.exists (Int.equal from_head) s.forwarded) then begin
+          s.forwarded <- from_head :: s.forwarded;
           s.pending <- Gateway { from_head; selected; ttl = ttl - 1 } :: s.pending
         end
       end
@@ -50,9 +50,5 @@ let run g cl coverages =
   end in
   let module R = Manet_sim.Rounds.Run (P) in
   let result = R.run g in
-  let informed =
-    Array.fold_left
-      (fun acc (s : state) -> if s.informed then Nodeset.add s.id acc else acc)
-      Nodeset.empty result.states
-  in
+  let informed = Nodeset.of_indicator (Array.map (fun (s : state) -> s.informed) result.states) in
   { informed; rounds = result.rounds; transmissions = result.transmissions }

@@ -14,9 +14,7 @@ type t = {
 }
 
 let make ~graph ~clustering ~mode ~coverages ~gateways =
-  let ind = Nodeset.to_indicator ~n:(Graph.n graph) gateways in
-  List.iter (fun h -> ind.(h) <- true) (Clustering.heads clustering);
-  let members = Nodeset.of_indicator ind in
+  let members = Nodeset.union (Clustering.head_set clustering) gateways in
   { graph; clustering; mode; coverages; gateways; members }
 
 let build ?clustering ?cache g mode =

@@ -14,7 +14,7 @@ type state = {
   mutable round : int;
   (* non-clusterhead bookkeeping *)
   mutable hop2_entries : (int * int) list;  (** reversed accumulation *)
-  mutable hop2_seen : Nodeset.t;
+  mutable hop2_seen : int list;
   (* clusterhead bookkeeping: raw receptions *)
   mutable heard_hop1 : (int * Nodeset.t) list;  (** (sender, its 1-hop heads) *)
   mutable heard_hop2 : (int * (int * int) list) list;  (** (sender, entries) *)
@@ -32,7 +32,7 @@ let run g cl mode =
         is_head = Clustering.is_head cl v;
         round = 0;
         hop2_entries = [];
-        hop2_seen = Nodeset.empty;
+        hop2_seen = [];
         heard_hop1 = [];
         heard_hop2 = [];
       }
@@ -53,8 +53,9 @@ let run g cl mode =
           in
           List.iter
             (fun c ->
-              if (not (Graph.mem_edge g s.id c)) && not (Nodeset.mem c s.hop2_seen) then begin
-                s.hop2_seen <- Nodeset.add c s.hop2_seen;
+              if (not (Graph.mem_edge g s.id c)) && not (List.exists (Int.equal c) s.hop2_seen)
+              then begin
+                s.hop2_seen <- c :: s.hop2_seen;
                 s.hop2_entries <- (c, from) :: s.hop2_entries
               end)
             candidates

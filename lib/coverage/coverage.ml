@@ -102,7 +102,8 @@ let hop2_row g cl mode ~hop1 ~stamp ~gen ~buf v =
 
 let ch_hop1 g cl v =
   if Clustering.is_head cl v then invalid_arg "Coverage.ch_hop1: clusterheads do not send CH_HOP1";
-  Array.fold_left (fun s u -> Nodeset.add u s) Nodeset.empty (hop1_row ~buf:(ref [| 0 |]) g cl v)
+  let row = hop1_row ~buf:(ref [| 0 |]) g cl v in
+  Nodeset.of_increasing row ~len:(Array.length row)
 
 let unpack_row ~n packed =
   let shift = row_shift n in
@@ -332,25 +333,6 @@ let flat_rows g cl mode (hop1 : int array array) =
   off.(n) <- !len;
   { off; buf = !buf }
 
-(* C2 and C3 keys merged into one strictly increasing array: each key
-   array is increasing and the two are disjoint. *)
-let merged_keys t =
-  let a = t.c2_keys and b = t.c3_keys in
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
-  let i = ref 0 and j = ref 0 in
-  for k = 0 to na + nb - 1 do
-    if !j >= nb || (!i < na && a.(!i) < b.(!j)) then begin
-      out.(k) <- a.(!i);
-      incr i
-    end
-    else begin
-      out.(k) <- b.(!j);
-      incr j
-    end
-  done;
-  out
-
 (* Shared CH_HOP tables for one (graph, clustering, mode): every CH_HOP1
    and CH_HOP2 row is computed exactly once — one O(sum deg) pass for the
    hop-1 rows and one O(sum deg * deg) pass for the flat hop-2 rows — and
@@ -478,9 +460,7 @@ let of_sorted ~owner mode ~c2 ~c3 =
 let c2_set t = Nodeset.of_increasing t.c2_keys ~len:(Array.length t.c2_keys)
 let c3_set t = Nodeset.of_increasing t.c3_keys ~len:(Array.length t.c3_keys)
 
-let covered t =
-  let keys = merged_keys t in
-  Nodeset.of_increasing keys ~len:(Array.length keys)
+let covered t = Nodeset.union (c2_set t) (c3_set t)
 
 let size t = Array.length t.c2_keys + Array.length t.c3_keys
 

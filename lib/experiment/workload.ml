@@ -231,9 +231,7 @@ let serve ?(mode = Protocol.Perfect) ?motion ?on_maintenance
       certified := false
     end
   in
-  let decide ~node ~from:_ ~payload:() =
-    if Bytes.unsafe_get member node <> '\000' then Some () else None
-  in
+  let decide ~node ~from:_ = Bytes.unsafe_get member node <> '\000' in
   (* With no loss and no failure an arrival's delivery comes from one
      traversal of the backbone, which draws nothing, or from the epoch
      certificate with none; otherwise the reception loop draws from a
@@ -334,7 +332,8 @@ let serve ?(mode = Protocol.Perfect) ?motion ?on_maintenance
                 (* One split per arrival: a broadcast that draws more
                    never perturbs the next broadcast's stream. *)
                 Protocol.retarget ~rng:(Rng.split traffic_rng) env;
-                (Protocol.run_decide_count env ~source ~mode ~initial:() ~decide).Engine.delivered
+                let lossy = Protocol.of_pipeline env ~members:None (fun ~source:_ -> decide) in
+                (lossy.Protocol.count ~source ~mode).Engine.delivered
               end
             end
           in

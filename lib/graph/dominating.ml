@@ -1,19 +1,19 @@
-let undominated g s =
+let dominated g s v =
   let { Graph.off; nbr; _ } = g in
-  let out = ref Nodeset.empty in
-  for v = 0 to Graph.n g - 1 do
-    let dominated = ref (Nodeset.mem v s) in
-    let i = ref off.(v) in
-    let hi = off.(v + 1) in
-    while (not !dominated) && !i < hi do
-      if Nodeset.mem (Array.unsafe_get nbr !i) s then dominated := true;
-      incr i
-    done;
-    if not !dominated then out := Nodeset.add v !out
+  let found = ref (Nodeset.mem v s) in
+  let i = ref off.(v) in
+  let hi = off.(v + 1) in
+  while (not !found) && !i < hi do
+    if Nodeset.mem (Array.unsafe_get nbr !i) s then found := true;
+    incr i
   done;
-  !out
+  !found
 
-let is_dominating g s = Nodeset.is_empty (undominated g s)
+let undominated g s = Nodeset.of_indicator (Array.init (Graph.n g) (fun v -> not (dominated g s v)))
+
+let is_dominating g s =
+  let rec from v = v = Graph.n g || (dominated g s v && from (v + 1)) in
+  from 0
 
 let is_independent g s =
   let { Graph.off; nbr; _ } = g in

@@ -180,7 +180,7 @@ let edges t =
   done;
   !acc
 
-let open_neighborhood t v = fold_neighbors t v (fun s u -> Nodeset.add u s) Nodeset.empty
+let open_neighborhood t v = Nodeset.of_increasing ~pos:t.off.(v) t.nbr ~len:(degree t v)
 let closed_neighborhood t v = Nodeset.add v (open_neighborhood t v)
 
 let induced t s =

@@ -1,69 +1,110 @@
-include Set.Make (Int)
+(* A set is its elements in a strictly increasing int array.  The
+   binary operations allocate their result once, at its exact size, or
+   return an operand unchanged when the result equals it. *)
+type t = int array
 
-(* Mirror of [Set.Make(Int)]'s internal representation (stdlib set.ml,
-   unchanged since 4.03: [Empty | Node of {l; v; r; h}]).  Building the
-   balanced tree directly lets [of_increasing] spend exactly one tree
-   node per element, where [of_list] re-sorts its input even when it is
-   already sorted — on a 1000-forwarder broadcast that sort is the bulk
-   of the per-run allocations once the engine arena reuses everything
-   else.  [build] produces a perfectly balanced tree (sibling heights
-   differ by at most one, within the stdlib's AVL slack of two) with
-   true heights in [h], so sets built here behave identically under
-   every subsequent operation; the test suite checks them against
-   [of_list]-built sets, including after further adds and removes. *)
-type repr = Empty | Node of { l : repr; v : int; r : repr; h : int }
+let empty = [||]
+let is_empty s = Array.length s = 0
+let cardinal = Array.length
+let singleton x = [| x |]
+let elements = Array.to_list
+let iter = Array.iter
+let fold f s acc = Array.fold_left (fun acc v -> f v acc) acc s
+let for_all = Array.for_all
+let exists = Array.exists
+let min_elt_opt s = if is_empty s then None else Some s.(0)
+let max_elt s = if is_empty s then raise Not_found else s.(Array.length s - 1)
+let max_elt_opt s = if is_empty s then None else Some (max_elt s)
 
-external of_repr : repr -> t = "%identity"
+let mem x s =
+  let n = Array.length s in
+  let i = Row_sort.lower_bound s 0 n x in
+  i < n && s.(i) = x
 
-(* [build] gives the left subtree floor(s/2) of the s elements, so every
-   subtree's height is the bit length of its size. *)
-let rec height_of_size s = if s = 0 then 0 else 1 + height_of_size (s lsr 1)
+let equal (a : t) b = a == b || (Array.length a = Array.length b && Array.for_all2 Int.equal a b)
 
-let rec build a lo hi =
-  if lo >= hi then Empty
+let subset (a : t) (b : t) =
+  let la = Array.length a and lb = Array.length b and i = ref 0 and j = ref 0 in
+  while !i < la && !j < lb && a.(!i) >= b.(!j) do
+    if a.(!i) = b.(!j) then incr i;
+    incr j
+  done;
+  !i = la
+
+(* One sorted merge of [a] and [b] that keeps the elements found in [a]
+   only, in both, or in [b] only as the flags say, writing them to [out]
+   unless it is empty; the number kept. *)
+let merge ~a_only ~both ~b_only (a : t) (b : t) out =
+  let la = Array.length a and lb = Array.length b and fill = Array.length out > 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la || !j < lb do
+    let c = if !i = la then 1 else if !j = lb then -1 else Int.compare a.(!i) b.(!j) in
+    let v = if c > 0 then b.(!j) else a.(!i) in
+    if (c < 0 && a_only) || (c = 0 && both) || (c > 0 && b_only) then (
+      if fill then out.(!k) <- v;
+      incr k);
+    if c <= 0 then incr i;
+    if c >= 0 then incr j
+  done;
+  !k
+
+(* Counts, then fills.  For union, inter and diff a result as large as
+   [a] is [a] (and for union, one as large as [b] is [b]). *)
+let select ~a_only ~both ~b_only a b =
+  let len = merge ~a_only ~both ~b_only a b [||] in
+  if len = Array.length a then a
+  else if b_only && len = Array.length b then b
   else
-    let mid = (lo + hi) lsr 1 in
-    Node
-      {
-        l = build a lo mid;
-        v = Array.unsafe_get a mid;
-        r = build a (mid + 1) hi;
-        h = height_of_size (hi - lo);
-      }
+    let out = Array.make len 0 in
+    ignore (merge ~a_only ~both ~b_only a b out);
+    out
 
-let of_increasing a ~len =
-  if len < 0 || len > Array.length a then invalid_arg "Nodeset.of_increasing: len out of range";
-  for i = 1 to len - 1 do
+let union a b = select ~a_only:true ~both:true ~b_only:true a b
+let inter a b = select ~a_only:false ~both:true ~b_only:false a b
+let diff a b = select ~a_only:true ~both:false ~b_only:false a b
+let add x s = if mem x s then s else union s [| x |]
+let remove x s = if mem x s then diff s [| x |] else s
+
+let filter p s =
+  let out = Array.copy s and k = ref 0 in
+  Array.iter
+    (fun v ->
+      if p v then (
+        out.(!k) <- v;
+        incr k))
+    s;
+  if !k = Array.length s then s else Array.sub out 0 !k
+
+let of_increasing ?(pos = 0) (a : t) ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length a then
+    invalid_arg "Nodeset.of_increasing: len out of range";
+  for i = pos + 1 to pos + len - 1 do
     if a.(i - 1) >= a.(i) then invalid_arg "Nodeset.of_increasing: not strictly increasing"
   done;
-  of_repr (build a 0 len)
+  Array.sub a pos len
 
-(* In-order twin of [build]: the same shape, its elements drawn by
-   [take] from a cursor scanning [0, n) for [p], so no element buffer is
-   needed. *)
-let rec take p n cur =
-  let v = !cur in
-  if v >= n then invalid_arg "Nodeset.of_predicate: fewer than card elements";
-  cur := v + 1;
-  if p v then v else take p n cur
-
-let rec build_by p n cur s =
-  if s = 0 then Empty
-  else
-    let half = s lsr 1 in
-    let l = build_by p n cur half in
-    let v = take p n cur in
-    let r = build_by p n cur (s - half - 1) in
-    Node { l; v; r; h = height_of_size s }
+let of_list l =
+  let a = Array.of_list l and len = ref 0 in
+  Row_sort.sort_range a 0 (Array.length a);
+  Array.iter
+    (fun v ->
+      if !len = 0 || a.(!len - 1) <> v then (
+        a.(!len) <- v;
+        incr len))
+    a;
+  Array.sub a 0 !len
 
 let of_predicate ~n ~card p =
   if card < 0 then invalid_arg "Nodeset.of_predicate: card must be non-negative";
-  let cur = ref 0 in
-  let t = build_by p n cur card in
-  for v = !cur to n - 1 do
-    if p v then invalid_arg "Nodeset.of_predicate: more than card elements"
+  let out = Array.make (max 0 (min card n)) 0 and k = ref 0 in
+  for v = 0 to n - 1 do
+    if p v then (
+      if !k = card then invalid_arg "Nodeset.of_predicate: more than card elements";
+      out.(!k) <- v;
+      incr k)
   done;
-  of_repr t
+  if !k < card then invalid_arg "Nodeset.of_predicate: fewer than card elements";
+  out
 
 let of_indicator a =
   let c = ref 0 in
@@ -72,14 +113,14 @@ let of_indicator a =
 
 let to_indicator ~n s =
   let a = Array.make n false in
-  iter
+  Array.iter
     (fun i ->
       if i < 0 || i >= n then invalid_arg "Nodeset.to_indicator: element out of range";
       a.(i) <- true)
     s;
   a
 
-let range n = of_indicator (Array.make n true)
+let range n = Array.init n Fun.id
 
 let pp fmt s =
   Format.fprintf fmt "{%a}"

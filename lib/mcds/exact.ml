@@ -38,7 +38,7 @@ let build g =
     let rec choose first chosen slots =
       if slots = 0 then begin
         if !undominated = 0 then begin
-          let s = List.fold_left (fun s v -> Nodeset.add v s) Nodeset.empty chosen in
+          let s = Nodeset.of_list chosen in
           if Dominating.is_cds g s then raise (Found s)
         end
       end

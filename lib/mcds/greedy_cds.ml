@@ -46,6 +46,4 @@ let build g =
       failwith "Greedy_cds.build: stalled";
     blacken !best
   done;
-  let s = ref Nodeset.empty in
-  Array.iteri (fun v c -> if c = Black then s := Nodeset.add v !s) color;
-  !s
+  Nodeset.of_indicator (Array.map (fun c -> c = Black) color)

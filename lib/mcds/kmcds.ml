@@ -26,27 +26,21 @@ let preferred g a b =
    suffices: members are only ever added, so a node processed earlier
    never loses coverage. *)
 let m_dominate g ~m members =
-  let b = ref members in
+  let b = Nodeset.to_indicator ~n:(Graph.n g) members in
   for u = 0 to Graph.n g - 1 do
-    if not (Nodeset.mem u !b) then begin
+    if not b.(u) then begin
       let need = min m (Graph.degree g u) in
-      let have = Graph.fold_neighbors g u (fun acc w -> if Nodeset.mem w !b then acc + 1 else acc) 0 in
+      let have = Graph.fold_neighbors g u (fun acc w -> if b.(w) then acc + 1 else acc) 0 in
       if have < need then begin
         let missing =
-          Graph.fold_neighbors g u (fun acc w -> if Nodeset.mem w !b then acc else w :: acc) []
+          Graph.fold_neighbors g u (fun acc w -> if b.(w) then acc else w :: acc) []
           |> List.sort (preferred g)
         in
-        let rec take k = function
-          | w :: rest when k > 0 ->
-            b := Nodeset.add w !b;
-            take (k - 1) rest
-          | _ -> ()
-        in
-        take (need - have) missing
+        List.iteri (fun i w -> if i < need - have then b.(w) <- true) missing
       end
     end
   done;
-  !b
+  Nodeset.of_indicator b
 
 (* Connect the components of [members]'s induced subgraph that live in
    one component of [g] minus the (optionally) excluded node: BFS from
@@ -102,13 +96,13 @@ let connect_step g ~excluded members =
        non-member path nodes (the chain from a BFS seed to the target
        crosses at least one, else the target would share the seed's
        induced component). *)
-    let added = ref Nodeset.empty in
+    let added = ref [] in
     let w = ref parent.(!target) in
     while parent.(!w) >= 0 do
-      added := Nodeset.add !w !added;
+      added := !w :: !added;
       w := parent.(!w)
     done;
-    Some (Nodeset.union members !added)
+    Some (Nodeset.union members (Nodeset.of_list !added))
   end
 
 (* Stage 2 — induced connectivity (the k = 1 contract): repair until the
@@ -153,7 +147,7 @@ let biconnect g members =
     | None -> continue_ := false
     | Some v -> (
       match connect_step g ~excluded:(Some v) (Nodeset.remove v !b) with
-      | Some repaired -> b := Nodeset.add v (Nodeset.union !b repaired)
+      | Some repaired -> b := Nodeset.union !b repaired
       | None -> continue_ := false)
   done;
   !b

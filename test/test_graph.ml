@@ -703,54 +703,111 @@ let test_nodeset_helpers () =
       ignore (Nodeset.to_indicator ~n:1 s))
 
 let test_nodeset_of_increasing () =
-  (* Parity with the stdlib constructors, including under subsequent
-     mutation — this guards the direct balanced build against stdlib
-     representation drift. *)
-  for len = 0 to 64 do
-    let a = Array.init len (fun i -> (3 * i) + 1) in
-    let built = Nodeset.of_increasing a ~len in
-    let reference = Nodeset.of_list (Array.to_list a) in
-    Alcotest.check nodeset (Printf.sprintf "len %d" len) reference built;
-    Alcotest.(check (list int))
-      (Printf.sprintf "len %d elements" len)
-      (Array.to_list a) (Nodeset.elements built);
-    let b2 = Nodeset.add (3 * len) (Nodeset.remove 1 built) in
-    let r2 = Nodeset.add (3 * len) (Nodeset.remove 1 reference) in
-    Alcotest.check nodeset (Printf.sprintf "len %d after add/remove" len) r2 b2
-  done;
-  let built = Nodeset.of_increasing (Array.init 100 (fun i -> 2 * i)) ~len:100 in
-  let odd = Nodeset.of_list (List.init 100 (fun i -> (2 * i) + 1)) in
-  Alcotest.(check int) "union" 200 (Nodeset.cardinal (Nodeset.union built odd));
-  Alcotest.(check int) "inter" 0 (Nodeset.cardinal (Nodeset.inter built odd));
   Alcotest.check nodeset "slack beyond len ignored" (set_of_list [ 5; 9 ])
     (Nodeset.of_increasing [| 5; 9; 0; 0 |] ~len:2);
+  Alcotest.check nodeset "slice" (set_of_list [ 9; 11 ])
+    (Nodeset.of_increasing ~pos:1 [| 5; 9; 11; 0 |] ~len:2);
+  let a = [| 1; 2 |] in
+  let s = Nodeset.of_increasing a ~len:2 in
+  a.(0) <- 7;
+  Alcotest.check nodeset "a copy of the input" (set_of_list [ 1; 2 ]) s;
   Alcotest.check_raises "not increasing"
     (Invalid_argument "Nodeset.of_increasing: not strictly increasing") (fun () ->
       ignore (Nodeset.of_increasing [| 1; 1 |] ~len:2));
   Alcotest.check_raises "len out of range"
     (Invalid_argument "Nodeset.of_increasing: len out of range") (fun () ->
-      ignore (Nodeset.of_increasing [| 1 |] ~len:2))
+      ignore (Nodeset.of_increasing [| 1 |] ~len:2));
+  Alcotest.check_raises "slice out of range"
+    (Invalid_argument "Nodeset.of_increasing: len out of range") (fun () ->
+      ignore (Nodeset.of_increasing ~pos:1 [| 1; 2 |] ~len:2))
 
 let test_nodeset_of_predicate () =
-  (* The in-order build must produce the very tree [of_increasing]
-     builds (structural equality compares shapes and heights), for every
-     size and any spacing of the elements. *)
-  for len = 0 to 64 do
-    let a = Array.init len (fun i -> (3 * i) + 1) in
-    let n = (3 * len) + 1 in
-    let built = Nodeset.of_predicate ~n ~card:len (fun v -> v mod 3 = 1) in
-    Alcotest.(check bool) (Printf.sprintf "len %d: same tree" len) true
-      (built = Nodeset.of_increasing a ~len)
-  done;
   Alcotest.check nodeset "dense" (Nodeset.range 5)
     (Nodeset.of_predicate ~n:5 ~card:5 (fun _ -> true));
+  Alcotest.check nodeset "sparse" (set_of_list [ 1; 4; 7 ])
+    (Nodeset.of_predicate ~n:9 ~card:3 (fun v -> v mod 3 = 1));
   let raises name msg card =
     Alcotest.check_raises name (Invalid_argument ("Nodeset.of_predicate: " ^ msg)) (fun () ->
         ignore (Nodeset.of_predicate ~n:10 ~card (fun v -> v mod 2 = 0)))
   in
   raises "card too large" "fewer than card elements" 6;
+  raises "card far too large" "fewer than card elements" max_int;
   raises "card too small" "more than card elements" 4;
   raises "negative card" "card must be non-negative" (-1)
+
+(* Every Nodeset operation against the stdlib's balanced-tree sets on
+   random inputs: empty sets, singletons, lists with duplicates, and
+   sets past 64 elements, drawn from a small range so that operands
+   overlap. *)
+module Model = Set.Make (Int)
+
+let arb_elements =
+  let open QCheck.Gen in
+  let elements =
+    frequency
+      [
+        (1, return []);
+        (1, map (fun v -> [ v ]) (int_range (-3) 150));
+        (3, list_size (int_range 0 40) (int_range (-3) 60));
+        (3, list_size (int_range 65 200) (int_range (-3) 150));
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(triple (list int) (list int) int)
+    (triple elements elements (int_range (-5) 155))
+
+let prop_nodeset_model =
+  qtest "nodeset = stdlib set model" ~count:300 arb_elements (fun (la, lb, x) ->
+      let a = Nodeset.of_list la and b = Nodeset.of_list lb in
+      let ma = Model.of_list la and mb = Model.of_list lb in
+      let same s m = Nodeset.elements s = Model.elements m in
+      let p v = v mod 3 = 0 in
+      let visited s = List.rev (Nodeset.fold (fun v acc -> v :: acc) s []) in
+      let iterated s =
+        let l = ref [] in
+        Nodeset.iter (fun v -> l := v :: !l) s;
+        List.rev !l
+      in
+      let n = 1 + List.fold_left max 0 (la @ lb) in
+      let in_range = List.filter (fun v -> v >= 0) la in
+      same a ma && same b mb
+      && Nodeset.cardinal a = Model.cardinal ma
+      && Nodeset.is_empty a = Model.is_empty ma
+      && Nodeset.mem x a = Model.mem x ma
+      && List.for_all (fun v -> Nodeset.mem v a) la
+      && Nodeset.equal a b = Model.equal ma mb
+      && Nodeset.equal a (Nodeset.of_list (List.rev la))
+      && Nodeset.subset a b = Model.subset ma mb
+      && Nodeset.subset (Nodeset.inter a b) a
+      && same (Nodeset.union a b) (Model.union ma mb)
+      && same (Nodeset.inter a b) (Model.inter ma mb)
+      && same (Nodeset.diff a b) (Model.diff ma mb)
+      && same (Nodeset.diff b a) (Model.diff mb ma)
+      && same (Nodeset.add x a) (Model.add x ma)
+      && same (Nodeset.remove x a) (Model.remove x ma)
+      && same (Nodeset.filter p a) (Model.filter p ma)
+      && same (Nodeset.singleton x) (Model.singleton x)
+      && visited a = Model.elements ma
+      && iterated a = Model.elements ma
+      && Nodeset.for_all p a = Model.for_all p ma
+      && Nodeset.exists p a = Model.exists p ma
+      && Nodeset.min_elt_opt a = Model.min_elt_opt ma
+      && Nodeset.max_elt_opt a = Model.max_elt_opt ma
+      && (match Nodeset.max_elt a with
+         | v -> Some v = Model.max_elt_opt ma
+         | exception Not_found -> Model.is_empty ma)
+      && (let sorted = Array.of_list (Nodeset.elements a) in
+          let k = Array.length sorted in
+          same (Nodeset.of_increasing sorted ~len:k) ma
+          && (k < 2 || same (Nodeset.of_increasing ~pos:1 sorted ~len:(k - 1)) (Model.remove sorted.(0) ma)))
+      && (let ind = Array.init n (fun v -> Model.mem v ma) in
+          let mr = Model.of_list in_range in
+          same (Nodeset.of_indicator ind) mr
+          && same (Nodeset.of_predicate ~n ~card:(Model.cardinal mr) (fun v -> Model.mem v mr)) mr
+          && Nodeset.to_indicator ~n (Nodeset.of_list in_range) = ind)
+      && same (Nodeset.range n) (Model.of_list (List.init n Fun.id))
+      && Format.asprintf "%a" Nodeset.pp a
+         = "{" ^ String.concat ", " (List.map string_of_int (Model.elements ma)) ^ "}")
 
 (* The one in-place int sort: ranges on both sides of its 64-entry
    insertion-sort/heapsort switch, with duplicates, leaving the rest of
@@ -790,6 +847,7 @@ let () =
           Alcotest.test_case "nodeset helpers" `Quick test_nodeset_helpers;
           Alcotest.test_case "nodeset of_increasing" `Quick test_nodeset_of_increasing;
           Alcotest.test_case "nodeset of_predicate" `Quick test_nodeset_of_predicate;
+          prop_nodeset_model;
         ] );
       ( "bfs",
         [
