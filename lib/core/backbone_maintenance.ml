@@ -82,9 +82,19 @@ let ball t g ~seeds =
   done;
   Bfs.expand t.ball g ~limit:3
 
-let update t g =
+(* The report of an update that changed nothing. *)
+let unchanged =
+  {
+    cluster_events = { reaffiliations = 0; new_heads = 0; deposed_heads = 0; messages = 0 };
+    refreshed_heads = 0;
+    ch_hop_messages = 0;
+    gateway_messages = 0;
+    total_messages = 0;
+  }
+
+(* One update onto a snapshot [g] other than [t.graph]. *)
+let apply t g =
   let n = Graph.n g in
-  if n <> Graph.n t.graph then invalid_arg "Backbone_maintenance.update: node count changed";
   let old_graph = t.graph in
   let old_head_of = t.head_of in
   let cluster_events = Maintenance.update t.maint g in
@@ -144,28 +154,36 @@ let update t g =
       done;
       (* Heads keeping an identical, untouched 3-hop ball keep their
          coverage and selection; everyone else — new heads included —
-         refreshes from one CH_HOP cache over the new topology, built on
-         the first refresh. *)
-      let cache = lazy (Coverage.Cache.create g cl t.mode) in
+         refreshes.  The seeds are spent, so [affected] now collects the
+         heads to refresh, and one CH_HOP cache holding only the rows
+         their coverage sets read serves them all. *)
       let refreshed = ref 0 in
-      let gateway_messages = ref 0 in
       List.iter
         (fun h ->
           if t.mark.(h) = in_old_ball || Bfs.seen t.ball h || Option.is_none t.coverages.(h)
           then begin
-            incr refreshed;
-            gateway_messages := !gateway_messages + refresh_head t g (Lazy.force cache) h
+            t.affected.(!refreshed) <- h;
+            incr refreshed
           end)
         (Clustering.heads cl);
+      let refreshed = !refreshed in
+      let gateway_messages = ref 0 in
+      if refreshed > 0 then begin
+        let cache = Coverage.Cache.create_for g cl t.mode t.affected refreshed in
+        for i = 0 to refreshed - 1 do
+          gateway_messages := !gateway_messages + refresh_head t g cache t.affected.(i)
+        done
+      end;
       (* CH_HOP refresh: non-heads within 2 hops of a change re-announce
-         their CH_HOP1 and CH_HOP2. *)
+         their CH_HOP1 and CH_HOP2.  They all lie in the new ball. *)
       let ch_hop = ref 0 in
-      for v = 0 to n - 1 do
+      for i = 0 to Bfs.reached t.ball - 1 do
+        let v = Bfs.nth t.ball i in
         if (not (Clustering.is_head cl v)) && Bfs.dist t.ball v <= 2 then ch_hop := !ch_hop + 2
       done;
       {
         cluster_events;
-        refreshed_heads = !refreshed;
+        refreshed_heads = refreshed;
         ch_hop_messages = !ch_hop;
         gateway_messages = !gateway_messages;
         total_messages = cluster_events.messages + !ch_hop + !gateway_messages;
@@ -176,6 +194,13 @@ let update t g =
   t.head_of <- new_head_of;
   report
 
+let update t g =
+  if Graph.n g <> Graph.n t.graph then
+    invalid_arg "Backbone_maintenance.update: node count changed";
+  (* The snapshot already maintained: nothing can have changed. *)
+  if g == t.graph then unchanged else apply t g
+
+let graph t = t.graph
 let clustering t = Maintenance.clustering t.maint
 
 (* Heads first, then each head's gateways; a gateway selected by several

@@ -20,18 +20,21 @@
     - GATEWAY refresh: per refreshed head, one GATEWAY message plus one
       forward by each selected 1-hop gateway.
 
-    Computational cost per update: the clustering repair and one O(n+m)
-    diff of the old and new adjacency find the affected nodes; two
-    bounded BFS balls around them pick the heads to refresh.  If any
-    head refreshes, one {!Manet_coverage.Coverage.Cache} is built over
-    the new topology and maintained clustering (hop-1 rows plus the flat
-    hop-2 rows, O(sum deg²)), and every refreshed head reads its coverage
-    set from it ({!Manet_coverage.Coverage.Cache.coverage}) and selects
-    its gateways on the selection's reusable scratch.  Coverages and
+    Computational cost per update: handed the snapshot it already
+    holds, an update does nothing.  Otherwise the clustering repair and
+    one O(n+m) diff of the old and new adjacency find the affected
+    nodes; two bounded BFS balls around them pick the heads to refresh,
+    and the CH_HOP count walks the new ball only.  If any head
+    refreshes, one {!Manet_coverage.Coverage.Cache.create_for} table
+    holds just the rows those heads read (CH_HOP1 and CH_HOP2 at their
+    neighbours, plus CH_HOP1 one hop further in [Hop3] mode), and every
+    refreshed head reads its coverage set from it and selects its
+    gateways on the selection's reusable scratch.  Coverages and
     selections live in node-indexed arrays allocated once by {!create};
-    beyond the cache and a few O(n) head arrays (the maintained
-    clustering and the role-diff snapshot), an update allocates only the
-    refreshed heads' new coverage sets and selections. *)
+    beyond the table's rows, its O(n) slot arrays and a few O(n) head
+    arrays (the maintained clustering and the role-diff snapshot), an
+    update allocates only the refreshed heads' new coverage sets and
+    selections. *)
 
 type t
 
@@ -48,8 +51,13 @@ type report = {
 }
 
 val update : t -> Manet_graph.Graph.t -> report
-(** Adapt to a new topology snapshot (same node count).
+(** Adapt to a new topology snapshot (same node count).  Handed the
+    snapshot it already holds ([g == graph t]), it returns the all-zero
+    report at once and changes nothing.
     @raise Invalid_argument on a node-count mismatch. *)
+
+val graph : t -> Manet_graph.Graph.t
+(** The snapshot of the last {!update} (of {!create} before any). *)
 
 val clustering : t -> Manet_cluster.Clustering.t
 (** The currently maintained clustering — what a live broadcast

@@ -286,19 +286,20 @@ let of_head g cl mode u =
   Array.iteri (fun k v -> Array.blit own.(k) 0 flat off.(v) (Array.length own.(k))) nbrs;
   of_head_from ~hop1 ~rows:{ off; buf = flat } ~scratch:(make_scratch g) cl mode u
 
-(* Every node's CH_HOP2 row in one pass over the graph, into one growable
-   buffer (starting at one entry per node, doubling when full).  The
-   stamp is the node id ([stamp.(c) = v] marks clusterhead [c] as seen
-   for [v]'s row), so it never needs resetting; pre-stamping [v]'s own
-   adjacent clusterheads subsumes the not-a-neighbor test.  Scanning
-   neighbors in increasing id keeps, per clusterhead, the smallest via
-   node, and each short row is then sorted in place — the same rows as
-   [hop2_row], without per-row arrays. *)
-let flat_rows g cl mode (hop1 : int array array) =
+(* The CH_HOP2 rows of the non-clusterheads [v] with [stamp.(v) = -1]
+   (every other row is empty) in one pass over the graph, into one
+   growable buffer (starting at one entry per node, doubling when full).
+   The stamp then marks the rows' entries, which are clusterheads, so it
+   never changes at a non-clusterhead: [stamp.(c) = v] marks clusterhead
+   [c] as seen for [v]'s row, and never needs resetting.  Pre-stamping
+   [v]'s own adjacent clusterheads subsumes the not-a-neighbor test.
+   Scanning neighbors in increasing id keeps, per clusterhead, the
+   smallest via node, and each short row is then sorted in place — the
+   same rows as [hop2_row], without per-row arrays. *)
+let flat_rows g cl mode (hop1 : int array array) ~stamp =
   let n = Graph.n g in
   let shift = row_shift n in
   let off = Array.make (n + 1) 0 in
-  let stamp = Array.make n (-1) in
   let buf = ref (Array.make (max n 16) 0) in
   let len = ref 0 in
   let record v c w =
@@ -310,7 +311,7 @@ let flat_rows g cl mode (hop1 : int array array) =
   let { Graph.off = goff; nbr = gnbr; _ } = g in
   for v = 0 to n - 1 do
     off.(v) <- !len;
-    if not (Clustering.is_head cl v) then begin
+    if stamp.(v) = -1 && not (Clustering.is_head cl v) then begin
       let own = hop1.(v) in
       for j = 0 to Array.length own - 1 do
         stamp.(Array.unsafe_get own j) <- v
@@ -371,6 +372,38 @@ module Cache = struct
     let hop1 = Array.init (Graph.n g) (hop1_row ~buf:(ref (Array.make 64 0)) g cl) in
     of_hop1 g cl mode hop1
 
+  (* A non-clusterhead's CH_HOP1 row names at least its own head, so an
+     empty slot at a non-clusterhead is one not filled yet.  The stamp
+     starts at -2 (no CH_HOP2 row) and is set to -1 (a row) at the
+     heads' neighbours. *)
+  let create_for g cl mode heads k =
+    let n = Graph.n g in
+    let hop1 = Array.make n [||] in
+    let buf = ref (Array.make 64 0) in
+    let fill v =
+      if Array.length hop1.(v) = 0 && not (Clustering.is_head cl v) then
+        hop1.(v) <- hop1_row ~buf g cl v
+    in
+    let stamp = Array.make n (-2) in
+    let { Graph.off; nbr; _ } = g in
+    for i = 0 to k - 1 do
+      let h = heads.(i) in
+      for a = off.(h) to off.(h + 1) - 1 do
+        let v = nbr.(a) in
+        fill v;
+        stamp.(v) <- -1;
+        match mode with
+        | Hop25 -> ()
+        | Hop3 ->
+          for b = off.(v) to off.(v + 1) - 1 do
+            fill nbr.(b)
+          done
+      done
+    done;
+    let t = of_hop1 g cl mode hop1 in
+    t.hop2 <- Some (flat_rows g cl mode hop1 ~stamp);
+    t
+
   (* The hop-1 rows do not depend on the mode: a second mode's table
      reads the same arrays. *)
   let with_mode t mode = of_hop1 t.graph t.clustering mode t.hop1
@@ -384,7 +417,8 @@ module Cache = struct
     match t.hop2 with
     | Some r -> r
     | None ->
-      let r = flat_rows t.graph t.clustering t.mode t.hop1 in
+      let stamp = Array.make (Graph.n t.graph) (-1) in
+      let r = flat_rows t.graph t.clustering t.mode t.hop1 ~stamp in
       t.hop2 <- Some r;
       r
 

@@ -128,6 +128,18 @@ module Cache : sig
   (** Builds the hop-1 rows eagerly (one O(sum deg) pass); everything else
       is filled on demand. *)
 
+  val create_for :
+    Manet_graph.Graph.t -> Manet_cluster.Clustering.t -> mode -> int array -> int -> t
+  (** [create_for g cl mode heads k] is a table that answers {!coverage}
+      for the clusterheads [heads.(0) .. heads.(k - 1)] only, equal to
+      {!create}'s there.  It holds the rows those sets read and no
+      others: the CH_HOP1 rows at the heads' neighbours (in [Hop3] mode
+      also one hop further, which their CH_HOP2 rows read) and the
+      CH_HOP2 rows at the heads' neighbours, all built at once.  Every
+      other row reads empty, and {!coverage} of any other clusterhead
+      is unspecified.  This is the path of an incremental update that
+      refreshes a few heads ({!Manet_backbone.Backbone_maintenance}). *)
+
   val with_mode : t -> mode -> t
   (** [with_mode t mode] is a fresh table over [t]'s graph and
       clustering in [mode] — equal to [create (graph t) (clustering t)

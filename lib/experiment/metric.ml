@@ -195,7 +195,7 @@ let victim_pool ~spec (built : Protocol.built) ctx =
    environment.  Returns the kill indicator. *)
 let install_failures ~spec env (built : Protocol.built) ctx =
   let n = Manet_graph.Graph.n ctx.graph in
-  let pool = Array.of_list (Nodeset.elements (victim_pool ~spec built ctx)) in
+  let pool = Array.copy (victim_pool ~spec built ctx :> int array) in
   let count = min spec.kill (Array.length pool) in
   let killed = Array.make n false in
   for i = 0 to count - 1 do

@@ -108,9 +108,10 @@ type probe = {
   backbone : Manet_backbone.Static_backbone.t;  (** the live, maintained backbone *)
   stale_events : int;  (** topology events folded into this maintenance *)
   snapshots : int;
-      (** unit-disk snapshots built so far in the stream, the initial one
+      (** unit-disk snapshots made so far in the stream, the initial one
           included: a topology event only marks the snapshot stale, and
-          the next maintenance or broadcast builds it *)
+          the next maintenance or broadcast builds it (with motion off,
+          patches the last one after a few joins and leaves) *)
 }
 
 (** The serving loop's node index: which nodes are active, with the
@@ -131,6 +132,9 @@ module Roster : sig
 
   val nth_active : t -> int -> int
   (** The [k]-th smallest active id, for [0 <= k < live t]. *)
+
+  val nth_inactive : t -> int -> int
+  (** The [k]-th smallest inactive id, for [0 <= k < n - live t]. *)
 
   val active_below : t -> int -> int
   (** [active_below r b] is the number of active ids [< b]. *)
@@ -165,8 +169,10 @@ val serve :
     over the member bytes, any other by the reception loop.
 
     The epoch certificate.  An epoch is the span between two changes
-    of the snapshot or of the member bytes (a rebuild after a topology
-    event, a refill after a maintenance update).  A loss-free traversal
+    of the snapshot or of the member bytes (a new snapshot after a
+    topology event, a refill after a maintenance update that ran; a
+    maintenance with no topology event since the last update changes
+    nothing).  A loss-free traversal
     whose source is a member {e certifies} the epoch when it delivers
     every live node; every later loss-free arrival of the epoch then
     delivers exactly the live count, with no traversal.  Lemma: parked

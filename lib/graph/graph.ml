@@ -184,7 +184,7 @@ let open_neighborhood t v = Nodeset.of_increasing ~pos:t.off.(v) t.nbr ~len:(deg
 let closed_neighborhood t v = Nodeset.add v (open_neighborhood t v)
 
 let induced t s =
-  let back = Array.of_list (Nodeset.elements s) in
+  let back = Array.copy (s : Nodeset.t :> int array) in
   let fwd = Hashtbl.create (Array.length back) in
   Array.iteri (fun i v -> Hashtbl.add fwd v i) back;
   let edges = ref [] in

@@ -167,6 +167,128 @@ let build ?scratch ~radius points =
   done;
   Graph.unsafe_of_csr ~off ~nbr:(Array.sub rows 0 !pos)
 
+(* A patch scans every point twice per moved node under the build's own
+   distance test (symmetric: [dx] and [dy] only change sign): once to
+   mark its new neighbours and count its links, once to write its row.
+   The rows of its old and new neighbours are re-merged, and every other
+   row is copied from [g], a maximal run of such rows per blit.  The
+   output goes through [rows], sized by [g]'s rows plus twice the moved
+   nodes' links (each new link adds one entry to each endpoint) plus
+   one, for a moved row's unconditional write past its last entry.  A
+   patch borrows two more of the build's buffers, which every build
+   rewrites before it reads them: [count] as a per-node mark ([moving]
+   for a moved node, [linked] for a neighbour of one) and [start] for the
+   moved nodes. *)
+let patch ?scratch ~radius points g ~changed k =
+  if not (radius > 0.) then invalid_arg "Unit_disk.patch: radius must be positive";
+  let s = match scratch with Some s -> s | None -> Scratch.create () in
+  let n = Array.length points in
+  let { Graph.off = goff; nbr = gnbr; _ } = g in
+  if Array.length goff <> n + 1 then invalid_arg "Unit_disk.patch: node count changed";
+  let r2 = radius *. radius in
+  s.count <- Scratch.fit s.count n;
+  let mark = s.count in
+  Array.fill mark 0 n 0;
+  let moving = 1 and linked = 2 in
+  (* 1. The moved nodes, deduplicated and sorted. *)
+  s.start <- Scratch.fit s.start k;
+  let moved = s.start in
+  let km = ref 0 in
+  for i = 0 to k - 1 do
+    let v = changed.(i) in
+    if v < 0 || v >= n then invalid_arg "Unit_disk.patch: node out of range";
+    if mark.(v) <> moving then begin
+      mark.(v) <- moving;
+      moved.(!km) <- v;
+      incr km
+    end
+  done;
+  let km = !km in
+  Row_sort.sort_range moved 0 km;
+  (* 2. A mark on each old or new neighbour of a moved node that did not
+     move itself. *)
+  let links = ref 0 in
+  for i = 0 to km - 1 do
+    let c = moved.(i) in
+    let p : Point.t = Array.unsafe_get points c in
+    let x = p.x and y = p.y in
+    for j = 0 to n - 1 do
+      let q : Point.t = Array.unsafe_get points j in
+      let dx = x -. q.x and dy = y -. q.y in
+      if (dx *. dx) +. (dy *. dy) < r2 && j <> c then begin
+        incr links;
+        if mark.(j) <> moving then mark.(j) <- linked
+      end
+    done;
+    for a = goff.(c) to goff.(c + 1) - 1 do
+      let u = gnbr.(a) in
+      if mark.(u) <> moving then mark.(u) <- linked
+    done
+  done;
+  (* 3. The rows in node order. *)
+  s.rows <- Scratch.fit s.rows (Array.length gnbr + (2 * !links) + 1);
+  let rows = s.rows in
+  let off = Array.make (n + 1) 0 in
+  let pos = ref 0 and run = ref 0 in
+  (* Copies the entries of [gnbr.(!a) .. gnbr.(!stop - 1)] below [bound]
+     that did not move, advancing [a]. *)
+  let a = ref 0 and stop = ref 0 in
+  let copy_below bound =
+    while !a < !stop && gnbr.(!a) < bound do
+      let u = gnbr.(!a) in
+      if mark.(u) <> moving then begin
+        rows.(!pos) <- u;
+        incr pos
+      end;
+      incr a
+    done
+  in
+  let flush v =
+    let len = goff.(v) - goff.(!run) in
+    Array.blit gnbr goff.(!run) rows !pos len;
+    for u = !run to v - 1 do
+      off.(u + 1) <- !pos + goff.(u + 1) - goff.(!run)
+    done;
+    pos := !pos + len
+  in
+  for v = 0 to n - 1 do
+    let m = mark.(v) in
+    if m <> 0 then begin
+      flush v;
+      let p : Point.t = Array.unsafe_get points v in
+      let x = p.x and y = p.y in
+      if m = moving then
+        (* A moved node's row, written as [build] writes it. *)
+        for j = 0 to n - 1 do
+          let q : Point.t = Array.unsafe_get points j in
+          let dx = x -. q.x and dy = y -. q.y in
+          Array.unsafe_set rows !pos j;
+          pos := !pos + (Bool.to_int ((dx *. dx) +. (dy *. dy) < r2) land Bool.to_int (j <> v))
+        done
+      else begin
+        (* The old row without the moved nodes, merged with the moved
+           nodes now in range. *)
+        a := goff.(v);
+        stop := goff.(v + 1);
+        for i = 0 to km - 1 do
+          let c = moved.(i) in
+          let q : Point.t = Array.unsafe_get points c in
+          let dx = x -. q.x and dy = y -. q.y in
+          if (dx *. dx) +. (dy *. dy) < r2 then begin
+            copy_below c;
+            rows.(!pos) <- c;
+            incr pos
+          end
+        done;
+        copy_below n
+      end;
+      off.(v + 1) <- !pos;
+      run := v + 1
+    end
+  done;
+  flush n;
+  Graph.unsafe_of_csr ~off ~nbr:(Array.sub rows 0 !pos)
+
 (* The two O(n^2) builders go through one packed half-edge buffer and
    [Graph.of_half_edges]. *)
 type edge_buf = { mutable buf : int array; mutable len : int }

@@ -11,13 +11,14 @@
 
 module Scratch : sig
   type t
-  (** Reusable working storage for {!build}: the cell table, the
-      candidate lists and the row buffer.  It grows to fit the largest
-      input it serves and is kept between calls, so a caller that builds
-      many graphs of one size (a rejection-sampling loop, a serving
-      loop's snapshots) allocates only each graph's own arrays.  Holds
-      no result: reusing it never changes a graph.  Single-threaded
-      state: one scratch must not serve two builds at once. *)
+  (** Reusable working storage for {!build} and {!patch}: the cell
+      table, the candidate lists and the row buffer.  It grows to fit
+      the largest input it serves and is kept between calls, so a caller
+      that builds many graphs of one size (a rejection-sampling loop, a
+      serving loop's snapshots) allocates only each graph's own arrays.
+      Holds no result: reusing it never changes a graph.
+      Single-threaded state: one scratch must not serve two builds at
+      once. *)
 
   val create : unit -> t
   (** An empty scratch; it allocates on first use. *)
@@ -29,6 +30,25 @@ val build : ?scratch:Scratch.t -> radius:float -> Manet_geom.Point.t array -> Gr
     Node [i] is [points.(i)].  [scratch] defaults to a fresh one.  Exact
     for coordinates below about [10^6] radii in magnitude.
     @raise Invalid_argument unless [radius > 0.] (so also on [nan]). *)
+
+val patch :
+  ?scratch:Scratch.t ->
+  radius:float ->
+  Manet_geom.Point.t array ->
+  Graph.t ->
+  changed:int array ->
+  int ->
+  Graph.t
+(** [patch ~radius points g ~changed k] is [build ~radius points] when
+    [g] is [build ~radius old] for points [old] that differ from
+    [points] only at the nodes [changed.(0) .. changed.(k - 1)] (in any
+    order, repeats allowed).  It recomputes only those nodes' rows,
+    against every point under {!build}'s distance test, and edits the
+    rows of their old and new neighbours; every other row is copied from
+    [g], which is left untouched.  O(k n + n + m): cheaper than {!build}
+    while [k] is small.
+    @raise Invalid_argument unless [radius > 0.], on a [g] whose node
+    count is not [Array.length points], or on a node out of range. *)
 
 val build_brute_force : radius:float -> Manet_geom.Point.t array -> Graph.t
 (** O(n^2) reference implementation; used by tests as the oracle for

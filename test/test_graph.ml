@@ -504,6 +504,54 @@ let test_udg_oracle_cell_edge_pairs () =
     check_udg (Printf.sprintf "cell-edge trial %d" trial) ~radius pts
   done
 
+(* [Unit_disk.patch] = [build] on the moved points: the serving loop's
+   join/leave snapshot.  A quarter of the nodes start on the parking
+   rail.  A moved node goes to a uniform field point, onto its rail
+   slot, onto another node (coincident) or exactly one radius from one
+   along an axis; a move list may be empty or repeat a node, n reaches
+   past 256, and a second patch starts from the first one's graph.  One
+   scratch serves every build and patch, as in the serving loop. *)
+let prop_patch_matches_build =
+  qtest "patch = build on the moved points" ~count:100
+    QCheck.(triple (int_bound 100_000) (int_range 2 400) (int_bound 20))
+    (fun (seed, n, k) ->
+      let rng = Manet_rng.Rng.create ~seed in
+      let float b = Manet_rng.Rng.float rng b and int b = Manet_rng.Rng.int rng b in
+      let radius =
+        Unit_disk.radius_for_degree ~n ~degree:(4. +. float 14.) ~width:100. ~height:100.
+      in
+      let park v =
+        Point.make ~x:(float_of_int v *. ((2. *. radius) +. 1.)) ~y:(100. +. (2. *. radius) +. 1.)
+      in
+      let field () = Point.make ~x:(float 100.) ~y:(float 100.) in
+      let pts = Array.init n (fun v -> if int 4 = 0 then park v else field ()) in
+      let scratch = Unit_disk.Scratch.create () in
+      let move pts k =
+        let moved = Array.init k (fun _ -> int n) in
+        let next = Array.copy pts in
+        Array.iter
+          (fun v ->
+            let other : Point.t = next.(int n) in
+            next.(v) <-
+              (match int 5 with
+              | 0 -> park v
+              | 1 -> other
+              | 2 -> Point.make ~x:(other.x +. radius) ~y:other.y
+              | 3 -> Point.make ~x:other.x ~y:(other.y -. radius)
+              | _ -> field ()))
+          moved;
+        (moved, next)
+      in
+      let g = Unit_disk.build ~scratch ~radius pts in
+      let moved, pts1 = move pts k in
+      let g1 = Unit_disk.patch ~scratch ~radius pts1 g ~changed:moved k in
+      let rebuilt = Unit_disk.build ~scratch ~radius pts1 in
+      let moved, pts2 = move pts1 (int 6) in
+      let g2 = Unit_disk.patch ~scratch ~radius pts2 g1 ~changed:moved (Array.length moved) in
+      let fresh = Unit_disk.build ~radius pts1 in
+      Graph.equal g1 fresh && Graph.equal rebuilt fresh
+      && Graph.equal g2 (Unit_disk.build ~radius pts2))
+
 (* Every builder guards with [not (radius > 0.)], so a NaN radius is
    rejected with the builder's own message instead of yielding an
    edgeless graph. *)
@@ -890,6 +938,7 @@ let () =
           Alcotest.test_case "simple" `Quick test_unit_disk_simple;
           Alcotest.test_case "strict threshold" `Quick test_unit_disk_strict;
           prop_unit_disk_matches_brute;
+          prop_patch_matches_build;
           Alcotest.test_case "oracle: uniform n in {0..1000}" `Quick test_udg_oracle_uniform;
           Alcotest.test_case "oracle: radius beyond field" `Quick test_udg_oracle_radius_beyond_field;
           Alcotest.test_case "oracle: parked rail" `Quick test_udg_oracle_parked_rail;

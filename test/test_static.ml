@@ -289,6 +289,55 @@ let prop_bm_equals_rebuild_large =
     (arb_udg ~n_min:20 ~n_max:200 ~ds:[ 6.; 10.; 18. ] ())
     bm_equals_rebuild
 
+(* Join and leave churn, as the serving loop applies it: each step
+   parks one to three nodes on a rail outside the field (isolated) or
+   brings parked ones back, and every fourth step hands [update] the
+   snapshot it already holds.  Only a few small 3-hop balls change per
+   step, so this reaches the head-local refresh that whole-graph motion
+   never does. *)
+let bm_join_leave_equals_rebuild case =
+  let seed, _, _ = case in
+  let s = sample_of case in
+  let n = Graph.n s.graph and radius = s.radius in
+  let park v =
+    Manet_geom.Point.make ~x:(float_of_int v *. ((2. *. radius) +. 1.))
+      ~y:(100. +. (2. *. radius) +. 1.)
+  in
+  List.for_all
+    (fun mode ->
+      let rng = Manet_rng.Rng.create ~seed:(seed + 23) in
+      let pts = Array.copy s.points in
+      let parked = Array.make n false in
+      let bm = Backbone_maintenance.create s.graph mode in
+      let ok = ref true in
+      for step = 1 to 12 do
+        if step mod 4 = 0 then begin
+          let ev = Backbone_maintenance.update bm (Backbone_maintenance.graph bm) in
+          if ev.total_messages <> 0 || ev.refreshed_heads <> 0 then ok := false
+        end
+        else begin
+          for _ = 1 to 1 + Manet_rng.Rng.int rng 3 do
+            let v = Manet_rng.Rng.int rng n in
+            parked.(v) <- not parked.(v);
+            pts.(v) <- (if parked.(v) then park v else s.points.(v))
+          done;
+          ignore (Backbone_maintenance.update bm (Manet_graph.Unit_disk.build ~radius pts))
+        end;
+        let g = Backbone_maintenance.graph bm in
+        let bb = Backbone_maintenance.backbone bm in
+        let fresh = Static.build ~clustering:bb.Static.clustering g mode in
+        if not (Nodeset.equal fresh.members bb.members) then ok := false;
+        if not (Nodeset.equal fresh.gateways bb.gateways) then ok := false;
+        if not (coverage_slots_equal fresh.coverages bb.coverages) then ok := false
+      done;
+      !ok)
+    [ Coverage.Hop25; Coverage.Hop3 ]
+
+let prop_bm_join_leave_equals_rebuild =
+  qtest "incremental backbone = rebuild under join/leave" ~count:30
+    (arb_udg ~n_min:20 ~n_max:200 ~ds:[ 6.; 10.; 18. ] ())
+    bm_join_leave_equals_rebuild
+
 (* The report stream along one seeded n = 1000 random-waypoint
    trajectory, summed field by field.  The expected sums were recorded
    before the maintenance state moved to flat arrays and a shared
@@ -364,6 +413,7 @@ let () =
           Alcotest.test_case "node count guard" `Quick test_bm_node_count_guard;
           prop_bm_equals_rebuild;
           prop_bm_equals_rebuild_large;
+          prop_bm_join_leave_equals_rebuild;
           Alcotest.test_case "message accounting" `Quick test_bm_message_accounting;
           Alcotest.test_case "pinned report stream (n=1000)" `Quick test_bm_report_stream_pinned;
         ] );

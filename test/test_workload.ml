@@ -107,9 +107,10 @@ let test_nan_radius () =
    above (a stale backbone often fails to certify there) and the bench
    traffic stream at n = 200 over nine measured time units.  Each
    stream's stats, perfect and under [Lossy 0.5], are pinned to the loop
-   that traversed every arrival.  Loss-free, the n = 200 stream runs 30
-   traversals for 406 broadcasts; under loss every arrival runs the
-   reception loop. *)
+   that traversed every arrival.  Loss-free, the n = 200 stream runs 11
+   traversals for 406 broadcasts (30 while a maintenance that changed
+   nothing still dropped the certificate); under loss every arrival
+   runs the reception loop. *)
 let certificate_cases =
   let traffic =
     let spec = Spec.make ~n:200 ~avg_degree:12. () in
@@ -130,7 +131,7 @@ let certificate_cases =
       4242,
       (406, 0x1.68e38e38e38e4p+5, 4, 10, 235, 0x1.d6p+5, 0x1.c5fd7a533b456p-4),
       (0x1p+0, 0x1.500af6726acc3p-1),
-      30 );
+      11 );
   ]
 
 let test_certificate () =
@@ -167,6 +168,21 @@ let test_certificate () =
         (serve (Manet_broadcast.Protocol.Lossy 0.5) lossy))
     certificate_cases
 
+(* A stream with no churn and no motion keeps its first snapshot, so
+   every maintenance changes nothing: it costs no message and keeps the
+   epoch certificate.  Node 0, the only source, heads its cluster, so
+   the first arrival's traversal certifies the epoch and is the
+   stream's only one. *)
+let test_no_change_maintenance () =
+  let spec, points, radius = sample 7 in
+  let w = Workload.make ~arrival_rate:40. ~duration:10. ~sources:1 () in
+  let r = Workload.serve ~rng:(Rng.create ~seed:42) ~points ~radius ~spec w in
+  Alcotest.(check int) "maintenance updates" 10 r.Workload.stats.maintenance_updates;
+  Alcotest.(check int) "maintenance messages" 0 r.Workload.stats.maintenance_messages;
+  Alcotest.(check (float 0.)) "delivery" 1. r.Workload.stats.delivery;
+  Alcotest.(check bool) "many broadcasts" true (r.Workload.stats.broadcasts > 100);
+  Alcotest.(check int) "traversals" 1 r.Workload.traversals
+
 (* The roster answers the serving loop's three questions (the k-th
    inactive node for a join, the k-th active node for a leave or a
    source, the size of a bounded source pool) as a scan over all nodes
@@ -191,6 +207,7 @@ let test_roster_matches_scan () =
     if Rng.int rng 10 < bias && live < n then begin
       let k = Rng.int rng (n - live) in
       let v = nth (fun v -> not active.(v)) k in
+      Alcotest.(check int) "k-th inactive" v (Workload.Roster.nth_inactive roster k);
       Workload.Roster.join roster k;
       active.(v) <- true
     end
@@ -343,6 +360,8 @@ let () =
           Alcotest.test_case "bad specs rejected" `Quick test_bad_specs;
           Alcotest.test_case "nan radius rejected" `Quick test_nan_radius;
           Alcotest.test_case "epoch certificate: traversals and stats" `Quick test_certificate;
+          Alcotest.test_case "no-change maintenance keeps the certificate" `Quick
+            test_no_change_maintenance;
           Alcotest.test_case "roster = full scan on a churning stream" `Quick
             test_roster_matches_scan;
           Alcotest.test_case "pinned motion-plus-churn stream (n=300)" `Quick test_pinned_stream;
